@@ -9,6 +9,8 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <iterator>
 #include <map>
 #include <string>
 #include <string_view>
@@ -109,6 +111,42 @@ inline double peak_rss_mib() {
 inline void print_run_footer(const Stopwatch& watch) {
   std::printf("\n[run] wall %.2f s, peak rss %.1f MiB\n", watch.seconds(),
               peak_rss_mib());
+}
+
+/// Reads the number stored under `key` in a committed smoke-floor JSON file
+/// (bench/*_smoke_floor.json). 0 when the file is missing or the key is
+/// absent or unparsable.
+inline double read_smoke_floor(const std::string& path, std::string_view key) {
+  std::ifstream in(path);
+  if (!in) return 0;
+  const std::string text((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  const std::string quoted = "\"" + std::string(key) + "\"";
+  const auto at = text.find(quoted);
+  if (at == std::string::npos) return 0;
+  const auto colon = text.find(':', at + quoted.size());
+  if (colon == std::string::npos) return 0;
+  return std::strtod(text.c_str() + colon + 1, nullptr);
+}
+
+/// The smoke gate shared by the experiment binaries: passes when `measured`
+/// is at least half the committed floor under `key` (so machine-to-machine
+/// variance passes but a >2x regression does not). A missing or unusable
+/// floor file fails the gate. Prints one verdict line.
+inline bool passes_smoke_floor(const std::string& path, std::string_view key,
+                               double measured, std::string_view unit) {
+  const double floor = read_smoke_floor(path, key);
+  const std::string u(unit);
+  if (floor <= 0) {
+    std::printf("  FAIL: no usable \"%.*s\" floor in %s; measured %.0f %s\n",
+                static_cast<int>(key.size()), key.data(), path.c_str(),
+                measured, u.c_str());
+    return false;
+  }
+  const bool ok = measured >= floor / 2;
+  std::printf("  %s: %.0f %s %s floor/2 (%.0f/2 = %.0f)\n", ok ? "ok" : "FAIL",
+              measured, u.c_str(), ok ? ">=" : "<", floor, floor / 2);
+  return ok;
 }
 
 /// Writes the collector's ring as `<argv0>.metrics.jsonl` next to the

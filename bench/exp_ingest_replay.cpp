@@ -245,21 +245,6 @@ int emit_fixtures(const std::string& dir) {
   return 0;
 }
 
-/// Reads the committed smoke floor (plain-ingest entries/s).
-double read_smoke_floor(const std::string& path) {
-  std::FILE* in = std::fopen(path.c_str(), "r");
-  if (in == nullptr) return 0.0;
-  std::string text(1 << 12, '\0');
-  const auto n = std::fread(text.data(), 1, text.size(), in);
-  std::fclose(in);
-  text.resize(n);
-  const auto key = text.find("\"ingest_entries_per_s\"");
-  if (key == std::string::npos) return 0.0;
-  const auto colon = text.find(':', key);
-  if (colon == std::string::npos) return 0.0;
-  return std::strtod(text.c_str() + colon + 1, nullptr);
-}
-
 std::vector<double> parse_speedups(const std::string& text) {
   std::vector<double> out;
   std::size_t pos = 0;
@@ -373,19 +358,10 @@ int main(int argc, char** argv) {
 
   if (smoke) {
     bench::print_section("smoke gate");
-    const double floor =
-        read_smoke_floor(flags.get_str("floor", "bench/ingest_smoke_floor.json"));
-    const double measured = ingests.front().entries_per_s();
-    std::printf("  plain ingest %.0f entries/s, floor %.0f (trip at half)\n",
-                measured, floor);
-    if (floor <= 0) {
-      std::fprintf(stderr, "cannot read smoke floor\n");
-      return 1;
-    }
-    if (measured < floor / 2) {
-      std::fprintf(stderr, "ingest rate %.0f below %.0f (half the committed "
-                           "floor) — ingest-path regression\n",
-                   measured, floor / 2);
+    if (!bench::passes_smoke_floor(
+            flags.get_str("floor", "bench/ingest_smoke_floor.json"),
+            "ingest_entries_per_s", ingests.front().entries_per_s(),
+            "plain-ingest entries/s")) {
       return 1;
     }
     if (ingests.size() > 1) {

@@ -1,30 +1,20 @@
-// Scaling harness for the sharded simulation core (DESIGN.md Sec. 12):
-// sweeps population size x shard count and reports wall time, event
-// throughput, cross-shard traffic, and the speedup vs the 1-shard run of
-// the same population. Everything lands in BENCH_scaling.json (schema in
+// Scaling harness for the single-threaded event core: sweeps population
+// size and reports wall time, event throughput, and unified-trace volume
+// per tier. Everything lands in BENCH_scaling.json (schema in
 // EXPERIMENTS.md).
 //
-// The determinism contract is exercised, not just claimed: at the smallest
-// tier the sharded shards=1 run must reproduce the byte-identical unified
-// trace of a plain MonitoringStudy (FNV-1a stream checksum equality), and
-// --smoke additionally re-runs a threaded 2-shard study and requires the
-// repeat to checksum identically.
-//
-// Speedup expectations depend on hardware_threads (recorded in the JSON):
-// on a single-core host the sweep measures coordination overhead only
-// (speedup <= 1); with >= 8 cores the 8-shard row is expected to approach
-// the core count until cross-shard chatter and barrier idle time dominate.
+// --smoke runs one 2000-node tier twice: the repeat must reproduce the
+// unified trace bit-for-bit (FNV-1a stream checksum equality), and the
+// first run's event rate is gated against the committed floor.
 //
 // Flags: --nodes=N (single population instead of the tier sweep) --hours=
 //        --seed= --full (adds the 10^6-node tier) --smoke
 //        --floor=path (default bench/scaling_smoke_floor.json)
-#include <fstream>
-#include <sstream>
 #include <thread>
 
 #include "bench_common.hpp"
 #include "ingest/replay.hpp"
-#include "scenario/sharded_study.hpp"
+#include "scenario/study.hpp"
 
 using namespace ipfsmon;
 
@@ -32,98 +22,53 @@ namespace {
 
 struct Row {
   std::size_t nodes = 0;
-  std::size_t shards = 0;
   double seconds = 0.0;
   std::uint64_t events = 0;
-  std::uint64_t cross_posts = 0;
-  std::uint64_t epochs = 0;
-  std::uint64_t horizon_stalls = 0;
   std::size_t trace_entries = 0;
   std::uint64_t checksum = 0;
-  double speedup = 0.0;  // vs the shards=1 row of the same population
 
   double events_per_s() const {
     return seconds > 0.0 ? static_cast<double>(events) / seconds : 0.0;
   }
 };
 
-scenario::StudyConfig make_config(std::size_t nodes, std::size_t shards,
-                                  std::uint64_t seed, double hours) {
+scenario::StudyConfig make_config(std::size_t nodes, std::uint64_t seed,
+                                  double hours) {
   scenario::StudyConfig config;
   config.seed = seed;
-  config.shards = shards;
   config.population.node_count = nodes;
   config.warmup = 10 * util::kMinute;
   config.duration = static_cast<util::SimDuration>(
       hours * static_cast<double>(util::kHour));
   // Perf harness: no metrics ring, no gateway fleet — the sweep measures
-  // the event core, and discovery pressure keeps cross-shard links busy.
+  // the event core.
   config.collect_metrics = false;
   config.enable_gateways = false;
   config.catalog.item_count = 2000;
   return config;
 }
 
-std::uint64_t trace_checksum(const trace::Trace& trace) {
-  std::uint64_t h = 0;
-  for (const auto& entry : trace.entries()) {
-    h = ingest::fold_entry_checksum(h, entry);
-  }
-  return h;
-}
-
-Row run_sharded(const scenario::StudyConfig& config) {
+Row run_study(const scenario::StudyConfig& config) {
   const bench::Stopwatch watch;
-  scenario::ShardedStudy study(config);
+  scenario::MonitoringStudy study(config);
   study.run();
   Row row;
   row.nodes = config.population.node_count;
-  row.shards = study.shard_count();
   row.seconds = watch.seconds();
-  row.events = study.coordinator().total_dispatched();
-  row.cross_posts = study.coordinator().cross_posts();
-  row.epochs = study.coordinator().epochs();
-  row.horizon_stalls = study.coordinator().horizon_stalls();
+  row.events = study.scheduler().dispatched();
   const trace::Trace unified = study.unified_trace();
   row.trace_entries = unified.size();
-  row.checksum = trace_checksum(unified);
+  for (const auto& entry : unified.entries()) {
+    row.checksum = ingest::fold_entry_checksum(row.checksum, entry);
+  }
   return row;
 }
 
-/// The shards=1 anchor: a plain (pre-sharding code path) MonitoringStudy
-/// must produce the identical trace stream. Returns its checksum.
-std::uint64_t run_plain_checksum(const scenario::StudyConfig& config) {
-  scenario::StudyConfig plain = config;
-  plain.shards = 1;
-  scenario::MonitoringStudy study(std::move(plain));
-  study.run();
-  return trace_checksum(study.unified_trace());
-}
-
 void print_row(const Row& row) {
-  std::printf("  %8zu %7zu %9.2fs %12llu %11.0f %11llu %9llu %8llu  %5.2fx\n",
-              row.nodes, row.shards, row.seconds,
-              static_cast<unsigned long long>(row.events), row.events_per_s(),
-              static_cast<unsigned long long>(row.cross_posts),
-              static_cast<unsigned long long>(row.epochs),
-              static_cast<unsigned long long>(row.horizon_stalls),
-              row.speedup);
-}
-
-/// Reads the committed smoke floor (1-shard events/s on the smoke
-/// population). Zero when the file is missing or unparsable.
-double read_smoke_floor(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return 0;
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  const std::string text = buffer.str();
-  const std::string key = "\"smoke_events_per_s\"";
-  const auto at = text.find(key);
-  if (at == std::string::npos) return 0;
-  const auto colon = text.find(':', at + key.size());
-  if (colon == std::string::npos) return 0;
-  return std::strtod(text.c_str() + colon + 1, nullptr);
+  std::printf("  %8zu %9.2fs %12llu %11.0f %9zu  %016llx\n", row.nodes,
+              row.seconds, static_cast<unsigned long long>(row.events),
+              row.events_per_s(), row.trace_entries,
+              static_cast<unsigned long long>(row.checksum));
 }
 
 }  // namespace
@@ -137,8 +82,8 @@ int main(int argc, char** argv) {
   const unsigned cores = std::thread::hardware_concurrency();
 
   bench::print_header("exp_monitor_scaling",
-                      "sharded simulation core: population x shard-count "
-                      "sweep (DESIGN.md Sec. 12)");
+                      "event-core throughput across population sizes "
+                      "(DESIGN.md Sec. 12)");
   std::printf("hardware threads: %u, seed %llu\n", cores,
               static_cast<unsigned long long>(seed));
 
@@ -151,82 +96,33 @@ int main(int argc, char** argv) {
     sizes = {1000, 10000, 100000};
     if (flags.has("full")) sizes.push_back(1000000);
   }
-  const std::vector<std::size_t> shard_counts =
-      smoke ? std::vector<std::size_t>{1, 2}
-            : std::vector<std::size_t>{1, 2, 4, 8};
 
-  bool identity_ok = true;
   std::vector<Row> rows;
   bench::print_section("sweep");
-  std::printf("  %8s %7s %10s %12s %11s %11s %9s %8s %7s\n", "nodes",
-              "shards", "wall", "events", "events/s", "cross", "epochs",
-              "stalls", "speedup");
+  std::printf("  %8s %10s %12s %11s %9s  %16s\n", "nodes", "wall", "events",
+              "events/s", "entries", "checksum");
   for (const std::size_t nodes : sizes) {
-    double baseline_seconds = 0.0;
-    for (const std::size_t shards : shard_counts) {
-      Row row = run_sharded(make_config(nodes, shards, seed, hours));
-      if (shards == 1) {
-        baseline_seconds = row.seconds;
-        row.speedup = 1.0;
-      } else if (row.seconds > 0.0) {
-        row.speedup = baseline_seconds / row.seconds;
-      }
-      print_row(row);
-      rows.push_back(row);
-    }
-    // Byte-identity anchor at the smallest tier only — the plain re-run
-    // doubles that tier's cost, which is cheap there and pointless at 10^5.
-    if (nodes == sizes.front()) {
-      const std::uint64_t plain = run_plain_checksum(
-          make_config(nodes, 1, seed, hours));
-      const std::uint64_t sharded1 = rows.front().checksum;
-      identity_ok = plain == sharded1;
-      std::printf("  shards=1 vs plain study: checksum %016llx vs %016llx "
-                  "-> %s\n",
-                  static_cast<unsigned long long>(sharded1),
-                  static_cast<unsigned long long>(plain),
-                  identity_ok ? "IDENTICAL" : "MISMATCH");
-    }
+    rows.push_back(run_study(make_config(nodes, seed, hours)));
+    print_row(rows.back());
   }
 
   bool deterministic_ok = true;
   bool floor_ok = true;
   if (smoke) {
-    // Repeated-run determinism under real threads: the 2-shard smoke run
-    // again, which must reproduce the trace stream bit-for-bit.
     bench::print_section("determinism gate");
-    const Row& first = rows.back();
-    const Row again = run_sharded(
-        make_config(sizes.front(), shard_counts.back(), seed, hours));
+    const Row& first = rows.front();
+    const Row again = run_study(make_config(first.nodes, seed, hours));
     deterministic_ok =
-        again.checksum == first.checksum && first.cross_posts > 0;
-    std::printf("  2-shard repeat: checksum %016llx vs %016llx, "
-                "%llu cross posts -> %s\n",
+        again.checksum == first.checksum && first.trace_entries > 0;
+    std::printf("  repeat: checksum %016llx vs %016llx, %zu entries -> %s\n",
                 static_cast<unsigned long long>(again.checksum),
                 static_cast<unsigned long long>(first.checksum),
-                static_cast<unsigned long long>(first.cross_posts),
-                deterministic_ok ? "ok" : "FAIL");
+                first.trace_entries, deterministic_ok ? "ok" : "FAIL");
 
-    // Throughput gate: the 1-shard smoke run against the committed floor.
-    // Fails only on a >2x drop, so machine-to-machine variance passes but
-    // an event-core regression does not.
-    const std::string floor_path =
-        flags.get_str("floor", "bench/scaling_smoke_floor.json");
-    const double floor = read_smoke_floor(floor_path);
-    const double measured = rows.front().events_per_s();
     bench::print_section("perf smoke gate");
-    if (floor <= 0) {
-      std::printf("  no usable floor at %s; measured %.0f events/s "
-                  "(gate skipped)\n",
-                  floor_path.c_str(), measured);
-    } else if (measured < floor / 2) {
-      std::printf("  FAIL: %.0f events/s < floor/2 (%.0f/2 = %.0f)\n",
-                  measured, floor, floor / 2);
-      floor_ok = false;
-    } else {
-      std::printf("  ok: %.0f events/s >= floor/2 (%.0f/2 = %.0f)\n",
-                  measured, floor, floor / 2);
-    }
+    floor_ok = bench::passes_smoke_floor(
+        flags.get_str("floor", "bench/scaling_smoke_floor.json"),
+        "smoke_events_per_s", first.events_per_s(), "events/s");
   }
 
   const std::string artifact = "BENCH_scaling.json";
@@ -235,46 +131,25 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "cannot write %s\n", artifact.c_str());
     return 1;
   }
-  const double lookahead_ms =
-      static_cast<double>(
-          std::max(scenario::StudyConfig{}.shard_link_floor,
-                   net::GeoDatabase::standard().min_latency())) /
-      static_cast<double>(util::kMillisecond);
   std::fprintf(out,
                "{\"bench\":\"monitor_scaling\",\"hardware_threads\":%u,"
-               "\"lookahead_ms\":%.3f,\"smoke\":%s,\"identity_ok\":%s,"
-               "\"sweep\":[",
-               cores, lookahead_ms, smoke ? "true" : "false",
-               identity_ok ? "true" : "false");
+               "\"seed\":%llu,\"smoke\":%s,\"sweep\":[",
+               cores, static_cast<unsigned long long>(seed),
+               smoke ? "true" : "false");
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& row = rows[i];
     std::fprintf(out,
-                 "%s{\"nodes\":%zu,\"shards\":%zu,\"seconds\":%.3f,"
-                 "\"events\":%llu,\"events_per_s\":%.0f,"
-                 "\"cross_posts\":%llu,\"epochs\":%llu,"
-                 "\"horizon_stalls\":%llu,\"trace_entries\":%zu,"
-                 "\"checksum\":\"%016llx\",\"speedup_vs_1shard\":%.3f}",
-                 i == 0 ? "" : ",", row.nodes, row.shards, row.seconds,
+                 "%s{\"nodes\":%zu,\"seconds\":%.3f,\"events\":%llu,"
+                 "\"events_per_s\":%.0f,\"trace_entries\":%zu,"
+                 "\"checksum\":\"%016llx\"}",
+                 i == 0 ? "" : ",", row.nodes, row.seconds,
                  static_cast<unsigned long long>(row.events),
-                 row.events_per_s(),
-                 static_cast<unsigned long long>(row.cross_posts),
-                 static_cast<unsigned long long>(row.epochs),
-                 static_cast<unsigned long long>(row.horizon_stalls),
-                 row.trace_entries,
-                 static_cast<unsigned long long>(row.checksum), row.speedup);
+                 row.events_per_s(), row.trace_entries,
+                 static_cast<unsigned long long>(row.checksum));
   }
   std::fprintf(out, "]}\n");
   std::fclose(out);
   std::printf("\n[run] artifact: %s\n", artifact.c_str());
-
-  bench::print_section("expectations");
-  std::printf(
-      "  * shards=1 is byte-identical to the plain study (asserted above);\n"
-      "  * cross-shard posts grow with shard count — monitors are the\n"
-      "    cross-shard cut, so every shard's nodes keep dialing them;\n"
-      "  * speedup approaches the core count while shards <= cores; on a\n"
-      "    single-core host the sweep measures barrier overhead instead\n"
-      "    (speedup <= 1, typically within ~10%% of the 1-shard run).\n");
   bench::print_run_footer(stopwatch);
-  return identity_ok && deterministic_ok && floor_ok ? 0 : 1;
+  return deterministic_ok && floor_ok ? 0 : 1;
 }

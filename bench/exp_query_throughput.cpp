@@ -30,7 +30,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstring>
-#include <fstream>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -277,22 +276,6 @@ MultiProcResult run_multiprocess(const std::string& dir,
   return result;
 }
 
-/// Reads the committed smoke floor (entries/s for the warm watchlist
-/// scan). Zero when the file is missing or unparsable.
-double read_smoke_floor(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return 0;
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  const std::string text = buffer.str();
-  const std::string key = "\"warm_scan_entries_per_s\"";
-  const auto at = text.find(key);
-  if (at == std::string::npos) return 0;
-  const auto colon = text.find(':', at + key.size());
-  if (colon == std::string::npos) return 0;
-  return std::strtod(text.c_str() + colon + 1, nullptr);
-}
-
 // --- HTTP workloads ----------------------------------------------------------
 
 struct WorkloadResult {
@@ -460,22 +443,12 @@ int main(int argc, char** argv) {
     // floor. Fails only on a >2x drop, so machine-to-machine variance
     // does not flake the gate.
     const SweepResult* after = find_sweep("watchlist/warm/after");
-    const std::string floor_path =
-        flags.get_str("floor", "bench/query_smoke_floor.json");
-    const double floor = read_smoke_floor(floor_path);
     const double measured = after != nullptr ? after->entries_per_s() : 0;
     bench::print_section("perf smoke gate");
-    if (floor <= 0) {
-      std::printf("  no usable floor at %s; measured %.0f entries/s "
-                  "(gate skipped)\n",
-                  floor_path.c_str(), measured);
-    } else if (measured < floor / 2) {
-      std::printf("  FAIL: %.0f entries/s < floor/2 (%.0f/2 = %.0f)\n",
-                  measured, floor, floor / 2);
+    if (!bench::passes_smoke_floor(
+            flags.get_str("floor", "bench/query_smoke_floor.json"),
+            "warm_scan_entries_per_s", measured, "entries/s")) {
       exit_code = 1;
-    } else {
-      std::printf("  ok: %.0f entries/s >= floor/2 (%.0f/2 = %.0f)\n",
-                  measured, floor, floor / 2);
     }
   }
 

@@ -9,15 +9,10 @@
 // (exit 1) when the directory cannot be written, rather than silently
 // analyzing an empty trace.
 //
-// With --shards=N the population is partitioned across N parallel
-// scheduler shards (scenario::ShardedStudy; DESIGN.md Sec. 12). The
-// default N=1 runs the classic single-threaded path byte-identically.
-//
-// Usage: monitoring_study [nodes] [hours] [seed] [spill_dir] [--shards=N]
+// Usage: monitoring_study [nodes] [hours] [seed] [spill_dir]
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -25,7 +20,7 @@
 #include "analysis/estimators.hpp"
 #include "analysis/popularity.hpp"
 #include "obs/exporters.hpp"
-#include "scenario/sharded_study.hpp"
+#include "scenario/study.hpp"
 #include "trace/preprocess.hpp"
 #include "tracestore/merge.hpp"
 
@@ -33,22 +28,11 @@ using namespace ipfsmon;
 
 int main(int argc, char** argv) {
   scenario::StudyConfig config;
-  std::vector<const char*> positional;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--shards=", 9) == 0) {
-      config.shards = std::strtoul(argv[i] + 9, nullptr, 10);
-      if (config.shards == 0) config.shards = 1;
-    } else {
-      positional.push_back(argv[i]);
-    }
-  }
   config.population.node_count =
-      positional.size() > 0 ? std::strtoul(positional[0], nullptr, 10) : 400;
-  const double hours =
-      positional.size() > 1 ? std::strtod(positional[1], nullptr) : 24.0;
-  config.seed =
-      positional.size() > 2 ? std::strtoull(positional[2], nullptr, 10) : 42;
-  const std::string spill_dir = positional.size() > 3 ? positional[3] : "";
+      argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 400;
+  const double hours = argc > 2 ? std::strtod(argv[2], nullptr) : 24.0;
+  config.seed = argc > 3 ? std::strtoull(argv[3], nullptr, 10) : 42;
+  const std::string spill_dir = argc > 4 ? argv[4] : "";
   config.monitor_spill_dir = spill_dir;
   config.duration = static_cast<util::SimDuration>(
       hours * static_cast<double>(util::kHour));
@@ -56,14 +40,12 @@ int main(int argc, char** argv) {
   config.catalog.item_count = 6000;
   config.progress_heartbeat = true;
 
-  std::printf("running study: %zu nodes, %.0f h measurement, seed %llu, "
-              "%zu shard(s)\n",
+  std::printf("running study: %zu nodes, %.0f h measurement, seed %llu\n",
               config.population.node_count, hours,
-              static_cast<unsigned long long>(config.seed), config.shards);
+              static_cast<unsigned long long>(config.seed));
 
-  scenario::ShardedStudy study(config);
+  scenario::MonitoringStudy study(config);
   study.run();
-  const std::size_t shard_count = study.shard_count();
 
   // --- Spill stores ---------------------------------------------------------
   std::vector<tracestore::TraceStore> stores;
@@ -106,20 +88,19 @@ int main(int argc, char** argv) {
   const auto monitors = study.monitors();
   for (std::size_t i = 0; i < monitors.size(); ++i) {
     const auto* m = monitors[i];
-    // A monitor's connections live on its home shard's network view.
-    auto& home = study.shard(m->monitor_id() % shard_count).network();
     std::printf("monitor %zu: %zu connected now, %zu unique peers seen, "
                 "%zu bitswap-active, %zu trace entries\n",
-                i, home.connection_count(m->id()), m->peers_seen().size(),
+                i, study.network().connection_count(m->id()),
+                m->peers_seen().size(),
                 m->bitswap_active_peers().size(), m->recorded().size());
   }
 
   // --- Coverage & size estimates --------------------------------------------
   const auto snapshots = study.matched_snapshots();
   const auto estimates = analysis::estimate_over_snapshots(snapshots);
-  const std::size_t truly_online = study.online_count();
+  const std::size_t truly_online = study.population().online_count();
   std::printf("\ntrue online now: %zu (of %zu ever online)\n", truly_online,
-              study.ever_online_count());
+              study.population().ever_online_count());
   if (!estimates.pairwise.empty()) {
     std::printf("eq.(1) pairwise estimate:  %.0f (std %.0f)\n",
                 estimates.pairwise.mean(), estimates.pairwise.stddev());
@@ -137,8 +118,7 @@ int main(int argc, char** argv) {
                     static_cast<double>(truly_online));
     // The monitor's live coverage gauge is computed over the same
     // snapshots the analysis pipeline consumes — cross-check they agree.
-    // The gauge lives in the monitor's home-shard registry.
-    auto& registry = study.shard(i % shard_count).obs().metrics;
+    auto& registry = study.obs().metrics;
     const auto* info = registry.find(
         "ipfsmon_monitor_coverage_mean_peers",
         "monitor=\"" + std::to_string(i) + "\"");
@@ -181,7 +161,7 @@ int main(int argc, char** argv) {
 
   // --- Geography ---------------------------------------------------------------
   const auto by_country = analysis::share_by_country(
-      unified.deduplicated(), study.shard(0).network().geo());
+      unified.deduplicated(), study.network().geo());
   std::printf("\nrequests by country:\n");
   for (std::size_t i = 0; i < by_country.size() && i < 6; ++i) {
     std::printf("  %-4s %8llu  %5.2f%%\n", by_country[i].label.c_str(),
@@ -189,39 +169,16 @@ int main(int argc, char** argv) {
                 by_country[i].share_percent);
   }
 
-  std::uint64_t gateway_requests = 0;
-  double hit_ratio_sum = 0.0;
-  std::size_t fleets = 0;
-  for (std::size_t s = 0; s < shard_count; ++s) {
-    if (auto* fleet = study.shard(s).gateways()) {
-      gateway_requests += fleet->http_requests_issued();
-      hit_ratio_sum += fleet->cache_hit_ratio();
-      ++fleets;
-    }
-  }
-  if (fleets > 0) {
+  if (auto* fleet = study.gateways()) {
     std::printf("\ngateway fleet: %llu HTTP requests, cache hit ratio %.1f%%\n",
-                static_cast<unsigned long long>(gateway_requests),
-                100.0 * hit_ratio_sum / static_cast<double>(fleets));
-  }
-
-  if (shard_count > 1) {
-    const auto& coord = study.coordinator();
-    std::printf("\nsharded run: %zu shards, %llu epochs, %llu cross-shard "
-                "posts, %llu horizon stalls, %llu lookahead clamps\n",
-                shard_count,
-                static_cast<unsigned long long>(coord.epochs()),
-                static_cast<unsigned long long>(coord.cross_posts()),
-                static_cast<unsigned long long>(coord.horizon_stalls()),
-                static_cast<unsigned long long>(coord.lookahead_clamped()));
+                static_cast<unsigned long long>(fleet->http_requests_issued()),
+                100.0 * fleet->cache_hit_ratio());
   }
 
   // --- Observability dump -----------------------------------------------------
-  // Shard 0's registry (the only one in a classic single-shard run; in a
-  // sharded run it also carries the coordinator gauges).
   std::printf("\nmetrics (prometheus text exposition):\n%s",
-              obs::to_prometheus(study.shard(0).obs().metrics).c_str());
-  if (const auto* collector = study.shard(0).collector()) {
+              obs::to_prometheus(study.obs().metrics).c_str());
+  if (const auto* collector = study.collector()) {
     const std::string sidecar = std::string(argv[0]) + ".metrics.jsonl";
     if (obs::write_jsonl(*collector, sidecar)) {
       std::printf("metrics sidecar: %s (%zu samples, %zu dropped)\n",

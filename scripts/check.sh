@@ -3,8 +3,8 @@
 # build, run the full test suite, then rebuild the sim + obs + tracestore +
 # query + churn + federation suites under AddressSanitizer
 # (`ctest -L 'sim|obs|tracestore|query|churn|federation'`) and the same
-# concurrent suites under ThreadSanitizer (the sharded-scheduler tests run
-# real worker threads, so TSan exercises the barrier/outbox machinery).
+# suites under ThreadSanitizer (the query, tracestore and federation tests
+# run real server, scan-pool and connection threads).
 #
 # --perf-smoke additionally runs `exp_query_throughput --smoke`, which
 # fails when the warm watchlist scan rate drops below half the committed
@@ -19,10 +19,10 @@
 # deterministic replay checksum to match tests/data/capture_small.checksum,
 # then runs `exp_ingest_replay --smoke` against the committed ingest floor.
 #
-# --scaling-smoke runs `exp_monitor_scaling --smoke`: the shards=1 run
-# must be byte-identical to a plain study, a repeated 2-shard run must
-# checksum identically, and the 1-shard event rate is gated against the
-# committed floor in bench/scaling_smoke_floor.json.
+# --scaling-smoke runs `exp_monitor_scaling --smoke`: a repeated
+# single-shard 2000-node study must checksum identically, and its event
+# rate must stay at or above half the committed floor in
+# bench/scaling_smoke_floor.json.
 #
 # Usage: scripts/check.sh [--no-asan] [--no-tsan] [--perf-smoke]
 #                         [--federation-smoke] [--ingest-smoke]
@@ -102,7 +102,7 @@ if [[ "$RUN_INGEST" == "1" ]]; then
 fi
 
 if [[ "$RUN_SCALING" == "1" ]]; then
-  echo "== scaling smoke: exp_monitor_scaling --smoke (identity + determinism + floor) =="
+  echo "== scaling smoke: exp_monitor_scaling --smoke (determinism + floor) =="
   cmake --build build -j "$JOBS" --target exp_monitor_scaling
   build/bench/exp_monitor_scaling --smoke
 fi
@@ -110,7 +110,7 @@ fi
 if [[ "$RUN_ASAN" == "1" ]]; then
   echo "== asan: sim + obs + tracestore + ingest + query + churn + federation suites under -DIPFSMON_SANITIZE=address =="
   cmake -B build-asan -S . -DIPFSMON_SANITIZE=address >/dev/null
-  cmake --build build-asan -j "$JOBS" --target shard_test obs_test span_test \
+  cmake --build build-asan -j "$JOBS" --target sim_test obs_test span_test \
     tracestore_test ingest_test query_test churn_test federation_test \
     trace_report
   ctest --test-dir build-asan \
@@ -120,7 +120,7 @@ fi
 if [[ "$RUN_TSAN" == "1" ]]; then
   echo "== tsan: sim + obs + query + tracestore + ingest + churn + federation suites under -DIPFSMON_SANITIZE=thread =="
   cmake -B build-tsan -S . -DIPFSMON_SANITIZE=thread >/dev/null
-  cmake --build build-tsan -j "$JOBS" --target shard_test obs_test span_test \
+  cmake --build build-tsan -j "$JOBS" --target sim_test obs_test span_test \
     query_test tracestore_test ingest_test churn_test federation_test \
     trace_report
   ctest --test-dir build-tsan \

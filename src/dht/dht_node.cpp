@@ -76,11 +76,6 @@ void DhtNode::stop() {
   for (const std::uint64_t id : ids) fail_pending(id);
 }
 
-void DhtNode::learn_server(const crypto::PeerId& peer) {
-  if (peer == self_) return;
-  mutate_table([&] { table_.add(peer); });
-}
-
 PeerRecord DhtNode::self_record() const { return record_for(self_); }
 
 PeerRecord DhtNode::record_for(const crypto::PeerId& peer) const {

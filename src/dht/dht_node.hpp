@@ -51,11 +51,6 @@ class DhtNode {
   /// Dials the seeds and performs a self-lookup to populate the table.
   void bootstrap(const std::vector<crypto::PeerId>& seeds);
 
-  /// Out-of-band insertion of a peer known to be a DHT server — used to
-  /// seed remote monitors into bootstrap tables in sharded runs (DESIGN.md
-  /// Sec. 12). From there records spread via FIND_NODE like any other.
-  void learn_server(const crypto::PeerId& peer);
-
   /// Inbound DHT message from the owning host's demultiplexer.
   void handle_message(net::ConnectionId conn, const crypto::PeerId& from,
                       const DhtMessage& msg);

@@ -2,7 +2,6 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
@@ -16,6 +15,7 @@
 #include <sstream>
 
 #include "obs/exporters.hpp"
+#include "query/socket.hpp"
 #include "tracestore/rollup.hpp"
 #include "util/strings.hpp"
 
@@ -65,16 +65,6 @@ bool write_file(const std::string& path, util::BytesView bytes,
     return false;
   }
   return true;
-}
-
-void set_conn_options(int fd, int timeout_ms) {
-  timeval tv{};
-  tv.tv_sec = timeout_ms / 1000;
-  tv.tv_usec = (timeout_ms % 1000) * 1000;
-  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-  ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
-  int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 }
 
 /// The monitor's store subdirectory name ("m-<id>").
@@ -251,13 +241,13 @@ void Coordinator::stop() {
     return;
   }
   if (accept_thread_.joinable()) accept_thread_.join();
-  std::vector<std::thread> workers;
+  std::list<ConnThread> workers;
   {
     std::lock_guard<std::mutex> lock(threads_mu_);
     workers.swap(conn_threads_);
   }
   for (auto& worker : workers) {
-    if (worker.joinable()) worker.join();
+    if (worker.thread.joinable()) worker.thread.join();
   }
   if (listen_fd_ >= 0) {
     ::close(listen_fd_);
@@ -273,14 +263,30 @@ void Coordinator::accept_loop() {
     if (ready <= 0 || (pfd.revents & POLLIN) == 0) continue;
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) continue;
-    set_conn_options(fd, options_.io_timeout_ms);
+    query::set_socket_options(fd, options_.io_timeout_ms);
     std::lock_guard<std::mutex> lock(threads_mu_);
     if (stopping_.load()) {
       ::close(fd);
       break;
     }
-    conn_threads_.emplace_back([this, fd] { handle_connection(fd); });
+    // Join connections that already ended (every ship_pending pass closes
+    // its socket), so finished threads do not pile up until stop().
+    conn_threads_.remove_if([](ConnThread& conn) {
+      if (!conn.done.load()) return false;
+      conn.thread.join();
+      return true;
+    });
+    ConnThread& conn = conn_threads_.emplace_back();
+    conn.thread = std::thread([this, fd, &conn] {
+      handle_connection(fd);
+      conn.done.store(true);
+    });
   }
+}
+
+std::size_t Coordinator::connection_threads() const {
+  std::lock_guard<std::mutex> lock(threads_mu_);
+  return conn_threads_.size();
 }
 
 namespace {

@@ -31,6 +31,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <list>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -104,6 +105,10 @@ class Coordinator {
 
   std::uint16_t port() const { return port_; }
   const std::string& root() const { return root_; }
+
+  /// Connection threads not yet joined (live ones plus finished ones
+  /// awaiting the next accept, which reaps them).
+  std::size_t connection_threads() const;
 
   /// Known monitors ordered by id.
   std::vector<MonitorInfo> monitors() const;
@@ -195,9 +200,15 @@ class Coordinator {
   std::atomic<std::uint64_t> generation_{0};
   std::vector<std::string> recovery_notes_;
 
+  struct ConnThread {
+    std::thread thread;
+    std::atomic<bool> done{false};  // set as the thread's last action
+  };
+
   std::thread accept_thread_;
-  std::mutex threads_mu_;
-  std::vector<std::thread> conn_threads_;
+  mutable std::mutex threads_mu_;
+  // A list so each thread's ConnThread stays put while others are reaped.
+  std::list<ConnThread> conn_threads_;
   std::atomic<bool> stopping_{false};
   std::atomic<bool> started_{false};
 };

@@ -1,18 +1,12 @@
 #include "federation/protocol.hpp"
 
-#include <arpa/inet.h>
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <poll.h>
-#include <sys/socket.h>
 #include <sys/stat.h>
 #include <time.h>
-#include <unistd.h>
 
 #include <cerrno>
 #include <cstring>
 
+#include "query/socket.hpp"
 #include "tracestore/bloom.hpp"
 #include "util/varint.hpp"
 
@@ -125,32 +119,6 @@ class PayloadReader {
   std::size_t pos_ = 0;
   bool failed_ = false;
 };
-
-bool send_all(int fd, const std::uint8_t* data, std::size_t size) {
-  std::size_t off = 0;
-  while (off < size) {
-    const ssize_t n = ::send(fd, data + off, size - off, MSG_NOSIGNAL);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      return false;
-    }
-    off += static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
-bool recv_all(int fd, std::uint8_t* data, std::size_t size) {
-  std::size_t off = 0;
-  while (off < size) {
-    const ssize_t n = ::recv(fd, data + off, size - off, 0);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      return false;  // EOF, timeout, or error
-    }
-    off += static_cast<std::size_t>(n);
-  }
-  return true;
-}
 
 void set_error(std::string* error, const std::string& message) {
   if (error != nullptr) *error = message;
@@ -306,8 +274,8 @@ bool write_frame(int fd, FrameType type, util::BytesView payload,
   put_u16_le(header, static_cast<std::uint16_t>(type));
   put_u64_le(header, payload.size());
   put_u64_le(header, tracestore::fnv1a64(payload, 0));
-  if (!send_all(fd, header.data(), header.size()) ||
-      !send_all(fd, payload.data(), payload.size())) {
+  if (!query::send_all(fd, header.data(), header.size()) ||
+      !query::send_all(fd, payload.data(), payload.size())) {
     set_error(error, std::string("frame write: ") + std::strerror(errno));
     return false;
   }
@@ -316,7 +284,7 @@ bool write_frame(int fd, FrameType type, util::BytesView payload,
 
 std::optional<Frame> read_frame(int fd, std::string* error) {
   std::uint8_t header[kHeaderBytes];
-  if (!recv_all(fd, header, sizeof(header))) {
+  if (!query::recv_all(fd, header, sizeof(header))) {
     set_error(error, "connection closed");
     return std::nullopt;
   }
@@ -343,7 +311,7 @@ std::optional<Frame> read_frame(int fd, std::string* error) {
   frame.type = static_cast<FrameType>(type);
   frame.payload.resize(static_cast<std::size_t>(payload_len));
   if (payload_len > 0 &&
-      !recv_all(fd, frame.payload.data(), frame.payload.size())) {
+      !query::recv_all(fd, frame.payload.data(), frame.payload.size())) {
     set_error(error, "truncated frame payload");
     return std::nullopt;
   }
@@ -371,60 +339,6 @@ std::int64_t file_mtime_unix_us(const std::string& path) {
   return static_cast<std::int64_t>(st.st_mtim.tv_sec) * 1'000'000 +
          st.st_mtim.tv_nsec / 1000;
 #endif
-}
-
-int tcp_connect(const std::string& host, std::uint16_t port, int timeout_ms,
-                std::string* error) {
-  auto fail = [&](const char* what, int fd) {
-    set_error(error, std::string(what) + ": " + std::strerror(errno));
-    if (fd >= 0) ::close(fd);
-    return -1;
-  };
-
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return fail("socket", fd);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-    return fail("inet_pton", fd);
-  }
-
-  // Non-blocking connect + poll: SO_SNDTIMEO does not bound connect() on
-  // every platform, and a coordinator that is not up yet must fail within
-  // the caller's budget, not the kernel's SYN retry schedule.
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-  const int rc =
-      ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr));
-  if (rc != 0) {
-    if (errno != EINPROGRESS) return fail("connect", fd);
-    pollfd pfd{fd, POLLOUT, 0};
-    const int ready = ::poll(&pfd, 1, timeout_ms > 0 ? timeout_ms : -1);
-    if (ready <= 0) {
-      errno = ready == 0 ? ETIMEDOUT : errno;
-      return fail("connect", fd);
-    }
-    int so_error = 0;
-    socklen_t len = sizeof(so_error);
-    ::getsockopt(fd, SOL_SOCKET, SO_ERROR, &so_error, &len);
-    if (so_error != 0) {
-      errno = so_error;
-      return fail("connect", fd);
-    }
-  }
-  ::fcntl(fd, F_SETFL, flags);
-
-  if (timeout_ms > 0) {
-    timeval tv{};
-    tv.tv_sec = timeout_ms / 1000;
-    tv.tv_usec = (timeout_ms % 1000) * 1000;
-    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-    ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
-  }
-  const int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  return fd;
 }
 
 }  // namespace ipfsmon::federation

@@ -134,11 +134,6 @@ bool write_frame(int fd, FrameType type, util::BytesView payload,
 /// the caller must treat the connection as dead either way.
 std::optional<Frame> read_frame(int fd, std::string* error = nullptr);
 
-/// Blocking TCP connect with a real connect timeout (non-blocking connect +
-/// poll), then SO_RCVTIMEO/SNDTIMEO and TCP_NODELAY on the resulting fd.
-/// Returns -1 and sets `error` on failure.
-int tcp_connect(const std::string& host, std::uint16_t port, int timeout_ms,
-                std::string* error = nullptr);
 
 /// CLOCK_REALTIME microseconds — the one clock shipper and coordinator
 /// processes share, so replication lag (land time minus segment mtime) is

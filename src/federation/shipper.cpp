@@ -7,6 +7,7 @@
 #include <filesystem>
 #include <fstream>
 
+#include "query/socket.hpp"
 #include "tracestore/rollup.hpp"
 
 namespace fs = std::filesystem;
@@ -60,8 +61,8 @@ std::vector<SegmentIdentity> Shipper::scan_sealed() const {
 
 int Shipper::connect_once(std::vector<SegmentIdentity>* landed,
                           std::string* error) {
-  const int fd =
-      tcp_connect(options_.host, options_.port, options_.io_timeout_ms, error);
+  const int fd = query::tcp_connect(options_.host, options_.port,
+                                    options_.io_timeout_ms, error);
   if (fd < 0) return -1;
   HelloMsg hello;
   hello.monitor_id = options_.monitor_id;

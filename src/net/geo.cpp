@@ -75,21 +75,6 @@ util::SimDuration GeoDatabase::latency(const std::string& a,
   return static_cast<util::SimDuration>(static_cast<double>(mean) * factor);
 }
 
-util::SimDuration GeoDatabase::min_latency() const {
-  // The minimum mean is always a same-country pair (distance 0, so just
-  // the 4 ms base), but compute it from the data rather than assuming.
-  util::SimDuration min_mean = mean_latency(countries_[0].code,
-                                            countries_[0].code);
-  for (const auto& c : countries_) {
-    min_mean = std::min(min_mean, mean_latency(c.code, c.code));
-  }
-  return static_cast<util::SimDuration>(static_cast<double>(min_mean) * 0.9);
-}
-
-void GeoDatabase::set_address_offset(std::uint32_t host_offset) {
-  next_host_.assign(countries_.size(), 1 + host_offset);
-}
-
 util::SimDuration GeoDatabase::mean_latency(const std::string& a,
                                             const std::string& b) const {
   const CountrySpec* ca = find(a);

@@ -56,18 +56,6 @@ class GeoDatabase {
   util::SimDuration mean_latency(const std::string& a,
                                  const std::string& b) const;
 
-  /// Lower bound on any latency() sample between known countries: the
-  /// smallest pairwise mean times the jitter floor (0.9). The sharded
-  /// coordinator uses this as one input to its conservative lookahead —
-  /// no cross-shard message can arrive sooner than this.
-  util::SimDuration min_latency() const;
-
-  /// Offsets every subsequently allocated host number by `host_offset`.
-  /// Sharded runs give each shard a disjoint slab of every country's /8
-  /// block (shard * 2^20) so addresses stay globally unique without
-  /// cross-shard coordination. Call before any allocation.
-  void set_address_offset(std::uint32_t host_offset);
-
  private:
   const CountrySpec* find(const std::string& code) const;
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "sim/shard.hpp"
 #include "util/time.hpp"
 
 namespace ipfsmon::net {
@@ -134,20 +133,12 @@ std::optional<crypto::PeerId> Network::sample_online_public(
 
 bool Network::is_online(const crypto::PeerId& id) const {
   const auto it = nodes_.find(id);
-  if (it != nodes_.end()) return it->second.online;
-  // Remote peers are modelled always-online on foreign shards; their real
-  // liveness is enforced by their home shard at delivery time.
-  return !remotes_.empty() && remotes_.count(id) != 0;
+  return it != nodes_.end() && it->second.online;
 }
 
 const NodeRecord* Network::record(const crypto::PeerId& id) const {
   const auto it = nodes_.find(id);
-  if (it != nodes_.end()) return &it->second;
-  if (!remotes_.empty()) {
-    const auto rit = remotes_.find(id);
-    if (rit != remotes_.end()) return &rit->second.record;
-  }
-  return nullptr;
+  return it != nodes_.end() ? &it->second : nullptr;
 }
 
 util::SimDuration Network::sample_latency(const crypto::PeerId& a,
@@ -174,10 +165,6 @@ ConnectionId Network::establish(const crypto::PeerId& from,
 
 void Network::dial(const crypto::PeerId& from, const crypto::PeerId& to,
                    std::function<void(std::optional<ConnectionId>)> on_result) {
-  if (shard_coordinator_ != nullptr && nodes_.count(to) == 0) {
-    dial_remote(from, to, std::move(on_result));
-    return;
-  }
   metrics_.dials->inc();
   // One round trip to establish (SYN + accept), sampled now for determinism.
   const util::SimDuration rtt = 2 * sample_latency(from, to);
@@ -348,37 +335,22 @@ void Network::dial_backoff_attempt(
   });
 }
 
-void Network::close(ConnectionId conn) { close_conn(conn, /*notify_remote=*/true); }
-
-void Network::close_conn(ConnectionId conn, bool notify_remote) {
+void Network::close(ConnectionId conn) {
   const auto it = connections_.find(conn);
   if (it == connections_.end()) return;
   const crypto::PeerId a = it->second.a;
   const crypto::PeerId b = it->second.b;
-  const std::size_t remote_shard = it->second.remote_shard;
-  const util::SimTime out_fifo = it->second.next_delivery_a_to_b;
   track_endpoints(it->second, -1.0);
   connections_.erase(it);
   metrics_.connections_closed->inc();
   metrics_.open_connections->set(static_cast<double>(connections_.size()));
   adjacency_[a].erase(b);
   adjacency_[b].erase(a);
-  if (const NodeRecord* ra = record(a); ra != nullptr && ra->host != nullptr) {
+  if (const NodeRecord* ra = record(a); ra != nullptr) {
     ra->host->on_disconnect(conn, b);
   }
-  if (const NodeRecord* rb = record(b); rb != nullptr && rb->host != nullptr) {
+  if (const NodeRecord* rb = record(b); rb != nullptr) {
     rb->host->on_disconnect(conn, a);
-  }
-  if (remote_shard != kLocalShard && notify_remote) {
-    // Tear down the mirror half on the peer's home shard. The close rides
-    // behind any in-flight messages on this direction (FIFO clamp) so it
-    // cannot overtake them; the receiving side closes without notifying
-    // back, which is what stops the two mirrors ping-ponging.
-    util::SimTime when = scheduler_.now() + sample_remote_latency(a, b);
-    when = std::max(when, out_fifo);
-    Network* peer = resolve_shard_(remote_shard);
-    shard_coordinator_->post(self_shard_, remote_shard, when,
-                             [peer, a, b] { peer->deliver_remote_close(a, b); });
   }
 }
 
@@ -396,10 +368,6 @@ void Network::send(ConnectionId conn, const crypto::PeerId& sender,
   const auto it = connections_.find(conn);
   if (it == connections_.end()) return;  // raced with close: drop
   Connection& c = it->second;
-  if (c.remote_shard != kLocalShard) {
-    send_remote(conn, c, sender, std::move(payload));
-    return;
-  }
   const bool a_to_b = (sender == c.a);
   if (!a_to_b && sender != c.b) return;  // not a party to this connection
   const crypto::PeerId receiver = a_to_b ? c.b : c.a;
@@ -495,224 +463,6 @@ std::vector<crypto::PeerId> Network::online_nodes() const {
     if (rec.online) out.push_back(id);
   }
   return out;
-}
-
-// --- Cross-shard routing ----------------------------------------------------
-
-void Network::attach_shard(sim::ShardedScheduler* coordinator,
-                           std::size_t self_shard,
-                           std::function<Network*(std::size_t)> resolve_shard) {
-  if (coordinator == nullptr || !resolve_shard) {
-    throw std::invalid_argument("attach_shard: null coordinator or resolver");
-  }
-  shard_coordinator_ = coordinator;
-  self_shard_ = self_shard;
-  resolve_shard_ = std::move(resolve_shard);
-  // Flooring cross-shard latencies at the coordinator's lookahead is the
-  // invariant the whole conservative scheme rests on: a message sent at
-  // time t arrives at >= t + lookahead, so a window of `lookahead` sim
-  // time can run on every shard without hearing from the others.
-  shard_link_floor_ = coordinator->lookahead();
-  // Registered here, not in the constructor, so unsharded registry dumps
-  // stay byte-identical to builds that never heard of sharding.
-  auto& m = obs_.metrics;
-  const std::string label = "shard=\"" + std::to_string(self_shard) + "\"";
-  shard_metrics_.sent =
-      &m.counter("ipfsmon_net_shard_messages_sent_total",
-                 "Payloads sent to a peer on another shard", label);
-  shard_metrics_.delivered =
-      &m.counter("ipfsmon_net_shard_messages_delivered_total",
-                 "Payloads delivered from a peer on another shard", label);
-  shard_metrics_.dropped = &m.counter(
-      "ipfsmon_net_shard_messages_dropped_total",
-      "Cross-shard payloads dropped (mirror closed or receiver offline)",
-      label);
-  shard_metrics_.connects =
-      &m.counter("ipfsmon_net_shard_connects_total",
-                 "Cross-shard connections accepted on this shard", label);
-}
-
-void Network::register_remote(const crypto::PeerId& id, std::size_t home_shard,
-                              const Address& addr, const std::string& country,
-                              double discovery_weight) {
-  if (shard_coordinator_ == nullptr) {
-    throw std::invalid_argument("register_remote: attach_shard first");
-  }
-  auto [it, inserted] = remotes_.try_emplace(id);
-  if (!inserted && it->second.dialable) return;
-  const bool was_hub = !inserted && it->second.record.discovery_weight > 1.0;
-  it->second.record = NodeRecord{id,      addr,    country, /*nat=*/false,
-                                 /*online=*/true,  nullptr, discovery_weight};
-  it->second.home_shard = home_shard;
-  it->second.dialable = true;
-  if (discovery_weight > 1.0 && !was_hub) {
-    online_hubs_.emplace_back(id, discovery_weight);
-    online_hub_weight_ += discovery_weight;
-  }
-}
-
-util::SimDuration Network::sample_remote_latency(const crypto::PeerId& a,
-                                                 const crypto::PeerId& b) {
-  return std::max(sample_latency(a, b), shard_link_floor_);
-}
-
-void Network::dial_remote(
-    const crypto::PeerId& from, const crypto::PeerId& to,
-    std::function<void(std::optional<ConnectionId>)> on_result) {
-  metrics_.dials->inc();
-  const util::SimDuration rtt = 2 * sample_remote_latency(from, to);
-  scheduler_.schedule_after(rtt, [this, from, to,
-                                  cb = std::move(on_result)]() {
-    if (!is_online(from) || (!isolated_.empty() && isolated(from))) {
-      metrics_.dial_failures->inc();
-      if (cb) cb(std::nullopt);
-      return;
-    }
-    const auto rit = remotes_.find(to);
-    if (rit == remotes_.end() || !rit->second.dialable) {
-      // Address-book-only remote (learned from an inbound connect): not
-      // dialable from this shard — fails exactly like dialing NAT.
-      metrics_.dial_failures->inc();
-      if (cb) cb(std::nullopt);
-      return;
-    }
-    if (const auto existing = connection_between(from, to)) {
-      if (cb) cb(existing);
-      return;
-    }
-    metrics_.accepts->inc();
-    const std::size_t home = rit->second.home_shard;
-    const ConnectionId conn = establish(from, to);
-    connections_[conn].remote_shard = home;
-    // Notify the peer's home shard so it establishes the mirror half.
-    // The notify time becomes this direction's FIFO floor: no payload can
-    // arrive before (or, on a time tie, sort ahead of) the connect.
-    const NodeRecord* rf = record(from);
-    const util::SimTime notify_at =
-        scheduler_.now() + sample_remote_latency(from, to);
-    connections_[conn].next_delivery_a_to_b = notify_at;
-    Network* peer = resolve_shard_(home);
-    shard_coordinator_->post(
-        self_shard_, home, notify_at,
-        [peer, from, self = self_shard_, addr = rf->address,
-         country = rf->country, to] {
-          peer->deliver_remote_connect(from, self, addr, country, to);
-        });
-    NodeRecord& dialer = nodes_.at(from);
-    dialer.host->on_connection(conn, to, /*outbound=*/true);
-    if (cb) {
-      cb(connections_.count(conn) != 0 ? std::optional(conn) : std::nullopt);
-    }
-  });
-}
-
-void Network::deliver_remote_connect(const crypto::PeerId& from,
-                                     std::size_t from_shard,
-                                     const Address& from_addr,
-                                     const std::string& from_country,
-                                     const crypto::PeerId& to) {
-  // Learn the dialer's record (address-book entry, not dialable) so
-  // monitors can geolocate cross-shard senders exactly like local ones.
-  auto [rit, inserted] = remotes_.try_emplace(from);
-  if (inserted) {
-    rit->second.record = NodeRecord{from, from_addr, from_country,
-                                    /*nat=*/false, /*online=*/true, nullptr,
-                                    1.0};
-    rit->second.home_shard = from_shard;
-    rit->second.dialable = false;
-  }
-  const NodeRecord* target = record(to);
-  const bool reachable = target != nullptr && target->host != nullptr &&
-                         target->online &&
-                         (isolated_.empty() || !isolated(to)) &&
-                         connection_between(to, from) == std::nullopt &&
-                         target->host->accept_inbound(from);
-  if (!reachable) {
-    // The dialer already holds a half-open mirror (it saw us as
-    // always-online); tear it down so it observes a disconnect rather
-    // than a silent black hole.
-    Network* peer = resolve_shard_(from_shard);
-    const util::SimTime when =
-        scheduler_.now() + sample_remote_latency(to, from);
-    shard_coordinator_->post(self_shard_, from_shard, when,
-                             [peer, to, from] {
-                               peer->deliver_remote_close(to, from);
-                             });
-    return;
-  }
-  shard_metrics_.connects->inc();
-  const ConnectionId conn = establish(to, from);
-  connections_[conn].remote_shard = from_shard;
-  target->host->on_connection(conn, from, /*outbound=*/false);
-}
-
-void Network::send_remote(ConnectionId conn, Connection& c,
-                          const crypto::PeerId& sender, PayloadPtr payload) {
-  if (sender != c.a) return;  // the local endpoint of a mirror is always `a`
-  const crypto::PeerId receiver = c.b;
-
-  if (link_faults_.active() || !isolated_.empty()) {
-    if (isolated(sender) ||
-        (link_faults_.drop_probability > 0.0 &&
-         fault_rng_->bernoulli(link_faults_.drop_probability))) {
-      ++fault_drops_count_;
-      fault_metrics_.fault_drops->inc();
-      metrics_.messages_dropped->inc();
-      return;
-    }
-  }
-
-  util::SimDuration latency = sample_remote_latency(sender, receiver);
-  if (link_faults_.extra_delay_mean_seconds > 0.0) {
-    latency += util::seconds(
-        fault_rng_->exponential(link_faults_.extra_delay_mean_seconds));
-  }
-  ++shard_sent_count_;
-  metrics_.messages_sent->inc();
-  shard_metrics_.sent->inc();
-  metrics_.latency->observe(util::to_seconds(latency));
-  util::SimTime deliver_at = scheduler_.now() + latency;
-  if (deliver_at < c.next_delivery_a_to_b) deliver_at = c.next_delivery_a_to_b;
-  c.next_delivery_a_to_b = deliver_at;
-
-  Network* peer = resolve_shard_(c.remote_shard);
-  shard_coordinator_->post(
-      self_shard_, c.remote_shard, deliver_at,
-      [peer, sender, receiver, payload = std::move(payload)] {
-        peer->deliver_remote_message(sender, receiver, std::move(payload));
-      });
-  (void)conn;
-}
-
-void Network::deliver_remote_message(const crypto::PeerId& from,
-                                     const crypto::PeerId& to,
-                                     PayloadPtr payload) {
-  const auto conn = connection_between(to, from);
-  if (!conn.has_value()) {
-    // Our mirror closed (or never established) while the payload was in
-    // flight — the cross-shard analogue of a TCP reset drop.
-    metrics_.messages_dropped->inc();
-    shard_metrics_.dropped->inc();
-    return;
-  }
-  const NodeRecord* r = record(to);
-  if (r == nullptr || r->host == nullptr || !r->online ||
-      (!isolated_.empty() && isolated(to))) {
-    metrics_.messages_dropped->inc();
-    shard_metrics_.dropped->inc();
-    return;
-  }
-  ++messages_delivered_;
-  metrics_.messages_delivered->inc();
-  shard_metrics_.delivered->inc();
-  metrics_.bytes_delivered->inc(payload->wire_size());
-  r->host->on_message(*conn, from, payload);
-}
-
-void Network::deliver_remote_close(const crypto::PeerId& from,
-                                   const crypto::PeerId& to) {
-  const auto conn = connection_between(to, from);
-  if (conn.has_value()) close_conn(*conn, /*notify_remote=*/false);
 }
 
 }  // namespace ipfsmon::net

@@ -21,10 +21,6 @@
 #include "sim/scheduler.hpp"
 #include "util/rng.hpp"
 
-namespace ipfsmon::sim {
-class ShardedScheduler;
-}
-
 namespace ipfsmon::net {
 
 /// Base class for protocol messages carried over connections. Protocol
@@ -223,86 +219,19 @@ class Network {
   /// with enabled = false restores the fully inert state.
   void enable_tracing(const obs::TracerConfig& config);
 
-  // --- Cross-shard routing (src/sim sharded coordinator) -------------------
-  // Everything below is inert until attach_shard is called: unsharded runs
-  // take no extra branches past a null-pointer check, register no extra
-  // metrics, and draw no extra randomness — shards=1 stays byte-identical.
-
-  /// Attaches this network (running as shard `self_shard`) to a sharded
-  /// coordinator. `resolve_shard` maps a shard index to that shard's
-  /// Network; it must stay valid for the network's lifetime and is only
-  /// consulted read-only after setup. Cross-shard link latencies are
-  /// floored at the coordinator's lookahead, which is what makes the
-  /// conservative window advance safe (DESIGN.md Sec. 12).
-  void attach_shard(sim::ShardedScheduler* coordinator, std::size_t self_shard,
-                    std::function<Network*(std::size_t)> resolve_shard);
-  bool sharded() const { return shard_coordinator_ != nullptr; }
-  std::size_t shard_index() const { return self_shard_; }
-
-  /// Registers a peer living on `home_shard` as dialable from this shard.
-  /// Remote peers are modelled as always-online, always-accepting, non-NAT
-  /// hubs (the monitor/bootstrap shape — exactly the nodes worth
-  /// cross-registering); `discovery_weight` > 1 also enters them into the
-  /// ambient-discovery hub tier so local nodes can find them.
-  void register_remote(const crypto::PeerId& id, std::size_t home_shard,
-                       const Address& addr, const std::string& country,
-                       double discovery_weight = 1.0);
-
-  // Cross-shard delivery entry points. Invoked on THIS network's shard
-  // thread via events posted by a peer shard's network; they touch only
-  // this shard's state.
-  void deliver_remote_connect(const crypto::PeerId& from,
-                              std::size_t from_shard, const Address& from_addr,
-                              const std::string& from_country,
-                              const crypto::PeerId& to);
-  void deliver_remote_message(const crypto::PeerId& from,
-                              const crypto::PeerId& to, PayloadPtr payload);
-  void deliver_remote_close(const crypto::PeerId& from,
-                            const crypto::PeerId& to);
-
-  std::uint64_t shard_messages_sent() const { return shard_sent_count_; }
-
  private:
-  /// Sentinel remote_shard value marking a same-shard connection.
-  static constexpr std::size_t kLocalShard = static_cast<std::size_t>(-1);
-
   struct Connection {
     crypto::PeerId a, b;
     util::SimTime established = 0;
     // FIFO clamps: earliest allowed delivery time per direction.
     util::SimTime next_delivery_a_to_b = 0;
     util::SimTime next_delivery_b_to_a = 0;
-    // For cross-shard connections: the shard hosting peer `b` (`a` is
-    // always the local endpoint of a mirror pair). kLocalShard otherwise.
-    std::size_t remote_shard = kLocalShard;
-  };
-
-  struct RemoteRecord {
-    NodeRecord record;  // host == nullptr, online == true
-    std::size_t home_shard = 0;
-    // Explicitly registered remotes are dialable; records learned from an
-    // inbound cross-shard connect are address-book entries only — dialing
-    // them fails like dialing through NAT (documented contract limit).
-    bool dialable = false;
   };
 
   util::SimDuration sample_latency(const crypto::PeerId& a,
                                    const crypto::PeerId& b);
   ConnectionId establish(const crypto::PeerId& from, const crypto::PeerId& to);
   void close_all_of(const crypto::PeerId& id);
-  /// Shared teardown; close() notifies the remote shard of mirror
-  /// connections, deliver_remote_close suppresses the notify to stop the
-  /// two mirrors ping-ponging close messages.
-  void close_conn(ConnectionId conn, bool notify_remote);
-  void dial_remote(const crypto::PeerId& from, const crypto::PeerId& to,
-                   std::function<void(std::optional<ConnectionId>)> on_result);
-  void send_remote(ConnectionId conn, Connection& c,
-                   const crypto::PeerId& sender, PayloadPtr payload);
-  /// One-way cross-shard latency: the regular geo sample floored at the
-  /// coordinator lookahead (the modelling knob that buys parallelism —
-  /// cross-shard links are long-haul by construction).
-  util::SimDuration sample_remote_latency(const crypto::PeerId& a,
-                                          const crypto::PeerId& b);
   /// Lazily creates the fault RNG stream and registers fault metrics.
   /// Deferred so fault-free runs register nothing (registry dumps stay
   /// byte-identical to builds that never heard of faults).
@@ -353,20 +282,6 @@ class Network {
     obs::Histogram* latency = nullptr;
   } metrics_;
   std::unordered_map<std::string, obs::Gauge*> country_gauges_;
-
-  // Cross-shard state (empty / null until attach_shard).
-  sim::ShardedScheduler* shard_coordinator_ = nullptr;
-  std::size_t self_shard_ = 0;
-  std::function<Network*(std::size_t)> resolve_shard_;
-  util::SimDuration shard_link_floor_ = 0;
-  std::unordered_map<crypto::PeerId, RemoteRecord> remotes_;
-  std::uint64_t shard_sent_count_ = 0;
-  struct ShardInstruments {
-    obs::Counter* sent = nullptr;
-    obs::Counter* delivered = nullptr;
-    obs::Counter* dropped = nullptr;
-    obs::Counter* connects = nullptr;
-  } shard_metrics_;
 
   std::unordered_map<crypto::PeerId, NodeRecord> nodes_;
   std::unordered_map<ConnectionId, Connection> connections_;

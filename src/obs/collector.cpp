@@ -1,7 +1,5 @@
 #include "obs/collector.hpp"
 
-#include "sim/shard.hpp"
-
 namespace ipfsmon::obs {
 
 Collector::Collector(sim::Scheduler& scheduler, MetricsRegistry& registry,
@@ -76,8 +74,7 @@ void register_scheduler_metrics(Collector& collector, MetricsRegistry& registry,
       "started");
   Gauge& clamped = registry.gauge(
       "ipfsmon_sim_schedule_clamped",
-      "Events whose requested time was in the past and got clamped to now "
-      "(cross-shard lookahead violations land here)");
+      "Events whose requested time was in the past and got clamped to now");
   collector.add_sampler(
       [&collector, &scheduler, &fired, &cancelled, &depth, &sim_seconds,
        &speedup, &clamped]() {
@@ -91,43 +88,6 @@ void register_scheduler_metrics(Collector& collector, MetricsRegistry& registry,
           speedup.set(util::to_seconds(scheduler.now()) / wall);
         }
       });
-}
-
-void register_sharded_scheduler_metrics(Collector& collector,
-                                        MetricsRegistry& registry,
-                                        const sim::ShardedScheduler& sharded) {
-  Gauge& epochs = registry.gauge(
-      "ipfsmon_sim_shard_epochs",
-      "Barrier epochs completed by the sharded coordinator");
-  Gauge& cross = registry.gauge("ipfsmon_sim_shard_cross_posts",
-                                "Events posted across shard boundaries");
-  Gauge& clamped = registry.gauge(
-      "ipfsmon_sim_shard_lookahead_clamped",
-      "Cross-shard posts below the safe horizon, clamped up to it "
-      "(nonzero means the lookahead contract was violated)");
-  Gauge& stalls = registry.gauge(
-      "ipfsmon_sim_shard_horizon_stalls",
-      "Shard-epoch pairs that dispatched zero events (idle windows)");
-  // Per-shard dispatch counters are published from atomics snapshotted at
-  // each barrier, so this sampler (running on shard 0) reads them safely
-  // while other shards keep executing.
-  std::vector<Gauge*> dispatched;
-  dispatched.reserve(sharded.shard_count());
-  for (std::size_t i = 0; i < sharded.shard_count(); ++i) {
-    dispatched.push_back(&registry.gauge(
-        "ipfsmon_sim_shard_events_fired", "Events dispatched by this shard",
-        "shard=\"" + std::to_string(i) + "\""));
-  }
-  collector.add_sampler([&sharded, &epochs, &cross, &clamped, &stalls,
-                         dispatched = std::move(dispatched)]() {
-    epochs.set(static_cast<double>(sharded.epochs()));
-    cross.set(static_cast<double>(sharded.cross_posts()));
-    clamped.set(static_cast<double>(sharded.lookahead_clamped()));
-    stalls.set(static_cast<double>(sharded.horizon_stalls()));
-    for (std::size_t i = 0; i < dispatched.size(); ++i) {
-      dispatched[i]->set(static_cast<double>(sharded.shard_dispatched(i)));
-    }
-  });
 }
 
 }  // namespace ipfsmon::obs

@@ -14,10 +14,6 @@
 #include "obs/metrics.hpp"
 #include "sim/scheduler.hpp"
 
-namespace ipfsmon::sim {
-class ShardedScheduler;
-}
-
 namespace ipfsmon::obs {
 
 struct CollectorConfig {
@@ -86,14 +82,5 @@ class Collector {
 /// sim time, and the sim-time/wall-time speedup ratio.
 void register_scheduler_metrics(Collector& collector, MetricsRegistry& registry,
                                 const sim::Scheduler& scheduler);
-
-/// Registers the sharded-coordinator instruments (epochs, cross-shard
-/// posts, lookahead clamps, horizon stalls, per-shard dispatch counts) and
-/// a sampler keeping them fresh. Call on shard 0's collector only — the
-/// counters are atomics snapshotted at epoch barriers, safe to read while
-/// other shards run.
-void register_sharded_scheduler_metrics(Collector& collector,
-                                        MetricsRegistry& registry,
-                                        const sim::ShardedScheduler& sharded);
 
 }  // namespace ipfsmon::obs

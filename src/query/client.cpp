@@ -1,93 +1,17 @@
 #include "query/client.hpp"
 
-#include <arpa/inet.h>
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
-#include <cstring>
 #include <thread>
+
+#include "query/socket.hpp"
 
 namespace ipfsmon::query {
 
 namespace {
-
-int connect_to(const std::string& host, std::uint16_t port, int timeout_ms,
-               std::string* error) {
-  auto fail = [&](const char* what, int fd) {
-    if (error != nullptr) {
-      *error = std::string(what) + ": " + std::strerror(errno);
-    }
-    if (fd >= 0) ::close(fd);
-    return -1;
-  };
-
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return fail("socket", fd);
-  if (timeout_ms > 0) {
-    timeval tv{};
-    tv.tv_sec = timeout_ms / 1000;
-    tv.tv_usec = (timeout_ms % 1000) * 1000;
-    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-    ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
-  }
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-    return fail("inet_pton", fd);
-  }
-  // SO_SNDTIMEO does not bound connect(); a daemon that is down but
-  // dropping SYNs would block for the kernel's default (minutes). Connect
-  // non-blocking and poll with the caller's timeout instead.
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  if (timeout_ms > 0 && flags >= 0) {
-    ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-    if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-      if (errno != EINPROGRESS) return fail("connect", fd);
-      pollfd pfd{fd, POLLOUT, 0};
-      int ready = 0;
-      do {
-        ready = ::poll(&pfd, 1, timeout_ms);
-      } while (ready < 0 && errno == EINTR);
-      if (ready <= 0) {
-        errno = ready == 0 ? ETIMEDOUT : errno;
-        return fail("connect", fd);
-      }
-      int so_error = 0;
-      socklen_t len = sizeof(so_error);
-      if (::getsockopt(fd, SOL_SOCKET, SO_ERROR, &so_error, &len) != 0 ||
-          so_error != 0) {
-        errno = so_error != 0 ? so_error : errno;
-        return fail("connect", fd);
-      }
-    }
-    ::fcntl(fd, F_SETFL, flags);
-  } else if (::connect(fd, reinterpret_cast<sockaddr*>(&addr),
-                       sizeof(addr)) != 0) {
-    return fail("connect", fd);
-  }
-  const int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  return fd;
-}
-
-bool send_all(int fd, std::string_view data) {
-  std::size_t off = 0;
-  while (off < data.size()) {
-    const ssize_t n =
-        ::send(fd, data.data() + off, data.size() - off, MSG_NOSIGNAL);
-    if (n <= 0) return false;
-    off += static_cast<std::size_t>(n);
-  }
-  return true;
-}
 
 std::string recv_until_close(int fd) {
   std::string out;
@@ -106,7 +30,7 @@ std::optional<HttpResponse> http_get(const std::string& host,
                                      std::uint16_t port,
                                      const std::string& target, int timeout_ms,
                                      std::string* error) {
-  const int fd = connect_to(host, port, timeout_ms, error);
+  const int fd = tcp_connect(host, port, timeout_ms, error);
   if (fd < 0) return std::nullopt;
   const std::string request = "GET " + target +
                               " HTTP/1.1\r\nHost: " + host +
@@ -147,7 +71,7 @@ std::optional<std::string> raw_exchange(const std::string& host,
                                         const std::string& bytes,
                                         int timeout_ms, bool half_close,
                                         std::string* error) {
-  const int fd = connect_to(host, port, timeout_ms, error);
+  const int fd = tcp_connect(host, port, timeout_ms, error);
   if (fd < 0) return std::nullopt;
   if (!bytes.empty() && !send_all(fd, bytes)) {
     if (error != nullptr) *error = "send failed";

@@ -11,34 +11,9 @@
 #include <cstring>
 
 #include "obs/span.hpp"
+#include "query/socket.hpp"
 
 namespace ipfsmon::query {
-
-namespace {
-
-void set_io_timeouts(int fd, int timeout_ms) {
-  if (timeout_ms <= 0) return;
-  timeval tv{};
-  tv.tv_sec = timeout_ms / 1000;
-  tv.tv_usec = (timeout_ms % 1000) * 1000;
-  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-  ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
-}
-
-/// Sends the whole buffer; false on error/timeout.
-bool send_all(int fd, std::string_view data, std::atomic<std::uint64_t>* sent) {
-  std::size_t off = 0;
-  while (off < data.size()) {
-    const ssize_t n =
-        ::send(fd, data.data() + off, data.size() - off, MSG_NOSIGNAL);
-    if (n <= 0) return false;
-    off += static_cast<std::size_t>(n);
-    sent->fetch_add(static_cast<std::uint64_t>(n), std::memory_order_relaxed);
-  }
-  return true;
-}
-
-}  // namespace
 
 HttpServer::HttpServer(ServerOptions options, Handler handler)
     : options_(std::move(options)), handler_(std::move(handler)) {}
@@ -154,7 +129,7 @@ void HttpServer::accept_loop() {
     } else {
       // Shed load visibly: a one-shot 503 instead of an unbounded queue.
       connections_rejected_.fetch_add(1, std::memory_order_relaxed);
-      set_io_timeouts(fd, options_.io_timeout_ms);
+      set_socket_options(fd, options_.io_timeout_ms);
       const std::string payload = serialize_response(
           error_response(503, "server overloaded"), /*keep_alive=*/false);
       send_all(fd, payload, &bytes_written_);
@@ -187,9 +162,7 @@ void HttpServer::serve_connection(PendingConn conn) {
   // First request on the connection dates from accept; each keep-alive
   // successor dates from the end of the previous response.
   std::int64_t request_epoch_us = conn.accepted_us;
-  set_io_timeouts(fd, options_.io_timeout_ms);
-  const int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  set_socket_options(fd, options_.io_timeout_ms);
 
   std::string buffer;
   std::size_t served = 0;

@@ -9,27 +9,9 @@
 namespace ipfsmon::scenario {
 
 MonitoringStudy::MonitoringStudy(StudyConfig config)
-    : MonitoringStudy(std::move(config), ShardPlacement{}) {}
-
-MonitoringStudy::MonitoringStudy(StudyConfig config,
-                                 const ShardPlacement& placement)
-    : config_(std::move(config)),
-      placement_(placement),
-      owned_scheduler_(placement.scheduler == nullptr
-                           ? std::make_unique<sim::Scheduler>()
-                           : nullptr),
-      scheduler_(placement.scheduler != nullptr ? placement.scheduler
-                                                : owned_scheduler_.get()),
-      rng_(config_.seed, "study") {
-  net::GeoDatabase geo = net::GeoDatabase::standard();
-  if (placement_.shard_count > 1) {
-    // Disjoint per-shard host slabs inside every country's /8 block, so
-    // addresses stay globally unique without cross-shard coordination.
-    geo.set_address_offset(
-        static_cast<std::uint32_t>(placement_.shard) << 20);
-  }
-  network_ = std::make_unique<net::Network>(*scheduler_, std::move(geo),
-                                            config_.seed);
+    : config_(std::move(config)), rng_(config_.seed, "study") {
+  network_ = std::make_unique<net::Network>(
+      scheduler_, net::GeoDatabase::standard(), config_.seed);
   // Only when enabled: with the default (inert) config no tracer state is
   // allocated and runs stay byte-identical to untraced builds.
   if (config_.tracing.enabled) network_->enable_tracing(config_.tracing);
@@ -49,13 +31,6 @@ MonitoringStudy::MonitoringStudy(StudyConfig config,
 
   util::RngStream key_rng = rng_.fork("monitor-keys");
   for (std::size_t i = 0; i < config_.monitor_count; ++i) {
-    // Placed studies host only their own monitors (global index mod shard
-    // count), skipped before any RNG draw; monitor_id stays the global
-    // index so unified traces keep one id space across shards.
-    if (placement_.shard_count > 1 &&
-        i % placement_.shard_count != placement_.shard) {
-      continue;
-    }
     const std::string country =
         i < config_.monitor_countries.size() ? config_.monitor_countries[i]
                                              : network_->geo().sample_country(rng_);
@@ -109,9 +84,9 @@ void MonitoringStudy::setup_collector() {
   collector_config.interval = config_.collect_interval;
   collector_config.ring_capacity = config_.collect_ring_capacity;
   collector_ = std::make_unique<obs::Collector>(
-      *scheduler_, network_->obs().metrics, collector_config);
+      scheduler_, network_->obs().metrics, collector_config);
   obs::register_scheduler_metrics(*collector_, network_->obs().metrics,
-                                  *scheduler_);
+                                  scheduler_);
 
   // Ground-truth gauges refreshed right before each sample: population and
   // gateway state the instrumented layers cannot see from inside.
@@ -171,12 +146,12 @@ void MonitoringStudy::after_warmup() {
 
 void MonitoringStudy::run_warmup() {
   start_components();
-  run_span(scheduler_->now() + config_.warmup, "warmup");
+  run_span(scheduler_.now() + config_.warmup, "warmup");
   after_warmup();
 }
 
 void MonitoringStudy::run_measurement(util::SimDuration duration) {
-  run_span(scheduler_->now() + duration, "measurement");
+  run_span(scheduler_.now() + duration, "measurement");
   export_spans();
 }
 
@@ -195,15 +170,15 @@ void MonitoringStudy::export_spans() {
 
 void MonitoringStudy::run_span(util::SimTime target, const char* label) {
   if (!config_.progress_heartbeat) {
-    scheduler_->run_until(target);
+    scheduler_.run_until(target);
     return;
   }
-  const util::SimTime start = scheduler_->now();
+  const util::SimTime start = scheduler_.now();
   const auto wall_start = std::chrono::steady_clock::now();
-  while (scheduler_->now() < target) {
-    scheduler_->run_until(
-        std::min(target, scheduler_->now() + config_.heartbeat_interval));
-    const double progress = static_cast<double>(scheduler_->now() - start) /
+  while (scheduler_.now() < target) {
+    scheduler_.run_until(
+        std::min(target, scheduler_.now() + config_.heartbeat_interval));
+    const double progress = static_cast<double>(scheduler_.now() - start) /
                             static_cast<double>(target - start);
     const double wall = std::chrono::duration<double>(
                             std::chrono::steady_clock::now() - wall_start)
@@ -213,7 +188,7 @@ void MonitoringStudy::run_span(util::SimTime target, const char* label) {
     std::fprintf(stderr,
                  "[ipfsmon] %s %3.0f%% (sim %s) wall %.1fs eta %.1fs\n",
                  label, 100.0 * progress,
-                 util::format_sim_time(scheduler_->now()).c_str(), wall, eta);
+                 util::format_sim_time(scheduler_.now()).c_str(), wall, eta);
   }
 }
 

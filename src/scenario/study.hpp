@@ -14,6 +14,7 @@
 #include "obs/span.hpp"
 #include "scenario/gateway_fleet.hpp"
 #include "scenario/population.hpp"
+#include "sim/scheduler.hpp"
 #include "trace/preprocess.hpp"
 
 namespace ipfsmon::scenario {
@@ -54,22 +55,9 @@ struct StudyConfig {
 
   bool enable_gateways = true;
 
-  // --- Sharded execution (src/sim/shard.hpp; DESIGN.md Sec. 12) -----------
-  /// Run the study partitioned across this many parallel scheduler shards
-  /// (via scenario::ShardedStudy — a plain MonitoringStudy ignores this).
-  /// 1 = the classic single-threaded path, byte-identical to pre-sharding
-  /// builds.
-  std::size_t shards = 1;
-  /// Use worker threads for shards > 1. Off runs the identical epoch
-  /// schedule sequentially — same results, used by tests to separate
-  /// determinism questions from threading ones.
-  bool shard_threads = true;
-  /// Minimum cross-shard link latency (the conservative lookahead, unless
-  /// the geography's own floor is larger). A modelling knob: shards are
-  /// long-haul regions, so inter-shard links are at least this slow. Larger
-  /// values buy bigger parallel windows; smaller values make cross-shard
-  /// traffic more realistic but barrier-dominated.
-  util::SimDuration shard_link_floor = 25 * util::kMillisecond;
+  /// Always one: the study runs on a single scheduler. Not settable; kept
+  /// only because perfbench echoes config.shards in its config text.
+  static constexpr std::size_t shards = 1;
 
   // --- Observability (src/obs) -------------------------------------------
   /// Collect periodic metrics snapshots from the network's registry into a
@@ -105,20 +93,9 @@ struct StudyConfig {
   churn::ChurnConfig churn;
 };
 
-/// Placement handed to a MonitoringStudy that runs as one shard of a
-/// ShardedStudy: the shard's scheduler (owned by the coordinator) and the
-/// shard topology. With the default (null scheduler / 1 shard) the study
-/// owns a private scheduler and behaves exactly as before.
-struct ShardPlacement {
-  sim::Scheduler* scheduler = nullptr;
-  std::size_t shard = 0;
-  std::size_t shard_count = 1;
-};
-
 class MonitoringStudy {
  public:
   explicit MonitoringStudy(StudyConfig config);
-  MonitoringStudy(StudyConfig config, const ShardPlacement& placement);
   ~MonitoringStudy();
 
   MonitoringStudy(const MonitoringStudy&) = delete;
@@ -128,19 +105,14 @@ class MonitoringStudy {
   /// observations so the measurement starts clean.
   void run_warmup();
 
-  // Phase pieces of run_warmup/run_measurement, exposed so ShardedStudy
-  // can interleave them with coordinator-driven time advancement (the
-  // sharded run must start every shard's components before any clock
-  // moves, and reset observations on all shards at the same sim time).
+  // Phase pieces of run_warmup, exposed for callers that advance the
+  // scheduler themselves (e.g. by event count rather than sim time).
   /// Starts population, gateways, monitors, injector and collector without
   /// advancing time.
   void start_components();
   /// Clears monitor observations and starts snapshot timers (call once
   /// warm-up time has elapsed).
   void after_warmup();
-  /// Exports buffered spans to config.trace_export_base (no-op when
-  /// tracing or the base path is unset).
-  void export_spans();
 
   /// Runs the measurement window (callable repeatedly for longer studies).
   void run_measurement(util::SimDuration duration);
@@ -154,9 +126,7 @@ class MonitoringStudy {
 
   // --- Access -------------------------------------------------------------
   const StudyConfig& config() const { return config_; }
-  sim::Scheduler& scheduler() { return *scheduler_; }
-  /// This study's shard placement (default-constructed when standalone).
-  const ShardPlacement& placement() const { return placement_; }
+  sim::Scheduler& scheduler() { return scheduler_; }
   net::Network& network() { return *network_; }
   obs::Obs& obs() { return network_->obs(); }
   /// Null when config.collect_metrics is false.
@@ -186,14 +156,15 @@ class MonitoringStudy {
 
  private:
   void setup_collector();
+  /// Exports buffered spans to config.trace_export_base (no-op when
+  /// tracing or the base path is unset).
+  void export_spans();
   /// Advances the scheduler to `target`, printing heartbeat lines to
   /// stderr along the way when config.progress_heartbeat is set.
   void run_span(util::SimTime target, const char* label);
 
   StudyConfig config_;
-  ShardPlacement placement_;
-  std::unique_ptr<sim::Scheduler> owned_scheduler_;  // null when placed
-  sim::Scheduler* scheduler_;
+  sim::Scheduler scheduler_;
   util::RngStream rng_;
   std::unique_ptr<net::Network> network_;
   std::unique_ptr<ContentCatalog> catalog_;

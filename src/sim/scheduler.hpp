@@ -7,7 +7,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <queue>
 #include <vector>
 
@@ -75,15 +74,6 @@ class Scheduler {
 
   std::size_t pending_events() const { return queue_.size(); }
 
-  /// Timestamp of the earliest pending event (nullopt when the queue is
-  /// empty). May point at a cancelled entry — callers using this as a
-  /// lower bound (the sharded coordinator's window start) stay correct,
-  /// just occasionally conservative.
-  std::optional<util::SimTime> next_event_time() const {
-    if (queue_.empty()) return std::nullopt;
-    return queue_.top().when;
-  }
-
   /// Total events dispatched since construction (for stats/benchmarks).
   std::uint64_t dispatched() const { return dispatched_; }
 
@@ -93,9 +83,7 @@ class Scheduler {
 
   /// Events whose requested time was in the past and was silently clamped
   /// to now by schedule_at. Nonzero values are normal for "fire asap"
-  /// scheduling, but a cross-shard delivery landing here means its
-  /// timestamp violated the conservative lookahead bound — surface this
-  /// on /metrics rather than hiding it.
+  /// scheduling; the count is surfaced on /metrics rather than hidden.
   std::uint64_t schedule_clamped() const { return schedule_clamped_; }
 
  private:

@@ -4,8 +4,9 @@
 // via HELLO_ACK watermarks, coordinator restart recovery over torn
 // segments, the unified-store byte-identity property (including a shipper
 // crash mid-replication), clock skew beyond the inter-monitor window, the
-// federated query endpoints, validation-cache reuse, and the queryd
-// SIGHUP reload path as a subprocess.
+// federated query endpoints, validation-cache reuse, coordinator
+// connection-thread reaping, and the queryd SIGHUP reload path as a
+// subprocess.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -24,6 +25,7 @@
 #include "federation/shipper.hpp"
 #include "query/client.hpp"
 #include "query/engine.hpp"
+#include "query/socket.hpp"
 #include "tracestore/merge.hpp"
 #include "tracestore/rollup.hpp"
 #include "tracestore/store.hpp"
@@ -352,6 +354,26 @@ TEST(Federation, ShipPendingLandsEverySegmentByteIdentically) {
   EXPECT_EQ(coordinator->generation(), segment_count);
 }
 
+TEST(Federation, CoordinatorReapsFinishedConnectionThreads) {
+  const std::string store_dir = fresh_dir("reap_src");
+  build_store(store_dir, make_monitor_trace(100, 0, 21));
+  const std::string root = fresh_dir("reap_root");
+  std::string error;
+  auto coordinator = Coordinator::start(root, {}, &error);
+  ASSERT_NE(coordinator, nullptr) << error;
+
+  // Every pass dials, handshakes and closes: one connection thread each.
+  Shipper shipper(store_dir, shipper_options(coordinator->port(), 1, "us"));
+  for (int pass = 0; pass < 50; ++pass) {
+    ASSERT_TRUE(shipper.ship_pending(&error)) << "pass " << pass << ": "
+                                              << error;
+  }
+  EXPECT_EQ(shipper.stats().connects, 50u);
+  // Each accept reaps the threads whose connections already ended; only
+  // the last few passes can still be unjoined.
+  EXPECT_LE(coordinator->connection_threads(), 4u);
+}
+
 TEST(Federation, DuplicateAndDivergentDeliveries) {
   const std::string store_dir = fresh_dir("dup_src");
   build_store(store_dir, make_monitor_trace(150, 0, 21));
@@ -366,7 +388,8 @@ TEST(Federation, DuplicateAndDivergentDeliveries) {
   Shipper shipper(store_dir, shipper_options(coordinator->port(), 7, "eu-west"));
   ASSERT_TRUE(shipper.ship_pending(&error)) << error;
 
-  const int fd = tcp_connect("127.0.0.1", coordinator->port(), 5000, &error);
+  const int fd =
+      query::tcp_connect("127.0.0.1", coordinator->port(), 5000, &error);
   ASSERT_GE(fd, 0) << error;
   const HelloAckMsg ack = do_hello(fd, 7, "eu-west");
   EXPECT_EQ(ack.landed.size(),
@@ -416,7 +439,8 @@ TEST(Federation, HelloRejectsInvalidMonikers) {
   ASSERT_NE(coordinator, nullptr) << error;
 
   // Monitor id 0 is invalid; the coordinator hangs up instead of acking.
-  int fd = tcp_connect("127.0.0.1", coordinator->port(), 5000, &error);
+  int fd =
+      query::tcp_connect("127.0.0.1", coordinator->port(), 5000, &error);
   ASSERT_GE(fd, 0) << error;
   HelloMsg bad;
   bad.monitor_id = 0;
@@ -563,7 +587,8 @@ TEST(Federation, UnifiedStoreIsByteIdenticalToSingleStoreRun) {
   // Monitor 1 "crashes" mid-replication: a raw connection ships only the
   // first two segments and then drops without so much as a goodbye.
   {
-    const int fd = tcp_connect("127.0.0.1", coordinator->port(), 5000, &error);
+    const int fd =
+      query::tcp_connect("127.0.0.1", coordinator->port(), 5000, &error);
     ASSERT_GE(fd, 0) << error;
     do_hello(fd, 2, "crashy");
     EXPECT_EQ(ship_raw(fd, segment_msg_for(local_dirs[1], "seg-000000.seg")),

@@ -2,6 +2,7 @@
 // workloads, gateway fleet, and the end-to-end monitoring study.
 #include <gtest/gtest.h>
 
+#include "ingest/replay.hpp"
 #include "scenario/catalog.hpp"
 #include "scenario/study.hpp"
 #include "scenario/version_model.hpp"
@@ -257,6 +258,31 @@ TEST(Study, DeterministicAcrossRuns) {
     EXPECT_EQ(ea.peer, eb.peer);
     EXPECT_EQ(ea.cid, eb.cid);
   }
+}
+
+// Golden anchor for the plain study: a fixed small run pinned to its
+// unified-trace checksum, entry count and population request count. Any
+// change to event ordering, RNG consumption or recording shows up here.
+TEST(Study, GoldenSmallStudyTraceIsPinned) {
+  StudyConfig config;
+  config.seed = 7;
+  config.population.node_count = 90;
+  config.warmup = 1 * kHour;
+  config.duration = 1 * kHour;
+  config.catalog.item_count = 400;
+  config.collect_metrics = false;
+  config.enable_gateways = false;
+  MonitoringStudy study(config);
+  study.run();
+
+  const trace::Trace unified = study.unified_trace();
+  std::uint64_t checksum = 0;
+  for (const auto& e : unified.entries()) {
+    checksum = ingest::fold_entry_checksum(checksum, e);
+  }
+  EXPECT_EQ(checksum, 0x18bd3c37c1d65095ull);
+  EXPECT_EQ(unified.size(), 784u);
+  EXPECT_EQ(study.population().requests_issued(), 349u);
 }
 
 TEST(Study, DifferentSeedsDiffer) {

@@ -155,5 +155,14 @@ TEST(Scheduler, ManyEventsStressOrdering) {
   EXPECT_EQ(s.dispatched(), 10000u);
 }
 
+TEST(Scheduler, CountsPastDueClamps) {
+  sim::Scheduler s;
+  s.schedule_at(1 * kSecond, [] {});
+  s.run_until(5 * kSecond);
+  EXPECT_EQ(s.schedule_clamped(), 0u);
+  s.schedule_at(2 * kSecond, [] {});  // in the past: clamped to now
+  EXPECT_EQ(s.schedule_clamped(), 1u);
+}
+
 }  // namespace
 }  // namespace ipfsmon::sim
