@@ -1,19 +1,20 @@
 // trace_report — a standalone analysis CLI over saved traces.
 //
-// Load one or more monitor traces (CSV or binary, as written by
-// trace::save_csv / save_binary), unify them with the paper's 5 s / 31 s
-// windows, and print the full analysis report: preprocessing stats,
-// activity by type/codec/country, popularity (RRP/URP + power-law test),
-// and the most active peers.
+// Opens one or more trace-store directories (as written by a spilling
+// monitor, `ipfsmon_ingest` or a federation coordinator, see
+// src/tracestore), unifies them out-of-core with the paper's 5 s / 31 s
+// windows — k-way merged into a flagged on-disk store and analyzed by
+// streaming, so the unified trace is never resident in memory — and prints
+// the full analysis report: preprocessing stats, activity by
+// type/codec/country, popularity (RRP/URP + power-law test), and the most
+// active peers.
 //
-// Arguments may also be trace-store *directories* (as written by a
-// spilling monitor, see src/tracestore). Those are unified out-of-core —
-// k-way merged into a flagged on-disk store and analyzed by streaming, so
-// the unified trace is never resident in memory.
+// Usage: trace_report <store-dir> [...]
+//        trace_report --demo   (simulate a small study whose monitors spill
+//                               to stores, then report on those)
 //
-// Usage: trace_report <trace-file-or-store-dir> [...]
-//        trace_report --demo         (generate demo trace files first)
-//        trace_report --demo-store   (demo with monitors spilling to disk)
+// Exit codes: 2 = an input path does not exist, 3 = an input path is not a
+// readable trace store, 1 = any other failure.
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
@@ -26,8 +27,6 @@
 #include "analysis/popularity.hpp"
 #include "analysis/powerlaw.hpp"
 #include "scenario/study.hpp"
-#include "trace/io.hpp"
-#include "trace/preprocess.hpp"
 #include "tracestore/merge.hpp"
 #include "tracestore/scan.hpp"
 #include "util/strings.hpp"
@@ -36,8 +35,8 @@ using namespace ipfsmon;
 
 namespace {
 
-/// Everything the report prints, fed one entry at a time — shared between
-/// the in-memory path and the streaming out-of-core path.
+/// Everything the report prints, fed one entry at a time by the streamed
+/// scan of the unified store.
 struct ReportAccumulators {
   explicit ReportAccumulators(const net::GeoDatabase& geo)
       : by_type([](const trace::TraceEntry& e) {
@@ -139,48 +138,24 @@ void print_report(const ReportAccumulators& acc) {
   }
 }
 
-// Distinct exit codes so scripts can tell "wrong path" from "bad data":
-// 2 = an input file is missing/unopenable, 3 = an input parsed as garbage.
 constexpr int kExitMissingInput = 2;
 constexpr int kExitCorruptInput = 3;
-
-int report_files(const std::vector<std::string>& paths,
-                 const net::GeoDatabase& geo) {
-  std::vector<trace::Trace> traces;
-  for (const auto& path : paths) {
-    trace::LoadError why = trace::LoadError::kNone;
-    auto t = trace::load_any(path, &why);
-    if (!t) {
-      std::fprintf(stderr, "error: cannot load %s: %s\n", path.c_str(),
-                   std::string(trace::load_error_name(why)).c_str());
-      return why == trace::LoadError::kCorrupt ? kExitCorruptInput
-                                               : kExitMissingInput;
-    }
-    std::printf("loaded %s: %zu entries\n", path.c_str(), t->size());
-    traces.push_back(std::move(*t));
-  }
-
-  std::vector<const trace::Trace*> pointers;
-  for (const auto& t : traces) pointers.push_back(&t);
-  const trace::Trace unified = trace::unify(pointers);
-
-  std::printf("\n=== unified trace report ===\n");
-  ReportAccumulators acc(geo);
-  for (const auto& e : unified.entries()) acc.add(e);
-  print_report(acc);
-  return 0;
-}
 
 int report_stores(const std::vector<std::string>& dirs,
                   const net::GeoDatabase& geo) {
   std::vector<tracestore::TraceStore> stores;
   for (const auto& dir : dirs) {
+    std::error_code ec;
+    if (!std::filesystem::exists(dir, ec)) {
+      std::fprintf(stderr, "error: no such store %s\n", dir.c_str());
+      return kExitMissingInput;
+    }
     std::string error;
     auto store = tracestore::TraceStore::open(dir, {}, &error);
     if (!store) {
       std::fprintf(stderr, "error: cannot open store %s: %s\n", dir.c_str(),
                    error.c_str());
-      return 1;
+      return kExitCorruptInput;
     }
     for (const auto& w : store->warnings()) {
       std::fprintf(stderr, "warning: %s\n", w.c_str());
@@ -273,31 +248,15 @@ int report_stores(const std::vector<std::string>& dirs,
   return 0;
 }
 
-scenario::StudyConfig demo_config() {
+std::vector<std::string> make_demo_stores() {
+  std::printf("generating demo trace stores (monitors spill to disk)...\n");
   scenario::StudyConfig config;
   config.population.node_count = 150;
   config.catalog.item_count = 400;
   config.warmup = 2 * util::kHour;
   config.duration = 6 * util::kHour;
-  return config;
-}
-
-std::vector<std::string> make_demo_trace() {
-  std::printf("generating a demo trace (small monitoring study)...\n");
-  scenario::MonitoringStudy study(demo_config());
-  study.run();
-  const std::string path = "/tmp/ipfsmon_demo_trace.csv";
-  trace::save_csv(path, study.monitor(0).recorded());
-  const std::string path1 = "/tmp/ipfsmon_demo_trace_m1.bin";
-  trace::save_binary(path1, study.monitor(1).recorded());
-  std::printf("wrote %s and %s\n\n", path.c_str(), path1.c_str());
-  return {path, path1};
-}
-
-std::vector<std::string> make_demo_stores() {
-  std::printf("generating demo trace stores (monitors spill to disk)...\n");
-  scenario::StudyConfig config = demo_config();
-  config.monitor_spill_dir = "/tmp/ipfsmon_demo_stores";
+  config.monitor_spill_dir =
+      (std::filesystem::temp_directory_path() / "ipfsmon_demo_stores").string();
   scenario::MonitoringStudy study(config);
   study.run();
   if (!study.finalize_monitor_spill()) {
@@ -313,27 +272,12 @@ std::vector<std::string> make_demo_stores() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::vector<std::string> paths;
-  if (argc >= 2 && std::strcmp(argv[1], "--demo-store") == 0) {
-    paths = make_demo_stores();
-    if (paths.empty()) return 1;
-  } else if (argc < 2 || std::strcmp(argv[1], "--demo") == 0) {
-    paths = make_demo_trace();
+  std::vector<std::string> dirs;
+  if (argc < 2 || std::strcmp(argv[1], "--demo") == 0) {
+    dirs = make_demo_stores();
+    if (dirs.empty()) return 1;
   } else {
-    for (int i = 1; i < argc; ++i) paths.emplace_back(argv[i]);
+    for (int i = 1; i < argc; ++i) dirs.emplace_back(argv[i]);
   }
-
-  std::size_t dir_count = 0;
-  for (const auto& p : paths) {
-    if (std::filesystem::is_directory(p)) ++dir_count;
-  }
-  const net::GeoDatabase geo = net::GeoDatabase::standard();
-  if (dir_count == paths.size()) return report_stores(paths, geo);
-  if (dir_count != 0) {
-    std::fprintf(stderr,
-                 "error: mixing trace files and store directories is not "
-                 "supported; pass one kind\n");
-    return 1;
-  }
-  return report_files(paths, geo);
+  return report_stores(dirs, net::GeoDatabase::standard());
 }

@@ -2,8 +2,9 @@
 # Tier-1 verification: doc-drift gate (scripts/check_docs.sh), configure,
 # build, run the full test suite, then rebuild the sim + obs + tracestore +
 # query + churn + federation suites under AddressSanitizer
-# (`ctest -L 'sim|obs|tracestore|query|churn|federation'`) and the same
-# suites under ThreadSanitizer (the query, tracestore and federation tests
+# (`ctest -L 'sim|obs|tracestore|query|churn|federation'`), the same
+# suites under UndefinedBehaviorSanitizer (halting on the first finding),
+# and under ThreadSanitizer (the query, tracestore and federation tests
 # run real server, scan-pool and connection threads).
 #
 # --perf-smoke additionally runs `exp_query_throughput --smoke`, which
@@ -24,7 +25,7 @@
 # rate must stay at or above half the committed floor in
 # bench/scaling_smoke_floor.json.
 #
-# Usage: scripts/check.sh [--no-asan] [--no-tsan] [--perf-smoke]
+# Usage: scripts/check.sh [--no-asan] [--no-ubsan] [--no-tsan] [--perf-smoke]
 #                         [--federation-smoke] [--ingest-smoke]
 #                         [--scaling-smoke]
 set -euo pipefail
@@ -32,6 +33,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 RUN_ASAN=1
+RUN_UBSAN=1
 RUN_TSAN=1
 RUN_PERF=0
 RUN_FED=0
@@ -40,6 +42,7 @@ RUN_SCALING=0
 for arg in "$@"; do
   case "$arg" in
     --no-asan) RUN_ASAN=0 ;;
+    --no-ubsan) RUN_UBSAN=0 ;;
     --no-tsan) RUN_TSAN=0 ;;
     --perf-smoke) RUN_PERF=1 ;;
     --federation-smoke) RUN_FED=1 ;;
@@ -114,6 +117,16 @@ if [[ "$RUN_ASAN" == "1" ]]; then
     tracestore_test ingest_test query_test churn_test federation_test \
     trace_report
   ctest --test-dir build-asan \
+    -L 'sim|obs|tracestore|ingest|query|churn|federation' --output-on-failure
+fi
+
+if [[ "$RUN_UBSAN" == "1" ]]; then
+  echo "== ubsan: sim + obs + tracestore + ingest + query + churn + federation suites under -DIPFSMON_SANITIZE=undefined =="
+  cmake -B build-ubsan -S . -DIPFSMON_SANITIZE=undefined >/dev/null
+  cmake --build build-ubsan -j "$JOBS" --target sim_test obs_test span_test \
+    tracestore_test ingest_test query_test churn_test federation_test \
+    trace_report
+  UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 ctest --test-dir build-ubsan \
     -L 'sim|obs|tracestore|ingest|query|churn|federation' --output-on-failure
 fi
 

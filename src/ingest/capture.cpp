@@ -250,6 +250,14 @@ struct RecordBuilder {
     out->peer = *peer_id;
     out->type = *want;
     out->cid = *parsed_cid;
+    // Vantage labels end up as STOREMETA lines and JSON strings; a control
+    // character in one could forge the former.
+    for (const char c : vantage) {
+      if (static_cast<unsigned char>(c) < 0x20 || c == 0x7f) {
+        *error = "control character in vantage label";
+        return false;
+      }
+    }
     out->vantage = vantage;
     out->address = net::Address{};
     if (!address.empty()) {
@@ -409,8 +417,6 @@ bool CsvLayout::parse(std::string_view line, CaptureRecord* out,
 }
 
 std::string format_ndjson_record(const CaptureRecord& record) {
-  // Every emitted value is base58/base32/multiaddr/ISO text — no JSON
-  // metacharacters — so plain concatenation is already valid JSON.
   std::string out = "{\"timestamp\":\"";
   out += util::format_wall_time(record.wall_ns);
   out += "\",\"peer\":\"";
@@ -423,8 +429,9 @@ std::string format_ndjson_record(const CaptureRecord& record) {
   out += record.cid.to_string();
   out += '"';
   if (!record.vantage.empty()) {
+    // The vantage label is the one free-text field a capture carries.
     out += ",\"monitor\":\"";
-    out += record.vantage;
+    util::append_json_escaped(out, record.vantage);
     out += '"';
   }
   out += '}';

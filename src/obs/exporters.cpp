@@ -19,18 +19,6 @@ std::string format_value(double v) {
   return util::format("%.6g", v);
 }
 
-// Label values carry double quotes (`{monitor="0"}`), which must be
-// backslash-escaped when a full_name is used as a JSON object key.
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  return out;
-}
-
 std::string_view kind_name(InstrumentKind kind) {
   switch (kind) {
     case InstrumentKind::kCounter: return "counter";
@@ -111,7 +99,8 @@ std::string to_jsonl_line(const MetricsRegistry& registry,
   const auto& infos = registry.instruments();
   for (std::size_t i = 0; i < sample.values.size() && i < infos.size(); ++i) {
     out += ",\"";
-    out += json_escape(infos[i].full_name());
+    // Label values carry double quotes (`{monitor="0"}`).
+    util::append_json_escaped(out, infos[i].full_name());
     if (infos[i].kind == InstrumentKind::kHistogram) out += "_count";
     out += "\":";
     out += format_value(sample.values[i]);

@@ -7,40 +7,11 @@
 #include <sstream>
 #include <unordered_map>
 
+#include "util/strings.hpp"
+
 namespace ipfsmon::obs {
 
 namespace {
-
-void append_json_escaped(std::string& out, std::string_view s) {
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
 
 // Timestamps in the chosen timebase, as microseconds.
 double start_micros(const SpanRecord& r, bool use_sim_time) {
@@ -60,7 +31,7 @@ void append_summary_json(std::string& out, const TraceSummary& s) {
   out += "{\"trace\":\"";
   out += span_id_hex(s.trace_id);
   out += "\",\"root\":\"";
-  append_json_escaped(out, s.root_name);
+  util::append_json_escaped(out, s.root_name);
   out += "\",\"spans\":" + std::to_string(s.span_count);
   out += ",\"start_sim_ns\":" + std::to_string(s.start_sim);
   out += ",\"sim_duration_ns\":" + std::to_string(s.sim_duration);
@@ -195,7 +166,7 @@ std::string to_perfetto_json(const std::vector<SpanRecord>& spans,
     out += span_id_hex(trace_id);
     if (!root_name.empty()) {
       out += " ";
-      append_json_escaped(out, root_name);
+      util::append_json_escaped(out, root_name);
     }
     out += "\"}}";
 
@@ -212,7 +183,7 @@ std::string to_perfetto_json(const std::vector<SpanRecord>& spans,
 
       char num[64];
       out += ",{\"name\":\"";
-      append_json_escaped(out, r->name);
+      util::append_json_escaped(out, r->name);
       out += "\",\"cat\":\"ipfsmon\",\"ph\":\"X\",\"ts\":";
       std::snprintf(num, sizeof(num), "%.3f", ts);
       out += num;
@@ -226,9 +197,9 @@ std::string to_perfetto_json(const std::vector<SpanRecord>& spans,
       out += ",\"parent\":\"" + span_id_hex(r->parent_id) + "\"";
       for (const auto& [key, value] : r->attrs) {
         out += ",\"";
-        append_json_escaped(out, key);
+        util::append_json_escaped(out, key);
         out += "\":\"";
-        append_json_escaped(out, value);
+        util::append_json_escaped(out, value);
         out += "\"";
       }
       out += "}}";
@@ -246,7 +217,7 @@ std::string to_spans_jsonl(const std::vector<SpanRecord>& spans) {
     out += ",\"span\":\"" + span_id_hex(r.span_id) + "\"";
     out += ",\"parent\":\"" + span_id_hex(r.parent_id) + "\"";
     out += ",\"name\":\"";
-    append_json_escaped(out, r.name);
+    util::append_json_escaped(out, r.name);
     out += "\",\"start_sim_ns\":" + std::to_string(r.start_sim);
     out += ",\"end_sim_ns\":" + std::to_string(r.end_sim);
     out += ",\"start_us\":" + std::to_string(r.start_us);
@@ -257,9 +228,9 @@ std::string to_spans_jsonl(const std::vector<SpanRecord>& spans) {
       if (!first) out += ",";
       first = false;
       out += "\"";
-      append_json_escaped(out, key);
+      util::append_json_escaped(out, key);
       out += "\":\"";
-      append_json_escaped(out, value);
+      util::append_json_escaped(out, value);
       out += "\"";
     }
     out += "}}\n";

@@ -464,7 +464,7 @@ HttpResponse QueryService::handle_healthz() {
     ingested = util::format(
         ",\"wall_epoch\":\"%s\",\"capture\":\"%s\"",
         util::format_wall_time(store_->meta()->wall_epoch_ns).c_str(),
-        store_->meta()->source.c_str());
+        util::json_escaped(store_->meta()->source).c_str());
   }
   HttpResponse response;
   response.body = util::format(
@@ -703,14 +703,15 @@ HttpResponse QueryService::handle_peer_wants(const HttpRequest& request,
 HttpResponse QueryService::handle_segments() {
   std::string body = util::format(
       "{\"dir\":\"%s\",\"fingerprint\":\"%016llx\",\"segments\":[",
-      dir_.c_str(), static_cast<unsigned long long>(fingerprint_));
+      util::json_escaped(dir_).c_str(),
+      static_cast<unsigned long long>(fingerprint_));
   for (std::size_t i = 0; i < store_->segments().size(); ++i) {
     const auto& segment = store_->segments()[i];
     if (i != 0) body += ',';
     body += util::format(
         "{\"file\":\"%s\",\"entries\":%llu,\"min_time\":%lld,"
         "\"max_time\":%lld,\"bytes\":%llu,\"rollup\":%s",
-        segment.file.c_str(),
+        util::json_escaped(segment.file).c_str(),
         static_cast<unsigned long long>(segment.footer.entry_count),
         static_cast<long long>(segment.footer.min_time),
         static_cast<long long>(segment.footer.max_time),
@@ -739,7 +740,8 @@ HttpResponse QueryService::handle_segments() {
           "{\"monitor\":%u,\"vantage\":\"%s\",\"file\":\"%s\","
           "\"entries\":%llu,\"min_time\":%lld,\"max_time\":%lld,"
           "\"checksum\":\"%016llx\"}",
-          source.monitor_id, source.vantage.c_str(), source.file.c_str(),
+          source.monitor_id, util::json_escaped(source.vantage).c_str(),
+          util::json_escaped(source.file).c_str(),
           static_cast<unsigned long long>(source.entries),
           static_cast<long long>(source.min_time),
           static_cast<long long>(source.max_time),
@@ -765,10 +767,11 @@ HttpResponse QueryService::handle_monitors() {
       for (std::size_t i = 0; i < monitors.size(); ++i) {
         if (i != 0) body += ',';
         body += util::format("{\"id\":%u,\"vantage\":\"%s\"}",
-                             monitors[i].second, monitors[i].first.c_str());
+                             monitors[i].second,
+                             util::json_escaped(monitors[i].first).c_str());
       }
       body += util::format("],\"capture\":\"%s\"}",
-                           store_->meta()->source.c_str());
+                           util::json_escaped(store_->meta()->source).c_str());
       HttpResponse response;
       response.body = std::move(body);
       return response;
@@ -784,7 +787,7 @@ HttpResponse QueryService::handle_monitors() {
         "{\"id\":%u,\"vantage\":\"%s\",\"segments\":%llu,"
         "\"entries\":%llu,\"bytes\":%llu,\"last_ship_wall_us\":%lld,"
         "\"last_lag_us\":%lld}",
-        monitor.id, monitor.vantage.c_str(),
+        monitor.id, util::json_escaped(monitor.vantage).c_str(),
         static_cast<unsigned long long>(monitor.segments),
         static_cast<unsigned long long>(monitor.entries),
         static_cast<unsigned long long>(monitor.bytes),

@@ -17,16 +17,6 @@ constexpr std::uint32_t kRollupMagic = 0x54535255;  // "TSRU"
 constexpr std::uint64_t kRollupVersion = 1;
 constexpr std::size_t kTrailerBytes = 16;
 
-std::uint64_t zigzag_encode(std::int64_t value) {
-  return (static_cast<std::uint64_t>(value) << 1) ^
-         static_cast<std::uint64_t>(value >> 63);
-}
-
-std::int64_t zigzag_decode(std::uint64_t value) {
-  return static_cast<std::int64_t>(value >> 1) ^
-         -static_cast<std::int64_t>(value & 1);
-}
-
 void put_u32_le(util::Bytes& out, std::uint32_t v) {
   for (int i = 0; i < 4; ++i) {
     out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
@@ -63,8 +53,8 @@ util::Bytes encode_rollup(const SegmentRollup& rollup) {
   util::varint_append(out, kRollupVersion);
   util::varint_append(out, static_cast<std::uint64_t>(rollup.bucket_width));
   util::varint_append(out, rollup.entry_count);
-  util::varint_append(out, zigzag_encode(rollup.min_time));
-  util::varint_append(out, zigzag_encode(rollup.max_time));
+  util::varint_append(out, util::zigzag_encode(rollup.min_time));
+  util::varint_append(out, util::zigzag_encode(rollup.max_time));
   util::varint_append(out, rollup.distinct_peers);
   util::varint_append(out, rollup.distinct_cids);
   util::varint_append(out, rollup.buckets.size());
@@ -78,7 +68,7 @@ util::Bytes encode_rollup(const SegmentRollup& rollup) {
               : (b.start - prev) / rollup.bucket_width;
     first = false;
     prev = b.start;
-    util::varint_append(out, zigzag_encode(delta_units));
+    util::varint_append(out, util::zigzag_encode(delta_units));
     util::varint_append(out, b.want_have);
     util::varint_append(out, b.want_block);
     util::varint_append(out, b.cancels);
@@ -120,8 +110,8 @@ std::optional<SegmentRollup> decode_rollup(util::BytesView bytes) {
   }
   rollup.bucket_width = static_cast<util::SimDuration>(*width);
   rollup.entry_count = *count;
-  rollup.min_time = zigzag_decode(*min_time);
-  rollup.max_time = zigzag_decode(*max_time);
+  rollup.min_time = util::zigzag_decode(*min_time);
+  rollup.max_time = util::zigzag_decode(*max_time);
   rollup.distinct_peers = *peers;
   rollup.distinct_cids = *cids;
   rollup.buckets.reserve(*buckets);
@@ -139,7 +129,7 @@ std::optional<SegmentRollup> decode_rollup(util::BytesView bytes) {
       return std::nullopt;
     }
     RollupBucket bucket;
-    bucket.start = prev + zigzag_decode(*delta) * rollup.bucket_width;
+    bucket.start = prev + util::zigzag_decode(*delta) * rollup.bucket_width;
     if (i != 0 && bucket.start <= prev) return std::nullopt;  // not ascending
     prev = bucket.start;
     bucket.want_have = *wh;

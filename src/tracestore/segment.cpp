@@ -3,8 +3,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
-#include <unordered_set>
+#include <unordered_map>
 
 #if defined(__unix__) || defined(__APPLE__)
 #define IPFSMON_HAS_MMAP 1
@@ -14,7 +13,6 @@
 #include <unistd.h>
 #endif
 
-#include "trace/io.hpp"
 #include "util/varint.hpp"
 
 namespace ipfsmon::tracestore {
@@ -24,16 +22,6 @@ namespace {
 constexpr std::uint32_t kTrailerMagic = 0x54535347;  // "TSSG"
 constexpr std::size_t kTrailerBytes = 16;
 constexpr std::uint32_t kCompactMagic = 0x49504d32;  // "IPM2", body magic
-
-std::uint64_t zigzag_encode(std::int64_t value) {
-  return (static_cast<std::uint64_t>(value) << 1) ^
-         static_cast<std::uint64_t>(value >> 63);
-}
-
-std::int64_t zigzag_decode(std::uint64_t value) {
-  return static_cast<std::int64_t>(value >> 1) ^
-         -static_cast<std::int64_t>(value & 1);
-}
 
 void put_u32_le(util::Bytes& out, std::uint32_t v) {
   for (int i = 0; i < 4; ++i) {
@@ -68,8 +56,8 @@ void append_bloom(util::Bytes& out, const BloomFilter& bloom) {
 util::Bytes encode_footer(const SegmentFooter& footer) {
   util::Bytes out;
   util::varint_append(out, footer.entry_count);
-  util::varint_append(out, zigzag_encode(footer.min_time));
-  util::varint_append(out, zigzag_encode(footer.max_time));
+  util::varint_append(out, util::zigzag_encode(footer.min_time));
+  util::varint_append(out, util::zigzag_encode(footer.max_time));
   util::varint_append(out, footer.body_bytes);
   put_u64_le(out, footer.body_checksum);
   append_bloom(out, footer.peer_bloom);
@@ -119,8 +107,8 @@ std::optional<SegmentFooter> decode_footer(util::BytesView bytes) {
   const auto checksum = p.take(8);
   if (!checksum) return std::nullopt;
   footer.entry_count = *count;
-  footer.min_time = zigzag_decode(*min_time);
-  footer.max_time = zigzag_decode(*max_time);
+  footer.min_time = util::zigzag_decode(*min_time);
+  footer.max_time = util::zigzag_decode(*max_time);
   footer.body_bytes = *body_bytes;
   footer.body_checksum = get_u64_le(*checksum);
   auto peer_bloom = parse_bloom(p);
@@ -333,37 +321,98 @@ std::size_t ValidationCache::entries() const {
 
 // --- Writing ----------------------------------------------------------------
 
+namespace {
+
+/// Distinct keys of one body, in first-appearance order.
+struct BodyKeys {
+  std::vector<const crypto::PeerId*> peers;
+  std::vector<const cid::Cid*> cids;
+};
+
+/// Appends the IPM2 body of `entries` to `out`: peers, addresses and CIDs
+/// are interned in order of first appearance into front-loaded
+/// dictionaries, and each entry references them by index, with zig-zag
+/// delta-coded timestamps. Long traces repeat the same few thousand
+/// peers/CIDs constantly, so the dictionaries carry most of the savings.
+BodyKeys encode_body(const trace::Trace& entries, util::Bytes& out) {
+  BodyKeys keys;
+  std::unordered_map<crypto::PeerId, std::uint64_t> peer_index;
+  std::unordered_map<net::Address, std::uint64_t> addr_index;
+  std::vector<net::Address> addrs;
+  std::unordered_map<cid::Cid, std::uint64_t> cid_index;
+  for (const auto& e : entries.entries()) {
+    if (peer_index.emplace(e.peer, keys.peers.size()).second) {
+      keys.peers.push_back(&e.peer);
+    }
+    if (addr_index.emplace(e.address, addrs.size()).second) {
+      addrs.push_back(e.address);
+    }
+    if (cid_index.emplace(e.cid, keys.cids.size()).second) {
+      keys.cids.push_back(&e.cid);
+    }
+  }
+
+  util::varint_append(out, kCompactMagic);
+  util::varint_append(out, entries.size());
+  util::varint_append(out, keys.peers.size());
+  for (const auto* peer : keys.peers) {
+    out.insert(out.end(), peer->digest().begin(), peer->digest().end());
+  }
+  util::varint_append(out, addrs.size());
+  for (const auto& addr : addrs) {
+    util::varint_append(out, addr.ip);
+    util::varint_append(out, addr.port);
+  }
+  util::varint_append(out, keys.cids.size());
+  for (const auto* c : keys.cids) {
+    const util::Bytes encoded = c->encode();
+    util::varint_append(out, encoded.size());
+    out.insert(out.end(), encoded.begin(), encoded.end());
+  }
+
+  // Deltas wrap in unsigned arithmetic (the decoder wraps back), so any
+  // pair of timestamps round-trips without signed overflow.
+  std::uint64_t previous = 0;
+  for (const auto& e : entries.entries()) {
+    const auto timestamp = static_cast<std::uint64_t>(e.timestamp);
+    const auto delta = static_cast<std::int64_t>(timestamp - previous);
+    util::varint_append(out, util::zigzag_encode(delta));
+    previous = timestamp;
+    util::varint_append(out, peer_index.at(e.peer));
+    util::varint_append(out, addr_index.at(e.address));
+    util::varint_append(out, cid_index.at(e.cid));
+    // type (2 bits) | monitor (shifted) fit one varint; flags another.
+    util::varint_append(out, static_cast<std::uint64_t>(e.type) |
+                                 (static_cast<std::uint64_t>(e.monitor) << 2));
+    util::varint_append(out, e.flags);
+  }
+  return keys;
+}
+
+}  // namespace
+
 bool write_segment_file(const std::string& path, const trace::Trace& entries,
                         std::size_t bloom_bits_per_key,
                         SegmentFooter* out_footer, std::string* error) {
-  // Body: exactly the v2 compact encoding from trace/io.
-  std::ostringstream body_stream;
-  trace::write_binary_compact(body_stream, entries);
-  const std::string body = body_stream.str();
-  const util::BytesView body_view(
-      reinterpret_cast<const std::uint8_t*>(body.data()), body.size());
+  util::Bytes body;
+  const BodyKeys keys = encode_body(entries, body);
 
   SegmentFooter footer;
   footer.entry_count = entries.size();
   footer.body_bytes = body.size();
-  footer.body_checksum = fnv1a64(body_view, 0);
-
-  std::unordered_set<crypto::PeerId> peers;
-  std::unordered_set<cid::Cid> cids;
+  footer.body_checksum = fnv1a64(body, 0);
   bool first = true;
   for (const auto& e : entries.entries()) {
     if (first || e.timestamp < footer.min_time) footer.min_time = e.timestamp;
     if (first || e.timestamp > footer.max_time) footer.max_time = e.timestamp;
     first = false;
-    peers.insert(e.peer);
-    cids.insert(e.cid);
   }
-  footer.peer_bloom = BloomFilter::with_capacity(peers.size(),
+  footer.peer_bloom = BloomFilter::with_capacity(keys.peers.size(),
                                                  bloom_bits_per_key);
-  for (const auto& p : peers) footer.peer_bloom.insert(bloom_hash(p));
-  footer.cid_bloom = BloomFilter::with_capacity(cids.size(),
+  for (const auto* p : keys.peers) footer.peer_bloom.insert(bloom_hash(*p));
+  footer.cid_bloom = BloomFilter::with_capacity(keys.cids.size(),
                                                 bloom_bits_per_key);
-  for (const auto& c : cids) footer.cid_bloom.insert(bloom_hash(c));
+  for (const auto* c : keys.cids) footer.cid_bloom.insert(bloom_hash(*c));
 
   const util::Bytes footer_bytes = encode_footer(footer);
   util::Bytes trailer;
@@ -375,7 +424,8 @@ bool write_segment_file(const std::string& path, const trace::Trace& entries,
   {
     std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
     if (!out) return fail(error, "cannot open " + tmp + " for writing");
-    out.write(body.data(), static_cast<std::streamsize>(body.size()));
+    out.write(reinterpret_cast<const char*>(body.data()),
+              static_cast<std::streamsize>(body.size()));
     out.write(reinterpret_cast<const char*>(footer_bytes.data()),
               static_cast<std::streamsize>(footer_bytes.size()));
     out.write(reinterpret_cast<const char*>(trailer.data()),
@@ -560,7 +610,9 @@ bool SegmentReader::next_raw(RawRecord& out) {
     remaining_ = 0;
     return false;
   }
-  out.timestamp = prev_time_ + zigzag_decode(*delta);
+  out.timestamp = static_cast<util::SimTime>(
+      static_cast<std::uint64_t>(prev_time_) +
+      static_cast<std::uint64_t>(util::zigzag_decode(*delta)));
   prev_time_ = out.timestamp;
   out.peer = static_cast<std::uint32_t>(*peer);
   out.addr = static_cast<std::uint32_t>(*addr);

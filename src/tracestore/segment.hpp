@@ -1,8 +1,9 @@
-// One on-disk trace segment: the v2 dictionary-compact trace encoding
-// (trace/io "IPM2") as the body, followed by a footer index and a fixed
-// 16-byte trailer. The footer carries everything a scan needs to decide
-// whether to read the body at all: entry count, time range, and Bloom
-// filters over the segment's peer and CID sets. Both footer and body are
+// One on-disk trace segment: the dictionary-compact "IPM2" trace encoding
+// as the body, followed by a footer index and a fixed 16-byte trailer.
+// Segments are the only on-disk trace format, and segment.cpp holds IPM2's
+// one encoder and one decoder. The footer carries everything a scan needs
+// to decide whether to read the body at all: entry count, time range, and
+// Bloom filters over the segment's peer and CID sets. Both footer and body are
 // checksummed (FNV-1a 64) so a partially written or corrupted segment is
 // detected and skipped instead of poisoning a scan.
 //

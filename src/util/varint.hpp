@@ -25,4 +25,16 @@ struct VarintDecode {
 /// or over-long (more than 9 bytes, per the multiformats spec) input.
 std::optional<VarintDecode> varint_decode(BytesView data);
 
+/// Zig-zag maps signed values onto unsigned ones so small magnitudes of
+/// either sign stay short as varints (0, -1, 1, -2, ... -> 0, 1, 2, 3, ...).
+constexpr std::uint64_t zigzag_encode(std::int64_t value) {
+  return (static_cast<std::uint64_t>(value) << 1) ^
+         static_cast<std::uint64_t>(value >> 63);
+}
+
+constexpr std::int64_t zigzag_decode(std::uint64_t value) {
+  return static_cast<std::int64_t>(value >> 1) ^
+         -static_cast<std::int64_t>(value & 1);
+}
+
 }  // namespace ipfsmon::util

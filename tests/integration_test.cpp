@@ -1,6 +1,6 @@
 // Cross-module integration tests: end-to-end content distribution over
-// DHT + Bitswap under churn, the full monitoring pipeline (collect → save →
-// load → unify → analyze), DAG distribution at fan-out, and failure
+// DHT + Bitswap under churn, the full monitoring pipeline (collect → store →
+// stream back → unify → analyze), DAG distribution at fan-out, and failure
 // injection (providers vanishing mid-transfer, partitioned requesters).
 #include <gtest/gtest.h>
 
@@ -8,8 +8,9 @@
 #include "analysis/popularity.hpp"
 #include "attacks/trace_attacks.hpp"
 #include "test_helpers.hpp"
-#include "trace/io.hpp"
 #include "trace/preprocess.hpp"
+#include "tracestore/merge.hpp"
+#include "tracestore/store.hpp"
 
 namespace ipfsmon {
 namespace {
@@ -172,15 +173,32 @@ TEST(Integration, MonitoringPipelineSurvivesSerialization) {
   }
   fix.run_for(5 * kMinute);
 
-  // Save both traces to disk, reload, unify, and analyze.
+  // Write both traces to trace stores, stream them back, unify, and
+  // analyze. A small segment cap makes the cursor cross segment files.
+  const auto round_trip = [](const trace::Trace& recorded,
+                             const std::string& dir) {
+    tracestore::StoreOptions options;
+    options.max_entries_per_segment = 16;
+    auto writer = tracestore::SegmentWriter::create(dir, options);
+    if (writer == nullptr) return trace::Trace{};
+    for (const auto& e : recorded.entries()) writer->append(e);
+    if (!writer->finalize()) return trace::Trace{};
+    const auto store = tracestore::TraceStore::open(dir);
+    if (!store) return trace::Trace{};
+    tracestore::StoreCursor cursor(*store);
+    trace::Trace loaded;
+    trace::TraceEntry e;
+    while (cursor.next(e)) loaded.append(e);
+    return loaded;
+  };
   const std::string dir = ::testing::TempDir();
-  ASSERT_TRUE(trace::save_binary(dir + "/m0.bin", mon0.recorded()));
-  ASSERT_TRUE(trace::save_csv(dir + "/m1.csv", mon1.recorded()));
-  const auto loaded0 = trace::load_binary(dir + "/m0.bin");
-  const auto loaded1 = trace::load_csv(dir + "/m1.csv");
-  ASSERT_TRUE(loaded0 && loaded1);
+  const trace::Trace loaded0 = round_trip(mon0.recorded(), dir + "/m0.store");
+  const trace::Trace loaded1 = round_trip(mon1.recorded(), dir + "/m1.store");
+  ASSERT_GT(mon0.recorded().size(), 16u);
+  ASSERT_EQ(loaded0.size(), mon0.recorded().size());
+  ASSERT_EQ(loaded1.size(), mon1.recorded().size());
 
-  const trace::Trace unified = trace::unify({&*loaded0, &*loaded1});
+  const trace::Trace unified = trace::unify({&loaded0, &loaded1});
   const auto stats = trace::compute_stats(unified);
   EXPECT_GT(stats.requests, 10u);
   EXPECT_GT(stats.inter_monitor_duplicates, 0u);  // both monitors connected

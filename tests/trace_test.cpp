@@ -1,13 +1,15 @@
 // Trace model, preprocessing windows (5 s inter-monitor dedup, 31 s
-// re-broadcast marking — paper Sec. IV-B), and serialization round trips.
+// re-broadcast marking — paper Sec. IV-B), and IPM2 round trips through
+// the trace store's segment codec.
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <fstream>
-#include <sstream>
+#include <optional>
 
-#include "trace/io.hpp"
 #include "trace/preprocess.hpp"
 #include "trace/trace.hpp"
+#include "tracestore/segment.hpp"
 
 namespace ipfsmon::trace {
 namespace {
@@ -236,7 +238,9 @@ INSTANTIATE_TEST_SUITE_P(
                       std::pair{5 * kSecond + 1, false},
                       std::pair{31 * kSecond, false}));
 
-// --- IO round trips -------------------------------------------------------------
+// --- IPM2 round trips ------------------------------------------------------------
+// IPM2 is the segment body encoding; write_segment_file and SegmentReader
+// are its one encoder and one decoder.
 
 Trace make_random_trace(std::size_t n, std::uint64_t seed) {
   util::RngStream rng(seed, "trace-io");
@@ -271,108 +275,50 @@ bool traces_equal(const Trace& a, const Trace& b) {
   return true;
 }
 
-TEST(TraceIo, CsvRoundTrips) {
-  const Trace original = make_random_trace(100, 1);
-  std::stringstream buffer;
-  write_csv(buffer, original);
-  const auto loaded = read_csv(buffer);
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_TRUE(traces_equal(original, *loaded));
+std::string ipm2_path(const std::string& name) {
+  return ::testing::TempDir() + "/trace_ipm2_" + name + ".seg";
 }
 
-TEST(TraceIo, BinaryRoundTrips) {
-  const Trace original = make_random_trace(100, 2);
-  std::stringstream buffer;
-  write_binary(buffer, original);
-  const auto loaded = read_binary(buffer);
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_TRUE(traces_equal(original, *loaded));
+void write_ipm2(const std::string& path, const Trace& t) {
+  std::string error;
+  ASSERT_TRUE(tracestore::write_segment_file(path, t, 10, nullptr, &error))
+      << error;
 }
 
-TEST(TraceIo, EmptyTraceRoundTrips) {
-  const Trace empty;
-  std::stringstream csv, bin;
-  write_csv(csv, empty);
-  write_binary(bin, empty);
-  ASSERT_TRUE(read_csv(csv).has_value());
-  ASSERT_TRUE(read_binary(bin).has_value());
-  EXPECT_EQ(read_binary(bin)->size(), 0u);
-}
-
-TEST(TraceIo, CsvRejectsBadHeader) {
-  std::stringstream buffer("wrong,header\n");
-  EXPECT_FALSE(read_csv(buffer).has_value());
-}
-
-TEST(TraceIo, CsvRejectsMalformedRow) {
-  std::stringstream buffer;
-  buffer << "timestamp_ns,peer,address,type,cid,monitor,flags\n"
-         << "123,notapeer,/ip4/1.2.3.4/tcp/1,WANT_HAVE,notacid,0,0\n";
-  EXPECT_FALSE(read_csv(buffer).has_value());
-}
-
-TEST(TraceIo, BinaryRejectsBadMagic) {
-  std::stringstream buffer("garbage data");
-  EXPECT_FALSE(read_binary(buffer).has_value());
-}
-
-TEST(TraceIo, BinaryRejectsTruncation) {
-  const Trace original = make_random_trace(10, 3);
-  std::stringstream buffer;
-  write_binary(buffer, original);
-  std::string data = buffer.str();
-  data.resize(data.size() / 2);
-  std::stringstream truncated(data);
-  EXPECT_FALSE(read_binary(truncated).has_value());
-}
-
-TEST(TraceIo, FileRoundTrip) {
-  const Trace original = make_random_trace(50, 4);
-  const std::string path = ::testing::TempDir() + "/trace_io_test.bin";
-  ASSERT_TRUE(save_binary(path, original));
-  const auto loaded = load_binary(path);
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_TRUE(traces_equal(original, *loaded));
-  EXPECT_FALSE(load_binary("/nonexistent/path/x.bin").has_value());
+std::optional<Trace> read_ipm2(const std::string& path) {
+  auto reader = tracestore::SegmentReader::open(path);
+  if (!reader) return std::nullopt;
+  Trace t;
+  TraceEntry e;
+  while (reader->next(e)) t.append(e);
+  return t;
 }
 
 TEST(TraceIo, CompactBinaryRoundTrips) {
   const Trace original = make_random_trace(300, 6);
-  std::stringstream buffer;
-  write_binary_compact(buffer, original);
-  const auto loaded = read_binary_compact(buffer);
+  const std::string path = ipm2_path("rt");
+  write_ipm2(path, original);
+  const auto loaded = read_ipm2(path);
   ASSERT_TRUE(loaded.has_value());
   EXPECT_TRUE(traces_equal(original, *loaded));
 }
 
-TEST(TraceIo, CompactBinaryIsSmallerThanPlainBinary) {
-  // Long traces repeat the same peers/CIDs constantly: the dictionary
-  // format must beat the per-entry encoding decisively.
-  const Trace t = make_random_trace(5000, 7);
-  std::stringstream plain, compact;
-  write_binary(plain, t);
-  write_binary_compact(compact, t);
-  EXPECT_LT(compact.str().size(), plain.str().size() / 3);
-}
-
 TEST(TraceIo, CompactBinaryHandlesEmptyTrace) {
-  std::stringstream buffer;
-  write_binary_compact(buffer, Trace{});
-  const auto loaded = read_binary_compact(buffer);
+  const std::string path = ipm2_path("empty");
+  write_ipm2(path, Trace{});
+  const auto loaded = read_ipm2(path);
   ASSERT_TRUE(loaded.has_value());
   EXPECT_EQ(loaded->size(), 0u);
 }
 
 TEST(TraceIo, CompactBinaryRejectsCorruption) {
-  const Trace t = make_random_trace(50, 8);
-  std::stringstream buffer;
-  write_binary_compact(buffer, t);
-  std::string data = buffer.str();
-  data.resize(data.size() * 2 / 3);  // truncate
-  std::stringstream truncated(data);
-  EXPECT_FALSE(read_binary_compact(truncated).has_value());
-  std::stringstream garbage("IPM2 but not really");
-  EXPECT_FALSE(read_binary_compact(garbage).has_value());
+  const std::string path = ipm2_path("truncated");
+  write_ipm2(path, make_random_trace(50, 8));
+  std::filesystem::resize_file(path, std::filesystem::file_size(path) * 2 / 3);
+  EXPECT_FALSE(read_ipm2(path).has_value());
+  const std::string garbage = ipm2_path("garbage");
+  std::ofstream(garbage, std::ios::binary) << "IPM2 but not really";
+  EXPECT_FALSE(read_ipm2(garbage).has_value());
 }
 
 TEST(TraceIo, CompactBinaryPreservesUnsortedTimestamps) {
@@ -381,73 +327,11 @@ TEST(TraceIo, CompactBinaryPreservesUnsortedTimestamps) {
   t.append(entry(100 * kSecond, 1, 1, 0));
   t.append(entry(10 * kSecond, 2, 2, 1));   // backwards jump
   t.append(entry(500 * kSecond, 1, 1, 0));
-  std::stringstream buffer;
-  write_binary_compact(buffer, t);
-  const auto loaded = read_binary_compact(buffer);
+  const std::string path = ipm2_path("unsorted");
+  write_ipm2(path, t);
+  const auto loaded = read_ipm2(path);
   ASSERT_TRUE(loaded.has_value());
   EXPECT_TRUE(traces_equal(t, *loaded));
-}
-
-TEST(TraceIo, LoadAnyDetectsAllThreeFormats) {
-  const Trace t = make_random_trace(40, 9);
-  const std::string dir = ::testing::TempDir();
-  ASSERT_TRUE(save_csv(dir + "/any.csv", t));
-  ASSERT_TRUE(save_binary(dir + "/any.bin", t));
-  ASSERT_TRUE(save_binary_compact(dir + "/any.cbin", t));
-  for (const char* name : {"/any.csv", "/any.bin", "/any.cbin"}) {
-    const auto loaded = load_any(dir + name);
-    ASSERT_TRUE(loaded.has_value()) << name;
-    EXPECT_TRUE(traces_equal(t, *loaded)) << name;
-  }
-  EXPECT_FALSE(load_any("/does/not/exist").has_value());
-}
-
-// --- Load-failure reasons -------------------------------------------------------
-
-TEST(TraceIo, LoadReportsMissingFile) {
-  LoadError why = LoadError::kNone;
-  EXPECT_FALSE(load_any("/does/not/exist.bin", &why).has_value());
-  EXPECT_EQ(why, LoadError::kFileMissing);
-  why = LoadError::kNone;
-  EXPECT_FALSE(load_binary("/does/not/exist.bin", &why).has_value());
-  EXPECT_EQ(why, LoadError::kFileMissing);
-  why = LoadError::kNone;
-  EXPECT_FALSE(load_csv("/does/not/exist.csv", &why).has_value());
-  EXPECT_EQ(why, LoadError::kFileMissing);
-  EXPECT_EQ(load_error_name(LoadError::kFileMissing), "file missing");
-}
-
-TEST(TraceIo, LoadReportsCorruptFile) {
-  const std::string path = ::testing::TempDir() + "/corrupt_trace.bin";
-  {
-    std::ofstream out(path, std::ios::binary);
-    out << "this is not a trace in any known format";
-  }
-  LoadError why = LoadError::kNone;
-  EXPECT_FALSE(load_any(path, &why).has_value());
-  EXPECT_EQ(why, LoadError::kCorrupt);
-  why = LoadError::kNone;
-  EXPECT_FALSE(load_binary(path, &why).has_value());
-  EXPECT_EQ(why, LoadError::kCorrupt);
-  EXPECT_EQ(load_error_name(LoadError::kCorrupt),
-            "corrupt or unsupported format");
-}
-
-TEST(TraceIo, LoadSuccessLeavesNoError) {
-  const Trace t = make_random_trace(10, 11);
-  const std::string path = ::testing::TempDir() + "/ok_trace.bin";
-  ASSERT_TRUE(save_binary_compact(path, t));
-  LoadError why = LoadError::kCorrupt;
-  EXPECT_TRUE(load_any(path, &why).has_value());
-  EXPECT_EQ(why, LoadError::kNone);
-}
-
-TEST(TraceIo, BinaryIsSmallerThanCsv) {
-  const Trace t = make_random_trace(200, 5);
-  std::stringstream csv, bin;
-  write_csv(csv, t);
-  write_binary(bin, t);
-  EXPECT_LT(bin.str().size(), csv.str().size());
 }
 
 }  // namespace
