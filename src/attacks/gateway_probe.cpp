@@ -66,7 +66,7 @@ void GatewayProber::probe(const std::string& gateway_name,
       shared->probe_cid,
       [shared](bool ok, bool /*cache_hit*/) { shared->http_ok = ok; });
 
-  network_.scheduler().schedule_after(
+  network_.scheduler().post_after(
       config_.observation_window,
       [this, shared, offsets = std::move(offsets),
        on_done = std::move(on_done)]() mutable {
@@ -91,7 +91,7 @@ void GatewayProber::probe_with_trigger(
   if (trigger) trigger(result.probe_cid);
 
   auto shared = std::make_shared<GatewayProbeResult>(std::move(result));
-  network_.scheduler().schedule_after(
+  network_.scheduler().post_after(
       config_.observation_window,
       [this, shared, offsets = std::move(offsets),
        on_done = std::move(on_done)]() mutable {

@@ -76,11 +76,9 @@ void DhtNode::stop() {
   for (const std::uint64_t id : ids) fail_pending(id);
 }
 
-PeerRecord DhtNode::self_record() const { return record_for(self_); }
-
-PeerRecord DhtNode::record_for(const crypto::PeerId& peer) const {
-  const net::NodeRecord* rec = network_.record(peer);
-  return PeerRecord{peer, rec != nullptr ? rec->address : net::Address{}};
+PeerRecord DhtNode::record_for(const Contact& contact) const {
+  const net::NodeRecord* rec = network_.record_at(contact.node);
+  return PeerRecord{contact.id, rec != nullptr ? rec->address : net::Address{}};
 }
 
 void DhtNode::bootstrap(const std::vector<crypto::PeerId>& seeds) {
@@ -104,7 +102,9 @@ void DhtNode::bootstrap(const std::vector<crypto::PeerId>& seeds) {
 void DhtNode::handle_message(net::ConnectionId conn, const crypto::PeerId& from,
                              const DhtMessage& msg) {
   if (!running_) return;
-  if (msg.sender_is_server) mutate_table([&] { table_.add(from); });
+  if (msg.sender_is_server) {
+    mutate_table([&] { table_.add(from, network_.node_index(from)); });
+  }
 
   switch (msg.type) {
     case DhtMessage::Type::Ping: {
@@ -119,8 +119,8 @@ void DhtNode::handle_message(net::ConnectionId conn, const crypto::PeerId& from,
       auto reply = std::make_shared<DhtMessage>();
       reply->type = DhtMessage::Type::FindNodeReply;
       reply->request_id = msg.request_id;
-      for (const auto& peer : table_.closest(msg.target, config_.k)) {
-        reply->closer.push_back(record_for(peer));
+      for (const auto& contact : table_.closest(msg.target, config_.k)) {
+        reply->closer.push_back(record_for(contact));
       }
       send_reply(conn, std::move(reply));
       return;
@@ -132,8 +132,8 @@ void DhtNode::handle_message(net::ConnectionId conn, const crypto::PeerId& from,
       reply->request_id = msg.request_id;
       reply->providers =
           provider_store_.get(msg.target, network_.scheduler().now());
-      for (const auto& peer : table_.closest(msg.target, config_.k)) {
-        reply->closer.push_back(record_for(peer));
+      for (const auto& contact : table_.closest(msg.target, config_.k)) {
+        reply->closer.push_back(record_for(contact));
       }
       send_reply(conn, std::move(reply));
       return;
@@ -292,9 +292,10 @@ void DhtNode::start_lookup(const Key& target, bool collect_providers,
       tracer.current());
   if (collect_providers) seed_local_providers(state);
 
-  for (const auto& peer : table_.closest(target, config_.k)) {
-    state->shortlist.push_back({record_for(peer), LookupState::Status::Candidate});
-    state->known.insert(peer);
+  for (const auto& contact : table_.closest(target, config_.k)) {
+    state->shortlist.push_back(
+        {record_for(contact), LookupState::Status::Candidate});
+    state->known.insert(contact.id);
   }
   if (state->shortlist.empty()) {
     finish_lookup(state);
@@ -377,13 +378,13 @@ void DhtNode::lookup_step(const std::shared_ptr<LookupState>& state) {
                      for (const auto& learned : reply->closer) {
                        if (learned.id == self_) continue;
                        if (!state->known.insert(learned.id).second) continue;
-                       // Insert keeping the shortlist distance-sorted.
-                       const Key ck = key_of(learned.id);
-                       auto it = std::find_if(
+                       // Insert keeping the shortlist distance-sorted
+                       // (ids are distinct, so the order is strict).
+                       const auto it = std::partition_point(
                            state->shortlist.begin(), state->shortlist.end(),
                            [&](const LookupState::Entry& e) {
-                             return closer(ck, key_of(e.record.id),
-                                           state->target);
+                             return closer(e.record.id.digest(),
+                                           learned.id.digest(), state->target);
                            });
                        state->shortlist.insert(
                            it, {learned, LookupState::Status::Candidate});

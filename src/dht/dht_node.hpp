@@ -83,8 +83,7 @@ class DhtNode {
   struct LookupState;
   using ReplyCallback = std::function<void(const DhtMessage*)>;
 
-  PeerRecord self_record() const;
-  PeerRecord record_for(const crypto::PeerId& peer) const;
+  PeerRecord record_for(const Contact& contact) const;
 
   /// Sends a request, dialing if necessary; `on_reply` receives nullptr on
   /// dial failure or timeout.

@@ -1,10 +1,8 @@
 #include "dht/key.hpp"
 
-#include <bit>
+#include <algorithm>
 
 namespace ipfsmon::dht {
-
-Key key_of(const crypto::PeerId& peer) { return peer.digest(); }
 
 Key key_of(const cid::Cid& cid) {
   const auto& digest = cid.hash().digest();
@@ -21,25 +19,6 @@ Key xor_distance(const Key& a, const Key& b) {
   Key out{};
   for (std::size_t i = 0; i < out.size(); ++i) out[i] = a[i] ^ b[i];
   return out;
-}
-
-bool closer(const Key& a, const Key& b, const Key& target) {
-  for (std::size_t i = 0; i < target.size(); ++i) {
-    const std::uint8_t da = a[i] ^ target[i];
-    const std::uint8_t db = b[i] ^ target[i];
-    if (da != db) return da < db;
-  }
-  return false;
-}
-
-int common_prefix_length(const Key& a, const Key& b) {
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    const std::uint8_t x = a[i] ^ b[i];
-    if (x != 0) {
-      return static_cast<int>(i) * 8 + std::countl_zero(x);
-    }
-  }
-  return 256;
 }
 
 }  // namespace ipfsmon::dht

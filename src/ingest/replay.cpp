@@ -85,7 +85,7 @@ void ReplayDriver::start(Sink sink) {
 }
 
 void ReplayDriver::schedule_next() {
-  scheduler_.schedule_at(pending_.timestamp, [this] { pump(); });
+  scheduler_.post_at(pending_.timestamp, [this] { pump(); });
 }
 
 void ReplayDriver::pump() {

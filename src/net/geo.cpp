@@ -32,6 +32,24 @@ GeoDatabase::GeoDatabase(std::vector<CountrySpec> countries)
     weights_.push_back(countries_[i].node_weight);
     block_to_country_[static_cast<std::uint32_t>(10 + i)] = i;
   }
+  const std::size_t n = countries_.size();
+  mean_latency_.reserve((n + 1) * (n + 1));
+  for (std::size_t a = 0; a <= n; ++a) {
+    for (std::size_t b = 0; b <= n; ++b) {
+      if (a == n || b == n) {
+        // Unknown location: conservative.
+        mean_latency_.push_back(120 * util::kMillisecond);
+        continue;
+      }
+      const double dx = countries_[a].x - countries_[b].x;
+      const double dy = countries_[a].y - countries_[b].y;
+      const double dist = std::sqrt(dx * dx + dy * dy);
+      // 4 ms base (stack + last mile) + ~6 ms per map unit of distance.
+      const double ms = 4.0 + 6.0 * dist;
+      mean_latency_.push_back(static_cast<util::SimDuration>(
+          ms * static_cast<double>(util::kMillisecond)));
+    }
+  }
 }
 
 GeoDatabase GeoDatabase::standard() { return GeoDatabase(default_world()); }
@@ -40,23 +58,21 @@ const std::string& GeoDatabase::sample_country(util::RngStream& rng) const {
   return countries_[rng.weighted_index(weights_)].code;
 }
 
-const CountrySpec* GeoDatabase::find(const std::string& code) const {
-  for (const auto& c : countries_) {
-    if (c.code == code) return &c;
-  }
-  return nullptr;
+std::size_t GeoDatabase::country_index(const std::string& code) const {
+  std::size_t i = 0;
+  while (i < countries_.size() && countries_[i].code != code) ++i;
+  return i;
 }
 
 Address GeoDatabase::allocate_address(const std::string& country_code) {
-  for (std::size_t i = 0; i < countries_.size(); ++i) {
-    if (countries_[i].code == country_code) {
-      const std::uint32_t block = static_cast<std::uint32_t>(10 + i);
-      const std::uint32_t host = next_host_[i]++;
-      return Address{(block << 24) | host, 4001};
-    }
+  const std::size_t i = country_index(country_code);
+  if (i == countries_.size()) {
+    throw std::invalid_argument("allocate_address: unknown country " +
+                                country_code);
   }
-  throw std::invalid_argument("allocate_address: unknown country " +
-                              country_code);
+  const std::uint32_t block = static_cast<std::uint32_t>(10 + i);
+  const std::uint32_t host = next_host_[i]++;
+  return Address{(block << 24) | host, 4001};
 }
 
 std::string GeoDatabase::lookup(std::uint32_t ip) const {
@@ -65,29 +81,13 @@ std::string GeoDatabase::lookup(std::uint32_t ip) const {
   return countries_[it->second].code;
 }
 
-util::SimDuration GeoDatabase::latency(const std::string& a,
-                                       const std::string& b,
+util::SimDuration GeoDatabase::latency(std::size_t a, std::size_t b,
                                        util::RngStream& rng) const {
   const util::SimDuration mean = mean_latency(a, b);
   // Log-normal-ish jitter: multiply by a factor in [0.9, 1.5) with a
   // mild right tail, approximating queueing variability.
   const double factor = 0.9 + 0.6 * rng.uniform() * rng.uniform();
   return static_cast<util::SimDuration>(static_cast<double>(mean) * factor);
-}
-
-util::SimDuration GeoDatabase::mean_latency(const std::string& a,
-                                            const std::string& b) const {
-  const CountrySpec* ca = find(a);
-  const CountrySpec* cb = find(b);
-  if (ca == nullptr || cb == nullptr) {
-    return 120 * util::kMillisecond;  // unknown location: conservative
-  }
-  const double dx = ca->x - cb->x;
-  const double dy = ca->y - cb->y;
-  const double dist = std::sqrt(dx * dx + dy * dy);
-  // 4 ms base (stack + last mile) + ~6 ms per map unit of distance.
-  const double ms = 4.0 + 6.0 * dist;
-  return static_cast<util::SimDuration>(ms * static_cast<double>(util::kMillisecond));
 }
 
 }  // namespace ipfsmon::net

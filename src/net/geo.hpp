@@ -47,19 +47,35 @@ class GeoDatabase {
   std::string lookup(std::uint32_t ip) const;
   std::string lookup(const Address& addr) const { return lookup(addr.ip); }
 
+  /// Position of `code` in countries(), or countries().size() — the
+  /// "unknown country" index — for a code the database does not hold
+  /// (such as "??").
+  std::size_t country_index(const std::string& code) const;
+
   /// One-way propagation latency between two countries, jittered.
   /// Derived from coordinate distance plus a base hop cost.
   util::SimDuration latency(const std::string& a, const std::string& b,
+                            util::RngStream& rng) const {
+    return latency(country_index(a), country_index(b), rng);
+  }
+  /// The same, by country_index() values (the simulator's hot path).
+  util::SimDuration latency(std::size_t a, std::size_t b,
                             util::RngStream& rng) const;
 
   /// Deterministic mean latency (no jitter), for tests.
   util::SimDuration mean_latency(const std::string& a,
-                                 const std::string& b) const;
+                                 const std::string& b) const {
+    return mean_latency(country_index(a), country_index(b));
+  }
+  util::SimDuration mean_latency(std::size_t a, std::size_t b) const {
+    return mean_latency_[a * (countries_.size() + 1) + b];
+  }
 
  private:
-  const CountrySpec* find(const std::string& code) const;
-
   std::vector<CountrySpec> countries_;
+  // (n+1)² mean one-way latencies by country index; row and column n are
+  // the unknown country.
+  std::vector<util::SimDuration> mean_latency_;
   std::vector<double> weights_;
   // Country index -> next host counter for IP allocation; each country i
   // owns the /8 blocks starting at (10 + i) << 24 (one /8 ≈ 16.7M hosts,

@@ -55,36 +55,47 @@ obs::Gauge& Network::country_gauge(const std::string& country) {
   return gauge;
 }
 
+obs::Gauge& Network::endpoint_gauge(NodeIndex index) {
+  Node& node = nodes_by_index_[index];
+  if (node.endpoint_gauge == nullptr) {
+    node.endpoint_gauge = &country_gauge(node.record.country);
+  }
+  return *node.endpoint_gauge;
+}
+
 void Network::track_endpoints(const Connection& conn, double delta) {
-  const NodeRecord* ra = record(conn.a);
-  const NodeRecord* rb = record(conn.b);
-  country_gauge(ra != nullptr ? ra->country : "??").add(delta);
-  country_gauge(rb != nullptr ? rb->country : "??").add(delta);
+  endpoint_gauge(conn.ia).add(delta);
+  endpoint_gauge(conn.ib).add(delta);
 }
 
 void Network::register_node(const crypto::PeerId& id, const Address& addr,
                             const std::string& country, bool nat, Host* host,
                             double discovery_weight) {
   if (host == nullptr) throw std::invalid_argument("register_node: null host");
-  NodeRecord record{id,   addr, country, nat, /*online=*/false,
-                    host, discovery_weight};
-  nodes_[id] = record;
+  const auto [it, inserted] =
+      nodes_.try_emplace(id, static_cast<NodeIndex>(nodes_by_index_.size()));
+  if (inserted) nodes_by_index_.emplace_back();
+  Node& node = nodes_by_index_[it->second];
+  node.record = NodeRecord{id,   addr, country, nat, /*online=*/false,
+                           host, discovery_weight, geo_.country_index(country)};
+  node.endpoint_gauge = nullptr;
 }
 
 void Network::set_online(const crypto::PeerId& id, bool online) {
-  const auto it = nodes_.find(id);
-  if (it == nodes_.end()) throw std::invalid_argument("set_online: unknown node");
-  if (it->second.online == online) return;
-  if (!online) close_all_of(id);
-  it->second.online = online;
+  const NodeIndex index = node_index(id);
+  if (index == kNoNode) throw std::invalid_argument("set_online: unknown node");
+  NodeRecord& rec = nodes_by_index_[index].record;
+  if (rec.online == online) return;
+  if (!online) close_all_of(index);
+  rec.online = online;
   metrics_.online_nodes->add(online ? 1.0 : -1.0);
 
-  if (!it->second.nat) {
-    const bool hub = it->second.discovery_weight > 1.0;
+  if (!rec.nat) {
+    const bool hub = rec.discovery_weight > 1.0;
     if (online) {
       if (hub) {
-        online_hubs_.emplace_back(id, it->second.discovery_weight);
-        online_hub_weight_ += it->second.discovery_weight;
+        online_hubs_.emplace_back(id, rec.discovery_weight);
+        online_hub_weight_ += rec.discovery_weight;
       } else {
         online_public_index_[id] = online_public_.size();
         online_public_.push_back(id);
@@ -132,88 +143,102 @@ std::optional<crypto::PeerId> Network::sample_online_public(
 }
 
 bool Network::is_online(const crypto::PeerId& id) const {
-  const auto it = nodes_.find(id);
-  return it != nodes_.end() && it->second.online;
+  const NodeRecord* rec = record(id);
+  return rec != nullptr && rec->online;
 }
 
 const NodeRecord* Network::record(const crypto::PeerId& id) const {
+  return record_at(node_index(id));
+}
+
+NodeIndex Network::node_index(const crypto::PeerId& id) const {
   const auto it = nodes_.find(id);
-  return it != nodes_.end() ? &it->second : nullptr;
+  return it != nodes_.end() ? it->second : kNoNode;
 }
 
-util::SimDuration Network::sample_latency(const crypto::PeerId& a,
-                                          const crypto::PeerId& b) {
-  const NodeRecord* ra = record(a);
-  const NodeRecord* rb = record(b);
-  const std::string ca = ra != nullptr ? ra->country : "??";
-  const std::string cb = rb != nullptr ? rb->country : "??";
-  return geo_.latency(ca, cb, rng_);
+util::SimDuration Network::sample_latency(NodeIndex a, NodeIndex b) {
+  // Unregistered endpoints sit in the geo database's unknown country.
+  const auto country = [this](NodeIndex index) {
+    const NodeRecord* rec = record_at(index);
+    return rec != nullptr ? rec->geo_country : geo_.countries().size();
+  };
+  return geo_.latency(country(a), country(b), rng_);
 }
 
-ConnectionId Network::establish(const crypto::PeerId& from,
-                                const crypto::PeerId& to) {
+ConnectionId Network::establish(NodeIndex from, NodeIndex to) {
   const ConnectionId id = next_connection_id_++;
-  connections_[id] =
-      Connection{from, to, scheduler_.now(), scheduler_.now(), scheduler_.now()};
-  adjacency_[from][to] = id;
-  adjacency_[to][from] = id;
+  Node& a = nodes_by_index_[from];
+  Node& b = nodes_by_index_[to];
+  const util::SimTime now = scheduler_.now();
+  const auto it =
+      connections_
+          .emplace(id, Connection{a.record.id, b.record.id, from, to, now,
+                                  now, now})
+          .first;
+  a.adjacency[b.record.id] = id;
+  b.adjacency[a.record.id] = id;
   metrics_.connections_opened->inc();
   metrics_.open_connections->set(static_cast<double>(connections_.size()));
-  track_endpoints(connections_[id], +1.0);
+  track_endpoints(it->second, +1.0);
   return id;
 }
 
 void Network::dial(const crypto::PeerId& from, const crypto::PeerId& to,
                    std::function<void(std::optional<ConnectionId>)> on_result) {
   metrics_.dials->inc();
+  // Endpoints are resolved once, here; an id not registered by now counts
+  // as offline at completion.
+  const NodeIndex from_index = node_index(from);
+  const NodeIndex to_index = node_index(to);
   // One round trip to establish (SYN + accept), sampled now for determinism.
-  const util::SimDuration rtt = 2 * sample_latency(from, to);
-  scheduler_.schedule_after(rtt, [this, from, to,
-                                  cb = std::move(on_result)]() {
+  const util::SimDuration rtt = 2 * sample_latency(from_index, to_index);
+  scheduler_.post_after(rtt, [this, from_index, to_index,
+                              cb = std::move(on_result)]() {
     // Conditions are re-checked at completion time: either endpoint may
     // have churned while the dial was in flight.
-    if (!is_online(from) || !is_online(to)) {
+    const NodeRecord* dialer = record_at(from_index);
+    const NodeRecord* target = record_at(to_index);
+    if (dialer == nullptr || target == nullptr || !dialer->online ||
+        !target->online) {
       metrics_.dial_failures->inc();
       if (cb) cb(std::nullopt);
       return;
     }
-    if (!isolated_.empty() && (isolated(from) || isolated(to))) {
+    if (!isolated_.empty() && (isolated(dialer->id) || isolated(target->id))) {
       metrics_.dial_failures->inc();
       if (cb) cb(std::nullopt);  // partitioned endpoints cannot connect
       return;
     }
-    if (from == to) {
+    if (from_index == to_index) {
       metrics_.dial_failures->inc();
       if (cb) cb(std::nullopt);
       return;
     }
-    if (const auto existing = connection_between(from, to)) {
+    if (const auto existing = find_connection(from_index, target->id)) {
       if (cb) cb(existing);  // libp2p reuses the existing connection
       return;
     }
-    NodeRecord& target = nodes_.at(to);
-    if (target.nat) {
+    if (target->nat) {
       metrics_.dial_failures->inc();
       if (cb) cb(std::nullopt);  // no inbound through NAT (no hole punching)
       return;
     }
-    if (!target.host->accept_inbound(from)) {
+    if (!target->host->accept_inbound(dialer->id)) {
       metrics_.rejects->inc();
       if (obs_.events.active()) {
         obs_.events.emit(scheduler_.now(), obs::Severity::kDebug, "net",
-                         "inbound dial rejected by " + to.short_hex());
+                         "inbound dial rejected by " + target->id.short_hex());
       }
       if (cb) cb(std::nullopt);
       return;
     }
     metrics_.accepts->inc();
-    const ConnectionId conn = establish(from, to);
-    NodeRecord& dialer = nodes_.at(from);
-    dialer.host->on_connection(conn, to, /*outbound=*/true);
+    const ConnectionId conn = establish(from_index, to_index);
+    dialer->host->on_connection(conn, target->id, /*outbound=*/true);
     // The dialer's callback may have closed the connection synchronously;
     // only notify the acceptor if it still exists.
     if (connections_.count(conn) != 0) {
-      target.host->on_connection(conn, from, /*outbound=*/false);
+      target->host->on_connection(conn, dialer->id, /*outbound=*/false);
     }
     if (cb) cb(connections_.count(conn) != 0 ? std::optional(conn)
                                              : std::nullopt);
@@ -268,10 +293,11 @@ void Network::enable_tracing(const obs::TracerConfig& config) {
 }
 
 void Network::isolate(const crypto::PeerId& id) {
-  if (nodes_.count(id) == 0 || !isolated_.insert(id).second) return;
+  const NodeIndex index = node_index(id);
+  if (index == kNoNode || !isolated_.insert(id).second) return;
   ensure_fault_plumbing();
   fault_metrics_.isolated_nodes->set(static_cast<double>(isolated_.size()));
-  close_all_of(id);
+  close_all_of(index);
   if (obs_.events.active()) {
     obs_.events.emit(scheduler_.now(), obs::Severity::kWarn, "net",
                      "partition isolates " + id.short_hex());
@@ -326,7 +352,7 @@ void Network::dial_backoff_attempt(
     auto next_delay = static_cast<util::SimDuration>(
         static_cast<double>(delay) * policy.multiplier);
     next_delay = std::min(next_delay, policy.max_delay);
-    scheduler_.schedule_after(
+    scheduler_.post_after(
         wait, [this, from, to, policy, attempt, next_delay,
                cb = std::move(cb)]() mutable {
           dial_backoff_attempt(from, to, policy, attempt + 1, next_delay,
@@ -338,28 +364,24 @@ void Network::dial_backoff_attempt(
 void Network::close(ConnectionId conn) {
   const auto it = connections_.find(conn);
   if (it == connections_.end()) return;
-  const crypto::PeerId a = it->second.a;
-  const crypto::PeerId b = it->second.b;
-  track_endpoints(it->second, -1.0);
+  const Connection c = it->second;
+  track_endpoints(c, -1.0);
   connections_.erase(it);
   metrics_.connections_closed->inc();
   metrics_.open_connections->set(static_cast<double>(connections_.size()));
-  adjacency_[a].erase(b);
-  adjacency_[b].erase(a);
-  if (const NodeRecord* ra = record(a); ra != nullptr) {
-    ra->host->on_disconnect(conn, b);
-  }
-  if (const NodeRecord* rb = record(b); rb != nullptr) {
-    rb->host->on_disconnect(conn, a);
-  }
+  Node& a = nodes_by_index_[c.ia];
+  Node& b = nodes_by_index_[c.ib];
+  a.adjacency.erase(c.b);
+  b.adjacency.erase(c.a);
+  a.record.host->on_disconnect(conn, c.b);
+  b.record.host->on_disconnect(conn, c.a);
 }
 
-void Network::close_all_of(const crypto::PeerId& id) {
-  const auto it = adjacency_.find(id);
-  if (it == adjacency_.end()) return;
+void Network::close_all_of(NodeIndex index) {
+  const auto& adjacency = nodes_by_index_[index].adjacency;
   std::vector<ConnectionId> to_close;
-  to_close.reserve(it->second.size());
-  for (const auto& [peer, conn] : it->second) to_close.push_back(conn);
+  to_close.reserve(adjacency.size());
+  for (const auto& [peer, conn] : adjacency) to_close.push_back(conn);
   for (const ConnectionId conn : to_close) close(conn);
 }
 
@@ -370,7 +392,7 @@ void Network::send(ConnectionId conn, const crypto::PeerId& sender,
   Connection& c = it->second;
   const bool a_to_b = (sender == c.a);
   if (!a_to_b && sender != c.b) return;  // not a party to this connection
-  const crypto::PeerId receiver = a_to_b ? c.b : c.a;
+  const crypto::PeerId& receiver = a_to_b ? c.b : c.a;
 
   // Fault layer: inert (no RNG draws, no branches beyond this check) unless
   // link faults or a partition window are active.
@@ -385,7 +407,8 @@ void Network::send(ConnectionId conn, const crypto::PeerId& sender,
     }
   }
 
-  util::SimDuration latency = sample_latency(sender, receiver);
+  util::SimDuration latency =
+      a_to_b ? sample_latency(c.ia, c.ib) : sample_latency(c.ib, c.ia);
   if (link_faults_.extra_delay_mean_seconds > 0.0) {
     latency += util::seconds(
         fault_rng_->exponential(link_faults_.extra_delay_mean_seconds));
@@ -398,47 +421,60 @@ void Network::send(ConnectionId conn, const crypto::PeerId& sender,
   if (deliver_at < fifo) deliver_at = fifo;
   fifo = deliver_at;
 
-  scheduler_.schedule_at(
-      deliver_at, [this, conn, sender, receiver, payload = std::move(payload)]() {
+  scheduler_.post_at(
+      deliver_at, [this, conn, a_to_b, payload = std::move(payload)]() {
         // Drop if the connection died or the receiver churned in flight.
-        if (connections_.count(conn) == 0) {
+        // Connection ids are never reused, so a live one has the same
+        // endpoints as at send time.
+        const auto it = connections_.find(conn);
+        if (it == connections_.end()) {
           metrics_.messages_dropped->inc();
           return;
         }
-        const NodeRecord* r = record(receiver);
-        if (r == nullptr || !r->online) {
+        const Connection& c = it->second;
+        const NodeRecord& r = nodes_by_index_[a_to_b ? c.ib : c.ia].record;
+        if (!r.online) {
           metrics_.messages_dropped->inc();
           return;
         }
+        // Copied: the host may close the connection while handling it.
+        const crypto::PeerId sender = a_to_b ? c.a : c.b;
         ++messages_delivered_;
         metrics_.messages_delivered->inc();
         metrics_.bytes_delivered->inc(payload->wire_size());
-        r->host->on_message(conn, sender, payload);
+        r.host->on_message(conn, sender, payload);
       });
+}
+
+std::optional<ConnectionId> Network::find_connection(
+    NodeIndex a, const crypto::PeerId& b) const {
+  const auto& adjacency = nodes_by_index_[a].adjacency;
+  const auto it = adjacency.find(b);
+  if (it == adjacency.end()) return std::nullopt;
+  return it->second;
 }
 
 std::optional<ConnectionId> Network::connection_between(
     const crypto::PeerId& a, const crypto::PeerId& b) const {
-  const auto it = adjacency_.find(a);
-  if (it == adjacency_.end()) return std::nullopt;
-  const auto jt = it->second.find(b);
-  if (jt == it->second.end()) return std::nullopt;
-  return jt->second;
+  const NodeIndex index = node_index(a);
+  if (index == kNoNode) return std::nullopt;
+  return find_connection(index, b);
 }
 
 std::vector<crypto::PeerId> Network::connected_peers(
     const crypto::PeerId& id) const {
   std::vector<crypto::PeerId> peers;
-  const auto it = adjacency_.find(id);
-  if (it == adjacency_.end()) return peers;
-  peers.reserve(it->second.size());
-  for (const auto& [peer, conn] : it->second) peers.push_back(peer);
+  const NodeIndex index = node_index(id);
+  if (index == kNoNode) return peers;
+  const auto& adjacency = nodes_by_index_[index].adjacency;
+  peers.reserve(adjacency.size());
+  for (const auto& [peer, conn] : adjacency) peers.push_back(peer);
   return peers;
 }
 
 std::size_t Network::connection_count(const crypto::PeerId& id) const {
-  const auto it = adjacency_.find(id);
-  return it == adjacency_.end() ? 0 : it->second.size();
+  const NodeIndex index = node_index(id);
+  return index == kNoNode ? 0 : nodes_by_index_[index].adjacency.size();
 }
 
 std::optional<crypto::PeerId> Network::remote_peer(
@@ -459,8 +495,8 @@ std::optional<util::SimTime> Network::connection_established_at(
 
 std::vector<crypto::PeerId> Network::online_nodes() const {
   std::vector<crypto::PeerId> out;
-  for (const auto& [id, rec] : nodes_) {
-    if (rec.online) out.push_back(id);
+  for (const auto& [id, index] : nodes_) {
+    if (nodes_by_index_[index].record.online) out.push_back(id);
   }
   return out;
 }

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -44,6 +45,11 @@ using PayloadPtr = std::shared_ptr<const Payload>;
 
 using ConnectionId = std::uint64_t;
 constexpr ConnectionId kInvalidConnection = 0;
+
+/// Dense index of a registered node, assigned in registration order and
+/// stable for the network's lifetime (re-registering an id keeps it).
+using NodeIndex = std::uint32_t;
+constexpr NodeIndex kNoNode = ~NodeIndex{0};
 
 /// Link-level fault model applied to every payload in flight (src/churn
 /// drives this; the Network owns it because drops and delays must happen
@@ -104,6 +110,7 @@ struct NodeRecord {
   bool online = false;
   Host* host = nullptr;
   double discovery_weight = 1.0;
+  std::size_t geo_country = 0;  // GeoDatabase::country_index(country)
 };
 
 class Network {
@@ -136,6 +143,14 @@ class Network {
 
   bool is_online(const crypto::PeerId& id) const;
   const NodeRecord* record(const crypto::PeerId& id) const;
+
+  /// The node's dense index, or kNoNode if `id` was never registered.
+  NodeIndex node_index(const crypto::PeerId& id) const;
+  /// The record at a dense index (nullptr for kNoNode): no PeerId lookup.
+  const NodeRecord* record_at(NodeIndex index) const {
+    return index < nodes_by_index_.size() ? &nodes_by_index_[index].record
+                                          : nullptr;
+  }
 
   /// Asynchronously dials `to`. The callback receives the connection id on
   /// success (which may be a pre-existing connection — libp2p keeps at most
@@ -222,16 +237,28 @@ class Network {
  private:
   struct Connection {
     crypto::PeerId a, b;
+    NodeIndex ia = kNoNode, ib = kNoNode;  // dense indices of a and b
     util::SimTime established = 0;
     // FIFO clamps: earliest allowed delivery time per direction.
     util::SimTime next_delivery_a_to_b = 0;
     util::SimTime next_delivery_b_to_a = 0;
   };
 
-  util::SimDuration sample_latency(const crypto::PeerId& a,
-                                   const crypto::PeerId& b);
-  ConnectionId establish(const crypto::PeerId& from, const crypto::PeerId& to);
-  void close_all_of(const crypto::PeerId& id);
+  /// A registered node: its public record plus per-node network state.
+  struct Node {
+    NodeRecord record;
+    // Peer -> connection id. Its iteration order sets connected_peers()
+    // (the Bitswap broadcast order) and close_all_of(), so it stays keyed
+    // by PeerId.
+    std::unordered_map<crypto::PeerId, ConnectionId> adjacency;
+    obs::Gauge* endpoint_gauge = nullptr;  // resolved on first use
+  };
+
+  util::SimDuration sample_latency(NodeIndex a, NodeIndex b);
+  ConnectionId establish(NodeIndex from, NodeIndex to);
+  std::optional<ConnectionId> find_connection(NodeIndex a,
+                                              const crypto::PeerId& b) const;
+  void close_all_of(NodeIndex index);
   /// Lazily creates the fault RNG stream and registers fault metrics.
   /// Deferred so fault-free runs register nothing (registry dumps stay
   /// byte-identical to builds that never heard of faults).
@@ -243,6 +270,7 @@ class Network {
   /// Per-country connection-endpoint gauge (each open connection counts
   /// once per endpoint country). Cached: country sets are small.
   obs::Gauge& country_gauge(const std::string& country);
+  obs::Gauge& endpoint_gauge(NodeIndex index);
   void track_endpoints(const Connection& conn, double delta);
 
   sim::Scheduler& scheduler_;
@@ -283,12 +311,11 @@ class Network {
   } metrics_;
   std::unordered_map<std::string, obs::Gauge*> country_gauges_;
 
-  std::unordered_map<crypto::PeerId, NodeRecord> nodes_;
+  // PeerId -> dense index. Its iteration order sets online_nodes(), so it
+  // stays keyed by PeerId. The deque keeps records at stable addresses.
+  std::unordered_map<crypto::PeerId, NodeIndex> nodes_;
+  std::deque<Node> nodes_by_index_;
   std::unordered_map<ConnectionId, Connection> connections_;
-  // Per-node adjacency: peer -> connection id.
-  std::unordered_map<crypto::PeerId,
-                     std::unordered_map<crypto::PeerId, ConnectionId>>
-      adjacency_;
   ConnectionId next_connection_id_ = 1;
   std::uint64_t messages_delivered_ = 0;
 

@@ -7,7 +7,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <queue>
 #include <vector>
 
 #include "util/time.hpp"
@@ -17,7 +16,8 @@ namespace ipfsmon::sim {
 using EventFn = std::function<void()>;
 
 /// Handle to a scheduled event; lets the owner cancel it. Copyable —
-/// all copies refer to the same underlying event.
+/// all copies refer to the same underlying event. A handle may outlive
+/// its scheduler; cancelling it then does nothing.
 class EventHandle {
  public:
   EventHandle() = default;
@@ -63,6 +63,12 @@ class Scheduler {
   /// Schedules `fn` to run after `delay`.
   EventHandle schedule_after(util::SimDuration delay, EventFn fn);
 
+  /// Like schedule_at/schedule_after, for callers that never cancel: no
+  /// handle state is allocated. Ordering is shared with schedule_*: events
+  /// at the same time run in the order they were scheduled or posted.
+  void post_at(util::SimTime when, EventFn fn);
+  void post_after(util::SimDuration delay, EventFn fn);
+
   /// Runs events until the queue is empty or `deadline` is reached.
   /// The clock is advanced to `deadline` at the end, so repeated calls
   /// simulate contiguous time slices.
@@ -72,7 +78,8 @@ class Scheduler {
   /// timers never drain).
   void run_all();
 
-  std::size_t pending_events() const { return queue_.size(); }
+  /// Queued events, including cancelled ones whose time has not come yet.
+  std::size_t pending_events() const { return heap_.size(); }
 
   /// Total events dispatched since construction (for stats/benchmarks).
   std::uint64_t dispatched() const { return dispatched_; }
@@ -87,18 +94,28 @@ class Scheduler {
   std::uint64_t schedule_clamped() const { return schedule_clamped_; }
 
  private:
+  // Heap entries stay small (24 bytes) so sifting is cheap; the callback
+  // and the optional cancellation state live in slots_, recycled through
+  // free_slots_.
   struct Entry {
     util::SimTime when;
     std::uint64_t seq;  // FIFO tiebreak for same-time events
-    EventFn fn;
-    std::shared_ptr<EventHandle::State> state;
-  };
-  struct Later {
-    bool operator()(const Entry& a, const Entry& b) const {
-      if (a.when != b.when) return a.when > b.when;
-      return a.seq > b.seq;
+    std::uint32_t slot;
+    bool operator<(const Entry& other) const {
+      return when != other.when ? when < other.when : seq < other.seq;
     }
   };
+  struct Slot {
+    EventFn fn;
+    std::shared_ptr<EventHandle::State> state;  // null for post_*
+  };
+
+  void push(util::SimTime when, EventFn fn,
+            std::shared_ptr<EventHandle::State> state);
+  /// Removes and returns the earliest entry (heap_ must not be empty).
+  Entry pop_earliest();
+  /// Pops the head event and runs it unless it was cancelled.
+  void dispatch_next();
 
   util::SimTime now_ = 0;
   std::function<EventFn(EventFn)> wrapper_;
@@ -106,7 +123,12 @@ class Scheduler {
   std::uint64_t dispatched_ = 0;
   std::uint64_t cancelled_ = 0;
   std::uint64_t schedule_clamped_ = 0;
-  std::priority_queue<Entry, std::vector<Entry>, Later> queue_;
+  // 4-ary min-heap on (when, seq): half the depth of a binary heap, and
+  // each node's children share a cache line or two. (when, seq) is a
+  // strict total order, so the dispatch order is the same as any heap's.
+  std::vector<Entry> heap_;
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> free_slots_;
 };
 
 }  // namespace ipfsmon::sim

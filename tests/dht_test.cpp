@@ -3,6 +3,9 @@
 // the DHT crawler's visibility limits.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <unordered_map>
+
 #include "dht/crawler.hpp"
 #include "dht/dht_node.hpp"
 #include "dht/key.hpp"
@@ -116,7 +119,8 @@ TEST(RoutingTable, ClosestReturnsSortedByDistance) {
   const auto closest = table.closest(target, 10);
   ASSERT_EQ(closest.size(), 10u);
   for (std::size_t i = 1; i < closest.size(); ++i) {
-    EXPECT_FALSE(closer(key_of(closest[i]), key_of(closest[i - 1]), target));
+    EXPECT_FALSE(
+        closer(key_of(closest[i].id), key_of(closest[i - 1].id), target));
   }
 }
 
@@ -126,6 +130,84 @@ TEST(RoutingTable, ClosestHandlesSmallTables) {
   table.add(random_peer(rng));
   EXPECT_EQ(table.closest(key_of(random_peer(rng)), 20).size(), 1u);
   EXPECT_EQ(table.all_peers().size(), 1u);
+}
+
+/// A key sharing exactly `cpl` leading bits with `base` (cpl < 256), the
+/// rest random: lands in routing-table bucket `cpl`.
+Key key_with_prefix(const Key& base, int cpl, util::RngStream& rng) {
+  Key key{};
+  rng.fill_bytes(key.data(), key.size());
+  const auto byte = static_cast<std::size_t>(cpl / 8);
+  const int bit = 7 - cpl % 8;
+  for (std::size_t i = 0; i < byte; ++i) key[i] = base[i];
+  const auto keep = static_cast<std::uint8_t>(0xff << (bit + 1));
+  key[byte] = static_cast<std::uint8_t>((base[byte] & keep) |
+                                        (~base[byte] & (1u << bit)) |
+                                        (key[byte] & ((1u << bit) - 1)));
+  return key;
+}
+
+TEST(RoutingTable, ClosestMatchesFullSort) {
+  util::RngStream rng(9, "rt-closest");
+  int checked = 0;
+  for (const std::size_t bucket_size : {std::size_t{20}, std::size_t{4}}) {
+    for (const int attempts : {0, 1, 3, 20, 60, 150, 500}) {
+      const crypto::PeerId self = random_peer(rng);
+      const Key self_key = key_of(self);
+      RoutingTable table(self, bucket_size);
+      std::unordered_map<crypto::PeerId, std::uint32_t> node_of;
+      // Half uniformly random peers (shallow buckets), half with a random
+      // shared prefix so deep buckets fill too.
+      for (int n = 0; n < attempts; ++n) {
+        const Key key =
+            n % 2 == 0 ? key_of(random_peer(rng))
+                       : key_with_prefix(self_key,
+                                         static_cast<int>(rng.uniform_index(256)),
+                                         rng);
+        const auto node = static_cast<std::uint32_t>(n);
+        // Deep prefixes can repeat a key: a re-add refreshes the entry and
+        // keeps the tag it was inserted with.
+        if (table.add(crypto::PeerId(key), node)) {
+          node_of.try_emplace(crypto::PeerId(key), node);
+        }
+      }
+      const std::vector<crypto::PeerId> members = table.all_peers();
+      ASSERT_EQ(members.size(), table.size());
+
+      std::vector<Key> targets = {self_key};  // cpl 256, clamped to 255
+      for (int t = 0; t < 8; ++t) targets.push_back(key_of(random_peer(rng)));
+      for (int t = 0; t < 8; ++t) {
+        targets.push_back(key_with_prefix(
+            self_key, static_cast<int>(rng.uniform_index(256)), rng));
+      }
+      if (!members.empty()) {
+        targets.push_back(key_of(members[rng.uniform_index(members.size())]));
+      }
+      for (const Key& target : targets) {
+        // Reference order: byte-wise comparison of the XOR distances.
+        std::vector<crypto::PeerId> reference = members;
+        std::sort(reference.begin(), reference.end(),
+                  [&target](const crypto::PeerId& a, const crypto::PeerId& b) {
+                    return xor_distance(key_of(a), target) <
+                           xor_distance(key_of(b), target);
+                  });
+        for (const std::size_t count :
+             {std::size_t{0}, std::size_t{1}, bucket_size, members.size() + 5}) {
+          const auto got = table.closest(target, count);
+          const std::size_t want = std::min(count, reference.size());
+          ASSERT_EQ(got.size(), want);
+          for (std::size_t i = 0; i < want; ++i) {
+            ASSERT_EQ(got[i].id, reference[i])
+                << "bucket_size " << bucket_size << " size " << members.size()
+                << " count " << count << " rank " << i;
+            EXPECT_EQ(got[i].node, node_of.at(reference[i]));  // kept tag
+          }
+          ++checked;
+        }
+      }
+    }
+  }
+  EXPECT_GT(checked, 0);
 }
 
 // --- provider store ----------------------------------------------------------

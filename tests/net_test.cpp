@@ -2,6 +2,10 @@
 // acceptance, FIFO delivery, churn teardown, and discovery sampling.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <string>
+#include <vector>
+
 #include "net/address.hpp"
 #include "net/geo.hpp"
 #include "net/network.hpp"
@@ -93,6 +97,38 @@ TEST(Geo, JitteredLatencyStaysNearMean) {
     EXPECT_GE(lat, static_cast<util::SimDuration>(0.85 * mean));
     EXPECT_LE(lat, static_cast<util::SimDuration>(1.55 * mean));
   }
+}
+
+TEST(Geo, IndexedLatencyEqualsNamedLatency) {
+  GeoDatabase geo = GeoDatabase::standard();
+  std::vector<std::string> codes;
+  for (const auto& c : geo.countries()) codes.push_back(c.code);
+  codes.push_back("??");  // unknown countries share one index
+  codes.push_back("XX");
+  util::RngStream by_index(3, "geo-twin");
+  util::RngStream by_name(3, "geo-twin");
+  for (const auto& a : codes) {
+    for (const auto& b : codes) {
+      const std::size_t ia = geo.country_index(a);
+      const std::size_t ib = geo.country_index(b);
+      EXPECT_EQ(geo.mean_latency(ia, ib), geo.mean_latency(a, b)) << a << b;
+      EXPECT_EQ(geo.latency(ia, ib, by_index), geo.latency(a, b, by_name))
+          << a << "->" << b;
+    }
+  }
+  // Both paths drew exactly as many numbers.
+  EXPECT_EQ(by_index.next_u64(), by_name.next_u64());
+  // The precomputed means follow the documented model: 4 ms + 6 ms per
+  // map unit, 120 ms when either side is unknown.
+  EXPECT_EQ(geo.country_index("??"), geo.countries().size());
+  EXPECT_EQ(geo.mean_latency("US", "??"), 120 * util::kMillisecond);
+  const CountrySpec& us = geo.countries()[geo.country_index("US")];
+  const CountrySpec& de = geo.countries()[geo.country_index("DE")];
+  const double dist = std::sqrt((us.x - de.x) * (us.x - de.x) +
+                                (us.y - de.y) * (us.y - de.y));
+  EXPECT_EQ(geo.mean_latency("US", "DE"),
+            static_cast<util::SimDuration>(
+                (4.0 + 6.0 * dist) * static_cast<double>(util::kMillisecond)));
 }
 
 TEST(Geo, CountrySamplingFollowsWeights) {

@@ -164,5 +164,84 @@ TEST(Scheduler, CountsPastDueClamps) {
   EXPECT_EQ(s.schedule_clamped(), 1u);
 }
 
+TEST(Scheduler, PostedAndScheduledEventsShareFifoOrder) {
+  Scheduler s;
+  std::vector<int> order;
+  s.post_at(kSecond, [&] { order.push_back(0); });
+  s.schedule_at(kSecond, [&] {
+    order.push_back(1);
+    // Same time, scheduled while dispatching: runs after everything
+    // already queued for this time.
+    s.post_after(0, [&] { order.push_back(5); });
+  });
+  s.post_at(kSecond, [&] { order.push_back(2); });
+  s.schedule_after(kSecond, [&] { order.push_back(3); });
+  s.post_after(kSecond, [&] { order.push_back(4); });
+  s.run_all();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5}));
+}
+
+TEST(Scheduler, StaleHandleDoesNotCancelReusedSlot) {
+  Scheduler s;
+  int fired = 0;
+  EventHandle first = s.schedule_at(kSecond, [&] { ++fired; });
+  s.run_until(kSecond);  // fires; its slot goes back to the free list
+  EventHandle second = s.schedule_at(2 * kSecond, [&] { fired += 10; });
+  bool posted = false;
+  EventHandle cancelled = s.schedule_at(3 * kSecond, [] {});
+  cancelled.cancel();
+  s.run_until(3 * kSecond);  // pops the cancelled entry, freeing its slot
+  s.post_at(4 * kSecond, [&] { posted = true; });
+  first.cancel();      // stale: its event already fired
+  cancelled.cancel();  // stale: its slot now holds the posted event
+  s.run_all();
+  EXPECT_EQ(fired, 11);
+  EXPECT_TRUE(posted);
+  EXPECT_FALSE(second.pending());
+  EXPECT_EQ(s.dispatched(), 3u);
+  EXPECT_EQ(s.cancelled(), 1u);
+}
+
+TEST(Scheduler, CountersFollowTheQueue) {
+  // pending_events() counts queued entries, cancelled ones included until
+  // their time comes; dispatched() and cancelled() count pops.
+  Scheduler s;
+  s.post_at(1 * kSecond, [] {});
+  s.schedule_at(1 * kSecond, [] {});
+  EventHandle c = s.schedule_at(2 * kSecond, [] {});
+  s.post_at(3 * kSecond, [&] { s.schedule_after(0, [] {}); });
+  s.schedule_at(4 * kSecond, [] {});
+  c.cancel();
+  EXPECT_EQ(s.pending_events(), 5u);
+  s.run_until(2 * kSecond);
+  EXPECT_EQ(s.dispatched(), 2u);
+  EXPECT_EQ(s.cancelled(), 1u);
+  EXPECT_EQ(s.pending_events(), 2u);
+  s.run_until(3 * kSecond);
+  EXPECT_EQ(s.dispatched(), 4u);
+  EXPECT_EQ(s.pending_events(), 1u);
+  EventHandle late = s.schedule_at(10 * kSecond, [] {});
+  late.cancel();
+  EXPECT_EQ(s.pending_events(), 2u);
+  s.post_at(1 * kSecond, [] {});  // in the past: clamped
+  EXPECT_EQ(s.schedule_clamped(), 1u);
+  s.run_all();
+  EXPECT_EQ(s.dispatched(), 6u);
+  EXPECT_EQ(s.cancelled(), 2u);
+  EXPECT_EQ(s.pending_events(), 0u);
+  EXPECT_EQ(s.now(), 10 * kSecond);
+}
+
+TEST(Scheduler, HandleOutlivesScheduler) {
+  EventHandle handle;
+  {
+    Scheduler s;
+    handle = s.schedule_at(kSecond, [] {});
+    EXPECT_TRUE(handle.pending());
+  }
+  handle.cancel();  // the scheduler and its queue are gone
+  EXPECT_FALSE(handle.pending());
+}
+
 }  // namespace
 }  // namespace ipfsmon::sim
