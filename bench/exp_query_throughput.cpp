@@ -20,7 +20,7 @@
 // Everything lands in BENCH_query.json (schema in EXPERIMENTS.md) so the
 // perf trajectory accumulates across revisions.
 //
-// Flags: --entries=N --clients=N --requests=N (per client) --workers=N
+// Flags: --entries=N --clients=N --requests=N (per client)
 //        --cache=N --readers=N (multi-process scanners) --smoke
 //        --floor=path (smoke baseline, default bench/query_smoke_floor.json)
 //
@@ -468,7 +468,6 @@ int main(int argc, char** argv) {
   std::vector<WorkloadResult> results;
   std::size_t segments = after_store->segments().size();
   std::size_t rollups_loaded = 0;
-  std::size_t worker_threads = flags.get_u64("workers", 4);
   if (!smoke) {
     // Release the bench-side stores before the service opens its own view.
     before_store.reset();
@@ -483,9 +482,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "cannot open %s\n", dir.c_str());
       return 1;
     }
-    query::ServerOptions server_options;
-    server_options.worker_threads = worker_threads;
-    query::HttpServer server(server_options,
+    query::HttpServer server({},
                              [&service](const query::HttpRequest& request) {
                                return service->handle(request);
                              });
@@ -497,10 +494,9 @@ int main(int argc, char** argv) {
     service->attach_server(&server);
     segments = service->store().segments().size();
     rollups_loaded = service->rollups_loaded();
-    std::printf("store: %zu segments, %zu rollups; serving on port %u with "
-                "%zu workers, %d clients x %d requests\n",
-                segments, rollups_loaded, server.port(),
-                server_options.worker_threads, clients, per_client);
+    std::printf("store: %zu segments, %zu rollups; serving on port %u, "
+                "%d clients x %d requests\n",
+                segments, rollups_loaded, server.port(), clients, per_client);
 
     const util::SimTime lo = service->store().min_time();
     const util::SimTime hi = service->store().max_time();
@@ -553,10 +549,10 @@ int main(int argc, char** argv) {
   }
   std::fprintf(out,
                "{\"bench\":\"query_throughput\",\"entries\":%llu,"
-               "\"segments\":%zu,\"clients\":%d,\"workers\":%zu,"
+               "\"segments\":%zu,\"clients\":%d,"
                "\"smoke\":%s,\"scan\":{\"sweeps\":[",
                static_cast<unsigned long long>(entries), segments, clients,
-               worker_threads, smoke ? "true" : "false");
+               smoke ? "true" : "false");
   for (std::size_t i = 0; i < sweeps.size(); ++i) {
     const auto& s = sweeps[i];
     std::fprintf(out,

@@ -7,7 +7,7 @@
 // results are LRU-cached keyed by the store's manifest fingerprint.
 //
 // Usage: ipfsmon_queryd --store <dir> [--port N] [--bind ADDR]
-//                       [--workers N] [--cache N] [--no-rollups]
+//                       [--cache N] [--no-rollups]
 //                       [--reload-interval SEC]
 //                       [--trace] [--trace-sample N] [--trace-export BASE]
 //        ipfsmon_queryd --coordinator <root> [--fed-port N] [...]
@@ -17,6 +17,7 @@
 // (--fed-port, default 7979; 0 = ephemeral) lands segments shipped by
 // ipfsmon_shipd into <root>/m-<id>/, and the HTTP side serves the unified
 // store (<root>/unified) with /v1/monitors and provenance on /v1/segments.
+// --bind applies to both listeners.
 //
 // SIGHUP re-opens the store (coordinator mode: re-unifies newly landed
 // segments first), so a daemon over a live store serves new segments
@@ -29,8 +30,8 @@
 // --trace-export BASE writes BASE.spans.json (Perfetto/Chrome trace-event
 // JSON) and BASE.spans.jsonl on shutdown.
 //
-// SIGINT/SIGTERM drain gracefully: in-flight requests finish, then the
-// listener and workers shut down.
+// SIGINT/SIGTERM drain gracefully: requests already received finish, idle
+// connections close, then the listener and connection threads shut down.
 #include <poll.h>
 #include <unistd.h>
 
@@ -117,7 +118,7 @@ std::string make_demo_store() {
 int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s --store <dir> [--port N] [--bind ADDR] "
-               "[--workers N] [--cache N] [--no-rollups]\n"
+               "[--cache N] [--no-rollups]\n"
                "       %*s [--reload-interval SEC] [--trace] "
                "[--trace-sample N] [--trace-export BASE]\n"
                "       %s --coordinator <root> [--fed-port N] [...]\n"
@@ -170,11 +171,6 @@ int main(int argc, char** argv) {
       const char* v = value();
       if (v == nullptr) return usage(argv[0]);
       server_options.bind_address = v;
-    } else if (arg == "--workers") {
-      const char* v = value();
-      if (v == nullptr) return usage(argv[0]);
-      server_options.worker_threads =
-          static_cast<std::size_t>(std::atoi(v));
     } else if (arg == "--cache") {
       const char* v = value();
       if (v == nullptr) return usage(argv[0]);
@@ -210,6 +206,7 @@ int main(int argc, char** argv) {
   query::QueryService* service = nullptr;
   if (!coordinator_root.empty()) {
     federation::FederatedOptions federated_options;
+    federated_options.coordinator.bind_address = server_options.bind_address;
     federated_options.coordinator.port = fed_port;
     federated_options.query = query_options;
     federated = federation::FederatedService::start(coordinator_root,
@@ -224,7 +221,8 @@ int main(int argc, char** argv) {
     for (const auto& note : federated->coordinator().recovery_notes()) {
       std::printf("recovery: %s\n", note.c_str());
     }
-    std::printf("coordinator on 127.0.0.1:%u, %zu monitors, root %s\n",
+    std::printf("coordinator on %s:%u, %zu monitors, root %s\n",
+                server_options.bind_address.c_str(),
                 federated->coordinator().port(),
                 federated->monitors().size(), coordinator_root.c_str());
   } else {
@@ -278,8 +276,8 @@ int main(int argc, char** argv) {
 
   const std::string base = "http://" + server_options.bind_address + ":" +
                            std::to_string(server.port());
-  std::printf("listening on %s (%zu workers)\n", base.c_str(),
-              server_options.worker_threads);
+  std::printf("listening on %s (up to %zu connections)\n", base.c_str(),
+              server_options.max_connections);
   std::printf("  curl %s/healthz\n", base.c_str());
   std::printf("  curl %s/metrics\n", base.c_str());
   std::printf("  curl '%s/v1/stats?min_t=0'\n", base.c_str());
@@ -337,8 +335,8 @@ int main(int argc, char** argv) {
     }
     break;  // SIGINT/SIGTERM
   }
-  std::printf("\nshutting down (draining %zu in-flight connections)...\n",
-              server.in_flight());
+  std::printf("\nshutting down (draining %zu connections)...\n",
+              server.live_connections());
   server.stop();
   if (!trace_export_base.empty()) {
     const auto spans = service->obs().tracer.snapshot();

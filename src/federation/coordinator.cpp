@@ -1,15 +1,8 @@
 #include "federation/coordinator.hpp"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <poll.h>
-#include <sys/socket.h>
 #include <sys/stat.h>
-#include <unistd.h>
 
 #include <algorithm>
-#include <cerrno>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -26,7 +19,6 @@ namespace ipfsmon::federation {
 namespace {
 
 constexpr char kFederationHeader[] = "ipfsmon-federation v1";
-constexpr int kPollTickMs = 200;
 
 void fail(std::string* error, std::string message) {
   if (error != nullptr) *error = std::move(message);
@@ -88,7 +80,9 @@ bool parse_monitor_dir_name(const std::string& name, std::uint32_t* id) {
 }  // namespace
 
 Coordinator::Coordinator(std::string root, CoordinatorOptions options)
-    : root_(std::move(root)), options_(std::move(options)) {
+    : root_(std::move(root)),
+      options_(std::move(options)),
+      connections_([this](int fd, std::int64_t) { handle_connection(fd); }) {
   // Recovery and verification must not write into a foreign registry from
   // connection threads; the coordinator's own metrics live in registry_.
   options_.store.obs = nullptr;
@@ -115,10 +109,8 @@ bool Coordinator::init(std::string* error) {
     return false;
   }
   if (!recover_monitors(error)) return false;
-  if (!listen_socket(error)) return false;
-  started_.store(true);
-  accept_thread_ = std::thread([this] { accept_loop(); });
-  return true;
+  return connections_.start(options_.bind_address, options_.port,
+                            query::kDefaultMaxConnections, error);
 }
 
 bool Coordinator::recover_monitors(std::string* error) {
@@ -201,119 +193,11 @@ bool Coordinator::recover_monitors(std::string* error) {
   return true;
 }
 
-bool Coordinator::listen_socket(std::string* error) {
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) {
-    fail(error, std::string("socket: ") + std::strerror(errno));
-    return false;
-  }
-  int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(options_.port);
-  if (::inet_pton(AF_INET, options_.host.c_str(), &addr.sin_addr) != 1) {
-    fail(error, "bad bind address " + options_.host);
-    return false;
-  }
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
-      0) {
-    fail(error, std::string("bind: ") + std::strerror(errno));
-    return false;
-  }
-  if (::listen(listen_fd_, options_.accept_backlog) != 0) {
-    fail(error, std::string("listen: ") + std::strerror(errno));
-    return false;
-  }
-  socklen_t len = sizeof(addr);
-  if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len) !=
-      0) {
-    fail(error, std::string("getsockname: ") + std::strerror(errno));
-    return false;
-  }
-  port_ = ntohs(addr.sin_port);
-  return true;
-}
-
-void Coordinator::stop() {
-  if (stopping_.exchange(true)) {
-    if (accept_thread_.joinable()) accept_thread_.join();
-    return;
-  }
-  if (accept_thread_.joinable()) accept_thread_.join();
-  std::list<ConnThread> workers;
-  {
-    std::lock_guard<std::mutex> lock(threads_mu_);
-    workers.swap(conn_threads_);
-  }
-  for (auto& worker : workers) {
-    if (worker.thread.joinable()) worker.thread.join();
-  }
-  if (listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
-}
-
-void Coordinator::accept_loop() {
-  while (!stopping_.load()) {
-    pollfd pfd{listen_fd_, POLLIN, 0};
-    const int ready = ::poll(&pfd, 1, kPollTickMs);
-    if (ready < 0 && errno != EINTR) break;
-    if (ready <= 0 || (pfd.revents & POLLIN) == 0) continue;
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) continue;
-    query::set_socket_options(fd, options_.io_timeout_ms);
-    std::lock_guard<std::mutex> lock(threads_mu_);
-    if (stopping_.load()) {
-      ::close(fd);
-      break;
-    }
-    // Join connections that already ended (every ship_pending pass closes
-    // its socket), so finished threads do not pile up until stop().
-    conn_threads_.remove_if([](ConnThread& conn) {
-      if (!conn.done.load()) return false;
-      conn.thread.join();
-      return true;
-    });
-    ConnThread& conn = conn_threads_.emplace_back();
-    conn.thread = std::thread([this, fd, &conn] {
-      handle_connection(fd);
-      conn.done.store(true);
-    });
-  }
-}
-
-std::size_t Coordinator::connection_threads() const {
-  std::lock_guard<std::mutex> lock(threads_mu_);
-  return conn_threads_.size();
-}
-
-namespace {
-
-/// Waits for `fd` to become readable in short ticks so an idle persistent
-/// connection never trips the per-operation SO_RCVTIMEO, and shutdown
-/// stays prompt. False on stop, hangup without data, or poll error.
-bool wait_readable(int fd, const std::atomic<bool>& stopping) {
-  while (!stopping.load()) {
-    pollfd pfd{fd, POLLIN, 0};
-    const int ready = ::poll(&pfd, 1, kPollTickMs);
-    if (ready < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    if (ready == 0) continue;
-    if ((pfd.revents & POLLIN) != 0) return true;
-    return false;  // POLLHUP/POLLERR with nothing to read
-  }
-  return false;
-}
-
-}  // namespace
-
 void Coordinator::handle_connection(int fd) {
+  query::set_socket_options(fd, options_.io_timeout_ms);
+  // Persistent shippers idle between segments: no idle limit.
   MonitorState* monitor = nullptr;
-  if (wait_readable(fd, stopping_)) {
+  if (connections_.wait_readable(fd, 0)) {
     const auto frame = read_frame(fd);
     if (frame && frame->type == FrameType::kHello) {
       if (const auto hello = decode_hello(frame->payload)) {
@@ -329,8 +213,9 @@ void Coordinator::handle_connection(int fd) {
   // An invalid hello (bad id/vantage, unusable directory) just drops the
   // connection — the protocol has no error frame, and the shipper's
   // backoff treats it like any other failed dial.
-  while (monitor != nullptr && !stopping_.load()) {
-    if (!wait_readable(fd, stopping_)) break;
+  // After stop(), the frame in hand is answered and the connection closes.
+  while (monitor != nullptr && !connections_.stopping()) {
+    if (!connections_.wait_readable(fd, 0)) break;
     const auto frame = read_frame(fd);
     if (!frame || frame->type != FrameType::kSegment) break;
     auto msg = decode_segment(frame->payload);
@@ -340,7 +225,6 @@ void Coordinator::handle_connection(int fd) {
     ack.status = land_segment(*monitor, std::move(*msg));
     if (!write_frame(fd, FrameType::kSegmentAck, encode(ack))) break;
   }
-  ::close(fd);
 }
 
 Coordinator::MonitorState* Coordinator::handle_hello(const HelloMsg& msg,

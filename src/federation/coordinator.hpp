@@ -21,41 +21,43 @@
 // (quarantined as *.torn) and the HELLO_ACK watermarks simply stop before
 // the lost segment — the shipper re-ships the gap.
 //
-// Thread-safety: each connection runs on its own thread. A per-monitor
-// mutex serializes landing for one monitor (two shippers with the same id
-// cannot interleave), different monitors land concurrently. The metrics
-// registry is obs's deliberately single-threaded one, so the coordinator
-// guards it with its own mutex and exposes a rendered snapshot via
-// metrics_text() — the query engine appends it at /metrics render time.
+// Thread-safety: connections are served by query::ConnectionServer, the
+// server core the HTTP daemon shares: each connection runs on its own
+// thread, up to query::kDefaultMaxConnections (one over the cap is closed
+// and the shipper's backoff redials); idle shippers wait without a time
+// limit until stop() wakes them. A per-monitor mutex serializes landing
+// for one monitor (two shippers with the same id cannot interleave),
+// different monitors land concurrently. The metrics registry is obs's
+// deliberately single-threaded one, so the coordinator guards it with its
+// own mutex and exposes a rendered snapshot via metrics_text() — the
+// query engine appends it at /metrics render time.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <list>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
 #include "federation/protocol.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
+#include "query/socket.hpp"
 #include "tracestore/store.hpp"
 
 namespace ipfsmon::federation {
 
 struct CoordinatorOptions {
   /// Bind address; tests and the bench stay on loopback.
-  std::string host = "127.0.0.1";
+  std::string bind_address = "127.0.0.1";
   /// 0 = ephemeral; port() reports the bound port either way.
   std::uint16_t port = 0;
-  /// SO_RCVTIMEO/SNDTIMEO per socket operation (idle connections are
-  /// poll()ed and never hit this).
+  /// SO_RCVTIMEO/SNDTIMEO per socket operation (idle connections wait in
+  /// ConnectionServer::wait_readable and never hit this).
   int io_timeout_ms = 5000;
-  int accept_backlog = 16;
   /// Store options for monitor-dir recovery and landed-segment
   /// verification. shared_validation is overridden with the coordinator's
   /// own cache so serving stores can reuse it.
@@ -101,14 +103,15 @@ class Coordinator {
   Coordinator& operator=(const Coordinator&) = delete;
 
   /// Stops accepting, drains connection threads. Idempotent.
-  void stop();
+  void stop() { connections_.stop(); }
 
-  std::uint16_t port() const { return port_; }
+  std::uint16_t port() const { return connections_.port(); }
   const std::string& root() const { return root_; }
 
-  /// Connection threads not yet joined (live ones plus finished ones
-  /// awaiting the next accept, which reaps them).
-  std::size_t connection_threads() const;
+  /// Connection threads not yet joined (see query::ConnectionServer).
+  std::size_t live_connections() const {
+    return connections_.live_connections();
+  }
 
   /// Known monitors ordered by id.
   std::vector<MonitorInfo> monitors() const;
@@ -165,8 +168,6 @@ class Coordinator {
 
   bool init(std::string* error);
   bool recover_monitors(std::string* error);
-  bool listen_socket(std::string* error);
-  void accept_loop();
   void handle_connection(int fd);
 
   /// Finds/creates the monitor's state + directory and fills the
@@ -185,8 +186,6 @@ class Coordinator {
 
   std::string root_;
   CoordinatorOptions options_;
-  std::uint16_t port_ = 0;
-  int listen_fd_ = -1;
 
   mutable std::mutex mu_;  // guards monitors_ map shape + manifest writes
   std::map<std::uint32_t, std::unique_ptr<MonitorState>> monitors_;
@@ -200,17 +199,8 @@ class Coordinator {
   std::atomic<std::uint64_t> generation_{0};
   std::vector<std::string> recovery_notes_;
 
-  struct ConnThread {
-    std::thread thread;
-    std::atomic<bool> done{false};  // set as the thread's last action
-  };
-
-  std::thread accept_thread_;
-  mutable std::mutex threads_mu_;
-  // A list so each thread's ConnThread stays put while others are reaped.
-  std::list<ConnThread> conn_threads_;
-  std::atomic<bool> stopping_{false};
-  std::atomic<bool> started_{false};
+  // Last: its threads use every member above, so it stops first.
+  query::ConnectionServer connections_;
 };
 
 }  // namespace ipfsmon::federation

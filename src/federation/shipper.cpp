@@ -159,9 +159,7 @@ bool Shipper::ship_pending(std::string* error) {
   for (std::size_t attempt = 0; attempt < attempts; ++attempt) {
     if (attempt > 0) {
       if (!sleep_ms(delay_ms)) return false;
-      delay_ms = std::min(
-          options_.reconnect.max_delay_ms,
-          static_cast<int>(delay_ms * options_.reconnect.multiplier));
+      delay_ms = options_.reconnect.next_delay_ms(delay_ms);
     }
     fd = connect_once(&landed, error);
     if (fd >= 0) break;
@@ -214,9 +212,7 @@ void Shipper::run_loop() {
           ++stats_.connect_failures;
         }
         if (!sleep_ms(delay_ms)) break;
-        delay_ms = std::min(
-            options_.reconnect.max_delay_ms,
-            static_cast<int>(delay_ms * options_.reconnect.multiplier));
+        delay_ms = options_.reconnect.next_delay_ms(delay_ms);
         continue;
       }
       delay_ms = options_.reconnect.initial_delay_ms;

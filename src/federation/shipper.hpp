@@ -9,8 +9,9 @@
 // without coordination. Delivery is at-least-once and resumable: on every
 // (re)connect the coordinator's HELLO_ACK reports what already landed, so
 // a restarted shipper — or one whose monitor crashed and recovered — only
-// ships the gap. Reconnects use capped exponential backoff mirroring
-// churn's dial_with_backoff semantics, in wall-clock time.
+// ships the gap. Reconnects use query::WallBackoff, the capped
+// exponential backoff churn's dial_with_backoff applies, in wall-clock
+// time.
 #pragma once
 
 #include <atomic>
@@ -23,20 +24,9 @@
 #include <vector>
 
 #include "federation/protocol.hpp"
+#include "query/socket.hpp"
 
 namespace ipfsmon::federation {
-
-/// Wall-clock twin of net::BackoffPolicy (the sim-time reconnect
-/// discipline churn::dial_with_backoff applies to overlay dials).
-struct WallBackoff {
-  int initial_delay_ms = 100;
-  double multiplier = 2.0;
-  int max_delay_ms = 5000;
-  /// Connect attempts per ship_pending() call (first try included);
-  /// 0 behaves like 1. The start() loop retries forever regardless, with
-  /// this policy shaping the delays.
-  std::size_t max_attempts = 6;
-};
 
 struct ShipperOptions {
   std::string host = "127.0.0.1";
@@ -47,7 +37,9 @@ struct ShipperOptions {
   int poll_interval_ms = 100;
   /// SO_RCVTIMEO/SNDTIMEO + connect timeout per socket operation.
   int io_timeout_ms = 5000;
-  WallBackoff reconnect;
+  /// max_attempts bounds the connects of one ship_pending() call; the
+  /// start() loop retries forever, with this policy shaping the delays.
+  query::WallBackoff reconnect;
 };
 
 /// Monotonic shipper counters (snapshot via Shipper::stats()).

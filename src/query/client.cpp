@@ -50,15 +50,14 @@ std::optional<HttpResponse> http_get(const std::string& host,
 std::optional<HttpResponse> http_get_retry(const std::string& host,
                                            std::uint16_t port,
                                            const std::string& target,
-                                           const HttpRetryPolicy& policy,
+                                           const WallBackoff& policy,
                                            int timeout_ms, std::string* error) {
   const std::size_t attempts = std::max<std::size_t>(1, policy.max_attempts);
   int delay_ms = policy.initial_delay_ms;
   for (std::size_t attempt = 0; attempt < attempts; ++attempt) {
     if (attempt > 0) {
       std::this_thread::sleep_for(std::chrono::milliseconds(delay_ms));
-      delay_ms = std::min(policy.max_delay_ms,
-                          static_cast<int>(delay_ms * policy.multiplier));
+      delay_ms = policy.next_delay_ms(delay_ms);
     }
     auto response = http_get(host, port, target, timeout_ms, error);
     if (response) return response;

@@ -4,10 +4,8 @@
 //
 // Connects carry a real timeout (non-blocking connect + poll — SO_SNDTIMEO
 // does not bound connect()), and reads/writes are bounded by
-// SO_RCVTIMEO/SNDTIMEO. http_get_retry() adds capped exponential-backoff
-// retries mirroring net::BackoffPolicy / churn's dial_with_backoff
-// discipline in wall-clock time, so shippers and bench harnesses survive a
-// coordinator or daemon that is not up yet.
+// SO_RCVTIMEO/SNDTIMEO. http_get_retry() adds WallBackoff retries, so
+// tests and bench harnesses survive a daemon that is not up yet.
 #pragma once
 
 #include <cstdint>
@@ -15,19 +13,9 @@
 #include <string>
 
 #include "query/http.hpp"
+#include "query/socket.hpp"
 
 namespace ipfsmon::query {
-
-/// Wall-clock twin of net::BackoffPolicy (same shape and defaults scaled
-/// to milliseconds; jitter is omitted — a blocking client retries alone,
-/// there is no thundering herd to spread).
-struct HttpRetryPolicy {
-  int initial_delay_ms = 100;
-  double multiplier = 2.0;
-  int max_delay_ms = 2000;
-  /// Total attempts (first try included). 0 behaves like 1.
-  std::size_t max_attempts = 6;
-};
 
 /// GET `target` from host:port; nullopt on connect/IO/parse failure.
 /// `timeout_ms` bounds the connect and each read/write.
@@ -38,13 +26,13 @@ std::optional<HttpResponse> http_get(const std::string& host,
                                      std::string* error = nullptr);
 
 /// http_get with capped exponential-backoff retries: a failed connect or
-/// exchange sleeps initial_delay_ms, then multiplier× (capped at
-/// max_delay_ms) before the next attempt, up to max_attempts total.
+/// exchange sleeps initial_delay_ms, then each next_delay_ms, before the
+/// next attempt, up to max_attempts total.
 /// `error` reports the last attempt's failure.
 std::optional<HttpResponse> http_get_retry(const std::string& host,
                                            std::uint16_t port,
                                            const std::string& target,
-                                           const HttpRetryPolicy& policy = {},
+                                           const WallBackoff& policy = {},
                                            int timeout_ms = 5000,
                                            std::string* error = nullptr);
 

@@ -490,7 +490,7 @@ HttpResponse QueryService::handle_metrics() {
     mirror("ipfsmon_query_server_connections_total", "connections accepted",
            now.connections_accepted, &mirrored_.connections_accepted);
     mirror("ipfsmon_query_server_rejected_total",
-           "connections refused with 503 (accept queue full)",
+           "connections refused with 503 (connection cap reached)",
            now.connections_rejected, &mirrored_.connections_rejected);
     mirror("ipfsmon_query_server_requests_total", "HTTP requests answered",
            now.requests, &mirrored_.requests);

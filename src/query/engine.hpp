@@ -26,9 +26,9 @@
 // (manifest fingerprint, canonical query), so reload() after the store
 // changed invalidates every cached answer implicitly.
 //
-// Thread-safety: handle() may be called from many server workers, but the
-// obs::MetricsRegistry is deliberately lock-free single-threaded code, so
-// the whole service serializes on one mutex. Queries over a finished store
+// Thread-safety: handle() may be called from many connection threads, but
+// the obs::MetricsRegistry is deliberately lock-free single-threaded code,
+// so the whole service serializes on one mutex. Queries over a finished store
 // are short; the daemon's concurrency lives in the socket layer.
 #pragma once
 
@@ -132,7 +132,7 @@ class QueryService {
                                             QueryOptions options = {},
                                             std::string* error = nullptr);
 
-  /// Routes one request; safe to call from concurrent server workers.
+  /// Routes one request; safe to call from concurrent connection threads.
   HttpResponse handle(const HttpRequest& request);
 
   /// Re-opens the store (picks up new/pruned segments). The manifest

@@ -1,34 +1,33 @@
-// A small embedded HTTP/1.1 server over POSIX sockets: one acceptor thread
-// feeding a bounded connection queue drained by a fixed worker pool. Built
-// for the query daemon, so the priorities are predictability and clean
-// shutdown rather than raw connection volume:
+// A small embedded HTTP/1.1 server over POSIX sockets, built for the
+// query daemon, so the priorities are predictability and clean shutdown
+// rather than raw connection volume. The listener, admission and drain
+// are the shared ConnectionServer (query/socket.hpp); this class is the
+// HTTP protocol on one connection:
 //
-//  * bounded accept queue — when all workers are busy and the queue is
-//    full, new connections are refused with 503 instead of queueing
-//    without limit;
-//  * per-connection read/write timeouts (SO_RCVTIMEO/SO_SNDTIMEO), so a
-//    stalled client cannot pin a worker;
+//  * connection cap — each admitted connection gets its own thread, up to
+//    max_connections; beyond that new connections are refused with a
+//    one-shot 503 instead of queueing without limit;
+//  * per-connection timeouts: an idle keep-alive connection closes after
+//    io_timeout_ms, a stalled half-request gets 408, and SO_SNDTIMEO
+//    bounds every write, so a stalled client cannot pin a thread;
 //  * request-size limits enforced by the parser (431/413 responses);
 //  * keep-alive with pipelining support, capped per connection;
-//  * graceful drain: stop() closes the listener, lets workers finish the
-//    queued and in-flight connections, then joins every thread.
+//  * graceful drain: stop() closes the listener, lets every connection
+//    finish the requests already received, then joins every thread.
+//    Idle keep-alive connections close at once.
 //
-// Counters are plain atomics (workers are concurrent); the query service
-// mirrors them into the obs registry when rendering /metrics so they share
-// the Prometheus endpoint with sim and scan metrics.
+// Counters are plain atomics (connections are concurrent); the query
+// service mirrors them into the obs registry when rendering /metrics so
+// they share the Prometheus endpoint with sim and scan metrics.
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <mutex>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "query/http.hpp"
+#include "query/socket.hpp"
 
 namespace ipfsmon::query {
 
@@ -37,10 +36,9 @@ struct ServerOptions {
   std::string bind_address = "127.0.0.1";
   /// 0 picks an ephemeral port (see HttpServer::port() after start()).
   std::uint16_t port = 0;
-  std::size_t worker_threads = 4;
-  /// Connections admitted but not yet picked up by a worker.
-  std::size_t accept_queue_limit = 128;
-  /// SO_RCVTIMEO / SO_SNDTIMEO per connection, milliseconds.
+  /// Connections served at once, one thread each; more get a 503.
+  std::size_t max_connections = kDefaultMaxConnections;
+  /// Idle-connection limit and SO_RCVTIMEO / SO_SNDTIMEO, milliseconds.
   int io_timeout_ms = 5000;
   /// Keep-alive requests served on one connection before closing.
   std::size_t max_requests_per_connection = 256;
@@ -50,7 +48,7 @@ struct ServerOptions {
 /// Monotonic server counters (snapshot via HttpServer::counters()).
 struct ServerCounters {
   std::uint64_t connections_accepted = 0;
-  std::uint64_t connections_rejected = 0;  // accept queue full
+  std::uint64_t connections_rejected = 0;  // connection cap reached
   std::uint64_t requests = 0;              // requests answered (any status)
   std::uint64_t parse_errors = 0;          // 400/413/431/501 responses
   std::uint64_t timeouts = 0;              // read timed out mid-request
@@ -67,49 +65,31 @@ class HttpServer {
   HttpServer(const HttpServer&) = delete;
   HttpServer& operator=(const HttpServer&) = delete;
 
-  /// Binds, listens, and spawns acceptor + workers. False on socket errors.
+  /// Binds, listens, and starts accepting. False on socket errors.
   bool start(std::string* error = nullptr);
 
   /// The bound port (resolves ephemeral port 0); valid after start().
-  std::uint16_t port() const { return port_; }
-
-  bool running() const { return running_.load(); }
+  std::uint16_t port() const { return connections_.port(); }
 
   /// Graceful drain; idempotent, also called by the destructor.
   void stop();
 
   ServerCounters counters() const;
-  /// Connections queued or being served right now.
-  std::size_t in_flight() const { return in_flight_.load(); }
+  /// Connection threads not yet joined (see ConnectionServer).
+  std::size_t live_connections() const {
+    return connections_.live_connections();
+  }
 
  private:
-  /// An accepted connection plus its accept timestamp, which seeds the
+  /// Serves one connection; `accepted_us` seeds the first request's
   /// HttpRequest accepted_us/parsed_us metadata (span tracing).
-  struct PendingConn {
-    int fd = -1;
-    std::int64_t accepted_us = 0;
-  };
-
-  void accept_loop();
-  void worker_loop();
-  void serve_connection(PendingConn conn);
+  void serve_connection(int fd, std::int64_t accepted_us);
+  /// The one-shot 503 for a connection over the cap.
+  void refuse(int fd);
 
   ServerOptions options_;
   Handler handler_;
-  int listen_fd_ = -1;
-  int wake_pipe_[2] = {-1, -1};
-  std::uint16_t port_ = 0;
 
-  std::atomic<bool> running_{false};
-  std::atomic<bool> stopping_{false};
-  std::thread acceptor_;
-  std::vector<std::thread> workers_;
-
-  std::mutex queue_mutex_;
-  std::condition_variable queue_ready_;
-  std::deque<PendingConn> pending_;  // accepted fds awaiting a worker
-
-  std::atomic<std::size_t> in_flight_{0};
   std::atomic<std::uint64_t> connections_accepted_{0};
   std::atomic<std::uint64_t> connections_rejected_{0};
   std::atomic<std::uint64_t> requests_{0};
@@ -117,6 +97,9 @@ class HttpServer {
   std::atomic<std::uint64_t> timeouts_{0};
   std::atomic<std::uint64_t> bytes_read_{0};
   std::atomic<std::uint64_t> bytes_written_{0};
+
+  // Last: its threads use every member above, so it stops first.
+  ConnectionServer connections_;
 };
 
 }  // namespace ipfsmon::query

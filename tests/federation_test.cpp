@@ -5,19 +5,22 @@
 // segments, the unified-store byte-identity property (including a shipper
 // crash mid-replication), clock skew beyond the inter-monitor window, the
 // federated query endpoints, validation-cache reuse, coordinator
-// connection-thread reaping, and the queryd SIGHUP reload path as a
-// subprocess.
+// connection-thread reaping, eight persistent shippers at once, and the
+// queryd SIGHUP reload and --bind paths as subprocesses.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <csignal>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <thread>
+#include <vector>
 
 #include "federation/coordinator.hpp"
 #include "federation/federated.hpp"
@@ -371,7 +374,86 @@ TEST(Federation, CoordinatorReapsFinishedConnectionThreads) {
   EXPECT_EQ(shipper.stats().connects, 50u);
   // Each accept reaps the threads whose connections already ended; only
   // the last few passes can still be unjoined.
-  EXPECT_LE(coordinator->connection_threads(), 4u);
+  EXPECT_LE(coordinator->live_connections(), 4u);
+}
+
+TEST(Federation, PersistentShippersBeyondFourAllLand) {
+  // The exp_federation --monitors=8 shape: eight start() loops each hold
+  // one connection open for the whole run, so a fixed pool of four
+  // connection workers would starve half of them forever.
+  constexpr int kMonitors = 8;
+  std::vector<std::string> local_dirs;
+  std::size_t expected_segments = 0;
+  for (int m = 0; m < kMonitors; ++m) {
+    const std::string dir = fresh_dir("persist_src_" + std::to_string(m));
+    build_store(dir, make_monitor_trace(150, static_cast<trace::MonitorId>(m),
+                                        91 + static_cast<std::uint64_t>(m)));
+    expected_segments += tracestore::TraceStore::open(dir)->segments().size();
+    local_dirs.push_back(dir);
+  }
+
+  const std::string root = fresh_dir("persist_root");
+  std::string error;
+  auto service = FederatedService::start(root, {}, &error);
+  ASSERT_NE(service, nullptr) << error;
+  std::vector<std::unique_ptr<Shipper>> shippers;
+  for (int m = 0; m < kMonitors; ++m) {
+    shippers.push_back(std::make_unique<Shipper>(
+        local_dirs[static_cast<std::size_t>(m)],
+        shipper_options(service->coordinator().port(),
+                        static_cast<std::uint32_t>(m + 1),
+                        "v" + std::to_string(m))));
+    shippers.back()->start();
+  }
+  std::size_t landed = 0;
+  for (int attempt = 0; attempt < 1500 && landed < expected_segments;
+       ++attempt) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    landed = 0;
+    for (const auto& info : service->coordinator().monitors()) {
+      landed += info.segments;
+    }
+  }
+  ASSERT_EQ(landed, expected_segments);
+  EXPECT_GE(service->coordinator().live_connections(),
+            static_cast<std::size_t>(kMonitors));
+  for (auto& shipper : shippers) {
+    shipper->stop();
+    EXPECT_EQ(shipper->stats().rejected, 0u);
+  }
+  ASSERT_TRUE(service->refresh(&error)) << error;
+
+  // Unified /v1/stats over HTTP equals the single-store answer.
+  const std::string truth_dir = fresh_dir("persist_truth");
+  {
+    std::vector<tracestore::TraceStore> stores;
+    std::vector<const tracestore::TraceStore*> inputs;
+    for (const auto& dir : local_dirs) {
+      stores.push_back(std::move(*tracestore::TraceStore::open(dir)));
+    }
+    for (const auto& s : stores) inputs.push_back(&s);
+    auto writer = tracestore::SegmentWriter::create(truth_dir);
+    tracestore::unify_to_store(inputs, *writer);
+    ASSERT_TRUE(writer->finalize());
+  }
+  auto truth = query::QueryService::open(truth_dir, {}, &error);
+  ASSERT_NE(truth, nullptr) << error;
+  query::HttpRequest request;
+  request.method = "GET";
+  request.target = "/v1/stats";
+  request.path = "/v1/stats";
+  const query::HttpResponse expected = truth->handle(request);
+  ASSERT_EQ(expected.status, 200);
+
+  query::HttpServer server({}, [&service](const query::HttpRequest& r) {
+    return service->query().handle(r);
+  });
+  ASSERT_TRUE(server.start(&error)) << error;
+  const auto unified =
+      query::http_get("127.0.0.1", server.port(), "/v1/stats", 5000, &error);
+  ASSERT_TRUE(unified.has_value()) << error;
+  EXPECT_EQ(unified->status, 200);
+  EXPECT_EQ(unified->body, expected.body);
 }
 
 TEST(Federation, DuplicateAndDivergentDeliveries) {
@@ -818,9 +900,22 @@ TEST(Federation, NonFederatedServiceHasNoMonitorsEndpoint) {
 // --- queryd SIGHUP reload (subprocess) ---------------------------------------
 
 #ifdef IPFSMON_QUERYD_BIN
-/// Starts queryd over `store_dir` with stdout piped; returns pid + the
-/// parsed HTTP port (from the "listening on http://...:PORT" line).
-std::pair<pid_t, std::uint16_t> spawn_queryd(const std::string& store_dir) {
+struct Queryd {
+  pid_t pid = -1;
+  std::uint16_t port = 0;  // HTTP port
+  std::string output;      // stdout up to the "listening on" line
+};
+
+/// Starts queryd with `args` (plus "--port 0") and stdout piped; returns
+/// its pid, the parsed HTTP port (from the "listening on http://...:PORT"
+/// line) and everything it printed up to that line.
+Queryd spawn_queryd(std::vector<std::string> args) {
+  args.insert(args.begin(), IPFSMON_QUERYD_BIN);
+  args.push_back("--port");
+  args.push_back("0");
+  std::vector<char*> argv;
+  for (auto& arg : args) argv.push_back(arg.data());
+  argv.push_back(nullptr);
   int out_pipe[2];
   EXPECT_EQ(::pipe(out_pipe), 0);
   const pid_t pid = ::fork();
@@ -828,9 +923,7 @@ std::pair<pid_t, std::uint16_t> spawn_queryd(const std::string& store_dir) {
     ::dup2(out_pipe[1], STDOUT_FILENO);
     ::close(out_pipe[0]);
     ::close(out_pipe[1]);
-    ::execl(IPFSMON_QUERYD_BIN, IPFSMON_QUERYD_BIN, "--store",
-            store_dir.c_str(), "--port", "0", "--workers", "2",
-            static_cast<char*>(nullptr));
+    ::execv(IPFSMON_QUERYD_BIN, argv.data());
     ::_exit(127);
   }
   ::close(out_pipe[1]);
@@ -859,20 +952,28 @@ std::pair<pid_t, std::uint16_t> spawn_queryd(const std::string& store_dir) {
     ::close(fd);
   }).detach();
   EXPECT_NE(port, 0) << "queryd never reported a listening port:\n" << seen;
-  return {pid, port};
+  return {pid, port, seen};
+}
+
+/// SIGTERM, then expects a clean exit.
+void stop_queryd(pid_t pid) {
+  ASSERT_EQ(::kill(pid, SIGTERM), 0);
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  EXPECT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0);
 }
 
 TEST(Federation, QuerydSighupReloadInvalidatesCachedAnswers) {
   const std::string dir = fresh_dir("sighup_store");
   build_store(dir, make_monitor_trace(150, 0, 81));
 
-  const auto [pid, port] = spawn_queryd(dir);
+  const auto [pid, port, output] = spawn_queryd({"--store", dir});
   ASSERT_GT(pid, 0);
   ASSERT_NE(port, 0);
 
-  // http_get_retry covers the daemon's startup race (satellite: client
-  // retry discipline) — no sleep-and-hope.
-  query::HttpRetryPolicy retry;
+  // http_get_retry covers the daemon's startup race — no sleep-and-hope.
+  query::WallBackoff retry;
   retry.initial_delay_ms = 50;
   std::string error;
   const auto first =
@@ -912,12 +1013,34 @@ TEST(Federation, QuerydSighupReloadInvalidatesCachedAnswers) {
   EXPECT_NE(reloaded->body, first->body);
   ASSERT_NE(find_header(*reloaded, "x-cache"), nullptr);
   EXPECT_EQ(*find_header(*reloaded, "x-cache"), "miss");
+  stop_queryd(pid);
+}
 
-  ASSERT_EQ(::kill(pid, SIGTERM), 0);
-  int status = 0;
-  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
-  EXPECT_TRUE(WIFEXITED(status));
-  EXPECT_EQ(WEXITSTATUS(status), 0);
+TEST(Federation, QuerydBindAppliesToTheFmonListener) {
+  // Shippers on another machine must reach the coordinator, so --bind
+  // covers the FMON listener as well as HTTP.
+  const std::string root = fresh_dir("bind_root");
+  const auto [pid, port, output] = spawn_queryd(
+      {"--coordinator", root, "--bind", "0.0.0.0", "--fed-port", "0"});
+  ASSERT_GT(pid, 0);
+  ASSERT_NE(port, 0);
+  const std::string prefix = "coordinator on 0.0.0.0:";
+  const auto pos = output.find(prefix);
+  ASSERT_NE(pos, std::string::npos) << output;
+  const auto fed_port = static_cast<std::uint16_t>(
+      std::atoi(output.c_str() + pos + prefix.size()));
+  ASSERT_NE(fed_port, 0) << output;
+  EXPECT_NE(output.find("listening on http://0.0.0.0:"), std::string::npos)
+      << output;
+
+  // The printed FMON port takes a shipper's segments.
+  const std::string store_dir = fresh_dir("bind_src");
+  build_store(store_dir, make_monitor_trace(100, 0, 83));
+  Shipper shipper(store_dir, shipper_options(fed_port, 1, "remote"));
+  std::string error;
+  EXPECT_TRUE(shipper.ship_pending(&error)) << error;
+  EXPECT_GT(shipper.stats().segments_landed, 0u);
+  stop_queryd(pid);
 }
 #endif  // IPFSMON_QUERYD_BIN
 

@@ -6,8 +6,11 @@
 // trace_report's missing-vs-corrupt exit codes.
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
 #include <sys/wait.h>
+#include <unistd.h>
 
+#include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -19,6 +22,7 @@
 #include "query/engine.hpp"
 #include "query/http.hpp"
 #include "query/server.hpp"
+#include "query/socket.hpp"
 #include "tracestore/rollup.hpp"
 #include "tracestore/store.hpp"
 #include "util/rng.hpp"
@@ -109,7 +113,6 @@ RangeStats batch_stats(const trace::Trace& t, util::SimTime min_t,
 /// A started server around a service, torn down with the fixture.
 struct Daemon {
   explicit Daemon(QueryService& service, ServerOptions options = {}) {
-    options.worker_threads = 4;
     server = std::make_unique<HttpServer>(
         options,
         [&service](const HttpRequest& request) {
@@ -440,7 +443,7 @@ TEST(Server, MalformedRequestsOverTheWireTable) {
 
 TEST(Server, RejectsWith503WhenAcceptQueueFull) {
   ServerOptions options;
-  options.accept_queue_limit = 0;  // everything is "over capacity"
+  options.max_connections = 0;  // everything is "over capacity"
   HttpServer server(options, [](const HttpRequest&) {
     return HttpResponse{};
   });
@@ -450,6 +453,53 @@ TEST(Server, RejectsWith503WhenAcceptQueueFull) {
   EXPECT_EQ(response->status, 503);
   server.stop();
   EXPECT_GE(server.counters().connections_rejected, 1u);
+}
+
+TEST(Server, StopIsPromptWithIdleKeepAliveClient) {
+  // The default 5 s idle limit must not hold up stop(): an idle
+  // keep-alive connection closes as soon as the drain starts.
+  HttpServer server({}, [](const HttpRequest&) {
+    HttpResponse response;
+    response.body = "{}";
+    return response;
+  });
+  ASSERT_TRUE(server.start());
+  std::string error;
+  const int fd = tcp_connect("127.0.0.1", server.port(), 2000, &error);
+  ASSERT_GE(fd, 0) << error;
+  ASSERT_TRUE(send_all(fd, std::string_view("GET / HTTP/1.1\r\n\r\n")));
+  std::string response;
+  char chunk[512];
+  while (response.find("{}") == std::string::npos) {
+    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
+    ASSERT_GT(n, 0) << "connection closed before the first response";
+    response.append(chunk, static_cast<std::size_t>(n));
+  }
+  EXPECT_NE(response.find("HTTP/1.1 200"), std::string::npos);
+  EXPECT_EQ(response.find("Connection: close"), std::string::npos);
+
+  const auto started = std::chrono::steady_clock::now();
+  server.stop();
+  const auto elapsed = std::chrono::steady_clock::now() - started;
+  EXPECT_LT(elapsed, std::chrono::seconds(1));
+  // The server closed the idle connection rather than leaving it open.
+  EXPECT_EQ(::recv(fd, chunk, sizeof(chunk), 0), 0);
+  ::close(fd);
+}
+
+TEST(Server, ReapsFinishedConnectionThreads) {
+  HttpServer server({}, [](const HttpRequest&) { return HttpResponse{}; });
+  ASSERT_TRUE(server.start());
+  for (int i = 0; i < 200; ++i) {
+    const auto response = http_get("127.0.0.1", server.port(), "/");
+    ASSERT_TRUE(response.has_value()) << "request " << i;
+  }
+  // Each accept joins the threads whose connections already ended; only
+  // the last few can still be unjoined.
+  EXPECT_LE(server.live_connections(), 4u);
+  server.stop();
+  EXPECT_EQ(server.live_connections(), 0u);
+  EXPECT_EQ(server.counters().connections_accepted, 200u);
 }
 
 TEST(Server, ConcurrentClientsAllSucceed) {
