@@ -9,6 +9,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <map>
@@ -97,6 +98,32 @@ class Stopwatch {
 
  private:
   std::chrono::steady_clock::time_point start_;
+};
+
+/// A fresh, uniquely named directory under the system temp directory,
+/// removed with everything in it when the object goes out of scope. Gates
+/// build their stores here, so concurrent runs never share or wipe one.
+class TempDir {
+ public:
+  explicit TempDir(std::string_view prefix) {
+    std::error_code ec;
+    const auto base = std::filesystem::temp_directory_path(ec);
+    if (ec) return;
+    std::string name = (base / (std::string(prefix) + "-XXXXXX")).string();
+    if (::mkdtemp(name.data()) != nullptr) path_ = std::move(name);
+  }
+  ~TempDir() {
+    std::error_code ec;
+    if (!path_.empty()) std::filesystem::remove_all(path_, ec);
+  }
+  TempDir(const TempDir&) = delete;
+  TempDir& operator=(const TempDir&) = delete;
+
+  /// Empty when the directory could not be created.
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
 };
 
 /// Peak resident set size of this process, in MiB (getrusage; ru_maxrss is

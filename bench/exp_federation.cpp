@@ -22,7 +22,8 @@
 // --smoke is the scripts/check.sh --federation-smoke gate: two shippers
 // stream into a live coordinator, one is killed mid-stream and restarted,
 // and the unified /v1/stats answer must be identical to a single-store
-// ground-truth run (exit 1 on any mismatch).
+// ground-truth run (exit 1 on any mismatch). Its stores live in a fresh
+// temporary directory that is removed on exit.
 #include <algorithm>
 #include <atomic>
 #include <filesystem>
@@ -327,6 +328,12 @@ std::optional<SweepResult> run_sweep(std::uint64_t monitors,
 /// The --federation-smoke correctness gate (see header comment).
 int run_smoke(std::uint64_t entries, std::uint64_t segment_entries) {
   bench::print_section("federation smoke: 2 shippers, 1 killed mid-stream");
+  // Declared first so it outlives every store and thread below.
+  const bench::TempDir scratch("ipfsmon_federation_smoke");
+  if (scratch.path().empty()) {
+    std::fprintf(stderr, "smoke: cannot create a temporary directory\n");
+    return 1;
+  }
 
   std::vector<std::string> dirs;
   std::vector<trace::Trace> traces;
@@ -334,13 +341,13 @@ int run_smoke(std::uint64_t entries, std::uint64_t segment_entries) {
     traces.push_back(make_monitor_trace(
         entries, static_cast<trace::MonitorId>(m),
         500 + static_cast<std::uint64_t>(m)));
-    dirs.push_back(fresh_dir("smoke_" + std::to_string(m)));
+    dirs.push_back(scratch.path() + "/monitor_" + std::to_string(m));
     build_store(dirs[static_cast<std::size_t>(m)],
                 traces[static_cast<std::size_t>(m)], segment_entries);
   }
 
   // Ground truth: one local unify served by a plain QueryService.
-  const std::string truth_dir = fresh_dir("smoke_truth");
+  const std::string truth_dir = scratch.path() + "/truth";
   {
     std::vector<tracestore::TraceStore> stores;
     std::vector<const tracestore::TraceStore*> inputs;
@@ -359,7 +366,7 @@ int run_smoke(std::uint64_t entries, std::uint64_t segment_entries) {
     return 1;
   }
 
-  const std::string root = fresh_dir("smoke_root");
+  const std::string root = scratch.path() + "/coordinator";
   auto federated = federation::FederatedService::start(root, {}, &error);
   if (federated == nullptr) {
     std::fprintf(stderr, "smoke: federated service: %s\n", error.c_str());

@@ -1,30 +1,25 @@
-// exp_ingest_replay — throughput of the real-capture ingest path and the
-// deterministic replay driver.
+// exp_ingest_replay --smoke — the ingest and replay gate behind
+// scripts/check.sh --ingest-smoke, and the generator of the committed
+// capture fixtures.
 //
-// Generates a deterministic synthetic Bitswap wantlist capture (NDJSON,
-// optionally gzip'd), ingests it cold through ingest::ingest_capture
-// (parse + normalize + flag + segment write), and replays the produced
-// store through sim::Scheduler at a sweep of speedups. Reports capture
-// MB/s and entries/s for each encoding, replay fan-out rate at speedup 0,
-// and the pacing accuracy of throttled replays (wall time vs the sim span
-// the speedup promises). The replay checksum is printed and verified
-// identical across repetitions — replay must be byte-deterministic.
+// --smoke generates a deterministic 20k-entry synthetic Bitswap wantlist
+// capture (NDJSON, seed 42) in a fresh temporary directory, ingests it
+// through ingest::ingest_capture (parse + normalize + flag + segment write)
+// both plain and gzip'd, and replays the plain store twice through
+// sim::Scheduler. It fails (exit 1) when the two replay checksums differ,
+// when the gzip store replays to a different stream, or when the plain
+// ingest rate drops below half the committed floor in
+// bench/ingest_smoke_floor.json (or that floor is missing).
 //
-// Everything lands in BENCH_ingest.json (schema in EXPERIMENTS.md) so the
-// ingest-perf trajectory accumulates across revisions.
+// Flags: --smoke             the gate
+//        --floor=PATH        smoke floor (default bench/ingest_smoke_floor.json)
+//        --emit-fixtures=D   write the committed smoke fixtures into D
+//                            (capture_small.ndjson[.gz], capture_corrupt
+//                            .ndjson, capture_small.checksum) and exit
+// With neither --smoke nor --emit-fixtures it prints usage and exits 2.
 //
-// Flags: --entries=N        capture size (default 200000)
-//        --speedups=0,100   replay speedup sweep (0 = as fast as possible;
-//                           paced runs are clipped to ~2 s of wall time)
-//        --emit-fixtures=D  write the committed smoke fixtures into D
-//                           (capture_small.ndjson[.gz], capture_corrupt
-//                           .ndjson, capture_small.checksum) and exit
-//        --smoke            correctness + floor gate, not a perf run
-//
-// --smoke is the scripts/check.sh --ingest-smoke gate: a small capture is
-// ingested twice (plain and gzip) and replayed; the run fails when the
-// checksums diverge or the plain ingest rate drops below half the
-// committed floor in bench/ingest_smoke_floor.json.
+// Ingest throughput is measured end to end by perfbench's `ingest`
+// workload.
 #include <cinttypes>
 #include <filesystem>
 #include <string>
@@ -32,7 +27,6 @@
 
 #include "bench_common.hpp"
 #include "ingest/capture.hpp"
-#include "ingest/export.hpp"
 #include "ingest/ingest.hpp"
 #include "ingest/replay.hpp"
 #include "ingest/stream.hpp"
@@ -99,89 +93,45 @@ bool write_capture_file(const std::string& path,
   return writer->close();
 }
 
-std::string fresh_dir(const std::string& name) {
-  const std::string dir = "/tmp/ipfsmon_exp_ingest/" + name;
-  fs::remove_all(dir);
-  return dir;
-}
-
-struct IngestRun {
-  std::string encoding;  // "plain" | "gzip"
-  double seconds = 0.0;
-  std::uint64_t entries = 0;
-  std::uint64_t bytes = 0;  // uncompressed capture bytes
-
-  double entries_per_s() const {
-    return seconds > 0 ? static_cast<double>(entries) / seconds : 0.0;
-  }
-  double mb_per_s() const {
-    return seconds > 0
-               ? static_cast<double>(bytes) / (1024.0 * 1024.0) / seconds
-               : 0.0;
-  }
-};
-
-struct ReplayRun {
-  double speedup = 0.0;
-  double seconds = 0.0;
-  std::uint64_t entries = 0;
-  std::uint64_t checksum = 0;
-  double sim_span_s = 0.0;  // sim time covered by the (possibly clipped) run
-
-  double entries_per_s() const {
-    return seconds > 0 ? static_cast<double>(entries) / seconds : 0.0;
-  }
-  /// Wall seconds the speedup promised for the covered sim span.
-  double expected_seconds() const {
-    return speedup > 0 ? sim_span_s / speedup : 0.0;
-  }
-};
-
-std::optional<IngestRun> run_ingest(const std::string& capture,
-                                    const std::string& store_dir,
-                                    const std::string& encoding) {
-  ingest::IngestOptions options;
+/// Ingests `capture` into `store_dir` and returns the rate in entries/s;
+/// nullopt (with a message) on failure.
+std::optional<double> timed_ingest(const char* label,
+                                   const std::string& capture,
+                                   const std::string& store_dir) {
   std::string error;
-  bench::Stopwatch watch;
-  const auto stats =
-      ingest::ingest_capture(capture, store_dir, options, &error);
+  const bench::Stopwatch watch;
+  const auto stats = ingest::ingest_capture(capture, store_dir, {}, &error);
+  const double seconds = watch.seconds();
   if (!stats) {
     std::fprintf(stderr, "ingest of %s failed: %s\n", capture.c_str(),
                  error.c_str());
     return std::nullopt;
   }
-  IngestRun run;
-  run.encoding = encoding;
-  run.seconds = watch.seconds();
-  run.entries = stats->entries;
-  run.bytes = stats->bytes;
-  return run;
+  const double rate = seconds > 0 ? stats->entries / seconds : 0.0;
+  std::printf("  %-6s %8.3f s  %10.0f entries/s  %7.1f MB/s\n", label,
+              seconds, rate,
+              seconds > 0 ? stats->bytes / (1024.0 * 1024.0) / seconds : 0.0);
+  return rate;
 }
 
-ReplayRun run_replay(const tracestore::TraceStore& store, double speedup,
-                     double max_paced_wall_s) {
-  ingest::ReplayOptions options;
-  options.speedup = speedup;
-  util::SimTime span = store.max_time() - store.min_time();
-  if (speedup > 0) {
-    // Clip paced runs to ~max_paced_wall_s of wall time so a slow sweep
-    // point doesn't dominate the benchmark.
-    const auto budget = static_cast<util::SimTime>(
-        max_paced_wall_s * speedup * 1e9);
-    if (budget < span) {
-      options.stop = store.min_time() + budget;
-      span = budget;
-    }
+/// Unthrottled replay checksum of the store at `dir`; nullopt (with a
+/// message) when it cannot be opened.
+std::optional<std::uint64_t> replay_checksum(const char* label,
+                                             const std::string& dir) {
+  std::string error;
+  auto store = tracestore::TraceStore::open(dir, {}, &error);
+  if (!store) {
+    std::fprintf(stderr, "cannot open %s: %s\n", dir.c_str(),
+                 error.c_str());
+    return std::nullopt;
   }
-  bench::Stopwatch watch;
-  const auto stats = ingest::replay_store(store, nullptr, options);
-  ReplayRun run;
-  run.speedup = speedup;
-  run.seconds = watch.seconds();
-  run.entries = stats.entries;
-  run.checksum = stats.checksum;
-  run.sim_span_s = static_cast<double>(span) / 1e9;
-  return run;
+  const bench::Stopwatch watch;
+  const auto stats = ingest::replay_store(*store, nullptr);
+  const double seconds = watch.seconds();
+  std::printf("  %-6s %8.3f s  %10.0f entries/s  checksum %016" PRIx64 "\n",
+              label, seconds, seconds > 0 ? stats.entries / seconds : 0.0,
+              stats.checksum);
+  return stats.checksum;
 }
 
 /// Writes the committed smoke fixtures: a small capture (plain + gzip), a
@@ -222,13 +172,15 @@ int emit_fixtures(const std::string& dir) {
     if (!writer->close()) return 1;
   }
   // Pin the replay checksum of the clean capture.
-  const std::string scratch = fresh_dir("fixture_store");
+  const bench::TempDir scratch("ipfsmon_fixture_store");
+  const std::string store_dir = scratch.path() + "/store";
   std::string error;
-  if (!ingest::ingest_capture(plain, scratch, {}, &error)) {
+  if (scratch.path().empty() ||
+      !ingest::ingest_capture(plain, store_dir, {}, &error)) {
     std::fprintf(stderr, "fixture ingest failed: %s\n", error.c_str());
     return 1;
   }
-  auto store = tracestore::TraceStore::open(scratch, {}, &error);
+  auto store = tracestore::TraceStore::open(store_dir, {}, &error);
   if (!store) {
     std::fprintf(stderr, "fixture store open failed: %s\n", error.c_str());
     return 1;
@@ -241,180 +193,84 @@ int emit_fixtures(const std::string& dir) {
   std::printf("fixtures written to %s (%zu records, checksum %016" PRIx64
               ")\n",
               dir.c_str(), records.size(), replay.checksum);
-  fs::remove_all(scratch);
   return 0;
-}
-
-std::vector<double> parse_speedups(const std::string& text) {
-  std::vector<double> out;
-  std::size_t pos = 0;
-  while (pos < text.size()) {
-    const auto comma = text.find(',', pos);
-    const std::string item = comma == std::string::npos
-                                 ? text.substr(pos)
-                                 : text.substr(pos, comma - pos);
-    if (!item.empty()) out.push_back(std::strtod(item.c_str(), nullptr));
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
-  }
-  return out;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::Flags flags(argc, argv);
-  bench::Stopwatch total;
-
+  const bench::Flags flags(argc, argv);
   if (flags.has("emit-fixtures")) {
     return emit_fixtures(flags.get_str("emit-fixtures", "tests/data"));
   }
+  if (!flags.has("smoke")) {
+    std::fprintf(stderr,
+                 "usage: %s --smoke [--floor=PATH] | --emit-fixtures=DIR\n",
+                 argv[0]);
+    return 2;
+  }
 
-  const bool smoke = flags.has("smoke");
-  const auto entries = flags.get_u64("entries", smoke ? 20000 : 200000);
-  const auto speedups =
-      parse_speedups(flags.get_str("speedups", smoke ? "0" : "0,1,100"));
-
+  constexpr std::size_t kEntries = 20000;
+  const bench::Stopwatch total;
   bench::print_header("exp_ingest_replay",
-                      "ingest + replay path (infrastructure, no paper figure)");
-  std::printf("entries=%llu gzip=%s\n",
-              static_cast<unsigned long long>(entries),
+                      "ingest + replay gate (infrastructure, no paper figure)");
+  std::printf("entries=%zu gzip=%s\n", kEntries,
               ingest::gzip_supported() ? "yes" : "no (zlib absent)");
+  const bench::TempDir scratch("ipfsmon_ingest_smoke");
+  if (scratch.path().empty()) {
+    std::fprintf(stderr, "cannot create a temporary directory\n");
+    return 1;
+  }
 
   bench::print_section("generate capture");
-  const auto records = make_capture(entries, 42);
-  const std::string capture_dir = fresh_dir("captures");
-  fs::create_directories(capture_dir);
-  const std::string plain = capture_dir + "/capture.ndjson";
+  const auto records = make_capture(kEntries, 42);
+  const std::string plain = scratch.path() + "/capture.ndjson";
+  const std::string gzip = plain + ".gz";
   if (!write_capture_file(plain, records, false)) {
     std::fprintf(stderr, "cannot write %s\n", plain.c_str());
     return 1;
   }
   std::printf("  %s: %.1f MiB\n", plain.c_str(),
               static_cast<double>(fs::file_size(plain)) / (1024.0 * 1024.0));
-  const std::string gzip = plain + ".gz";
-  if (ingest::gzip_supported()) {
-    if (!write_capture_file(gzip, records, true)) {
-      std::fprintf(stderr, "cannot write %s\n", gzip.c_str());
-      return 1;
-    }
-    std::printf("  %s: %.1f MiB compressed\n", gzip.c_str(),
-                static_cast<double>(fs::file_size(gzip)) /
-                    (1024.0 * 1024.0));
+  if (ingest::gzip_supported() && !write_capture_file(gzip, records, true)) {
+    std::fprintf(stderr, "cannot write %s\n", gzip.c_str());
+    return 1;
   }
 
   bench::print_section("ingest (cold, parse + flag + segment write)");
-  std::vector<IngestRun> ingests;
-  {
-    auto run = run_ingest(plain, fresh_dir("store_plain"), "plain");
-    if (!run) return 1;
-    ingests.push_back(*run);
+  const std::string plain_store = scratch.path() + "/store_plain";
+  const std::string gzip_store = scratch.path() + "/store_gzip";
+  const auto plain_rate = timed_ingest("plain", plain, plain_store);
+  if (!plain_rate) return 1;
+  if (ingest::gzip_supported() && !timed_ingest("gzip", gzip, gzip_store)) return 1;
+
+  bench::print_section("replay through sim::Scheduler (unthrottled)");
+  const auto first = replay_checksum("plain", plain_store);
+  const auto again = replay_checksum("again", plain_store);
+  if (!first || !again) return 1;
+  if (*first != *again) {
+    std::fprintf(stderr,
+                 "replay checksum not deterministic: %016" PRIx64
+                 " vs %016" PRIx64 "\n",
+                 *first, *again);
+    return 1;
+  }
+
+  bench::print_section("smoke gate");
+  if (!bench::passes_smoke_floor(
+          flags.get_str("floor", "bench/ingest_smoke_floor.json"),
+          "ingest_entries_per_s", *plain_rate, "plain-ingest entries/s")) {
+    return 1;
   }
   if (ingest::gzip_supported()) {
-    auto run = run_ingest(gzip, fresh_dir("store_gzip"), "gzip");
-    if (!run) return 1;
-    ingests.push_back(*run);
-  }
-  for (const auto& run : ingests) {
-    std::printf("  %-6s %8.3f s  %10.0f entries/s  %7.1f MB/s\n",
-                run.encoding.c_str(), run.seconds, run.entries_per_s(),
-                run.mb_per_s());
-  }
-
-  bench::print_section("replay through sim::Scheduler");
-  std::string error;
-  auto store = tracestore::TraceStore::open("/tmp/ipfsmon_exp_ingest/store_plain",
-                                            {}, &error);
-  if (!store) {
-    std::fprintf(stderr, "cannot open ingested store: %s\n", error.c_str());
-    return 1;
-  }
-  std::vector<ReplayRun> replays;
-  for (const double speedup : speedups) {
-    replays.push_back(run_replay(*store, speedup, 2.0));
-    const auto& run = replays.back();
-    if (run.speedup > 0) {
-      std::printf("  speedup %-7.0f %8.3f s wall (%.3f s promised)  "
-                  "%10.0f entries/s  checksum %016" PRIx64 "\n",
-                  run.speedup, run.seconds, run.expected_seconds(),
-                  run.entries_per_s(), run.checksum);
-    } else {
-      std::printf("  unthrottled    %8.3f s wall  %10.0f entries/s  "
-                  "checksum %016" PRIx64 "\n",
-                  run.seconds, run.entries_per_s(), run.checksum);
-    }
-  }
-
-  // Determinism gate: a second unthrottled replay must reproduce the
-  // checksum bit-for-bit.
-  const auto again = run_replay(*store, 0.0, 2.0);
-  if (!replays.empty() && again.checksum != replays.front().checksum &&
-      replays.front().speedup == 0.0) {
-    std::fprintf(stderr, "replay checksum not deterministic: %016" PRIx64
-                         " vs %016" PRIx64 "\n",
-                 replays.front().checksum, again.checksum);
-    return 1;
-  }
-
-  if (smoke) {
-    bench::print_section("smoke gate");
-    if (!bench::passes_smoke_floor(
-            flags.get_str("floor", "bench/ingest_smoke_floor.json"),
-            "ingest_entries_per_s", ingests.front().entries_per_s(),
-            "plain-ingest entries/s")) {
+    const auto gz = replay_checksum("gzip", gzip_store);
+    if (!gz) return 1;
+    if (*gz != *first) {
+      std::fprintf(stderr, "gzip ingest produced a different stream\n");
       return 1;
     }
-    if (ingests.size() > 1) {
-      // gzip and plain land identical stores.
-      auto gz = tracestore::TraceStore::open(
-          "/tmp/ipfsmon_exp_ingest/store_gzip", {}, &error);
-      if (!gz) {
-        std::fprintf(stderr, "cannot open gzip store: %s\n", error.c_str());
-        return 1;
-      }
-      if (ingest::replay_store(*gz, nullptr).checksum != again.checksum) {
-        std::fprintf(stderr, "gzip ingest produced a different stream\n");
-        return 1;
-      }
-      std::printf("  gzip ingest replays identically\n");
-    }
+    std::printf("  gzip ingest replays identically\n");
   }
-
-  const std::string artifact = "BENCH_ingest.json";
-  std::FILE* out = std::fopen(artifact.c_str(), "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", artifact.c_str());
-    return 1;
-  }
-  std::fprintf(out,
-               "{\"bench\":\"ingest_replay\",\"entries\":%llu,"
-               "\"capture_bytes\":%llu,\"checksum\":\"%016" PRIx64
-               "\",\"ingest\":[",
-               static_cast<unsigned long long>(entries),
-               static_cast<unsigned long long>(ingests.front().bytes),
-               again.checksum);
-  for (std::size_t i = 0; i < ingests.size(); ++i) {
-    const auto& run = ingests[i];
-    std::fprintf(out,
-                 "%s{\"encoding\":\"%s\",\"seconds\":%.4f,"
-                 "\"entries_per_s\":%.0f,\"mb_per_s\":%.2f}",
-                 i == 0 ? "" : ",", run.encoding.c_str(), run.seconds,
-                 run.entries_per_s(), run.mb_per_s());
-  }
-  std::fprintf(out, "],\"replay\":[");
-  for (std::size_t i = 0; i < replays.size(); ++i) {
-    const auto& run = replays[i];
-    std::fprintf(out,
-                 "%s{\"speedup\":%.0f,\"seconds\":%.4f,\"sim_span_s\":%.3f,"
-                 "\"entries\":%llu,\"entries_per_s\":%.0f}",
-                 i == 0 ? "" : ",", run.speedup, run.seconds, run.sim_span_s,
-                 static_cast<unsigned long long>(run.entries),
-                 run.entries_per_s());
-  }
-  std::fprintf(out, "]}\n");
-  std::fclose(out);
-  std::printf("\n[run] artifact: %s\n", artifact.c_str());
-
   bench::print_run_footer(total);
   return 0;
 }

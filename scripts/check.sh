@@ -8,9 +8,11 @@
 # finding), and under ThreadSanitizer (the query, tracestore and federation
 # tests run real server, scan-pool and connection threads).
 #
-# --perf-smoke additionally runs `exp_query_throughput --smoke`, which
-# fails when the warm watchlist scan rate drops below half the committed
-# floor in bench/query_smoke_floor.json (a >2x scan-path regression).
+# --perf-smoke additionally runs `exp_query_throughput --smoke`: it writes a
+# 60k-entry generated store to a fresh temp directory, warms it with one
+# 64-peer watchlist scan, times two more, and fails when that warm rate
+# drops below half the committed floor in bench/query_smoke_floor.json (a
+# >2x scan-path regression) or the floor is missing.
 #
 # --federation-smoke runs `exp_federation --smoke`: two shippers stream
 # into a live coordinator, one is killed mid-stream and restarted, and the
@@ -19,11 +21,15 @@
 # --ingest-smoke ingests the committed capture fixtures in tests/data/
 # (plain, gzip, and a corrupted variant under --lenient) and requires the
 # deterministic replay checksum to match tests/data/capture_small.checksum,
-# then runs `exp_ingest_replay --smoke` against the committed ingest floor.
+# then runs `exp_ingest_replay --smoke`: a generated 20k-entry capture is
+# ingested plain and gzip'd in a fresh temp directory, the plain store must
+# replay to the same checksum twice and the gzip store to the same stream,
+# and the plain ingest rate must stay at or above half the committed floor
+# in bench/ingest_smoke_floor.json.
 #
-# --scaling-smoke runs `exp_monitor_scaling --smoke`: a repeated
-# single-shard 2000-node study must checksum identically, and its event
-# rate must stay at or above half the committed floor in
+# --scaling-smoke runs `exp_monitor_scaling --smoke`: a 2000-node study
+# (0.5 simulated hours, seed 42) run twice must checksum identically, and
+# its event rate must stay at or above half the committed floor in
 # bench/scaling_smoke_floor.json.
 #
 # Usage: scripts/check.sh [--no-asan] [--no-ubsan] [--no-tsan] [--perf-smoke]

@@ -153,12 +153,8 @@ std::string_view to_string(StatsSource source) {
 
 QueryService::QueryService(QueryOptions options)
     : options_(std::move(options)),
-      executor_(options_.scan_threads),
       cache_(options_.cache_capacity) {
   options_.store.obs = &obs_;
-  // The executor shares the store's persistent pool when scan_threads is
-  // 0; size that pool from the same knob so one setting governs both.
-  options_.store.scan_threads = options_.scan_threads;
   obs_.tracer.configure(options_.tracing);
 }
 

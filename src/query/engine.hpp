@@ -59,8 +59,6 @@ struct QueryOptions {
   /// When false, /v1/stats always takes the entry-level scan path (the
   /// property tests force this to compare against the rollup path).
   bool use_rollups = true;
-  /// ScanExecutor threads; 0 = hardware concurrency.
-  std::size_t scan_threads = 0;
   /// Span tracing for served requests (inert by default). When enabled,
   /// every sampled request produces an http.request trace with cache,
   /// rollup/scan, and per-segment child spans, served on /debug/spans.

@@ -443,13 +443,12 @@ SegmentOpenOptions TraceStore::open_options() const {
 ScanPool& TraceStore::scan_pool() const {
   std::lock_guard<std::mutex> lock(shared_->mu);
   if (shared_->pool == nullptr) {
-    shared_->pool = std::make_shared<ScanPool>(options_.scan_threads);
+    shared_->pool = std::make_shared<ScanPool>();
   }
   return *shared_->pool;
 }
 
 ValidationCache* TraceStore::validation_cache() const {
-  if (!options_.reuse_validation) return nullptr;
   if (options_.shared_validation != nullptr) return options_.shared_validation;
   return &shared_->validated;
 }

@@ -69,16 +69,11 @@ struct StoreOptions {
   /// How readers get segment bytes: mmap when available (kAuto), or a
   /// forced backend (the property tests pin both and compare).
   IoBackend io_backend = IoBackend::kAuto;
-  /// Workers in the store's shared scan pool (0 = hardware concurrency).
-  /// The pool is created lazily on first use and lives with the store.
-  std::size_t scan_threads = 0;
-  /// Remember body-checksum validation across reads of unchanged sealed
-  /// segments (keyed by path + mtime + size), so repeat queries skip the
-  /// whole-body hash pass. Disable to re-verify on every open.
-  bool reuse_validation = true;
-  /// Use this cache instead of the store's own (reuse_validation must be
-  /// on). Lets a federation coordinator verify a landed segment once and
-  /// have every serving TraceStore opened over the same directory skip the
+  /// Remember body-checksum validation in this cache instead of the
+  /// store's own. Either way, repeat reads of an unchanged sealed segment
+  /// (keyed by path + mtime + size) skip the whole-body hash pass. Lets a
+  /// federation coordinator verify a landed segment once and have every
+  /// serving TraceStore opened over the same directory skip the
   /// re-validation pass. The cache must outlive the store.
   ValidationCache* shared_validation = nullptr;
 };
@@ -228,16 +223,17 @@ class TraceStore {
   std::string segment_path(std::size_t index) const;
 
   /// Per-open options for SegmentReader: the configured I/O backend plus
-  /// this store's validation cache (when reuse is enabled). Everything a
-  /// reader of this store should pass to SegmentReader::open.
+  /// this store's validation cache. Everything a reader of this store
+  /// should pass to SegmentReader::open.
   SegmentOpenOptions open_options() const;
 
   /// The store's shared persistent scan pool (query executors and the
-  /// merge readers' read-ahead run on it). Created lazily, sized once
-  /// from options().scan_threads, and lives as long as the store.
+  /// merge readers' read-ahead run on it). Created lazily with one worker
+  /// per hardware thread, and lives as long as the store.
   ScanPool& scan_pool() const;
 
-  /// The cache behind open_options(); null when reuse_validation is off.
+  /// The cache behind open_options(): options().shared_validation when
+  /// set, else the store's own. Never null.
   ValidationCache* validation_cache() const;
 
   /// Drops every segment whose entire time range lies before `cutoff`

@@ -3,8 +3,9 @@
 // design promises — a gateway request produces one connected trace across
 // sim layers (gateway → DHT → Bitswap → monitor capture), a daemon query
 // produces one connected trace across the serving path (HTTP → cache →
-// scan → per-segment), and tracing off is byte-identical to an untraced
-// run (the churn-style inertness invariant).
+// scan → per-segment), tracing off is byte-identical to an untraced run
+// (the churn-style inertness invariant), and no sampling rate changes a
+// query answer.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -517,6 +518,80 @@ TEST(SpanEndToEnd, UntracedServiceServesEmptyDebugSpans) {
   EXPECT_EQ(response.status, 200);
   EXPECT_NE(response.body.find("\"enabled\":false"), std::string::npos);
   EXPECT_EQ(service->obs().tracer.spans_buffered(), 0u);
+}
+
+TEST(SpanEndToEnd, TracingDoesNotChangeQueryAnswers) {
+  const std::string dir = ::testing::TempDir() + "/span_answers";
+  std::filesystem::remove_all(dir);
+  tracestore::StoreOptions store_options;
+  store_options.max_entries_per_segment = 256;  // several segments
+  auto writer = tracestore::SegmentWriter::create(dir, store_options);
+  ASSERT_NE(writer, nullptr);
+  const trace::Trace t = make_store_trace(2000);
+  for (const auto& e : t.entries()) writer->append(e);
+  ASSERT_TRUE(writer->finalize());
+  const util::SimTime lo = t.entries().front().timestamp;
+  const util::SimTime hi = t.entries().back().timestamp;
+
+  // A seeded mix of scans over random ranges: forced-scan stats, one
+  // peer's wants, and popularity.
+  util::RngStream rng(5, "span-answers");
+  std::vector<query::HttpRequest> requests;
+  for (int i = 0; i < 96; ++i) {
+    const auto span = static_cast<std::uint64_t>(hi - lo + 1);
+    util::SimTime a = lo + static_cast<util::SimTime>(rng.uniform_index(span));
+    util::SimTime b = lo + static_cast<util::SimTime>(rng.uniform_index(span));
+    if (a > b) std::swap(a, b);
+    std::map<std::string, std::string> range = {
+        {"min_t", std::to_string(a)}, {"max_t", std::to_string(b)}};
+    if (i % 3 == 0) {
+      range["force"] = "scan";
+      requests.push_back(get("/v1/stats", range));
+    } else if (i % 3 == 1) {
+      crypto::PeerId::Digest digest{};
+      digest[0] = static_cast<std::uint8_t>(rng.uniform_index(20));
+      requests.push_back(get(
+          "/v1/peers/" + crypto::PeerId(digest).to_base58() + "/wants",
+          range));
+    } else {
+      range["k"] = "5";
+      requests.push_back(get("/v1/popularity", range));
+    }
+  }
+
+  struct Answers {
+    std::vector<std::string> bodies;
+    std::uint64_t spans = 0;
+  };
+  const auto answer = [&](const TracerConfig& tracing) {
+    query::QueryOptions options;
+    options.cache_capacity = 0;  // every request runs its scan
+    options.tracing = tracing;
+    auto service = query::QueryService::open(dir, options);
+    EXPECT_NE(service, nullptr);
+    Answers answers;
+    if (service == nullptr) return answers;
+    for (const auto& request : requests) {
+      const auto response = service->handle(request);
+      EXPECT_EQ(response.status, 200) << request.path;
+      answers.bodies.push_back(response.body);
+    }
+    answers.spans = service->obs().tracer.spans_recorded();
+    return answers;
+  };
+  TracerConfig sampled;
+  sampled.enabled = true;  // default sampling: 1 request in 64
+  const Answers off = answer(TracerConfig{});
+  const Answers one_in_64 = answer(sampled);
+  const Answers every = answer(enabled_config(1));
+
+  ASSERT_EQ(off.bodies.size(), requests.size());
+  EXPECT_EQ(one_in_64.bodies, off.bodies);
+  EXPECT_EQ(every.bodies, off.bodies);
+  // The traced runs really traced, and the untraced one did not.
+  EXPECT_EQ(off.spans, 0u);
+  EXPECT_GT(one_in_64.spans, 0u);
+  EXPECT_GT(every.spans, one_in_64.spans);
 }
 
 }  // namespace

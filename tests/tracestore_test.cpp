@@ -835,22 +835,6 @@ TEST_F(BackendFixture, RepeatScansHitTheValidationCache) {
   EXPECT_EQ(store->validation_cache()->hits(), store->segments().size());
 }
 
-TEST_F(BackendFixture, ValidationCacheDisabledRevalidatesEveryOpen) {
-  StoreOptions options;
-  options.max_entries_per_segment = 100;
-  options.reuse_validation = false;
-  auto store = TraceStore::open(dir_, options);
-  ASSERT_TRUE(store.has_value());
-  EXPECT_EQ(store->validation_cache(), nullptr);
-  EXPECT_EQ(store->open_options().validated, nullptr);
-  // Still decodes fine, it just re-verifies.
-  std::size_t n = 0;
-  const ScanExecutor executor(1);
-  executor.scan(*store, ScanQuery{},
-                [&n](const trace::TraceEntry&) { ++n; });
-  EXPECT_EQ(n, full_.size());
-}
-
 TEST(ValidationCache, SignatureChangeInvalidates) {
   ValidationCache cache;
   cache.remember("seg-0", 100, 4096);
