@@ -15,9 +15,11 @@
 #include <map>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #include "obs/exporters.hpp"
+#include "util/json.hpp"
 #include "util/strings.hpp"
 
 namespace ipfsmon::bench {
@@ -140,20 +142,22 @@ inline void print_run_footer(const Stopwatch& watch) {
               peak_rss_mib());
 }
 
-/// Reads the number stored under `key` in a committed smoke-floor JSON file
-/// (bench/*_smoke_floor.json). 0 when the file is missing or the key is
-/// absent or unparsable.
+/// Reads the number stored under the top-level `key` of a committed
+/// smoke-floor JSON object (bench/*_smoke_floor.json). 0 when the file is
+/// missing or not a JSON object, or the key is absent or not a number.
 inline double read_smoke_floor(const std::string& path, std::string_view key) {
   std::ifstream in(path);
   if (!in) return 0;
   const std::string text((std::istreambuf_iterator<char>(in)),
                          std::istreambuf_iterator<char>());
-  const std::string quoted = "\"" + std::string(key) + "\"";
-  const auto at = text.find(quoted);
-  if (at == std::string::npos) return 0;
-  const auto colon = text.find(':', at + quoted.size());
-  if (colon == std::string::npos) return 0;
-  return std::strtod(text.c_str() + colon + 1, nullptr);
+  std::vector<util::json::Field> fields;
+  if (!util::json::scan_object(text, &fields)) return 0;
+  for (const auto& field : fields) {
+    if (field.key == key && !field.is_string) {
+      return std::strtod(field.value.c_str(), nullptr);
+    }
+  }
+  return 0;
 }
 
 /// The smoke gate shared by the experiment binaries: passes when `measured`
@@ -174,6 +178,40 @@ inline bool passes_smoke_floor(const std::string& path, std::string_view key,
   std::printf("  %s: %.0f %s %s floor/2 (%.0f/2 = %.0f)\n", ok ? "ok" : "FAIL",
               measured, u.c_str(), ok ? ">=" : "<", floor, floor / 2);
   return ok;
+}
+
+/// Writes `BENCH_<bench>.json` in the envelope every bench artifact shares:
+/// {"bench":"<bench>","cores":N,"summary":{...},"rows":[{...},...]}.
+/// `summary(json)` writes the summary object's members and `row(json, r)`
+/// the members of one row per element of `rows`. Returns false, after
+/// saying why on stderr, when the file cannot be written in full.
+template <typename Row, typename SummaryFn, typename RowFn>
+bool write_bench_artifact(std::string_view bench, const std::vector<Row>& rows,
+                          SummaryFn&& summary, RowFn&& row) {
+  std::string body;
+  util::json::Writer json(body);
+  json.begin_object()
+      .key("bench").string(bench)
+      .key("cores").u64(std::thread::hardware_concurrency())
+      .key("summary").begin_object();
+  summary(json);
+  json.end_object().key("rows").begin_array();
+  for (const Row& r : rows) {
+    json.begin_object();
+    row(json, r);
+    json.end_object();
+  }
+  json.end_array().end_object();
+  body += '\n';
+
+  const std::string path = "BENCH_" + std::string(bench) + ".json";
+  std::string error;
+  if (!util::json::write_file(path, body, &error)) {
+    std::fprintf(stderr, "%s\n", error.c_str());
+    return false;
+  }
+  std::printf("\n[run] artifact: %s\n", path.c_str());
+  return true;
 }
 
 /// Writes the collector's ring as `<argv0>.metrics.jsonl` next to the

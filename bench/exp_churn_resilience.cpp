@@ -15,7 +15,7 @@
 //     Eq. (3) is scale-homogeneous, so adjusted = raw * min(1, rho/rho0).
 //   * crash recovery: segments kept/dropped and the unified-trace entry
 //     count from the recovered spill stores.
-// Emits BENCH_churn.json.
+// Emits BENCH_churn.json (the shared envelope, see EXPERIMENTS.md).
 //
 // Flags: --nodes= --hours= --seed=
 #include <algorithm>
@@ -198,42 +198,33 @@ int main(int argc, char** argv) {
               "  tracks the concurrent size more closely than the raw one,\n"
               "  whose churn-inflated peer sets overestimate N.\n");
 
-  const std::string artifact = "BENCH_churn.json";
-  std::FILE* out = std::fopen(artifact.c_str(), "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", artifact.c_str());
-    return 1;
-  }
-  std::fprintf(out,
-               "{\"bench\":\"churn_resilience\",\"nodes\":%zu,"
-               "\"hours\":%.1f,\"seed\":%llu,\"levels\":[",
-               nodes, hours, static_cast<unsigned long long>(seed));
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const auto& r = results[i];
-    std::fprintf(
-        out,
-        "%s{\"arrival_rate_per_hour\":%.1f,\"truth_online\":%zu,"
-        "\"coverage\":%.4f,\"session_overlap\":%.4f,"
-        "\"session_overlap_norm\":%.4f,"
-        "\"committee_raw\":%.2f,\"committee_adjusted\":%.2f,"
-        "\"err_raw\":%.4f,\"err_adjusted\":%.4f,"
-        "\"transients_spawned\":%llu,\"sessions\":%llu,"
-        "\"partitions\":%llu,\"fault_drops\":%llu,"
-        "\"monitor_crashes\":%llu,\"recovered_segments\":%zu,"
-        "\"torn_segments\":%zu,\"unified_entries\":%llu}",
-        i == 0 ? "" : ",", r.arrival_rate, r.truth, r.coverage,
-        r.session_overlap, r.overlap_norm, r.est_raw, r.est_adjusted, r.err_raw,
-        r.err_adjusted, static_cast<unsigned long long>(r.transients_spawned),
-        static_cast<unsigned long long>(r.sessions),
-        static_cast<unsigned long long>(r.partitions),
-        static_cast<unsigned long long>(r.fault_drops),
-        static_cast<unsigned long long>(r.crashes), r.recovered_segments,
-        r.torn_segments,
-        static_cast<unsigned long long>(r.unified_entries));
-  }
-  std::fprintf(out, "]}\n");
-  std::fclose(out);
-  std::printf("\n[run] artifact: %s\n", artifact.c_str());
+  const bool written = bench::write_bench_artifact(
+      "churn", results,
+      [&](util::json::Writer& json) {
+        json.key("nodes").u64(nodes)
+            .key("hours").fixed(hours, 1)
+            .key("seed").u64(seed);
+      },
+      [](util::json::Writer& json, const LevelResult& r) {
+        json.key("arrival_rate_per_hour").fixed(r.arrival_rate, 1)
+            .key("truth_online").u64(r.truth)
+            .key("coverage").fixed(r.coverage, 4)
+            .key("session_overlap").fixed(r.session_overlap, 4)
+            .key("session_overlap_norm").fixed(r.overlap_norm, 4)
+            .key("committee_raw").fixed(r.est_raw, 2)
+            .key("committee_adjusted").fixed(r.est_adjusted, 2)
+            .key("err_raw").fixed(r.err_raw, 4)
+            .key("err_adjusted").fixed(r.err_adjusted, 4)
+            .key("transients_spawned").u64(r.transients_spawned)
+            .key("sessions").u64(r.sessions)
+            .key("partitions").u64(r.partitions)
+            .key("fault_drops").u64(r.fault_drops)
+            .key("monitor_crashes").u64(r.crashes)
+            .key("recovered_segments").u64(r.recovered_segments)
+            .key("torn_segments").u64(r.torn_segments)
+            .key("unified_entries").u64(r.unified_entries);
+      });
+  if (!written) return 1;
 
   bench::print_run_footer(stopwatch);
   return 0;

@@ -505,36 +505,25 @@ int main(int argc, char** argv) {
                 r.lag_p99_us / 1000.0, r.recovery_seconds);
   }
 
-  const std::string artifact = "BENCH_federation.json";
-  std::FILE* out = std::fopen(artifact.c_str(), "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", artifact.c_str());
-    return 1;
-  }
-  std::fprintf(out,
-               "{\"bench\":\"federation\",\"entries\":%llu,"
-               "\"segment_entries\":%llu,\"sweeps\":[",
-               static_cast<unsigned long long>(entries),
-               static_cast<unsigned long long>(segment_entries));
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const auto& r = results[i];
-    std::fprintf(out,
-                 "%s{\"monitors\":%llu,\"rate_seg_per_s\":%llu,"
-                 "\"segments\":%llu,\"bytes\":%llu,\"seconds\":%.4f,"
-                 "\"segments_per_s\":%.1f,\"mb_per_s\":%.2f,"
-                 "\"lag_p50_us\":%.1f,\"lag_p99_us\":%.1f,"
-                 "\"recovery_seconds\":%.4f}",
-                 i == 0 ? "" : ",",
-                 static_cast<unsigned long long>(r.monitors),
-                 static_cast<unsigned long long>(r.rate),
-                 static_cast<unsigned long long>(r.segments),
-                 static_cast<unsigned long long>(r.bytes), r.seconds,
-                 r.segments_per_s(), r.mb_per_s(), r.lag_p50_us,
-                 r.lag_p99_us, r.recovery_seconds);
-  }
-  std::fprintf(out, "]}\n");
-  std::fclose(out);
-  std::printf("\n[run] artifact: %s\n", artifact.c_str());
+  const bool written = bench::write_bench_artifact(
+      "federation", results,
+      [&](util::json::Writer& json) {
+        json.key("entries").u64(entries)
+            .key("segment_entries").u64(segment_entries);
+      },
+      [](util::json::Writer& json, const SweepResult& r) {
+        json.key("monitors").u64(r.monitors)
+            .key("rate_seg_per_s").u64(r.rate)
+            .key("segments").u64(r.segments)
+            .key("bytes").u64(r.bytes)
+            .key("seconds").fixed(r.seconds, 4)
+            .key("segments_per_s").fixed(r.segments_per_s(), 1)
+            .key("mb_per_s").fixed(r.mb_per_s(), 2)
+            .key("lag_p50_us").fixed(r.lag_p50_us, 1)
+            .key("lag_p99_us").fixed(r.lag_p99_us, 1)
+            .key("recovery_seconds").fixed(r.recovery_seconds, 4);
+      });
+  if (!written) return 1;
 
   bench::print_run_footer(total);
   return 0;

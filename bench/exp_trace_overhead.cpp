@@ -207,31 +207,24 @@ int main(int argc, char** argv) {
     ok = false;
   }
 
-  const std::string artifact = "BENCH_trace_overhead.json";
-  std::FILE* out = std::fopen(artifact.c_str(), "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", artifact.c_str());
-    return 1;
-  }
-  std::fprintf(out,
-               "{\"bench\":\"trace_overhead\",\"entries\":%llu,"
-               "\"requests\":%zu,\"reps\":%d,\"max_overhead_pct\":%.1f,"
-               "\"overhead_sampled_pct\":%.2f,\"overhead_full_pct\":%.2f,"
-               "\"checksums_match\":%s,\"modes\":[",
-               static_cast<unsigned long long>(entries), requests.size(),
-               reps, max_overhead, overhead_sampled, overhead_full,
-               checksums_match ? "true" : "false");
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const auto& r = results[i];
-    std::fprintf(out,
-                 "%s{\"name\":\"%s\",\"rps\":%.1f,\"spans_recorded\":%" PRIu64
-                 "}",
-                 i == 0 ? "" : ",", r.name.c_str(), r.best_rps,
-                 r.spans_recorded);
-  }
-  std::fprintf(out, "],\"pass\":%s}\n", ok ? "true" : "false");
-  std::fclose(out);
-  std::printf("\n[run] artifact: %s\n", artifact.c_str());
+  const bool written = bench::write_bench_artifact(
+      "trace_overhead", results,
+      [&](util::json::Writer& json) {
+        json.key("entries").u64(entries)
+            .key("requests").u64(requests.size())
+            .key("reps").i64(reps)
+            .key("max_overhead_pct").fixed(max_overhead, 1)
+            .key("overhead_sampled_pct").fixed(overhead_sampled, 2)
+            .key("overhead_full_pct").fixed(overhead_full, 2)
+            .key("checksums_match").boolean(checksums_match)
+            .key("pass").boolean(ok);
+      },
+      [](util::json::Writer& json, const ModeResult& r) {
+        json.key("name").string(r.name)
+            .key("rps").fixed(r.best_rps, 1)
+            .key("spans_recorded").u64(r.spans_recorded);
+      });
+  if (!written) return 1;
 
   bench::print_run_footer(total);
   return ok ? 0 : 1;

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Tier-1 verification: doc-drift gate (scripts/check_docs.sh), configure,
-# build, run the full test suite, then rebuild the sim + obs + core +
+# build, run the full test suite, then rebuild the util + sim + obs + core +
 # tracestore + query + churn + federation suites under AddressSanitizer
-# (`ctest -L 'sim|obs|core|tracestore|query|churn|federation'`; `core` is
-# the net, DHT, Bitswap, node and scenario suites, golden trace included),
+# (`ctest -L 'util|sim|obs|core|tracestore|query|churn|federation'`; `util`
+# is the byte codecs and the JSON reader that decodes capture lines, `core`
+# is the net, DHT, Bitswap, node and scenario suites, golden trace included),
 # the same suites under UndefinedBehaviorSanitizer (halting on the first
 # finding), and under ThreadSanitizer (the query, tracestore and federation
 # tests run real server, scan-pool and connection threads).
@@ -118,36 +119,36 @@ if [[ "$RUN_SCALING" == "1" ]]; then
 fi
 
 if [[ "$RUN_ASAN" == "1" ]]; then
-  echo "== asan: sim + obs + core + tracestore + ingest + query + churn + federation suites under -DIPFSMON_SANITIZE=address =="
+  echo "== asan: util + sim + obs + core + tracestore + ingest + query + churn + federation suites under -DIPFSMON_SANITIZE=address =="
   cmake -B build-asan -S . -DIPFSMON_SANITIZE=address >/dev/null
-  cmake --build build-asan -j "$JOBS" --target sim_test obs_test span_test \
+  cmake --build build-asan -j "$JOBS" --target util_test sim_test obs_test span_test \
     net_test dht_test bitswap_test node_test scenario_test \
     tracestore_test ingest_test query_test churn_test federation_test \
     trace_report
   ctest --test-dir build-asan \
-    -L 'sim|obs|core|tracestore|ingest|query|churn|federation' --output-on-failure
+    -L 'util|sim|obs|core|tracestore|ingest|query|churn|federation' --output-on-failure
 fi
 
 if [[ "$RUN_UBSAN" == "1" ]]; then
-  echo "== ubsan: sim + obs + core + tracestore + ingest + query + churn + federation suites under -DIPFSMON_SANITIZE=undefined =="
+  echo "== ubsan: util + sim + obs + core + tracestore + ingest + query + churn + federation suites under -DIPFSMON_SANITIZE=undefined =="
   cmake -B build-ubsan -S . -DIPFSMON_SANITIZE=undefined >/dev/null
-  cmake --build build-ubsan -j "$JOBS" --target sim_test obs_test span_test \
+  cmake --build build-ubsan -j "$JOBS" --target util_test sim_test obs_test span_test \
     net_test dht_test bitswap_test node_test scenario_test \
     tracestore_test ingest_test query_test churn_test federation_test \
     trace_report
   UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 ctest --test-dir build-ubsan \
-    -L 'sim|obs|core|tracestore|ingest|query|churn|federation' --output-on-failure
+    -L 'util|sim|obs|core|tracestore|ingest|query|churn|federation' --output-on-failure
 fi
 
 if [[ "$RUN_TSAN" == "1" ]]; then
-  echo "== tsan: sim + obs + core + query + tracestore + ingest + churn + federation suites under -DIPFSMON_SANITIZE=thread =="
+  echo "== tsan: util + sim + obs + core + query + tracestore + ingest + churn + federation suites under -DIPFSMON_SANITIZE=thread =="
   cmake -B build-tsan -S . -DIPFSMON_SANITIZE=thread >/dev/null
-  cmake --build build-tsan -j "$JOBS" --target sim_test obs_test span_test \
+  cmake --build build-tsan -j "$JOBS" --target util_test sim_test obs_test span_test \
     net_test dht_test bitswap_test node_test scenario_test \
     query_test tracestore_test ingest_test churn_test federation_test \
     trace_report
   ctest --test-dir build-tsan \
-    -L 'sim|obs|core|query|tracestore|ingest|churn|federation' --output-on-failure
+    -L 'util|sim|obs|core|query|tracestore|ingest|churn|federation' --output-on-failure
 fi
 
 echo "== all checks passed =="

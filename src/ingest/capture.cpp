@@ -2,147 +2,12 @@
 
 #include <cctype>
 
+#include "util/json.hpp"
 #include "util/strings.hpp"
 
 namespace ipfsmon::ingest {
 
 namespace {
-
-bool is_ws(char c) {
-  return c == ' ' || c == '\t' || c == '\r' || c == '\n';
-}
-
-void skip_ws(std::string_view text, std::size_t* pos) {
-  while (*pos < text.size() && is_ws(text[*pos])) ++*pos;
-}
-
-void append_utf8(std::string* out, unsigned code) {
-  if (code < 0x80) {
-    out->push_back(static_cast<char>(code));
-  } else if (code < 0x800) {
-    out->push_back(static_cast<char>(0xC0 | (code >> 6)));
-    out->push_back(static_cast<char>(0x80 | (code & 0x3F)));
-  } else {
-    out->push_back(static_cast<char>(0xE0 | (code >> 12)));
-    out->push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
-    out->push_back(static_cast<char>(0x80 | (code & 0x3F)));
-  }
-}
-
-/// Parses a JSON string starting at the opening quote; advances past the
-/// closing quote.
-bool parse_json_string(std::string_view text, std::size_t* pos,
-                       std::string* out) {
-  if (*pos >= text.size() || text[*pos] != '"') return false;
-  ++*pos;
-  out->clear();
-  while (*pos < text.size()) {
-    const char c = text[*pos];
-    if (c == '"') {
-      ++*pos;
-      return true;
-    }
-    if (c == '\\') {
-      if (*pos + 1 >= text.size()) return false;
-      const char esc = text[*pos + 1];
-      *pos += 2;
-      switch (esc) {
-        case '"': out->push_back('"'); break;
-        case '\\': out->push_back('\\'); break;
-        case '/': out->push_back('/'); break;
-        case 'b': out->push_back('\b'); break;
-        case 'f': out->push_back('\f'); break;
-        case 'n': out->push_back('\n'); break;
-        case 'r': out->push_back('\r'); break;
-        case 't': out->push_back('\t'); break;
-        case 'u': {
-          if (*pos + 4 > text.size()) return false;
-          unsigned code = 0;
-          for (int i = 0; i < 4; ++i) {
-            const char h = text[*pos + static_cast<std::size_t>(i)];
-            code <<= 4;
-            if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
-            else if (h >= 'a' && h <= 'f') code |= static_cast<unsigned>(h - 'a' + 10);
-            else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
-            else return false;
-          }
-          *pos += 4;
-          append_utf8(out, code);
-          break;
-        }
-        default:
-          return false;
-      }
-      continue;
-    }
-    out->push_back(c);
-    ++*pos;
-  }
-  return false;  // unterminated
-}
-
-/// A bare JSON token: number, true, false, or null.
-bool parse_json_literal(std::string_view text, std::size_t* pos,
-                        std::string* out) {
-  const std::size_t start = *pos;
-  while (*pos < text.size()) {
-    const char c = text[*pos];
-    if (is_ws(c) || c == ',' || c == '}' || c == ']') break;
-    ++*pos;
-  }
-  if (*pos == start) return false;
-  *out = std::string(text.substr(start, *pos - start));
-  return true;
-}
-
-/// Skips a balanced object/array (strings handled, so braces inside
-/// strings don't count).
-bool skip_json_compound(std::string_view text, std::size_t* pos) {
-  int depth = 0;
-  std::string scratch;
-  while (*pos < text.size()) {
-    const char c = text[*pos];
-    if (c == '"') {
-      if (!parse_json_string(text, pos, &scratch)) return false;
-      continue;
-    }
-    if (c == '{' || c == '[') ++depth;
-    if (c == '}' || c == ']') --depth;
-    ++*pos;
-    if (depth == 0) return true;
-  }
-  return false;
-}
-
-/// A nested object that is exactly a dag-json link ({"/": "Qm..."}) yields
-/// the link string; anything else reports handled=false and is skipped.
-bool parse_json_link(std::string_view text, std::size_t* pos,
-                     std::string* out, bool* handled) {
-  const std::size_t start = *pos;
-  ++*pos;  // '{'
-  skip_ws(text, pos);
-  std::string key;
-  if (*pos < text.size() && text[*pos] == '"' &&
-      parse_json_string(text, pos, &key) && key == "/") {
-    skip_ws(text, pos);
-    if (*pos < text.size() && text[*pos] == ':') {
-      ++*pos;
-      skip_ws(text, pos);
-      if (*pos < text.size() && text[*pos] == '"' &&
-          parse_json_string(text, pos, out)) {
-        skip_ws(text, pos);
-        if (*pos < text.size() && text[*pos] == '}') {
-          ++*pos;
-          *handled = true;
-          return true;
-        }
-      }
-    }
-  }
-  *pos = start;
-  *handled = false;
-  return skip_json_compound(text, pos);
-}
 
 std::string lower(std::string_view text) {
   std::string out(text);
@@ -283,58 +148,6 @@ std::string_view capture_format_name(CaptureFormat format) {
   return "?";
 }
 
-bool scan_json_object(std::string_view line, std::vector<JsonField>* fields) {
-  fields->clear();
-  std::size_t pos = 0;
-  skip_ws(line, &pos);
-  if (pos >= line.size() || line[pos] != '{') return false;
-  ++pos;
-  skip_ws(line, &pos);
-  if (pos < line.size() && line[pos] == '}') {
-    ++pos;
-    skip_ws(line, &pos);
-    return pos == line.size();
-  }
-  while (true) {
-    skip_ws(line, &pos);
-    JsonField field;
-    if (!parse_json_string(line, &pos, &field.key)) return false;
-    skip_ws(line, &pos);
-    if (pos >= line.size() || line[pos] != ':') return false;
-    ++pos;
-    skip_ws(line, &pos);
-    if (pos >= line.size()) return false;
-    bool keep = true;
-    if (line[pos] == '"') {
-      if (!parse_json_string(line, &pos, &field.value)) return false;
-      field.is_string = true;
-    } else if (line[pos] == '{') {
-      bool handled = false;
-      if (!parse_json_link(line, &pos, &field.value, &handled)) return false;
-      field.is_string = true;
-      keep = handled;
-    } else if (line[pos] == '[') {
-      if (!skip_json_compound(line, &pos)) return false;
-      keep = false;
-    } else {
-      if (!parse_json_literal(line, &pos, &field.value)) return false;
-    }
-    if (keep) fields->push_back(std::move(field));
-    skip_ws(line, &pos);
-    if (pos >= line.size()) return false;
-    if (line[pos] == ',') {
-      ++pos;
-      continue;
-    }
-    if (line[pos] == '}') {
-      ++pos;
-      skip_ws(line, &pos);
-      return pos == line.size();
-    }
-    return false;
-  }
-}
-
 std::optional<bitswap::WantType> parse_want_type(std::string_view text,
                                                  bool cancel) {
   if (cancel) return bitswap::WantType::Cancel;
@@ -353,8 +166,8 @@ std::optional<bitswap::WantType> parse_want_type(std::string_view text,
 
 bool parse_ndjson_record(std::string_view line, CaptureRecord* out,
                          std::string* error) {
-  std::vector<JsonField> fields;
-  if (!scan_json_object(line, &fields)) {
+  std::vector<util::json::Field> fields;
+  if (!util::json::scan_object(line, &fields)) {
     *error = "malformed json";
     return false;
   }
@@ -417,24 +230,16 @@ bool CsvLayout::parse(std::string_view line, CaptureRecord* out,
 }
 
 std::string format_ndjson_record(const CaptureRecord& record) {
-  std::string out = "{\"timestamp\":\"";
-  out += util::format_wall_time(record.wall_ns);
-  out += "\",\"peer\":\"";
-  out += record.peer.to_base58();
-  out += "\",\"address\":\"";
-  out += record.address.to_string();
-  out += "\",\"type\":\"";
-  out += bitswap::want_type_name(record.type);
-  out += "\",\"cid\":\"";
-  out += record.cid.to_string();
-  out += '"';
-  if (!record.vantage.empty()) {
-    // The vantage label is the one free-text field a capture carries.
-    out += ",\"monitor\":\"";
-    util::append_json_escaped(out, record.vantage);
-    out += '"';
-  }
-  out += '}';
+  std::string out;
+  util::json::Writer json(out);
+  json.begin_object()
+      .key("timestamp").string(util::format_wall_time(record.wall_ns))
+      .key("peer").string(record.peer.to_base58())
+      .key("address").string(record.address.to_string())
+      .key("type").string(bitswap::want_type_name(record.type))
+      .key("cid").string(record.cid.to_string());
+  if (!record.vantage.empty()) json.key("monitor").string(record.vantage);
+  json.end_object();
   return out;
 }
 

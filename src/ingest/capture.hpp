@@ -4,7 +4,8 @@
 // the only layer that knows wall-clock time and vantage names; everything
 // past ingest::ingest_capture speaks SimTime and MonitorId.
 //
-// NDJSON grammar (one flat object per line; see DESIGN.md Sec. 11):
+// NDJSON grammar (one strict-JSON object per line, read with
+// util::json::scan_object; see DESIGN.md Sec. 11):
 //   {"timestamp": <wall time>, "peer": "Qm...", "address": "/ip4/...",
 //    "type": "WANT_HAVE" | "want_block" | ..., "cid": "Qm...|b...",
 //    "monitor": "<vantage>"}
@@ -48,20 +49,6 @@ struct CaptureRecord {
   cid::Cid cid;
   std::string vantage;   // empty when the capture omits it
 };
-
-/// A scalar field pulled out of a flat JSON object.
-struct JsonField {
-  std::string key;
-  std::string value;     // unescaped for strings, raw text otherwise
-  bool is_string = false;
-};
-
-/// Minimal dependency-free scan of one flat JSON object. String values are
-/// unescaped; numbers/booleans/null are kept as raw text; a nested object
-/// holding only a dag-json link ({"/": "..."}) yields that link string;
-/// any other nested object/array value is skipped balanced (the key is not
-/// reported). Returns false on malformed JSON.
-bool scan_json_object(std::string_view line, std::vector<JsonField>* fields);
 
 /// Parses a Bitswap want type from any accepted spelling: the CSV names
 /// ("WANT_HAVE"), lowercase/dashed variants ("want-have"), short forms

@@ -1,22 +1,20 @@
 #include "obs/exporters.hpp"
 
-#include <cstdio>
+#include <cmath>
 #include <unordered_set>
 
-#include "util/strings.hpp"
+#include "util/json.hpp"
 
 namespace ipfsmon::obs {
 
 namespace {
 
-// Trailing-zero-trimmed value formatting: counters print as integers,
-// gauges keep up to 6 significant decimals.
+// Prometheus sample values: util::json::format_number for finite values,
+// the exposition format's own spellings otherwise.
 std::string format_value(double v) {
-  if (v == static_cast<double>(static_cast<long long>(v)) &&
-      v < 1e15 && v > -1e15) {
-    return util::format("%lld", static_cast<long long>(v));
-  }
-  return util::format("%.6g", v);
+  if (std::isnan(v)) return "NaN";
+  if (std::isinf(v)) return v > 0 ? "+Inf" : "-Inf";
+  return util::json::format_number(v);
 }
 
 std::string_view kind_name(InstrumentKind kind) {
@@ -95,29 +93,27 @@ std::string to_prometheus(const MetricsRegistry& registry) {
 
 std::string to_jsonl_line(const MetricsRegistry& registry,
                           const Collector::Sample& sample) {
-  std::string out = "{\"t_seconds\":" + format_value(util::to_seconds(sample.time));
+  std::string out;
+  util::json::Writer json(out);
+  json.begin_object().key("t_seconds").number(util::to_seconds(sample.time));
   const auto& infos = registry.instruments();
   for (std::size_t i = 0; i < sample.values.size() && i < infos.size(); ++i) {
-    out += ",\"";
-    // Label values carry double quotes (`{monitor="0"}`).
-    util::append_json_escaped(out, infos[i].full_name());
-    if (infos[i].kind == InstrumentKind::kHistogram) out += "_count";
-    out += "\":";
-    out += format_value(sample.values[i]);
+    // Label values carry double quotes (`{monitor="0"}`); key() escapes them.
+    std::string name = infos[i].full_name();
+    if (infos[i].kind == InstrumentKind::kHistogram) name += "_count";
+    json.key(name).number(sample.values[i]);
   }
-  out += "}";
+  json.end_object();
   return out;
 }
 
 bool write_jsonl(const Collector& collector, const std::string& path,
                  bool append_final_snapshot) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
   const MetricsRegistry& registry = collector.registry();
+  std::string text;
   for (const auto& sample : collector.samples()) {
-    const std::string line = to_jsonl_line(registry, sample);
-    std::fwrite(line.data(), 1, line.size(), f);
-    std::fputc('\n', f);
+    text += to_jsonl_line(registry, sample);
+    text += '\n';
   }
   if (append_final_snapshot) {
     // Skip the extra snapshot when a ring sample already covers "now" —
@@ -125,13 +121,11 @@ bool write_jsonl(const Collector& collector, const std::string& path,
     const Collector::Sample final_sample = collector.make_sample();
     if (collector.samples().empty() ||
         collector.samples().back().time < final_sample.time) {
-      const std::string line = to_jsonl_line(registry, final_sample);
-      std::fwrite(line.data(), 1, line.size(), f);
-      std::fputc('\n', f);
+      text += to_jsonl_line(registry, final_sample);
+      text += '\n';
     }
   }
-  std::fclose(f);
-  return true;
+  return util::json::write_file(path, text);
 }
 
 }  // namespace ipfsmon::obs

@@ -25,7 +25,7 @@ std::string to_jsonl_line(const MetricsRegistry& registry,
 /// Writes every ring sample as one JSONL line, plus (by default) a final
 /// snapshot of current values — so short runs that never crossed a
 /// collection interval still produce a sidecar. Returns false when the file
-/// cannot be opened.
+/// cannot be written in full.
 bool write_jsonl(const Collector& collector, const std::string& path,
                  bool append_final_snapshot = true);
 

@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
 #include <map>
-#include <sstream>
 #include <unordered_map>
 
-#include "util/strings.hpp"
+#include "util/json.hpp"
 
 namespace ipfsmon::obs {
 
@@ -27,33 +25,20 @@ double duration_micros(const SpanRecord& r, bool use_sim_time) {
   return d < 0 ? 0 : d;
 }
 
-void append_summary_json(std::string& out, const TraceSummary& s) {
-  out += "{\"trace\":\"";
-  out += span_id_hex(s.trace_id);
-  out += "\",\"root\":\"";
-  util::append_json_escaped(out, s.root_name);
-  out += "\",\"spans\":" + std::to_string(s.span_count);
-  out += ",\"start_sim_ns\":" + std::to_string(s.start_sim);
-  out += ",\"sim_duration_ns\":" + std::to_string(s.sim_duration);
-  out += ",\"start_us\":" + std::to_string(s.start_us);
-  out += ",\"wall_us\":" + std::to_string(s.wall_us);
-  out += "}";
+void write_summary(util::json::Writer& json, const TraceSummary& s) {
+  json.begin_object()
+      .key("trace").string(span_id_hex(s.trace_id))
+      .key("root").string(s.root_name)
+      .key("spans").u64(s.span_count)
+      .key("start_sim_ns").i64(s.start_sim)
+      .key("sim_duration_ns").i64(s.sim_duration)
+      .key("start_us").i64(s.start_us)
+      .key("wall_us").i64(s.wall_us)
+      .end_object();
 }
 
-bool write_text_file(const std::string& path, const std::string& body,
-                     std::string* error) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    if (error) *error = "cannot open " + path + " for writing";
-    return false;
-  }
-  out.write(body.data(), static_cast<std::streamsize>(body.size()));
-  out.flush();
-  if (!out) {
-    if (error) *error = "short write to " + path;
-    return false;
-  }
-  return true;
+void write_attrs(util::json::Writer& json, const SpanAttrs& attrs) {
+  for (const auto& [key, value] : attrs) json.key(key).string(value);
 }
 
 }  // namespace
@@ -136,11 +121,14 @@ std::string to_perfetto_json(const std::vector<SpanRecord>& spans,
 
   std::string out;
   out.reserve(spans.size() * 160 + 256);
-  out += "{\"displayTimeUnit\":\"ms\",\"otherData\":{\"generator\":"
-         "\"ipfsmon\",\"timebase\":\"";
-  out += use_sim_time ? "sim" : "wall";
-  out += "\"},\"traceEvents\":[";
-  bool first = true;
+  util::json::Writer json(out);
+  json.begin_object()
+      .key("displayTimeUnit").string("ms")
+      .key("otherData").begin_object()
+      .key("generator").string("ipfsmon")
+      .key("timebase").string(use_sim_time ? "sim" : "wall")
+      .end_object()
+      .key("traceEvents").begin_array();
   for (auto& [trace_id, records] : traces) {
     const std::uint32_t pid =
         static_cast<std::uint32_t>(trace_id & 0x7fffffffull) | 1u;
@@ -151,24 +139,21 @@ std::string to_perfetto_json(const std::vector<SpanRecord>& spans,
                 if (sa != sb) return sa < sb;
                 return a->seq < b->seq;
               });
-    std::string root_name;
+    std::string label = "trace " + span_id_hex(trace_id);
     for (const auto* r : records) {
       if (r->parent_id == 0) {
-        root_name = r->name;
+        if (!r->name.empty()) label += " " + r->name;
         break;
       }
     }
     // Process-name metadata row so Perfetto labels each trace readably.
-    if (!first) out += ",";
-    first = false;
-    out += "{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":" +
-           std::to_string(pid) + ",\"args\":{\"name\":\"trace ";
-    out += span_id_hex(trace_id);
-    if (!root_name.empty()) {
-      out += " ";
-      util::append_json_escaped(out, root_name);
-    }
-    out += "\"}}";
+    json.begin_object()
+        .key("ph").string("M")
+        .key("name").string("process_name")
+        .key("pid").u64(pid)
+        .key("args").begin_object()
+        .key("name").string(label).end_object()
+        .end_object();
 
     std::vector<double> lane_busy_until;
     for (const auto* r : records) {
@@ -181,31 +166,24 @@ std::string to_perfetto_json(const std::vector<SpanRecord>& spans,
       if (lane == lane_busy_until.size()) lane_busy_until.push_back(0);
       lane_busy_until[lane] = ts + dur;
 
-      char num[64];
-      out += ",{\"name\":\"";
-      util::append_json_escaped(out, r->name);
-      out += "\",\"cat\":\"ipfsmon\",\"ph\":\"X\",\"ts\":";
-      std::snprintf(num, sizeof(num), "%.3f", ts);
-      out += num;
-      out += ",\"dur\":";
-      std::snprintf(num, sizeof(num), "%.3f", dur);
-      out += num;
-      out += ",\"pid\":" + std::to_string(pid);
-      out += ",\"tid\":" + std::to_string(lane + 1);
-      out += ",\"args\":{\"trace\":\"" + span_id_hex(r->trace_id) + "\"";
-      out += ",\"span\":\"" + span_id_hex(r->span_id) + "\"";
-      out += ",\"parent\":\"" + span_id_hex(r->parent_id) + "\"";
-      for (const auto& [key, value] : r->attrs) {
-        out += ",\"";
-        util::append_json_escaped(out, key);
-        out += "\":\"";
-        util::append_json_escaped(out, value);
-        out += "\"";
-      }
-      out += "}}";
+      json.begin_object()
+          .key("name").string(r->name)
+          .key("cat").string("ipfsmon")
+          .key("ph").string("X")
+          .key("ts").fixed(ts, 3)
+          .key("dur").fixed(dur, 3)
+          .key("pid").u64(pid)
+          .key("tid").u64(lane + 1)
+          .key("args").begin_object()
+          .key("trace").string(span_id_hex(r->trace_id))
+          .key("span").string(span_id_hex(r->span_id))
+          .key("parent").string(span_id_hex(r->parent_id));
+      write_attrs(json, r->attrs);
+      json.end_object().end_object();
     }
   }
-  out += "]}\n";
+  json.end_array().end_object();
+  out += '\n';
   return out;
 }
 
@@ -213,27 +191,20 @@ std::string to_spans_jsonl(const std::vector<SpanRecord>& spans) {
   std::string out;
   out.reserve(spans.size() * 160);
   for (const auto& r : spans) {
-    out += "{\"trace\":\"" + span_id_hex(r.trace_id) + "\"";
-    out += ",\"span\":\"" + span_id_hex(r.span_id) + "\"";
-    out += ",\"parent\":\"" + span_id_hex(r.parent_id) + "\"";
-    out += ",\"name\":\"";
-    util::append_json_escaped(out, r.name);
-    out += "\",\"start_sim_ns\":" + std::to_string(r.start_sim);
-    out += ",\"end_sim_ns\":" + std::to_string(r.end_sim);
-    out += ",\"start_us\":" + std::to_string(r.start_us);
-    out += ",\"end_us\":" + std::to_string(r.end_us);
-    out += ",\"attrs\":{";
-    bool first = true;
-    for (const auto& [key, value] : r.attrs) {
-      if (!first) out += ",";
-      first = false;
-      out += "\"";
-      util::append_json_escaped(out, key);
-      out += "\":\"";
-      util::append_json_escaped(out, value);
-      out += "\"";
-    }
-    out += "}}\n";
+    util::json::Writer json(out);
+    json.begin_object()
+        .key("trace").string(span_id_hex(r.trace_id))
+        .key("span").string(span_id_hex(r.span_id))
+        .key("parent").string(span_id_hex(r.parent_id))
+        .key("name").string(r.name)
+        .key("start_sim_ns").i64(r.start_sim)
+        .key("end_sim_ns").i64(r.end_sim)
+        .key("start_us").i64(r.start_us)
+        .key("end_us").i64(r.end_us)
+        .key("attrs").begin_object();
+    write_attrs(json, r.attrs);
+    json.end_object().end_object();
+    out += '\n';
   }
   return out;
 }
@@ -241,13 +212,13 @@ std::string to_spans_jsonl(const std::vector<SpanRecord>& spans) {
 bool write_perfetto_json(const std::string& path,
                          const std::vector<SpanRecord>& spans,
                          bool use_sim_time, std::string* error) {
-  return write_text_file(path, to_perfetto_json(spans, use_sim_time), error);
+  return util::json::write_file(path, to_perfetto_json(spans, use_sim_time), error);
 }
 
 bool write_spans_jsonl(const std::string& path,
                        const std::vector<SpanRecord>& spans,
                        std::string* error) {
-  return write_text_file(path, to_spans_jsonl(spans), error);
+  return util::json::write_file(path, to_spans_jsonl(spans), error);
 }
 
 std::string to_debug_json(const Tracer& tracer, std::size_t k) {
@@ -255,31 +226,25 @@ std::string to_debug_json(const Tracer& tracer, std::size_t k) {
   const bool use_sim = has_sim_times(spans);
   const auto summaries = summarize_traces(spans, use_sim);
 
-  std::string out = "{\"enabled\":";
-  out += tracer.enabled() ? "true" : "false";
-  out += ",\"sample_every\":" + std::to_string(tracer.config().sample_every);
-  out += ",\"timebase\":\"";
-  out += use_sim ? "sim" : "wall";
-  out += "\",\"traces_started\":" + std::to_string(tracer.traces_started());
-  out += ",\"spans_recorded\":" + std::to_string(tracer.spans_recorded());
-  out += ",\"spans_dropped\":" + std::to_string(tracer.spans_dropped());
-  out += ",\"spans_buffered\":" + std::to_string(spans.size());
-  out += ",\"traces_buffered\":" + std::to_string(summaries.size());
-  out += ",\"recent\":[";
-  bool first = true;
-  for (const auto& s : recent_traces(summaries, k)) {
-    if (!first) out += ",";
-    first = false;
-    append_summary_json(out, s);
-  }
-  out += "],\"slowest\":[";
-  first = true;
+  std::string out;
+  util::json::Writer json(out);
+  json.begin_object()
+      .key("enabled").boolean(tracer.enabled())
+      .key("sample_every").u64(tracer.config().sample_every)
+      .key("timebase").string(use_sim ? "sim" : "wall")
+      .key("traces_started").u64(tracer.traces_started())
+      .key("spans_recorded").u64(tracer.spans_recorded())
+      .key("spans_dropped").u64(tracer.spans_dropped())
+      .key("spans_buffered").u64(spans.size())
+      .key("traces_buffered").u64(summaries.size())
+      .key("recent").begin_array();
+  for (const auto& s : recent_traces(summaries, k)) write_summary(json, s);
+  json.end_array().key("slowest").begin_array();
   for (const auto& s : slowest_traces(summaries, k, use_sim)) {
-    if (!first) out += ",";
-    first = false;
-    append_summary_json(out, s);
+    write_summary(json, s);
   }
-  out += "]}\n";
+  json.end_array().end_object();
+  out += '\n';
   return out;
 }
 

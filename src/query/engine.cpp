@@ -8,6 +8,7 @@
 #include "obs/exporters.hpp"
 #include "obs/span_export.hpp"
 #include "tracestore/bloom.hpp"
+#include "util/json.hpp"
 #include "util/strings.hpp"
 
 namespace ipfsmon::query {
@@ -69,36 +70,36 @@ bool read_time_param(const HttpRequest& request, const char* name,
 
 /// Wall-clock fields for stores ingested from real captures (STOREMETA
 /// present): the epoch anchoring SimTime 0 plus the queried range rendered
-/// as ISO 8601. Empty for simulated stores, so their JSON is unchanged.
-std::string render_wall_fields(const tracestore::TraceStore& store,
-                               util::SimTime min_t, util::SimTime max_t) {
-  if (!store.meta()) return {};
+/// as ISO 8601. None for simulated stores, so their JSON is unchanged.
+void write_wall_fields(util::json::Writer& json,
+                       const tracestore::TraceStore& store,
+                       util::SimTime min_t, util::SimTime max_t) {
+  if (!store.meta()) return;
   const util::WallNanos epoch = store.meta()->wall_epoch_ns;
-  return util::format(
-      ",\"wall_epoch_ns\":%lld,\"wall_min\":\"%s\",\"wall_max\":\"%s\"",
-      static_cast<long long>(epoch),
-      util::format_wall_time(epoch + min_t).c_str(),
-      util::format_wall_time(epoch + max_t).c_str());
+  json.key("wall_epoch_ns").i64(epoch)
+      .key("wall_min").string(util::format_wall_time(epoch + min_t))
+      .key("wall_max").string(util::format_wall_time(epoch + max_t));
 }
 
 std::string render_stats_json(const tracestore::TraceStore& store,
                               const RangeStats& stats, util::SimTime min_t,
                               util::SimTime max_t) {
-  return util::format(
-      "{\"min_time\":%lld,\"max_time\":%lld,\"total\":%llu,"
-      "\"requests\":%llu,\"want_have\":%llu,\"want_block\":%llu,"
-      "\"cancels\":%llu,\"duplicates\":%llu,\"rebroadcasts\":%llu,"
-      "\"clean\":%llu%s}",
-      static_cast<long long>(min_t), static_cast<long long>(max_t),
-      static_cast<unsigned long long>(stats.total),
-      static_cast<unsigned long long>(stats.want_have + stats.want_block),
-      static_cast<unsigned long long>(stats.want_have),
-      static_cast<unsigned long long>(stats.want_block),
-      static_cast<unsigned long long>(stats.cancels),
-      static_cast<unsigned long long>(stats.duplicates),
-      static_cast<unsigned long long>(stats.rebroadcasts),
-      static_cast<unsigned long long>(stats.clean),
-      render_wall_fields(store, min_t, max_t).c_str());
+  std::string out;
+  util::json::Writer json(out);
+  json.begin_object()
+      .key("min_time").i64(min_t)
+      .key("max_time").i64(max_t)
+      .key("total").u64(stats.total)
+      .key("requests").u64(stats.want_have + stats.want_block)
+      .key("want_have").u64(stats.want_have)
+      .key("want_block").u64(stats.want_block)
+      .key("cancels").u64(stats.cancels)
+      .key("duplicates").u64(stats.duplicates)
+      .key("rebroadcasts").u64(stats.rebroadcasts)
+      .key("clean").u64(stats.clean);
+  write_wall_fields(json, store, min_t, max_t);
+  json.end_object();
+  return out;
 }
 
 std::string_view json_want_type(bitswap::WantType type) {
@@ -455,20 +456,20 @@ HttpResponse QueryService::route(const HttpRequest& request) {
 }
 
 HttpResponse QueryService::handle_healthz() {
-  std::string ingested;
-  if (store_->meta()) {
-    ingested = util::format(
-        ",\"wall_epoch\":\"%s\",\"capture\":\"%s\"",
-        util::format_wall_time(store_->meta()->wall_epoch_ns).c_str(),
-        util::json_escaped(store_->meta()->source).c_str());
-  }
   HttpResponse response;
-  response.body = util::format(
-      "{\"status\":\"ok\",\"segments\":%zu,\"entries\":%llu,"
-      "\"rollups\":%zu,\"warnings\":%zu%s}",
-      store_->segments().size(),
-      static_cast<unsigned long long>(store_->total_entries()),
-      rollups_loaded_locked(), store_->warnings().size(), ingested.c_str());
+  util::json::Writer json(response.body);
+  json.begin_object()
+      .key("status").string("ok")
+      .key("segments").u64(store_->segments().size())
+      .key("entries").u64(store_->total_entries())
+      .key("rollups").u64(rollups_loaded_locked())
+      .key("warnings").u64(store_->warnings().size());
+  if (store_->meta()) {
+    json.key("wall_epoch")
+        .string(util::format_wall_time(store_->meta()->wall_epoch_ns))
+        .key("capture").string(store_->meta()->source);
+  }
+  json.end_object();
   return response;
 }
 
@@ -622,30 +623,30 @@ HttpResponse QueryService::handle_popularity(const HttpRequest& request) {
     });
     const analysis::PopularityScores scores = accumulator.scores();
 
-    auto render_top =
-        [](const std::vector<std::pair<cid::Cid, std::uint64_t>>& top) {
-          std::string out = "[";
-          for (std::size_t i = 0; i < top.size(); ++i) {
-            if (i != 0) out += ',';
-            out += util::format(
-                "{\"cid\":\"%s\",\"count\":%llu}",
-                top[i].first.to_string().c_str(),
-                static_cast<unsigned long long>(top[i].second));
+    std::string body;
+    util::json::Writer json(body);
+    json.begin_object()
+        .key("min_time").i64(min_t)
+        .key("max_time").i64(max_t)
+        .key("clean_only").boolean(clean_only)
+        .key("cids").u64(scores.rrp.size())
+        .key("single_requester_share")
+        .fixed(scores.single_requester_share(), 6);
+    const auto write_top =
+        [&json](std::string_view name,
+                const std::vector<std::pair<cid::Cid, std::uint64_t>>& top) {
+          json.key(name).begin_array();
+          for (const auto& [cid, count] : top) {
+            json.begin_object()
+                .key("cid").string(cid.to_string())
+                .key("count").u64(count)
+                .end_object();
           }
-          out += ']';
-          return out;
+          json.end_array();
         };
-    std::string body = util::format(
-        "{\"min_time\":%lld,\"max_time\":%lld,\"clean_only\":%s,"
-        "\"cids\":%zu,\"single_requester_share\":%.6f,",
-        static_cast<long long>(min_t), static_cast<long long>(max_t),
-        clean_only ? "true" : "false", scores.rrp.size(),
-        scores.single_requester_share());
-    body += "\"top_rrp\":" +
-            render_top(scores.top_rrp(static_cast<std::size_t>(k)));
-    body += ",\"top_urp\":" +
-            render_top(scores.top_urp(static_cast<std::size_t>(k)));
-    body += '}';
+    write_top("top_rrp", scores.top_rrp(static_cast<std::size_t>(k)));
+    write_top("top_urp", scores.top_urp(static_cast<std::size_t>(k)));
+    json.end_object();
     return CachedResponse{std::move(body), "application/json", "scan"};
   });
 }
@@ -674,125 +675,113 @@ HttpResponse QueryService::handle_peer_wants(const HttpRequest& request,
     scan_query.max_time = max_t;
     scan_query.peers = {*peer};
     std::uint64_t total = 0;
-    std::string wants = "[";
+    std::vector<trace::TraceEntry> wants;
     run_scan(scan_query, [&](const trace::TraceEntry& entry) {
-                     if (total++ >= limit) return;
-                     if (wants.size() > 1) wants += ',';
-                     wants += util::format(
-                         "{\"t\":%lld,\"type\":\"%s\",\"cid\":\"%s\","
-                         "\"flags\":%u}",
-                         static_cast<long long>(entry.timestamp),
-                         std::string(json_want_type(entry.type)).c_str(),
-                         entry.cid.to_string().c_str(), entry.flags);
-                   });
-    wants += ']';
-    std::string body = util::format(
-        "{\"peer\":\"%s\",\"total\":%llu,\"returned\":%llu,\"wants\":",
-        peer->to_base58().c_str(), static_cast<unsigned long long>(total),
-        static_cast<unsigned long long>(std::min<std::uint64_t>(total, limit)));
-    body += wants;
-    body += '}';
+      if (total++ < limit) wants.push_back(entry);
+    });
+    std::string body;
+    util::json::Writer json(body);
+    json.begin_object()
+        .key("peer").string(peer->to_base58())
+        .key("total").u64(total)
+        .key("returned").u64(wants.size())
+        .key("wants").begin_array();
+    for (const auto& entry : wants) {
+      json.begin_object()
+          .key("t").i64(entry.timestamp)
+          .key("type").string(json_want_type(entry.type))
+          .key("cid").string(entry.cid.to_string())
+          .key("flags").u64(entry.flags)
+          .end_object();
+    }
+    json.end_array().end_object();
     return CachedResponse{std::move(body), "application/json", "scan"};
   });
 }
 
 HttpResponse QueryService::handle_segments() {
-  std::string body = util::format(
-      "{\"dir\":\"%s\",\"fingerprint\":\"%016llx\",\"segments\":[",
-      util::json_escaped(dir_).c_str(),
-      static_cast<unsigned long long>(fingerprint_));
+  HttpResponse response;
+  util::json::Writer json(response.body);
+  json.begin_object()
+      .key("dir").string(dir_)
+      .key("fingerprint").string(util::format(
+          "%016llx", static_cast<unsigned long long>(fingerprint_)))
+      .key("segments").begin_array();
   for (std::size_t i = 0; i < store_->segments().size(); ++i) {
     const auto& segment = store_->segments()[i];
-    if (i != 0) body += ',';
-    body += util::format(
-        "{\"file\":\"%s\",\"entries\":%llu,\"min_time\":%lld,"
-        "\"max_time\":%lld,\"bytes\":%llu,\"rollup\":%s",
-        util::json_escaped(segment.file).c_str(),
-        static_cast<unsigned long long>(segment.footer.entry_count),
-        static_cast<long long>(segment.footer.min_time),
-        static_cast<long long>(segment.footer.max_time),
-        static_cast<unsigned long long>(segment.file_bytes),
-        rollups_[i] ? "true" : "false");
+    json.begin_object()
+        .key("file").string(segment.file)
+        .key("entries").u64(segment.footer.entry_count)
+        .key("min_time").i64(segment.footer.min_time)
+        .key("max_time").i64(segment.footer.max_time)
+        .key("bytes").u64(segment.file_bytes)
+        .key("rollup").boolean(rollups_[i].has_value());
     if (rollups_[i]) {
-      body += util::format(
-          ",\"distinct_peers\":%llu,\"distinct_cids\":%llu,\"buckets\":%zu",
-          static_cast<unsigned long long>(rollups_[i]->distinct_peers),
-          static_cast<unsigned long long>(rollups_[i]->distinct_cids),
-          rollups_[i]->buckets.size());
+      json.key("distinct_peers").u64(rollups_[i]->distinct_peers)
+          .key("distinct_cids").u64(rollups_[i]->distinct_cids)
+          .key("buckets").u64(rollups_[i]->buckets.size());
     }
-    body += '}';
+    json.end_object();
   }
-  body += ']';
+  json.end_array();
   if (federation_ != nullptr) {
     // Provenance: the served (unified) segments above are merged data;
     // the sources array ties them back to the vantage-point segments that
     // were shipped in, with monitor id + vantage per row.
-    body += ",\"federated\":true,\"sources\":[";
-    const auto sources = federation_->segment_sources();
-    for (std::size_t i = 0; i < sources.size(); ++i) {
-      const auto& source = sources[i];
-      if (i != 0) body += ',';
-      body += util::format(
-          "{\"monitor\":%u,\"vantage\":\"%s\",\"file\":\"%s\","
-          "\"entries\":%llu,\"min_time\":%lld,\"max_time\":%lld,"
-          "\"checksum\":\"%016llx\"}",
-          source.monitor_id, util::json_escaped(source.vantage).c_str(),
-          util::json_escaped(source.file).c_str(),
-          static_cast<unsigned long long>(source.entries),
-          static_cast<long long>(source.min_time),
-          static_cast<long long>(source.max_time),
-          static_cast<unsigned long long>(source.checksum));
+    json.key("federated").boolean(true).key("sources").begin_array();
+    for (const auto& source : federation_->segment_sources()) {
+      json.begin_object()
+          .key("monitor").u64(source.monitor_id)
+          .key("vantage").string(source.vantage)
+          .key("file").string(source.file)
+          .key("entries").u64(source.entries)
+          .key("min_time").i64(source.min_time)
+          .key("max_time").i64(source.max_time)
+          .key("checksum").string(util::format(
+              "%016llx", static_cast<unsigned long long>(source.checksum)))
+          .end_object();
     }
-    body += ']';
+    json.end_array();
   }
-  body += '}';
-  HttpResponse response;
-  response.body = std::move(body);
+  json.end_object();
   return response;
 }
 
 HttpResponse QueryService::handle_monitors() {
   // Deliberately uncached: the ship/ack watermarks move with every landed
   // segment, independent of the served store's fingerprint.
+  if (federation_ == nullptr &&
+      (!store_->meta() || store_->meta()->monitors.empty())) {
+    return error_response(404, "not serving a federated store");
+  }
+  HttpResponse response;
+  util::json::Writer json(response.body);
+  json.begin_object().key("monitors").begin_array();
   if (federation_ == nullptr) {
     // Not federated — but an ingested store still knows its vantage
     // points (STOREMETA), so serve the static mapping.
-    if (store_->meta() && !store_->meta()->monitors.empty()) {
-      std::string body = "{\"monitors\":[";
-      const auto& monitors = store_->meta()->monitors;
-      for (std::size_t i = 0; i < monitors.size(); ++i) {
-        if (i != 0) body += ',';
-        body += util::format("{\"id\":%u,\"vantage\":\"%s\"}",
-                             monitors[i].second,
-                             util::json_escaped(monitors[i].first).c_str());
-      }
-      body += util::format("],\"capture\":\"%s\"}",
-                           util::json_escaped(store_->meta()->source).c_str());
-      HttpResponse response;
-      response.body = std::move(body);
-      return response;
+    for (const auto& [vantage, id] : store_->meta()->monitors) {
+      json.begin_object()
+          .key("id").u64(id)
+          .key("vantage").string(vantage)
+          .end_object();
     }
-    return error_response(404, "not serving a federated store");
+    json.end_array().key("capture").string(store_->meta()->source);
+  } else {
+    for (const auto& monitor : federation_->monitors()) {
+      json.begin_object()
+          .key("id").u64(monitor.id)
+          .key("vantage").string(monitor.vantage)
+          .key("segments").u64(monitor.segments)
+          .key("entries").u64(monitor.entries)
+          .key("bytes").u64(monitor.bytes)
+          .key("last_ship_wall_us").i64(monitor.last_ship_wall_us)
+          .key("last_lag_us").i64(monitor.last_lag_us)
+          .end_object();
+    }
+    json.end_array();
   }
-  std::string body = "{\"monitors\":[";
-  const auto monitors = federation_->monitors();
-  for (std::size_t i = 0; i < monitors.size(); ++i) {
-    const auto& monitor = monitors[i];
-    if (i != 0) body += ',';
-    body += util::format(
-        "{\"id\":%u,\"vantage\":\"%s\",\"segments\":%llu,"
-        "\"entries\":%llu,\"bytes\":%llu,\"last_ship_wall_us\":%lld,"
-        "\"last_lag_us\":%lld}",
-        monitor.id, util::json_escaped(monitor.vantage).c_str(),
-        static_cast<unsigned long long>(monitor.segments),
-        static_cast<unsigned long long>(monitor.entries),
-        static_cast<unsigned long long>(monitor.bytes),
-        static_cast<long long>(monitor.last_ship_wall_us),
-        static_cast<long long>(monitor.last_lag_us));
-  }
-  body += "]}";
-  HttpResponse response;
-  response.body = std::move(body);
+  json.end_object();
   return response;
 }
 

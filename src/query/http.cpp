@@ -4,6 +4,7 @@
 #include <cctype>
 #include <cstdlib>
 
+#include "util/json.hpp"
 #include "util/strings.hpp"
 
 namespace ipfsmon::query {
@@ -254,7 +255,10 @@ std::string serialize_response(const HttpResponse& response, bool keep_alive) {
 HttpResponse error_response(int status, std::string_view message) {
   HttpResponse response;
   response.status = status;
-  response.body = "{\"error\":\"" + std::string(message) + "\"}";
+  util::json::Writer(response.body)
+      .begin_object()
+      .key("error").string(message)
+      .end_object();
   return response;
 }
 

@@ -57,44 +57,6 @@ std::string pad_left(std::string_view s, std::size_t width) {
   return out;
 }
 
-void append_json_escaped(std::string& out, std::string_view s) {
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-
-std::string json_escaped(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  append_json_escaped(out, s);
-  return out;
-}
-
 std::string format_sim_time(SimTime t) {
   const std::int64_t total_s = t / kSecond;
   const std::int64_t days = total_s / 86400;

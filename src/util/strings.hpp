@@ -1,5 +1,4 @@
-// Small string helpers: splitting, formatting, table padding and JSON
-// string escaping.
+// Small string helpers: splitting, formatting and table padding.
 #pragma once
 
 #include <string>
@@ -22,13 +21,5 @@ std::string pad_right(std::string_view s, std::size_t width);
 
 /// Left-pads a string to a fixed width.
 std::string pad_left(std::string_view s, std::size_t width);
-
-/// Appends `s` escaped for use inside a JSON string literal: quotes,
-/// backslashes and every control character. Every emitter that puts
-/// untrusted text (capture labels, paths, metric labels) into JSON uses it.
-void append_json_escaped(std::string& out, std::string_view s);
-
-/// append_json_escaped() into a fresh string, for format("%s") callers.
-std::string json_escaped(std::string_view s);
 
 }  // namespace ipfsmon::util

@@ -183,36 +183,6 @@ TEST(WallTime, FormatRoundTripsThroughParse) {
   }
 }
 
-// --- JSON scanner -----------------------------------------------------------
-
-TEST(JsonScan, ExtractsScalarsLinksAndSkipsCompounds) {
-  std::vector<ingest::JsonField> fields;
-  ASSERT_TRUE(ingest::scan_json_object(
-      R"({"a": "x\n\"y\"", "n": -3.5, "b": true, "cid": {"/": "Qm1"},)"
-      R"( "skip": {"deep": [1, {"x": "}"}]}, "arr": [1, 2], "z": null})",
-      &fields));
-  ASSERT_EQ(fields.size(), 5u);  // "skip" and "arr" are dropped
-  EXPECT_EQ(fields[0].key, "a");
-  EXPECT_EQ(fields[0].value, "x\n\"y\"");
-  EXPECT_TRUE(fields[0].is_string);
-  EXPECT_EQ(fields[1].value, "-3.5");
-  EXPECT_FALSE(fields[1].is_string);
-  EXPECT_EQ(fields[2].value, "true");
-  EXPECT_EQ(fields[3].key, "cid");
-  EXPECT_EQ(fields[3].value, "Qm1");  // dag-json link unwrapped
-  EXPECT_EQ(fields[4].value, "null");
-}
-
-TEST(JsonScan, RejectsMalformedObjects) {
-  std::vector<ingest::JsonField> fields;
-  for (const char* bad :
-       {"", "nope", "{", R"({"a")", R"({"a": })", R"({"a": "x)",
-        R"({"a": "x"} trailing)", R"({"a": "\q"})", R"({'a': 1})",
-        R"({"a": {"b": 1)"}) {
-    EXPECT_FALSE(ingest::scan_json_object(bad, &fields)) << bad;
-  }
-}
-
 // --- Record parsers ---------------------------------------------------------
 
 TEST(NdjsonRecord, ParsesCanonicalAndAliasedFields) {
@@ -258,6 +228,23 @@ TEST(NdjsonRecord, ParsesCanonicalAndAliasedFields) {
 TEST(NdjsonRecord, TableOfMalformedLines) {
   const std::string peer = test_peer(1).to_base58();
   const std::string cid = test_cid(1).to_string();
+  // The first line of tests/data/capture_small.ndjson, and the same line
+  // with its peer id unquoted.
+  const std::string fixture_line =
+      R"({"timestamp":"2022-04-15T05:20:00.001912702Z",)"
+      R"("peer":"Qmb8MwXWwQU1Xbf62kQzZUUsTZV7yiD36RAY2H4ajk5o6P",)"
+      R"("address":"/ip4/10.0.2.191/tcp/4001","type":"CANCEL",)"
+      R"("cid":"bafkreicviyi6am54dyfxqfkx7eiffrj3f4gjij26jcoprfhdbrfpf6jpri",)"
+      R"("monitor":"de"})";
+  std::string unquoted_peer = fixture_line;
+  unquoted_peer.erase(unquoted_peer.find("Qmb8") - 1, 1);
+  unquoted_peer.erase(unquoted_peer.find("\",\"address"), 1);
+  {
+    ingest::CaptureRecord record;
+    std::string error;
+    ASSERT_TRUE(ingest::parse_ndjson_record(fixture_line, &record, &error))
+        << error;
+  }
   const struct {
     std::string line;
     const char* why;
@@ -293,14 +280,28 @@ TEST(NdjsonRecord, TableOfMalformedLines) {
       {"{\"ts\":1,\"peer\":\"" + peer + "\",\"type\":\"WANT_HAVE\","
        "\"cid\":\"" + cid + "\"",  // truncated line
        "malformed json"},
+      // Strict JSON: an unquoted peer id is not a bare token, a skipped
+      // value must close the bracket it opened, strings hold no raw
+      // control characters, and hostile nesting is rejected, not recursed.
+      {unquoted_peer, "malformed json"},
+      {fixture_line.substr(0, fixture_line.size() - 1) + ",\"extra\":[1,2}}",
+       "malformed json"},
+      {"{\"ts\":1,\"peer\":\"" + peer + "\",\"type\":\"WANT_HAVE\","
+       "\"cid\":\"" + cid + "\",\"cancel\":tru}",
+       "malformed json"},
+      {"{\"ts\":1,\"peer\":\"" + peer + "\",\"type\":\"WANT_HAVE\","
+       "\"cid\":\"" + cid + "\",\"monitor\":\"u\ts\"}",
+       "malformed json"},
+      {std::string(100000, '['), "malformed json"},
   };
   for (const auto& c : cases) {
     ingest::CaptureRecord record;
     std::string error;
+    const std::string shown = c.line.substr(0, 200);
     EXPECT_FALSE(ingest::parse_ndjson_record(c.line, &record, &error))
-        << c.line;
+        << shown;
     EXPECT_NE(error.find(c.why), std::string::npos)
-        << "line: " << c.line << "\n  error: " << error
+        << "line: " << shown << "\n  error: " << error
         << "\n  expected to mention: " << c.why;
   }
 }

@@ -5,6 +5,7 @@
 // monitor shows up as exactly one trace entry.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <stdexcept>
 
 #include "obs/collector.hpp"
@@ -12,6 +13,7 @@
 #include "obs/exporters.hpp"
 #include "obs/metrics.hpp"
 #include "test_helpers.hpp"
+#include "util/json.hpp"
 
 namespace ipfsmon::obs {
 namespace {
@@ -198,6 +200,9 @@ TEST(ExportersTest, PrometheusTextExposition) {
   h.observe(0.05);
   h.observe(0.5);
   h.observe(5.0);
+  reg.gauge("ipfsmon_test_nan").set(std::nan(""));
+  reg.gauge("ipfsmon_test_huge").set(1e300);
+  reg.gauge("ipfsmon_test_neg_inf").set(-INFINITY);
 
   const std::string text = to_prometheus(reg);
   EXPECT_NE(text.find("# TYPE ipfsmon_test_ops_total counter"),
@@ -214,6 +219,10 @@ TEST(ExportersTest, PrometheusTextExposition) {
             std::string::npos);
   EXPECT_NE(text.find("ipfsmon_test_latency_seconds_count 3"),
             std::string::npos);
+  // Non-finite and huge values use the exposition format's spellings.
+  EXPECT_NE(text.find("\nipfsmon_test_nan NaN\n"), std::string::npos);
+  EXPECT_NE(text.find("\nipfsmon_test_huge 1e+300\n"), std::string::npos);
+  EXPECT_NE(text.find("\nipfsmon_test_neg_inf -Inf\n"), std::string::npos);
 }
 
 TEST(ExportersTest, JsonlLineCarriesEveryInstrument) {
@@ -222,6 +231,8 @@ TEST(ExportersTest, JsonlLineCarriesEveryInstrument) {
   reg.counter("ipfsmon_test_ops_total").inc(2);
   reg.histogram("ipfsmon_test_latency_seconds", {1.0}).observe(0.5);
   reg.gauge("ipfsmon_test_conns", "", "country=\"US\"").set(4.0);
+  reg.gauge("ipfsmon_test_nan").set(std::nan(""));
+  reg.gauge("ipfsmon_test_huge").set(1e300);
   Collector collector(scheduler, reg, {});
   collector.collect_now();
 
@@ -235,6 +246,10 @@ TEST(ExportersTest, JsonlLineCarriesEveryInstrument) {
   EXPECT_NE(line.find("\"ipfsmon_test_conns{country=\\\"US\\\"}\":4"),
             std::string::npos);
   EXPECT_EQ(line.find("{country=\"US\"}\":"), std::string::npos);
+  // JSON has no NaN: it becomes null, and a huge value stays a number.
+  EXPECT_NE(line.find("\"ipfsmon_test_nan\":null"), std::string::npos);
+  EXPECT_NE(line.find("\"ipfsmon_test_huge\":1e+300"), std::string::npos);
+  EXPECT_TRUE(util::json::valid(line)) << line;
 }
 
 // --- EventHub ---------------------------------------------------------------

@@ -11,12 +11,17 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <thread>
 
 #include "analysis/popularity.hpp"
+#include "ingest/capture.hpp"
+#include "obs/collector.hpp"
+#include "obs/exporters.hpp"
+#include "obs/span_export.hpp"
 #include "query/cache.hpp"
 #include "query/client.hpp"
 #include "query/engine.hpp"
@@ -25,8 +30,12 @@
 #include "query/socket.hpp"
 #include "tracestore/rollup.hpp"
 #include "tracestore/store.hpp"
+#include "util/json.hpp"
 #include "util/rng.hpp"
 #include "util/strings.hpp"
+
+// TempDir and write_bench_artifact are header-only bench helpers.
+#include "../bench/bench_common.hpp"
 
 namespace ipfsmon::query {
 namespace {
@@ -801,6 +810,194 @@ TEST(Engine, ConcurrentMixedQueriesAreConsistent) {
   }
   for (auto& c : clients) c.join();
   EXPECT_EQ(failures.load(), 0);
+}
+
+// --- every JSON emitter -------------------------------------------------------
+
+/// Every byte class the writer must handle: a quote, a backslash, a
+/// control character and DEL.
+const std::string kHostile = "q\"b\\s\x01" "d\x7f";
+
+/// A federation source whose provenance strings carry kHostile.
+class HostileFederation : public FederationSource {
+ public:
+  std::vector<Monitor> monitors() override {
+    Monitor monitor;
+    monitor.id = 3;
+    monitor.vantage = kHostile;
+    monitor.segments = 2;
+    monitor.last_ship_wall_us = -1;
+    return {monitor};
+  }
+  std::vector<SegmentSource> segment_sources() override {
+    SegmentSource source;
+    source.monitor_id = 3;
+    source.vantage = kHostile;
+    source.file = "seg-" + kHostile;
+    source.min_time = -5;
+    source.checksum = 0xdeadbeef;
+    return {source};
+  }
+  std::string metrics_text() override { return {}; }
+};
+
+HttpRequest get_request(const std::string& path,
+                        std::map<std::string, std::string> params = {}) {
+  HttpRequest request;
+  request.method = "GET";
+  request.path = path;
+  request.params = std::move(params);
+  return request;
+}
+
+void expect_json(const std::string& what, const std::string& text) {
+  EXPECT_FALSE(text.empty()) << what;
+  EXPECT_TRUE(util::json::valid(text)) << what << ": " << text;
+}
+
+void expect_json_lines(const std::string& what, const std::string& text) {
+  EXPECT_FALSE(text.empty()) << what;
+  for (const auto& line : util::split(text, '\n')) {
+    if (!line.empty()) expect_json(what, line);
+  }
+}
+
+TEST(JsonOutput, EveryEmitterWritesWellFormedJson) {
+  // The store directory's own name is hostile: /v1/segments echoes it.
+  const std::string dir = fresh_dir("json_" + kHostile);
+  const trace::Trace t = make_trace(600, 17);
+  build_store(dir, t);
+  QueryOptions options;
+  options.tracing.enabled = true;
+  options.tracing.sample_every = 1;
+  auto service = QueryService::open(dir, options);
+  ASSERT_NE(service, nullptr);
+
+  const auto expect_endpoint = [](QueryService& svc, const HttpRequest& req,
+                                  int status) {
+    const HttpResponse response = svc.handle(req);
+    EXPECT_EQ(response.status, status) << req.path;
+    if (response.content_type == "application/x-ndjson") {
+      expect_json_lines(req.path, response.body);
+    } else {
+      expect_json(req.path, response.body);
+    }
+  };
+  const std::string peer = peer_n(1).to_base58();
+  expect_endpoint(*service, get_request("/healthz"), 200);
+  expect_endpoint(*service, get_request("/v1/stats"), 200);
+  expect_endpoint(*service, get_request("/v1/stats", {{"force", "scan"}}), 200);
+  expect_endpoint(*service, get_request("/v1/popularity", {{"k", "3"}}), 200);
+  expect_endpoint(*service, get_request("/v1/peers/" + peer + "/wants"), 200);
+  expect_endpoint(*service, get_request("/v1/segments"), 200);
+  expect_endpoint(*service, get_request("/v1/monitors"), 404);
+  // Error bodies, one with a hostile path that also lands in a span attr.
+  expect_endpoint(*service, get_request("/nope/" + kHostile), 404);
+  expect_endpoint(*service, get_request("/v1/stats", {{"min_t", "x"}}), 400);
+  HttpRequest post = get_request("/v1/stats");
+  post.method = "POST";
+  expect_endpoint(*service, post, 405);
+  expect_endpoint(*service, get_request("/debug/spans"), 200);
+  expect_endpoint(*service, get_request("/debug/spans", {{"format", "jsonl"}}),
+                  200);
+  expect_endpoint(*service,
+                  get_request("/debug/spans", {{"format", "perfetto"}}), 200);
+
+  HostileFederation federation;
+  service->attach_federation(&federation);
+  expect_endpoint(*service, get_request("/v1/segments"), 200);
+  expect_endpoint(*service, get_request("/v1/monitors"), 200);
+  service->attach_federation(nullptr);
+
+  // An ingested store: STOREMETA adds wall-clock fields and vantage names.
+  tracestore::StoreMeta meta;
+  meta.wall_epoch_ns = 1650000000ll * 1000000000ll;
+  meta.source = "capture-" + kHostile + ".ndjson";
+  meta.format = "ndjson";
+  meta.monitors = {{kHostile, 0}, {"us", 1}};
+  ASSERT_TRUE(tracestore::write_store_meta(dir, meta));
+  auto ingested = QueryService::open(dir);
+  ASSERT_NE(ingested, nullptr);
+  ASSERT_TRUE(ingested->store().meta().has_value());
+  expect_endpoint(*ingested, get_request("/healthz"), 200);
+  expect_endpoint(*ingested, get_request("/v1/stats"), 200);
+  expect_endpoint(*ingested, get_request("/v1/monitors"), 200);
+
+  // Span exporters on records carrying hostile names and attributes.
+  obs::SpanRecord root;
+  root.trace_id = 7;
+  root.span_id = 1;
+  root.name = "root " + kHostile;
+  root.start_sim = 1000;
+  root.end_sim = 5000;
+  root.attrs = {{"file", kHostile}, {kHostile, "v"}};
+  obs::SpanRecord child = root;
+  child.span_id = 2;
+  child.parent_id = 1;
+  child.seq = 1;
+  const std::vector<obs::SpanRecord> spans = {root, child};
+  expect_json("perfetto sim", obs::to_perfetto_json(spans, true));
+  expect_json("perfetto wall", obs::to_perfetto_json(spans, false));
+  expect_json_lines("spans jsonl", obs::to_spans_jsonl(spans));
+
+  // A metrics sidecar line, with a hostile label and a NaN gauge.
+  sim::Scheduler scheduler;
+  obs::MetricsRegistry registry;
+  registry.counter("ipfsmon_test_total", "", "vantage=\"" + kHostile + "\"")
+      .inc();
+  registry.gauge("ipfsmon_test_nan").set(std::nan(""));
+  registry.histogram("ipfsmon_test_seconds", {1.0}).observe(0.5);
+  obs::Collector collector(scheduler, registry);
+  collector.collect_now();
+  expect_json("metrics jsonl",
+              obs::to_jsonl_line(registry, collector.samples().front()));
+
+  // A capture line; the reader gives the hostile vantage back verbatim.
+  ingest::CaptureRecord record;
+  record.wall_ns = meta.wall_epoch_ns;
+  record.peer = peer_n(2);
+  record.cid = cid_n(2);
+  record.vantage = kHostile;
+  const std::string line = ingest::format_ndjson_record(record);
+  expect_json("ndjson record", line);
+  std::vector<util::json::Field> fields;
+  ASSERT_TRUE(util::json::scan_object(line, &fields));
+  EXPECT_EQ(fields.back().value, kHostile);
+
+  // The BENCH envelope, written where a bench writes it: the working
+  // directory. A path that cannot be opened fails the write loudly.
+  bench::TempDir scratch("ipfsmon-json");
+  ASSERT_FALSE(scratch.path().empty());
+  const auto cwd = std::filesystem::current_path();
+  std::filesystem::current_path(scratch.path());
+  struct Row {
+    std::string name;
+    double rate = 0;
+  };
+  const std::vector<Row> rows = {{kHostile, 1.5}, {"nan", std::nan("")}};
+  const auto summary = [](util::json::Writer& json) {
+    json.key("label").string(kHostile).key("pass").boolean(true);
+  };
+  const auto row = [](util::json::Writer& json, const Row& r) {
+    json.key("name").string(r.name).key("rate").fixed(r.rate, 2);
+  };
+  const bool written =
+      bench::write_bench_artifact("json_test", rows, summary, row);
+  std::ifstream in("BENCH_json_test.json");
+  const std::string envelope((std::istreambuf_iterator<char>(in)),
+                             std::istreambuf_iterator<char>());
+  std::filesystem::create_directory("BENCH_blocked.json");
+  const bool blocked =
+      bench::write_bench_artifact("blocked", rows, summary, row);
+  std::filesystem::current_path(cwd);
+  EXPECT_TRUE(written);
+  EXPECT_FALSE(blocked);
+  expect_json("bench envelope", envelope);
+  ASSERT_TRUE(util::json::scan_object(envelope, &fields));
+  ASSERT_EQ(fields.size(), 2u);  // summary and rows are nested
+  EXPECT_EQ(fields[0].key, "bench");
+  EXPECT_EQ(fields[0].value, "json_test");
+  EXPECT_EQ(fields[1].key, "cores");
 }
 
 // --- trace_report exit codes ----------------------------------------------

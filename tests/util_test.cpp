@@ -3,16 +3,21 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <fstream>
 #include <cstring>
 #include <set>
 
 #include "util/base32.hpp"
 #include "util/base58.hpp"
 #include "util/bytes.hpp"
+#include "util/json.hpp"
 #include "util/rng.hpp"
 #include "util/strings.hpp"
 #include "util/time.hpp"
 #include "util/varint.hpp"
+
+// read_smoke_floor and TempDir are header-only bench helpers.
+#include "../bench/bench_common.hpp"
 
 namespace ipfsmon::util {
 namespace {
@@ -337,6 +342,91 @@ TEST(Rng, ForkedStreamsAreIndependent) {
   RngStream child1 = parent.fork("child");
   RngStream child2 = parent.fork("child");  // forked later: different state
   EXPECT_NE(child1.next_u64(), child2.next_u64());
+}
+
+// --- JSON codec --------------------------------------------------------------
+
+TEST(JsonWriter, EscapesStringsAndFormatsNumbers) {
+  const std::string hostile = "q\"b\\\x01\x7f\n\t";
+  std::string out;
+  json::Writer writer(out);
+  writer.begin_object()
+      .key("s").string(hostile)
+      .key("i").i64(-3)
+      .key("u").u64(18446744073709551615ull)
+      .key("b").boolean(true)
+      .key("n").null()
+      .key("f").fixed(0.5, 3)
+      .key("g").number(2.0)
+      .key("h").number(0.1234567)
+      .key("big").number(1e300)
+      .key("nan").number(std::nan(""))
+      .key("inf").fixed(INFINITY, 1)
+      .key("a").begin_array()
+      .u64(1).begin_object().end_object().begin_array().end_array()
+      .end_array()
+      .end_object();
+  EXPECT_EQ(out,
+            "{\"s\":\"q\\\"b\\\\\\u0001\x7f\\n\\t\",\"i\":-3,"
+            "\"u\":18446744073709551615,\"b\":true,\"n\":null,"
+            "\"f\":0.500,\"g\":2,\"h\":0.123457,\"big\":1e+300,"
+            "\"nan\":null,\"inf\":null,\"a\":[1,{},[]]}");
+  EXPECT_TRUE(json::valid(out));
+  std::vector<json::Field> fields;
+  ASSERT_TRUE(json::scan_object(out, &fields));
+  ASSERT_EQ(fields.size(), 11u);  // the array is skipped
+  EXPECT_EQ(fields[0].value, hostile);
+}
+
+TEST(JsonScan, ExtractsScalarsLinksAndSkipsCompounds) {
+  std::vector<json::Field> fields;
+  ASSERT_TRUE(json::scan_object(
+      R"({"a": "x\n\"y\"", "n": -3.5, "b": true, "cid": {"/": "Qm1"},)"
+      R"( "skip": {"deep": [1, {"x": "}"}]}, "arr": [1, 2], "z": null})",
+      &fields));
+  ASSERT_EQ(fields.size(), 5u);  // "skip" and "arr" are dropped
+  EXPECT_EQ(fields[0].key, "a");
+  EXPECT_EQ(fields[0].value, "x\n\"y\"");
+  EXPECT_TRUE(fields[0].is_string);
+  EXPECT_EQ(fields[1].value, "-3.5");
+  EXPECT_FALSE(fields[1].is_string);
+  EXPECT_EQ(fields[2].value, "true");
+  EXPECT_EQ(fields[3].key, "cid");
+  EXPECT_EQ(fields[3].value, "Qm1");  // dag-json link unwrapped
+  EXPECT_EQ(fields[4].value, "null");
+}
+
+TEST(JsonScan, RejectsMalformedObjects) {
+  std::vector<json::Field> fields;
+  const std::string deep(100000, '[');
+  for (const std::string& bad : std::vector<std::string>{
+           "", "nope", "{", R"({"a")", R"({"a": })", R"({"a": "x)",
+        R"({"a": "x"} trailing)", R"({"a": "\q"})", R"({'a': 1})",
+        R"({"a": {"b": 1)",
+        // Bare tokens are JSON numbers, true, false or null only.
+        R"({"a":tru})", R"({"peer":Qmb8MwXWwQU1})", R"({"a":01})",
+        R"({"a":1.})", R"({"a":-})", R"({"a":1e})",
+        // Skipped values must close the bracket they opened.
+        R"({"a":[1,2}})", R"({"a":{"b":1]})", R"({"a":[1,]})",
+        // No raw control characters inside strings.
+        "{\"a\":\"x\ty\"}", "{\"a\x01\":1}",
+        // Hostile nesting is rejected without recursion.
+        deep, "{\"a\":" + deep + "}"}) {
+    EXPECT_FALSE(json::scan_object(bad, &fields)) << bad.substr(0, 40);
+    EXPECT_FALSE(json::valid(bad)) << bad.substr(0, 40);
+  }
+}
+
+TEST(SmokeFloor, CommentQuotingTheKeyDoesNotShadowIt) {
+  bench::TempDir dir("ipfsmon-floor");
+  ASSERT_FALSE(dir.path().empty());
+  const std::string path = dir.path() + "/floor.json";
+  std::ofstream(path) << "{\n  \"comment\": \"fails below half of "
+                         "\\\"rate\\\": 1 entry/s\",\n  \"rate\": 80000\n}\n";
+  EXPECT_EQ(bench::read_smoke_floor(path, "rate"), 80000.0);
+  EXPECT_EQ(bench::read_smoke_floor(path, "comment"), 0.0);
+  EXPECT_EQ(bench::read_smoke_floor(path, "missing"), 0.0);
+  EXPECT_EQ(bench::read_smoke_floor(dir.path() + "/absent.json", "rate"), 0.0);
 }
 
 // --- strings / time ------------------------------------------------------
