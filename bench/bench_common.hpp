@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "obs/exporters.hpp"
+#include "util/file.hpp"
 #include "util/json.hpp"
 #include "util/strings.hpp"
 
@@ -206,7 +207,7 @@ bool write_bench_artifact(std::string_view bench, const std::vector<Row>& rows,
 
   const std::string path = "BENCH_" + std::string(bench) + ".json";
   std::string error;
-  if (!util::json::write_file(path, body, &error)) {
+  if (!util::write_file(path, body, &error)) {
     std::fprintf(stderr, "%s\n", error.c_str());
     return false;
   }

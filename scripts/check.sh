@@ -1,5 +1,8 @@
 #!/usr/bin/env bash
-# Tier-1 verification: doc-drift gate (scripts/check_docs.sh), configure,
+# Tier-1 verification: doc-drift gate (scripts/check_docs.sh), the
+# one-file-layer gate (no `st_mtim`, `strtol`/`strtoll`/`strtoul`/`strtoull`
+# or ".tmp" literal in src/ outside src/util/: file signatures, integer
+# fields and publish temps all go through src/util/file), configure,
 # build, run the full test suite, then rebuild the util + sim + obs + core +
 # tracestore + query + churn + federation suites under AddressSanitizer
 # (`ctest -L 'util|sim|obs|core|tracestore|query|churn|federation'`; `util`
@@ -64,6 +67,12 @@ JOBS="$(nproc 2>/dev/null || echo 4)"
 
 echo "== docs: check_docs.sh =="
 scripts/check_docs.sh
+
+echo "== one file layer: st_mtim / strto(u)l(l) / \".tmp\" only in src/util =="
+if grep -rnE --exclude-dir=util 'st_mtim|\bstrtou?ll?\b|"\.tmp"' src; then
+  echo "use util/file (file_signature, parse_u64/parse_i64, publish)" >&2
+  exit 1
+fi
 
 echo "== tier-1: configure + build + ctest =="
 cmake -B build -S . >/dev/null

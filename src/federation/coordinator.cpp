@@ -1,15 +1,12 @@
 #include "federation/coordinator.hpp"
 
-#include <sys/stat.h>
-
 #include <algorithm>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 
 #include "obs/exporters.hpp"
 #include "query/socket.hpp"
 #include "tracestore/rollup.hpp"
+#include "util/file.hpp"
 #include "util/strings.hpp"
 
 namespace fs = std::filesystem;
@@ -24,41 +21,6 @@ void fail(std::string* error, std::string message) {
   if (error != nullptr) *error = std::move(message);
 }
 
-/// File mtime in nanoseconds exactly as SegmentMapping keys the
-/// validation cache (stat st_mtim), so remember() here hits on the
-/// serving store's next mmap open.
-bool stat_signature(const std::string& path, std::int64_t* mtime_ns,
-                    std::uint64_t* size) {
-  struct stat st{};
-  if (::stat(path.c_str(), &st) != 0) return false;
-#if defined(__APPLE__)
-  *mtime_ns = static_cast<std::int64_t>(st.st_mtimespec.tv_sec) * 1000000000 +
-              st.st_mtimespec.tv_nsec;
-#else
-  *mtime_ns = static_cast<std::int64_t>(st.st_mtim.tv_sec) * 1000000000 +
-              st.st_mtim.tv_nsec;
-#endif
-  *size = static_cast<std::uint64_t>(st.st_size);
-  return true;
-}
-
-bool write_file(const std::string& path, util::BytesView bytes,
-                std::string* error) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    fail(error, "cannot create " + path);
-    return false;
-  }
-  out.write(reinterpret_cast<const char*>(bytes.data()),
-            static_cast<std::streamsize>(bytes.size()));
-  out.flush();
-  if (!out) {
-    fail(error, "short write to " + path);
-    return false;
-  }
-  return true;
-}
-
 /// The monitor's store subdirectory name ("m-<id>").
 std::string monitor_dir_name(std::uint32_t id) {
   return util::format("m-%u", id);
@@ -66,14 +28,11 @@ std::string monitor_dir_name(std::uint32_t id) {
 
 /// Parses "m-<id>"; false for anything else.
 bool parse_monitor_dir_name(const std::string& name, std::uint32_t* id) {
-  if (name.size() < 3 || name.compare(0, 2, "m-") != 0) return false;
-  std::uint64_t value = 0;
-  for (std::size_t i = 2; i < name.size(); ++i) {
-    if (name[i] < '0' || name[i] > '9') return false;
-    value = value * 10 + static_cast<std::uint64_t>(name[i] - '0');
-    if (value > 0xffffffffull) return false;
-  }
-  *id = static_cast<std::uint32_t>(value);
+  if (!name.starts_with("m-")) return false;
+  const auto value =
+      util::parse_u64(std::string_view(name).substr(2), UINT32_MAX);
+  if (!value) return false;
+  *id = static_cast<std::uint32_t>(*value);
   return true;
 }
 
@@ -122,21 +81,20 @@ bool Coordinator::recover_monitors(std::string* error) {
     std::int64_t last_ship_wall_us = 0;
   };
   std::unordered_map<std::uint32_t, ManifestRow> rows;
-  {
-    std::ifstream in((fs::path(root_) / "FEDERATION").string());
-    std::string line;
-    if (in && std::getline(in, line) && line == kFederationHeader) {
-      while (std::getline(in, line)) {
-        std::istringstream fields(line);
-        std::string tag, vantage, dir;
-        std::uint64_t id = 0, segments = 0, entries = 0;
-        std::int64_t last_ship = 0;
-        if (fields >> tag >> id >> vantage >> dir >> segments >> entries >>
-                last_ship &&
-            tag == "monitor" && id <= 0xffffffffull) {
-          rows[static_cast<std::uint32_t>(id)] =
-              ManifestRow{vantage, last_ship};
-        }
+  std::string text;
+  util::read_file((fs::path(root_) / "FEDERATION").string(), &text);
+  const auto lines = util::split(text, '\n');
+  if (lines.front() == kFederationHeader) {
+    for (std::size_t i = 1; i < lines.size(); ++i) {
+      // "monitor <id> <vantage> <dir> <segments> <entries> <last_ship_us>"
+      const auto fields = util::split(lines[i], ' ');
+      if (fields.size() != 7 || fields[0] != "monitor") continue;
+      const auto id = util::parse_u64(fields[1], UINT32_MAX);
+      const auto last_ship = util::parse_i64(fields[6]);
+      if (id && util::parse_u64(fields[4]) && util::parse_u64(fields[5]) &&
+          last_ship) {
+        rows[static_cast<std::uint32_t>(*id)] =
+            ManifestRow{fields[2], *last_ship};
       }
     }
   }
@@ -150,16 +108,8 @@ bool Coordinator::recover_monitors(std::string* error) {
       continue;
     }
     const std::string dir = entry.path().string();
-    // A coordinator crash mid-land leaves at worst a *.tmp the rename
-    // never published; recovery deletes it and the shipper re-ships.
-    for (const auto& file : fs::directory_iterator(dir, ec)) {
-      if (file.path().extension() == ".tmp") {
-        fs::remove(file.path(), ec);
-        recovery_notes_.push_back("removed in-flight " +
-                                  file.path().filename().string() + " in " +
-                                  monitor_dir_name(id));
-      }
-    }
+    // A crash mid-land leaves at worst a temp file the rename never
+    // published; recovery deletes it and the shipper re-ships.
     auto report = tracestore::recover_store_dir(dir, options_.store, error);
     if (!report) return false;
     for (const auto& note : report->notes) {
@@ -175,10 +125,9 @@ bool Coordinator::recover_monitors(std::string* error) {
     for (const auto& [file, footer] : state->segments) {
       state->landed[file] = footer.body_checksum;
       state->entries += footer.entry_count;
-      std::int64_t mtime_ns = 0;
-      std::uint64_t size = 0;
-      if (stat_signature((fs::path(dir) / file).string(), &mtime_ns, &size)) {
-        state->bytes += size;
+      if (const auto sig =
+              util::file_signature((fs::path(dir) / file).string())) {
+        state->bytes += sig->size;
       }
     }
     if (const auto it = rows.find(id); it != rows.end()) {
@@ -189,8 +138,7 @@ bool Coordinator::recover_monitors(std::string* error) {
     }
     monitors_[id] = std::move(state);
   }
-  write_federation_manifest();
-  return true;
+  return write_federation_manifest(error);
 }
 
 void Coordinator::handle_connection(int fd) {
@@ -269,7 +217,8 @@ Coordinator::MonitorState* Coordinator::handle_hello(const HelloMsg& msg,
         .inc();
   }
   // New monitor or relabeled vantage: publish it before any segment lands.
-  write_federation_manifest();
+  // A failed publish refuses the hello; the shipper's backoff redials.
+  if (!write_federation_manifest()) return nullptr;
   (void)vantage_changed;
   return monitor;
 }
@@ -285,6 +234,7 @@ AckStatus Coordinator::land_segment(MonitorState& monitor, SegmentMsg&& msg) {
   }
 
   AckStatus status = AckStatus::kRejected;
+  bool manifest_ok = true;
   std::int64_t lag_us = -1;
   std::uint64_t landed_bytes = 0;
   {
@@ -301,61 +251,43 @@ AckStatus Coordinator::land_segment(MonitorState& monitor, SegmentMsg&& msg) {
       }
       const std::string path =
           (fs::path(monitor.dir) / msg.file).string();
-      const std::string tmp = path + ".tmp";
-      std::error_code ec;
       // Verify-then-publish: the wire frame was already checksummed, but
       // the segment's own FNV checksums are re-verified here against the
       // bytes that actually reached disk before the rename makes them
       // part of the store.
-      if (!write_file(tmp,
-                      util::BytesView(msg.segment_bytes.data(),
-                                      msg.segment_bytes.size()),
-                      nullptr)) {
-        fs::remove(tmp, ec);
+      tracestore::SegmentFooter footer;
+      const auto verify_segment = [&](const std::string& temp) {
+        tracestore::SegmentOpenOptions verify;
+        verify.backend = options_.store.io_backend;
+        auto reader = tracestore::SegmentReader::open(temp, verify);
+        if (!reader || reader->footer().body_checksum != msg.body_checksum ||
+            reader->footer().entry_count != msg.entry_count) {
+          return false;
+        }
+        footer = reader->footer();
+        return true;
+      };
+      if (!util::publish(path, {msg.segment_bytes}, nullptr,
+                         verify_segment)) {
         return AckStatus::kRejected;
       }
-      tracestore::SegmentOpenOptions verify;
-      verify.backend = options_.store.io_backend;
-      auto reader = tracestore::SegmentReader::open(tmp, verify);
-      if (!reader || reader->footer().body_checksum != msg.body_checksum ||
-          reader->footer().entry_count != msg.entry_count) {
-        fs::remove(tmp, ec);
-        return AckStatus::kRejected;
-      }
-      const tracestore::SegmentFooter footer = reader->footer();
-      fs::rename(tmp, path, ec);
-      if (ec) {
-        fs::remove(tmp, ec);
-        return AckStatus::kRejected;
-      }
-      std::int64_t mtime_ns = 0;
-      std::uint64_t size = 0;
-      if (stat_signature(path, &mtime_ns, &size)) {
+      const auto sig = util::file_signature(path);
+      if (sig) {
         // The body hash was just verified against these exact bytes; let
         // the serving stores (opened with shared_validation = this cache)
         // skip their re-validation pass.
-        validated_.remember(path, mtime_ns, size);
+        validated_.remember(path, sig->mtime_ns, sig->size);
       }
 
       if (!msg.rollup_bytes.empty()) {
-        const std::string rollup_path = tracestore::rollup_path_for(path);
-        const std::string rollup_tmp = rollup_path + ".tmp";
-        bool rollup_ok =
-            write_file(rollup_tmp,
-                       util::BytesView(msg.rollup_bytes.data(),
-                                       msg.rollup_bytes.size()),
-                       nullptr);
-        if (rollup_ok) {
-          // Rollups are derived data: a sidecar that fails validation or
-          // disagrees with the landed segment is dropped, never fatal.
-          const auto rollup = tracestore::read_rollup_file(rollup_tmp);
-          rollup_ok = rollup && rollup->entry_count == footer.entry_count;
-        }
-        if (rollup_ok) {
-          fs::rename(rollup_tmp, rollup_path, ec);
-          rollup_ok = !ec;
-        }
-        if (!rollup_ok) fs::remove(rollup_tmp, ec);
+        // Rollups are derived data: a sidecar that fails validation or
+        // disagrees with the landed segment is dropped, never fatal.
+        util::publish(tracestore::rollup_path_for(path), {msg.rollup_bytes},
+                      nullptr, [&](const std::string& temp) {
+                        const auto rollup = tracestore::read_rollup_file(temp);
+                        return rollup &&
+                               rollup->entry_count == footer.entry_count;
+                      });
       }
 
       const auto row = std::make_pair(msg.file, footer);
@@ -366,10 +298,10 @@ AckStatus Coordinator::land_segment(MonitorState& monitor, SegmentMsg&& msg) {
                              return a.first < b.first;
                            }),
           row);
-      tracestore::write_manifest(monitor.dir, monitor.segments);
+      manifest_ok = tracestore::write_manifest(monitor.dir, monitor.segments);
       monitor.landed[msg.file] = msg.body_checksum;
       monitor.entries += footer.entry_count;
-      monitor.bytes += size;
+      monitor.bytes += sig ? sig->size : 0;
       const std::int64_t now_us = unix_micros_now();
       monitor.last_ship_wall_us = now_us;
       if (msg.sealed_wall_us > 0) {
@@ -427,12 +359,20 @@ AckStatus Coordinator::land_segment(MonitorState& monitor, SegmentMsg&& msg) {
   }
   if (status == AckStatus::kLanded) {
     generation_.fetch_add(1, std::memory_order_release);
-    write_federation_manifest();
+    manifest_ok = write_federation_manifest() && manifest_ok;
+  }
+  if (!manifest_ok) {
+    // The segment is on disk either way; restart recovery rebuilds both
+    // manifests from the files.
+    std::lock_guard<std::mutex> lock(metrics_mu_);
+    counter("ipfsmon_federation_manifest_failures_total",
+            "MANIFEST or FEDERATION publishes that failed after a landing")
+        .inc();
   }
   return status;
 }
 
-void Coordinator::write_federation_manifest() const {
+bool Coordinator::write_federation_manifest(std::string* error) const {
   std::lock_guard<std::mutex> lock(mu_);
   std::string text(kFederationHeader);
   text += '\n';
@@ -445,15 +385,8 @@ void Coordinator::write_federation_manifest() const {
         static_cast<unsigned long long>(monitor->entries),
         static_cast<long long>(monitor->last_ship_wall_us));
   }
-  const std::string path = (fs::path(root_) / "FEDERATION").string();
-  const std::string tmp = path + ".tmp";
-  std::ofstream out(tmp, std::ios::trunc);
-  out << text;
-  out.flush();
-  if (!out) return;
-  out.close();
-  std::error_code ec;
-  fs::rename(tmp, path, ec);
+  return util::publish((fs::path(root_) / "FEDERATION").string(), {text},
+                       error);
 }
 
 std::vector<MonitorInfo> Coordinator::monitors() const {

@@ -7,7 +7,7 @@
 //   <root>/m-<id>/MANIFEST     rewritten after every landed segment
 //
 // Landing is verify-then-publish: the shipped bytes are written to a
-// "<name>.tmp" file, the segment's footer *and* body FNV checksums are
+// temp file beside <name>, the segment's footer *and* body FNV checksums are
 // re-verified on the receiving side (never trust the wire), and only a
 // fully valid segment is renamed into place and added to the monitor's
 // manifest. Receives are idempotent, keyed by body checksum — a re-shipped
@@ -17,7 +17,7 @@
 //
 // Restart recovery mirrors the monitor side: start() runs
 // recover_store_dir() over every m-<id> directory, so a coordinator
-// crash mid-land leaves at worst a *.tmp file (deleted) or a torn segment
+// crash mid-land leaves at worst a temp file (deleted) or a torn segment
 // (quarantined as *.torn) and the HELLO_ACK watermarks simply stop before
 // the lost segment — the shipper re-ships the gap.
 //
@@ -176,10 +176,10 @@ class Coordinator {
 
   AckStatus land_segment(MonitorState& monitor, SegmentMsg&& msg);
 
-  /// Rewrites <root>/FEDERATION from current state (atomic rename).
+  /// Publishes <root>/FEDERATION from current state (util::publish).
   /// Takes mu_ and each monitor's mutex in turn; the caller must hold
-  /// neither.
-  void write_federation_manifest() const;
+  /// neither. False, with `error` set, when the publish failed.
+  bool write_federation_manifest(std::string* error = nullptr) const;
 
   obs::Counter& counter(std::string_view name, std::string_view help,
                         std::string_view labels = {});

@@ -2,11 +2,10 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <fstream>
 #include <optional>
-#include <sstream>
 
 #include "tracestore/merge.hpp"
+#include "util/file.hpp"
 #include "util/strings.hpp"
 
 namespace fs = std::filesystem;
@@ -17,14 +16,6 @@ namespace {
 
 void fail(std::string* error, std::string message) {
   if (error != nullptr) *error = std::move(message);
-}
-
-std::string read_text_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return {};
-  std::ostringstream out;
-  out << in.rdbuf();
-  return out.str();
 }
 
 }  // namespace
@@ -85,8 +76,9 @@ bool FederatedService::unify_if_changed(bool* rebuilt, std::string* error) {
   const std::string marker =
       (fs::path(unified_dir_) / "UNIFIED_SOURCE").string();
   std::error_code ec;
+  std::string built_from;
   if (fs::exists(fs::path(unified_dir_) / "MANIFEST", ec) &&
-      read_text_file(marker) == fingerprint) {
+      util::read_file(marker, &built_from) && built_from == fingerprint) {
     return true;
   }
 
@@ -128,20 +120,7 @@ bool FederatedService::unify_if_changed(bool* rebuilt, std::string* error) {
     return false;
   }
 
-  const std::string tmp = marker + ".tmp";
-  std::ofstream out(tmp, std::ios::trunc);
-  out << fingerprint;
-  out.flush();
-  if (!out) {
-    fail(error, "cannot write " + tmp);
-    return false;
-  }
-  out.close();
-  fs::rename(tmp, marker, ec);
-  if (ec) {
-    fail(error, "cannot publish " + marker + ": " + ec.message());
-    return false;
-  }
+  if (!util::publish(marker, {fingerprint}, error)) return false;
   *rebuilt = true;
   return true;
 }

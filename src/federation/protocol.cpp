@@ -1,6 +1,5 @@
 #include "federation/protocol.hpp"
 
-#include <sys/stat.h>
 #include <time.h>
 
 #include <cerrno>
@@ -8,6 +7,7 @@
 
 #include "query/socket.hpp"
 #include "tracestore/bloom.hpp"
+#include "util/file.hpp"
 #include "util/varint.hpp"
 
 namespace ipfsmon::federation {
@@ -330,15 +330,8 @@ std::int64_t unix_micros_now() {
 }
 
 std::int64_t file_mtime_unix_us(const std::string& path) {
-  struct stat st{};
-  if (::stat(path.c_str(), &st) != 0) return 0;
-#if defined(__APPLE__)
-  return static_cast<std::int64_t>(st.st_mtimespec.tv_sec) * 1'000'000 +
-         st.st_mtimespec.tv_nsec / 1000;
-#else
-  return static_cast<std::int64_t>(st.st_mtim.tv_sec) * 1'000'000 +
-         st.st_mtim.tv_nsec / 1000;
-#endif
+  const auto sig = util::file_signature(path);
+  return sig ? sig->mtime_ns / 1000 : 0;
 }
 
 }  // namespace ipfsmon::federation

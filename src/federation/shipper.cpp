@@ -5,32 +5,14 @@
 #include <algorithm>
 #include <chrono>
 #include <filesystem>
-#include <fstream>
 
 #include "query/socket.hpp"
 #include "tracestore/rollup.hpp"
+#include "util/file.hpp"
 
 namespace fs = std::filesystem;
 
 namespace ipfsmon::federation {
-
-namespace {
-
-/// Reads a whole file into `out`; false when absent or unreadable.
-bool slurp(const std::string& path, util::Bytes* out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  in.seekg(0, std::ios::end);
-  const auto size = in.tellg();
-  if (size < 0) return false;
-  in.seekg(0, std::ios::beg);
-  out->resize(static_cast<std::size_t>(size));
-  in.read(reinterpret_cast<char*>(out->data()),
-          static_cast<std::streamsize>(out->size()));
-  return static_cast<bool>(in);
-}
-
-}  // namespace
 
 Shipper::Shipper(std::string store_dir, ShipperOptions options)
     : store_dir_(std::move(store_dir)), options_(std::move(options)) {}
@@ -98,10 +80,7 @@ bool Shipper::ship_segment(int fd, const SegmentIdentity& segment,
   SegmentMsg msg;
   msg.file = segment.file;
   msg.sealed_wall_us = file_mtime_unix_us(path);
-  if (!slurp(path, &msg.segment_bytes)) {
-    if (error != nullptr) *error = "cannot read " + path;
-    return false;
-  }
+  if (!util::read_file(path, &msg.segment_bytes, error)) return false;
   std::string footer_error;
   const auto footer = tracestore::read_segment_footer(path, &footer_error);
   if (!footer) {
@@ -116,7 +95,9 @@ bool Shipper::ship_segment(int fd, const SegmentIdentity& segment,
   msg.max_time = footer->max_time;
   // The rollup sidecar is derived data: ship it when present so the
   // coordinator serves rollup-first, but its absence is not an error.
-  slurp(tracestore::rollup_path_for(path), &msg.rollup_bytes);
+  if (!util::read_file(tracestore::rollup_path_for(path), &msg.rollup_bytes)) {
+    msg.rollup_bytes.clear();
+  }
 
   const std::uint64_t payload_bytes =
       msg.segment_bytes.size() + msg.rollup_bytes.size();

@@ -1,13 +1,12 @@
 #include "ingest/ingest.hpp"
 
 #include <algorithm>
-#include <cerrno>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 
 #include "ingest/stream.hpp"
 #include "tracestore/merge.hpp"
+#include "util/file.hpp"
 #include "util/strings.hpp"
 
 namespace fs = std::filesystem;
@@ -33,101 +32,77 @@ struct Checkpoint {
   std::vector<std::pair<std::string, trace::MonitorId>> monitors;
 };
 
-bool parse_u64(const std::string& text, std::uint64_t* out) {
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long value = std::strtoull(text.c_str(), &end, 10);
-  if (errno != 0 || end == text.c_str() || *end != '\0') return false;
-  *out = value;
-  return true;
-}
-
-bool parse_i64(const std::string& text, std::int64_t* out) {
-  errno = 0;
-  char* end = nullptr;
-  const long long value = std::strtoll(text.c_str(), &end, 10);
-  if (errno != 0 || end == text.c_str() || *end != '\0') return false;
-  *out = value;
-  return true;
-}
-
 std::string checkpoint_path(const std::string& dir) {
   return (fs::path(dir) / kCheckpointName).string();
 }
 
 bool write_checkpoint(const std::string& dir, const Checkpoint& ckpt,
                       std::string* error) {
-  const fs::path tmp = fs::path(dir) / (std::string(kCheckpointName) + ".tmp");
-  {
-    std::ofstream out(tmp);
-    if (!out) {
-      if (error != nullptr) *error = "cannot open " + tmp.string();
-      return false;
-    }
-    out << kCheckpointHeader << '\n'
-        << "source=" << ckpt.source << '\n'
-        << "offset=" << ckpt.offset << '\n'
-        << "lines=" << ckpt.lines << '\n'
-        << "entries=" << ckpt.entries << '\n'
-        << "rejected=" << ckpt.rejected << '\n'
-        << "unordered=" << ckpt.unordered << '\n'
-        << "epoch=" << ckpt.epoch << '\n'
-        << "last_sim=" << ckpt.last_sim << '\n';
-    for (const auto& [name, id] : ckpt.monitors) {
-      out << "monitor=" << id << ':' << name << '\n';
-    }
-    if (!out) {
-      if (error != nullptr) *error = "short write to " + tmp.string();
-      return false;
-    }
+  std::string text = std::string(kCheckpointHeader) + '\n';
+  text += "source=" + ckpt.source + '\n';
+  text += "offset=" + std::to_string(ckpt.offset) + '\n';
+  text += "lines=" + std::to_string(ckpt.lines) + '\n';
+  text += "entries=" + std::to_string(ckpt.entries) + '\n';
+  text += "rejected=" + std::to_string(ckpt.rejected) + '\n';
+  text += "unordered=" + std::to_string(ckpt.unordered) + '\n';
+  text += "epoch=" + std::to_string(ckpt.epoch) + '\n';
+  text += "last_sim=" + std::to_string(ckpt.last_sim) + '\n';
+  for (const auto& [name, id] : ckpt.monitors) {
+    text += "monitor=" + std::to_string(id) + ':' + name + '\n';
   }
-  std::error_code ec;
-  fs::rename(tmp, checkpoint_path(dir), ec);
-  if (ec) {
-    if (error != nullptr) *error = "rename checkpoint: " + ec.message();
-    return false;
-  }
-  return true;
+  return util::publish(checkpoint_path(dir), {text}, error);
 }
 
 std::optional<Checkpoint> read_checkpoint(const std::string& dir) {
-  std::ifstream in(checkpoint_path(dir));
-  if (!in) return std::nullopt;
-  std::string line;
-  if (!std::getline(in, line) || line != kCheckpointHeader) {
-    return std::nullopt;
-  }
+  std::string text;
+  if (!util::read_file(checkpoint_path(dir), &text)) return std::nullopt;
+  const auto lines = util::split(text, '\n');
+  if (lines.front() != kCheckpointHeader) return std::nullopt;
   Checkpoint ckpt;
-  while (std::getline(in, line)) {
+  for (std::size_t i = 1; i < lines.size(); ++i) {
+    const std::string& line = lines[i];
     const auto eq = line.find('=');
     if (eq == std::string::npos) continue;
     const std::string key = line.substr(0, eq);
     const std::string value = line.substr(eq + 1);
+    const auto as_u64 = [&value](std::uint64_t* out) {
+      const auto parsed = util::parse_u64(value);
+      if (parsed) *out = *parsed;
+      return parsed.has_value();
+    };
+    const auto as_i64 = [&value](std::int64_t* out) {
+      const auto parsed = util::parse_i64(value);
+      if (parsed) *out = *parsed;
+      return parsed.has_value();
+    };
     bool ok = true;
     if (key == "source") {
       ckpt.source = value;
     } else if (key == "offset") {
-      ok = parse_u64(value, &ckpt.offset);
+      ok = as_u64(&ckpt.offset);
     } else if (key == "lines") {
-      ok = parse_u64(value, &ckpt.lines);
+      ok = as_u64(&ckpt.lines);
     } else if (key == "entries") {
-      ok = parse_u64(value, &ckpt.entries);
+      ok = as_u64(&ckpt.entries);
     } else if (key == "rejected") {
-      ok = parse_u64(value, &ckpt.rejected);
+      ok = as_u64(&ckpt.rejected);
     } else if (key == "unordered") {
-      ok = parse_u64(value, &ckpt.unordered);
+      ok = as_u64(&ckpt.unordered);
     } else if (key == "epoch") {
-      ok = parse_i64(value, &ckpt.epoch);
+      ok = as_i64(&ckpt.epoch);
     } else if (key == "last_sim") {
-      ok = parse_i64(value, &ckpt.last_sim);
+      ok = as_i64(&ckpt.last_sim);
     } else if (key == "monitor") {
       const auto colon = value.find(':');
-      std::uint64_t id = 0;
-      ok = colon != std::string::npos &&
-           parse_u64(value.substr(0, colon), &id);
+      const auto id =
+          colon == std::string::npos
+              ? std::nullopt
+              : util::parse_u64(std::string_view(value).substr(0, colon),
+                                UINT32_MAX);
+      ok = id.has_value();
       if (ok) {
         ckpt.monitors.emplace_back(value.substr(colon + 1),
-                                   static_cast<trace::MonitorId>(id));
+                                   static_cast<trace::MonitorId>(*id));
       }
     }
     if (!ok) return std::nullopt;

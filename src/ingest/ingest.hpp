@@ -56,8 +56,9 @@ struct IngestOptions {
   /// flagger applies).
   bool mark_flags = true;
   trace::PreprocessOptions preprocess;
-  /// Accepted entries between durability checkpoints; 0 = only the final
-  /// finalize().
+  /// Accepted entries between checkpoints (atomic publishes of MANIFEST
+  /// and INGEST.ckpt; crash-safe against a process crash, not a power
+  /// loss: nothing is fsync'd); 0 = only the final finalize().
   std::uint64_t checkpoint_every = 1u << 20;
   /// Continue from an INGEST.ckpt left by a previous interrupted run. The
   /// checkpoint is trusted only if it matches this capture and the entry
@@ -80,7 +81,7 @@ struct IngestStats {
   std::uint64_t rejected = 0;        // malformed lines (lenient)
   std::uint64_t unordered = 0;       // clamped backwards timestamps
   std::uint64_t bytes = 0;           // uncompressed capture bytes consumed
-  std::uint64_t checkpoints = 0;     // durability points published
+  std::uint64_t checkpoints = 0;     // checkpoints published
   bool resumed = false;              // this run continued a checkpoint
   /// Stopped at max_entries: the store is checkpointed, not finalized —
   /// re-run with resume = true to continue.

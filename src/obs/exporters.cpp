@@ -3,6 +3,7 @@
 #include <cmath>
 #include <unordered_set>
 
+#include "util/file.hpp"
 #include "util/json.hpp"
 
 namespace ipfsmon::obs {
@@ -125,7 +126,7 @@ bool write_jsonl(const Collector& collector, const std::string& path,
       text += '\n';
     }
   }
-  return util::json::write_file(path, text);
+  return util::write_file(path, text);
 }
 
 }  // namespace ipfsmon::obs

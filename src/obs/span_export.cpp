@@ -5,6 +5,7 @@
 #include <map>
 #include <unordered_map>
 
+#include "util/file.hpp"
 #include "util/json.hpp"
 
 namespace ipfsmon::obs {
@@ -212,13 +213,13 @@ std::string to_spans_jsonl(const std::vector<SpanRecord>& spans) {
 bool write_perfetto_json(const std::string& path,
                          const std::vector<SpanRecord>& spans,
                          bool use_sim_time, std::string* error) {
-  return util::json::write_file(path, to_perfetto_json(spans, use_sim_time), error);
+  return util::write_file(path, to_perfetto_json(spans, use_sim_time), error);
 }
 
 bool write_spans_jsonl(const std::string& path,
                        const std::vector<SpanRecord>& spans,
                        std::string* error) {
-  return util::json::write_file(path, to_spans_jsonl(spans), error);
+  return util::write_file(path, to_spans_jsonl(spans), error);
 }
 
 std::string to_debug_json(const Tracer& tracer, std::size_t k) {

@@ -1,13 +1,12 @@
 #include "query/engine.hpp"
 
 #include <algorithm>
-#include <cerrno>
-#include <cstdlib>
 
 #include "analysis/popularity.hpp"
 #include "obs/exporters.hpp"
 #include "obs/span_export.hpp"
 #include "tracestore/bloom.hpp"
+#include "util/file.hpp"
 #include "util/json.hpp"
 #include "util/strings.hpp"
 
@@ -37,34 +36,14 @@ void add_bucket(RangeStats* out, const tracestore::RollupBucket& bucket) {
   out->clean += bucket.clean;
 }
 
-bool parse_i64(const std::string& text, std::int64_t* out) {
-  if (text.empty()) return false;
-  errno = 0;
-  char* end = nullptr;
-  const long long value = std::strtoll(text.c_str(), &end, 10);
-  if (errno != 0 || end == text.c_str() || *end != '\0') return false;
-  *out = value;
-  return true;
-}
-
-bool parse_u64(const std::string& text, std::uint64_t* out) {
-  if (text.empty() || text.front() == '-') return false;
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long value = std::strtoull(text.c_str(), &end, 10);
-  if (errno != 0 || end == text.c_str() || *end != '\0') return false;
-  *out = value;
-  return true;
-}
-
 /// Reads an optional int64 query param; false only on a malformed value.
 bool read_time_param(const HttpRequest& request, const char* name,
                      util::SimTime* inout) {
   const auto it = request.params.find(name);
   if (it == request.params.end()) return true;
-  std::int64_t value = 0;
-  if (!parse_i64(it->second, &value)) return false;
-  *inout = value;
+  const auto value = util::parse_i64(it->second);
+  if (!value) return false;
+  *inout = *value;
   return true;
 }
 
@@ -600,9 +579,11 @@ HttpResponse QueryService::handle_popularity(const HttpRequest& request) {
   }
   std::uint64_t k = 10;
   if (const auto it = request.params.find("k"); it != request.params.end()) {
-    if (!parse_u64(it->second, &k) || k == 0 || k > 10000) {
+    const auto parsed = util::parse_u64(it->second, 10000);
+    if (!parsed || *parsed == 0) {
       return error_response(400, "k must be in [1, 10000]");
     }
+    k = *parsed;
   }
   bool clean_only = true;
   if (const auto it = request.params.find("clean_only");
@@ -664,9 +645,11 @@ HttpResponse QueryService::handle_peer_wants(const HttpRequest& request,
   std::uint64_t limit = 1000;
   if (const auto it = request.params.find("limit");
       it != request.params.end()) {
-    if (!parse_u64(it->second, &limit) || limit == 0 || limit > 100000) {
+    const auto parsed = util::parse_u64(it->second, 100000);
+    if (!parsed || *parsed == 0) {
       return error_response(400, "limit must be in [1, 100000]");
     }
+    limit = *parsed;
   }
 
   return cached(request, [&]() {
@@ -789,9 +772,11 @@ HttpResponse QueryService::handle_debug_spans(const HttpRequest& request) {
   // Deliberately uncached: the span buffer changes with every request.
   std::uint64_t k = options_.debug_span_limit;
   if (const auto it = request.params.find("k"); it != request.params.end()) {
-    if (!parse_u64(it->second, &k) || k == 0 || k > 1000) {
+    const auto parsed = util::parse_u64(it->second, 1000);
+    if (!parsed || *parsed == 0) {
       return error_response(400, "k must be in [1, 1000]");
     }
+    k = *parsed;
   }
   HttpResponse response;
   if (const auto it = request.params.find("format");

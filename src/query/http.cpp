@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cstdlib>
 
+#include "util/file.hpp"
 #include "util/json.hpp"
 #include "util/strings.hpp"
 
@@ -195,11 +195,11 @@ ParseStatus parse_request(std::string_view buffer, const HttpLimits& limits,
   }
   if (const std::string* cl = request.header("content-length");
       cl != nullptr) {
-    char* end = nullptr;
-    const unsigned long long parsed = std::strtoull(cl->c_str(), &end, 10);
-    if (end == cl->c_str() || *end != '\0') return ParseStatus::kBadRequest;
-    if (parsed > limits.max_body_bytes) return ParseStatus::kTooLarge;
-    body_len = static_cast<std::size_t>(parsed);
+    // RFC 9110: digits only (no sign, no whitespace inside the value).
+    const auto parsed = util::parse_u64(*cl);
+    if (!parsed) return ParseStatus::kBadRequest;
+    if (*parsed > limits.max_body_bytes) return ParseStatus::kTooLarge;
+    body_len = static_cast<std::size_t>(*parsed);
   }
   const std::size_t body_begin = blank + 4;
   if (buffer.size() - body_begin < body_len) return ParseStatus::kNeedMore;
@@ -271,9 +271,10 @@ std::optional<HttpResponse> parse_response(std::string_view data) {
   if (sp == std::string_view::npos || sp + 4 > status_line.size()) {
     return std::nullopt;
   }
+  const auto status = util::parse_u64(status_line.substr(sp + 1, 3), 999);
+  if (!status) return std::nullopt;
   HttpResponse response;
-  response.status =
-      std::atoi(std::string(status_line.substr(sp + 1, 3)).c_str());
+  response.status = static_cast<int>(*status);
   const std::size_t blank = data.find("\r\n\r\n");
   if (blank == std::string_view::npos) return std::nullopt;
   std::vector<std::pair<std::string, std::string>> headers;
@@ -286,8 +287,9 @@ std::optional<HttpResponse> parse_response(std::string_view data) {
     if (name == "content-type") {
       response.content_type = value;
     } else if (name == "content-length") {
-      body_len = std::min<std::size_t>(
-          body_len, std::strtoull(value.c_str(), nullptr, 10));
+      const auto declared = util::parse_u64(value);
+      if (!declared) return std::nullopt;
+      body_len = std::min<std::uint64_t>(body_len, *declared);
     } else {
       response.headers.emplace_back(name, value);
     }

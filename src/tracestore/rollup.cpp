@@ -1,12 +1,10 @@
 #include "tracestore/rollup.hpp"
 
-#include <filesystem>
-#include <fstream>
 #include <map>
-#include <sstream>
 #include <unordered_set>
 
 #include "tracestore/bloom.hpp"
+#include "util/file.hpp"
 #include "util/varint.hpp"
 
 namespace ipfsmon::tracestore {
@@ -145,11 +143,6 @@ std::optional<SegmentRollup> decode_rollup(util::BytesView bytes) {
   return rollup;
 }
 
-bool fail(std::string* error, std::string message) {
-  if (error != nullptr) *error = std::move(message);
-  return false;
-}
-
 }  // namespace
 
 std::string rollup_path_for(const std::string& segment_path) {
@@ -199,32 +192,13 @@ bool write_rollup_file(const std::string& path, const SegmentRollup& rollup,
   put_u64_le(trailer, fnv1a64(payload, 0));
   put_u32_le(trailer, kRollupMagic);
 
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) return fail(error, "cannot open " + tmp + " for writing");
-    out.write(reinterpret_cast<const char*>(payload.data()),
-              static_cast<std::streamsize>(payload.size()));
-    out.write(reinterpret_cast<const char*>(trailer.data()),
-              static_cast<std::streamsize>(trailer.size()));
-    if (!out) return fail(error, "short write to " + tmp);
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) return fail(error, "rename " + tmp + ": " + ec.message());
-  return true;
+  return util::publish(path, {payload, trailer}, error);
 }
 
 std::optional<SegmentRollup> read_rollup_file(const std::string& path,
                                               std::string* error) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    if (error != nullptr) *error = path + ": cannot open";
-    return std::nullopt;
-  }
-  std::ostringstream collected;
-  collected << in.rdbuf();
-  const std::string data = collected.str();
+  std::string data;
+  if (!util::read_file(path, &data, error)) return std::nullopt;
   if (data.size() < kTrailerBytes) {
     if (error != nullptr) *error = path + ": truncated (no trailer)";
     return std::nullopt;

@@ -55,7 +55,7 @@ std::string rollup_path_for(const std::string& segment_path);
 SegmentRollup build_rollup(const trace::Trace& entries,
                            util::SimDuration bucket_width = util::kMinute);
 
-/// Writes `rollup` to `path` atomically (tmp + rename).
+/// Publishes `rollup` at `path` atomically (util::publish).
 bool write_rollup_file(const std::string& path, const SegmentRollup& rollup,
                        std::string* error = nullptr);
 

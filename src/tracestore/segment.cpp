@@ -1,18 +1,14 @@
 #include "tracestore/segment.hpp"
 
 #include <cstdio>
-#include <filesystem>
 #include <fstream>
 #include <unordered_map>
 
-#if defined(__unix__) || defined(__APPLE__)
-#define IPFSMON_HAS_MMAP 1
 #include <fcntl.h>
 #include <sys/mman.h>
-#include <sys/stat.h>
 #include <unistd.h>
-#endif
 
+#include "util/file.hpp"
 #include "util/varint.hpp"
 
 namespace ipfsmon::tracestore {
@@ -168,11 +164,9 @@ std::string_view to_string(IoBackend backend) {
 
 SegmentMapping& SegmentMapping::operator=(SegmentMapping&& other) noexcept {
   if (this == &other) return *this;
-#ifdef IPFSMON_HAS_MMAP
   if (mapped_ && data_ != nullptr) {
     ::munmap(const_cast<std::uint8_t*>(data_), size_);
   }
-#endif
   data_ = other.data_;
   size_ = other.size_;
   mapped_ = other.mapped_;
@@ -186,39 +180,28 @@ SegmentMapping& SegmentMapping::operator=(SegmentMapping&& other) noexcept {
 }
 
 SegmentMapping::~SegmentMapping() {
-#ifdef IPFSMON_HAS_MMAP
   if (mapped_ && data_ != nullptr) {
     ::munmap(const_cast<std::uint8_t*>(data_), size_);
   }
-#endif
 }
 
 std::optional<SegmentMapping> SegmentMapping::open(const std::string& path,
                                                    IoBackend backend,
                                                    std::string* error) {
   SegmentMapping mapping;
-#ifdef IPFSMON_HAS_MMAP
-  const int fd = ::open(path.c_str(), O_RDONLY);
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
   if (fd < 0) {
     fail(error, path + ": cannot open");
     return std::nullopt;
   }
-  struct stat st {};
-  if (::fstat(fd, &st) != 0) {
+  const auto signature = util::file_signature(fd);
+  if (!signature) {
     ::close(fd);
     fail(error, path + ": cannot stat");
     return std::nullopt;
   }
-  mapping.size_ = static_cast<std::size_t>(st.st_size);
-#if defined(__APPLE__)
-  mapping.mtime_ns_ = static_cast<std::int64_t>(st.st_mtimespec.tv_sec) *
-                          1000000000 +
-                      st.st_mtimespec.tv_nsec;
-#else
-  mapping.mtime_ns_ = static_cast<std::int64_t>(st.st_mtim.tv_sec) *
-                          1000000000 +
-                      st.st_mtim.tv_nsec;
-#endif
+  mapping.size_ = static_cast<std::size_t>(signature->size);
+  mapping.mtime_ns_ = signature->mtime_ns;
   if (mapping.size_ == 0) {
     // Empty files cannot be mapped; an empty view fails validation later
     // with a proper "truncated" error either way.
@@ -244,54 +227,14 @@ std::optional<SegmentMapping> SegmentMapping::open(const std::string& path,
     }
     // kAuto: fall through to the buffered read on map failure.
   }
-  mapping.owned_.resize(mapping.size_);
-  std::size_t done = 0;
-  while (done < mapping.size_) {
-    const ssize_t got = ::pread(fd, mapping.owned_.data() + done,
-                                mapping.size_ - done,
-                                static_cast<off_t>(done));
-    if (got <= 0) {
-      ::close(fd);
-      fail(error, path + ": short read");
-      return std::nullopt;
-    }
-    done += static_cast<std::size_t>(got);
-  }
+  const bool read = util::read_file(fd, mapping.size_, &mapping.owned_);
   ::close(fd);
-  mapping.data_ = mapping.owned_.data();
-  return mapping;
-#else
-  if (backend == IoBackend::kMmap) {
-    fail(error, path + ": mmap unavailable on this platform");
-    return std::nullopt;
-  }
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    fail(error, path + ": cannot open");
-    return std::nullopt;
-  }
-  in.seekg(0, std::ios::end);
-  const auto size = in.tellg();
-  if (size < 0) {
-    fail(error, path + ": cannot size");
-    return std::nullopt;
-  }
-  mapping.size_ = static_cast<std::size_t>(size);
-  std::error_code ec;
-  const auto mtime = std::filesystem::last_write_time(path, ec);
-  mapping.mtime_ns_ =
-      ec ? 0 : static_cast<std::int64_t>(mtime.time_since_epoch().count());
-  mapping.owned_.resize(mapping.size_);
-  in.seekg(0);
-  in.read(reinterpret_cast<char*>(mapping.owned_.data()),
-          static_cast<std::streamsize>(mapping.size_));
-  if (static_cast<std::size_t>(in.gcount()) != mapping.size_) {
+  if (!read) {
     fail(error, path + ": short read");
     return std::nullopt;
   }
   mapping.data_ = mapping.owned_.data();
   return mapping;
-#endif
 }
 
 // --- ValidationCache --------------------------------------------------------
@@ -420,21 +363,9 @@ bool write_segment_file(const std::string& path, const trace::Trace& entries,
   put_u64_le(trailer, fnv1a64(footer_bytes, 0));
   put_u32_le(trailer, kTrailerMagic);
 
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) return fail(error, "cannot open " + tmp + " for writing");
-    out.write(reinterpret_cast<const char*>(body.data()),
-              static_cast<std::streamsize>(body.size()));
-    out.write(reinterpret_cast<const char*>(footer_bytes.data()),
-              static_cast<std::streamsize>(footer_bytes.size()));
-    out.write(reinterpret_cast<const char*>(trailer.data()),
-              static_cast<std::streamsize>(trailer.size()));
-    if (!out) return fail(error, "short write to " + tmp);
+  if (!util::publish(path, {body, footer_bytes, trailer}, error)) {
+    return false;
   }
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) return fail(error, "rename " + tmp + ": " + ec.message());
   if (out_footer != nullptr) *out_footer = footer;
   return true;
 }

@@ -121,7 +121,7 @@ struct SegmentOpenOptions {
 };
 
 /// Serializes `entries` as a complete segment (body + footer + trailer) and
-/// writes it to `path` atomically (write to `path + ".tmp"`, then rename).
+/// publishes it at `path` atomically (util::publish).
 /// Returns false and sets `error` on IO failure.
 bool write_segment_file(const std::string& path, const trace::Trace& entries,
                         std::size_t bloom_bits_per_key,

@@ -1,13 +1,10 @@
 #include "tracestore/store.hpp"
 
 #include <algorithm>
-#include <cerrno>
-#include <cstdlib>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 
 #include "tracestore/rollup.hpp"
+#include "util/file.hpp"
 #include "util/strings.hpp"
 
 namespace fs = std::filesystem;
@@ -37,83 +34,49 @@ bool write_manifest(
     const std::string& dir,
     const std::vector<std::pair<std::string, SegmentFooter>>& segments,
     std::string* error) {
-  const fs::path tmp = fs::path(dir) / (std::string(kManifestName) + ".tmp");
-  {
-    std::ofstream out(tmp);
-    if (!out) {
-      if (error != nullptr) *error = "cannot open " + tmp.string();
-      return false;
-    }
-    out << kManifestHeader << '\n';
-    for (const auto& [file, footer] : segments) {
-      out << file << ' ' << footer.entry_count << ' ' << footer.min_time
-          << ' ' << footer.max_time << '\n';
-    }
-    if (!out) {
-      if (error != nullptr) *error = "short write to " + tmp.string();
-      return false;
-    }
+  std::string text = std::string(kManifestHeader) + '\n';
+  for (const auto& [file, footer] : segments) {
+    text += file + ' ' + std::to_string(footer.entry_count) + ' ' +
+            std::to_string(footer.min_time) + ' ' +
+            std::to_string(footer.max_time) + '\n';
   }
-  std::error_code ec;
-  fs::rename(tmp, fs::path(dir) / kManifestName, ec);
-  if (ec) {
-    if (error != nullptr) *error = "rename manifest: " + ec.message();
-    return false;
-  }
-  return true;
+  return util::publish((fs::path(dir) / kManifestName).string(), {text},
+                       error);
 }
 
 // --- Store metadata ---------------------------------------------------------
 
 bool write_store_meta(const std::string& dir, const StoreMeta& meta,
                       std::string* error) {
-  const fs::path tmp = fs::path(dir) / (std::string(kStoreMetaName) + ".tmp");
-  {
-    std::ofstream out(tmp);
-    if (!out) {
-      if (error != nullptr) *error = "cannot open " + tmp.string();
-      return false;
-    }
-    out << kStoreMetaHeader << '\n';
-    out << "wall_epoch_ns=" << meta.wall_epoch_ns << '\n';
-    if (!meta.source.empty()) out << "source=" << meta.source << '\n';
-    if (!meta.format.empty()) out << "format=" << meta.format << '\n';
-    for (const auto& [name, id] : meta.monitors) {
-      out << "monitor=" << id << ':' << name << '\n';
-    }
-    if (!out) {
-      if (error != nullptr) *error = "short write to " + tmp.string();
-      return false;
-    }
+  std::string text = std::string(kStoreMetaHeader) + '\n';
+  text += "wall_epoch_ns=" + std::to_string(meta.wall_epoch_ns) + '\n';
+  if (!meta.source.empty()) text += "source=" + meta.source + '\n';
+  if (!meta.format.empty()) text += "format=" + meta.format + '\n';
+  for (const auto& [name, id] : meta.monitors) {
+    text += "monitor=" + std::to_string(id) + ':' + name + '\n';
   }
-  std::error_code ec;
-  fs::rename(tmp, fs::path(dir) / kStoreMetaName, ec);
-  if (ec) {
-    if (error != nullptr) *error = "rename storemeta: " + ec.message();
-    return false;
-  }
-  return true;
+  return util::publish((fs::path(dir) / kStoreMetaName).string(), {text},
+                       error);
 }
 
 std::optional<StoreMeta> read_store_meta(const std::string& dir) {
-  std::ifstream in(fs::path(dir) / kStoreMetaName);
-  if (!in) return std::nullopt;
-  std::string line;
-  if (!std::getline(in, line) || line != kStoreMetaHeader) return std::nullopt;
+  std::string text;
+  if (!util::read_file((fs::path(dir) / kStoreMetaName).string(), &text)) {
+    return std::nullopt;
+  }
+  const auto lines = util::split(text, '\n');
+  if (lines.front() != kStoreMetaHeader) return std::nullopt;
   StoreMeta meta;
-  while (std::getline(in, line)) {
+  for (std::size_t i = 1; i < lines.size(); ++i) {
+    const std::string& line = lines[i];
     const auto eq = line.find('=');
     if (eq == std::string::npos) continue;
     const std::string key = line.substr(0, eq);
     const std::string value = line.substr(eq + 1);
     if (key == "wall_epoch_ns") {
-      errno = 0;
-      char* end = nullptr;
-      const long long parsed = std::strtoll(value.c_str(), &end, 10);
-      if (errno != 0 || end == value.c_str() || *end != '\0') {
-        return std::nullopt;
-      }
-      meta.wall_epoch_ns = parsed;
+      const auto parsed = util::parse_i64(value);
+      if (!parsed) return std::nullopt;
+      meta.wall_epoch_ns = *parsed;
     } else if (key == "source") {
       meta.source = value;
     } else if (key == "format") {
@@ -121,15 +84,11 @@ std::optional<StoreMeta> read_store_meta(const std::string& dir) {
     } else if (key == "monitor") {
       const auto colon = value.find(':');
       if (colon == std::string::npos) return std::nullopt;
-      errno = 0;
-      char* end = nullptr;
-      const std::string id_text = value.substr(0, colon);
-      const long long id = std::strtoll(id_text.c_str(), &end, 10);
-      if (errno != 0 || end == id_text.c_str() || *end != '\0' || id < 0) {
-        return std::nullopt;
-      }
+      const auto id = util::parse_u64(
+          std::string_view(value).substr(0, colon), UINT32_MAX);
+      if (!id) return std::nullopt;
       meta.monitors.emplace_back(value.substr(colon + 1),
-                                 static_cast<std::uint32_t>(id));
+                                 static_cast<std::uint32_t>(*id));
     }
     // Unknown keys are skipped so newer writers stay readable.
   }
@@ -147,12 +106,18 @@ std::optional<RecoveryReport> recover_store_dir(const std::string& dir,
     return std::nullopt;
   }
   // The MANIFEST cannot be trusted after a crash (finalize() never ran, or
-  // ran in a previous incarnation); enumerate segment files directly.
+  // ran in a previous incarnation); enumerate segment files directly. A
+  // crash mid-publish leaves at worst a temp file the rename never
+  // published; it is deleted here and its data re-derived or re-shipped.
+  RecoveryReport report;
   std::vector<std::string> files;
+  std::vector<fs::path> temps;
   for (const auto& entry : fs::directory_iterator(dir, ec)) {
     const std::string name = entry.path().filename().string();
     if (name.starts_with("seg-") && name.ends_with(".seg")) {
       files.push_back(name);
+    } else if (util::is_publish_temp(name)) {
+      temps.push_back(entry.path());
     }
   }
   if (ec) {
@@ -160,12 +125,18 @@ std::optional<RecoveryReport> recover_store_dir(const std::string& dir,
     return std::nullopt;
   }
   std::sort(files.begin(), files.end());
+  std::sort(temps.begin(), temps.end());
+  for (const auto& temp : temps) {
+    fs::remove(temp, ec);
+    report.notes.push_back("removed in-flight " + temp.filename().string());
+  }
 
-  RecoveryReport report;
   for (const auto& name : files) {
-    // "seg-%06zu.seg": strtoul stops at the '.', malformed names parse as 0
-    // which only ever grows next_segment_index.
-    const std::size_t index = std::strtoul(name.c_str() + 4, nullptr, 10);
+    // "seg-%06zu.seg"; a malformed name counts as index 0, which only
+    // ever grows next_segment_index.
+    const std::size_t index = static_cast<std::size_t>(
+        util::parse_u64(std::string_view(name).substr(4, name.size() - 8))
+            .value_or(0));
     report.next_segment_index =
         std::max(report.next_segment_index, index + 1);
     const std::string path = (fs::path(dir) / name).string();
@@ -244,7 +215,7 @@ std::unique_ptr<SegmentWriter> SegmentWriter::create(const std::string& dir,
     const std::string name = entry.path().filename().string();
     if (name == kManifestName || name == kStoreMetaName ||
         name.ends_with(".seg") || name.ends_with(".rollup") ||
-        name.ends_with(".tmp") || name.ends_with(".ckpt") ||
+        util::is_publish_temp(name) || name.ends_with(".ckpt") ||
         name.ends_with(".rej")) {
       fs::remove(entry.path(), ec);
     }
@@ -358,13 +329,17 @@ bool SegmentWriter::checkpoint() {
 std::optional<TraceStore> TraceStore::open(const std::string& dir,
                                            StoreOptions options,
                                            std::string* error) {
-  std::ifstream manifest(fs::path(dir) / kManifestName);
-  if (!manifest) {
-    if (error != nullptr) *error = dir + ": no readable MANIFEST";
+  std::string text;
+  std::string read_error;
+  if (!util::read_file((fs::path(dir) / kManifestName).string(), &text,
+                       &read_error)) {
+    if (error != nullptr) {
+      *error = dir + ": no readable MANIFEST (" + read_error + ")";
+    }
     return std::nullopt;
   }
-  std::string line;
-  if (!std::getline(manifest, line) || line != kManifestHeader) {
+  const auto lines = util::split(text, '\n');
+  if (lines.front() != kManifestHeader) {
     if (error != nullptr) *error = dir + ": bad manifest header";
     return std::nullopt;
   }
@@ -372,7 +347,8 @@ std::optional<TraceStore> TraceStore::open(const std::string& dir,
   TraceStore store;
   store.dir_ = dir;
   store.options_ = options;
-  while (std::getline(manifest, line)) {
+  for (std::size_t i = 1; i < lines.size(); ++i) {
+    const std::string& line = lines[i];
     if (line.empty()) continue;
     const auto fields = util::split(line, ' ');
     if (fields.empty()) continue;

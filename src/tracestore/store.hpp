@@ -95,8 +95,10 @@ struct RecoveryReport {
 /// Crash recovery for a store directory. After a crash the MANIFEST is
 /// stale or missing (it is only published by finalize()), so this scans the
 /// directory for segment files directly, validates each footer, renames any
-/// torn segment (usually the tail that was mid-write) to "<name>.torn", and
-/// rebuilds the MANIFEST atomically from the surviving segments. Idempotent.
+/// torn segment (usually the tail that was mid-write) to "<name>.torn",
+/// deletes the temp files of publishes a crash cut short (one note each),
+/// and rebuilds the MANIFEST atomically from the surviving segments.
+/// Idempotent.
 /// Returns nullopt only when the directory itself is unusable.
 std::optional<RecoveryReport> recover_store_dir(const std::string& dir,
                                                 StoreOptions options = {},
@@ -144,9 +146,10 @@ class SegmentWriter {
   /// Idempotent; append() may not be called afterwards.
   bool finalize();
 
-  /// Durability point: flushes the open segment (if any) and publishes the
+  /// Crash-safe point: flushes the open segment (if any) and publishes the
   /// manifest like finalize(), but keeps the writer appendable. After a
-  /// crash, everything appended before the last checkpoint() survives
+  /// process crash (not a power loss: nothing is fsync'd), everything
+  /// appended before the last checkpoint() survives
   /// recover_store_dir() intact. Ingest writes its resume checkpoint right
   /// after calling this. Returns false when any flush has failed.
   bool checkpoint();

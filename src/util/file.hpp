@@ -1,0 +1,87 @@
+// The one file layer. Every file the library publishes (segments, rollups,
+// MANIFEST, STOREMETA, INGEST.ckpt, FEDERATION, UNIFIED_SOURCE) goes
+// through publish(), every whole-file read through read_file(), every
+// (size, mtime) signature through file_signature(), and every integer
+// field read back from disk or the wire through parse_u64()/parse_i64().
+//
+// publish() is atomic against process crashes only: a reader sees the old
+// file or the new one, never a torn one. Nothing is fsync'd, so a power
+// loss may still lose or tear the latest publish.
+#pragma once
+
+#include <cstdint>
+#include <functional>
+#include <initializer_list>
+#include <optional>
+#include <string>
+#include <string_view>
+
+#include "util/bytes.hpp"
+
+namespace ipfsmon::util {
+
+/// Strict decimal: digits only, no sign, whitespace or empty text, and at
+/// most `max`. Nullopt otherwise.
+std::optional<std::uint64_t> parse_u64(std::string_view text,
+                                       std::uint64_t max = UINT64_MAX);
+
+/// Strict decimal: an optional leading '-', then digits only, within the
+/// int64 range. Nullopt otherwise.
+std::optional<std::int64_t> parse_i64(std::string_view text);
+
+/// A file's (size, mtime) as stat reports them: the key ValidationCache
+/// keeps verified segments under. The path and fd forms agree, so the
+/// signature the coordinator records after landing a segment matches the
+/// one SegmentMapping takes when the serving store opens it.
+struct FileSignature {
+  std::uint64_t size = 0;
+  std::int64_t mtime_ns = 0;  // since the unix epoch
+};
+
+std::optional<FileSignature> file_signature(const std::string& path);
+std::optional<FileSignature> file_signature(int fd);
+
+/// Reads a whole regular file: exactly st_size bytes. Fails, with `error`
+/// naming the path, on anything else (a directory, a device, a FIFO, a
+/// link to one, or a file that shrank mid-read).
+bool read_file(const std::string& path, std::string* out,
+               std::string* error = nullptr);
+bool read_file(const std::string& path, Bytes* out,
+               std::string* error = nullptr);
+/// Reads exactly `size` bytes from offset 0 of an open file.
+bool read_file(int fd, std::size_t size, Bytes* out);
+
+/// One piece of a published file, by reference; pieces are written back
+/// to back, never concatenated first.
+struct FilePiece {
+  FilePiece(const std::string& text) : data(text.data()), size(text.size()) {}
+  FilePiece(const Bytes& bytes)
+      : data(reinterpret_cast<const char*>(bytes.data())),
+        size(bytes.size()) {}
+
+  const char* data;
+  std::size_t size;
+};
+
+/// Checks the written temp file (by path) before it is published.
+using PublishCheck = std::function<bool(const std::string& temp_path)>;
+
+/// Replaces `path` atomically: writes `pieces` to a fresh temp file beside
+/// it, checks every write and the close, runs `check` on the temp when one
+/// is given, then renames the temp over `path`. On any failure returns
+/// false with `error` set, leaves `path` untouched and removes the temp.
+bool publish(const std::string& path, std::initializer_list<FilePiece> pieces,
+             std::string* error = nullptr, const PublishCheck& check = {});
+
+/// True for the name of a temp file publish() may leave behind when the
+/// process dies mid-publish. Crash recovery deletes these.
+bool is_publish_temp(std::string_view name);
+
+/// Writes `text` to `path` in place (not atomic), replacing any previous
+/// file. For outputs nothing reads back (span exports, metrics sidecars,
+/// BENCH artifacts). Returns false, with `error` naming the path, when the
+/// file cannot be opened, written or closed in full.
+bool write_file(const std::string& path, std::string_view text,
+                std::string* error = nullptr);
+
+}  // namespace ipfsmon::util

@@ -3,7 +3,6 @@
 #include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <fstream>
 
 namespace ipfsmon::util::json {
 
@@ -306,16 +305,6 @@ std::string format_number(double v) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.6g", v);
   return buf;
-}
-
-bool write_file(const std::string& path, std::string_view text,
-                std::string* error) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(text.data(), static_cast<std::streamsize>(text.size()));
-  out.close();
-  if (out) return true;
-  if (error != nullptr) *error = "cannot write " + path;
-  return false;
 }
 
 bool scan_object(std::string_view text, std::vector<Field>* fields) {

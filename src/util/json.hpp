@@ -1,7 +1,8 @@
 // The one JSON codec. Every JSON document the tree emits (query bodies,
 // span exports, metrics sidecars, capture lines, BENCH artifacts) is
 // written by Writer, and every JSON text read back (capture lines, smoke
-// floors) goes through the strict reader below.
+// floors) goes through the strict reader below. The codec does no file
+// I/O; rendered documents are written with util::write_file.
 #pragma once
 
 #include <cstdint>
@@ -49,12 +50,6 @@ class Writer {
 /// Integer-valued doubles below 1e15 in magnitude print as integers,
 /// other finite values as printf("%.6g"). `v` must be finite.
 std::string format_number(double v);
-
-/// Writes a rendered document to `path`, replacing any previous file.
-/// Returns false, with `error` naming the path, when the file cannot be
-/// opened, written or closed in full.
-bool write_file(const std::string& path, std::string_view text,
-                std::string* error = nullptr);
 
 /// A scalar member of a JSON object.
 struct Field {

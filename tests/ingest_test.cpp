@@ -670,6 +670,41 @@ TEST_F(IngestTest, StaleCheckpointIsIgnored) {
   ASSERT_TRUE(stats.has_value()) << error;
   EXPECT_FALSE(stats->resumed);  // restarted from scratch
   EXPECT_EQ(stats->entries, 30u);
+
+  // A checkpoint with a lax integer field is rejected as a whole (the run
+  // restarts from scratch) rather than read as some other number: "-1"
+  // must not wrap to 2^64-1, "+20" and " 20" are not digits, and a
+  // monitor id must fit 32 bits.
+  const std::string ckpt = (fs::path(path("store")) / "INGEST.ckpt").string();
+  for (const auto& [key, hostile] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"offset=", "offset=-1"},
+           {"entries=", "entries=+20"},
+           {"entries=", "entries= 20"},
+           {"last_sim=", "last_sim=--1"},
+           {"monitor=", "monitor=4294967296:us"}}) {
+    options.max_entries = 20;
+    options.resume = false;
+    ASSERT_TRUE(ingest::ingest_capture(path("cap.ndjson"), path("store"),
+                                       options, &error)
+                    .has_value())
+        << error;
+    std::ifstream in(ckpt);
+    std::string text, line;
+    while (std::getline(in, line)) {
+      text += (line.rfind(key, 0) == 0 ? hostile : line) + '\n';
+    }
+    in.close();
+    ASSERT_NE(text.find(hostile), std::string::npos) << hostile;
+    std::ofstream(ckpt, std::ios::trunc) << text;
+    options.max_entries = 0;
+    options.resume = true;
+    const auto rerun = ingest::ingest_capture(path("cap.ndjson"),
+                                              path("store"), options, &error);
+    ASSERT_TRUE(rerun.has_value()) << hostile << ": " << error;
+    EXPECT_FALSE(rerun->resumed) << hostile;
+    EXPECT_EQ(rerun->entries, records.size()) << hostile;
+  }
 }
 
 // --- Export -----------------------------------------------------------------
@@ -855,6 +890,18 @@ TEST_F(IngestTest, StoreMetaRoundTripsAndCreateCleansIt) {
   ASSERT_EQ(read->monitors.size(), 2u);
   EXPECT_EQ(read->monitors[1].first, "de");
   EXPECT_EQ(read->monitors[1].second, 1u);
+
+  // Integer fields are strict: digits only (one leading '-' for the
+  // epoch), in range. 4294967297 must not wrap to monitor 1.
+  for (const char* hostile :
+       {"monitor=4294967297:us", "monitor=-1:us", "monitor=+1:us",
+        "monitor= 1:us", "wall_epoch_ns=+5", "wall_epoch_ns= 5",
+        "wall_epoch_ns=5x", "wall_epoch_ns=99999999999999999999"}) {
+    std::ofstream(root_ + "/STOREMETA", std::ios::trunc)
+        << "ipfsmon-storemeta v1\n"
+        << hostile << '\n';
+    EXPECT_FALSE(tracestore::read_store_meta(root_).has_value()) << hostile;
+  }
 
   // A fresh writer wipes stale metadata along with old segments.
   auto writer = tracestore::SegmentWriter::create(root_, {}, &error);

@@ -210,6 +210,16 @@ TEST(Http, MalformedRequestTable) {
        ParseStatus::kTooLarge},
       {"bad content length", "GET / HTTP/1.1\r\nContent-Length: nan\r\n\r\n",
        ParseStatus::kBadRequest},
+      // RFC 9110: Content-Length is digits only.
+      {"signed content length",
+       "GET / HTTP/1.1\r\nContent-Length: +5\r\n\r\nhello",
+       ParseStatus::kBadRequest},
+      {"negative zero content length",
+       "GET / HTTP/1.1\r\nContent-Length: -0\r\n\r\n",
+       ParseStatus::kBadRequest},
+      {"split content length",
+       "GET / HTTP/1.1\r\nContent-Length: 1 2\r\n\r\n",
+       ParseStatus::kBadRequest},
       {"header fold", "GET / HTTP/1.1\r\nA: b\r\n c\r\n\r\n",
        ParseStatus::kBadRequest},
       {"colonless header", "GET / HTTP/1.1\r\nOops\r\n\r\n",
@@ -250,6 +260,15 @@ TEST(Http, ResponseRoundTrip) {
   EXPECT_EQ(parsed->body, response.body);
   ASSERT_NE(find_header(*parsed, "x-source"), nullptr);
   EXPECT_EQ(*find_header(*parsed, "x-source"), "rollup");
+
+  // The client side reads Content-Length as strictly as the server.
+  for (const char* hostile : {"+2", "-0", "2x"}) {
+    EXPECT_FALSE(parse_response(std::string("HTTP/1.1 200 OK\r\n"
+                                            "Content-Length: ") +
+                                hostile + "\r\n\r\nok")
+                     .has_value())
+        << hostile;
+  }
 }
 
 // --- LRU cache ------------------------------------------------------------
@@ -416,6 +435,10 @@ TEST(Server, MalformedRequestsOverTheWireTable) {
        " 431 "},
       {"truncated body",
        "GET / HTTP/1.1\r\nContent-Length: 50\r\n\r\nshort", " 408 "},
+      {"signed content length",
+       "GET / HTTP/1.1\r\nContent-Length: +5\r\n\r\nhello", " 400 "},
+      {"negative zero content length",
+       "GET / HTTP/1.1\r\nContent-Length: -0\r\n\r\n", " 400 "},
   };
   for (const auto& c : cases) {
     const auto raw = raw_exchange("127.0.0.1", server.port(), c.raw, 2000);

@@ -19,6 +19,8 @@
 #include "tracestore/scan.hpp"
 #include "tracestore/store.hpp"
 
+#include "publish_check.hpp"
+
 namespace ipfsmon::tracestore {
 namespace {
 
@@ -299,6 +301,75 @@ TEST(Store, UnfinalizedStoreHasNoManifest) {
   std::string error;
   EXPECT_FALSE(TraceStore::open(dir, {}, &error).has_value());
   EXPECT_FALSE(error.empty());
+}
+
+TEST(Store, WriteManifestIsAllOrNothing) {
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  const std::string dir = fresh_dir("publish");
+  std::filesystem::create_directories(dir);
+  SegmentFooter footer;
+  footer.entry_count = 3;
+  footer.min_time = -5;
+  footer.max_time = 7;
+  const std::vector<std::pair<std::string, SegmentFooter>> rows = {
+      {"seg-000000.seg", footer}};
+  testing_helpers::expect_publish_all_or_nothing(
+      dir, "MANIFEST", "ipfsmon-tracestore v1\nseg-000000.seg 3 -5 7\n", [&] {
+        std::string error;
+        const bool ok = write_manifest(dir, rows, &error);
+        EXPECT_EQ(ok, error.empty()) << error;
+        return ok;
+      });
+}
+
+TEST(Store, OpenRefusesAManifestThatIsNotARegularFile) {
+  if (!std::filesystem::exists("/dev/zero")) GTEST_SKIP() << "no /dev/zero";
+  const std::string dir = fresh_dir("devzero");
+  {
+    auto writer = SegmentWriter::create(dir);
+    writer->append(entry(0, 1, 1, 0));
+    ASSERT_TRUE(writer->finalize());
+  }
+  // An endless device must be refused, not read until memory runs out.
+  std::filesystem::remove(dir + "/MANIFEST");
+  std::filesystem::create_symlink("/dev/zero", dir + "/MANIFEST");
+  std::string error;
+  EXPECT_FALSE(TraceStore::open(dir, {}, &error).has_value());
+  EXPECT_NE(error.find("not a regular file"), std::string::npos) << error;
+}
+
+TEST(Store, ResumeSweepsTempsOfInterruptedPublishes) {
+  const std::string dir = fresh_dir("temps");
+  StoreOptions options;
+  options.max_entries_per_segment = 4;
+  {
+    auto writer = SegmentWriter::create(dir, options);
+    for (int i = 0; i < 10; ++i) writer->append(entry(i * kSecond, i, i, 0));
+    ASSERT_TRUE(writer->finalize());
+  }
+  // A crash mid-publish leaves the temp of a segment and of the MANIFEST.
+  { std::ofstream(dir + "/seg-000001.seg.tmp") << "torn bytes"; }
+  { std::ofstream(dir + "/MANIFEST.tmp") << "ipfsmon-tracestore v1\n"; }
+  RecoveryReport report;
+  std::string error;
+  auto writer = SegmentWriter::resume(dir, options, &report, &error);
+  ASSERT_NE(writer, nullptr) << error;
+  EXPECT_FALSE(std::filesystem::exists(dir + "/seg-000001.seg.tmp"));
+  EXPECT_FALSE(std::filesystem::exists(dir + "/MANIFEST.tmp"));
+  EXPECT_EQ(report.segments_kept, 3u);
+  EXPECT_EQ(report.entries_recovered, 10u);
+  std::size_t temp_notes = 0;
+  for (const auto& note : report.notes) {
+    if (note.find("seg-000001.seg.tmp") != std::string::npos ||
+        note.find("MANIFEST.tmp") != std::string::npos) {
+      ++temp_notes;
+    }
+  }
+  EXPECT_EQ(temp_notes, 2u);
+  ASSERT_TRUE(writer->finalize());
+  auto store = TraceStore::open(dir);
+  ASSERT_TRUE(store.has_value());
+  EXPECT_EQ(store->total_entries(), 10u);
 }
 
 TEST(Store, TruncatedSegmentSkippedWithWarning) {

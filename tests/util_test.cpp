@@ -1,8 +1,14 @@
 // Unit and property tests for the util module: hex, varint, base58,
-// base32, deterministic RNG, and string helpers.
+// base32, deterministic RNG, string helpers, and the file layer.
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <signal.h>
+#include <sys/resource.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
 #include <cmath>
+#include <filesystem>
 #include <fstream>
 #include <cstring>
 #include <set>
@@ -10,6 +16,7 @@
 #include "util/base32.hpp"
 #include "util/base58.hpp"
 #include "util/bytes.hpp"
+#include "util/file.hpp"
 #include "util/json.hpp"
 #include "util/rng.hpp"
 #include "util/strings.hpp"
@@ -18,6 +25,7 @@
 
 // read_smoke_floor and TempDir are header-only bench helpers.
 #include "../bench/bench_common.hpp"
+#include "publish_check.hpp"
 
 namespace ipfsmon::util {
 namespace {
@@ -467,6 +475,141 @@ TEST(Time, FormatsDayHourMinuteSecond) {
   EXPECT_EQ(format_sim_time(0), "0:00:00:00");
   EXPECT_EQ(format_sim_time(kDay + 2 * kHour + 3 * kMinute + 4 * kSecond),
             "1:02:03:04");
+}
+
+// --- file layer -----------------------------------------------------------
+
+namespace fs = std::filesystem;
+
+std::string file_dir(const std::string& name) {
+  const std::string dir = ::testing::TempDir() + "/util_file_" + name;
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  return dir;
+}
+
+TEST(ParseInt, DigitsOnlyWithinRange) {
+  EXPECT_EQ(parse_u64("0"), 0u);
+  EXPECT_EQ(parse_u64("007"), 7u);
+  EXPECT_EQ(parse_u64("18446744073709551615"), UINT64_MAX);
+  EXPECT_EQ(parse_u64("4294967295", UINT32_MAX), UINT32_MAX);
+  for (const char* bad : {"", "+5", "-0", "-1", " 5", "5 ", "0x10", "1e3",
+                          "18446744073709551616", "99999999999999999999"}) {
+    EXPECT_FALSE(parse_u64(bad).has_value()) << bad;
+  }
+  EXPECT_FALSE(parse_u64("4294967296", UINT32_MAX).has_value());
+  EXPECT_FALSE(parse_u64("4294967297", UINT32_MAX).has_value());
+
+  EXPECT_EQ(parse_i64("-0"), 0);
+  EXPECT_EQ(parse_i64("-42"), -42);
+  EXPECT_EQ(parse_i64("9223372036854775807"), INT64_MAX);
+  EXPECT_EQ(parse_i64("-9223372036854775808"), INT64_MIN);
+  for (const char* bad : {"", "-", "+1", "--1", "- 1", " -1", "1-",
+                          "9223372036854775808", "-9223372036854775809"}) {
+    EXPECT_FALSE(parse_i64(bad).has_value()) << bad;
+  }
+}
+
+TEST(File, PublishIsAllOrNothing) {
+  if (!fs::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  const std::string dir = file_dir("publish");
+  const std::string head = "head|";
+  const Bytes tail = bytes_of("tail");
+  testing_helpers::expect_publish_all_or_nothing(
+      dir, "target", "head|tail", [&] {
+        std::string error;
+        const bool ok = publish(dir + "/target", {head, tail}, &error);
+        EXPECT_EQ(ok, error.empty()) << error;
+        return ok;
+      });
+}
+
+TEST(File, PublishReportsAShortWriteAndLeavesNoTemp) {
+  // RLIMIT_FSIZE makes writes past 4 KiB fail with EFBIG (SIGXFSZ is
+  // ignored for the duration), so the temp can only be written in part.
+  const std::string dir = file_dir("short");
+  const std::string target = dir + "/target";
+  ASSERT_TRUE(publish(target, {std::string("old")}));
+  struct rlimit saved {};
+  ASSERT_EQ(::getrlimit(RLIMIT_FSIZE, &saved), 0);
+  struct rlimit small = saved;
+  small.rlim_cur = 4096;
+  const auto saved_handler = ::signal(SIGXFSZ, SIG_IGN);
+  ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &small), 0);
+  std::string error;
+  const bool ok = publish(target, {std::string(16384, 'x')}, &error);
+  ::setrlimit(RLIMIT_FSIZE, &saved);
+  ::signal(SIGXFSZ, saved_handler);
+  EXPECT_FALSE(ok);
+  EXPECT_NE(error.find("short write"), std::string::npos) << error;
+  EXPECT_EQ(testing_helpers::read_text(target), "old");
+  EXPECT_FALSE(fs::exists(target + ".tmp"));
+}
+
+TEST(File, PublishCheckVetoesTheRename) {
+  const std::string dir = file_dir("check");
+  const std::string target = dir + "/target";
+  ASSERT_TRUE(publish(target, {std::string("old")}));
+  std::string seen;
+  std::string error;
+  EXPECT_FALSE(publish(target, {std::string("new")}, &error,
+                       [&](const std::string& temp) {
+                         std::string text;
+                         EXPECT_TRUE(read_file(temp, &text));
+                         seen = text;
+                         return false;
+                       }));
+  EXPECT_EQ(seen, "new");  // the check saw the written temp
+  EXPECT_FALSE(error.empty());
+  EXPECT_EQ(testing_helpers::read_text(target), "old");
+  EXPECT_FALSE(fs::exists(target + ".tmp"));
+  EXPECT_TRUE(publish(target, {std::string("new")}, nullptr,
+                      [](const std::string&) { return true; }));
+  EXPECT_EQ(testing_helpers::read_text(target), "new");
+}
+
+TEST(File, ReadFileTakesRegularFilesOnly) {
+  const std::string dir = file_dir("read");
+  ASSERT_TRUE(publish(dir + "/plain", {std::string("abc\ndef")}));
+  std::string text;
+  ASSERT_TRUE(read_file(dir + "/plain", &text));
+  EXPECT_EQ(text, "abc\ndef");
+  Bytes bytes;
+  ASSERT_TRUE(read_file(dir + "/plain", &bytes));
+  EXPECT_EQ(bytes, bytes_of("abc\ndef"));
+
+  std::string error;
+  EXPECT_FALSE(read_file(dir + "/missing", &text, &error));
+  EXPECT_NE(error.find("missing"), std::string::npos) << error;
+  EXPECT_FALSE(read_file(dir, &text, &error));  // a directory
+  EXPECT_NE(error.find("not a regular file"), std::string::npos) << error;
+  // A FIFO must be refused without blocking on the open.
+  ASSERT_EQ(::mkfifo((dir + "/fifo").c_str(), 0600), 0);
+  EXPECT_FALSE(read_file(dir + "/fifo", &text, &error));
+  EXPECT_NE(error.find("not a regular file"), std::string::npos) << error;
+  // An endless device behind a link is refused, not read without bound.
+  if (fs::exists("/dev/zero")) {
+    fs::create_symlink("/dev/zero", dir + "/zero");
+    EXPECT_FALSE(read_file(dir + "/zero", &text, &error));
+    EXPECT_NE(error.find("not a regular file"), std::string::npos) << error;
+  }
+}
+
+TEST(File, SignatureIsTheSameFromPathAndFd) {
+  const std::string dir = file_dir("signature");
+  const std::string path = dir + "/file";
+  ASSERT_TRUE(publish(path, {std::string("12345")}));
+  const auto by_path = file_signature(path);
+  ASSERT_TRUE(by_path.has_value());
+  EXPECT_EQ(by_path->size, 5u);
+  const int fd = ::open(path.c_str(), O_RDONLY);
+  ASSERT_GE(fd, 0);
+  const auto by_fd = file_signature(fd);
+  ::close(fd);
+  ASSERT_TRUE(by_fd.has_value());
+  EXPECT_EQ(by_fd->size, by_path->size);
+  EXPECT_EQ(by_fd->mtime_ns, by_path->mtime_ns);
+  EXPECT_FALSE(file_signature(dir + "/missing").has_value());
 }
 
 }  // namespace
