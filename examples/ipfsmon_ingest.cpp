@@ -19,17 +19,23 @@
 // run into an assertion (exit 1 on mismatch), which is how the smoke suite
 // pins byte-identical replay of the committed fixtures. --speedup 0 (the
 // default) replays as fast as possible; N > 0 paces N sim-seconds per
-// wall-second. Exit status: 0 on success, 1 on any failure.
+// wall-second. Exit status: 0 on success, 2 on a malformed command line
+// (usage), 1 on any other failure.
+#include <charconv>
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "ingest/export.hpp"
 #include "ingest/ingest.hpp"
 #include "ingest/replay.hpp"
 #include "trace/trace.hpp"
+#include "util/file.hpp"
 #include "util/strings.hpp"
 
 using namespace ipfsmon;
@@ -48,7 +54,7 @@ int usage(const char* argv0) {
       argv0, static_cast<int>(std::strlen(argv0)), "",
       static_cast<int>(std::strlen(argv0)), "", argv0,
       static_cast<int>(std::strlen(argv0)), "", argv0);
-  return 1;
+  return 2;
 }
 
 std::optional<ingest::CaptureFormat> format_from_name(const std::string& name) {
@@ -176,6 +182,16 @@ int main(int argc, char** argv) {
     auto value = [&]() -> const char* {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
+    // The next argument as a decimal in [0, max]; nullopt when it is
+    // missing, malformed or out of range.
+    auto number = [&](std::uint64_t max) -> std::optional<std::uint64_t> {
+      const char* v = value();
+      return v == nullptr ? std::nullopt : util::parse_u64(v, max);
+    };
+    auto sim_time = [&]() -> std::optional<std::int64_t> {
+      const char* v = value();
+      return v == nullptr ? std::nullopt : util::parse_i64(v);
+    };
     const char* v = nullptr;
     if (arg == "--capture") {
       if ((v = value()) == nullptr) return usage(argv[0]);
@@ -212,29 +228,42 @@ int main(int argc, char** argv) {
       const std::string spec = v;
       const auto eq = spec.find('=');
       if (eq == std::string::npos) return usage(argv[0]);
-      ingest_options.monitors.emplace_back(
-          spec.substr(0, eq),
-          static_cast<trace::MonitorId>(std::atoi(spec.c_str() + eq + 1)));
+      const auto id =
+          util::parse_u64(std::string_view(spec).substr(eq + 1), UINT32_MAX);
+      if (!id) return usage(argv[0]);
+      ingest_options.monitors.emplace_back(spec.substr(0, eq),
+                                           static_cast<trace::MonitorId>(*id));
     } else if (arg == "--no-flags") {
       ingest_options.mark_flags = false;
     } else if (arg == "--checkpoint-every") {
-      if ((v = value()) == nullptr) return usage(argv[0]);
-      ingest_options.checkpoint_every =
-          static_cast<std::uint64_t>(std::atoll(v));
+      const auto every = number(UINT64_MAX);
+      if (!every) return usage(argv[0]);
+      ingest_options.checkpoint_every = *every;
     } else if (arg == "--resume") {
       ingest_options.resume = true;
     } else if (arg == "--max-entries") {
-      if ((v = value()) == nullptr) return usage(argv[0]);
-      ingest_options.max_entries = static_cast<std::uint64_t>(std::atoll(v));
+      const auto max = number(UINT64_MAX);
+      if (!max) return usage(argv[0]);
+      ingest_options.max_entries = *max;
     } else if (arg == "--speedup") {
       if ((v = value()) == nullptr) return usage(argv[0]);
-      replay_options.speedup = std::atof(v);
+      const std::string_view text = v;
+      double speedup = 0;
+      const auto [end, ec] =
+          std::from_chars(text.data(), text.data() + text.size(), speedup);
+      if (ec != std::errc() || end != text.data() + text.size() ||
+          !std::isfinite(speedup) || speedup < 0) {
+        return usage(argv[0]);
+      }
+      replay_options.speedup = speedup;
     } else if (arg == "--start") {
-      if ((v = value()) == nullptr) return usage(argv[0]);
-      replay_options.start = std::atoll(v);
+      const auto start = sim_time();
+      if (!start) return usage(argv[0]);
+      replay_options.start = *start;
     } else if (arg == "--stop") {
-      if ((v = value()) == nullptr) return usage(argv[0]);
-      replay_options.stop = std::atoll(v);
+      const auto stop = sim_time();
+      if (!stop) return usage(argv[0]);
+      replay_options.stop = *stop;
     } else if (arg == "--remark-flags") {
       replay_options.remark_flags = true;
     } else if (arg == "--expect-checksum") {

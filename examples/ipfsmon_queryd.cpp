@@ -6,8 +6,7 @@
 // are answered rollup-first from the per-segment sidecars; rendered
 // results are LRU-cached keyed by the store's manifest fingerprint.
 //
-// Usage: ipfsmon_queryd --store <dir> [--port N] [--bind ADDR]
-//                       [--cache N] [--no-rollups]
+// Usage: ipfsmon_queryd --store <dir> [--port N] [--bind ADDR] [--cache N]
 //                       [--reload-interval SEC]
 //                       [--trace] [--trace-sample N] [--trace-export BASE]
 //        ipfsmon_queryd --coordinator <root> [--fed-port N] [...]
@@ -35,11 +34,13 @@
 #include <poll.h>
 #include <unistd.h>
 
-#include <algorithm>
+#include <climits>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <optional>
 #include <string>
 
 #include "federation/federated.hpp"
@@ -48,6 +49,7 @@
 #include "query/server.hpp"
 #include "scenario/study.hpp"
 #include "tracestore/merge.hpp"
+#include "util/file.hpp"
 
 using namespace ipfsmon;
 
@@ -118,13 +120,13 @@ std::string make_demo_store() {
 int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s --store <dir> [--port N] [--bind ADDR] "
-               "[--cache N] [--no-rollups]\n"
+               "[--cache N]\n"
                "       %*s [--reload-interval SEC] [--trace] "
                "[--trace-sample N] [--trace-export BASE]\n"
                "       %s --coordinator <root> [--fed-port N] [...]\n"
                "       %s --demo-store\n",
                argv0, static_cast<int>(std::strlen(argv0)), "", argv0, argv0);
-  return 1;
+  return 2;
 }
 
 }  // namespace
@@ -145,6 +147,12 @@ int main(int argc, char** argv) {
     auto value = [&]() -> const char* {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
+    // The next argument as a decimal in [0, max]; nullopt when it is
+    // missing, malformed or out of range.
+    auto number = [&](std::uint64_t max) -> std::optional<std::uint64_t> {
+      const char* v = value();
+      return v == nullptr ? std::nullopt : util::parse_u64(v, max);
+    };
     if (arg == "--store") {
       const char* v = value();
       if (v == nullptr) return usage(argv[0]);
@@ -156,35 +164,32 @@ int main(int argc, char** argv) {
       if (v == nullptr) return usage(argv[0]);
       coordinator_root = v;
     } else if (arg == "--fed-port") {
-      const char* v = value();
-      if (v == nullptr) return usage(argv[0]);
-      fed_port = static_cast<std::uint16_t>(std::atoi(v));
+      const auto port = number(UINT16_MAX);
+      if (!port) return usage(argv[0]);
+      fed_port = static_cast<std::uint16_t>(*port);
     } else if (arg == "--reload-interval") {
-      const char* v = value();
-      if (v == nullptr) return usage(argv[0]);
-      reload_interval_s = std::max(0, std::atoi(v));
+      const auto seconds = number(INT_MAX);
+      if (!seconds) return usage(argv[0]);
+      reload_interval_s = static_cast<int>(*seconds);
     } else if (arg == "--port") {
-      const char* v = value();
-      if (v == nullptr) return usage(argv[0]);
-      server_options.port = static_cast<std::uint16_t>(std::atoi(v));
+      const auto port = number(UINT16_MAX);
+      if (!port) return usage(argv[0]);
+      server_options.port = static_cast<std::uint16_t>(*port);
     } else if (arg == "--bind") {
       const char* v = value();
       if (v == nullptr) return usage(argv[0]);
       server_options.bind_address = v;
     } else if (arg == "--cache") {
-      const char* v = value();
-      if (v == nullptr) return usage(argv[0]);
-      query_options.cache_capacity = static_cast<std::size_t>(std::atoi(v));
-    } else if (arg == "--no-rollups") {
-      query_options.use_rollups = false;
+      const auto capacity = number(SIZE_MAX);
+      if (!capacity) return usage(argv[0]);
+      query_options.cache_capacity = static_cast<std::size_t>(*capacity);
     } else if (arg == "--trace") {
       query_options.tracing.enabled = true;
     } else if (arg == "--trace-sample") {
-      const char* v = value();
-      if (v == nullptr) return usage(argv[0]);
+      const auto every = number(UINT64_MAX);
+      if (!every || *every == 0) return usage(argv[0]);
       query_options.tracing.enabled = true;
-      query_options.tracing.sample_every =
-          std::max(1, std::atoi(v));
+      query_options.tracing.sample_every = *every;
     } else if (arg == "--trace-export") {
       const char* v = value();
       if (v == nullptr) return usage(argv[0]);

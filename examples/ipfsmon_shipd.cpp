@@ -15,13 +15,16 @@
 // smoke tests); the default keeps watching until SIGINT/SIGTERM.
 #include <unistd.h>
 
-#include <algorithm>
+#include <climits>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <optional>
 #include <string>
 
 #include "federation/shipper.hpp"
+#include "util/file.hpp"
 
 using namespace ipfsmon;
 
@@ -39,7 +42,7 @@ int usage(const char* argv0) {
                "usage: %s --store <dir> --monitor-id N [--vantage LABEL]\n"
                "       %*s [--host ADDR] [--port N] [--poll-ms N] [--once]\n",
                argv0, static_cast<int>(std::strlen(argv0)), "");
-  return 1;
+  return 2;
 }
 
 void print_stats(const federation::ShipperStats& stats) {
@@ -68,14 +71,20 @@ int main(int argc, char** argv) {
     auto value = [&]() -> const char* {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
+    // The next argument as a decimal in [0, max]; nullopt when it is
+    // missing, malformed or out of range.
+    auto number = [&](std::uint64_t max) -> std::optional<std::uint64_t> {
+      const char* v = value();
+      return v == nullptr ? std::nullopt : util::parse_u64(v, max);
+    };
     if (arg == "--store") {
       const char* v = value();
       if (v == nullptr) return usage(argv[0]);
       store_dir = v;
     } else if (arg == "--monitor-id") {
-      const char* v = value();
-      if (v == nullptr) return usage(argv[0]);
-      options.monitor_id = static_cast<std::uint32_t>(std::atoll(v));
+      const auto id = number(UINT32_MAX);
+      if (!id) return usage(argv[0]);
+      options.monitor_id = static_cast<std::uint32_t>(*id);
     } else if (arg == "--vantage") {
       const char* v = value();
       if (v == nullptr) return usage(argv[0]);
@@ -85,13 +94,13 @@ int main(int argc, char** argv) {
       if (v == nullptr) return usage(argv[0]);
       options.host = v;
     } else if (arg == "--port") {
-      const char* v = value();
-      if (v == nullptr) return usage(argv[0]);
-      options.port = static_cast<std::uint16_t>(std::atoi(v));
+      const auto port = number(UINT16_MAX);
+      if (!port) return usage(argv[0]);
+      options.port = static_cast<std::uint16_t>(*port);
     } else if (arg == "--poll-ms") {
-      const char* v = value();
-      if (v == nullptr) return usage(argv[0]);
-      options.poll_interval_ms = std::max(1, std::atoi(v));
+      const auto ms = number(INT_MAX);
+      if (!ms || *ms == 0) return usage(argv[0]);
+      options.poll_interval_ms = static_cast<int>(*ms);
     } else if (arg == "--once") {
       once = true;
     } else {

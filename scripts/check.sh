@@ -1,8 +1,12 @@
 #!/usr/bin/env bash
 # Tier-1 verification: doc-drift gate (scripts/check_docs.sh), the
-# one-file-layer gate (no `st_mtim`, `strtol`/`strtoll`/`strtoul`/`strtoull`
-# or ".tmp" literal in src/ outside src/util/: file signatures, integer
-# fields and publish temps all go through src/util/file), configure,
+# one-file-layer and one-codec gate (no `st_mtim`, `strtol`/`strtoll`/
+# `strtoul`/`strtoull` or ".tmp" literal in src/ outside src/util/: file
+# signatures, integer fields and publish temps all go through src/util/file;
+# no little-endian put/get helper defined and no FNV-1a constant in src/
+# outside src/util/: binary encoding, decoding and hashing go through
+# src/util/codec; no `atoi`/`atol`/`atoll`/`atof` in examples/: daemon
+# flags are parsed strictly), configure,
 # build, run the full test suite, then rebuild the util + sim + obs + core +
 # tracestore + query + churn + federation suites under AddressSanitizer
 # (`ctest -L 'util|sim|obs|core|tracestore|query|churn|federation'`; `util`
@@ -68,9 +72,22 @@ JOBS="$(nproc 2>/dev/null || echo 4)"
 echo "== docs: check_docs.sh =="
 scripts/check_docs.sh
 
-echo "== one file layer: st_mtim / strto(u)l(l) / \".tmp\" only in src/util =="
+echo "== one file layer and one codec: st_mtim / strto(u)l(l) / \".tmp\" / LE helpers / FNV-1a only in src/util, no ato* in examples =="
 if grep -rnE --exclude-dir=util 'st_mtim|\bstrtou?ll?\b|"\.tmp"' src; then
   echo "use util/file (file_signature, parse_u64/parse_i64, publish)" >&2
+  exit 1
+fi
+if grep -rnE --exclude-dir=util \
+     '^\s*((static|inline|constexpr)\s+)*(void|auto|(std::)?u?int(8|16|32|64)_t)\s+[A-Za-z_0-9]*(_le|_u(8|16|32|64))\s*\(' src; then
+  echo "use util/codec (put_le/store_le, ByteReader) instead of a local LE helper" >&2
+  exit 1
+fi
+if grep -rniE --exclude-dir=util 'cbf29ce484222325|100000001b3' src; then
+  echo "use util::fnv1a64 / util::kFnv1aOffset (util/codec)" >&2
+  exit 1
+fi
+if grep -rnE '\bato(i|l|ll|f)\b' examples; then
+  echo "parse flags with util::parse_u64/parse_i64 or std::from_chars" >&2
   exit 1
 fi
 

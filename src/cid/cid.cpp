@@ -2,7 +2,7 @@
 
 #include "util/base32.hpp"
 #include "util/base58.hpp"
-#include "util/varint.hpp"
+#include "util/codec.hpp"
 
 namespace ipfsmon::cid {
 
@@ -40,14 +40,11 @@ std::optional<Cid> Cid::decode(util::BytesView data) {
     if (!mh) return std::nullopt;
     return Cid(0, Multicodec::DagProtobuf, mh->first);
   }
-  const auto version = util::varint_decode(data);
-  if (!version || version->value != 1) return std::nullopt;
-  auto rest = data.subspan(version->consumed);
-  const auto codec_code = util::varint_decode(rest);
-  if (!codec_code) return std::nullopt;
-  const auto codec = multicodec_from_code(codec_code->value);
-  if (!codec) return std::nullopt;
-  rest = rest.subspan(codec_code->consumed);
+  util::ByteReader reader(data);
+  const std::uint64_t version = reader.varint();
+  const auto codec = multicodec_from_code(reader.varint());
+  if (!reader.ok() || version != 1 || !codec) return std::nullopt;
+  const util::BytesView rest = data.subspan(reader.pos());
   const auto mh = Multihash::decode(rest);
   if (!mh || mh->second != rest.size()) return std::nullopt;
   return Cid(1, *codec, mh->first);

@@ -1,6 +1,6 @@
 #include "cid/multihash.hpp"
 
-#include "util/varint.hpp"
+#include "util/codec.hpp"
 
 namespace ipfsmon::cid {
 
@@ -23,23 +23,17 @@ util::Bytes Multihash::encode() const {
 
 std::optional<std::pair<Multihash, std::size_t>> Multihash::decode(
     util::BytesView data) {
-  const auto code = util::varint_decode(data);
-  if (!code) return std::nullopt;
-  if (code->value != static_cast<std::uint64_t>(HashCode::Identity) &&
-      code->value != static_cast<std::uint64_t>(HashCode::Sha2_256)) {
+  util::ByteReader reader(data);
+  const std::uint64_t code = reader.varint();
+  const util::BytesView digest = reader.blob(UINT64_MAX);
+  if (!reader.ok() || (code != static_cast<std::uint64_t>(HashCode::Identity) &&
+                       code != static_cast<std::uint64_t>(HashCode::Sha2_256))) {
     return std::nullopt;
   }
-  const auto rest = data.subspan(code->consumed);
-  const auto len = util::varint_decode(rest);
-  if (!len) return std::nullopt;
-  const auto digest_view = rest.subspan(len->consumed);
-  if (digest_view.size() < len->value) return std::nullopt;
-  util::Bytes digest(digest_view.begin(),
-                     digest_view.begin() + static_cast<std::ptrdiff_t>(len->value));
-  const std::size_t consumed = code->consumed + len->consumed + len->value;
   return std::make_pair(
-      Multihash(static_cast<HashCode>(code->value), std::move(digest)),
-      consumed);
+      Multihash(static_cast<HashCode>(code),
+                util::Bytes(digest.begin(), digest.end())),
+      reader.pos());
 }
 
 bool Multihash::verifies(util::BytesView data) const {

@@ -6,9 +6,8 @@
 #include <cstring>
 
 #include "query/socket.hpp"
-#include "tracestore/bloom.hpp"
+#include "util/codec.hpp"
 #include "util/file.hpp"
-#include "util/varint.hpp"
 
 namespace ipfsmon::federation {
 
@@ -16,109 +15,10 @@ namespace {
 
 constexpr std::size_t kHeaderBytes = 24;
 
-void put_u16_le(util::Bytes& out, std::uint16_t v) {
-  out.push_back(static_cast<std::uint8_t>(v));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-}
-
-void put_u32_le(util::Bytes& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-
-void put_u64_le(util::Bytes& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-
-std::uint16_t get_u16_le(const std::uint8_t* p) {
-  return static_cast<std::uint16_t>(p[0] | (p[1] << 8));
-}
-
-std::uint32_t get_u32_le(const std::uint8_t* p) {
-  std::uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) v = (v << 8) | p[i];
-  return v;
-}
-
-std::uint64_t get_u64_le(const std::uint8_t* p) {
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) v = (v << 8) | p[i];
-  return v;
-}
-
-void put_string(util::Bytes& out, std::string_view s) {
-  util::varint_append(out, s.size());
-  out.insert(out.end(), s.begin(), s.end());
-}
-
-void put_bytes(util::Bytes& out, util::BytesView b) {
-  util::varint_append(out, b.size());
-  out.insert(out.end(), b.begin(), b.end());
-}
-
-/// Streaming payload reader: varints, fixed-width ints, length-prefixed
-/// strings/blobs; every method fails sticky on truncated input.
-class PayloadReader {
- public:
-  explicit PayloadReader(util::BytesView data) : data_(data) {}
-
-  bool read_varint(std::uint64_t* out) {
-    if (failed_) return false;
-    const auto decoded = util::varint_decode(data_.subspan(pos_));
-    if (!decoded) return fail();
-    *out = decoded->value;
-    pos_ += decoded->consumed;
-    return true;
-  }
-
-  bool read_u64(std::uint64_t* out) {
-    if (failed_ || data_.size() - pos_ < 8) return fail();
-    *out = get_u64_le(data_.data() + pos_);
-    pos_ += 8;
-    return true;
-  }
-
-  bool read_u8(std::uint8_t* out) {
-    if (failed_ || data_.size() - pos_ < 1) return fail();
-    *out = data_[pos_++];
-    return true;
-  }
-
-  bool read_string(std::string* out, std::size_t max_len) {
-    std::uint64_t len = 0;
-    if (!read_varint(&len)) return false;
-    if (len > max_len || data_.size() - pos_ < len) return fail();
-    out->assign(reinterpret_cast<const char*>(data_.data() + pos_),
-                static_cast<std::size_t>(len));
-    pos_ += static_cast<std::size_t>(len);
-    return true;
-  }
-
-  bool read_bytes(util::Bytes* out) {
-    std::uint64_t len = 0;
-    if (!read_varint(&len)) return false;
-    if (len > kMaxFramePayload || data_.size() - pos_ < len) return fail();
-    out->assign(data_.begin() + static_cast<std::ptrdiff_t>(pos_),
-                data_.begin() + static_cast<std::ptrdiff_t>(pos_ + len));
-    pos_ += static_cast<std::size_t>(len);
-    return true;
-  }
-
-  bool done() const { return !failed_ && pos_ == data_.size(); }
-
- private:
-  bool fail() {
-    failed_ = true;
-    return false;
-  }
-
-  util::BytesView data_;
-  std::size_t pos_ = 0;
-  bool failed_ = false;
-};
+// Smallest encoding of one HELLO_ACK entry: an empty name (a one-byte
+// length) and its u64 checksum.
+constexpr std::size_t kMinLandedBytes = 1 + 8;
+constexpr std::uint64_t kMaxNameBytes = 256;
 
 void set_error(std::string* error, const std::string& message) {
   if (error != nullptr) *error = message;
@@ -164,7 +64,7 @@ bool valid_segment_name(std::string_view name) {
 util::Bytes encode(const HelloMsg& msg) {
   util::Bytes out;
   util::varint_append(out, msg.monitor_id);
-  put_string(out, msg.vantage);
+  util::put_string(out, msg.vantage);
   return out;
 }
 
@@ -172,8 +72,8 @@ util::Bytes encode(const HelloAckMsg& msg) {
   util::Bytes out;
   util::varint_append(out, msg.landed.size());
   for (const auto& segment : msg.landed) {
-    put_string(out, segment.file);
-    put_u64_le(out, segment.checksum);
+    util::put_string(out, segment.file);
+    util::put_le(out, segment.checksum);
   }
   return out;
 }
@@ -181,49 +81,44 @@ util::Bytes encode(const HelloAckMsg& msg) {
 util::Bytes encode(const SegmentMsg& msg) {
   util::Bytes out;
   out.reserve(msg.segment_bytes.size() + msg.rollup_bytes.size() + 128);
-  put_string(out, msg.file);
-  put_u64_le(out, msg.body_checksum);
+  util::put_string(out, msg.file);
+  util::put_le(out, msg.body_checksum);
   util::varint_append(out, msg.entry_count);
-  put_u64_le(out, static_cast<std::uint64_t>(msg.min_time));
-  put_u64_le(out, static_cast<std::uint64_t>(msg.max_time));
-  put_u64_le(out, static_cast<std::uint64_t>(msg.sealed_wall_us));
-  put_bytes(out, msg.segment_bytes);
-  put_bytes(out, msg.rollup_bytes);
+  util::put_le(out, static_cast<std::uint64_t>(msg.min_time));
+  util::put_le(out, static_cast<std::uint64_t>(msg.max_time));
+  util::put_le(out, static_cast<std::uint64_t>(msg.sealed_wall_us));
+  util::put_blob(out, msg.segment_bytes);
+  util::put_blob(out, msg.rollup_bytes);
   return out;
 }
 
 util::Bytes encode(const SegmentAckMsg& msg) {
   util::Bytes out;
-  put_string(out, msg.segment.file);
-  put_u64_le(out, msg.segment.checksum);
+  util::put_string(out, msg.segment.file);
+  util::put_le(out, msg.segment.checksum);
   out.push_back(static_cast<std::uint8_t>(msg.status));
   return out;
 }
 
 std::optional<HelloMsg> decode_hello(util::BytesView payload) {
-  PayloadReader reader(payload);
+  util::ByteReader reader(payload);
   HelloMsg msg;
-  std::uint64_t id = 0;
-  if (!reader.read_varint(&id) || id > UINT32_MAX) return std::nullopt;
+  const std::uint64_t id = reader.varint();
+  msg.vantage = reader.string(64);
+  if (!reader.done() || id > UINT32_MAX) return std::nullopt;
   msg.monitor_id = static_cast<std::uint32_t>(id);
-  if (!reader.read_string(&msg.vantage, 64) || !reader.done()) {
-    return std::nullopt;
-  }
   return msg;
 }
 
 std::optional<HelloAckMsg> decode_hello_ack(util::BytesView payload) {
-  PayloadReader reader(payload);
+  util::ByteReader reader(payload);
   HelloAckMsg msg;
-  std::uint64_t count = 0;
-  if (!reader.read_varint(&count) || count > 10'000'000) return std::nullopt;
-  msg.landed.reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t i = 0; i < count; ++i) {
+  const std::uint64_t count = reader.count(kMinLandedBytes);
+  msg.landed.reserve(count);
+  for (std::uint64_t i = 0; i < count && reader.ok(); ++i) {
     SegmentIdentity segment;
-    if (!reader.read_string(&segment.file, 256) ||
-        !reader.read_u64(&segment.checksum)) {
-      return std::nullopt;
-    }
+    segment.file = reader.string(kMaxNameBytes);
+    segment.checksum = reader.u64();
     msg.landed.push_back(std::move(segment));
   }
   if (!reader.done()) return std::nullopt;
@@ -231,34 +126,29 @@ std::optional<HelloAckMsg> decode_hello_ack(util::BytesView payload) {
 }
 
 std::optional<SegmentMsg> decode_segment(util::BytesView payload) {
-  PayloadReader reader(payload);
+  util::ByteReader reader(payload);
   SegmentMsg msg;
-  std::uint64_t min_t = 0;
-  std::uint64_t max_t = 0;
-  std::uint64_t sealed = 0;
-  if (!reader.read_string(&msg.file, 256) ||
-      !reader.read_u64(&msg.body_checksum) ||
-      !reader.read_varint(&msg.entry_count) || !reader.read_u64(&min_t) ||
-      !reader.read_u64(&max_t) || !reader.read_u64(&sealed) ||
-      !reader.read_bytes(&msg.segment_bytes) ||
-      !reader.read_bytes(&msg.rollup_bytes) || !reader.done()) {
-    return std::nullopt;
-  }
-  msg.min_time = static_cast<util::SimTime>(min_t);
-  msg.max_time = static_cast<util::SimTime>(max_t);
-  msg.sealed_wall_us = static_cast<std::int64_t>(sealed);
+  msg.file = reader.string(kMaxNameBytes);
+  msg.body_checksum = reader.u64();
+  msg.entry_count = reader.varint();
+  msg.min_time = static_cast<util::SimTime>(reader.u64());
+  msg.max_time = static_cast<util::SimTime>(reader.u64());
+  msg.sealed_wall_us = static_cast<std::int64_t>(reader.u64());
+  const util::BytesView segment = reader.blob(kMaxFramePayload);
+  const util::BytesView rollup = reader.blob(kMaxFramePayload);
+  if (!reader.done()) return std::nullopt;
+  msg.segment_bytes.assign(segment.begin(), segment.end());
+  msg.rollup_bytes.assign(rollup.begin(), rollup.end());
   return msg;
 }
 
 std::optional<SegmentAckMsg> decode_segment_ack(util::BytesView payload) {
-  PayloadReader reader(payload);
+  util::ByteReader reader(payload);
   SegmentAckMsg msg;
-  std::uint8_t status = 0;
-  if (!reader.read_string(&msg.segment.file, 256) ||
-      !reader.read_u64(&msg.segment.checksum) || !reader.read_u8(&status) ||
-      !reader.done() || status > 2) {
-    return std::nullopt;
-  }
+  msg.segment.file = reader.string(kMaxNameBytes);
+  msg.segment.checksum = reader.u64();
+  const std::uint8_t status = reader.u8();
+  if (!reader.done() || status > 2) return std::nullopt;
   msg.status = static_cast<AckStatus>(status);
   return msg;
 }
@@ -269,11 +159,11 @@ bool write_frame(int fd, FrameType type, util::BytesView payload,
                  std::string* error) {
   util::Bytes header;
   header.reserve(kHeaderBytes);
-  put_u32_le(header, kFrameMagic);
-  put_u16_le(header, kProtocolVersion);
-  put_u16_le(header, static_cast<std::uint16_t>(type));
-  put_u64_le(header, payload.size());
-  put_u64_le(header, tracestore::fnv1a64(payload, 0));
+  util::put_le(header, kFrameMagic);
+  util::put_le(header, kProtocolVersion);
+  util::put_le(header, static_cast<std::uint16_t>(type));
+  util::put_le(header, static_cast<std::uint64_t>(payload.size()));
+  util::put_le(header, util::fnv1a64(payload, 0));
   if (!query::send_all(fd, header.data(), header.size()) ||
       !query::send_all(fd, payload.data(), payload.size())) {
     set_error(error, std::string("frame write: ") + std::strerror(errno));
@@ -283,26 +173,27 @@ bool write_frame(int fd, FrameType type, util::BytesView payload,
 }
 
 std::optional<Frame> read_frame(int fd, std::string* error) {
-  std::uint8_t header[kHeaderBytes];
-  if (!query::recv_all(fd, header, sizeof(header))) {
+  std::uint8_t raw[kHeaderBytes];
+  if (!query::recv_all(fd, raw, sizeof(raw))) {
     set_error(error, "connection closed");
     return std::nullopt;
   }
-  if (get_u32_le(header) != kFrameMagic) {
+  util::ByteReader header(util::BytesView(raw, sizeof(raw)));
+  if (header.u32() != kFrameMagic) {
     set_error(error, "bad frame magic");
     return std::nullopt;
   }
-  if (get_u16_le(header + 4) != kProtocolVersion) {
+  if (header.u16() != kProtocolVersion) {
     set_error(error, "unsupported protocol version");
     return std::nullopt;
   }
-  const std::uint16_t type = get_u16_le(header + 6);
+  const std::uint16_t type = header.u16();
   if (type < 1 || type > 4) {
     set_error(error, "unknown frame type");
     return std::nullopt;
   }
-  const std::uint64_t payload_len = get_u64_le(header + 8);
-  const std::uint64_t checksum = get_u64_le(header + 16);
+  const std::uint64_t payload_len = header.u64();
+  const std::uint64_t checksum = header.u64();
   if (payload_len > kMaxFramePayload) {
     set_error(error, "frame payload exceeds cap");
     return std::nullopt;
@@ -315,7 +206,7 @@ std::optional<Frame> read_frame(int fd, std::string* error) {
     set_error(error, "truncated frame payload");
     return std::nullopt;
   }
-  if (tracestore::fnv1a64(frame.payload, 0) != checksum) {
+  if (util::fnv1a64(frame.payload, 0) != checksum) {
     set_error(error, "frame checksum mismatch");
     return std::nullopt;
   }

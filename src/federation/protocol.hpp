@@ -15,9 +15,13 @@
 //
 // The 24-byte header is validated before the payload is read; a checksum
 // mismatch, an unknown version, or an oversized length terminates the
-// connection instead of poisoning the store. Message payloads are
-// varint-packed (same conventions as the segment footer encoding), so the
-// protocol has no alignment or struct-layout dependency between builds.
+// connection instead of poisoning the store. Headers and message payloads
+// are written and read through the one binary codec (util/codec) that
+// segments and rollups use: varints, little-endian integers and
+// length-prefixed strings and blobs, decoded by the bounds-checked
+// util::ByteReader, so a list count larger than the payload can hold is
+// refused before anything is reserved, and the protocol has no alignment
+// or struct-layout dependency between builds.
 #pragma once
 
 #include <cstdint>

@@ -3,8 +3,7 @@
 #include <chrono>
 #include <thread>
 
-#include "tracestore/bloom.hpp"
-#include "util/bytes.hpp"
+#include "util/codec.hpp"
 
 namespace ipfsmon::ingest {
 
@@ -16,14 +15,6 @@ std::int64_t wall_now_us() {
       .count();
 }
 
-void put_u32(std::uint8_t* out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out[i] = static_cast<std::uint8_t>(v >> (8 * i));
-}
-
-void put_u64(std::uint8_t* out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out[i] = static_cast<std::uint8_t>(v >> (8 * i));
-}
-
 }  // namespace
 
 std::uint64_t fold_entry_checksum(std::uint64_t seed,
@@ -32,25 +23,23 @@ std::uint64_t fold_entry_checksum(std::uint64_t seed,
   // encoding is length-prefixed so adjacent fields can't alias.
   std::uint8_t fixed[8 + 32 + 4 + 2 + 1 + 4 + 4];
   std::uint8_t* p = fixed;
-  put_u64(p, static_cast<std::uint64_t>(entry.timestamp));
+  util::store_le(p, static_cast<std::uint64_t>(entry.timestamp));
   p += 8;
   for (const auto byte : entry.peer.digest()) *p++ = byte;
-  put_u32(p, entry.address.ip);
+  util::store_le(p, entry.address.ip);
   p += 4;
-  *p++ = static_cast<std::uint8_t>(entry.address.port & 0xff);
-  *p++ = static_cast<std::uint8_t>(entry.address.port >> 8);
+  util::store_le(p, entry.address.port);
+  p += 2;
   *p++ = static_cast<std::uint8_t>(entry.type);
-  put_u32(p, entry.monitor);
+  util::store_le(p, entry.monitor);
   p += 4;
-  put_u32(p, entry.flags);
-  p += 4;
-  std::uint64_t h = tracestore::fnv1a64(
-      util::BytesView(fixed, sizeof(fixed)), seed);
+  util::store_le(p, entry.flags);
+  std::uint64_t h = util::fnv1a64(util::BytesView(fixed, sizeof(fixed)), seed);
   const util::Bytes cid = entry.cid.encode();
   std::uint8_t len[4];
-  put_u32(len, static_cast<std::uint32_t>(cid.size()));
-  h = tracestore::fnv1a64(util::BytesView(len, 4), h);
-  return tracestore::fnv1a64(util::BytesView(cid.data(), cid.size()), h);
+  util::store_le(len, static_cast<std::uint32_t>(cid.size()));
+  h = util::fnv1a64(util::BytesView(len, 4), h);
+  return util::fnv1a64(cid, h);
 }
 
 ReplayDriver::ReplayDriver(sim::Scheduler& scheduler,

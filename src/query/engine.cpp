@@ -5,7 +5,7 @@
 #include "analysis/popularity.hpp"
 #include "obs/exporters.hpp"
 #include "obs/span_export.hpp"
-#include "tracestore/bloom.hpp"
+#include "util/codec.hpp"
 #include "util/file.hpp"
 #include "util/json.hpp"
 #include "util/strings.hpp"
@@ -13,6 +13,9 @@
 namespace ipfsmon::query {
 
 namespace {
+
+/// Default trace count for the /debug/spans recent and slowest lists.
+constexpr std::uint64_t kDebugSpanLimit = 20;
 
 void add_entry(RangeStats* out, const trace::TraceEntry& entry) {
   ++out->total;
@@ -90,21 +93,6 @@ std::string_view json_want_type(bitswap::WantType type) {
   return "unknown";
 }
 
-std::uint64_t hash_u64(std::uint64_t seed, std::uint64_t value) {
-  std::uint8_t bytes[8];
-  for (int i = 0; i < 8; ++i) {
-    bytes[i] = static_cast<std::uint8_t>(value >> (8 * i));
-  }
-  return tracestore::fnv1a64(util::BytesView(bytes, 8), seed);
-}
-
-std::uint64_t hash_str(std::uint64_t seed, std::string_view text) {
-  return tracestore::fnv1a64(
-      util::BytesView(reinterpret_cast<const std::uint8_t*>(text.data()),
-                      text.size()),
-      seed);
-}
-
 /// Collapses request paths onto a bounded label set for the per-endpoint
 /// latency histograms (peer ids would explode the cardinality).
 std::string endpoint_label(const std::string& path) {
@@ -155,14 +143,19 @@ bool QueryService::open_store(const std::string& dir, std::string* error) {
 
   rollups_.clear();
   rollups_.resize(store_->segments().size());
-  std::uint64_t fp = hash_str(0xcbf29ce484222325ull, "ipfsmon-query-v1");
+  std::uint64_t fp = util::fnv1a64("ipfsmon-query-v1", util::kFnv1aOffset);
   for (std::size_t i = 0; i < store_->segments().size(); ++i) {
     const auto& segment = store_->segments()[i];
-    fp = hash_str(fp, segment.file);
-    fp = hash_u64(fp, segment.footer.entry_count);
-    fp = hash_u64(fp, static_cast<std::uint64_t>(segment.footer.min_time));
-    fp = hash_u64(fp, static_cast<std::uint64_t>(segment.footer.max_time));
-    fp = hash_u64(fp, segment.footer.body_checksum);
+    fp = util::fnv1a64(segment.file, fp);
+    for (const std::uint64_t field :
+         {segment.footer.entry_count,
+          static_cast<std::uint64_t>(segment.footer.min_time),
+          static_cast<std::uint64_t>(segment.footer.max_time),
+          segment.footer.body_checksum}) {
+      std::uint8_t bytes[8];
+      util::store_le(bytes, field);
+      fp = util::fnv1a64(util::BytesView(bytes, 8), fp);
+    }
 
     auto rollup = tracestore::read_rollup_file(
         tracestore::rollup_path_for(store_->segment_path(i)));
@@ -329,7 +322,7 @@ RangeStats QueryService::stats_between_locked(util::SimTime min_t,
     const auto& footer = store_->segments()[i].footer;
     if (!footer.overlaps(min_t, max_t)) continue;
     const auto& rollup = rollups_[i];
-    if (!options_.use_rollups || !rollup) {
+    if (!rollup) {
       decode_windows(i, {{min_t, max_t}});
       continue;
     }
@@ -770,7 +763,7 @@ HttpResponse QueryService::handle_monitors() {
 
 HttpResponse QueryService::handle_debug_spans(const HttpRequest& request) {
   // Deliberately uncached: the span buffer changes with every request.
-  std::uint64_t k = options_.debug_span_limit;
+  std::uint64_t k = kDebugSpanLimit;
   if (const auto it = request.params.find("k"); it != request.params.end()) {
     const auto parsed = util::parse_u64(it->second, 1000);
     if (!parsed || *parsed == 0) {

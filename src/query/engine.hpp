@@ -56,15 +56,10 @@ struct QueryOptions {
   tracestore::StoreOptions store;
   /// Cached rendered responses (0 disables caching).
   std::size_t cache_capacity = 128;
-  /// When false, /v1/stats always takes the entry-level scan path (the
-  /// property tests force this to compare against the rollup path).
-  bool use_rollups = true;
   /// Span tracing for served requests (inert by default). When enabled,
   /// every sampled request produces an http.request trace with cache,
   /// rollup/scan, and per-segment child spans, served on /debug/spans.
   obs::TracerConfig tracing;
-  /// Default trace count for /debug/spans recent/slowest lists.
-  std::size_t debug_span_limit = 20;
 };
 
 /// Request-type/flag counts over a time range — the /v1/stats payload.

@@ -4,15 +4,6 @@
 
 namespace ipfsmon::tracestore {
 
-std::uint64_t fnv1a64(util::BytesView data, std::uint64_t seed) {
-  std::uint64_t h = 0xcbf29ce484222325ull ^ seed;
-  for (const std::uint8_t b : data) {
-    h ^= b;
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
-
 BloomHash bloom_hash(util::BytesView key) {
   return BloomHash{fnv1a64(key, 0), fnv1a64(key, 0x9e3779b97f4a7c15ull)};
 }
@@ -43,7 +34,7 @@ BloomFilter BloomFilter::with_capacity(std::size_t expected_keys,
 std::optional<BloomFilter> BloomFilter::from_parts(std::uint64_t bit_count,
                                                    std::uint32_t hash_count,
                                                    util::Bytes bits) {
-  if (bits.size() != (bit_count + 7) / 8) return std::nullopt;
+  if (bits.size() != bit_count / 8 + (bit_count % 8 != 0)) return std::nullopt;
   if (bit_count != 0 && (hash_count == 0 || hash_count > 30)) {
     return std::nullopt;
   }

@@ -1,8 +1,8 @@
 // Bloom filters for segment footers: each segment records an approximate
 // peer set and CID set so scans can skip segments that cannot possibly
 // contain a queried key. Classic double hashing (Kirsch–Mitzenmacher):
-// k probe positions derived from two 64-bit FNV-1a hashes, so membership
-// tests never rehash the key material.
+// k probe positions derived from two 64-bit FNV-1a hashes (util/codec),
+// so membership tests never rehash the key material.
 #pragma once
 
 #include <cstdint>
@@ -13,12 +13,11 @@
 #include "cid/cid.hpp"
 #include "crypto/keys.hpp"
 #include "util/bytes.hpp"
+#include "util/codec.hpp"
 
 namespace ipfsmon::tracestore {
 
-/// 64-bit FNV-1a over `data`, folded into `seed` (use distinct seeds to get
-/// independent hash streams from the same bytes).
-std::uint64_t fnv1a64(util::BytesView data, std::uint64_t seed);
+using util::fnv1a64;
 
 /// The (h1, h2) pair double hashing derives its k probes from.
 struct BloomHash {

@@ -3,9 +3,8 @@
 #include <map>
 #include <unordered_set>
 
-#include "tracestore/bloom.hpp"
+#include "util/codec.hpp"
 #include "util/file.hpp"
-#include "util/varint.hpp"
 
 namespace ipfsmon::tracestore {
 
@@ -13,31 +12,8 @@ namespace {
 
 constexpr std::uint32_t kRollupMagic = 0x54535255;  // "TSRU"
 constexpr std::uint64_t kRollupVersion = 1;
-constexpr std::size_t kTrailerBytes = 16;
-
-void put_u32_le(util::Bytes& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-
-void put_u64_le(util::Bytes& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-
-std::uint32_t get_u32_le(util::BytesView v) {
-  std::uint32_t out = 0;
-  for (int i = 3; i >= 0; --i) out = (out << 8) | v[static_cast<size_t>(i)];
-  return out;
-}
-
-std::uint64_t get_u64_le(util::BytesView v) {
-  std::uint64_t out = 0;
-  for (int i = 7; i >= 0; --i) out = (out << 8) | v[static_cast<size_t>(i)];
-  return out;
-}
+// Smallest encoding of one bucket: seven one-byte varints.
+constexpr std::size_t kMinBucketBytes = 7;
 
 /// Bucket start for a timestamp: floor division, correct for negatives.
 util::SimTime bucket_start_of(util::SimTime t, util::SimDuration width) {
@@ -77,69 +53,45 @@ util::Bytes encode_rollup(const SegmentRollup& rollup) {
   return out;
 }
 
-/// Cursor mirroring segment.cpp's Parser for varint-heavy payloads.
-struct Parser {
-  util::BytesView view;
-  std::size_t pos = 0;
-
-  std::optional<std::uint64_t> varint() {
-    const auto v = util::varint_decode(view.subspan(pos));
-    if (!v) return std::nullopt;
-    pos += v->consumed;
-    return v->value;
-  }
-};
-
 std::optional<SegmentRollup> decode_rollup(util::BytesView bytes) {
-  Parser p{bytes};
-  const auto version = p.varint();
-  if (!version || *version != kRollupVersion) return std::nullopt;
+  util::ByteReader r(bytes);
+  if (r.varint() != kRollupVersion) return std::nullopt;
   SegmentRollup rollup;
-  const auto width = p.varint();
-  const auto count = p.varint();
-  const auto min_time = p.varint();
-  const auto max_time = p.varint();
-  const auto peers = p.varint();
-  const auto cids = p.varint();
-  const auto buckets = p.varint();
-  if (!width || *width == 0 || !count || !min_time || !max_time || !peers ||
-      !cids || !buckets) {
-    return std::nullopt;
-  }
-  rollup.bucket_width = static_cast<util::SimDuration>(*width);
-  rollup.entry_count = *count;
-  rollup.min_time = util::zigzag_decode(*min_time);
-  rollup.max_time = util::zigzag_decode(*max_time);
-  rollup.distinct_peers = *peers;
-  rollup.distinct_cids = *cids;
-  rollup.buckets.reserve(*buckets);
-  util::SimTime prev = 0;
+  const std::uint64_t width = r.varint();
+  rollup.bucket_width = static_cast<util::SimDuration>(width);
+  rollup.entry_count = r.varint();
+  rollup.min_time = util::zigzag_decode(r.varint());
+  rollup.max_time = util::zigzag_decode(r.varint());
+  rollup.distinct_peers = r.varint();
+  rollup.distinct_cids = r.varint();
+  const std::uint64_t buckets = r.count(kMinBucketBytes);
+  if (!r.ok() || width == 0) return std::nullopt;
+  rollup.buckets.reserve(buckets);
+  // Starts are rebuilt in unsigned arithmetic: a hostile delta or width
+  // wraps instead of overflowing, and fails the ascending check.
+  std::uint64_t prev = 0;
   std::uint64_t total = 0;
-  for (std::uint64_t i = 0; i < *buckets; ++i) {
-    const auto delta = p.varint();
-    const auto wh = p.varint();
-    const auto wb = p.varint();
-    const auto ca = p.varint();
-    const auto dup = p.varint();
-    const auto reb = p.varint();
-    const auto clean = p.varint();
-    if (!delta || !wh || !wb || !ca || !dup || !reb || !clean) {
+  for (std::uint64_t i = 0; i < buckets; ++i) {
+    const std::uint64_t delta = r.varint();
+    RollupBucket bucket;
+    bucket.want_have = r.varint();
+    bucket.want_block = r.varint();
+    bucket.cancels = r.varint();
+    bucket.duplicates = r.varint();
+    bucket.rebroadcasts = r.varint();
+    bucket.clean = r.varint();
+    const std::uint64_t start =
+        prev + static_cast<std::uint64_t>(util::zigzag_decode(delta)) * width;
+    bucket.start = static_cast<util::SimTime>(start);
+    // Not ascending.
+    if (i != 0 && bucket.start <= static_cast<util::SimTime>(prev)) {
       return std::nullopt;
     }
-    RollupBucket bucket;
-    bucket.start = prev + util::zigzag_decode(*delta) * rollup.bucket_width;
-    if (i != 0 && bucket.start <= prev) return std::nullopt;  // not ascending
-    prev = bucket.start;
-    bucket.want_have = *wh;
-    bucket.want_block = *wb;
-    bucket.cancels = *ca;
-    bucket.duplicates = *dup;
-    bucket.rebroadcasts = *reb;
-    bucket.clean = *clean;
+    prev = start;
     total += bucket.entries();
     rollup.buckets.push_back(bucket);
   }
-  if (total != rollup.entry_count) return std::nullopt;
+  if (!r.ok() || total != rollup.entry_count) return std::nullopt;
   return rollup;
 }
 
@@ -187,40 +139,24 @@ SegmentRollup build_rollup(const trace::Trace& entries,
 bool write_rollup_file(const std::string& path, const SegmentRollup& rollup,
                        std::string* error) {
   const util::Bytes payload = encode_rollup(rollup);
-  util::Bytes trailer;
-  put_u32_le(trailer, static_cast<std::uint32_t>(payload.size()));
-  put_u64_le(trailer, fnv1a64(payload, 0));
-  put_u32_le(trailer, kRollupMagic);
-
-  return util::publish(path, {payload, trailer}, error);
+  return util::publish(path, {payload, util::seal(payload, kRollupMagic)},
+                       error);
 }
 
 std::optional<SegmentRollup> read_rollup_file(const std::string& path,
                                               std::string* error) {
-  std::string data;
+  util::Bytes data;
   if (!util::read_file(path, &data, error)) return std::nullopt;
-  if (data.size() < kTrailerBytes) {
-    if (error != nullptr) *error = path + ": truncated (no trailer)";
+  std::string why;
+  const auto payload = util::open_sealed(data, kRollupMagic, &why);
+  if (payload && payload->size() + util::kTrailerBytes != data.size()) {
+    why = "payload length mismatch";
+  }
+  if (!why.empty()) {
+    if (error != nullptr) *error = path + ": " + why;
     return std::nullopt;
   }
-  const util::BytesView view(
-      reinterpret_cast<const std::uint8_t*>(data.data()), data.size());
-  const util::BytesView trailer = view.subspan(data.size() - kTrailerBytes);
-  if (get_u32_le(trailer.subspan(12)) != kRollupMagic) {
-    if (error != nullptr) *error = path + ": bad trailer magic";
-    return std::nullopt;
-  }
-  const std::uint32_t payload_len = get_u32_le(trailer.subspan(0, 4));
-  if (payload_len + kTrailerBytes != data.size()) {
-    if (error != nullptr) *error = path + ": payload length mismatch";
-    return std::nullopt;
-  }
-  const util::BytesView payload = view.subspan(0, payload_len);
-  if (fnv1a64(payload, 0) != get_u64_le(trailer.subspan(4, 8))) {
-    if (error != nullptr) *error = path + ": payload checksum mismatch";
-    return std::nullopt;
-  }
-  auto rollup = decode_rollup(payload);
+  auto rollup = decode_rollup(*payload);
   if (!rollup && error != nullptr) *error = path + ": malformed payload";
   return rollup;
 }

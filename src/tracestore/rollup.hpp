@@ -5,7 +5,10 @@
 // costs a rebuild (or an entry-level scan), never trace data — so readers
 // treat a missing/bad rollup as "recompute", not as an error.
 //
-// Layout mirrors the segment trailer convention:
+// A rollup is sealed by the same checksummed trailer as a segment footer
+// and decoded through the same bounds-checked util::ByteReader (one binary
+// codec, util/codec), so a bucket count larger than the payload can hold
+// is refused before anything is reserved for it:
 //   [payload: varint-packed header + buckets]
 //   [trailer, 16 bytes LE: u32 payload_len | u64 payload_checksum | u32 magic]
 #pragma once

@@ -1,47 +1,25 @@
 #include "tracestore/segment.hpp"
 
-#include <cstdio>
-#include <fstream>
 #include <unordered_map>
 
 #include <fcntl.h>
 #include <sys/mman.h>
 #include <unistd.h>
 
+#include "util/codec.hpp"
 #include "util/file.hpp"
-#include "util/varint.hpp"
 
 namespace ipfsmon::tracestore {
 
 namespace {
 
 constexpr std::uint32_t kTrailerMagic = 0x54535347;  // "TSSG"
-constexpr std::size_t kTrailerBytes = 16;
 constexpr std::uint32_t kCompactMagic = 0x49504d32;  // "IPM2", body magic
-
-void put_u32_le(util::Bytes& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-
-void put_u64_le(util::Bytes& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-
-std::uint32_t get_u32_le(util::BytesView v) {
-  std::uint32_t out = 0;
-  for (int i = 3; i >= 0; --i) out = (out << 8) | v[static_cast<size_t>(i)];
-  return out;
-}
-
-std::uint64_t get_u64_le(util::BytesView v) {
-  std::uint64_t out = 0;
-  for (int i = 7; i >= 0; --i) out = (out << 8) | v[static_cast<size_t>(i)];
-  return out;
-}
+// Smallest encodings of one dictionary item: a peer digest, an address
+// (two one-byte varints), a CID (a one-byte length, no bytes).
+constexpr std::size_t kPeerBytes = 32;
+constexpr std::size_t kMinAddrBytes = 2;
+constexpr std::size_t kMinCidBytes = 1;
 
 void append_bloom(util::Bytes& out, const BloomFilter& bloom) {
   util::varint_append(out, bloom.bit_count());
@@ -55,60 +33,32 @@ util::Bytes encode_footer(const SegmentFooter& footer) {
   util::varint_append(out, util::zigzag_encode(footer.min_time));
   util::varint_append(out, util::zigzag_encode(footer.max_time));
   util::varint_append(out, footer.body_bytes);
-  put_u64_le(out, footer.body_checksum);
+  util::put_le(out, footer.body_checksum);
   append_bloom(out, footer.peer_bloom);
   append_bloom(out, footer.cid_bloom);
   return out;
 }
 
-/// Cursor over a byte view for varint-heavy parsing.
-struct Parser {
-  util::BytesView view;
-  std::size_t pos = 0;
-
-  std::optional<std::uint64_t> varint() {
-    const auto v = util::varint_decode(view.subspan(pos));
-    if (!v) return std::nullopt;
-    pos += v->consumed;
-    return v->value;
-  }
-
-  std::optional<util::BytesView> take(std::size_t n) {
-    if (pos + n > view.size()) return std::nullopt;
-    const auto out = view.subspan(pos, n);
-    pos += n;
-    return out;
-  }
-};
-
-std::optional<BloomFilter> parse_bloom(Parser& p) {
-  const auto bit_count = p.varint();
-  const auto hash_count = p.varint();
-  if (!bit_count || !hash_count || *hash_count > 30) return std::nullopt;
-  const auto raw = p.take((*bit_count + 7) / 8);
-  if (!raw) return std::nullopt;
-  return BloomFilter::from_parts(*bit_count,
-                                 static_cast<std::uint32_t>(*hash_count),
-                                 util::Bytes(raw->begin(), raw->end()));
+std::optional<BloomFilter> parse_bloom(util::ByteReader& r) {
+  const std::uint64_t bit_count = r.varint();
+  const std::uint64_t hash_count = r.varint();
+  const util::BytesView raw = r.bytes(bit_count / 8 + (bit_count % 8 != 0));
+  if (!r.ok() || hash_count > 30) return std::nullopt;
+  return BloomFilter::from_parts(bit_count,
+                                 static_cast<std::uint32_t>(hash_count),
+                                 util::Bytes(raw.begin(), raw.end()));
 }
 
 std::optional<SegmentFooter> decode_footer(util::BytesView bytes) {
-  Parser p{bytes};
+  util::ByteReader r(bytes);
   SegmentFooter footer;
-  const auto count = p.varint();
-  const auto min_time = p.varint();
-  const auto max_time = p.varint();
-  const auto body_bytes = p.varint();
-  if (!count || !min_time || !max_time || !body_bytes) return std::nullopt;
-  const auto checksum = p.take(8);
-  if (!checksum) return std::nullopt;
-  footer.entry_count = *count;
-  footer.min_time = util::zigzag_decode(*min_time);
-  footer.max_time = util::zigzag_decode(*max_time);
-  footer.body_bytes = *body_bytes;
-  footer.body_checksum = get_u64_le(*checksum);
-  auto peer_bloom = parse_bloom(p);
-  auto cid_bloom = parse_bloom(p);
+  footer.entry_count = r.varint();
+  footer.min_time = util::zigzag_decode(r.varint());
+  footer.max_time = util::zigzag_decode(r.varint());
+  footer.body_bytes = r.varint();
+  footer.body_checksum = r.u64();
+  auto peer_bloom = parse_bloom(r);
+  auto cid_bloom = parse_bloom(r);
   if (!peer_bloom || !cid_bloom) return std::nullopt;
   footer.peer_bloom = std::move(*peer_bloom);
   footer.cid_bloom = std::move(*cid_bloom);
@@ -120,33 +70,28 @@ bool fail(std::string* error, std::string message) {
   return false;
 }
 
-/// Validates trailer + footer over a whole-file view and decodes the
-/// footer. Shared by the mapped reader and any in-memory validation.
-bool parse_trailer_and_footer(const std::string& path, util::BytesView view,
-                              SegmentFooter* out_footer, std::string* error) {
-  if (view.size() < kTrailerBytes) {
-    return fail(error, path + ": truncated (no trailer)");
+/// Checks the trailer at the end of `tail` (the last bytes of a
+/// `file_size`-byte segment, or all of it) and decodes the footer it seals.
+std::optional<SegmentFooter> footer_from_tail(const std::string& path,
+                                              util::BytesView tail,
+                                              std::uint64_t file_size,
+                                              std::string* error) {
+  std::string why;
+  const auto sealed = util::open_sealed(tail, kTrailerMagic, &why);
+  if (!sealed) {
+    fail(error, path + ": footer " + why);
+    return std::nullopt;
   }
-  const util::BytesView trailer = view.subspan(view.size() - kTrailerBytes);
-  if (get_u32_le(trailer.subspan(12)) != kTrailerMagic) {
-    return fail(error, path + ": bad trailer magic (truncated segment?)");
+  auto footer = decode_footer(*sealed);
+  if (!footer) {
+    fail(error, path + ": malformed footer");
+    return std::nullopt;
   }
-  const std::uint32_t footer_len = get_u32_le(trailer.subspan(0, 4));
-  if (footer_len + kTrailerBytes > view.size()) {
-    return fail(error, path + ": footer length exceeds file size");
+  if (footer->body_bytes != file_size - util::kTrailerBytes - sealed->size()) {
+    fail(error, path + ": body length mismatch");
+    return std::nullopt;
   }
-  const util::BytesView footer_bytes =
-      view.subspan(view.size() - kTrailerBytes - footer_len, footer_len);
-  if (fnv1a64(footer_bytes, 0) != get_u64_le(trailer.subspan(4, 8))) {
-    return fail(error, path + ": footer checksum mismatch");
-  }
-  auto footer = decode_footer(footer_bytes);
-  if (!footer) return fail(error, path + ": malformed footer");
-  if (footer->body_bytes + footer_len + kTrailerBytes != view.size()) {
-    return fail(error, path + ": body length mismatch");
-  }
-  *out_footer = std::move(*footer);
-  return true;
+  return footer;
 }
 
 }  // namespace
@@ -335,7 +280,6 @@ BodyKeys encode_body(const trace::Trace& entries, util::Bytes& out) {
 }  // namespace
 
 bool write_segment_file(const std::string& path, const trace::Trace& entries,
-                        std::size_t bloom_bits_per_key,
                         SegmentFooter* out_footer, std::string* error) {
   util::Bytes body;
   const BodyKeys keys = encode_body(entries, body);
@@ -343,26 +287,20 @@ bool write_segment_file(const std::string& path, const trace::Trace& entries,
   SegmentFooter footer;
   footer.entry_count = entries.size();
   footer.body_bytes = body.size();
-  footer.body_checksum = fnv1a64(body, 0);
+  footer.body_checksum = util::fnv1a64(body, 0);
   bool first = true;
   for (const auto& e : entries.entries()) {
     if (first || e.timestamp < footer.min_time) footer.min_time = e.timestamp;
     if (first || e.timestamp > footer.max_time) footer.max_time = e.timestamp;
     first = false;
   }
-  footer.peer_bloom = BloomFilter::with_capacity(keys.peers.size(),
-                                                 bloom_bits_per_key);
+  footer.peer_bloom = BloomFilter::with_capacity(keys.peers.size());
   for (const auto* p : keys.peers) footer.peer_bloom.insert(bloom_hash(*p));
-  footer.cid_bloom = BloomFilter::with_capacity(keys.cids.size(),
-                                                bloom_bits_per_key);
+  footer.cid_bloom = BloomFilter::with_capacity(keys.cids.size());
   for (const auto* c : keys.cids) footer.cid_bloom.insert(bloom_hash(*c));
 
   const util::Bytes footer_bytes = encode_footer(footer);
-  util::Bytes trailer;
-  put_u32_le(trailer, static_cast<std::uint32_t>(footer_bytes.size()));
-  put_u64_le(trailer, fnv1a64(footer_bytes, 0));
-  put_u32_le(trailer, kTrailerMagic);
-
+  const util::Bytes trailer = util::seal(footer_bytes, kTrailerMagic);
   if (!util::publish(path, {body, footer_bytes, trailer}, error)) {
     return false;
   }
@@ -375,59 +313,25 @@ bool write_segment_file(const std::string& path, const trace::Trace& entries,
 std::optional<SegmentFooter> read_segment_footer(const std::string& path,
                                                  std::string* error) {
   // Called for every segment on store open and scan prune, so it must not
-  // touch the body: seek to EOF, read the fixed trailer, then read exactly
-  // footer_len more bytes — two small tail reads regardless of file size.
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    fail(error, path + ": cannot open");
+  // touch the body: two small tail reads, the trailer (which names the
+  // footer's length), then footer and trailer together.
+  util::Bytes tail;
+  std::uint64_t file_size = 0;
+  if (!util::read_file_tail(path, util::kTrailerBytes, &tail, &file_size,
+                            error)) {
     return std::nullopt;
   }
-  in.seekg(0, std::ios::end);
-  const std::int64_t file_size = in.tellg();
-  if (file_size < static_cast<std::int64_t>(kTrailerBytes)) {
-    fail(error, path + ": truncated (no trailer)");
+  std::string why;
+  const auto footer_len = util::sealed_length(tail, kTrailerMagic, &why);
+  if (!footer_len) {
+    fail(error, path + ": footer " + why);
     return std::nullopt;
   }
-  std::uint8_t trailer_raw[kTrailerBytes];
-  in.seekg(file_size - static_cast<std::int64_t>(kTrailerBytes));
-  in.read(reinterpret_cast<char*>(trailer_raw), kTrailerBytes);
-  if (static_cast<std::size_t>(in.gcount()) != kTrailerBytes) {
-    fail(error, path + ": short trailer read");
+  if (!util::read_file_tail(path, *footer_len + util::kTrailerBytes, &tail,
+                            &file_size, error)) {
     return std::nullopt;
   }
-  const util::BytesView trailer(trailer_raw, kTrailerBytes);
-  if (get_u32_le(trailer.subspan(12)) != kTrailerMagic) {
-    fail(error, path + ": bad trailer magic (truncated segment?)");
-    return std::nullopt;
-  }
-  const std::uint32_t footer_len = get_u32_le(trailer.subspan(0, 4));
-  if (footer_len + kTrailerBytes > static_cast<std::uint64_t>(file_size)) {
-    fail(error, path + ": footer length exceeds file size");
-    return std::nullopt;
-  }
-  util::Bytes footer_bytes(footer_len);
-  in.seekg(file_size - static_cast<std::int64_t>(kTrailerBytes) -
-           static_cast<std::int64_t>(footer_len));
-  in.read(reinterpret_cast<char*>(footer_bytes.data()), footer_len);
-  if (static_cast<std::size_t>(in.gcount()) != footer_len) {
-    fail(error, path + ": short footer read");
-    return std::nullopt;
-  }
-  if (fnv1a64(footer_bytes, 0) != get_u64_le(trailer.subspan(4, 8))) {
-    fail(error, path + ": footer checksum mismatch");
-    return std::nullopt;
-  }
-  auto footer = decode_footer(footer_bytes);
-  if (!footer) {
-    fail(error, path + ": malformed footer");
-    return std::nullopt;
-  }
-  if (footer->body_bytes + footer_len + kTrailerBytes !=
-      static_cast<std::uint64_t>(file_size)) {
-    fail(error, path + ": body length mismatch");
-    return std::nullopt;
-  }
-  return footer;
+  return footer_from_tail(path, tail, file_size, error);
 }
 
 // --- SegmentReader ----------------------------------------------------------
@@ -443,11 +347,10 @@ std::optional<SegmentReader> SegmentReader::open(
   auto mapping = SegmentMapping::open(path, options.backend, error);
   if (!mapping) return std::nullopt;
 
+  auto footer = footer_from_tail(path, mapping->view(), mapping->size(), error);
+  if (!footer) return std::nullopt;
   SegmentReader reader;
-  if (!parse_trailer_and_footer(path, mapping->view(), &reader.footer_,
-                                error)) {
-    return std::nullopt;
-  }
+  reader.footer_ = std::move(*footer);
   // Body checksum: a streaming pass over the mapping — no copy. A
   // ValidationCache hit on (path, mtime, size) means this exact file
   // already passed, so sealed segments are verified once, not per query.
@@ -455,7 +358,8 @@ std::optional<SegmentReader> SegmentReader::open(
       options.validated != nullptr &&
       options.validated->contains(path, mapping->mtime_ns(), mapping->size());
   if (!already_verified) {
-    if (fnv1a64(mapping->view().subspan(0, reader.footer_.body_bytes), 0) !=
+    if (util::fnv1a64(mapping->view().subspan(0, reader.footer_.body_bytes),
+                      0) !=
         reader.footer_.body_checksum) {
       fail(error, path + ": body checksum mismatch");
       return std::nullopt;
@@ -470,88 +374,77 @@ std::optional<SegmentReader> SegmentReader::open(
 }
 
 bool SegmentReader::parse_dictionaries(std::string* error) {
-  Parser p{body()};
-  const auto magic = p.varint();
-  if (!magic || *magic != kCompactMagic) {
+  util::ByteReader r(body());
+  if (r.varint() != kCompactMagic || !r.ok()) {
     return fail(error, "bad body magic");
   }
-  const auto count = p.varint();
-  if (!count || *count != footer_.entry_count) {
+  if (r.varint() != footer_.entry_count || !r.ok()) {
     return fail(error, "entry count disagrees with footer");
   }
-  const auto peer_count = p.varint();
-  if (!peer_count) return fail(error, "malformed peer dictionary");
-  peers_.reserve(*peer_count);
-  for (std::uint64_t i = 0; i < *peer_count; ++i) {
-    const auto raw = p.take(32);
-    if (!raw) return fail(error, "malformed peer dictionary");
+  const std::uint64_t peer_count = r.count(kPeerBytes);
+  peers_.reserve(peer_count);
+  for (std::uint64_t i = 0; i < peer_count; ++i) {
+    const util::BytesView raw = r.bytes(kPeerBytes);
     crypto::PeerId::Digest digest;
-    std::copy(raw->begin(), raw->end(), digest.begin());
+    std::copy(raw.begin(), raw.end(), digest.begin());
     peers_.emplace_back(digest);
   }
-  const auto addr_count = p.varint();
-  if (!addr_count) return fail(error, "malformed address dictionary");
-  addrs_.reserve(*addr_count);
-  for (std::uint64_t i = 0; i < *addr_count; ++i) {
-    const auto ip = p.varint();
-    const auto port = p.varint();
-    if (!ip || !port || *port > 65535) {
-      return fail(error, "malformed address dictionary");
-    }
-    addrs_.push_back(net::Address{static_cast<std::uint32_t>(*ip),
-                                  static_cast<std::uint16_t>(*port)});
+  if (!r.ok()) return fail(error, "malformed peer dictionary");
+  const std::uint64_t addr_count = r.count(kMinAddrBytes);
+  addrs_.reserve(addr_count);
+  for (std::uint64_t i = 0; i < addr_count && r.ok(); ++i) {
+    const std::uint64_t ip = r.varint();
+    const std::uint64_t port = r.varint();
+    if (ip > UINT32_MAX || port > 65535) r.fail();
+    addrs_.push_back(net::Address{static_cast<std::uint32_t>(ip),
+                                  static_cast<std::uint16_t>(port)});
   }
-  const auto cid_count = p.varint();
-  if (!cid_count) return fail(error, "malformed CID dictionary");
+  if (!r.ok()) return fail(error, "malformed address dictionary");
   // CIDs are variable-length heap values and a raw scan may never touch
   // them, so only their byte ranges are indexed here; cid_key() decodes
   // on first use. The bytes are covered by the body checksum, so a
   // structurally valid span is all open-time validation requires.
-  cid_spans_.reserve(*cid_count);
-  for (std::uint64_t i = 0; i < *cid_count; ++i) {
-    const auto len = p.varint();
-    if (!len) return fail(error, "malformed CID dictionary");
-    const std::uint64_t at = p.pos;
-    const auto raw = p.take(*len);
-    if (!raw) return fail(error, "malformed CID dictionary");
-    cid_spans_.push_back(KeySpan{at, static_cast<std::uint32_t>(*len)});
+  const std::uint64_t cid_count = r.count(kMinCidBytes);
+  cid_spans_.reserve(cid_count);
+  for (std::uint64_t i = 0; i < cid_count && r.ok(); ++i) {
+    const std::uint64_t len = r.varint();
+    const std::uint64_t at = r.pos();
+    r.bytes(len);
+    cid_spans_.push_back(KeySpan{at, static_cast<std::uint32_t>(len)});
   }
+  if (!r.ok()) return fail(error, "malformed CID dictionary");
   cids_.assign(cid_spans_.size(), cid::Cid());
   cid_done_.assign(cid_spans_.size(), 0);
-  pos_ = p.pos;
+  pos_ = r.pos();
   remaining_ = footer_.entry_count;
   return true;
 }
 
 bool SegmentReader::next_raw(RawRecord& out) {
   if (remaining_ == 0) return false;
-  Parser p{body(), pos_};
-  const auto delta = p.varint();
-  const auto peer = p.varint();
-  const auto addr = p.varint();
-  const auto cid_ref = p.varint();
-  const auto type_monitor = p.varint();
-  const auto flags = p.varint();
-  if (!delta || !peer || !addr || !cid_ref || !type_monitor || !flags) {
-    remaining_ = 0;
-    return false;
-  }
-  if (*peer >= peers_.size() || *addr >= addrs_.size() ||
-      *cid_ref >= cid_spans_.size() || (*type_monitor & 0x3) > 2) {
+  util::ByteReader r(body(), pos_);
+  const std::uint64_t delta = r.varint();
+  const std::uint64_t peer = r.varint();
+  const std::uint64_t addr = r.varint();
+  const std::uint64_t cid_ref = r.varint();
+  const std::uint64_t type_monitor = r.varint();
+  const std::uint64_t flags = r.varint();
+  if (!r.ok() || peer >= peers_.size() || addr >= addrs_.size() ||
+      cid_ref >= cid_spans_.size() || (type_monitor & 0x3) > 2) {
     remaining_ = 0;
     return false;
   }
   out.timestamp = static_cast<util::SimTime>(
       static_cast<std::uint64_t>(prev_time_) +
-      static_cast<std::uint64_t>(util::zigzag_decode(*delta)));
+      static_cast<std::uint64_t>(util::zigzag_decode(delta)));
   prev_time_ = out.timestamp;
-  out.peer = static_cast<std::uint32_t>(*peer);
-  out.addr = static_cast<std::uint32_t>(*addr);
-  out.cid = static_cast<std::uint32_t>(*cid_ref);
-  out.type = static_cast<bitswap::WantType>(*type_monitor & 0x3);
-  out.monitor = static_cast<trace::MonitorId>(*type_monitor >> 2);
-  out.flags = static_cast<std::uint32_t>(*flags);
-  pos_ = p.pos;
+  out.peer = static_cast<std::uint32_t>(peer);
+  out.addr = static_cast<std::uint32_t>(addr);
+  out.cid = static_cast<std::uint32_t>(cid_ref);
+  out.type = static_cast<bitswap::WantType>(type_monitor & 0x3);
+  out.monitor = static_cast<trace::MonitorId>(type_monitor >> 2);
+  out.flags = static_cast<std::uint32_t>(flags);
+  pos_ = r.pos();
   --remaining_;
   return true;
 }

@@ -5,7 +5,11 @@
 // to decide whether to read the body at all: entry count, time range, and
 // Bloom filters over the segment's peer and CID sets. Both footer and body are
 // checksummed (FNV-1a 64) so a partially written or corrupted segment is
-// detected and skipped instead of poisoning a scan.
+// detected and skipped instead of poisoning a scan. Every byte is written
+// and read through the one binary codec (util/codec): the footer is sealed
+// by its checksummed trailer, and body, footer and trailer are decoded by
+// the bounds-checked util::ByteReader, which refuses a dictionary count
+// the remaining bytes cannot hold before anything is reserved for it.
 //
 // Layout:
 //   [body: IPM2 compact trace bytes]
@@ -120,18 +124,17 @@ struct SegmentOpenOptions {
   ValidationCache* validated = nullptr;
 };
 
-/// Serializes `entries` as a complete segment (body + footer + trailer) and
-/// publishes it at `path` atomically (util::publish).
-/// Returns false and sets `error` on IO failure.
+/// Serializes `entries` as a complete segment (body + footer with 10
+/// bits/key Blooms + trailer) and publishes it at `path` atomically
+/// (util::publish). Returns false and sets `error` on IO failure.
 bool write_segment_file(const std::string& path, const trace::Trace& entries,
-                        std::size_t bloom_bits_per_key,
                         SegmentFooter* out_footer, std::string* error);
 
 /// Reads and validates only the footer (trailer magic, footer checksum) —
 /// the cheap open-time check; the body checksum is verified when the body
 /// is actually read. Reads just the trailer + footer tail of the file
-/// (two small reads), never the body. Returns nullopt and sets `error` on
-/// any mismatch.
+/// (two small util::read_file_tail reads, so regular files only), never
+/// the body. Returns nullopt and sets `error` on any mismatch.
 std::optional<SegmentFooter> read_segment_footer(const std::string& path,
                                                  std::string* error);
 

@@ -273,8 +273,7 @@ void SegmentWriter::flush_open_segment() {
   const std::string path = (fs::path(dir_) / name).string();
   SegmentFooter footer;
   std::string error;
-  if (!write_segment_file(path, open_, options_.bloom_bits_per_key, &footer,
-                          &error)) {
+  if (!write_segment_file(path, open_, &footer, &error)) {
     failed_ = true;
     obs_warn(options_.obs, "segment flush failed: " + error);
   } else {
@@ -285,17 +284,17 @@ void SegmentWriter::flush_open_segment() {
       const auto bytes = fs::file_size(path, ec);
       if (!ec) flush_bytes_->observe(static_cast<double>(bytes));
     }
-    if (options_.write_rollups) {
-      const SegmentRollup rollup = build_rollup(open_, options_.rollup_bucket);
-      std::string rollup_error;
-      if (!write_rollup_file(rollup_path_for(path), rollup, &rollup_error)) {
-        obs_warn(options_.obs, "rollup write failed: " + rollup_error);
-      } else if (options_.obs != nullptr) {
-        options_.obs->metrics
-            .counter("ipfsmon_tracestore_rollups_written_total",
-                     "Rollup sidecars written beside flushed segments")
-            .inc();
-      }
+    // Every flushed segment gets a one-minute rollup sidecar. Rollups are
+    // derived data: a failed write is a warning, never a store failure.
+    std::string rollup_error;
+    if (!write_rollup_file(rollup_path_for(path), build_rollup(open_),
+                           &rollup_error)) {
+      obs_warn(options_.obs, "rollup write failed: " + rollup_error);
+    } else if (options_.obs != nullptr) {
+      options_.obs->metrics
+          .counter("ipfsmon_tracestore_rollups_written_total",
+                   "Rollup sidecars written beside flushed segments")
+          .inc();
     }
   }
   open_ = trace::Trace{};

@@ -56,13 +56,6 @@ struct StoreOptions {
   std::uint64_t max_entries_per_segment = 1u << 18;
   /// ...or when it would span more than this much sim time.
   util::SimDuration max_segment_span = 6 * util::kHour;
-  std::size_t bloom_bits_per_key = 10;
-  /// Emit a "<segment>.rollup" pre-aggregate sidecar beside every flushed
-  /// segment (see rollup.hpp). Rollups are derived data: failures to write
-  /// one are warnings, never store failures.
-  bool write_rollups = true;
-  /// Bucket width of the emitted rollups.
-  util::SimDuration rollup_bucket = util::kMinute;
   /// Optional instrumentation/warning sink (counters + warn events).
   /// The store keeps the pointer; the Obs must outlive it.
   obs::Obs* obs = nullptr;

@@ -4,6 +4,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <system_error>
 
@@ -29,12 +30,12 @@ FileSignature signature_of(const struct stat& st) {
           st.st_mtim.tv_nsec};
 }
 
-bool read_exact(int fd, void* out, std::size_t size) {
+bool read_exact_at(int fd, void* out, std::size_t size, std::uint64_t offset) {
   auto* bytes = static_cast<char*>(out);
   std::size_t done = 0;
   while (done < size) {
     const ssize_t got = ::pread(fd, bytes + done, size - done,
-                                static_cast<off_t>(done));
+                                static_cast<off_t>(offset + done));
     if (got < 0 && errno == EINTR) continue;
     if (got <= 0) return false;
     done += static_cast<std::size_t>(got);
@@ -53,11 +54,12 @@ bool write_all(int fd, const char* data, std::size_t size) {
   return true;
 }
 
+/// Reads the last min(`tail`, file size) bytes of the regular file at
+/// `path` into `out`. O_NONBLOCK keeps a FIFO planted at `path` from
+/// blocking the open; it has no effect on regular-file reads.
 template <typename Buffer>
-bool read_whole_file(const std::string& path, Buffer* out,
-                     std::string* error) {
-  // O_NONBLOCK keeps a FIFO planted at `path` from blocking the open; it
-  // has no effect on regular-file reads.
+bool read_regular(const std::string& path, std::uint64_t tail, Buffer* out,
+                  std::uint64_t* file_size, std::string* error) {
   const int fd = ::open(path.c_str(), O_RDONLY | O_NONBLOCK | O_CLOEXEC);
   if (fd < 0) return fail(error, path + ": cannot open: " + errno_text());
   struct stat st {};
@@ -67,8 +69,10 @@ bool read_whole_file(const std::string& path, Buffer* out,
   } else if (!S_ISREG(st.st_mode)) {
     why = path + ": not a regular file";
   } else {
-    out->resize(static_cast<std::size_t>(st.st_size));
-    if (!read_exact(fd, out->data(), out->size())) {
+    const auto size = static_cast<std::uint64_t>(st.st_size);
+    if (file_size != nullptr) *file_size = size;
+    out->resize(static_cast<std::size_t>(std::min(size, tail)));
+    if (!read_exact_at(fd, out->data(), out->size(), size - out->size())) {
       why = path + ": short read";
     }
   }
@@ -114,16 +118,21 @@ std::optional<FileSignature> file_signature(int fd) {
 }
 
 bool read_file(const std::string& path, std::string* out, std::string* error) {
-  return read_whole_file(path, out, error);
+  return read_regular(path, UINT64_MAX, out, nullptr, error);
 }
 
 bool read_file(const std::string& path, Bytes* out, std::string* error) {
-  return read_whole_file(path, out, error);
+  return read_regular(path, UINT64_MAX, out, nullptr, error);
 }
 
 bool read_file(int fd, std::size_t size, Bytes* out) {
   out->resize(size);
-  return read_exact(fd, out->data(), size);
+  return read_exact_at(fd, out->data(), size, 0);
+}
+
+bool read_file_tail(const std::string& path, std::size_t tail, Bytes* out,
+                    std::uint64_t* file_size, std::string* error) {
+  return read_regular(path, tail, out, file_size, error);
 }
 
 bool publish(const std::string& path, std::initializer_list<FilePiece> pieces,

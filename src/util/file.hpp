@@ -1,6 +1,7 @@
 // The one file layer. Every file the library publishes (segments, rollups,
 // MANIFEST, STOREMETA, INGEST.ckpt, FEDERATION, UNIFIED_SOURCE) goes
 // through publish(), every whole-file read through read_file(), every
+// segment-footer read through read_file_tail(), every
 // (size, mtime) signature through file_signature(), and every integer
 // field read back from disk or the wire through parse_u64()/parse_i64().
 //
@@ -50,6 +51,11 @@ bool read_file(const std::string& path, Bytes* out,
                std::string* error = nullptr);
 /// Reads exactly `size` bytes from offset 0 of an open file.
 bool read_file(int fd, std::size_t size, Bytes* out);
+
+/// Reads the last min(`tail`, file size) bytes of a regular file, under
+/// the same rule as read_file(), and reports the whole file's size.
+bool read_file_tail(const std::string& path, std::size_t tail, Bytes* out,
+                    std::uint64_t* file_size, std::string* error = nullptr);
 
 /// One piece of a published file, by reference; pieces are written back
 /// to back, never concatenated first.

@@ -3,6 +3,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "util/codec.hpp"
+
 namespace ipfsmon::util {
 
 std::uint64_t splitmix64(std::uint64_t& state) {
@@ -15,16 +17,6 @@ std::uint64_t splitmix64(std::uint64_t& state) {
 namespace {
 std::uint64_t rotl(std::uint64_t x, int k) {
   return (x << k) | (x >> (64 - k));
-}
-
-/// FNV-1a over a string, used to derive per-name seeds.
-std::uint64_t hash_name(std::string_view name) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (char c : name) {
-    h ^= static_cast<std::uint8_t>(c);
-    h *= 0x100000001b3ull;
-  }
-  return h;
 }
 }  // namespace
 
@@ -46,12 +38,12 @@ Xoshiro256::result_type Xoshiro256::operator()() {
 }
 
 RngStream::RngStream(std::uint64_t root_seed, std::string_view name)
-    : engine_(root_seed ^ hash_name(name)) {}
+    : engine_(root_seed ^ fnv1a64(name, 0)) {}
 
 RngStream::RngStream(std::uint64_t raw_seed) : engine_(raw_seed) {}
 
 RngStream RngStream::fork(std::string_view name) {
-  return RngStream(next_u64() ^ hash_name(name));
+  return RngStream(next_u64() ^ fnv1a64(name, 0));
 }
 
 RngStream RngStream::fork(std::uint64_t index) {

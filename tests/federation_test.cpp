@@ -1,6 +1,7 @@
 // Federation subsystem (src/federation): FMON protocol codecs and frame
 // corruption handling, end-to-end segment shipping into a coordinator,
-// idempotent receives (duplicate + divergent delivery), resumable shipping
+// idempotent receives (duplicate + divergent delivery), hostile segment,
+// rollup and HELLO_ACK counts, resumable shipping
 // via HELLO_ACK watermarks, coordinator restart recovery over torn
 // segments, the unified-store byte-identity property (including a shipper
 // crash mid-replication), clock skew beyond the inter-monitor window, the
@@ -9,6 +10,7 @@
 // queryd SIGHUP reload and --bind paths as subprocesses.
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -32,8 +34,11 @@
 #include "tracestore/merge.hpp"
 #include "tracestore/rollup.hpp"
 #include "tracestore/store.hpp"
+#include "util/file.hpp"
 #include "util/rng.hpp"
 #include "util/strings.hpp"
+
+#include "hostile_bytes.hpp"
 
 namespace ipfsmon::federation {
 namespace {
@@ -287,6 +292,57 @@ TEST(Protocol, CorruptFramesAreRejected) {
   expect_rejected(std::move(bad_payload), "payload checksum");
 }
 
+/// Caps this process's address space at its current size plus `headroom`
+/// bytes for the guard's lifetime.
+class AddressSpaceLimit {
+ public:
+  explicit AddressSpaceLimit(std::uint64_t headroom) {
+    ::getrlimit(RLIMIT_AS, &saved_);
+    std::uint64_t pages = 0;
+    std::ifstream("/proc/self/statm") >> pages;
+    struct rlimit limit = saved_;
+    limit.rlim_cur = pages * static_cast<std::uint64_t>(::sysconf(_SC_PAGESIZE)) +
+                     headroom;
+    active_ = pages != 0 && ::setrlimit(RLIMIT_AS, &limit) == 0;
+  }
+  ~AddressSpaceLimit() { ::setrlimit(RLIMIT_AS, &saved_); }
+  AddressSpaceLimit(const AddressSpaceLimit&) = delete;
+  AddressSpaceLimit& operator=(const AddressSpaceLimit&) = delete;
+
+  bool active() const { return active_; }
+
+ private:
+  struct rlimit saved_ {};
+  bool active_ = false;
+};
+
+TEST(Protocol, HelloAckCountIsBoundedByItsPayload) {
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "sanitizer shadow memory needs an unlimited address space";
+#endif
+  // Four bytes that claim 10^7 landed segments: reserving for the claim
+  // takes ~400 MB, which the limit below does not leave.
+  util::Bytes payload;
+  util::varint_append(payload, 10'000'000);
+  ASSERT_EQ(payload.size(), 4u);
+  std::optional<HelloAckMsg> ack;
+  {
+    const AddressSpaceLimit limit(256ull << 20);
+    ASSERT_TRUE(limit.active());
+    ack = decode_hello_ack(payload);
+  }
+  EXPECT_FALSE(ack.has_value());
+
+  // Counts are held to the smallest entry (a one-byte name length and a
+  // u64 checksum): two empty-named entries fit 18 bytes, three do not.
+  util::Bytes two;
+  util::varint_append(two, 2);
+  two.resize(1 + 18, 0);
+  EXPECT_TRUE(decode_hello_ack(two).has_value());
+  two[0] = 3;
+  EXPECT_FALSE(decode_hello_ack(two).has_value());
+}
+
 TEST(Protocol, Validators) {
   EXPECT_TRUE(valid_vantage("us-east"));
   EXPECT_TRUE(valid_vantage("DE_fra_01"));
@@ -512,6 +568,48 @@ TEST(Federation, DuplicateAndDivergentDeliveries) {
   ASSERT_TRUE(landed.has_value());
   EXPECT_EQ(read_file_bytes((fs::path(root) / "m-7" / "seg-000000.seg").string()),
             read_file_bytes((fs::path(store_dir) / "seg-000000.seg").string()));
+}
+
+TEST(Federation, CoordinatorRejectsAHostileSegmentAndStaysUp) {
+  const std::string store_dir = fresh_dir("hostile_src");
+  build_store(store_dir, make_monitor_trace(100, 0, 23));
+  const std::string root = fresh_dir("hostile_root");
+  std::string error;
+  auto coordinator = Coordinator::start(root, {}, &error);
+  ASSERT_NE(coordinator, nullptr) << error;
+
+  const int fd =
+      query::tcp_connect("127.0.0.1", coordinator->port(), 5000, &error);
+  ASSERT_GE(fd, 0) << error;
+  do_hello(fd, 3, "hostile");
+
+  // A 44-byte segment with valid checksums and a peer dictionary count of
+  // 2^40, claiming the body checksum its footer carries.
+  SegmentMsg hostile;
+  hostile.file = "seg-000000.seg";
+  hostile.segment_bytes = testing_helpers::hostile_segment({1ull << 40});
+  const std::string probe_dir = fresh_dir("hostile_probe");
+  fs::create_directories(probe_dir);
+  const std::string probe = probe_dir + "/seg-000000.seg";
+  ASSERT_TRUE(util::publish(probe, {hostile.segment_bytes}));
+  const auto footer = tracestore::read_segment_footer(probe, &error);
+  ASSERT_TRUE(footer.has_value()) << error;
+  hostile.body_checksum = footer->body_checksum;
+  EXPECT_EQ(ship_raw(fd, hostile), AckStatus::kRejected);
+  EXPECT_FALSE(fs::exists(fs::path(root) / "m-3" / "seg-000000.seg"));
+
+  // Same connection: a valid segment still lands, and a hostile rollup
+  // sidecar shipped with it is dropped as derived data.
+  SegmentMsg valid = segment_msg_for(store_dir, "seg-000001.seg");
+  valid.rollup_bytes = testing_helpers::hostile_rollup(1ull << 40);
+  EXPECT_EQ(ship_raw(fd, valid), AckStatus::kLanded);
+  ::close(fd);
+  const fs::path landed = fs::path(root) / "m-3" / "seg-000001.seg";
+  EXPECT_TRUE(fs::exists(landed));
+  EXPECT_FALSE(fs::exists(tracestore::rollup_path_for(landed.string())));
+  EXPECT_NE(coordinator->metrics_text().find(
+                "ipfsmon_federation_rejected_segments_total 1"),
+            std::string::npos);
 }
 
 TEST(Federation, HelloRejectsInvalidMonikers) {

@@ -30,12 +30,14 @@
 #include "query/socket.hpp"
 #include "tracestore/rollup.hpp"
 #include "tracestore/store.hpp"
+#include "util/file.hpp"
 #include "util/json.hpp"
 #include "util/rng.hpp"
 #include "util/strings.hpp"
 
 // TempDir and write_bench_artifact are header-only bench helpers.
 #include "../bench/bench_common.hpp"
+#include "hostile_bytes.hpp"
 
 namespace ipfsmon::query {
 namespace {
@@ -375,6 +377,16 @@ TEST(Rollup, CorruptSidecarIsRejected) {
   f.put('\xff');
   f.close();
   EXPECT_FALSE(tracestore::read_rollup_file(sidecar).has_value());
+  // Valid checksums around a bucket count the payload cannot hold: an
+  // error, not a reserve() of 2^40 buckets that aborts the process.
+  for (const std::uint64_t buckets : {1ull << 40, (1ull << 63) - 1}) {
+    const util::Bytes hostile = testing_helpers::hostile_rollup(buckets);
+    ASSERT_TRUE(util::publish(sidecar, {hostile}));
+    std::string error;
+    EXPECT_FALSE(tracestore::read_rollup_file(sidecar, &error).has_value());
+    EXPECT_NE(error.find("malformed payload"), std::string::npos) << error;
+  }
+  EXPECT_EQ(testing_helpers::hostile_rollup(1ull << 40).size(), 29u);
 }
 
 TEST(Rollup, PruneRemovesSidecars) {

@@ -281,7 +281,7 @@ std::string ipm2_path(const std::string& name) {
 
 void write_ipm2(const std::string& path, const Trace& t) {
   std::string error;
-  ASSERT_TRUE(tracestore::write_segment_file(path, t, 10, nullptr, &error))
+  ASSERT_TRUE(tracestore::write_segment_file(path, t, nullptr, &error))
       << error;
 }
 

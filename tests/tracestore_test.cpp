@@ -1,8 +1,10 @@
 // Out-of-core trace store (src/tracestore): Bloom filters, segment
-// round-trips and crash detection, the segmented store directory format,
+// round-trips, crash detection and hostile dictionary counts, the
+// segmented store directory format (a FIFO in place of a segment included),
 // streaming unify equivalence with the in-memory path, and the
 // Bloom-pruned parallel scan executor.
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 
 #include <filesystem>
 #include <fstream>
@@ -16,9 +18,12 @@
 #include "tracestore/hotset.hpp"
 #include "tracestore/merge.hpp"
 #include "tracestore/pool.hpp"
+#include "tracestore/rollup.hpp"
 #include "tracestore/scan.hpp"
 #include "tracestore/store.hpp"
+#include "util/file.hpp"
 
+#include "hostile_bytes.hpp"
 #include "publish_check.hpp"
 
 namespace ipfsmon::tracestore {
@@ -143,7 +148,7 @@ TEST(Segment, WriteReadRoundTrip) {
 
   SegmentFooter footer;
   std::string error;
-  ASSERT_TRUE(write_segment_file(path, t, 10, &footer, &error)) << error;
+  ASSERT_TRUE(write_segment_file(path, t, &footer, &error)) << error;
   EXPECT_EQ(footer.entry_count, 300u);
   EXPECT_EQ(footer.min_time, t.entries().front().timestamp);
   EXPECT_EQ(footer.max_time, t.entries().back().timestamp);
@@ -174,7 +179,7 @@ TEST(Segment, FooterBloomCoversSegmentKeys) {
   trace::Trace t;
   for (int i = 0; i < 50; ++i) t.append(entry(i * kSecond, i, i + 100, 0));
   SegmentFooter footer;
-  ASSERT_TRUE(write_segment_file(path, t, 10, &footer, nullptr));
+  ASSERT_TRUE(write_segment_file(path, t, &footer, nullptr));
   for (int i = 0; i < 50; ++i) {
     EXPECT_TRUE(footer.peer_bloom.might_contain(bloom_hash(peer_n(i))));
     EXPECT_TRUE(footer.cid_bloom.might_contain(bloom_hash(cid_n(i + 100))));
@@ -186,7 +191,7 @@ TEST(Segment, TruncationIsDetected) {
   std::filesystem::create_directories(dir);
   const std::string path = dir + "/seg.seg";
   ASSERT_TRUE(
-      write_segment_file(path, make_monitor_trace(100, 0, 2), 10, nullptr,
+      write_segment_file(path, make_monitor_trace(100, 0, 2), nullptr,
                          nullptr));
   const auto size = std::filesystem::file_size(path);
   std::filesystem::resize_file(path, size / 2);
@@ -201,7 +206,7 @@ TEST(Segment, BodyCorruptionFailsChecksum) {
   std::filesystem::create_directories(dir);
   const std::string path = dir + "/seg.seg";
   ASSERT_TRUE(
-      write_segment_file(path, make_monitor_trace(100, 0, 3), 10, nullptr,
+      write_segment_file(path, make_monitor_trace(100, 0, 3), nullptr,
                          nullptr));
   {
     std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
@@ -216,6 +221,72 @@ TEST(Segment, BodyCorruptionFailsChecksum) {
   // passes — the body checksum catches the damage when reading.
   EXPECT_TRUE(read_segment_footer(path, nullptr).has_value());
   EXPECT_FALSE(SegmentReader::open(path).has_value());
+}
+
+TEST(Segment, HostileDictionaryCountsAreRefused) {
+  // Valid checksums, absurd counts: each must be an error, not a reserve()
+  // of 2^40 (or 2^63 - 1) dictionary slots that aborts the process.
+  const std::string dir = fresh_dir("segment_hostile");
+  std::filesystem::create_directories(dir);
+  constexpr std::uint64_t kHuge = 1ull << 40;
+  constexpr std::uint64_t kMax = (1ull << 63) - 1;
+  const struct {
+    const char* what;
+    util::Bytes bytes;
+  } cases[] = {
+      {"peers 2^40", testing_helpers::hostile_segment({kHuge})},
+      {"peers 2^63-1", testing_helpers::hostile_segment({kMax})},
+      {"addresses 2^40", testing_helpers::hostile_segment({0, kHuge})},
+      {"addresses 2^63-1", testing_helpers::hostile_segment({0, kMax})},
+      {"CIDs 2^40", testing_helpers::hostile_segment({0, 0, kHuge})},
+      {"CIDs 2^63-1", testing_helpers::hostile_segment({0, 0, kMax})},
+  };
+  EXPECT_EQ(cases[0].bytes.size(), 44u);
+  const std::string path = dir + "/seg-000000.seg";
+  for (const auto& c : cases) {
+    ASSERT_TRUE(util::publish(path, {c.bytes}));
+    std::string error;
+    EXPECT_TRUE(read_segment_footer(path, &error).has_value())
+        << c.what << ": " << error;
+    for (const IoBackend backend : {IoBackend::kMmap, IoBackend::kBuffered}) {
+      SegmentOpenOptions options;
+      options.backend = backend;
+      error.clear();
+      EXPECT_FALSE(SegmentReader::open(path, options, &error).has_value())
+          << c.what;
+      EXPECT_NE(error.find("dictionary"), std::string::npos)
+          << c.what << ": " << error;
+    }
+  }
+}
+
+TEST(Store, FifoNamedLikeASegmentStallsNeitherOpenNorRecovery) {
+  const std::string dir = fresh_dir("fifo");
+  StoreOptions options;
+  options.max_entries_per_segment = 50;
+  auto writer = SegmentWriter::create(dir, options);
+  const trace::Trace t = make_monitor_trace(100, 0, 8);
+  for (const auto& e : t.entries()) writer->append(e);
+  ASSERT_TRUE(writer->finalize());
+  // The second segment is replaced by a FIFO nobody writes to: opening it
+  // for reading without O_NONBLOCK would block forever.
+  const std::string fifo = (std::filesystem::path(dir) / "seg-000001.seg").string();
+  std::filesystem::remove(fifo);
+  std::filesystem::remove(rollup_path_for(fifo));
+  ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0);
+
+  std::string error;
+  EXPECT_FALSE(read_segment_footer(fifo, &error).has_value());
+  EXPECT_NE(error.find("not a regular file"), std::string::npos) << error;
+  auto store = TraceStore::open(dir);
+  ASSERT_TRUE(store.has_value());
+  EXPECT_EQ(store->segments().size(), 1u);
+
+  const auto report = recover_store_dir(dir, options, &error);
+  ASSERT_TRUE(report.has_value()) << error;
+  EXPECT_EQ(report->segments_kept, 1u);
+  EXPECT_EQ(report->segments_dropped, 1u);
+  EXPECT_FALSE(std::filesystem::exists(fifo));
 }
 
 // --- Store directory format -----------------------------------------------------

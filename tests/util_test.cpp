@@ -1,5 +1,6 @@
 // Unit and property tests for the util module: hex, varint, base58,
-// base32, deterministic RNG, string helpers, and the file layer.
+// base32, deterministic RNG, string helpers, the binary codec (ByteReader
+// on hostile bytes, the sealed trailer) and the file layer.
 #include <fcntl.h>
 #include <gtest/gtest.h>
 #include <signal.h>
@@ -10,12 +11,14 @@
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <cstring>
 #include <set>
 
 #include "util/base32.hpp"
 #include "util/base58.hpp"
 #include "util/bytes.hpp"
+#include "util/codec.hpp"
 #include "util/file.hpp"
 #include "util/json.hpp"
 #include "util/rng.hpp"
@@ -477,6 +480,128 @@ TEST(Time, FormatsDayHourMinuteSecond) {
             "1:02:03:04");
 }
 
+// --- binary codec ---------------------------------------------------------
+
+TEST(Codec, ByteReaderRefusesHostileBytes) {
+  // Each case reads `bytes` with `read` and states whether every read
+  // succeeded (ok) and whether the input was consumed exactly (done).
+  const struct {
+    const char* what;
+    Bytes bytes;
+    std::function<void(ByteReader&)> read;
+    bool ok;
+    bool done;
+  } cases[] = {
+      {"one-byte varint", {0x05}, [](ByteReader& r) { EXPECT_EQ(r.varint(), 5u); },
+       true, true},
+      {"truncated varint", {0x80, 0x80}, [](ByteReader& r) { r.varint(); },
+       false, false},
+      {"9-byte varint (2^63 - 1)",
+       {0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f},
+       [](ByteReader& r) { EXPECT_EQ(r.varint(), (1ull << 63) - 1); }, true,
+       true},
+      {"10-byte varint",
+       {0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01},
+       [](ByteReader& r) { r.varint(); }, false, false},
+      {"count that fits", {0x02, 1, 2, 3, 4},
+       [](ByteReader& r) { EXPECT_EQ(r.count(2), 2u); }, true, false},
+      {"count past the bytes left", {0x03, 1, 2, 3, 4, 5},
+       [](ByteReader& r) { EXPECT_EQ(r.count(2), 0u); }, false, false},
+      {"count of 2^40 in six bytes", {0x80, 0x80, 0x80, 0x80, 0x80, 0x20},
+       [](ByteReader& r) { EXPECT_EQ(r.count(1), 0u); }, false, false},
+      {"length past the bytes left", {0x05, 'a', 'b', 'c', 'd'},
+       [](ByteReader& r) { EXPECT_TRUE(r.blob(100).empty()); }, false, false},
+      {"length past the cap", {0x03, 'a', 'b', 'c'},
+       [](ByteReader& r) { EXPECT_EQ(r.string(2), ""); }, false, false},
+      {"string within the cap", {0x03, 'a', 'b', 'c'},
+       [](ByteReader& r) { EXPECT_EQ(r.string(3), "abc"); }, true, true},
+      {"bytes past the end", {1, 2, 3},
+       [](ByteReader& r) { EXPECT_TRUE(r.bytes(4).empty()); }, false, false},
+      {"trailing bytes", {0x01, 0x02},
+       [](ByteReader& r) { EXPECT_EQ(r.varint(), 1u); }, true, false},
+      {"fixed width past the end", {1, 2, 3},
+       [](ByteReader& r) { EXPECT_EQ(r.u32(), 0u); }, false, false},
+      {"use after failure", {0x80, 0x07, 0x09},
+       [](ByteReader& r) {
+         r.u32();                     // fails: three bytes left
+         EXPECT_EQ(r.u8(), 0u);       // a byte is there, but the failure sticks
+         EXPECT_EQ(r.varint(), 0u);
+         EXPECT_TRUE(r.bytes(1).empty());
+         EXPECT_EQ(r.pos(), 0u);
+       },
+       false, false},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.what);
+    ByteReader reader(c.bytes);
+    c.read(reader);
+    EXPECT_EQ(reader.ok(), c.ok);
+    EXPECT_EQ(reader.done(), c.done);
+  }
+}
+
+TEST(Codec, LittleEndianRoundTripAndFnvVectors) {
+  Bytes out;
+  put_le(out, std::uint8_t{0xab});
+  put_le(out, std::uint16_t{0x1234});
+  put_le(out, std::uint32_t{0xdeadbeef});
+  put_le(out, std::uint64_t{0x0102030405060708});
+  put_string(out, "vantage");
+  put_blob(out, bytes_of("blob"));
+  EXPECT_EQ(to_hex(BytesView(out.data(), 7)), "ab3412efbeadde");
+  ByteReader reader(out);
+  EXPECT_EQ(reader.u8(), 0xabu);
+  EXPECT_EQ(reader.u16(), 0x1234u);
+  EXPECT_EQ(reader.u32(), 0xdeadbeefu);
+  EXPECT_EQ(reader.u64(), 0x0102030405060708u);
+  EXPECT_EQ(reader.string(64), "vantage");
+  EXPECT_EQ(string_of(reader.blob(64)), "blob");
+  EXPECT_TRUE(reader.done());
+
+  // Published FNV-1a 64 vectors; the seed XORs the offset basis.
+  EXPECT_EQ(fnv1a64(std::string_view(""), 0), kFnv1aOffset);
+  EXPECT_EQ(fnv1a64(std::string_view("a"), 0), 0xaf63dc4c8601ec8cull);
+  EXPECT_EQ(fnv1a64(std::string_view("foobar"), 0), 0x85944171f73967e8ull);
+  EXPECT_EQ(fnv1a64(bytes_of("a"), 0), fnv1a64(std::string_view("a"), 0));
+  EXPECT_NE(fnv1a64(std::string_view("a"), 1), fnv1a64(std::string_view("a"), 0));
+}
+
+TEST(Codec, SealedTrailerDetectsEveryTamper) {
+  constexpr std::uint32_t kMagic = 0x54535347;
+  const Bytes payload = bytes_of("footer bytes");
+  Bytes file = bytes_of("body|");
+  file.insert(file.end(), payload.begin(), payload.end());
+  const Bytes trailer = seal(payload, kMagic);
+  ASSERT_EQ(trailer.size(), kTrailerBytes);
+  file.insert(file.end(), trailer.begin(), trailer.end());
+
+  std::string why;
+  const auto opened = open_sealed(file, kMagic, &why);
+  ASSERT_TRUE(opened.has_value()) << why;
+  EXPECT_EQ(string_of(*opened), "footer bytes");
+  EXPECT_EQ(sealed_length(trailer, kMagic, &why), payload.size());
+
+  const struct {
+    const char* what;
+    std::size_t at;  // byte flipped, counted from the end
+  } tampers[] = {{"magic", 1}, {"checksum", 9}, {"length", 13},
+                 {"payload", kTrailerBytes + 1}};
+  for (const auto& t : tampers) {
+    Bytes bad = file;
+    bad[bad.size() - t.at] ^= 0x40;
+    why.clear();
+    EXPECT_FALSE(open_sealed(bad, kMagic, &why).has_value()) << t.what;
+    EXPECT_FALSE(why.empty()) << t.what;
+  }
+  EXPECT_FALSE(open_sealed(file, kMagic + 1, &why).has_value());
+  EXPECT_FALSE(open_sealed(BytesView(file.data(), 15), kMagic, &why));
+  EXPECT_NE(why.find("truncated"), std::string::npos) << why;
+  // A length past the bytes before the trailer is refused, not read.
+  Bytes long_claim = trailer;
+  long_claim[3] = 0x7f;
+  EXPECT_FALSE(open_sealed(long_claim, kMagic, &why).has_value());
+}
+
 // --- file layer -----------------------------------------------------------
 
 namespace fs = std::filesystem;
@@ -577,6 +702,12 @@ TEST(File, ReadFileTakesRegularFilesOnly) {
   Bytes bytes;
   ASSERT_TRUE(read_file(dir + "/plain", &bytes));
   EXPECT_EQ(bytes, bytes_of("abc\ndef"));
+  std::uint64_t size = 0;
+  ASSERT_TRUE(read_file_tail(dir + "/plain", 3, &bytes, &size));
+  EXPECT_EQ(bytes, bytes_of("def"));
+  EXPECT_EQ(size, 7u);
+  ASSERT_TRUE(read_file_tail(dir + "/plain", 100, &bytes, &size));
+  EXPECT_EQ(bytes, bytes_of("abc\ndef"));
 
   std::string error;
   EXPECT_FALSE(read_file(dir + "/missing", &text, &error));
@@ -586,6 +717,8 @@ TEST(File, ReadFileTakesRegularFilesOnly) {
   // A FIFO must be refused without blocking on the open.
   ASSERT_EQ(::mkfifo((dir + "/fifo").c_str(), 0600), 0);
   EXPECT_FALSE(read_file(dir + "/fifo", &text, &error));
+  EXPECT_NE(error.find("not a regular file"), std::string::npos) << error;
+  EXPECT_FALSE(read_file_tail(dir + "/fifo", 16, &bytes, &size, &error));
   EXPECT_NE(error.find("not a regular file"), std::string::npos) << error;
   // An endless device behind a link is refused, not read without bound.
   if (fs::exists("/dev/zero")) {
