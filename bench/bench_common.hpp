@@ -1,18 +1,17 @@
-// Shared plumbing for the experiment harnesses: flag parsing, table
-// printing, and paper-vs-measured rows. Every exp_* binary reproduces one
-// table or figure from the paper and prints the same rows/series the paper
-// reports, alongside the paper's value where applicable.
+// Shared plumbing for the experiment harnesses: table printing and
+// paper-vs-measured rows (flags are read with util::Flags). Every exp_*
+// binary reproduces one table or figure from the paper and prints the same
+// rows/series the paper reports, alongside the paper's value where
+// applicable.
 #pragma once
 
 #include <sys/resource.h>
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
-#include <map>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -20,49 +19,11 @@
 
 #include "obs/exporters.hpp"
 #include "util/file.hpp"
+#include "util/flags.hpp"
 #include "util/json.hpp"
 #include "util/strings.hpp"
 
 namespace ipfsmon::bench {
-
-/// Minimal --key=value flag parser shared by the experiment binaries.
-class Flags {
- public:
-  Flags(int argc, char** argv) {
-    for (int i = 1; i < argc; ++i) {
-      std::string_view arg(argv[i]);
-      if (arg.rfind("--", 0) != 0) continue;
-      arg.remove_prefix(2);
-      const auto eq = arg.find('=');
-      if (eq == std::string_view::npos) {
-        values_[std::string(arg)] = "1";
-      } else {
-        values_[std::string(arg.substr(0, eq))] = std::string(arg.substr(eq + 1));
-      }
-    }
-  }
-
-  double get(const std::string& key, double fallback) const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::strtod(it->second.c_str(), nullptr);
-  }
-
-  std::uint64_t get_u64(const std::string& key, std::uint64_t fallback) const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? fallback
-                               : std::strtoull(it->second.c_str(), nullptr, 10);
-  }
-
-  std::string get_str(const std::string& key, std::string fallback) const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? fallback : it->second;
-  }
-
-  bool has(const std::string& key) const { return values_.count(key) != 0; }
-
- private:
-  std::map<std::string, std::string> values_;
-};
 
 inline void print_header(std::string_view experiment, std::string_view paper_ref) {
   std::printf("==============================================================\n");
@@ -155,7 +116,7 @@ inline double read_smoke_floor(const std::string& path, std::string_view key) {
   if (!util::json::scan_object(text, &fields)) return 0;
   for (const auto& field : fields) {
     if (field.key == key && !field.is_string) {
-      return std::strtod(field.value.c_str(), nullptr);
+      return util::parse_f64(field.value).value_or(0);
     }
   }
   return 0;

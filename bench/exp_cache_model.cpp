@@ -17,15 +17,16 @@
 using namespace ipfsmon;
 
 int main(int argc, char** argv) {
-  const bench::Flags flags(argc, argv);
+  util::Flags flags(argc, argv);
   const bench::Stopwatch stopwatch;
   scenario::StudyConfig config;
-  config.seed = flags.get_u64("seed", 42);
-  config.population.node_count = static_cast<std::size_t>(flags.get("nodes", 300));
+  config.seed = flags.u64("--seed", 42);
+  config.population.node_count = flags.u64("--nodes", 300);
   config.catalog.item_count = 4000;
   config.warmup = 6 * util::kHour;
   config.duration = static_cast<util::SimDuration>(
-      flags.get("hours", 16.0) * static_cast<double>(util::kHour));
+      flags.f64("--hours", 16.0) * static_cast<double>(util::kHour));
+  if (!flags.ok()) return flags.usage("[--nodes=N] [--hours=H] [--seed=S]");
 
   bench::print_header("exp_cache_model",
                       "extension: LRU cache-hit prediction from measured "

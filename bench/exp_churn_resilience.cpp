@@ -58,12 +58,12 @@ double rel_err(double est, double truth) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::Flags flags(argc, argv);
+  util::Flags flags(argc, argv);
   const bench::Stopwatch stopwatch;
-  const std::size_t nodes =
-      static_cast<std::size_t>(flags.get("nodes", 220));
-  const double hours = flags.get("hours", 6.0);
-  const std::uint64_t seed = flags.get_u64("seed", 42);
+  const std::size_t nodes = flags.u64("--nodes", 220);
+  const double hours = flags.f64("--hours", 6.0);
+  const std::uint64_t seed = flags.u64("--seed", 42);
+  if (!flags.ok()) return flags.usage("[--nodes=N] [--hours=H] [--seed=S]");
 
   bench::print_header("exp_churn_resilience",
                       "Coverage and estimator error vs churn rate, with "

@@ -104,11 +104,11 @@ Row run_scenario(const std::string& name, scenario::StudyConfig config) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::Flags flags(argc, argv);
+  util::Flags flags(argc, argv);
   const bench::Stopwatch stopwatch;
   scenario::StudyConfig base;
-  base.seed = flags.get_u64("seed", 42);
-  base.population.node_count = static_cast<std::size_t>(flags.get("nodes", 250));
+  base.seed = flags.u64("--seed", 42);
+  base.population.node_count = flags.u64("--nodes", 250);
   base.population.stable_server_count = 16;
   // Churny sessions so identity rotation has rebirths to act on.
   base.population.mean_session_hours = 3.0;
@@ -116,8 +116,9 @@ int main(int argc, char** argv) {
   base.catalog.item_count = 3000;
   base.warmup = 6 * util::kHour;
   base.duration = static_cast<util::SimDuration>(
-      flags.get("hours", 16.0) * static_cast<double>(util::kHour));
+      flags.f64("--hours", 16.0) * static_cast<double>(util::kHour));
   base.enable_gateways = false;  // isolate node-side countermeasures
+  if (!flags.ok()) return flags.usage("[--nodes=N] [--hours=H] [--seed=S]");
 
   bench::print_header("exp_countermeasures",
                       "Sec. VI-C ablation: what each privacy hardening does "

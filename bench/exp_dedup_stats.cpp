@@ -85,15 +85,22 @@ bool entries_identical(const trace::TraceEntry& a, const trace::TraceEntry& b) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::Flags flags(argc, argv);
+  util::Flags flags(argc, argv);
   const bench::Stopwatch stopwatch;
   scenario::StudyConfig config;
-  config.seed = flags.get_u64("seed", 42);
-  config.population.node_count = static_cast<std::size_t>(flags.get("nodes", 400));
+  config.seed = flags.u64("--seed", 42);
+  config.population.node_count = flags.u64("--nodes", 400);
   config.catalog.item_count = 5000;
   config.warmup = 8 * util::kHour;
   config.duration = static_cast<util::SimDuration>(
-      flags.get("hours", 24.0) * static_cast<double>(util::kHour));
+      flags.f64("--hours", 24.0) * static_cast<double>(util::kHour));
+  const std::uint64_t ooc_entries = flags.u64("--oocentries", 1'000'000);
+  const std::size_t ooc_monitors = flags.u64("--oocmonitors", 4);
+  if (!flags.ok()) {
+    return flags.usage(
+        "[--nodes=N] [--hours=H] [--seed=S] [--oocentries=N] "
+        "[--oocmonitors=N]");
+  }
 
   bench::print_header("exp_dedup_stats",
                       "Sec. IV-B: preprocessing — re-broadcast and "
@@ -140,9 +147,6 @@ int main(int argc, char** argv) {
               "  at that knee.\n");
 
   bench::print_section("out-of-core unify (tracestore) vs in-memory");
-  const std::uint64_t ooc_entries = flags.get_u64("oocentries", 1'000'000);
-  const std::size_t ooc_monitors =
-      static_cast<std::size_t>(flags.get_u64("oocmonitors", 4));
   const std::vector<trace::Trace> synthetic =
       make_synthetic_traces(ooc_entries, ooc_monitors, config.seed);
 

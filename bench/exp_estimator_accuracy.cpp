@@ -75,10 +75,11 @@ Row run_cell(util::RngStream& rng, std::size_t n, std::size_t r,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::Flags flags(argc, argv);
+  util::Flags flags(argc, argv);
   const bench::Stopwatch stopwatch;
-  util::RngStream rng(flags.get_u64("seed", 42), "estimator-ablation");
-  const std::size_t trials = flags.get_u64("trials", 30);
+  util::RngStream rng(flags.u64("--seed", 42), "estimator-ablation");
+  const std::size_t trials = flags.u64("--trials", 30);
+  if (!flags.ok()) return flags.usage("[--trials=N] [--seed=S]");
 
   bench::print_header("exp_estimator_accuracy",
                       "Sec. IV-C ablation: estimator bias under uniform and "

@@ -94,17 +94,20 @@ void build_store(const std::string& dir, const trace::Trace& t,
   writer->finalize();
 }
 
-std::vector<std::uint64_t> parse_list(const std::string& text) {
+/// The comma-separated counts of list flag `name` (empty items skipped);
+/// a malformed item fails `flags`.
+std::vector<std::uint64_t> parse_list(util::Flags& flags, std::string_view name,
+                                      std::string fallback) {
   std::vector<std::uint64_t> out;
-  std::size_t pos = 0;
-  while (pos < text.size()) {
-    const auto comma = text.find(',', pos);
-    const std::string item = comma == std::string::npos
-                                 ? text.substr(pos)
-                                 : text.substr(pos, comma - pos);
-    if (!item.empty()) out.push_back(std::strtoull(item.c_str(), nullptr, 10));
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
+  const std::string text = flags.text(name, std::move(fallback));
+  for (const auto& item : util::split(text, ',')) {
+    if (item.empty()) continue;
+    const auto value = util::parse_u64(item);
+    if (!value) {
+      flags.fail(std::string(name) + ": '" + item + "' is not an integer");
+      return {};
+    }
+    out.push_back(*value);
   }
   return out;
 }
@@ -452,24 +455,27 @@ int run_smoke(std::uint64_t entries, std::uint64_t segment_entries) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::Flags flags(argc, argv);
+  util::Flags flags(argc, argv);
+  const std::uint64_t segment_entries =
+      flags.u64("--segment-entries", 2048);
+  const bool smoke = flags.boolean("--smoke");
+  const std::uint64_t entries = flags.u64("--entries", smoke ? 6000 : 20000);
+  const auto monitor_counts = parse_list(flags, "--monitors", "1,2,4,8");
+  const auto rates = parse_list(flags, "--rates", "0,25");
+  if (!flags.ok()) {
+    return flags.usage(
+        "[--entries=N] [--segment-entries=N] [--monitors=1,2,4,8] "
+        "[--rates=0,25]\n--smoke [--entries=N]");
+  }
   const bench::Stopwatch total;
   bench::print_header("exp_federation",
                       "monitor federation: vantage points -> coordinator "
                       "(paper Sec. IV multi-monitor deployment, streamed)");
-
-  const std::uint64_t segment_entries =
-      flags.get_u64("segment-entries", 2048);
-  if (flags.has("smoke")) {
-    const int code = run_smoke(flags.get_u64("entries", 6000), 512);
+  if (smoke) {
+    const int code = run_smoke(entries, 512);
     bench::print_run_footer(total);
     return code;
   }
-
-  const std::uint64_t entries = flags.get_u64("entries", 20000);
-  const auto monitor_counts =
-      parse_list(flags.get_str("monitors", "1,2,4,8"));
-  const auto rates = parse_list(flags.get_str("rates", "0,25"));
 
   std::vector<SweepResult> results;
   for (const auto rate : rates) {

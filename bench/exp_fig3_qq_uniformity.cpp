@@ -17,15 +17,19 @@
 using namespace ipfsmon;
 
 int main(int argc, char** argv) {
-  const bench::Flags flags(argc, argv);
+  util::Flags flags(argc, argv);
   const bench::Stopwatch stopwatch;
   scenario::StudyConfig config;
-  config.seed = flags.get_u64("seed", 42);
-  config.population.node_count = static_cast<std::size_t>(flags.get("nodes", 500));
+  config.seed = flags.u64("--seed", 42);
+  config.population.node_count = flags.u64("--nodes", 500);
   config.catalog.item_count = 2000;
   config.warmup = 8 * util::kHour;
   config.duration = static_cast<util::SimDuration>(
-      flags.get("hours", 18.0) * static_cast<double>(util::kHour));
+      flags.f64("--hours", 18.0) * static_cast<double>(util::kHour));
+  const std::size_t points = flags.u64("--points", 33);
+  if (!flags.ok()) {
+    return flags.usage("[--nodes=N] [--hours=H] [--seed=S] [--points=N]");
+  }
 
   bench::print_header("exp_fig3_qq_uniformity",
                       "Fig. 3: QQ plot of monitor-connected peer IDs vs "
@@ -45,7 +49,6 @@ int main(int argc, char** argv) {
               peers.size(),
               study.network().connection_count(study.monitor(0).id()));
 
-  const std::size_t points = flags.get_u64("points", 33);
   const auto qq = analysis::qq_against_uniform(peers, points);
   bench::print_section("QQ series (plot: x=uniform quantile, y=ID quantile)");
   std::printf("  %-10s %-12s %-12s %s\n", "quantile", "uniform", "peer-IDs",

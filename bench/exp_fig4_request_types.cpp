@@ -13,13 +13,13 @@
 using namespace ipfsmon;
 
 int main(int argc, char** argv) {
-  const bench::Flags flags(argc, argv);
+  util::Flags flags(argc, argv);
   const bench::Stopwatch stopwatch;
-  const double days = flags.get("days", 28.0);
+  const double days = flags.f64("--days", 28.0);
 
   scenario::StudyConfig config;
-  config.seed = flags.get_u64("seed", 42);
-  config.population.node_count = static_cast<std::size_t>(flags.get("nodes", 160));
+  config.seed = flags.u64("--seed", 42);
+  config.population.node_count = flags.u64("--nodes", 160);
   config.population.mean_session_hours = 6.0;
   config.population.mean_downtime_hours = 12.0;
   config.population.mean_request_interval_hours = 2.0;
@@ -35,6 +35,7 @@ int main(int argc, char** argv) {
   config.warmup = 12 * util::kHour;
   config.duration = static_cast<util::SimDuration>(
       days * static_cast<double>(util::kDay));
+  if (!flags.ok()) return flags.usage("[--nodes=N] [--days=D] [--seed=S]");
 
   bench::print_header("exp_fig4_request_types",
                       "Fig. 4: requests/day by entry type during the "

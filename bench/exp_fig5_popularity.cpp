@@ -43,15 +43,20 @@ void run_powerlaw(const char* name, const std::vector<double>& values,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::Flags flags(argc, argv);
+  util::Flags flags(argc, argv);
   const bench::Stopwatch stopwatch;
   scenario::StudyConfig config;
-  config.seed = flags.get_u64("seed", 42);
-  config.population.node_count = static_cast<std::size_t>(flags.get("nodes", 600));
+  config.seed = flags.u64("--seed", 42);
+  config.population.node_count = flags.u64("--nodes", 600);
   config.catalog.item_count = 10000;
   config.warmup = 8 * util::kHour;
   config.duration = static_cast<util::SimDuration>(
-      flags.get("hours", 72.0) * static_cast<double>(util::kHour));
+      flags.f64("--hours", 72.0) * static_cast<double>(util::kHour));
+  const std::size_t rounds = flags.u64("--bootstrap_rounds", 100);
+  if (!flags.ok()) {
+    return flags.usage(
+        "[--nodes=N] [--hours=H] [--seed=S] [--bootstrap_rounds=N]");
+  }
 
   bench::print_header("exp_fig5_popularity",
                       "Fig. 5: ECDFs of content popularity (RRP & URP) + "
@@ -80,7 +85,6 @@ int main(int argc, char** argv) {
 
   bench::print_section("power-law hypothesis (Clauset-Shalizi-Newman)");
   util::RngStream rng(config.seed, "powerlaw-bench");
-  const std::size_t rounds = flags.get_u64("bootstrap_rounds", 100);
   run_powerlaw("RRP", scores.rrp_values(), rng, rounds);
   run_powerlaw("URP", scores.urp_values(), rng, rounds);
 

@@ -17,13 +17,15 @@
 using namespace ipfsmon;
 
 int main(int argc, char** argv) {
-  const bench::Flags flags(argc, argv);
+  util::Flags flags(argc, argv);
   const bench::Stopwatch stopwatch;
   scenario::StudyConfig config;
-  config.seed = flags.get_u64("seed", 42);
-  config.population.node_count = static_cast<std::size_t>(flags.get("nodes", 300));
+  config.seed = flags.u64("--seed", 42);
+  config.population.node_count = flags.u64("--nodes", 300);
   config.catalog.item_count = 2000;
   config.warmup = 8 * util::kHour;
+  const std::size_t repeats = flags.u64("--repeats", 2);
+  if (!flags.ok()) return flags.usage("[--nodes=N] [--seed=S] [--repeats=N]");
 
   bench::print_header("exp_gateway_probing",
                       "Sec. VI-B: linking public gateways to IPFS node IDs "
@@ -40,7 +42,6 @@ int main(int argc, char** argv) {
 
   // Repeated probing runs (the paper probed from two hosts on two dates,
   // then regularly from the German monitor).
-  const std::size_t repeats = flags.get_u64("repeats", 2);
   std::size_t http_ok_probes = 0, broken_identified = 0, total_probes = 0;
   for (std::size_t round = 0; round < repeats; ++round) {
     for (const auto& name : fleet->operator_names()) {

@@ -199,16 +199,15 @@ int emit_fixtures(const std::string& dir) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::Flags flags(argc, argv);
-  if (flags.has("emit-fixtures")) {
-    return emit_fixtures(flags.get_str("emit-fixtures", "tests/data"));
+  util::Flags flags(argc, argv);
+  const std::string fixtures_dir = flags.text("--emit-fixtures");
+  const bool smoke = flags.boolean("--smoke");
+  const std::string floor_path =
+      flags.text("--floor", "bench/ingest_smoke_floor.json");
+  if (!flags.ok() || (fixtures_dir.empty() && !smoke)) {
+    return flags.usage("--smoke [--floor=PATH]\n--emit-fixtures=DIR");
   }
-  if (!flags.has("smoke")) {
-    std::fprintf(stderr,
-                 "usage: %s --smoke [--floor=PATH] | --emit-fixtures=DIR\n",
-                 argv[0]);
-    return 2;
-  }
+  if (!fixtures_dir.empty()) return emit_fixtures(fixtures_dir);
 
   constexpr std::size_t kEntries = 20000;
   const bench::Stopwatch total;
@@ -258,7 +257,7 @@ int main(int argc, char** argv) {
 
   bench::print_section("smoke gate");
   if (!bench::passes_smoke_floor(
-          flags.get_str("floor", "bench/ingest_smoke_floor.json"),
+          floor_path,
           "ingest_entries_per_s", *plain_rate, "plain-ingest entries/s")) {
     return 1;
   }

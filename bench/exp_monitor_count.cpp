@@ -52,11 +52,11 @@ Row run(const std::string& label, scenario::StudyConfig config) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::Flags flags(argc, argv);
+  util::Flags flags(argc, argv);
   const bench::Stopwatch stopwatch;
   scenario::StudyConfig base;
-  base.seed = flags.get_u64("seed", 42);
-  base.population.node_count = static_cast<std::size_t>(flags.get("nodes", 450));
+  base.seed = flags.u64("--seed", 42);
+  base.population.node_count = flags.u64("--nodes", 450);
   base.catalog.item_count = 3000;
   base.enable_gateways = false;
   base.warmup = 4 * util::kHour;
@@ -68,7 +68,8 @@ int main(int argc, char** argv) {
   // passive coverage has headroom and the r / active sweeps matter.
   base.monitor_discovery_weight = 1.0;
   base.duration = static_cast<util::SimDuration>(
-      flags.get("hours", 12.0) * static_cast<double>(util::kHour));
+      flags.f64("--hours", 12.0) * static_cast<double>(util::kHour));
+  if (!flags.ok()) return flags.usage("[--nodes=N] [--hours=H] [--seed=S]");
 
   bench::print_header("exp_monitor_count",
                       "Sec. V-C / footnote 8 ablation: coverage & capture "

@@ -71,11 +71,11 @@ void print_row(const Row& row) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::Flags flags(argc, argv);
-  if (!flags.has("smoke")) {
-    std::fprintf(stderr, "usage: %s --smoke [--floor=PATH]\n", argv[0]);
-    return 2;
-  }
+  util::Flags flags(argc, argv);
+  const bool smoke = flags.boolean("--smoke");
+  const std::string floor_path =
+      flags.text("--floor", "bench/scaling_smoke_floor.json");
+  if (!flags.ok() || !smoke) return flags.usage("--smoke [--floor=PATH]");
   const bench::Stopwatch stopwatch;
   bench::print_header("exp_monitor_scaling",
                       "event-core gate (infrastructure, no paper figure)");
@@ -98,7 +98,7 @@ int main(int argc, char** argv) {
 
   bench::print_section("perf smoke gate");
   const bool floor_ok = bench::passes_smoke_floor(
-      flags.get_str("floor", "bench/scaling_smoke_floor.json"),
+      floor_path,
       "smoke_events_per_s", first.events_per_s(), "events/s");
   bench::print_run_footer(stopwatch);
   return deterministic_ok && floor_ok ? 0 : 1;

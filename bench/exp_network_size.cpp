@@ -21,15 +21,16 @@
 using namespace ipfsmon;
 
 int main(int argc, char** argv) {
-  const bench::Flags flags(argc, argv);
+  util::Flags flags(argc, argv);
   const bench::Stopwatch stopwatch;
   scenario::StudyConfig config;
-  config.seed = flags.get_u64("seed", 42);
-  config.population.node_count = static_cast<std::size_t>(flags.get("nodes", 700));
+  config.seed = flags.u64("--seed", 42);
+  config.population.node_count = flags.u64("--nodes", 700);
   config.catalog.item_count = 8000;
   config.warmup = 12 * util::kHour;
   config.duration = static_cast<util::SimDuration>(
-      flags.get("days", 3.0) * static_cast<double>(util::kDay));
+      flags.f64("--days", 3.0) * static_cast<double>(util::kDay));
+  if (!flags.ok()) return flags.usage("[--nodes=N] [--days=D] [--seed=S]");
 
   bench::print_header("exp_network_size",
                       "Sec. V-C: monitoring coverage & network size "

@@ -64,11 +64,11 @@ trace::Trace make_trace(std::size_t n, std::uint64_t seed) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::Flags flags(argc, argv);
-  if (!flags.has("smoke")) {
-    std::fprintf(stderr, "usage: %s --smoke [--floor=PATH]\n", argv[0]);
-    return 2;
-  }
+  util::Flags flags(argc, argv);
+  const bool smoke = flags.boolean("--smoke");
+  const std::string floor_path =
+      flags.text("--floor", "bench/query_smoke_floor.json");
+  if (!flags.ok() || !smoke) return flags.usage("--smoke [--floor=PATH]");
 
   bench::print_header("exp_query_throughput",
                       "warm watchlist scan gate (infrastructure, no paper "
@@ -132,7 +132,7 @@ int main(int argc, char** argv) {
 
   bench::print_section("perf smoke gate");
   const bool ok = bench::passes_smoke_floor(
-      flags.get_str("floor", "bench/query_smoke_floor.json"),
+      floor_path,
       "warm_scan_entries_per_s", entries_per_s, "entries/s");
   bench::print_run_footer(total);
   return ok ? 0 : 1;

@@ -5,6 +5,8 @@
 //   EthereumTx <0.01%  | Others (8) <0.01%
 //
 // Flags: --nodes= --hours= --seed=
+#include <map>
+
 #include "analysis/aggregate.hpp"
 #include "bench_common.hpp"
 #include "scenario/study.hpp"
@@ -12,15 +14,16 @@
 using namespace ipfsmon;
 
 int main(int argc, char** argv) {
-  const bench::Flags flags(argc, argv);
+  util::Flags flags(argc, argv);
   const bench::Stopwatch stopwatch;
   scenario::StudyConfig config;
-  config.seed = flags.get_u64("seed", 42);
-  config.population.node_count = static_cast<std::size_t>(flags.get("nodes", 500));
+  config.seed = flags.u64("--seed", 42);
+  config.population.node_count = flags.u64("--nodes", 500);
   config.catalog.item_count = 12000;
   config.warmup = 8 * util::kHour;
   config.duration = static_cast<util::SimDuration>(
-      flags.get("hours", 30.0) * static_cast<double>(util::kHour));
+      flags.f64("--hours", 30.0) * static_cast<double>(util::kHour));
+  if (!flags.ok()) return flags.usage("[--nodes=N] [--hours=H] [--seed=S]");
 
   bench::print_header("exp_table1_multicodec",
                       "Table I: share of data requests by multicodec "

@@ -13,6 +13,7 @@
 //
 // Flags: --entries=N --requests=N --reps=N --max-overhead=PCT
 #include <algorithm>
+#include <climits>
 #include <cinttypes>
 #include <string>
 #include <vector>
@@ -128,11 +129,15 @@ ModeResult run_mode(const char* name, const std::string& dir,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::Flags flags(argc, argv);
-  const auto entries = flags.get_u64("entries", 120000);
-  const auto request_count = flags.get_u64("requests", 200);
-  const int reps = static_cast<int>(flags.get_u64("reps", 3));
-  const double max_overhead = flags.get("max-overhead", 5.0);
+  util::Flags flags(argc, argv);
+  const auto entries = flags.u64("--entries", 120000);
+  const auto request_count = flags.u64("--requests", 200);
+  const int reps = static_cast<int>(flags.u64("--reps", 3, INT_MAX));
+  const double max_overhead = flags.f64("--max-overhead", 5.0);
+  if (!flags.ok()) {
+    return flags.usage(
+        "[--entries=N] [--requests=N] [--reps=N] [--max-overhead=PCT]");
+  }
   const std::string dir = "/tmp/ipfsmon_bench_trace_overhead_store";
 
   bench::print_header("exp_trace_overhead",

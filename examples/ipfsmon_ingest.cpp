@@ -21,41 +21,30 @@
 // default) replays as fast as possible; N > 0 paces N sim-seconds per
 // wall-second. Exit status: 0 on success, 2 on a malformed command line
 // (usage), 1 on any other failure.
-#include <charconv>
 #include <cinttypes>
-#include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <optional>
 #include <string>
-#include <string_view>
-#include <vector>
 
 #include "ingest/export.hpp"
 #include "ingest/ingest.hpp"
 #include "ingest/replay.hpp"
 #include "trace/trace.hpp"
 #include "util/file.hpp"
+#include "util/flags.hpp"
 #include "util/strings.hpp"
 
 using namespace ipfsmon;
 
 namespace {
 
-int usage(const char* argv0) {
-  std::fprintf(
-      stderr,
-      "usage: %s --capture <file> --store <dir> [--format ndjson|csv]\n"
-      "       %*s [--lenient] [--epoch T] [--monitor V=ID]... [--no-flags]\n"
-      "       %*s [--checkpoint-every N] [--resume] [--max-entries N]\n"
-      "       %s --replay <dir> [--speedup X] [--start NS] [--stop NS]\n"
-      "       %*s [--remark-flags] [--expect-checksum HEX]\n"
-      "       %s --export <dir> --out <file> [--format ndjson|csv] [--gzip]\n",
-      argv0, static_cast<int>(std::strlen(argv0)), "",
-      static_cast<int>(std::strlen(argv0)), "", argv0,
-      static_cast<int>(std::strlen(argv0)), "", argv0);
-  return 2;
-}
+constexpr const char* kUsage =
+    "--capture <file> --store <dir> [--format ndjson|csv] [--lenient] "
+    "[--epoch T] [--monitor V=ID]... [--no-flags] [--checkpoint-every N] "
+    "[--resume] [--max-entries N]\n"
+    "--replay <dir> [--speedup X] [--start NS] [--stop NS] [--remark-flags] "
+    "[--expect-checksum HEX]\n"
+    "--export <dir> --out <file> [--format ndjson|csv] [--gzip]";
 
 std::optional<ingest::CaptureFormat> format_from_name(const std::string& name) {
   if (name == "ndjson") return ingest::CaptureFormat::kNdjson;
@@ -170,122 +159,68 @@ int run_export(const std::string& store_dir, const std::string& out,
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string capture, store_dir, replay_dir, export_dir, out_path;
-  std::string expect_checksum;
-  ingest::IngestOptions ingest_options;
-  ingest::ReplayOptions replay_options;
-  ingest::ExportOptions export_options;
-  ingest::CaptureFormat format = ingest::CaptureFormat::kAuto;
-
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    // The next argument as a decimal in [0, max]; nullopt when it is
-    // missing, malformed or out of range.
-    auto number = [&](std::uint64_t max) -> std::optional<std::uint64_t> {
-      const char* v = value();
-      return v == nullptr ? std::nullopt : util::parse_u64(v, max);
-    };
-    auto sim_time = [&]() -> std::optional<std::int64_t> {
-      const char* v = value();
-      return v == nullptr ? std::nullopt : util::parse_i64(v);
-    };
-    const char* v = nullptr;
-    if (arg == "--capture") {
-      if ((v = value()) == nullptr) return usage(argv[0]);
-      capture = v;
-    } else if (arg == "--store") {
-      if ((v = value()) == nullptr) return usage(argv[0]);
-      store_dir = v;
-    } else if (arg == "--replay") {
-      if ((v = value()) == nullptr) return usage(argv[0]);
-      replay_dir = v;
-    } else if (arg == "--export") {
-      if ((v = value()) == nullptr) return usage(argv[0]);
-      export_dir = v;
-    } else if (arg == "--out") {
-      if ((v = value()) == nullptr) return usage(argv[0]);
-      out_path = v;
-    } else if (arg == "--format") {
-      if ((v = value()) == nullptr) return usage(argv[0]);
-      const auto parsed = format_from_name(v);
-      if (!parsed) return usage(argv[0]);
-      format = *parsed;
-    } else if (arg == "--lenient") {
-      ingest_options.lenient = true;
-    } else if (arg == "--epoch") {
-      if ((v = value()) == nullptr) return usage(argv[0]);
-      const auto epoch = util::parse_wall_time(v);
-      if (!epoch) {
-        std::fprintf(stderr, "error: cannot parse --epoch '%s'\n", v);
-        return 1;
-      }
-      ingest_options.epoch = *epoch;
-    } else if (arg == "--monitor") {
-      if ((v = value()) == nullptr) return usage(argv[0]);
-      const std::string spec = v;
-      const auto eq = spec.find('=');
-      if (eq == std::string::npos) return usage(argv[0]);
-      const auto id =
-          util::parse_u64(std::string_view(spec).substr(eq + 1), UINT32_MAX);
-      if (!id) return usage(argv[0]);
-      ingest_options.monitors.emplace_back(spec.substr(0, eq),
-                                           static_cast<trace::MonitorId>(*id));
-    } else if (arg == "--no-flags") {
-      ingest_options.mark_flags = false;
-    } else if (arg == "--checkpoint-every") {
-      const auto every = number(UINT64_MAX);
-      if (!every) return usage(argv[0]);
-      ingest_options.checkpoint_every = *every;
-    } else if (arg == "--resume") {
-      ingest_options.resume = true;
-    } else if (arg == "--max-entries") {
-      const auto max = number(UINT64_MAX);
-      if (!max) return usage(argv[0]);
-      ingest_options.max_entries = *max;
-    } else if (arg == "--speedup") {
-      if ((v = value()) == nullptr) return usage(argv[0]);
-      const std::string_view text = v;
-      double speedup = 0;
-      const auto [end, ec] =
-          std::from_chars(text.data(), text.data() + text.size(), speedup);
-      if (ec != std::errc() || end != text.data() + text.size() ||
-          !std::isfinite(speedup) || speedup < 0) {
-        return usage(argv[0]);
-      }
-      replay_options.speedup = speedup;
-    } else if (arg == "--start") {
-      const auto start = sim_time();
-      if (!start) return usage(argv[0]);
-      replay_options.start = *start;
-    } else if (arg == "--stop") {
-      const auto stop = sim_time();
-      if (!stop) return usage(argv[0]);
-      replay_options.stop = *stop;
-    } else if (arg == "--remark-flags") {
-      replay_options.remark_flags = true;
-    } else if (arg == "--expect-checksum") {
-      if ((v = value()) == nullptr) return usage(argv[0]);
-      expect_checksum = v;
-    } else if (arg == "--gzip") {
-      export_options.gzip = true;
-    } else {
-      return usage(argv[0]);
-    }
+  util::Flags flags(argc, argv);
+  const std::string capture = flags.text("--capture");
+  const std::string store_dir = flags.text("--store");
+  const std::string replay_dir = flags.text("--replay");
+  const std::string export_dir = flags.text("--export");
+  const std::string out_path = flags.text("--out");
+  const std::string expect_checksum = flags.text("--expect-checksum");
+  const std::string format_name = flags.text("--format", "auto");
+  const auto format = format_from_name(format_name);
+  if (!format) {
+    flags.fail("--format: '" + format_name + "' is not ndjson, csv or auto");
   }
 
+  ingest::IngestOptions ingest_options;
+  ingest_options.lenient = flags.boolean("--lenient");
+  if (flags.has("--epoch")) {
+    const std::string epoch = flags.text("--epoch");
+    ingest_options.epoch = util::parse_wall_time(epoch);
+    if (!ingest_options.epoch) {
+      flags.fail("--epoch: cannot parse '" + epoch + "'");
+    }
+  }
+  for (const std::string& spec : flags.every("--monitor")) {
+    const auto eq = spec.find('=');
+    const auto id = eq == std::string::npos
+                        ? std::nullopt
+                        : util::parse_u64(spec.substr(eq + 1), UINT32_MAX);
+    if (!id) {
+      flags.fail("--monitor: '" + spec + "' is not VANTAGE=ID");
+      continue;
+    }
+    ingest_options.monitors.emplace_back(spec.substr(0, eq),
+                                         static_cast<trace::MonitorId>(*id));
+  }
+  ingest_options.mark_flags = !flags.boolean("--no-flags");
+  ingest_options.checkpoint_every =
+      flags.u64("--checkpoint-every", ingest_options.checkpoint_every);
+  ingest_options.resume = flags.boolean("--resume");
+  ingest_options.max_entries =
+      flags.u64("--max-entries", ingest_options.max_entries);
+
+  ingest::ReplayOptions replay_options;
+  replay_options.speedup = flags.f64("--speedup", replay_options.speedup);
+  if (replay_options.speedup < 0) flags.fail("--speedup must not be negative");
+  replay_options.start = flags.i64("--start", replay_options.start);
+  if (flags.has("--stop")) replay_options.stop = flags.i64("--stop", 0);
+  replay_options.remark_flags = flags.boolean("--remark-flags");
+
+  ingest::ExportOptions export_options;
+  export_options.gzip = flags.boolean("--gzip");
+  if (!flags.ok()) return flags.usage(kUsage);
+
   if (!capture.empty() && !store_dir.empty()) {
-    ingest_options.format = format;
+    ingest_options.format = *format;
     return run_ingest(capture, store_dir, ingest_options);
   }
   if (!replay_dir.empty()) {
     return run_replay(replay_dir, replay_options, expect_checksum);
   }
   if (!export_dir.empty() && !out_path.empty()) {
-    export_options.format = format;
+    export_options.format = *format;
     return run_export(export_dir, out_path, export_options);
   }
-  return usage(argv[0]);
+  return flags.usage(kUsage);
 }

@@ -40,7 +40,6 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <optional>
 #include <string>
 
 #include "federation/federated.hpp"
@@ -49,7 +48,7 @@
 #include "query/server.hpp"
 #include "scenario/study.hpp"
 #include "tracestore/merge.hpp"
-#include "util/file.hpp"
+#include "util/flags.hpp"
 
 using namespace ipfsmon;
 
@@ -108,8 +107,8 @@ std::string make_demo_store() {
   }
   tracestore::unify_to_store(inputs, *writer);
   if (!writer->finalize()) {
-    std::fprintf(stderr, "error: failed to finalize %s\n",
-                 unified_dir.c_str());
+    std::fprintf(stderr, "error: failed to finalize %s: %s\n",
+                 unified_dir.c_str(), writer->error().c_str());
     return {};
   }
   std::printf("unified %zu monitor stores into %s\n\n", stores.size(),
@@ -117,93 +116,49 @@ std::string make_demo_store() {
   return unified_dir;
 }
 
-int usage(const char* argv0) {
-  std::fprintf(stderr,
-               "usage: %s --store <dir> [--port N] [--bind ADDR] "
-               "[--cache N]\n"
-               "       %*s [--reload-interval SEC] [--trace] "
-               "[--trace-sample N] [--trace-export BASE]\n"
-               "       %s --coordinator <root> [--fed-port N] [...]\n"
-               "       %s --demo-store\n",
-               argv0, static_cast<int>(std::strlen(argv0)), "", argv0, argv0);
-  return 2;
-}
+constexpr const char* kUsage =
+    "--store <dir> [--port N] [--bind ADDR] [--cache N] "
+    "[--reload-interval SEC] [--trace] [--trace-sample N] "
+    "[--trace-export BASE]\n"
+    "--coordinator <root> [--fed-port N] [...]\n"
+    "--demo-store";
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string store_dir;
-  std::string coordinator_root;
-  std::string trace_export_base;
-  bool demo = false;
-  int reload_interval_s = 0;
-  std::uint16_t fed_port = 7979;
-  query::QueryOptions query_options;
+  util::Flags flags(argc, argv);
+  std::string store_dir = flags.text("--store");
+  const std::string coordinator_root = flags.text("--coordinator");
+  const bool demo = flags.boolean("--demo-store");
+  const auto fed_port =
+      static_cast<std::uint16_t>(flags.u64("--fed-port", 7979, UINT16_MAX));
+  const int reload_interval_s =
+      static_cast<int>(flags.u64("--reload-interval", 0, INT_MAX));
   query::ServerOptions server_options;
-  server_options.port = 7878;
-
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    // The next argument as a decimal in [0, max]; nullopt when it is
-    // missing, malformed or out of range.
-    auto number = [&](std::uint64_t max) -> std::optional<std::uint64_t> {
-      const char* v = value();
-      return v == nullptr ? std::nullopt : util::parse_u64(v, max);
-    };
-    if (arg == "--store") {
-      const char* v = value();
-      if (v == nullptr) return usage(argv[0]);
-      store_dir = v;
-    } else if (arg == "--demo-store") {
-      demo = true;
-    } else if (arg == "--coordinator") {
-      const char* v = value();
-      if (v == nullptr) return usage(argv[0]);
-      coordinator_root = v;
-    } else if (arg == "--fed-port") {
-      const auto port = number(UINT16_MAX);
-      if (!port) return usage(argv[0]);
-      fed_port = static_cast<std::uint16_t>(*port);
-    } else if (arg == "--reload-interval") {
-      const auto seconds = number(INT_MAX);
-      if (!seconds) return usage(argv[0]);
-      reload_interval_s = static_cast<int>(*seconds);
-    } else if (arg == "--port") {
-      const auto port = number(UINT16_MAX);
-      if (!port) return usage(argv[0]);
-      server_options.port = static_cast<std::uint16_t>(*port);
-    } else if (arg == "--bind") {
-      const char* v = value();
-      if (v == nullptr) return usage(argv[0]);
-      server_options.bind_address = v;
-    } else if (arg == "--cache") {
-      const auto capacity = number(SIZE_MAX);
-      if (!capacity) return usage(argv[0]);
-      query_options.cache_capacity = static_cast<std::size_t>(*capacity);
-    } else if (arg == "--trace") {
-      query_options.tracing.enabled = true;
-    } else if (arg == "--trace-sample") {
-      const auto every = number(UINT64_MAX);
-      if (!every || *every == 0) return usage(argv[0]);
-      query_options.tracing.enabled = true;
-      query_options.tracing.sample_every = *every;
-    } else if (arg == "--trace-export") {
-      const char* v = value();
-      if (v == nullptr) return usage(argv[0]);
-      trace_export_base = v;
-      query_options.tracing.enabled = true;
-    } else {
-      return usage(argv[0]);
-    }
+  server_options.port =
+      static_cast<std::uint16_t>(flags.u64("--port", 7878, UINT16_MAX));
+  server_options.bind_address =
+      flags.text("--bind", server_options.bind_address);
+  query::QueryOptions query_options;
+  query_options.cache_capacity =
+      flags.u64("--cache", query_options.cache_capacity, SIZE_MAX);
+  auto& tracing = query_options.tracing;
+  tracing.sample_every = flags.u64("--trace-sample", tracing.sample_every);
+  if (tracing.sample_every == 0) {
+    flags.fail("--trace-sample must be at least 1");
   }
+  const std::string trace_export_base = flags.text("--trace-export");
+  // --trace-sample and --trace-export imply --trace.
+  tracing.enabled = flags.boolean("--trace") || flags.has("--trace-sample") ||
+                    flags.has("--trace-export");
+  if (!flags.ok()) return flags.usage(kUsage);
   if (demo) {
     store_dir = make_demo_store();
     if (store_dir.empty()) return 1;
   }
-  if (store_dir.empty() && coordinator_root.empty()) return usage(argv[0]);
+  if (store_dir.empty() && coordinator_root.empty()) {
+    return flags.usage(kUsage);
+  }
 
   std::string error;
   std::unique_ptr<federation::FederatedService> federated;

@@ -20,11 +20,10 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <optional>
 #include <string>
 
 #include "federation/shipper.hpp"
-#include "util/file.hpp"
+#include "util/flags.hpp"
 
 using namespace ipfsmon;
 
@@ -37,13 +36,9 @@ void on_signal(int) {
   [[maybe_unused]] const ssize_t n = ::write(g_signal_pipe[1], &byte, 1);
 }
 
-int usage(const char* argv0) {
-  std::fprintf(stderr,
-               "usage: %s --store <dir> --monitor-id N [--vantage LABEL]\n"
-               "       %*s [--host ADDR] [--port N] [--poll-ms N] [--once]\n",
-               argv0, static_cast<int>(std::strlen(argv0)), "");
-  return 2;
-}
+constexpr const char* kUsage =
+    "--store <dir> --monitor-id N [--vantage LABEL] [--host ADDR] [--port N] "
+    "[--poll-ms N] [--once]";
 
 void print_stats(const federation::ShipperStats& stats) {
   std::printf(
@@ -61,53 +56,22 @@ void print_stats(const federation::ShipperStats& stats) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string store_dir;
-  bool once = false;
+  util::Flags flags(argc, argv);
+  const std::string store_dir = flags.text("--store");
   federation::ShipperOptions options;
-  options.port = 7979;
-
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    // The next argument as a decimal in [0, max]; nullopt when it is
-    // missing, malformed or out of range.
-    auto number = [&](std::uint64_t max) -> std::optional<std::uint64_t> {
-      const char* v = value();
-      return v == nullptr ? std::nullopt : util::parse_u64(v, max);
-    };
-    if (arg == "--store") {
-      const char* v = value();
-      if (v == nullptr) return usage(argv[0]);
-      store_dir = v;
-    } else if (arg == "--monitor-id") {
-      const auto id = number(UINT32_MAX);
-      if (!id) return usage(argv[0]);
-      options.monitor_id = static_cast<std::uint32_t>(*id);
-    } else if (arg == "--vantage") {
-      const char* v = value();
-      if (v == nullptr) return usage(argv[0]);
-      options.vantage = v;
-    } else if (arg == "--host") {
-      const char* v = value();
-      if (v == nullptr) return usage(argv[0]);
-      options.host = v;
-    } else if (arg == "--port") {
-      const auto port = number(UINT16_MAX);
-      if (!port) return usage(argv[0]);
-      options.port = static_cast<std::uint16_t>(*port);
-    } else if (arg == "--poll-ms") {
-      const auto ms = number(INT_MAX);
-      if (!ms || *ms == 0) return usage(argv[0]);
-      options.poll_interval_ms = static_cast<int>(*ms);
-    } else if (arg == "--once") {
-      once = true;
-    } else {
-      return usage(argv[0]);
-    }
+  options.monitor_id = static_cast<std::uint32_t>(
+      flags.u64("--monitor-id", options.monitor_id, UINT32_MAX));
+  options.vantage = flags.text("--vantage", options.vantage);
+  options.host = flags.text("--host", options.host);
+  options.port =
+      static_cast<std::uint16_t>(flags.u64("--port", 7979, UINT16_MAX));
+  options.poll_interval_ms = static_cast<int>(
+      flags.u64("--poll-ms", options.poll_interval_ms, INT_MAX));
+  if (options.poll_interval_ms == 0) flags.fail("--poll-ms must be at least 1");
+  const bool once = flags.boolean("--once");
+  if (!flags.ok() || store_dir.empty() || options.monitor_id == 0) {
+    return flags.usage(kUsage);
   }
-  if (store_dir.empty() || options.monitor_id == 0) return usage(argv[0]);
   if (!federation::valid_vantage(options.vantage)) {
     std::fprintf(stderr, "error: vantage must match [A-Za-z0-9_-]{1,64}\n");
     return 1;

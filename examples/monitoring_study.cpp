@@ -12,7 +12,6 @@
 // Usage: monitoring_study [nodes] [hours] [seed] [spill_dir]
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -23,16 +22,18 @@
 #include "scenario/study.hpp"
 #include "trace/preprocess.hpp"
 #include "tracestore/merge.hpp"
+#include "util/flags.hpp"
 
 using namespace ipfsmon;
 
 int main(int argc, char** argv) {
+  util::Flags flags(argc, argv);
   scenario::StudyConfig config;
-  config.population.node_count =
-      argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 400;
-  const double hours = argc > 2 ? std::strtod(argv[2], nullptr) : 24.0;
-  config.seed = argc > 3 ? std::strtoull(argv[3], nullptr, 10) : 42;
-  const std::string spill_dir = argc > 4 ? argv[4] : "";
+  config.population.node_count = flags.u64_at(0, 400);
+  const double hours = flags.f64_at(1, 24.0);
+  config.seed = flags.u64_at(2, 42);
+  const std::string spill_dir = flags.text_at(3);
+  if (!flags.ok()) return flags.usage("[nodes] [hours] [seed] [spill_dir]");
   config.monitor_spill_dir = spill_dir;
   config.duration = static_cast<util::SimDuration>(
       hours * static_cast<double>(util::kHour));
@@ -51,15 +52,16 @@ int main(int argc, char** argv) {
   std::vector<tracestore::TraceStore> stores;
   if (!spill_dir.empty()) {
     // A monitor that could not write its directory fell back to recording
-    // in RAM (with an error event) — that is a broken spill run, not a
-    // quietly-degraded one. Fail loudly.
+    // in RAM — that is a broken spill run, not a quietly-degraded one.
+    // Fail loudly, with the reason the monitor kept.
     bool spill_ok = true;
     for (const auto* m : study.monitors()) {
       if (!m->spilling()) {
         std::fprintf(stderr,
                      "error: monitor %u could not open its spill store under "
-                     "%s (unwritable directory?)\n",
-                     static_cast<unsigned>(m->monitor_id()), spill_dir.c_str());
+                     "%s: %s\n",
+                     static_cast<unsigned>(m->monitor_id()), spill_dir.c_str(),
+                     m->spill_error().c_str());
         spill_ok = false;
       }
     }

@@ -13,11 +13,11 @@
 //        trace_report --demo   (simulate a small study whose monitors spill
 //                               to stores, then report on those)
 //
-// Exit codes: 2 = an input path does not exist, 3 = an input path is not a
-// readable trace store, 1 = any other failure.
+// Exit codes: 2 = a malformed command line (usage) or an input path does
+// not exist, 3 = an input path is not a readable trace store, 1 = any other
+// failure.
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <string>
 #include <unordered_map>
@@ -29,6 +29,7 @@
 #include "scenario/study.hpp"
 #include "tracestore/merge.hpp"
 #include "tracestore/scan.hpp"
+#include "util/flags.hpp"
 #include "util/strings.hpp"
 
 using namespace ipfsmon;
@@ -196,7 +197,8 @@ int report_stores(const std::vector<std::string>& dirs,
   const tracestore::UnifyStats unify_stats =
       tracestore::unify_to_store(inputs, *writer);
   if (!writer->finalize()) {
-    std::fprintf(stderr, "error: failed to finalize %s\n", unified_dir.c_str());
+    std::fprintf(stderr, "error: failed to finalize %s: %s\n",
+                 unified_dir.c_str(), writer->error().c_str());
     return 1;
   }
   // Ingested inputs carry a wall-clock epoch; propagate it to the unified
@@ -272,12 +274,14 @@ std::vector<std::string> make_demo_stores() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::vector<std::string> dirs;
-  if (argc < 2 || std::strcmp(argv[1], "--demo") == 0) {
+  util::Flags flags(argc, argv);
+  const bool demo = flags.boolean("--demo");
+  std::vector<std::string> dirs = flags.positionals();
+  if (demo && !dirs.empty()) flags.fail("--demo takes no store directories");
+  if (!flags.ok()) return flags.usage("<store-dir> [...]\n--demo");
+  if (dirs.empty()) {
     dirs = make_demo_stores();
     if (dirs.empty()) return 1;
-  } else {
-    for (int i = 1; i < argc; ++i) dirs.emplace_back(argv[i]);
   }
   return report_stores(dirs, net::GeoDatabase::standard());
 }

@@ -5,8 +5,9 @@
 # signatures, integer fields and publish temps all go through src/util/file;
 # no little-endian put/get helper defined and no FNV-1a constant in src/
 # outside src/util/: binary encoding, decoding and hashing go through
-# src/util/codec; no `atoi`/`atol`/`atoll`/`atof` in examples/: daemon
-# flags are parsed strictly), configure,
+# src/util/codec; no `strto*`, `ato*`, `std::sto*` or `from_chars` in
+# examples/ or bench/: every binary reads argv through util::Flags, so
+# numbers from a command line parse in src/util only), configure,
 # build, run the full test suite, then rebuild the util + sim + obs + core +
 # tracestore + query + churn + federation suites under AddressSanitizer
 # (`ctest -L 'util|sim|obs|core|tracestore|query|churn|federation'`; `util`
@@ -72,7 +73,7 @@ JOBS="$(nproc 2>/dev/null || echo 4)"
 echo "== docs: check_docs.sh =="
 scripts/check_docs.sh
 
-echo "== one file layer and one codec: st_mtim / strto(u)l(l) / \".tmp\" / LE helpers / FNV-1a only in src/util, no ato* in examples =="
+echo "== one file layer, one codec, one command line: st_mtim / strto(u)l(l) / \".tmp\" / LE helpers / FNV-1a only in src/util, no number parsing in examples or bench =="
 if grep -rnE --exclude-dir=util 'st_mtim|\bstrtou?ll?\b|"\.tmp"' src; then
   echo "use util/file (file_signature, parse_u64/parse_i64, publish)" >&2
   exit 1
@@ -86,8 +87,9 @@ if grep -rniE --exclude-dir=util 'cbf29ce484222325|100000001b3' src; then
   echo "use util::fnv1a64 / util::kFnv1aOffset (util/codec)" >&2
   exit 1
 fi
-if grep -rnE '\bato(i|l|ll|f)\b' examples; then
-  echo "parse flags with util::parse_u64/parse_i64 or std::from_chars" >&2
+if grep -rnE '\b(strto[a-z]+|ato(i|l|ll|f)|sto(i|l|ll|ul|ull|f|d|ld)|from_chars)\b' \
+     examples bench; then
+  echo "read argv through util::Flags (numbers parse in src/util only)" >&2
   exit 1
 fi
 

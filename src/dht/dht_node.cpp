@@ -176,13 +176,6 @@ void DhtNode::send_request(const crypto::PeerId& to,
   sim::EventHandle timeout = network_.scheduler().schedule_after(
       config_.rpc_timeout, [this, id]() {
         metrics_.rpc_timeouts->inc();
-        if (auto& events = network_.obs().events; events.active()) {
-          const auto it = pending_.find(id);
-          if (it != pending_.end()) {
-            events.emit(network_.scheduler().now(), obs::Severity::kDebug,
-                        "dht", "rpc timeout to " + it->second.peer.short_hex());
-          }
-        }
         fail_pending(id);
       });
   pending_[id] = Pending{std::move(on_reply), timeout, to};

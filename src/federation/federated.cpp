@@ -114,9 +114,9 @@ bool FederatedService::unify_if_changed(bool* rebuilt, std::string* error) {
   auto writer =
       tracestore::SegmentWriter::create(unified_dir_, output_options, error);
   if (writer == nullptr) return false;
-  tracestore::unify_to_store(inputs, *writer, options_.preprocess);
+  tracestore::unify_to_store(inputs, *writer);
   if (!writer->finalize()) {
-    fail(error, "finalizing unified store failed");
+    fail(error, "finalizing unified store failed: " + writer->error());
     return false;
   }
 

@@ -25,16 +25,12 @@
 
 #include "federation/coordinator.hpp"
 #include "query/engine.hpp"
-#include "trace/preprocess.hpp"
 
 namespace ipfsmon::federation {
 
 struct FederatedOptions {
   CoordinatorOptions coordinator;
   query::QueryOptions query;
-  /// Dedup windows for unification; defaults match the paper (5 s
-  /// inter-monitor, 31 s rebroadcast).
-  trace::PreprocessOptions preprocess;
 };
 
 class FederatedService : public query::FederationSource {

@@ -210,8 +210,7 @@ std::optional<IngestStats> ingest_capture(const std::string& capture_path,
 
   IngestStats stats;
   MonitorMap monitors(resume_from ? resume_from->monitors : options.monitors);
-  trace::PreprocessOptions preprocess = options.preprocess;
-  tracestore::StreamingFlagger flagger(preprocess);
+  tracestore::StreamingFlagger flagger;
   std::optional<util::WallNanos> epoch = options.epoch;
   util::SimTime last_sim = 0;
   bool have_last = false;
@@ -237,9 +236,8 @@ std::optional<IngestStats> ingest_capture(const std::string& capture_path,
     // trailing segments — walk back by footer max_time, then replay
     // forward in segment order.
     if (options.mark_flags && !writer->dir().empty()) {
-      const auto widest = std::max(preprocess.inter_monitor_window,
-                                   preprocess.rebroadcast_window);
-      const util::SimTime horizon = last_sim - widest;
+      const util::SimTime horizon =
+          last_sim - tracestore::StreamingFlagger::kWidestWindow;
       if (auto store = tracestore::TraceStore::open(store_dir, store_options);
           store && !store->segments().empty()) {
         std::size_t first = store->segments().size();
@@ -294,7 +292,7 @@ std::optional<IngestStats> ingest_capture(const std::string& capture_path,
                                       IngestStats* s,
                                       std::string* ckpt_error) -> bool {
     if (!writer->checkpoint()) {
-      *ckpt_error = "segment flush failed at checkpoint (see warnings)";
+      *ckpt_error = "checkpoint failed: " + writer->error();
       return false;
     }
     Checkpoint ckpt;
@@ -432,7 +430,7 @@ std::optional<IngestStats> ingest_capture(const std::string& capture_path,
   }
 
   if (!writer->finalize()) {
-    return fail("finalize failed: a segment or manifest write failed");
+    return fail("finalize failed: " + writer->error());
   }
 
   tracestore::StoreMeta meta;

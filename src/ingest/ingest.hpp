@@ -22,7 +22,7 @@
 // the store, validates the checkpoint against what actually survived on
 // disk, and continues from that offset instead of starting over. Resume
 // re-primes the duplicate-window flagger from every recovered entry within
-// the widest preprocess window of the checkpoint (walking back across
+// the widest dedup window of the checkpoint (walking back across
 // trailing segments as needed), so flags stay exact across the boundary.
 #pragma once
 
@@ -35,7 +35,7 @@
 #include "ingest/capture.hpp"
 #include "obs/obs.hpp"
 #include "tracestore/store.hpp"
-#include "trace/preprocess.hpp"
+#include "trace/trace.hpp"
 
 namespace ipfsmon::ingest {
 
@@ -55,7 +55,6 @@ struct IngestOptions {
   /// (the stream is time-ordered by construction, so the streaming
   /// flagger applies).
   bool mark_flags = true;
-  trace::PreprocessOptions preprocess;
   /// Accepted entries between checkpoints (atomic publishes of MANIFEST
   /// and INGEST.ckpt; crash-safe against a process crash, not a power
   /// loss: nothing is fsync'd); 0 = only the final finalize().

@@ -47,8 +47,7 @@ ReplayDriver::ReplayDriver(sim::Scheduler& scheduler,
                            ReplayOptions options)
     : scheduler_(scheduler),
       options_(options),
-      cursor_(store),
-      flagger_(options.preprocess) {}
+      cursor_(store) {}
 
 void ReplayDriver::start(Sink sink) {
   sink_ = std::move(sink);

@@ -32,7 +32,6 @@ struct ReplayOptions {
   /// Re-run the streaming duplicate/re-broadcast flagger instead of
   /// trusting the flags stored in the segments.
   bool remark_flags = false;
-  trace::PreprocessOptions preprocess;
   /// Replay only entries with start <= timestamp (< stop when set).
   util::SimTime start = 0;
   std::optional<util::SimTime> stop;

@@ -52,14 +52,9 @@ void PassiveMonitor::start_spill() {
   options.max_entries_per_segment = spill_segment_entries_;
   options.max_segment_span = spill_segment_span_;
   options.obs = &network().obs();
-  std::string error;
-  spill_ = tracestore::SegmentWriter::create(spill_dir_, options, &error);
-  if (spill_ == nullptr) {
-    network().obs().events.emit(network().scheduler().now(),
-                                obs::Severity::kError, "monitor",
-                                "spill store unavailable, recording in "
-                                "memory: " + error);
-  }
+  spill_error_.clear();
+  spill_ = tracestore::SegmentWriter::create(spill_dir_, options,
+                                             &spill_error_);
 }
 
 bool PassiveMonitor::finalize_spill() {
@@ -152,12 +147,6 @@ void PassiveMonitor::crash() {
       .counter("ipfsmon_monitor_crashes_total",
                "Monitor crash events injected")
       .inc();
-  if (network().obs().events.active()) {
-    network().obs().events.emit(network().scheduler().now(),
-                                obs::Severity::kWarn, "monitor",
-                                "monitor " + std::to_string(monitor_id_) +
-                                    " crashed");
-  }
 }
 
 void PassiveMonitor::restart(const std::vector<crypto::PeerId>& bootstrap) {
@@ -168,17 +157,12 @@ void PassiveMonitor::restart(const std::vector<crypto::PeerId>& bootstrap) {
     options.max_entries_per_segment = spill_segment_entries_;
     options.max_segment_span = spill_segment_span_;
     options.obs = &network().obs();
-    std::string error;
+    spill_error_.clear();
     tracestore::RecoveryReport report;
     spill_ = tracestore::SegmentWriter::resume(spill_dir_, options, &report,
-                                               &error);
+                                               &spill_error_);
     last_recovery_ = std::move(report);
-    if (spill_ == nullptr) {
-      network().obs().events.emit(network().scheduler().now(),
-                                  obs::Severity::kError, "monitor",
-                                  "spill recovery failed, recording in "
-                                  "memory: " + error);
-    } else {
+    if (spill_ != nullptr) {
       metrics_.trace_size->set(
           static_cast<double>(spill_->entries_written()));
     }
@@ -189,12 +173,6 @@ void PassiveMonitor::restart(const std::vector<crypto::PeerId>& bootstrap) {
       .counter("ipfsmon_monitor_restarts_total",
                "Monitor restarts after injected crashes")
       .inc();
-  if (network().obs().events.active()) {
-    network().obs().events.emit(network().scheduler().now(),
-                                obs::Severity::kInfo, "monitor",
-                                "monitor " + std::to_string(monitor_id_) +
-                                    " restarted");
-  }
 }
 
 void PassiveMonitor::reset_observations() {

@@ -54,6 +54,9 @@ class PassiveMonitor : public node::IpfsNode {
 
   /// True when this monitor spills to an on-disk store.
   bool spilling() const { return spill_ != nullptr; }
+  /// Why the spill store could not be opened (or recovered after a
+  /// restart), so the monitor records in memory instead; "" otherwise.
+  const std::string& spill_error() const { return spill_error_; }
   /// Directory of the spill store ("" when not spilling).
   const std::string& spill_dir() const { return spill_dir_; }
   /// Flushes the open segment and publishes the store manifest. Call after
@@ -121,6 +124,7 @@ class PassiveMonitor : public node::IpfsNode {
   std::uint64_t spill_segment_entries_;
   util::SimDuration spill_segment_span_;
   std::unique_ptr<tracestore::SegmentWriter> spill_;
+  std::string spill_error_;
   trace::Trace trace_;
   std::vector<PeerSnapshot> snapshots_;
   std::unordered_set<crypto::PeerId> peers_seen_;

@@ -225,10 +225,6 @@ void Network::dial(const crypto::PeerId& from, const crypto::PeerId& to,
     }
     if (!target->host->accept_inbound(dialer->id)) {
       metrics_.rejects->inc();
-      if (obs_.events.active()) {
-        obs_.events.emit(scheduler_.now(), obs::Severity::kDebug, "net",
-                         "inbound dial rejected by " + target->id.short_hex());
-      }
       if (cb) cb(std::nullopt);
       return;
     }
@@ -298,19 +294,11 @@ void Network::isolate(const crypto::PeerId& id) {
   ensure_fault_plumbing();
   fault_metrics_.isolated_nodes->set(static_cast<double>(isolated_.size()));
   close_all_of(index);
-  if (obs_.events.active()) {
-    obs_.events.emit(scheduler_.now(), obs::Severity::kWarn, "net",
-                     "partition isolates " + id.short_hex());
-  }
 }
 
 void Network::heal(const crypto::PeerId& id) {
   if (isolated_.erase(id) == 0) return;
   fault_metrics_.isolated_nodes->set(static_cast<double>(isolated_.size()));
-  if (obs_.events.active()) {
-    obs_.events.emit(scheduler_.now(), obs::Severity::kInfo, "net",
-                     "partition heals " + id.short_hex());
-  }
 }
 
 bool Network::isolated(const crypto::PeerId& id) const {

@@ -123,7 +123,7 @@ class Network {
   GeoDatabase& geo() { return geo_; }
   const GeoDatabase& geo() const { return geo_; }
 
-  /// Shared observability context (metrics registry + event hub). Every
+  /// Shared observability context (metrics registry + span tracer). Every
   /// layer constructed over this network registers its instruments here.
   obs::Obs& obs() { return obs_; }
   const obs::Obs& obs() const { return obs_; }

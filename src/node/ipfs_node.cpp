@@ -258,12 +258,6 @@ void IpfsNode::discovery_round() {
       std::swap(victims[i], victims[pick]);
       network_.close(victims[i]);
     }
-    if (to_close > 0 && network_.obs().events.active()) {
-      network_.obs().events.emit(
-          network_.scheduler().now(), obs::Severity::kInfo, "node",
-          id_.short_hex() + " trimmed " + std::to_string(to_close) +
-              " connections (above high water)");
-    }
   }
   // Maintain the target degree by dialing randomly discovered public
   // peers. (Abstraction of libp2p discovery; see DESIGN.md.)

@@ -1,10 +1,9 @@
-// Umbrella context bundling the metrics registry, the event hub, and the
-// span tracer. One Obs instance is owned by each net::Network, so every
-// protocol layer built on the network (DHT, Bitswap, nodes, monitors)
-// reaches the same registry without extra plumbing.
+// Umbrella context bundling the metrics registry and the span tracer. One
+// Obs instance is owned by each net::Network, so every protocol layer built
+// on the network (DHT, Bitswap, nodes, monitors) reaches the same registry
+// without extra plumbing.
 #pragma once
 
-#include "obs/events.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 
@@ -12,7 +11,6 @@ namespace ipfsmon::obs {
 
 struct Obs {
   MetricsRegistry metrics;
-  EventHub events;
   Tracer tracer;  // inert until configured with enabled = true
 };
 

@@ -160,12 +160,11 @@ bool QueryService::open_store(const std::string& dir, std::string* error) {
     auto rollup = tracestore::read_rollup_file(
         tracestore::rollup_path_for(store_->segment_path(i)));
     // A sidecar disagreeing with its segment's footer is as good as absent.
-    if (rollup && (rollup->entry_count != segment.footer.entry_count ||
-                   rollup->bucket_width <= 0)) {
+    if (rollup && rollup->entry_count != segment.footer.entry_count) {
       store_->warn("rollup sidecar mismatch for " + segment.file);
-      rollup.reset();
+    } else if (rollup) {
+      rollups_[i].emplace(std::move(*rollup));
     }
-    rollups_[i] = std::move(rollup);
   }
   fingerprint_ = fp;
   obs_.metrics
@@ -301,8 +300,8 @@ RangeStats QueryService::stats_between_locked(util::SimTime min_t,
             store_->segment_path(index), store_->open_options());
         if (!reader) {
           // Mirror ScanExecutor: a corrupt segment is skipped, loudly.
-          store_->warn("skipping unreadable segment " +
-                       store_->segments()[index].file);
+          store_->skip_segment("skipping unreadable segment " +
+                               store_->segments()[index].file);
           return;
         }
         trace::TraceEntry entry;

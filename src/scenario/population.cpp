@@ -204,11 +204,6 @@ void Population::schedule_session_end(Member& member) {
         member.request_timer.cancel();
         member.retry_timer.cancel();
         member.node->go_offline();
-        if (auto& events = network_.obs().events; events.active()) {
-          events.emit(network_.scheduler().now(), obs::Severity::kDebug,
-                      "population",
-                      member.node->id().short_hex() + " churned offline");
-        }
         schedule_rebirth(member);
       });
 }
@@ -221,11 +216,6 @@ void Population::schedule_rebirth(Member& member) {
       [this, &member]() {
         if (config_.rotate_identity_on_rebirth) rotate_identity(member);
         bring_online(member);
-        if (auto& events = network_.obs().events; events.active()) {
-          events.emit(network_.scheduler().now(), obs::Severity::kDebug,
-                      "population",
-                      member.node->id().short_hex() + " churned online");
-        }
       });
 }
 

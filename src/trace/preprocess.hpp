@@ -7,7 +7,9 @@
 //    within 31 s are Bitswap's 30 s re-broadcast loop
 //    → flagged kRebroadcast (>50% of raw entries in the paper's data).
 //
-// Both windows are configurable; the defaults match the paper.
+// Both windows are configurable here (the window sweep of exp_dedup_stats);
+// the streaming path (tracestore::StreamingFlagger, unify_stores, ingest,
+// replay, federation) always uses the paper's.
 #pragma once
 
 #include <vector>
@@ -16,9 +18,13 @@
 
 namespace ipfsmon::trace {
 
+/// The paper's windows (Sec. IV-B).
+inline constexpr util::SimDuration kInterMonitorWindow = 5 * util::kSecond;
+inline constexpr util::SimDuration kRebroadcastWindow = 31 * util::kSecond;
+
 struct PreprocessOptions {
-  util::SimDuration inter_monitor_window = 5 * util::kSecond;
-  util::SimDuration rebroadcast_window = 31 * util::kSecond;
+  util::SimDuration inter_monitor_window = kInterMonitorWindow;
+  util::SimDuration rebroadcast_window = kRebroadcastWindow;
 };
 
 /// Merges per-monitor traces into one time-sorted trace and marks

@@ -46,7 +46,7 @@ bool StoreCursor::open_next_segment() {
       reader_ = std::move(done->reader);
       return true;
     }
-    store_->warn("skipping segment during scan: " + done->error);
+    store_->skip_segment("skipping segment during scan: " + done->error);
   }
   reader_.reset();
   return false;
@@ -62,13 +62,8 @@ bool StoreCursor::next(trace::TraceEntry& out) {
 
 // --- StreamingFlagger -------------------------------------------------------
 
-StreamingFlagger::StreamingFlagger(trace::PreprocessOptions options)
-    : options_(options),
-      max_window_(std::max(options.inter_monitor_window,
-                           options.rebroadcast_window)) {}
-
 void StreamingFlagger::mark(trace::TraceEntry& entry) {
-  evict_before(entry.timestamp - max_window_);
+  evict_before(entry.timestamp - kWidestWindow);
 
   entry.flags = 0;
   const Key key{entry.peer, entry.type, entry.cid};
@@ -76,11 +71,11 @@ void StreamingFlagger::mark(trace::TraceEntry& entry) {
   for (const auto& [monitor, when] : per_monitor) {
     const util::SimDuration delta = entry.timestamp - when;
     if (monitor == entry.monitor) {
-      if (delta <= options_.rebroadcast_window) {
+      if (delta <= trace::kRebroadcastWindow) {
         entry.flags |= trace::kRebroadcast;
       }
     } else {
-      if (delta <= options_.inter_monitor_window) {
+      if (delta <= trace::kInterMonitorWindow) {
         entry.flags |= trace::kInterMonitorDuplicate;
       }
     }
@@ -132,8 +127,7 @@ struct HeadAfter {
 
 UnifyStats unify_stores(
     const std::vector<const TraceStore*>& inputs,
-    const std::function<void(const trace::TraceEntry&)>& sink,
-    const trace::PreprocessOptions& options) {
+    const std::function<void(const trace::TraceEntry&)>& sink) {
   std::vector<StoreCursor> cursors;
   cursors.reserve(inputs.size());
   std::priority_queue<MergeHead, std::vector<MergeHead>, HeadAfter> heap;
@@ -145,7 +139,7 @@ UnifyStats unify_stores(
     if (cursors.back().next(head.entry)) heap.push(std::move(head));
   }
 
-  StreamingFlagger flagger(options);
+  StreamingFlagger flagger;
   UnifyStats stats;
   while (!heap.empty()) {
     MergeHead head = heap.top();
@@ -162,10 +156,9 @@ UnifyStats unify_stores(
 }
 
 UnifyStats unify_to_store(const std::vector<const TraceStore*>& inputs,
-                          SegmentWriter& out,
-                          const trace::PreprocessOptions& options) {
-  return unify_stores(
-      inputs, [&out](const trace::TraceEntry& e) { out.append(e); }, options);
+                          SegmentWriter& out) {
+  return unify_stores(inputs,
+                      [&out](const trace::TraceEntry& e) { out.append(e); });
 }
 
 }  // namespace ipfsmon::tracestore

@@ -11,6 +11,7 @@
 //    resident state proportional to the window, not the trace.
 #pragma once
 
+#include <algorithm>
 #include <deque>
 #include <functional>
 #include <unordered_map>
@@ -26,7 +27,8 @@ namespace ipfsmon::tracestore {
 /// validated) ahead of time on the store's scan pool, so a k-way merge
 /// overlaps each input's open/validate I/O with merging. At most two
 /// segments per cursor are resident (current + prefetched); corrupt
-/// segments are skipped through store.warn() on the consumer thread.
+/// segments are skipped through store.skip_segment() on the consumer
+/// thread.
 class StoreCursor {
  public:
   explicit StoreCursor(const TraceStore& store);
@@ -56,11 +58,13 @@ class StoreCursor {
   ScanPool::Ticket prefetch_ticket_;
 };
 
-/// Incremental re-implementation of trace::mark_flags: feed time-ordered
-/// entries, get the same flags, with state bounded by the widest window.
+/// Incremental re-implementation of trace::mark_flags with the paper's
+/// windows: feed time-ordered entries, get the same flags, with state
+/// bounded by the widest window.
 class StreamingFlagger {
  public:
-  explicit StreamingFlagger(trace::PreprocessOptions options = {});
+  static constexpr util::SimDuration kWidestWindow =
+      std::max(trace::kInterMonitorWindow, trace::kRebroadcastWindow);
 
   /// Overwrites `entry.flags` exactly as trace::mark_flags would.
   void mark(trace::TraceEntry& entry);
@@ -92,8 +96,6 @@ class StreamingFlagger {
 
   void evict_before(util::SimTime horizon);
 
-  trace::PreprocessOptions options_;
-  util::SimDuration max_window_;
   std::unordered_map<Key,
                      std::unordered_map<trace::MonitorId, util::SimTime>,
                      KeyHash>
@@ -112,13 +114,11 @@ struct UnifyStats {
 /// the flagger's window state in memory.
 UnifyStats unify_stores(
     const std::vector<const TraceStore*>& inputs,
-    const std::function<void(const trace::TraceEntry&)>& sink,
-    const trace::PreprocessOptions& options = {});
+    const std::function<void(const trace::TraceEntry&)>& sink);
 
 /// Same, spilling the flagged output into `out` (call out.finalize()
 /// afterwards to publish the result store).
 UnifyStats unify_to_store(const std::vector<const TraceStore*>& inputs,
-                          SegmentWriter& out,
-                          const trace::PreprocessOptions& options = {});
+                          SegmentWriter& out);
 
 }  // namespace ipfsmon::tracestore

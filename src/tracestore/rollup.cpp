@@ -1,5 +1,6 @@
 #include "tracestore/rollup.hpp"
 
+#include <cstdint>
 #include <map>
 #include <unordered_set>
 
@@ -65,7 +66,7 @@ std::optional<SegmentRollup> decode_rollup(util::BytesView bytes) {
   rollup.distinct_peers = r.varint();
   rollup.distinct_cids = r.varint();
   const std::uint64_t buckets = r.count(kMinBucketBytes);
-  if (!r.ok() || width == 0) return std::nullopt;
+  if (!r.ok() || width == 0 || width > INT64_MAX) return std::nullopt;
   rollup.buckets.reserve(buckets);
   // Starts are rebuilt in unsigned arithmetic: a hostile delta or width
   // wraps instead of overflowing, and fails the ascending check.

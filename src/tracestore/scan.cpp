@@ -242,7 +242,7 @@ ScanStats ScanExecutor::scan(
         break;
     }
     if (!slot.error.empty()) {
-      store.warn("skipping segment during scan: " + slot.error);
+      store.skip_segment("skipping segment during scan: " + slot.error);
       continue;
     }
     if (slot.dictionary_pruned) {

@@ -87,8 +87,9 @@ class ScanExecutor {
 
   /// Runs `query` over `store`, calling `visit` on the consumer thread for
   /// every matching entry, in segment order. Skipped-as-corrupt segments
-  /// go through store.warn() like the streaming readers. Pass a profile
-  /// to collect per-segment decode/match sub-timings (span tracing).
+  /// go through store.skip_segment() like the streaming readers. Pass a
+  /// profile to collect per-segment decode/match sub-timings (span
+  /// tracing).
   ScanStats scan(const TraceStore& store, const ScanQuery& query,
                  const std::function<void(const trace::TraceEntry&)>& visit,
                  ScanProfile* profile = nullptr) const;

@@ -22,12 +22,6 @@ std::string segment_name(std::size_t index) {
   return util::format("seg-%06zu.seg", index);
 }
 
-void obs_warn(obs::Obs* obs, const std::string& message) {
-  if (obs == nullptr) return;
-  // Offline store tooling has no scheduler; sim time 0 marks that.
-  obs->events.emit(0, obs::Severity::kWarn, "tracestore", message);
-}
-
 }  // namespace
 
 bool write_manifest(
@@ -148,8 +142,6 @@ std::optional<RecoveryReport> recover_store_dir(const std::string& dir,
       ++report.segments_dropped;
       report.notes.push_back("dropped torn segment " + name + ": " +
                              footer_error);
-      obs_warn(options.obs,
-               "recovery dropped torn segment " + name + ": " + footer_error);
       continue;
     }
     report.entries_recovered += footer->entry_count;
@@ -275,7 +267,7 @@ void SegmentWriter::flush_open_segment() {
   std::string error;
   if (!write_segment_file(path, open_, &footer, &error)) {
     failed_ = true;
-    obs_warn(options_.obs, "segment flush failed: " + error);
+    error_ = "segment flush failed: " + error;
   } else {
     segments_.emplace_back(name, footer);
     if (segments_counter_ != nullptr) segments_counter_->inc();
@@ -286,11 +278,8 @@ void SegmentWriter::flush_open_segment() {
     }
     // Every flushed segment gets a one-minute rollup sidecar. Rollups are
     // derived data: a failed write is a warning, never a store failure.
-    std::string rollup_error;
-    if (!write_rollup_file(rollup_path_for(path), build_rollup(open_),
-                           &rollup_error)) {
-      obs_warn(options_.obs, "rollup write failed: " + rollup_error);
-    } else if (options_.obs != nullptr) {
+    if (write_rollup_file(rollup_path_for(path), build_rollup(open_)) &&
+        options_.obs != nullptr) {
       options_.obs->metrics
           .counter("ipfsmon_tracestore_rollups_written_total",
                    "Rollup sidecars written beside flushed segments")
@@ -307,7 +296,7 @@ bool SegmentWriter::finalize() {
   std::string error;
   if (!write_manifest(dir_, segments_, &error)) {
     failed_ = true;
-    obs_warn(options_.obs, "manifest write failed: " + error);
+    error_ = "manifest write failed: " + error;
   }
   return !failed_;
 }
@@ -318,7 +307,7 @@ bool SegmentWriter::checkpoint() {
   std::string error;
   if (!write_manifest(dir_, segments_, &error)) {
     failed_ = true;
-    obs_warn(options_.obs, "manifest write failed: " + error);
+    error_ = "manifest write failed: " + error;
   }
   return !failed_;
 }
@@ -355,7 +344,7 @@ std::optional<TraceStore> TraceStore::open(const std::string& dir,
     std::string footer_error;
     auto footer = read_segment_footer(path, &footer_error);
     if (!footer) {
-      store.warn("skipping segment: " + footer_error);
+      store.skip_segment("skipping segment: " + footer_error);
       continue;
     }
     Segment segment;
@@ -458,7 +447,10 @@ bool TraceStore::rewrite_manifest() const {
 
 void TraceStore::warn(const std::string& message) const {
   warnings_.push_back(message);
-  obs_warn(options_.obs, message);
+}
+
+void TraceStore::skip_segment(const std::string& message) const {
+  warn(message);
   if (options_.obs != nullptr) {
     options_.obs->metrics
         .counter("ipfsmon_tracestore_segments_skipped_total",

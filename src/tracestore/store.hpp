@@ -56,7 +56,7 @@ struct StoreOptions {
   std::uint64_t max_entries_per_segment = 1u << 18;
   /// ...or when it would span more than this much sim time.
   util::SimDuration max_segment_span = 6 * util::kHour;
-  /// Optional instrumentation/warning sink (counters + warn events).
+  /// Optional instrumentation sink (counters and histograms).
   /// The store keeps the pointer; the Obs must outlive it.
   obs::Obs* obs = nullptr;
   /// How readers get segment bytes: mmap when available (kAuto), or a
@@ -160,6 +160,8 @@ class SegmentWriter {
   std::uint64_t unordered_appends() const { return unordered_appends_; }
   /// Set when any flush failed; finalize() also returns false then.
   bool failed() const { return failed_; }
+  /// Why the last segment flush or MANIFEST publish failed ("" if none).
+  const std::string& error() const { return error_; }
 
  private:
   SegmentWriter(std::string dir, StoreOptions options);
@@ -178,6 +180,7 @@ class SegmentWriter {
   util::SimTime last_timestamp_ = 0;
   bool finalized_ = false;
   bool failed_ = false;
+  std::string error_;
 
   obs::Counter* segments_counter_ = nullptr;
   obs::Counter* entries_counter_ = nullptr;
@@ -196,7 +199,7 @@ class TraceStore {
 
   /// Parses the manifest and validates every listed segment's footer.
   /// Unreadable/corrupt segments are skipped and reported in warnings()
-  /// (and as obs warn events when options.obs is set). Returns nullopt
+  /// (and counted in obs when options.obs is set). Returns nullopt
   /// only when the directory or manifest itself is unusable.
   static std::optional<TraceStore> open(const std::string& dir,
                                         StoreOptions options = {},
@@ -237,9 +240,12 @@ class TraceStore {
   /// segments removed.
   std::size_t prune_before(util::SimTime cutoff);
 
-  /// Records a warning (and mirrors it to obs, when configured). Used by
-  /// the streaming readers when they skip a segment mid-scan.
+  /// Records a warning in warnings().
   void warn(const std::string& message) const;
+  /// Records a warning for a segment a reader skipped and counts it in
+  /// ipfsmon_tracestore_segments_skipped_total (when options.obs is set).
+  /// Used by open() and by the streaming readers mid-scan.
+  void skip_segment(const std::string& message) const;
 
  private:
   TraceStore() = default;

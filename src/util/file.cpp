@@ -6,6 +6,8 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <charconv>
+#include <cmath>
 #include <system_error>
 
 namespace ipfsmon::util {
@@ -103,6 +105,16 @@ std::optional<std::int64_t> parse_i64(std::string_view text) {
   if (!magnitude) return std::nullopt;
   // -2^63 has no positive counterpart: negate in unsigned arithmetic.
   return static_cast<std::int64_t>(negative ? ~*magnitude + 1 : *magnitude);
+}
+
+std::optional<double> parse_f64(std::string_view text) {
+  const char* end = text.data() + text.size();
+  double value = 0;
+  const auto [stop, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || stop != end || !std::isfinite(value)) {
+    return std::nullopt;
+  }
+  return value;
 }
 
 std::optional<FileSignature> file_signature(const std::string& path) {

@@ -2,8 +2,9 @@
 // MANIFEST, STOREMETA, INGEST.ckpt, FEDERATION, UNIFIED_SOURCE) goes
 // through publish(), every whole-file read through read_file(), every
 // segment-footer read through read_file_tail(), every
-// (size, mtime) signature through file_signature(), and every integer
-// field read back from disk or the wire through parse_u64()/parse_i64().
+// (size, mtime) signature through file_signature(), and every number
+// read back from disk, the wire or a command line through
+// parse_u64()/parse_i64()/parse_f64().
 //
 // publish() is atomic against process crashes only: a reader sees the old
 // file or the new one, never a torn one. Nothing is fsync'd, so a power
@@ -29,6 +30,11 @@ std::optional<std::uint64_t> parse_u64(std::string_view text,
 /// Strict decimal: an optional leading '-', then digits only, within the
 /// int64 range. Nullopt otherwise.
 std::optional<std::int64_t> parse_i64(std::string_view text);
+
+/// Strict decimal floating point (std::from_chars' general format: no
+/// sign other than a leading '-', no whitespace, no hex), finite. Nullopt
+/// otherwise, including for "inf", "nan" and values past the double range.
+std::optional<double> parse_f64(std::string_view text);
 
 /// A file's (size, mtime) as stat reports them: the key ValidationCache
 /// keeps verified segments under. The path and fd forms agree, so the

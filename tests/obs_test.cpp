@@ -1,15 +1,14 @@
 // The observability subsystem: registry create/lookup/duplicate handling,
 // histogram bucket edges, collector cadence + ring bounds under the sim
-// scheduler, exporters (Prometheus text + JSONL), the event hub, and the
-// end-to-end invariant that every Bitswap want/cancel a client sends to a
-// monitor shows up as exactly one trace entry.
+// scheduler, exporters (Prometheus text + JSONL), and the end-to-end
+// invariant that every Bitswap want/cancel a client sends to a monitor
+// shows up as exactly one trace entry.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <stdexcept>
 
 #include "obs/collector.hpp"
-#include "obs/events.hpp"
 #include "obs/exporters.hpp"
 #include "obs/metrics.hpp"
 #include "test_helpers.hpp"
@@ -250,30 +249,6 @@ TEST(ExportersTest, JsonlLineCarriesEveryInstrument) {
   EXPECT_NE(line.find("\"ipfsmon_test_nan\":null"), std::string::npos);
   EXPECT_NE(line.find("\"ipfsmon_test_huge\":1e+300"), std::string::npos);
   EXPECT_TRUE(util::json::valid(line)) << line;
-}
-
-// --- EventHub ---------------------------------------------------------------
-
-TEST(EventHubTest, CountsWithoutSubscribersAndDeliversWithThem) {
-  EventHub hub;
-  EXPECT_FALSE(hub.active());
-  hub.emit(0, Severity::kWarn, "test", "silent");
-  EXPECT_EQ(hub.emitted(Severity::kWarn), 1u);
-
-  std::vector<ObsEvent> seen;
-  const auto id = hub.subscribe([&](const ObsEvent& e) { seen.push_back(e); });
-  EXPECT_TRUE(hub.active());
-  hub.emit(5 * kSecond, Severity::kError, "test", "boom");
-  ASSERT_EQ(seen.size(), 1u);
-  EXPECT_EQ(seen[0].severity, Severity::kError);
-  EXPECT_EQ(seen[0].component, "test");
-  EXPECT_EQ(seen[0].message, "boom");
-
-  hub.unsubscribe(id);
-  EXPECT_FALSE(hub.active());
-  hub.emit(0, Severity::kError, "test", "dropped");
-  EXPECT_EQ(seen.size(), 1u);
-  EXPECT_EQ(hub.emitted_total(), 3u);
 }
 
 // --- End-to-end invariant ---------------------------------------------------

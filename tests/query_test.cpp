@@ -389,6 +389,36 @@ TEST(Rollup, CorruptSidecarIsRejected) {
   EXPECT_EQ(testing_helpers::hostile_rollup(1ull << 40).size(), 29u);
 }
 
+TEST(Rollup, MismatchedSidecarIsNotASkippedSegment) {
+  const std::string dir = fresh_dir("mismatched_sidecar");
+  build_store(dir, make_trace(300, 16));
+  auto store = tracestore::TraceStore::open(dir);
+  ASSERT_TRUE(store.has_value());
+  // A well-formed sidecar of other entries: it passes its checksums but
+  // disagrees with the segment footer's entry count.
+  ASSERT_TRUE(tracestore::write_rollup_file(
+      tracestore::rollup_path_for(store->segment_path(0)),
+      tracestore::build_rollup(make_trace(10, 17))));
+  auto service = QueryService::open(dir);
+  ASSERT_NE(service, nullptr);
+  EXPECT_EQ(service->rollups_loaded(), store->segments().size() - 1);
+  ASSERT_EQ(service->store().warnings().size(), 1u);
+  EXPECT_NE(service->store().warnings()[0].find("rollup sidecar mismatch"),
+            std::string::npos);
+  // The segment is still served (by scan), so nothing was skipped.
+  HttpRequest request;
+  request.method = "GET";
+  request.path = "/metrics";
+  const HttpResponse response = service->handle(request);
+  ASSERT_EQ(response.status, 200);
+  const std::string& body = response.body;
+  const std::string metric = "\nipfsmon_tracestore_segments_skipped_total ";
+  const auto at = body.find(metric);
+  if (at != std::string::npos) {
+    EXPECT_EQ(body.substr(at + metric.size(), 2), "0\n") << body;
+  }
+}
+
 TEST(Rollup, PruneRemovesSidecars) {
   const std::string dir = fresh_dir("prune_sidecar");
   build_store(dir, make_trace(1000, 15));

@@ -20,6 +20,7 @@
 #include "util/bytes.hpp"
 #include "util/codec.hpp"
 #include "util/file.hpp"
+#include "util/flags.hpp"
 #include "util/json.hpp"
 #include "util/rng.hpp"
 #include "util/strings.hpp"
@@ -633,6 +634,133 @@ TEST(ParseInt, DigitsOnlyWithinRange) {
                           "9223372036854775808", "-9223372036854775809"}) {
     EXPECT_FALSE(parse_i64(bad).has_value()) << bad;
   }
+}
+
+// --- Flags ------------------------------------------------------------------
+
+TEST(Flags, OneStrictGrammar) {
+  // Each case parses `args` (after a program name) with `read`, which checks
+  // the values it gets back; `ok` says whether the command line is valid.
+  const struct {
+    const char* what;
+    std::vector<const char*> args;
+    std::function<void(Flags&)> read;
+    bool ok;
+  } cases[] = {
+      {"space form", {"--store", "dir"},
+       [](Flags& f) { EXPECT_EQ(f.text("--store"), "dir"); }, true},
+      {"= form", {"--store=dir"},
+       [](Flags& f) { EXPECT_EQ(f.text("--store"), "dir"); }, true},
+      {"absent flag takes the fallback", {},
+       [](Flags& f) { EXPECT_EQ(f.u64("--port", 7878), 7878u); }, true},
+      {"missing value at the end", {"--store"},
+       [](Flags& f) { f.text("--store"); }, false},
+      {"missing value before a flag", {"--store", "--lenient"},
+       [](Flags& f) {
+         EXPECT_EQ(f.text("--store", "none"), "none");
+         EXPECT_TRUE(f.boolean("--lenient"));
+       },
+       false},
+      {"boolean", {"--lenient"},
+       [](Flags& f) { EXPECT_TRUE(f.boolean("--lenient")); }, true},
+      {"= on a boolean", {"--smoke=0"}, [](Flags& f) { f.boolean("--smoke"); },
+       false},
+      {"unknown flag", {"--node=50"},
+       [](Flags& f) { EXPECT_EQ(f.u64("--nodes", 500), 500u); }, false},
+      {"a flag name is not a prefix", {"--trace-sample=1"},
+       [](Flags& f) {
+         EXPECT_FALSE(f.has("--trace"));
+         EXPECT_FALSE(f.boolean("--trace"));
+         EXPECT_EQ(f.u64("--trace-sample", 64), 1u);
+       },
+       true},
+      {"repeated flag read once", {"--port", "1", "--port", "2"},
+       [](Flags& f) { f.u64("--port", 0); }, false},
+      {"repeated flag read in full", {"--monitor", "a=1", "--monitor=b=2"},
+       [](Flags& f) {
+         EXPECT_EQ(f.every("--monitor"),
+                   (std::vector<std::string>{"a=1", "b=2"}));
+       },
+       true},
+      {"positionals mixed with flags",
+       {"a", "--store", "dir", "b", "--demo", "c"},
+       [](Flags& f) {
+         EXPECT_EQ(f.text("--store"), "dir");
+         EXPECT_TRUE(f.boolean("--demo"));
+         EXPECT_EQ(f.positionals(), (std::vector<std::string>{"a", "b", "c"}));
+       },
+       true},
+      {"positionals by index", {"400", "1.5"},
+       [](Flags& f) {
+         EXPECT_EQ(f.u64_at(0, 0), 400u);
+         EXPECT_EQ(f.f64_at(1, 0), 1.5);
+         EXPECT_EQ(f.text_at(2, "dir"), "dir");
+       },
+       true},
+      {"unclaimed positional", {"extra"}, [](Flags&) {}, false},
+      {"malformed positional", {"abc"},
+       [](Flags& f) { EXPECT_EQ(f.u64_at(0, 400), 400u); }, false},
+      {"u64 at max", {"--port=65535"},
+       [](Flags& f) { EXPECT_EQ(f.u64("--port", 0, UINT16_MAX), 65535u); },
+       true},
+      {"u64 past max", {"--port=65536"},
+       [](Flags& f) { f.u64("--port", 0, UINT16_MAX); }, false},
+      {"u64 past 2^64", {"--seed=18446744073709551616"},
+       [](Flags& f) { f.u64("--seed", 0); }, false},
+      {"u64 negative", {"--nodes=-5"}, [](Flags& f) { f.u64("--nodes", 0); },
+       false},
+      {"u64 1e4", {"--nodes=1e4"}, [](Flags& f) { f.u64("--nodes", 0); },
+       false},
+      {"u64 empty", {"--nodes="}, [](Flags& f) { f.u64("--nodes", 0); },
+       false},
+      {"i64 value beginning with -", {"--start", "-5"},
+       [](Flags& f) { EXPECT_EQ(f.i64("--start", 0), -5); }, true},
+      {"f64 value beginning with -", {"--x", "-2.5"},
+       [](Flags& f) { EXPECT_EQ(f.f64("--x", 0), -2.5); }, true},
+      {"f64 1e4", {"--hours=1e4"},
+       [](Flags& f) { EXPECT_EQ(f.f64("--hours", 0), 1e4); }, true},
+      {"f64 nan", {"--hours=nan"}, [](Flags& f) { f.f64("--hours", 0); },
+       false},
+      {"f64 inf", {"--hours=inf"}, [](Flags& f) { f.f64("--hours", 0); },
+       false},
+      {"f64 past the double range", {"--hours=1e999"},
+       [](Flags& f) { f.f64("--hours", 0); }, false},
+      {"f64 abc", {"--hours=abc"}, [](Flags& f) { f.f64("--hours", 0); },
+       false},
+      {"f64 with a plus sign", {"--hours=+1"},
+       [](Flags& f) { f.f64("--hours", 0); }, false},
+      {"f64 in hex", {"--hours=0x10"}, [](Flags& f) { f.f64("--hours", 0); },
+       false},
+      {"f64 with trailing text", {"--hours=1h"},
+       [](Flags& f) { f.f64("--hours", 0); }, false},
+      {"caller's own check", {"--poll-ms=0"},
+       [](Flags& f) {
+         if (f.u64("--poll-ms", 100) == 0) f.fail("--poll-ms must be >= 1");
+       },
+       false},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.what);
+    std::vector<const char*> argv = {"prog"};
+    argv.insert(argv.end(), c.args.begin(), c.args.end());
+    Flags flags(static_cast<int>(argv.size()), argv.data());
+    c.read(flags);
+    EXPECT_EQ(flags.ok(), c.ok) << flags.error();
+    EXPECT_EQ(flags.error().empty(), c.ok);
+  }
+}
+
+TEST(Flags, UsagePrintsTheErrorThenEachSynopsisAndReturnsTwo) {
+  const char* argv[] = {"prog", "--port=x"};
+  Flags flags(2, argv);
+  flags.u64("--port", 0);
+  ASSERT_FALSE(flags.ok());
+  ::testing::internal::CaptureStderr();
+  EXPECT_EQ(flags.usage("--port N\n--demo"), 2);
+  EXPECT_EQ(::testing::internal::GetCapturedStderr(),
+            "prog: --port: 'x' is not a non-negative integer\n"
+            "usage: prog --port N\n"
+            "       prog --demo\n");
 }
 
 TEST(File, PublishIsAllOrNothing) {
