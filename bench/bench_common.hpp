@@ -9,7 +9,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <string>
@@ -17,7 +16,6 @@
 #include <thread>
 #include <vector>
 
-#include "obs/exporters.hpp"
 #include "util/file.hpp"
 #include "util/flags.hpp"
 #include "util/json.hpp"
@@ -62,32 +60,6 @@ class Stopwatch {
 
  private:
   std::chrono::steady_clock::time_point start_;
-};
-
-/// A fresh, uniquely named directory under the system temp directory,
-/// removed with everything in it when the object goes out of scope. Gates
-/// build their stores here, so concurrent runs never share or wipe one.
-class TempDir {
- public:
-  explicit TempDir(std::string_view prefix) {
-    std::error_code ec;
-    const auto base = std::filesystem::temp_directory_path(ec);
-    if (ec) return;
-    std::string name = (base / (std::string(prefix) + "-XXXXXX")).string();
-    if (::mkdtemp(name.data()) != nullptr) path_ = std::move(name);
-  }
-  ~TempDir() {
-    std::error_code ec;
-    if (!path_.empty()) std::filesystem::remove_all(path_, ec);
-  }
-  TempDir(const TempDir&) = delete;
-  TempDir& operator=(const TempDir&) = delete;
-
-  /// Empty when the directory could not be created.
-  const std::string& path() const { return path_; }
-
- private:
-  std::string path_;
 };
 
 /// Peak resident set size of this process, in MiB (getrusage; ru_maxrss is
@@ -174,21 +146,6 @@ bool write_bench_artifact(std::string_view bench, const std::vector<Row>& rows,
   }
   std::printf("\n[run] artifact: %s\n", path.c_str());
   return true;
-}
-
-/// Writes the collector's ring as `<argv0>.metrics.jsonl` next to the
-/// binary and reports the path. No-op when metrics collection is off.
-inline void write_metrics_sidecar(const obs::Collector* collector,
-                                  std::string_view argv0) {
-  if (collector == nullptr) return;
-  const std::string path = std::string(argv0) + ".metrics.jsonl";
-  if (obs::write_jsonl(*collector, path)) {
-    std::printf("[run] metrics sidecar: %s (%zu samples)\n", path.c_str(),
-                collector->samples().size());
-  } else {
-    std::fprintf(stderr, "[run] failed to write metrics sidecar %s\n",
-                 path.c_str());
-  }
 }
 
 }  // namespace ipfsmon::bench

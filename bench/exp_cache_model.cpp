@@ -67,7 +67,6 @@ int main(int argc, char** argv) {
               "  of repeat requests — the skew the paper measures is what\n"
               "  makes Cloudflare-style 97%% hit ratios attainable.\n",
               100.0 * p50.hit_ratio);
-  bench::write_metrics_sidecar(study.collector(), argv[0]);
   bench::print_run_footer(stopwatch);
   return 0;
 }

@@ -133,9 +133,8 @@ int main(int argc, char** argv) {
     trace::PreprocessOptions options;
     options.rebroadcast_window = static_cast<util::SimDuration>(
         rebroadcast_s * static_cast<double>(util::kSecond));
-    std::vector<const trace::Trace*> traces;
-    for (auto* m : study.monitors()) traces.push_back(&m->recorded());
-    const trace::Trace swept = trace::unify(traces, options);
+    trace::Trace swept = unified;
+    trace::mark_flags(swept, options);
     const trace::TraceStats s = trace::compute_stats(swept);
     std::printf("  %-22.0f %-22.3f %.3f\n", rebroadcast_s,
                 trace::rebroadcast_share(swept),
@@ -223,7 +222,6 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(ooc_stats.entries));
   std::filesystem::remove_all(ooc_root);
 
-  bench::write_metrics_sidecar(study.collector(), argv[0]);
   bench::print_run_footer(stopwatch);
   return 0;
 }

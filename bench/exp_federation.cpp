@@ -332,7 +332,7 @@ std::optional<SweepResult> run_sweep(std::uint64_t monitors,
 int run_smoke(std::uint64_t entries, std::uint64_t segment_entries) {
   bench::print_section("federation smoke: 2 shippers, 1 killed mid-stream");
   // Declared first so it outlives every store and thread below.
-  const bench::TempDir scratch("ipfsmon_federation_smoke");
+  const util::TempDir scratch("ipfsmon_federation_smoke");
   if (scratch.path().empty()) {
     std::fprintf(stderr, "smoke: cannot create a temporary directory\n");
     return 1;

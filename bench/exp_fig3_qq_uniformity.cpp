@@ -78,7 +78,6 @@ int main(int argc, char** argv) {
               ks < 2.0 * noise_floor
                   ? "CLOSE TO UNIFORM (matches paper)"
                   : "DEVIATES FROM UNIFORM (mismatch!)");
-  bench::write_metrics_sidecar(study.collector(), argv[0]);
   bench::print_run_footer(stopwatch);
   return 0;
 }

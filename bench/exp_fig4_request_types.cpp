@@ -63,9 +63,8 @@ int main(int argc, char** argv) {
       t0 + static_cast<util::SimDuration>(0.86 * days * util::kDay), 6.0);
   study.run_measurement();
 
-  // The paper plots the us monitor's raw view.
-  trace::Trace us_trace = study.monitor(0).recorded();
-  us_trace.sort_by_time();
+  // The paper plots the us monitor's raw view (recorded in time order).
+  const trace::Trace us_trace = study.monitor(0).read_trace();
   const auto buckets =
       analysis::requests_by_type_over_time(us_trace, util::kDay);
 
@@ -106,7 +105,6 @@ int main(int argc, char** argv) {
               "(paper: unexplained early-August spike on both monitors)\n",
               static_cast<unsigned long long>(spike_day),
               static_cast<unsigned long long>(spike_total));
-  bench::write_metrics_sidecar(study.collector(), argv[0]);
   bench::print_run_footer(stopwatch);
   return 0;
 }

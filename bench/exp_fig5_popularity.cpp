@@ -110,7 +110,6 @@ int main(int argc, char** argv) {
               rrp_unresolvable);
   std::printf("  top-10 URP resolvable:   %zu/10 (paper: all ten resolvable)\n",
               urp_resolvable);
-  bench::write_metrics_sidecar(study.collector(), argv[0]);
   bench::print_run_footer(stopwatch);
   return 0;
 }

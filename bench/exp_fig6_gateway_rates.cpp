@@ -131,7 +131,6 @@ int main(int argc, char** argv) {
   }
   bench::print_comparison("Cloudflare cache-hit ratio (paper: 0.97)", 0.97,
                           cf_http > 0 ? cf_hits / cf_http : 0.0);
-  bench::write_metrics_sidecar(study.collector(), argv[0]);
   bench::print_run_footer(stopwatch);
   return 0;
 }

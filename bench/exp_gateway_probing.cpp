@@ -126,7 +126,6 @@ int main(int argc, char** argv) {
   std::printf("  discovered gateway nodes also present in monitor peer "
               "lists: %zu/%zu\n", seen_by_monitors,
               census.total_gateway_nodes());
-  bench::write_metrics_sidecar(study.collector(), argv[0]);
   bench::print_run_footer(stopwatch);
   return 0;
 }

@@ -172,7 +172,7 @@ int emit_fixtures(const std::string& dir) {
     if (!writer->close()) return 1;
   }
   // Pin the replay checksum of the clean capture.
-  const bench::TempDir scratch("ipfsmon_fixture_store");
+  const util::TempDir scratch("ipfsmon_fixture_store");
   const std::string store_dir = scratch.path() + "/store";
   std::string error;
   if (scratch.path().empty() ||
@@ -215,7 +215,7 @@ int main(int argc, char** argv) {
                       "ingest + replay gate (infrastructure, no paper figure)");
   std::printf("entries=%zu gzip=%s\n", kEntries,
               ingest::gzip_supported() ? "yes" : "no (zlib absent)");
-  const bench::TempDir scratch("ipfsmon_ingest_smoke");
+  const util::TempDir scratch("ipfsmon_ingest_smoke");
   if (scratch.path().empty()) {
     std::fprintf(stderr, "cannot create a temporary directory\n");
     return 1;

@@ -137,7 +137,6 @@ int main(int argc, char** argv) {
     std::printf("  NAT'd DHT clients observed by monitors: %zu "
                 "(crawler can see none of these)\n", clients_seen);
   }
-  bench::write_metrics_sidecar(study.collector(), argv[0]);
   bench::print_run_footer(stopwatch);
   return 0;
 }

@@ -74,7 +74,7 @@ int main(int argc, char** argv) {
                       "warm watchlist scan gate (infrastructure, no paper "
                       "figure)");
   const bench::Stopwatch total;
-  const bench::TempDir scratch("ipfsmon_query_smoke");
+  const util::TempDir scratch("ipfsmon_query_smoke");
   if (scratch.path().empty()) {
     std::fprintf(stderr, "cannot create a temporary directory\n");
     return 1;

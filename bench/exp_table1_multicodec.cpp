@@ -35,7 +35,7 @@ int main(int argc, char** argv) {
   // Raw, unprocessed traces of both monitors, merged without dedup — the
   // paper's Table I explicitly uses raw traces.
   trace::Trace raw;
-  for (auto* m : study.monitors()) raw.merge_from(m->recorded());
+  for (auto* m : study.monitors()) raw.merge_from(m->read_trace());
 
   const auto rows = analysis::share_by_codec(raw);
   std::uint64_t total = 0;
@@ -74,7 +74,6 @@ int main(int argc, char** argv) {
                       share_of("Raw") > share_of("DagCBOR")
                   ? "YES (matches)"
                   : "NO (mismatch!)");
-  bench::write_metrics_sidecar(study.collector(), argv[0]);
   bench::print_run_footer(stopwatch);
   return 0;
 }

@@ -74,7 +74,6 @@ int main(int argc, char** argv) {
               share_of("NL") > share_of("CA") && share_of("DE") > share_of("FR")
                   ? "YES (matches)"
                   : "NO (mismatch!)");
-  bench::write_metrics_sidecar(study.collector(), argv[0]);
   bench::print_run_footer(stopwatch);
   return 0;
 }

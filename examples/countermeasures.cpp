@@ -80,7 +80,7 @@ Result run_scenario(const std::string& name, node::NodeConfig victim_config) {
   }
   scheduler.run_until(scheduler.now() + 12 * util::kMinute);
 
-  result.monitor_entries = watch.recorded().size();
+  result.monitor_entries = watch.read_trace().size();
 
   // TPI probe on one fetched item.
   attacks::TpiProber prober(network, crypto::KeyPair::generate(rng).peer_id(),

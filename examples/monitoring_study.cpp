@@ -4,10 +4,11 @@
 // popularity, and per-country activity. At exit the obs registry is dumped
 // in Prometheus text format and the collector ring as a JSONL sidecar.
 //
-// With a spill directory, monitors record through the out-of-core trace
-// store instead of RAM; the example prints where the stores land and fails
-// (exit 1) when the directory cannot be written, rather than silently
-// analyzing an empty trace.
+// Monitors record into on-disk trace stores: under the spill directory when
+// one is given (the example prints where they land and they outlive the
+// run), else in temp directories removed at exit. The example fails (exit
+// 1) when a monitor's store cannot be written or read back, rather than
+// silently analyzing an empty trace.
 //
 // Usage: monitoring_study [nodes] [hours] [seed] [spill_dir]
 #include <cmath>
@@ -21,7 +22,6 @@
 #include "obs/exporters.hpp"
 #include "scenario/study.hpp"
 #include "trace/preprocess.hpp"
-#include "tracestore/merge.hpp"
 #include "util/flags.hpp"
 
 using namespace ipfsmon;
@@ -48,53 +48,29 @@ int main(int argc, char** argv) {
   scenario::MonitoringStudy study(config);
   study.run();
 
-  // --- Spill stores ---------------------------------------------------------
-  std::vector<tracestore::TraceStore> stores;
-  if (!spill_dir.empty()) {
-    // A monitor that could not write its directory fell back to recording
-    // in RAM — that is a broken spill run, not a quietly-degraded one.
-    // Fail loudly, with the reason the monitor kept.
-    bool spill_ok = true;
-    for (const auto* m : study.monitors()) {
-      if (!m->spilling()) {
-        std::fprintf(stderr,
-                     "error: monitor %u could not open its spill store under "
-                     "%s: %s\n",
-                     static_cast<unsigned>(m->monitor_id()), spill_dir.c_str(),
-                     m->spill_error().c_str());
-        spill_ok = false;
-      }
-    }
-    if (spill_ok && !study.finalize_monitor_spill()) {
-      std::fprintf(stderr, "error: finalizing spill stores under %s failed\n",
-                   spill_dir.c_str());
-      spill_ok = false;
-    }
-    if (!spill_ok) return 1;
-    for (const auto& dir : study.monitor_store_dirs()) {
-      auto store = tracestore::TraceStore::open(dir);
-      if (!store.has_value()) {
-        std::fprintf(stderr, "error: cannot reopen spill store %s\n",
-                     dir.c_str());
-        return 1;
-      }
-      std::printf("spill store: %s (%llu entries, %zu segments)\n",
-                  dir.c_str(),
-                  static_cast<unsigned long long>(store->total_entries()),
-                  store->segments().size());
-      stores.push_back(std::move(*store));
-    }
-  }
-
   // --- Monitor view ---------------------------------------------------------
   const auto monitors = study.monitors();
   for (std::size_t i = 0; i < monitors.size(); ++i) {
-    const auto* m = monitors[i];
+    auto* m = monitors[i];
+    const auto store = m->open_store();
+    if (!store.has_value()) {
+      std::fprintf(stderr,
+                   "error: monitor %u has no readable trace store in %s: %s\n",
+                   static_cast<unsigned>(m->monitor_id()),
+                   m->spill_dir().c_str(), m->spill_error().c_str());
+      return 1;
+    }
+    if (!spill_dir.empty()) {
+      std::printf("spill store: %s (%llu entries, %zu segments)\n",
+                  m->spill_dir().c_str(),
+                  static_cast<unsigned long long>(store->total_entries()),
+                  store->segments().size());
+    }
     std::printf("monitor %zu: %zu connected now, %zu unique peers seen, "
-                "%zu bitswap-active, %zu trace entries\n",
+                "%zu bitswap-active, %llu trace entries\n",
                 i, study.network().connection_count(m->id()),
-                m->peers_seen().size(),
-                m->bitswap_active_peers().size(), m->recorded().size());
+                m->peers_seen().size(), m->bitswap_active_peers().size(),
+                static_cast<unsigned long long>(store->total_entries()));
   }
 
   // --- Coverage & size estimates --------------------------------------------
@@ -136,17 +112,7 @@ int main(int argc, char** argv) {
   }
 
   // --- Trace preprocessing --------------------------------------------------
-  trace::Trace unified;
-  if (spill_dir.empty()) {
-    unified = study.unified_trace();
-  } else {
-    // Out-of-core path: k-way merge + flagging straight off the stores,
-    // identical to trace::unify (see DESIGN.md Sec. 7).
-    std::vector<const tracestore::TraceStore*> inputs;
-    for (const auto& s : stores) inputs.push_back(&s);
-    tracestore::unify_stores(
-        inputs, [&](const trace::TraceEntry& e) { unified.append(e); });
-  }
+  const trace::Trace unified = study.unified_trace();
   const trace::TraceStats stats = trace::compute_stats(unified);
   std::printf("\nunified trace: %zu entries (%zu requests), "
               "%zu re-broadcasts (%.1f%% of requests), %zu inter-monitor dups\n",

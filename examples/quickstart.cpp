@@ -79,8 +79,9 @@ int main() {
   scheduler.run_until(scheduler.now() + 2 * util::kMinute);
 
   // --- 6. What did the monitor see? ----------------------------------------
-  const trace::Trace& recorded = watch.recorded();
-  trace::Trace unified = trace::unify({&recorded});
+  // The monitor's store, read back in recording (time) order and flagged.
+  trace::Trace unified = watch.read_trace();
+  trace::mark_flags(unified);
   const trace::TraceStats stats = trace::compute_stats(unified);
   std::printf("\nmonitor observed %zu Bitswap entries "
               "(%zu requests, %zu cancels) from %zu peers, %zu CIDs\n",

@@ -8,7 +8,8 @@
 # src/util/codec; no `strto*`, `ato*`, `std::sto*` or `from_chars` in
 # examples/ or bench/: every binary reads argv through util::Flags, so
 # numbers from a command line parse in src/util only), configure,
-# build, run the full test suite, then rebuild the util + sim + obs + core +
+# build, run the full test suite, build src/, bench/, examples/ and tests/
+# again in Release with -Werror (`build-werror/`), then rebuild the util + sim + obs + core +
 # tracestore + query + churn + federation suites under AddressSanitizer
 # (`ctest -L 'util|sim|obs|core|tracestore|query|churn|federation'`; `util`
 # is the byte codecs and the JSON reader that decodes capture lines, `core`
@@ -97,6 +98,10 @@ echo "== tier-1: configure + build + ctest =="
 cmake -B build -S . >/dev/null
 cmake --build build -j "$JOBS"
 ctest --test-dir build --output-on-failure
+
+echo "== warnings: Release build of src/, bench/, examples/ and tests/ with -Werror =="
+cmake -B build-werror -S . -DCMAKE_BUILD_TYPE=Release -DCMAKE_CXX_FLAGS=-Werror >/dev/null
+cmake --build build-werror -j "$JOBS"
 
 if [[ "$RUN_PERF" == "1" ]]; then
   echo "== perf smoke: exp_query_throughput --smoke vs bench/query_smoke_floor.json =="

@@ -3,6 +3,8 @@
 #include <set>
 #include <unordered_set>
 
+#include "tracestore/scan.hpp"
+
 namespace ipfsmon::attacks {
 
 GatewayProber::GatewayProber(net::Network& network,
@@ -28,21 +30,25 @@ cid::Cid GatewayProber::plant_probe_block() {
   return probe_cid;
 }
 
-void GatewayProber::collect(GatewayProbeResult result,
-                            std::vector<std::size_t> trace_offsets,
+void GatewayProber::collect(GatewayProbeResult result, util::SimTime started,
                             std::function<void(GatewayProbeResult)> on_done) {
+  // Bloom-pruned: only segments that may hold the probe CID are decoded.
+  tracestore::ScanQuery query;
+  query.cids.insert(result.probe_cid);
+  query.min_time = started;
+  const tracestore::ScanExecutor executor;
   std::unordered_set<crypto::PeerId> nodes;
   std::set<net::Address> addresses;
-  for (std::size_t i = 0; i < monitors_.size(); ++i) {
-    const auto& entries = monitors_[i]->recorded().entries();
-    for (std::size_t j = trace_offsets[i]; j < entries.size(); ++j) {
-      const auto& e = entries[j];
-      if (e.cid != result.probe_cid || !e.is_request()) continue;
+  for (monitor::PassiveMonitor* m : monitors_) {
+    const auto store = m->open_store();
+    if (!store) continue;
+    executor.scan(*store, query, [&](const trace::TraceEntry& e) {
+      if (!e.is_request()) return;
       if (nodes.insert(e.peer).second) {
         result.discovered_nodes.push_back(e.peer);
       }
       addresses.insert(e.address);
-    }
+    });
   }
   result.discovered_addresses.assign(addresses.begin(), addresses.end());
   if (on_done) on_done(std::move(result));
@@ -54,12 +60,7 @@ void GatewayProber::probe(const std::string& gateway_name,
   GatewayProbeResult result;
   result.gateway_name = gateway_name;
   result.probe_cid = plant_probe_block();
-
-  std::vector<std::size_t> offsets;
-  offsets.reserve(monitors_.size());
-  for (const monitor::PassiveMonitor* m : monitors_) {
-    offsets.push_back(m->recorded().size());
-  }
+  const util::SimTime started = network_.scheduler().now();
 
   auto shared = std::make_shared<GatewayProbeResult>(std::move(result));
   gateway.handle_http_request(
@@ -68,9 +69,8 @@ void GatewayProber::probe(const std::string& gateway_name,
 
   network_.scheduler().post_after(
       config_.observation_window,
-      [this, shared, offsets = std::move(offsets),
-       on_done = std::move(on_done)]() mutable {
-        collect(std::move(*shared), std::move(offsets), std::move(on_done));
+      [this, shared, started, on_done = std::move(on_done)]() mutable {
+        collect(std::move(*shared), started, std::move(on_done));
       });
 }
 
@@ -82,20 +82,14 @@ void GatewayProber::probe_with_trigger(
   result.gateway_name = gateway_name;
   result.probe_cid = plant_probe_block();
   result.http_ok = false;  // the HTTP side never answers
-
-  std::vector<std::size_t> offsets;
-  offsets.reserve(monitors_.size());
-  for (const monitor::PassiveMonitor* m : monitors_) {
-    offsets.push_back(m->recorded().size());
-  }
+  const util::SimTime started = network_.scheduler().now();
   if (trigger) trigger(result.probe_cid);
 
   auto shared = std::make_shared<GatewayProbeResult>(std::move(result));
   network_.scheduler().post_after(
       config_.observation_window,
-      [this, shared, offsets = std::move(offsets),
-       on_done = std::move(on_done)]() mutable {
-        collect(std::move(*shared), std::move(offsets), std::move(on_done));
+      [this, shared, started, on_done = std::move(on_done)]() mutable {
+        collect(std::move(*shared), started, std::move(on_done));
       });
 }
 

@@ -64,8 +64,9 @@ class GatewayProber {
 
  private:
   cid::Cid plant_probe_block();
-  void collect(GatewayProbeResult result,
-               std::vector<std::size_t> trace_offsets,
+  /// Scans each monitor's store for requests of the probe CID recorded
+  /// since `started`, discovering nodes in recording order.
+  void collect(GatewayProbeResult result, util::SimTime started,
                std::function<void(GatewayProbeResult)> on_done);
 
   net::Network& network_;

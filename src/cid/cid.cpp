@@ -62,7 +62,10 @@ util::Bytes Cid::encode() const {
 
 std::string Cid::to_string() const {
   if (version_ == 0) return util::base58_encode(hash_.encode());
-  return "b" + util::base32_encode(encode());
+  // Multibase prefix 'b' (base32, lower case) in front of the encoding.
+  std::string out = util::base32_encode(encode());
+  out.insert(out.begin(), 'b');
+  return out;
 }
 
 std::string Cid::short_hex() const {

@@ -1,5 +1,7 @@
 #include "monitor/passive_monitor.hpp"
 
+#include "tracestore/merge.hpp"
+
 namespace ipfsmon::monitor {
 
 node::NodeConfig PassiveMonitor::monitorize(node::NodeConfig config) {
@@ -44,26 +46,64 @@ PassiveMonitor::PassiveMonitor(net::Network& network, crypto::KeyPair keys,
   metrics_.coverage_mean =
       &reg.gauge("ipfsmon_monitor_coverage_mean_peers",
                  "Mean connected-peer-set size over snapshots", label);
-  if (!spill_dir_.empty()) start_spill();
+  if (spill_dir_.empty()) {
+    own_dir_.emplace("ipfsmon-monitor");
+    spill_dir_ = own_dir_->path();
+  }
+  open_spill(/*resume=*/false);
 }
 
-void PassiveMonitor::start_spill() {
+void PassiveMonitor::open_spill(bool resume) {
+  // A live writer's files are wiped by create() or recovered by resume()
+  // below, so it is dropped without a final flush.
+  if (spill_ != nullptr) spill_->abandon();
+  spill_.reset();
+  spill_error_.clear();
+  if (spill_dir_.empty()) {
+    spill_error_ = "cannot create a temporary store directory";
+    return;
+  }
+  // No obs sink: the monitor's own trace-entry counters already report
+  // what the writer's tracestore counters would.
   tracestore::StoreOptions options;
   options.max_entries_per_segment = spill_segment_entries_;
   options.max_segment_span = spill_segment_span_;
-  options.obs = &network().obs();
-  spill_error_.clear();
-  spill_ = tracestore::SegmentWriter::create(spill_dir_, options,
-                                             &spill_error_);
+  if (resume) {
+    tracestore::RecoveryReport report;
+    spill_ = tracestore::SegmentWriter::resume(spill_dir_, options, &report,
+                                               &spill_error_);
+    last_recovery_ = std::move(report);
+  } else {
+    spill_ = tracestore::SegmentWriter::create(spill_dir_, options,
+                                               &spill_error_);
+  }
+  metrics_.trace_size->set(
+      spill_ != nullptr ? static_cast<double>(spill_->entries_written())
+                        : 0.0);
 }
 
 bool PassiveMonitor::finalize_spill() {
   return spill_ != nullptr && spill_->finalize();
 }
 
+std::optional<tracestore::TraceStore> PassiveMonitor::open_store() {
+  if (spill_ == nullptr || !spill_->checkpoint()) return std::nullopt;
+  return tracestore::TraceStore::open(spill_dir_);
+}
+
+trace::Trace PassiveMonitor::read_trace() {
+  trace::Trace out;
+  const auto store = open_store();
+  if (!store) return out;
+  tracestore::StoreCursor cursor(*store);
+  trace::TraceEntry entry;
+  while (cursor.next(entry)) out.append(entry);
+  return out;
+}
+
 void PassiveMonitor::record_message(const crypto::PeerId& from,
                                     const bitswap::BitswapMessage& message) {
-  if (crashed_ || message.entries.empty()) return;
+  if (crashed_ || spill_ == nullptr || message.entries.empty()) return;
   bitswap_active_.insert(from);
   const net::NodeRecord* rec = network().record(from);
   const net::Address addr = rec != nullptr ? rec->address : net::Address{};
@@ -88,16 +128,10 @@ void PassiveMonitor::record_message(const crypto::PeerId& from,
     // salts, every request looks like a distinct, unlinkable CID.
     t.cid = entry.salted ? bitswap::opaque_cid_for(entry) : entry.cid;
     t.monitor = monitor_id_;
-    if (spill_ != nullptr) {
-      spill_->append(t);
-    } else {
-      trace_.append(std::move(t));
-    }
+    spill_->append(t);
     metrics_.trace_entries->inc();
   }
-  metrics_.trace_size->set(
-      spill_ != nullptr ? static_cast<double>(spill_->entries_written())
-                        : static_cast<double>(trace_.size()));
+  metrics_.trace_size->set(static_cast<double>(spill_->entries_written()));
 }
 
 void PassiveMonitor::on_peer_connected_hook(const crypto::PeerId& peer) {
@@ -136,9 +170,6 @@ void PassiveMonitor::crash() {
     // disk behind a stale/missing MANIFEST for restart() to recover.
     spill_->abandon();
     spill_.reset();
-  } else {
-    trace_ = trace::Trace{};  // the in-memory trace dies with the process
-    metrics_.trace_size->set(0.0);
   }
   go_offline();
   // Crash metrics are registered lazily: crash-free runs keep a registry
@@ -152,21 +183,7 @@ void PassiveMonitor::crash() {
 void PassiveMonitor::restart(const std::vector<crypto::PeerId>& bootstrap) {
   if (!crashed_) return;
   crashed_ = false;
-  if (!spill_dir_.empty()) {
-    tracestore::StoreOptions options;
-    options.max_entries_per_segment = spill_segment_entries_;
-    options.max_segment_span = spill_segment_span_;
-    options.obs = &network().obs();
-    spill_error_.clear();
-    tracestore::RecoveryReport report;
-    spill_ = tracestore::SegmentWriter::resume(spill_dir_, options, &report,
-                                               &spill_error_);
-    last_recovery_ = std::move(report);
-    if (spill_ != nullptr) {
-      metrics_.trace_size->set(
-          static_cast<double>(spill_->entries_written()));
-    }
-  }
+  open_spill(/*resume=*/true);
   go_online(bootstrap);
   if (snapshots_were_running_) start_snapshots();
   network().obs().metrics
@@ -176,18 +193,12 @@ void PassiveMonitor::restart(const std::vector<crypto::PeerId>& bootstrap) {
 }
 
 void PassiveMonitor::reset_observations() {
-  trace_ = trace::Trace{};
-  // Spilling monitors restart with a clean store directory (create()
-  // removes previous segments), mirroring the in-memory trace reset.
-  if (spill_ != nullptr) {
-    spill_.reset();  // destructor finalizes; create() below wipes it
-    start_spill();
-  }
+  // A clean store: create() removes the previous segments.
+  open_spill(/*resume=*/false);
   snapshots_.clear();
   peers_seen_.clear();
   bitswap_active_.clear();
   snapshot_peer_sum_ = 0.0;
-  metrics_.trace_size->set(0.0);
   metrics_.unique_peers->set(0.0);
   metrics_.snapshots_taken->set(0.0);
   metrics_.coverage_mean->set(0.0);

@@ -3,16 +3,21 @@
 // connection, never evicts peers, stays otherwise indistinguishable from a
 // regular node (bootstrapping + DHT maintenance only, no own requests), and
 // records every Bitswap message it receives as a trace of
-// (timestamp, node_ID, address, request_type, CID) tuples.
+// (timestamp, node_ID, address, request_type, CID) tuples. Recording has
+// one path: every entry is appended to the monitor's on-disk trace store
+// (tracestore::SegmentWriter), and readers checkpoint that store and read
+// it back (read_trace(), open_store(), MonitoringStudy::unified_trace()).
 #pragma once
 
 #include <limits>
 #include <memory>
+#include <optional>
 #include <unordered_set>
 
 #include "node/ipfs_node.hpp"
 #include "trace/trace.hpp"
 #include "tracestore/store.hpp"
+#include "util/file.hpp"
 
 namespace ipfsmon::monitor {
 
@@ -21,12 +26,11 @@ struct MonitorConfig {
   /// Periodic connected-peer-set snapshots feed the network-size
   /// estimators (Sec. IV-C).
   util::SimDuration snapshot_interval = 1 * util::kHour;
-  /// When non-empty, the monitor spills its recording into an on-disk
-  /// trace store (tracestore::SegmentWriter) at this directory instead of
-  /// growing an in-memory trace — the out-of-core path for long studies.
-  /// recorded() stays empty in that mode; consume the store instead.
+  /// Directory of the monitor's trace store. Empty = a fresh mkdtemp
+  /// directory the monitor owns and removes when it is destroyed; a
+  /// directory named here is never removed.
   std::string spill_dir;
-  /// Segment roll caps for the spill store.
+  /// Segment roll caps for the store.
   std::uint64_t spill_segment_entries = 1u << 16;
   util::SimDuration spill_segment_span = 6 * util::kHour;
   /// Base node behaviour. Overridden where monitoring requires: unlimited
@@ -48,20 +52,23 @@ class PassiveMonitor : public node::IpfsNode {
 
   trace::MonitorId monitor_id() const { return monitor_id_; }
 
-  /// The raw trace recorded so far (empty when spilling to a store).
-  const trace::Trace& recorded() const { return trace_; }
-  trace::Trace& recorded() { return trace_; }
+  /// Checkpoints the store (recording goes on) and opens it for reading.
+  /// nullopt while crashed, when the store could not be opened
+  /// (spill_error()) or when a flush failed.
+  std::optional<tracestore::TraceStore> open_store();
+  /// The raw trace recorded so far, in recording order: open_store()
+  /// drained through a StoreCursor. Empty when open_store() fails.
+  trace::Trace read_trace();
 
-  /// True when this monitor spills to an on-disk store.
-  bool spilling() const { return spill_ != nullptr; }
-  /// Why the spill store could not be opened (or recovered after a
-  /// restart), so the monitor records in memory instead; "" otherwise.
+  /// Why the store could not be opened (or recovered after a restart);
+  /// "" otherwise. A monitor without a store records nothing.
   const std::string& spill_error() const { return spill_error_; }
-  /// Directory of the spill store ("" when not spilling).
+  /// Directory of the store ("" only when no temp directory could be
+  /// made).
   const std::string& spill_dir() const { return spill_dir_; }
   /// Flushes the open segment and publishes the store manifest. Call after
-  /// the measurement window; the store is unreadable before this. Returns
-  /// false when not spilling or on IO failure.
+  /// the measurement window; nothing is recorded afterwards. Returns false
+  /// when the monitor has no open store or on IO failure.
   bool finalize_spill();
 
   /// Starts periodic peer-set snapshots (call after go_online).
@@ -79,27 +86,26 @@ class PassiveMonitor : public node::IpfsNode {
     return bitswap_active_;
   }
 
-  /// Clears trace and counters (e.g. between warm-up and measurement).
+  /// Clears the store and counters (e.g. between warm-up and measurement).
   void reset_observations();
 
   // --- Crash/restart (fault injection, src/churn) ------------------------
 
   /// Kills the monitor at the current sim time: it drops off the network,
-  /// snapshots stop, and everything that only lived in process memory is
-  /// lost — the in-memory trace, or a spilling monitor's unflushed segment
-  /// tail. A spilling monitor's store directory is left exactly as a real
-  /// crash would: flushed segments on disk behind a stale or missing
-  /// MANIFEST, for restart() to recover. Idempotent while crashed.
+  /// snapshots stop, and the store's unflushed segment tail is lost. The
+  /// store directory is left exactly as a real crash would: flushed
+  /// segments on disk behind a stale or missing MANIFEST, for restart() to
+  /// recover. Idempotent while crashed.
   void crash();
 
-  /// Restarts a crashed monitor: recovers the spill store via
+  /// Restarts a crashed monitor: recovers the store via
   /// tracestore::SegmentWriter::resume (torn tail quarantined, MANIFEST
   /// rebuilt), rejoins the network through `bootstrap`, and resumes
   /// snapshots if they were running at crash time. No-op unless crashed.
   void restart(const std::vector<crypto::PeerId>& bootstrap);
 
   bool crashed() const { return crashed_; }
-  /// Details of the most recent restart()'s spill recovery.
+  /// Details of the most recent restart()'s store recovery.
   const tracestore::RecoveryReport& last_recovery() const {
     return last_recovery_;
   }
@@ -113,7 +119,9 @@ class PassiveMonitor : public node::IpfsNode {
                       const bitswap::BitswapMessage& message);
   void schedule_snapshot();
 
-  void start_spill();
+  /// Opens the store at spill_dir_: a clean one, or the one a crash left
+  /// when `resume` (crash recovery).
+  void open_spill(bool resume);
 
   trace::MonitorId monitor_id_;
   bool crashed_ = false;
@@ -123,9 +131,11 @@ class PassiveMonitor : public node::IpfsNode {
   std::string spill_dir_;
   std::uint64_t spill_segment_entries_;
   util::SimDuration spill_segment_span_;
+  // Set when no directory was named. Declared before spill_, so the
+  // writer is gone before the directory is removed.
+  std::optional<util::TempDir> own_dir_;
   std::unique_ptr<tracestore::SegmentWriter> spill_;
   std::string spill_error_;
-  trace::Trace trace_;
   std::vector<PeerSnapshot> snapshots_;
   std::unordered_set<crypto::PeerId> peers_seen_;
   std::unordered_set<crypto::PeerId> bitswap_active_;

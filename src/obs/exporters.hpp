@@ -3,8 +3,8 @@
 //  * Prometheus text exposition format (version 0.0.4) — one full snapshot
 //    of every instrument, histogram buckets cumulated with `le` labels.
 //  * JSONL time series — one JSON object per collected sample, keyed by
-//    full instrument name; the `*.metrics.jsonl` sidecar every experiment
-//    writes at exit.
+//    full instrument name; the `*.metrics.jsonl` sidecar
+//    examples/monitoring_study writes at exit.
 #pragma once
 
 #include <string>

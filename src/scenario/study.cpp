@@ -5,6 +5,7 @@
 #include <cstdio>
 
 #include "obs/span_export.hpp"
+#include "tracestore/merge.hpp"
 
 namespace ipfsmon::scenario {
 
@@ -43,9 +44,9 @@ MonitoringStudy::MonitoringStudy(StudyConfig config)
     if (!config_.monitor_spill_dir.empty()) {
       mon_config.spill_dir =
           config_.monitor_spill_dir + "/monitor-" + std::to_string(i);
-      mon_config.spill_segment_entries = config_.spill_segment_entries;
-      mon_config.spill_segment_span = config_.spill_segment_span;
     }
+    mon_config.spill_segment_entries = config_.spill_segment_entries;
+    mon_config.spill_segment_span = config_.spill_segment_span;
     mon_config.node = config_.population.node;
     mon_config.node.discovery_weight = config_.monitor_discovery_weight;
     if (config_.use_active_monitors) {
@@ -199,12 +200,22 @@ std::vector<monitor::PassiveMonitor*> MonitoringStudy::monitors() {
   return out;
 }
 
-trace::Trace MonitoringStudy::unified_trace(
-    const trace::PreprocessOptions& options) const {
-  std::vector<const trace::Trace*> traces;
-  traces.reserve(monitors_.size());
-  for (const auto& m : monitors_) traces.push_back(&m->recorded());
-  return trace::unify(traces, options);
+trace::Trace MonitoringStudy::unified_trace() {
+  std::vector<tracestore::TraceStore> stores;
+  for (auto& m : monitors_) {
+    if (auto store = m->open_store()) stores.push_back(std::move(*store));
+  }
+  std::vector<const tracestore::TraceStore*> inputs;
+  std::uint64_t total = 0;
+  for (const auto& store : stores) {
+    inputs.push_back(&store);
+    total += store.total_entries();
+  }
+  trace::Trace unified;
+  unified.entries().reserve(total);
+  tracestore::unify_stores(
+      inputs, [&](const trace::TraceEntry& e) { unified.append(e); });
+  return unified;
 }
 
 bool MonitoringStudy::finalize_monitor_spill() {
@@ -217,9 +228,7 @@ bool MonitoringStudy::finalize_monitor_spill() {
 
 std::vector<std::string> MonitoringStudy::monitor_store_dirs() const {
   std::vector<std::string> out;
-  for (const auto& m : monitors_) {
-    if (m->spilling()) out.push_back(m->spill_dir());
-  }
+  for (const auto& m : monitors_) out.push_back(m->spill_dir());
   return out;
 }
 

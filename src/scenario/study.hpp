@@ -15,7 +15,6 @@
 #include "scenario/gateway_fleet.hpp"
 #include "scenario/population.hpp"
 #include "sim/scheduler.hpp"
-#include "trace/preprocess.hpp"
 
 namespace ipfsmon::scenario {
 
@@ -31,13 +30,13 @@ struct StudyConfig {
   double monitor_discovery_weight = 8.0;
   util::SimDuration snapshot_interval = 1 * util::kHour;
 
-  /// When non-empty, each monitor spills its recording into an on-disk
-  /// trace store at <monitor_spill_dir>/monitor-<id> instead of RAM (the
-  /// out-of-core path; see src/tracestore). unified_trace() is then empty —
-  /// use finalize_monitor_spill() + tracestore::unify_stores instead.
+  /// Every monitor records into an on-disk trace store (src/tracestore).
+  /// When non-empty, monitor <id>'s store is <monitor_spill_dir>/monitor-<id>
+  /// and outlives the study; empty = each monitor's own temp directory,
+  /// removed with the study. unified_trace() reads the stores either way.
   std::string monitor_spill_dir;
-  /// Segment roll caps for spilling monitors. Shorter spans bound how much
-  /// recording a monitor crash can lose (only the open segment dies).
+  /// Segment roll caps for the monitors' stores. Shorter spans bound how
+  /// much recording a monitor crash can lose (only the open segment dies).
   std::uint64_t spill_segment_entries = 1u << 16;
   util::SimDuration spill_segment_span = 6 * util::kHour;
 
@@ -141,12 +140,16 @@ class MonitoringStudy {
   std::vector<monitor::PassiveMonitor*> monitors();
   monitor::PassiveMonitor& monitor(std::size_t i) { return *monitors_[i]; }
 
-  /// Unified, flag-marked trace across all monitors (Sec. IV-B).
-  trace::Trace unified_trace(const trace::PreprocessOptions& options = {}) const;
+  /// Unified, flag-marked trace across all monitors (Sec. IV-B):
+  /// checkpoints every monitor's store (recording goes on) and merges them
+  /// with tracestore::unify_stores. A monitor whose store cannot be read
+  /// (PassiveMonitor::open_store) contributes nothing.
+  trace::Trace unified_trace();
 
-  /// Spill-mode helpers: publishes every monitor's store manifest and
-  /// returns the store directories (empty when spilling is off).
+  /// Publishes every monitor's store manifest (nothing is recorded
+  /// afterwards); false when any monitor has no store or a write failed.
   bool finalize_monitor_spill();
+  /// Every monitor's store directory, in monitor order.
   std::vector<std::string> monitor_store_dirs() const;
 
   /// Matched per-monitor peer-set snapshots (input to the estimators):

@@ -8,6 +8,8 @@
 #include <cerrno>
 #include <charconv>
 #include <cmath>
+#include <cstdlib>
+#include <filesystem>
 #include <system_error>
 
 namespace ipfsmon::util {
@@ -189,6 +191,19 @@ bool write_file(const std::string& path, std::string_view text,
   const bool written = write_all(fd, text.data(), text.size());
   const bool closed = ::close(fd) == 0;
   return (written && closed) || fail(error, "cannot write " + path);
+}
+
+TempDir::TempDir(std::string_view prefix) {
+  std::error_code ec;
+  const auto base = std::filesystem::temp_directory_path(ec);
+  if (ec) return;
+  std::string name = (base / (std::string(prefix) + "-XXXXXX")).string();
+  if (::mkdtemp(name.data()) != nullptr) path_ = std::move(name);
+}
+
+TempDir::~TempDir() {
+  std::error_code ec;
+  if (!path_.empty()) std::filesystem::remove_all(path_, ec);
 }
 
 }  // namespace ipfsmon::util

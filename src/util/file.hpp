@@ -96,4 +96,21 @@ bool is_publish_temp(std::string_view name);
 bool write_file(const std::string& path, std::string_view text,
                 std::string* error = nullptr);
 
+/// A fresh, uniquely named directory under the system temp directory
+/// (mkdtemp), removed with everything in it when the object goes out of
+/// scope, so concurrent runs never share or wipe one.
+class TempDir {
+ public:
+  explicit TempDir(std::string_view prefix);
+  ~TempDir();
+  TempDir(const TempDir&) = delete;
+  TempDir& operator=(const TempDir&) = delete;
+
+  /// Empty when the directory could not be created.
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
+
 }  // namespace ipfsmon::util

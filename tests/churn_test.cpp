@@ -667,6 +667,26 @@ TEST(FaultInjector, ScheduledMonitorCrashRecoversSpilledStore) {
   // The monitor came back, recovered its spill, and kept recording.
   EXPECT_FALSE(study.monitor(0).crashed());
   EXPECT_GE(study.monitor(0).last_recovery().segments_kept, 1u);
+  const util::SimTime restarted_at = config.warmup + 110 * kMinute;
+  const trace::Trace recorded = study.monitor(0).read_trace();
+  EXPECT_TRUE(std::any_of(recorded.entries().begin(), recorded.entries().end(),
+                          [&](const trace::TraceEntry& e) {
+                            return e.timestamp > restarted_at;
+                          }));
+
+  // crash() is idempotent while crashed, nothing is readable while down,
+  // and a restarted monitor records again.
+  auto& other = study.monitor(1);
+  other.crash();
+  other.crash();
+  EXPECT_TRUE(other.crashed());
+  EXPECT_FALSE(other.open_store().has_value());
+  other.restart(study.population().bootstrap_ids());
+  EXPECT_FALSE(other.crashed());
+  const std::size_t recovered = other.read_trace().size();
+  EXPECT_EQ(recovered, other.last_recovery().entries_recovered);
+  study.run_measurement(1 * kHour);
+  EXPECT_GT(other.read_trace().size(), recovered);
 
   // The recovered store still participates in trace unification.
   ASSERT_TRUE(study.finalize_monitor_spill());
@@ -684,28 +704,6 @@ TEST(FaultInjector, ScheduledMonitorCrashRecoversSpilledStore) {
       inputs, [&](const trace::TraceEntry&) { ++sunk; });
   EXPECT_GT(stats.entries, 0u);
   EXPECT_EQ(stats.entries, sunk);
-}
-
-TEST(FaultInjector, CrashAndRestartOfInMemoryMonitor) {
-  scenario::StudyConfig config = small_study_config();
-  config.duration = 1 * kHour;
-  scenario::MonitoringStudy study(config);
-  study.run_warmup();
-  study.run_measurement(1 * kHour);
-
-  auto& monitor = study.monitor(0);
-  ASSERT_GT(monitor.recorded().size(), 0u);
-  monitor.crash();
-  EXPECT_TRUE(monitor.crashed());
-  // An in-memory recording dies with the process.
-  EXPECT_EQ(monitor.recorded().size(), 0u);
-  monitor.crash();  // idempotent
-  EXPECT_TRUE(monitor.crashed());
-
-  monitor.restart(study.population().bootstrap_ids());
-  EXPECT_FALSE(monitor.crashed());
-  study.run_measurement(1 * kHour);
-  EXPECT_GT(monitor.recorded().size(), 0u);
 }
 
 }  // namespace

@@ -454,11 +454,12 @@ TEST(Federation, PersistentShippersBeyondFourAllLand) {
   ASSERT_NE(service, nullptr) << error;
   std::vector<std::unique_ptr<Shipper>> shippers;
   for (int m = 0; m < kMonitors; ++m) {
+    std::string vantage = "v";
+    vantage += std::to_string(m);
     shippers.push_back(std::make_unique<Shipper>(
         local_dirs[static_cast<std::size_t>(m)],
         shipper_options(service->coordinator().port(),
-                        static_cast<std::uint32_t>(m + 1),
-                        "v" + std::to_string(m))));
+                        static_cast<std::uint32_t>(m + 1), vantage)));
     shippers.back()->start();
   }
   std::size_t landed = 0;

@@ -521,7 +521,9 @@ TEST_F(IngestTest, StrictModeAbortsOnMalformedLineWithLineNumber) {
     {
       auto writer = ingest::LineWriter::open(path("cap.ndjson"), false);
       for (std::size_t i = 0; i < records.size(); ++i) {
-        if (i == 4) ASSERT_TRUE(writer->write(bad));
+        if (i == 4) {
+          ASSERT_TRUE(writer->write(bad));
+        }
         ASSERT_TRUE(writer->write(ingest::format_ndjson_record(records[i])));
       }
       ASSERT_TRUE(writer->close());
@@ -540,7 +542,9 @@ TEST_F(IngestTest, LenientModeQuarantinesAndCounts) {
     auto writer = ingest::LineWriter::open(path("cap.ndjson"), false);
     for (std::size_t i = 0; i < records.size(); ++i) {
       ASSERT_TRUE(writer->write(ingest::format_ndjson_record(records[i])));
-      if (i % 6 == 0) ASSERT_TRUE(writer->write("not json at all"));
+      if (i % 6 == 0) {
+        ASSERT_TRUE(writer->write("not json at all"));
+      }
       if (i == 9) {
         ASSERT_TRUE(
             writer->write(line_with_vantage(records[i], kForgedVantage)));

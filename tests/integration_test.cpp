@@ -148,8 +148,11 @@ TEST(Integration, PartitionedRequesterFailsThenRecovers) {
 TEST(Integration, MonitoringPipelineSurvivesSerialization) {
   SimFixture fix(105);
   auto nodes = make_mesh(fix, 10);
-  auto& mon0 = fix.make_monitor({});
-  monitor::MonitorConfig cfg1;
+  // A small segment cap makes the readers cross segment files.
+  monitor::MonitorConfig cfg0;
+  cfg0.spill_segment_entries = 16;
+  auto& mon0 = fix.make_monitor(cfg0);
+  monitor::MonitorConfig cfg1 = cfg0;
   cfg1.monitor_id = 1;
   auto& mon1 = fix.make_monitor(cfg1);
   mon0.go_online({nodes[0]->id()});
@@ -173,32 +176,22 @@ TEST(Integration, MonitoringPipelineSurvivesSerialization) {
   }
   fix.run_for(5 * kMinute);
 
-  // Write both traces to trace stores, stream them back, unify, and
-  // analyze. A small segment cap makes the cursor cross segment files.
-  const auto round_trip = [](const trace::Trace& recorded,
-                             const std::string& dir) {
-    tracestore::StoreOptions options;
-    options.max_entries_per_segment = 16;
-    auto writer = tracestore::SegmentWriter::create(dir, options);
-    if (writer == nullptr) return trace::Trace{};
-    for (const auto& e : recorded.entries()) writer->append(e);
-    if (!writer->finalize()) return trace::Trace{};
-    const auto store = tracestore::TraceStore::open(dir);
-    if (!store) return trace::Trace{};
-    tracestore::StoreCursor cursor(*store);
-    trace::Trace loaded;
-    trace::TraceEntry e;
-    while (cursor.next(e)) loaded.append(e);
-    return loaded;
-  };
-  const std::string dir = ::testing::TempDir();
-  const trace::Trace loaded0 = round_trip(mon0.recorded(), dir + "/m0.store");
-  const trace::Trace loaded1 = round_trip(mon1.recorded(), dir + "/m1.store");
-  ASSERT_GT(mon0.recorded().size(), 16u);
-  ASSERT_EQ(loaded0.size(), mon0.recorded().size());
-  ASSERT_EQ(loaded1.size(), mon1.recorded().size());
-
-  const trace::Trace unified = trace::unify({&loaded0, &loaded1});
+  // Both monitors recorded into segmented stores; merge them out of core
+  // and analyze.
+  std::vector<tracestore::TraceStore> stores;
+  for (auto* mon : {&mon0, &mon1}) {
+    auto store = mon->open_store();
+    ASSERT_TRUE(store.has_value());
+    ASSERT_GT(store->total_entries(), 16u);
+    EXPECT_GT(store->segments().size(), 1u);
+    stores.push_back(std::move(*store));
+  }
+  trace::Trace unified;
+  tracestore::unify_stores(
+      {&stores[0], &stores[1]},
+      [&](const trace::TraceEntry& e) { unified.append(e); });
+  ASSERT_EQ(unified.size(),
+            stores[0].total_entries() + stores[1].total_entries());
   const auto stats = trace::compute_stats(unified);
   EXPECT_GT(stats.requests, 10u);
   EXPECT_GT(stats.inter_monitor_duplicates, 0u);  // both monitors connected
@@ -259,7 +252,8 @@ TEST(Integration, CancelObservedAfterDownloadCompletes) {
   fix.run_for(2 * kMinute);
   ASSERT_TRUE(got);
 
-  trace::Trace unified = trace::unify({&mon.recorded()});
+  trace::Trace unified = mon.read_trace();
+  trace::mark_flags(unified);
   const auto wanters = attacks::identify_data_wanters(unified, c);
   ASSERT_EQ(wanters.size(), 1u);
   EXPECT_EQ(wanters[0].peer, nodes[2]->id());

@@ -1,7 +1,10 @@
 // The passive monitor: accept-all behaviour, trace recording fidelity,
-// peer-set snapshots, Bitswap-active tracking, and the salted-CID
+// its trace store (temp or named directory, open failures), peer-set
+// snapshots, Bitswap-active tracking, and the salted-CID
 // countermeasure's effect on what monitors can record.
 #include <gtest/gtest.h>
+
+#include <filesystem>
 
 #include "analysis/popularity.hpp"
 #include "monitor/active_monitor.hpp"
@@ -52,9 +55,10 @@ TEST_F(MonitorTest, RecordsWantEntriesWithMetadata) {
   requester.fetch(wanted, nullptr);
   fix_.run_for(10 * kSecond);
 
-  ASSERT_FALSE(mon_.recorded().empty());
+  const trace::Trace recorded = mon_.read_trace();
+  ASSERT_FALSE(recorded.empty());
   bool found = false;
-  for (const auto& e : mon_.recorded().entries()) {
+  for (const auto& e : recorded.entries()) {
     if (e.cid != wanted) continue;
     found = true;
     EXPECT_EQ(e.peer, requester.id());
@@ -75,7 +79,8 @@ TEST_F(MonitorTest, RecordsCancels) {
   fix_.run_for(5 * kSecond);
 
   bool saw_cancel = false;
-  for (const auto& e : mon_.recorded().entries()) {
+  const trace::Trace recorded = mon_.read_trace();
+  for (const auto& e : recorded.entries()) {
     if (e.cid == wanted && e.type == bitswap::WantType::Cancel) {
       saw_cancel = true;
     }
@@ -119,11 +124,26 @@ TEST_F(MonitorTest, ResetClearsObservations) {
                                     util::bytes_of("pre-reset")),
                   nullptr);
   fix_.run_for(10 * kSecond);
-  EXPECT_FALSE(mon_.recorded().empty());
+  EXPECT_FALSE(mon_.read_trace().empty());
   mon_.reset_observations();
-  EXPECT_TRUE(mon_.recorded().empty());
+  EXPECT_TRUE(mon_.read_trace().empty());
   EXPECT_TRUE(mon_.peers_seen().empty());
   EXPECT_TRUE(mon_.bitswap_active_peers().empty());
+}
+
+TEST_F(MonitorTest, ReadingTheStoreDoesNotStopRecording) {
+  auto& requester = connected_node();
+  requester.fetch(cid::Cid::of_data(cid::Multicodec::Raw,
+                                    util::bytes_of("first read")),
+                  nullptr);
+  fix_.run_for(10 * kSecond);
+  const std::size_t first = mon_.read_trace().size();
+  ASSERT_GT(first, 0u);
+  requester.fetch(cid::Cid::of_data(cid::Multicodec::Raw,
+                                    util::bytes_of("second read")),
+                  nullptr);
+  fix_.run_for(10 * kSecond);
+  EXPECT_GT(mon_.read_trace().size(), first);
 }
 
 TEST_F(MonitorTest, MonitorHoldsNoDataAndAnswersNothing) {
@@ -139,6 +159,91 @@ TEST_F(MonitorTest, MonitorHoldsNoDataAndAnswersNothing) {
   EXPECT_EQ(mon_.engine().blocks_served(), 0u);
 }
 
+// --- The monitor's trace store --------------------------------------------
+
+/// Brings `mon` online next to a requester that then asks it for a dead
+/// CID for `span` (the first want plus 30 s re-broadcasts).
+void drive_wants(SimFixture& fix, PassiveMonitor& mon, util::SimDuration span) {
+  auto& bootstrap = fix.make_node();
+  bootstrap.go_online({});
+  mon.go_online({bootstrap.id()});
+  auto& requester = fix.make_node();
+  requester.go_online({bootstrap.id()});
+  fix.run_for(5 * kSecond);
+  fix.network.dial(requester.id(), mon.id(), nullptr);
+  fix.run_for(5 * kSecond);
+  requester.fetch(cid::Cid::of_data(cid::Multicodec::Raw,
+                                    util::bytes_of("never provided")),
+                  nullptr);
+  fix.run_for(span);
+}
+
+TEST(MonitorStoreTest, UnwritableSpillDirIsAnErrorNotARamFallback) {
+  // A regular file sits where the store directory should go.
+  const std::string path = ::testing::TempDir() + "/monitor_store_is_a_file";
+  std::filesystem::remove_all(path);
+  ASSERT_TRUE(util::write_file(path, "not a directory"));
+
+  SimFixture fix(91);
+  MonitorConfig config;
+  config.spill_dir = path;
+  auto& mon = fix.make_monitor(config);
+  EXPECT_FALSE(mon.spill_error().empty());
+  drive_wants(fix, mon, 10 * kSecond);
+
+  // Nothing was recorded anywhere, and every reader says so.
+  EXPECT_FALSE(mon.open_store().has_value());
+  EXPECT_TRUE(mon.read_trace().empty());
+  EXPECT_FALSE(mon.finalize_spill());
+  EXPECT_TRUE(std::filesystem::is_regular_file(path));
+  std::filesystem::remove(path);
+}
+
+TEST(MonitorStoreTest, UnnamedStoreIsATempDirRemovedWithTheMonitor) {
+  std::string dir;
+  {
+    SimFixture fix(92);
+    auto& mon = fix.make_monitor();
+    dir = mon.spill_dir();
+    ASSERT_FALSE(dir.empty());
+    EXPECT_TRUE(mon.spill_error().empty());
+    EXPECT_TRUE(std::filesystem::is_directory(dir));
+    EXPECT_TRUE(mon.open_store().has_value());
+    EXPECT_TRUE(std::filesystem::exists(dir + "/MANIFEST"));
+  }
+  EXPECT_FALSE(std::filesystem::exists(dir));
+}
+
+TEST(MonitorStoreTest, ResetWhileCrashedRestartsOnACleanStore) {
+  // A crash during warm-up, then the warm-up reset: the restarted monitor
+  // must not recover the warm-up segments the crash left on disk.
+  SimFixture fix(94);
+  MonitorConfig config;
+  config.spill_segment_entries = 2;
+  auto& mon = fix.make_monitor(config);
+  drive_wants(fix, mon, 2 * kMinute);
+  ASSERT_GE(mon.read_trace().size(), 3u);
+  mon.crash();
+  mon.reset_observations();
+  mon.restart({});
+  EXPECT_EQ(mon.last_recovery().entries_recovered, 0u);
+  EXPECT_TRUE(mon.read_trace().empty());
+}
+
+TEST(MonitorStoreTest, NamedStoreOutlivesTheMonitor) {
+  const std::string dir = ::testing::TempDir() + "/monitor_named_store";
+  std::filesystem::remove_all(dir);
+  {
+    SimFixture fix(93);
+    MonitorConfig config;
+    config.spill_dir = dir;
+    auto& mon = fix.make_monitor(config);
+    EXPECT_EQ(mon.spill_dir(), dir);
+  }
+  EXPECT_TRUE(tracestore::TraceStore::open(dir).has_value());
+  std::filesystem::remove_all(dir);
+}
+
 // --- Salted-CID countermeasure vs the monitor -----------------------------
 
 TEST_F(MonitorTest, SaltedRequestsHideTheRealCid) {
@@ -151,15 +256,16 @@ TEST_F(MonitorTest, SaltedRequestsHideTheRealCid) {
   fix_.run_for(10 * kSecond);
 
   bool recorded_something = false;
-  for (const auto& e : mon_.recorded().entries()) {
+  trace::Trace recorded = mon_.read_trace();
+  for (const auto& e : recorded.entries()) {
     if (e.peer != requester.id()) continue;
     recorded_something = true;
     EXPECT_NE(e.cid, wanted) << "real CID leaked to the monitor";
   }
   EXPECT_TRUE(recorded_something);  // traffic is visible, content is not
   // IDW against the real CID comes up empty.
-  trace::Trace unified = trace::unify({&mon_.recorded()});
-  EXPECT_TRUE(attacks::identify_data_wanters(unified, wanted).empty());
+  trace::mark_flags(recorded);
+  EXPECT_TRUE(attacks::identify_data_wanters(recorded, wanted).empty());
 }
 
 TEST_F(MonitorTest, SaltedRequestsAreUnlinkableAcrossRebroadcasts) {
@@ -174,7 +280,8 @@ TEST_F(MonitorTest, SaltedRequestsAreUnlinkableAcrossRebroadcasts) {
 
   std::set<cid::Cid> opaque_cids;
   std::size_t requests = 0;
-  for (const auto& e : mon_.recorded().entries()) {
+  const trace::Trace recorded = mon_.read_trace();
+  for (const auto& e : recorded.entries()) {
     if (e.peer != requester.id() || !e.is_request()) continue;
     ++requests;
     opaque_cids.insert(e.cid);
@@ -256,7 +363,8 @@ TEST(ActiveMonitorTest, StillRecordsLikeAPassiveMonitor) {
   fix.run_for(10 * kSecond);
 
   bool observed = false;
-  for (const auto& e : active.recorded().entries()) {
+  const trace::Trace recorded = active.read_trace();
+  for (const auto& e : recorded.entries()) {
     if (e.cid == wanted && e.peer == requester.id()) observed = true;
   }
   EXPECT_TRUE(observed);

@@ -306,7 +306,7 @@ TEST(ObsInvariantTest, BroadcastsSentEqualTraceEntriesRecorded) {
   EXPECT_GT(cancels, 0u);
   EXPECT_EQ(counter("ipfsmon_net_messages_dropped_total"), 0u);
   EXPECT_EQ(wants + cancels, recorded);
-  EXPECT_EQ(recorded, mon.recorded().size());
+  EXPECT_EQ(recorded, mon.read_trace().size());
 }
 
 }  // namespace

@@ -1031,7 +1031,7 @@ TEST(JsonOutput, EveryEmitterWritesWellFormedJson) {
 
   // The BENCH envelope, written where a bench writes it: the working
   // directory. A path that cannot be opened fails the write loudly.
-  bench::TempDir scratch("ipfsmon-json");
+  util::TempDir scratch("ipfsmon-json");
   ASSERT_FALSE(scratch.path().empty());
   const auto cwd = std::filesystem::current_path();
   std::filesystem::current_path(scratch.path());

@@ -157,7 +157,7 @@ TEST(Study, MonitorsObserveTraffic) {
   MonitoringStudy study(small_study_config());
   study.run();
   for (auto* m : study.monitors()) {
-    EXPECT_GT(m->recorded().size(), 50u);
+    EXPECT_GT(m->read_trace().size(), 50u);
     EXPECT_GT(m->bitswap_active_peers().size(), 5u);
     EXPECT_GT(m->peers_seen().size(), 20u);
   }
@@ -203,12 +203,12 @@ TEST(Study, WarmupResetsObservations) {
   study.run_warmup();
   // Right after warm-up the traces are clean and snapshots empty.
   for (auto* m : study.monitors()) {
-    EXPECT_EQ(m->recorded().size(), 0u);
+    EXPECT_EQ(m->read_trace().size(), 0u);
     EXPECT_EQ(m->snapshots().size(), 0u);
   }
   study.run_measurement(2 * kHour);
   std::size_t total = 0;
-  for (auto* m : study.monitors()) total += m->recorded().size();
+  for (auto* m : study.monitors()) total += m->read_trace().size();
   EXPECT_GT(total, 0u);
 }
 
@@ -248,12 +248,15 @@ TEST(Study, DeterministicAcrossRuns) {
   MonitoringStudy b(small_study_config(17));
   a.run();
   b.run();
-  ASSERT_EQ(a.monitor(0).recorded().size(), b.monitor(0).recorded().size());
-  ASSERT_EQ(a.monitor(1).recorded().size(), b.monitor(1).recorded().size());
+  const trace::Trace a0 = a.monitor(0).read_trace();
+  const trace::Trace b0 = b.monitor(0).read_trace();
+  ASSERT_EQ(a0.size(), b0.size());
+  ASSERT_EQ(a.monitor(1).read_trace().size(),
+            b.monitor(1).read_trace().size());
   // Spot-check entry-level equality.
-  for (std::size_t i = 0; i < a.monitor(0).recorded().size(); i += 37) {
-    const auto& ea = a.monitor(0).recorded().entries()[i];
-    const auto& eb = b.monitor(0).recorded().entries()[i];
+  for (std::size_t i = 0; i < a0.size(); i += 37) {
+    const auto& ea = a0.entries()[i];
+    const auto& eb = b0.entries()[i];
     EXPECT_EQ(ea.timestamp, eb.timestamp);
     EXPECT_EQ(ea.peer, eb.peer);
     EXPECT_EQ(ea.cid, eb.cid);
@@ -290,7 +293,8 @@ TEST(Study, DifferentSeedsDiffer) {
   MonitoringStudy b(small_study_config(19));
   a.run();
   b.run();
-  EXPECT_NE(a.monitor(0).recorded().size(), b.monitor(0).recorded().size());
+  EXPECT_NE(a.monitor(0).read_trace().size(),
+            b.monitor(0).read_trace().size());
 }
 
 TEST(Study, VersionModelDrivesWantBlockShare) {

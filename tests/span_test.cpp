@@ -332,8 +332,10 @@ TEST(SpanEndToEnd, TracingOffIsByteIdenticalToUntracedRun) {
   // monitor observations field-by-field.
   EXPECT_EQ(untraced.fix.scheduler.dispatched(),
             traced.fix.scheduler.dispatched());
-  const auto& a = untraced.monitor->recorded().entries();
-  const auto& b = traced.monitor->recorded().entries();
+  const trace::Trace trace_a = untraced.monitor->read_trace();
+  const trace::Trace trace_b = traced.monitor->read_trace();
+  const auto& a = trace_a.entries();
+  const auto& b = trace_b.entries();
   ASSERT_EQ(a.size(), b.size());
   ASSERT_FALSE(a.empty());
   for (std::size_t i = 0; i < a.size(); ++i) {

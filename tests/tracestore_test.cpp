@@ -1023,10 +1023,9 @@ TEST(StudySpill, MonitorsSpillAndUnifyOutOfCore) {
 
   const std::vector<std::string> dirs = study.monitor_store_dirs();
   ASSERT_EQ(dirs.size(), config.monitor_count);
-  // Spilling monitors hold nothing in memory.
-  for (auto* m : study.monitors()) {
-    EXPECT_TRUE(m->spilling());
-    EXPECT_TRUE(m->recorded().empty());
+  // Every monitor's store sits under the named root.
+  for (std::size_t i = 0; i < dirs.size(); ++i) {
+    EXPECT_EQ(dirs[i], root + "/monitor-" + std::to_string(i));
   }
 
   std::vector<TraceStore> stores;
@@ -1052,6 +1051,8 @@ TEST(StudySpill, MonitorsSpillAndUnifyOutOfCore) {
       });
   EXPECT_EQ(streamed, total);
   EXPECT_EQ(stats.entries, total);
+  // The study's own reader sees the same stores after finalize.
+  EXPECT_EQ(study.unified_trace().size(), total);
 }
 
 }  // namespace

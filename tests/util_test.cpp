@@ -430,7 +430,7 @@ TEST(JsonScan, RejectsMalformedObjects) {
 }
 
 TEST(SmokeFloor, CommentQuotingTheKeyDoesNotShadowIt) {
-  bench::TempDir dir("ipfsmon-floor");
+  util::TempDir dir("ipfsmon-floor");
   ASSERT_FALSE(dir.path().empty());
   const std::string path = dir.path() + "/floor.json";
   std::ofstream(path) << "{\n  \"comment\": \"fails below half of "
