@@ -106,16 +106,15 @@ int main(int argc, char** argv) {
   for (std::uint64_t p = 0; p < kWatchlistPeers; ++p) {
     watchlist.peers.insert(bench_peer(p));
   }
-  const tracestore::ScanExecutor executor;  // the store's shared pool
   const auto ignore = [](const trace::TraceEntry&) {};
   // Warm the pages and the validation cache once, untimed, so the timed
   // reps measure steady state.
-  executor.scan(*store, watchlist, ignore);
+  tracestore::scan(*store, watchlist, ignore);
   std::uint64_t decoded = 0, bytes = 0, matched = 0;
   const bench::Stopwatch watch;
   for (int rep = 0; rep < kTimedReps; ++rep) {
     const tracestore::ScanStats stats =
-        executor.scan(*store, watchlist, ignore);
+        tracestore::scan(*store, watchlist, ignore);
     decoded += stats.entries_decoded;
     bytes += stats.bytes_scanned;
     matched += stats.entries_matched;

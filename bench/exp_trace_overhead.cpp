@@ -3,10 +3,13 @@
 // Builds a synthetic trace store, then drives QueryService::handle()
 // directly (no sockets — the engine path is where the tracing hooks live)
 // with forced entry-level scans over seeded random ranges. The same
-// request sequence runs three times: tracing off, tracing at the default
-// sampling rate (1/64 requests), and full tracing (every request), and
-// the bench reports throughput for each plus the relative overhead of
-// default-rate tracing, which must stay under --max-overhead (5%).
+// request sequence runs in three modes: tracing off, tracing at the
+// default sampling rate (1/64 requests), and full tracing (every request).
+// Reps run in rounds, one rep of each mode per round with the starting
+// mode rotated, so drift in machine load spreads over all three modes
+// instead of landing on one. The bench reports the best throughput of
+// each mode plus the relative overhead of default-rate tracing, which
+// must stay under --max-overhead (5%).
 //
 // A FNV-1a checksum over every response body is compared across modes:
 // tracing must never change what the daemon answers, only observe it.
@@ -21,6 +24,7 @@
 #include "bench_common.hpp"
 #include "query/engine.hpp"
 #include "tracestore/store.hpp"
+#include "util/codec.hpp"
 #include "util/rng.hpp"
 
 using namespace ipfsmon;
@@ -83,47 +87,41 @@ std::vector<query::HttpRequest> make_requests(std::size_t count,
 
 struct ModeResult {
   std::string name;
+  obs::TracerConfig tracing;
   double best_rps = 0;
   std::uint64_t checksum = 0;
   std::uint64_t spans_recorded = 0;
 };
 
-/// Runs the workload `reps` times against a fresh service and keeps the
-/// best throughput (least-noise estimate, standard for micro timing).
-ModeResult run_mode(const char* name, const std::string& dir,
-                    const obs::TracerConfig& tracing,
-                    const std::vector<query::HttpRequest>& requests,
-                    int reps) {
-  ModeResult result;
-  result.name = name;
-  for (int rep = 0; rep < reps; ++rep) {
-    query::QueryOptions options;
-    options.cache_capacity = 0;  // every request does real scan work
-    options.tracing = tracing;
-    auto service = query::QueryService::open(dir, options);
-    if (service == nullptr) {
-      std::fprintf(stderr, "cannot open %s\n", dir.c_str());
+/// Runs the workload once against a fresh service and folds the rep into
+/// `mode`: the best throughput is kept (least-noise estimate, standard for
+/// micro timing).
+void run_rep(const std::string& dir,
+             const std::vector<query::HttpRequest>& requests,
+             ModeResult& mode) {
+  query::QueryOptions options;
+  options.cache_capacity = 0;  // every request does real scan work
+  options.tracing = mode.tracing;
+  auto service = query::QueryService::open(dir, options);
+  if (service == nullptr) {
+    std::fprintf(stderr, "cannot open %s\n", dir.c_str());
+    std::exit(1);
+  }
+  std::uint64_t checksum = 0;
+  bench::Stopwatch watch;
+  for (const auto& request : requests) {
+    const query::HttpResponse response = service->handle(request);
+    if (response.status != 200) {
+      std::fprintf(stderr, "mode %s: request failed with %d\n",
+                   mode.name.c_str(), response.status);
       std::exit(1);
     }
-    std::uint64_t checksum = 14695981039346656037ull;  // FNV-1a
-    bench::Stopwatch watch;
-    for (const auto& request : requests) {
-      const query::HttpResponse response = service->handle(request);
-      if (response.status != 200) {
-        std::fprintf(stderr, "mode %s: request failed with %d\n", name,
-                     response.status);
-        std::exit(1);
-      }
-      for (const unsigned char c : response.body) {
-        checksum = (checksum ^ c) * 1099511628211ull;
-      }
-    }
-    const double rps = requests.size() / watch.seconds();
-    result.best_rps = std::max(result.best_rps, rps);
-    result.checksum = checksum;
-    result.spans_recorded = service->obs().tracer.spans_recorded();
+    checksum = util::fnv1a64(response.body, checksum);
   }
-  return result;
+  const double rps = requests.size() / watch.seconds();
+  mode.best_rps = std::max(mode.best_rps, rps);
+  mode.checksum = checksum;
+  mode.spans_recorded = service->obs().tracer.spans_recorded();
 }
 
 }  // namespace
@@ -164,24 +162,26 @@ int main(int argc, char** argv) {
   }
   const auto requests =
       make_requests(request_count, probe->min_time(), probe->max_time());
-  std::printf("workload: %zu forced scans over %zu segments, best of %d reps "
-              "per mode\n",
+  std::printf("workload: %zu forced scans over %zu segments, best of %d "
+              "rounds per mode\n",
               requests.size(), probe->segments().size(), reps);
 
-  obs::TracerConfig off;
-  obs::TracerConfig sampled;
-  sampled.enabled = true;  // default sample_every (64) and buffer caps
-  obs::TracerConfig full;
-  full.enabled = true;
-  full.sample_every = 1;
+  std::vector<ModeResult> results(3);
+  results[0].name = "tracing_off";
+  results[1].name = "tracing_1_in_64";
+  results[1].tracing.enabled = true;  // default sample_every (64), caps
+  results[2].name = "tracing_every";
+  results[2].tracing.enabled = true;
+  results[2].tracing.sample_every = 1;
 
-  // Warm the page cache so mode order doesn't bias the comparison.
-  run_mode("warmup", dir, off, requests, 1);
-
-  std::vector<ModeResult> results;
-  results.push_back(run_mode("tracing_off", dir, off, requests, reps));
-  results.push_back(run_mode("tracing_1_in_64", dir, sampled, requests, reps));
-  results.push_back(run_mode("tracing_every", dir, full, requests, reps));
+  // Warm the page cache so the first round is not slower than the rest.
+  ModeResult warmup = results[0];
+  run_rep(dir, requests, warmup);
+  for (int round = 0; round < reps; ++round) {
+    for (std::size_t k = 0; k < results.size(); ++k) {
+      run_rep(dir, requests, results[(round + k) % results.size()]);
+    }
+  }
 
   bench::print_section("results");
   std::printf("  %-16s %10s %12s %20s\n", "mode", "req/s", "spans", "body checksum");

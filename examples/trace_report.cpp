@@ -236,8 +236,7 @@ int report_stores(const std::vector<std::string>& dirs,
 
   std::printf("\n=== unified trace report (streamed) ===\n");
   ReportAccumulators acc(geo);
-  tracestore::ScanExecutor executor;
-  const tracestore::ScanStats scan_stats = executor.scan(
+  const tracestore::ScanStats scan_stats = tracestore::scan(
       *unified, tracestore::ScanQuery{},
       [&acc](const trace::TraceEntry& e) { acc.add(e); });
   print_report(acc);

@@ -3,11 +3,14 @@
 # one-file-layer and one-codec gate (no `st_mtim`, `strtol`/`strtoll`/
 # `strtoul`/`strtoull` or ".tmp" literal in src/ outside src/util/: file
 # signatures, integer fields and publish temps all go through src/util/file;
-# no little-endian put/get helper defined and no FNV-1a constant in src/
-# outside src/util/: binary encoding, decoding and hashing go through
-# src/util/codec; no `strto*`, `ato*`, `std::sto*` or `from_chars` in
-# examples/ or bench/: every binary reads argv through util::Flags, so
-# numbers from a command line parse in src/util only), configure,
+# no `mmap` and no raw global `::open(` in src/ outside src/util/: every
+# file byte src/ reads comes through util/file's read_file/read_file_tail,
+# segments included; no little-endian put/get helper defined and no FNV-1a
+# constant in src/ outside src/util/: binary encoding, decoding and hashing
+# go through src/util/codec; no `strto*`, `ato*`, `std::sto*` or
+# `from_chars` in examples/ or bench/: every binary reads argv through
+# util::Flags, so numbers from a command line parse in src/util only),
+# configure,
 # build, run the full test suite, build src/, bench/, examples/ and tests/
 # again in Release with -Werror (`build-werror/`), then rebuild the util + sim + obs + core +
 # tracestore + query + churn + federation suites under AddressSanitizer
@@ -74,9 +77,13 @@ JOBS="$(nproc 2>/dev/null || echo 4)"
 echo "== docs: check_docs.sh =="
 scripts/check_docs.sh
 
-echo "== one file layer, one codec, one command line: st_mtim / strto(u)l(l) / \".tmp\" / LE helpers / FNV-1a only in src/util, no number parsing in examples or bench =="
+echo "== one file layer, one codec, one command line: st_mtim / strto(u)l(l) / \".tmp\" / mmap / ::open( / LE helpers / FNV-1a only in src/util, no number parsing in examples or bench =="
 if grep -rnE --exclude-dir=util 'st_mtim|\bstrtou?ll?\b|"\.tmp"' src; then
   echo "use util/file (file_signature, parse_u64/parse_i64, publish)" >&2
+  exit 1
+fi
+if grep -rnE --exclude-dir=util '\bmmap\b|(^|[^A-Za-z0-9_])::open\(' src; then
+  echo "read files through util/file (read_file, read_file_tail)" >&2
   exit 1
 fi
 if grep -rnE --exclude-dir=util \

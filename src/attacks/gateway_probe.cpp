@@ -36,13 +36,12 @@ void GatewayProber::collect(GatewayProbeResult result, util::SimTime started,
   tracestore::ScanQuery query;
   query.cids.insert(result.probe_cid);
   query.min_time = started;
-  const tracestore::ScanExecutor executor;
   std::unordered_set<crypto::PeerId> nodes;
   std::set<net::Address> addresses;
   for (monitor::PassiveMonitor* m : monitors_) {
     const auto store = m->open_store();
     if (!store) continue;
-    executor.scan(*store, query, [&](const trace::TraceEntry& e) {
+    tracestore::scan(*store, query, [&](const trace::TraceEntry& e) {
       if (!e.is_request()) return;
       if (nodes.insert(e.peer).second) {
         result.discovered_nodes.push_back(e.peer);

@@ -257,9 +257,7 @@ AckStatus Coordinator::land_segment(MonitorState& monitor, SegmentMsg&& msg) {
       // part of the store.
       tracestore::SegmentFooter footer;
       const auto verify_segment = [&](const std::string& temp) {
-        tracestore::SegmentOpenOptions verify;
-        verify.backend = options_.store.io_backend;
-        auto reader = tracestore::SegmentReader::open(temp, verify);
+        auto reader = tracestore::SegmentReader::open(temp);
         if (!reader || reader->footer().body_checksum != msg.body_checksum ||
             reader->footer().entry_count != msg.entry_count) {
           return false;
@@ -276,7 +274,7 @@ AckStatus Coordinator::land_segment(MonitorState& monitor, SegmentMsg&& msg) {
         // The body hash was just verified against these exact bytes; let
         // the serving stores (opened with shared_validation = this cache)
         // skip their re-validation pass.
-        validated_.remember(path, sig->mtime_ns, sig->size);
+        validated_.remember(path, *sig);
       }
 
       if (!msg.rollup_bytes.empty()) {

@@ -6,6 +6,7 @@
 
 #include "ingest/stream.hpp"
 #include "tracestore/merge.hpp"
+#include "tracestore/scan.hpp"
 #include "util/file.hpp"
 #include "util/strings.hpp"
 
@@ -148,6 +149,32 @@ class MonitorMap {
   std::vector<std::pair<std::string, trace::MonitorId>> monitors_;
 };
 
+/// Rebuilds the flagger state of a checkpoint from the resumed store, so
+/// flags stay exact across the resume boundary: every stored entry within
+/// the widest window of `last_sim` passes through it, in store order.
+/// Checkpoints seal segments, so that window can straddle several trailing
+/// segments; the time-pruned scan selects exactly those. Leaves `flagger`
+/// untouched and returns false when the store cannot be opened or the scan
+/// skipped a segment (a corrupt body behind a valid footer): such a
+/// checkpoint is not to be trusted.
+bool reprime_flagger(const std::string& store_dir,
+                     const tracestore::StoreOptions& options,
+                     util::SimTime last_sim,
+                     tracestore::StreamingFlagger* flagger) {
+  const auto store = tracestore::TraceStore::open(store_dir, options);
+  if (!store) return false;
+  tracestore::StreamingFlagger primed;
+  tracestore::ScanQuery tail;
+  tail.min_time = last_sim - tracestore::StreamingFlagger::kWidestWindow;
+  tracestore::scan(*store, tail, [&primed](const trace::TraceEntry& e) {
+    trace::TraceEntry entry = e;
+    primed.mark(entry);
+  });
+  if (!store->warnings().empty()) return false;
+  *flagger = std::move(primed);
+  return true;
+}
+
 CaptureFormat sniff_format(std::string_view first_line) {
   std::size_t pos = 0;
   while (pos < first_line.size() &&
@@ -185,6 +212,7 @@ std::optional<IngestStats> ingest_capture(const std::string& capture_path,
   store_options.obs = options.obs;
   std::unique_ptr<tracestore::SegmentWriter> writer;
   std::optional<Checkpoint> resume_from;
+  tracestore::StreamingFlagger flagger;
   if (options.resume) {
     if (auto ckpt = read_checkpoint(store_dir);
         ckpt && ckpt->source == source) {
@@ -194,8 +222,12 @@ std::optional<IngestStats> ingest_capture(const std::string& capture_path,
           store_dir, store_options, &report, &resume_error);
       // Trust the checkpoint only when the recovered store matches it
       // exactly — a torn tail segment past the checkpoint would otherwise
-      // double-ingest its entries.
-      if (resumed != nullptr && report.entries_recovered == ckpt->entries) {
+      // double-ingest its entries — and, when flags are marked, its tail
+      // reads back whole into the flagger.
+      if (resumed != nullptr && report.entries_recovered == ckpt->entries &&
+          (!options.mark_flags ||
+           reprime_flagger(store_dir, options.store, ckpt->last_sim,
+                           &flagger))) {
         writer = std::move(resumed);
         resume_from = std::move(*ckpt);
       }
@@ -210,7 +242,6 @@ std::optional<IngestStats> ingest_capture(const std::string& capture_path,
 
   IngestStats stats;
   MonitorMap monitors(resume_from ? resume_from->monitors : options.monitors);
-  tracestore::StreamingFlagger flagger;
   std::optional<util::WallNanos> epoch = options.epoch;
   util::SimTime last_sim = 0;
   bool have_last = false;
@@ -229,33 +260,6 @@ std::optional<IngestStats> ingest_capture(const std::string& capture_path,
     epoch = resume_from->epoch;
     last_sim = resume_from->last_sim;
     have_last = resume_from->entries > 0;
-    // Re-prime the duplicate-window state from the recovered tail so flags
-    // stay exact across the resume boundary: every recovered entry within
-    // the widest window of the checkpoint must pass through the flagger.
-    // Checkpoints seal segments, so the window can straddle several
-    // trailing segments — walk back by footer max_time, then replay
-    // forward in segment order.
-    if (options.mark_flags && !writer->dir().empty()) {
-      const util::SimTime horizon =
-          last_sim - tracestore::StreamingFlagger::kWidestWindow;
-      if (auto store = tracestore::TraceStore::open(store_dir, store_options);
-          store && !store->segments().empty()) {
-        std::size_t first = store->segments().size();
-        while (first > 0 &&
-               store->segments()[first - 1].footer.max_time >= horizon) {
-          --first;
-        }
-        for (std::size_t i = first; i < store->segments().size(); ++i) {
-          if (auto seg =
-                  tracestore::SegmentReader::open(store->segment_path(i))) {
-            trace::TraceEntry entry;
-            while (seg->next(entry)) {
-              if (entry.timestamp >= horizon) flagger.mark(entry);
-            }
-          }
-        }
-      }
-    }
   }
 
   // --- Reject sink (lenient mode) -------------------------------------------

@@ -239,7 +239,7 @@ tracestore::ScanStats QueryService::run_scan(
   tracestore::ScanProfile profile;
   const bool profiled = span.active();
   const tracestore::ScanStats stats =
-      executor_.scan(*store_, query, visit, profiled ? &profile : nullptr);
+      tracestore::scan(*store_, query, visit, profiled ? &profile : nullptr);
   if (profiled) {
     span.set_attr("segments_total",
                   static_cast<std::uint64_t>(stats.segments_total));
@@ -297,9 +297,9 @@ RangeStats QueryService::stats_between_locked(util::SimTime min_t,
                          static_cast<std::uint64_t>(windows.size()));
         }
         auto reader = tracestore::SegmentReader::open(
-            store_->segment_path(index), store_->open_options());
+            store_->segment_path(index), nullptr, store_->validation_cache());
         if (!reader) {
-          // Mirror ScanExecutor: a corrupt segment is skipped, loudly.
+          // Mirror tracestore::scan: a corrupt segment is skipped, loudly.
           store_->skip_segment("skipping unreadable segment " +
                                store_->segments()[index].file);
           return;

@@ -194,7 +194,6 @@ class QueryService {
   std::string dir_;
   std::optional<tracestore::TraceStore> store_;
   std::vector<std::optional<tracestore::SegmentRollup>> rollups_;
-  tracestore::ScanExecutor executor_;
   LruCache cache_;
   std::uint64_t fingerprint_ = 0;
 

@@ -30,7 +30,7 @@ void StoreCursor::start_prefetch() {
   prefetch_ticket_ = store_->scan_pool().submit([pending, store] {
     std::string error;
     pending->reader = SegmentReader::open(store->segment_path(pending->index),
-                                          store->open_options(), &error);
+                                          &error, store->validation_cache());
     if (!pending->reader) pending->error = error;
   });
 }

@@ -1,7 +1,7 @@
 // A persistent work-stealing pool for scan and read-ahead work. Workers
-// are spawned once (per store or per executor) and live for the owner's
-// lifetime, so issuing a scan costs a condition-variable wake instead of
-// a thread spawn per query.
+// are spawned once per store and live for the store's lifetime, so
+// issuing a scan costs a condition-variable wake instead of a thread spawn
+// per query.
 //
 // Work arrives as batches of index-addressed tasks. Each batch is split
 // into one contiguous range per worker; a worker drains its own range

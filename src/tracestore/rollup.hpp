@@ -66,8 +66,9 @@ bool write_rollup_file(const std::string& path, const SegmentRollup& rollup,
 std::optional<SegmentRollup> read_rollup_file(const std::string& path,
                                               std::string* error = nullptr);
 
-/// Rebuilds a rollup by decoding the segment body — the fallback when the
-/// sidecar is missing (pre-rollup stores) or fails validation.
+/// Rebuilds a rollup by decoding the segment body: the reference that
+/// tests compare written sidecars against. Readers do not fall back to it;
+/// a segment whose sidecar is missing or invalid is decoded per query.
 std::optional<SegmentRollup> rollup_from_segment(
     const std::string& segment_path,
     util::SimDuration bucket_width = util::kMinute,

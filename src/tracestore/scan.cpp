@@ -18,16 +18,6 @@ bool ScanQuery::matches(const trace::TraceEntry& entry) const {
   return true;
 }
 
-ScanExecutor::ScanExecutor(std::size_t threads) : threads_(threads) {
-  if (threads_ != 0) {
-    own_pool_ = std::make_shared<ScanPool>(threads_);
-  }
-}
-
-ScanPool& ScanExecutor::pool_for(const TraceStore& store) const {
-  return own_pool_ != nullptr ? *own_pool_ : store.scan_pool();
-}
-
 namespace {
 
 enum class Prune { kNone, kTime, kBloom };
@@ -92,10 +82,9 @@ IdMask resolve_mask(std::size_t count, const KeyAt& key_at,
 
 }  // namespace
 
-ScanStats ScanExecutor::scan(
-    const TraceStore& store, const ScanQuery& query,
-    const std::function<void(const trace::TraceEntry&)>& visit,
-    ScanProfile* profile) const {
+ScanStats scan(const TraceStore& store, const ScanQuery& query,
+               const std::function<void(const trace::TraceEntry&)>& visit,
+               ScanProfile* profile) {
   ScanStats stats;
   const std::size_t n = store.segments().size();
   stats.segments_total = n;
@@ -142,7 +131,7 @@ ScanStats ScanExecutor::scan(
   std::mutex mutex;
   std::condition_variable ready;
   const bool profiling = profile != nullptr;
-  const SegmentOpenOptions open_options = store.open_options();
+  ValidationCache* const validated = store.validation_cache();
   auto task = [&](std::size_t i) {
     Slot local;
     if (pruned[i] == Prune::kNone) {
@@ -153,7 +142,7 @@ ScanStats ScanExecutor::scan(
       }
       std::string error;
       auto reader =
-          SegmentReader::open(store.segment_path(i), open_options, &error);
+          SegmentReader::open(store.segment_path(i), &error, validated);
       if (!reader) {
         local.error = error;
       } else {
@@ -222,7 +211,7 @@ ScanStats ScanExecutor::scan(
     ready.notify_all();
   };
 
-  ScanPool::Ticket ticket = pool_for(store).run(n, task);
+  ScanPool::Ticket ticket = store.scan_pool().run(n, task);
 
   for (std::size_t i = 0; i < n; ++i) {
     Slot slot;

@@ -1,9 +1,9 @@
 // Predicate-pushdown scans over a trace store. A ScanQuery names a time
-// range and/or peer/CID sets; the executor prunes whole segments with the
+// range and/or peer/CID sets; scan() prunes whole segments with the
 // footer index (time range first, then Bloom membership) and decodes the
-// survivors on a persistent work-stealing pool. Matches stream to the
-// visitor in segment order — deterministic, and memory-bounded by the
-// matches of the segments currently in flight, never the whole result.
+// survivors on the store's persistent work-stealing pool. Matches stream
+// to the visitor in segment order — deterministic, and memory-bounded by
+// the matches of the segments currently in flight, never the whole result.
 //
 // Matching inside a decoded segment takes the dictionary fast path: the
 // query's peer/CID sets are resolved against the segment's interned
@@ -77,31 +77,13 @@ struct ScanProfile {
   std::vector<SegmentScanProfile> segments;
 };
 
-class ScanExecutor {
- public:
-  /// `threads` = 0 (the default) runs scans on the store's shared
-  /// persistent pool (TraceStore::scan_pool()). A non-zero count gives
-  /// the executor its own long-lived pool of exactly that size, created
-  /// once here — no per-scan thread spawning either way.
-  explicit ScanExecutor(std::size_t threads = 0);
-
-  /// Runs `query` over `store`, calling `visit` on the consumer thread for
-  /// every matching entry, in segment order. Skipped-as-corrupt segments
-  /// go through store.skip_segment() like the streaming readers. Pass a
-  /// profile to collect per-segment decode/match sub-timings (span
-  /// tracing).
-  ScanStats scan(const TraceStore& store, const ScanQuery& query,
-                 const std::function<void(const trace::TraceEntry&)>& visit,
-                 ScanProfile* profile = nullptr) const;
-
-  /// 0 = sharing the store's pool; otherwise this executor's pool size.
-  std::size_t threads() const { return threads_; }
-
- private:
-  ScanPool& pool_for(const TraceStore& store) const;
-
-  std::size_t threads_;
-  std::shared_ptr<ScanPool> own_pool_;  // only when threads_ != 0
-};
+/// Runs `query` over `store` on the store's scan pool, calling `visit` on
+/// the calling thread for every matching entry, in segment order.
+/// Skipped-as-corrupt segments go through store.skip_segment() like the
+/// streaming readers. Pass a profile to collect per-segment decode/match
+/// sub-timings (span tracing).
+ScanStats scan(const TraceStore& store, const ScanQuery& query,
+               const std::function<void(const trace::TraceEntry&)>& visit,
+               ScanProfile* profile = nullptr);
 
 }  // namespace ipfsmon::tracestore

@@ -2,12 +2,7 @@
 
 #include <unordered_map>
 
-#include <fcntl.h>
-#include <sys/mman.h>
-#include <unistd.h>
-
 #include "util/codec.hpp"
-#include "util/file.hpp"
 
 namespace ipfsmon::tracestore {
 
@@ -96,110 +91,21 @@ std::optional<SegmentFooter> footer_from_tail(const std::string& path,
 
 }  // namespace
 
-std::string_view to_string(IoBackend backend) {
-  switch (backend) {
-    case IoBackend::kAuto: return "auto";
-    case IoBackend::kMmap: return "mmap";
-    case IoBackend::kBuffered: return "buffered";
-  }
-  return "unknown";
-}
-
-// --- SegmentMapping ---------------------------------------------------------
-
-SegmentMapping& SegmentMapping::operator=(SegmentMapping&& other) noexcept {
-  if (this == &other) return *this;
-  if (mapped_ && data_ != nullptr) {
-    ::munmap(const_cast<std::uint8_t*>(data_), size_);
-  }
-  data_ = other.data_;
-  size_ = other.size_;
-  mapped_ = other.mapped_;
-  mtime_ns_ = other.mtime_ns_;
-  owned_ = std::move(other.owned_);
-  if (!mapped_ && size_ != 0) data_ = owned_.data();
-  other.data_ = nullptr;
-  other.size_ = 0;
-  other.mapped_ = false;
-  return *this;
-}
-
-SegmentMapping::~SegmentMapping() {
-  if (mapped_ && data_ != nullptr) {
-    ::munmap(const_cast<std::uint8_t*>(data_), size_);
-  }
-}
-
-std::optional<SegmentMapping> SegmentMapping::open(const std::string& path,
-                                                   IoBackend backend,
-                                                   std::string* error) {
-  SegmentMapping mapping;
-  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) {
-    fail(error, path + ": cannot open");
-    return std::nullopt;
-  }
-  const auto signature = util::file_signature(fd);
-  if (!signature) {
-    ::close(fd);
-    fail(error, path + ": cannot stat");
-    return std::nullopt;
-  }
-  mapping.size_ = static_cast<std::size_t>(signature->size);
-  mapping.mtime_ns_ = signature->mtime_ns;
-  if (mapping.size_ == 0) {
-    // Empty files cannot be mapped; an empty view fails validation later
-    // with a proper "truncated" error either way.
-    ::close(fd);
-    return mapping;
-  }
-  if (backend != IoBackend::kBuffered) {
-    void* addr =
-        ::mmap(nullptr, mapping.size_, PROT_READ, MAP_PRIVATE, fd, 0);
-    if (addr != MAP_FAILED) {
-      // Scans decode front to back; tell the kernel to read ahead
-      // aggressively and not to keep pages behind us.
-      ::madvise(addr, mapping.size_, MADV_SEQUENTIAL);
-      ::close(fd);
-      mapping.data_ = static_cast<const std::uint8_t*>(addr);
-      mapping.mapped_ = true;
-      return mapping;
-    }
-    if (backend == IoBackend::kMmap) {
-      ::close(fd);
-      fail(error, path + ": mmap failed");
-      return std::nullopt;
-    }
-    // kAuto: fall through to the buffered read on map failure.
-  }
-  const bool read = util::read_file(fd, mapping.size_, &mapping.owned_);
-  ::close(fd);
-  if (!read) {
-    fail(error, path + ": short read");
-    return std::nullopt;
-  }
-  mapping.data_ = mapping.owned_.data();
-  return mapping;
-}
-
 // --- ValidationCache --------------------------------------------------------
 
-bool ValidationCache::contains(const std::string& path, std::int64_t mtime_ns,
-                               std::uint64_t size) const {
+bool ValidationCache::contains(const std::string& path,
+                               const util::FileSignature& signature) const {
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = verified_.find(path);
-  if (it == verified_.end() || it->second.mtime_ns != mtime_ns ||
-      it->second.size != size) {
-    return false;
-  }
+  if (it == verified_.end() || it->second != signature) return false;
   hits_.fetch_add(1, std::memory_order_relaxed);
   return true;
 }
 
-void ValidationCache::remember(const std::string& path, std::int64_t mtime_ns,
-                               std::uint64_t size) {
+void ValidationCache::remember(const std::string& path,
+                               const util::FileSignature& signature) {
   std::lock_guard<std::mutex> lock(mu_);
-  verified_[path] = Signature{mtime_ns, size};
+  verified_[path] = signature;
 }
 
 std::size_t ValidationCache::entries() const {
@@ -337,38 +243,27 @@ std::optional<SegmentFooter> read_segment_footer(const std::string& path,
 // --- SegmentReader ----------------------------------------------------------
 
 std::optional<SegmentReader> SegmentReader::open(const std::string& path,
-                                                 std::string* error) {
-  return open(path, SegmentOpenOptions{}, error);
-}
-
-std::optional<SegmentReader> SegmentReader::open(
-    const std::string& path, const SegmentOpenOptions& options,
-    std::string* error) {
-  auto mapping = SegmentMapping::open(path, options.backend, error);
-  if (!mapping) return std::nullopt;
-
-  auto footer = footer_from_tail(path, mapping->view(), mapping->size(), error);
-  if (!footer) return std::nullopt;
+                                                 std::string* error,
+                                                 ValidationCache* validated) {
   SegmentReader reader;
+  util::FileSignature signature;
+  if (!util::read_file(path, &reader.bytes_, error, &signature)) {
+    return std::nullopt;
+  }
+  auto footer =
+      footer_from_tail(path, reader.bytes_, reader.bytes_.size(), error);
+  if (!footer) return std::nullopt;
   reader.footer_ = std::move(*footer);
-  // Body checksum: a streaming pass over the mapping — no copy. A
-  // ValidationCache hit on (path, mtime, size) means this exact file
-  // already passed, so sealed segments are verified once, not per query.
-  const bool already_verified =
-      options.validated != nullptr &&
-      options.validated->contains(path, mapping->mtime_ns(), mapping->size());
-  if (!already_verified) {
-    if (util::fnv1a64(mapping->view().subspan(0, reader.footer_.body_bytes),
-                      0) !=
-        reader.footer_.body_checksum) {
+  // A ValidationCache hit on (path, mtime, size) means this exact file
+  // already passed the body checksum, so sealed segments are hashed once,
+  // not per query.
+  if (validated == nullptr || !validated->contains(path, signature)) {
+    if (util::fnv1a64(reader.body(), 0) != reader.footer_.body_checksum) {
       fail(error, path + ": body checksum mismatch");
       return std::nullopt;
     }
-    if (options.validated != nullptr) {
-      options.validated->remember(path, mapping->mtime_ns(), mapping->size());
-    }
+    if (validated != nullptr) validated->remember(path, signature);
   }
-  reader.mapping_ = std::move(*mapping);
   if (!reader.parse_dictionaries(error)) return std::nullopt;
   return reader;
 }

@@ -16,12 +16,13 @@
 //   [footer: varint-packed SegmentFooter incl. Bloom bit arrays]
 //   [trailer, 16 bytes LE: u32 footer_len | u64 footer_checksum | u32 magic]
 //
-// The read path is zero-copy: SegmentMapping maps the file read-only
-// (mmap + madvise(SEQUENTIAL)) and SegmentReader decodes entries straight
-// out of the mapping. A buffered single-read fallback is selected at
-// runtime when mapping is unavailable or fails, and a ValidationCache
-// (keyed by path + mtime + size) lets repeat readers of sealed segments
-// skip the body-checksum pass they already paid for.
+// The read path is one sized read: SegmentReader takes the whole file with
+// util::read_file (regular files only, exactly st_size bytes, so a FIFO or
+// device planted under a segment's name is refused, never blocked on, and
+// a file that shrinks mid-read is a short read, not a fault) and decodes
+// entries out of that owned buffer. A ValidationCache keyed by the read's
+// (path, mtime, size) lets repeat readers of sealed segments skip the
+// body-checksum pass they already paid for.
 #pragma once
 
 #include <atomic>
@@ -32,6 +33,7 @@
 
 #include "tracestore/bloom.hpp"
 #include "trace/trace.hpp"
+#include "util/file.hpp"
 
 namespace ipfsmon::tracestore {
 
@@ -50,47 +52,6 @@ struct SegmentFooter {
   }
 };
 
-/// How segment bytes reach the decoder.
-enum class IoBackend {
-  kAuto,      ///< mmap when available, buffered read otherwise
-  kMmap,      ///< mmap only; open fails when the platform cannot map
-  kBuffered,  ///< single sized read into an owned buffer
-};
-
-std::string_view to_string(IoBackend backend);
-
-/// Read-only view of one whole segment file. Prefers a private read-only
-/// mmap with MADV_SEQUENTIAL (scans decode front to back); falls back to
-/// one exactly-sized pread into an owned buffer — never a stream slurp.
-class SegmentMapping {
- public:
-  SegmentMapping() = default;  // empty mapping
-
-  static std::optional<SegmentMapping> open(const std::string& path,
-                                            IoBackend backend,
-                                            std::string* error = nullptr);
-
-  SegmentMapping(SegmentMapping&& other) noexcept { *this = std::move(other); }
-  SegmentMapping& operator=(SegmentMapping&& other) noexcept;
-  SegmentMapping(const SegmentMapping&) = delete;
-  SegmentMapping& operator=(const SegmentMapping&) = delete;
-  ~SegmentMapping();
-
-  util::BytesView view() const { return util::BytesView(data_, size_); }
-  std::size_t size() const { return size_; }
-  /// True when the bytes come from an mmap (false: owned buffer).
-  bool mapped() const { return mapped_; }
-  /// File modification time in nanoseconds since epoch, captured at open.
-  std::int64_t mtime_ns() const { return mtime_ns_; }
-
- private:
-  const std::uint8_t* data_ = nullptr;
-  std::size_t size_ = 0;
-  bool mapped_ = false;
-  std::int64_t mtime_ns_ = 0;
-  util::Bytes owned_;  // buffered fallback storage
-};
-
 /// Remembers which sealed segment files already passed body-checksum
 /// validation, keyed by (path, mtime, size). Segments are immutable once
 /// written (rewrites go through a rename, changing mtime), so an unchanged
@@ -98,30 +59,17 @@ class SegmentMapping {
 /// every open after the first. Thread-safe: scan workers share one cache.
 class ValidationCache {
  public:
-  bool contains(const std::string& path, std::int64_t mtime_ns,
-                std::uint64_t size) const;
-  void remember(const std::string& path, std::int64_t mtime_ns,
-                std::uint64_t size);
+  bool contains(const std::string& path,
+                const util::FileSignature& signature) const;
+  void remember(const std::string& path, const util::FileSignature& signature);
 
   std::uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
   std::size_t entries() const;
 
  private:
-  struct Signature {
-    std::int64_t mtime_ns = 0;
-    std::uint64_t size = 0;
-  };
   mutable std::mutex mu_;
-  std::unordered_map<std::string, Signature> verified_;
+  std::unordered_map<std::string, util::FileSignature> verified_;
   mutable std::atomic<std::uint64_t> hits_{0};
-};
-
-/// Per-open knobs threaded from TraceStore::open_options().
-struct SegmentOpenOptions {
-  IoBackend backend = IoBackend::kAuto;
-  /// When set, consult/populate the cache to skip re-validating the body
-  /// checksum of unchanged files. Null: validate on every open.
-  ValidationCache* validated = nullptr;
 };
 
 /// Serializes `entries` as a complete segment (body + footer with 10
@@ -152,21 +100,19 @@ struct RawRecord {
   std::uint32_t flags = 0;
 };
 
-/// Streaming decoder over one segment. Maps the file, verifies both
+/// Streaming decoder over one segment. Reads the whole file, verifies both
 /// checksums and the dictionaries up front (memory bounded by the segment,
-/// not the trace), then yields entries one at a time directly from the
-/// mapping.
+/// not the trace), then yields entries one at a time from that buffer.
 class SegmentReader {
  public:
-  static std::optional<SegmentReader> open(const std::string& path,
-                                           std::string* error = nullptr);
-  static std::optional<SegmentReader> open(const std::string& path,
-                                           const SegmentOpenOptions& options,
-                                           std::string* error = nullptr);
+  /// `validated`, when set, is consulted and filled so an unchanged file
+  /// skips the body-checksum pass; null hashes the body on every open.
+  /// Readers of a store pass TraceStore::validation_cache().
+  static std::optional<SegmentReader> open(
+      const std::string& path, std::string* error = nullptr,
+      ValidationCache* validated = nullptr);
 
   const SegmentFooter& footer() const { return footer_; }
-  /// True when the bytes are served from an mmap.
-  bool mapped() const { return mapping_.mapped(); }
 
   /// Decodes the next entry into `out`; false at end-of-segment or on a
   /// malformed record (malformed bodies fail the checksum first in
@@ -197,7 +143,7 @@ class SegmentReader {
   SegmentReader() = default;
   bool parse_dictionaries(std::string* error);
   util::BytesView body() const {
-    return mapping_.view().subspan(0, footer_.body_bytes);
+    return util::BytesView(bytes_).subspan(0, footer_.body_bytes);
   }
 
   /// Byte range of one interned CID inside the body.
@@ -207,7 +153,7 @@ class SegmentReader {
   };
 
   SegmentFooter footer_;
-  SegmentMapping mapping_;
+  util::Bytes bytes_;  // the whole file
   std::vector<crypto::PeerId> peers_;
   std::vector<net::Address> addrs_;
   std::vector<KeySpan> cid_spans_;

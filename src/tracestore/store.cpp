@@ -397,13 +397,6 @@ std::string TraceStore::segment_path(std::size_t index) const {
   return (fs::path(dir_) / segments_[index].file).string();
 }
 
-SegmentOpenOptions TraceStore::open_options() const {
-  SegmentOpenOptions options;
-  options.backend = options_.io_backend;
-  options.validated = validation_cache();
-  return options;
-}
-
 ScanPool& TraceStore::scan_pool() const {
   std::lock_guard<std::mutex> lock(shared_->mu);
   if (shared_->pool == nullptr) {

@@ -59,12 +59,10 @@ struct StoreOptions {
   /// Optional instrumentation sink (counters and histograms).
   /// The store keeps the pointer; the Obs must outlive it.
   obs::Obs* obs = nullptr;
-  /// How readers get segment bytes: mmap when available (kAuto), or a
-  /// forced backend (the property tests pin both and compare).
-  IoBackend io_backend = IoBackend::kAuto;
   /// Remember body-checksum validation in this cache instead of the
-  /// store's own. Either way, repeat reads of an unchanged sealed segment
-  /// (keyed by path + mtime + size) skip the whole-body hash pass. Lets a
+  /// store's own (TraceStore::validation_cache() returns whichever is in
+  /// use). Either way, repeat reads of an unchanged sealed segment (keyed
+  /// by path + mtime + size) skip the whole-body hash pass. Lets a
   /// federation coordinator verify a landed segment once and have every
   /// serving TraceStore opened over the same directory skip the
   /// re-validation pass. The cache must outlive the store.
@@ -221,18 +219,14 @@ class TraceStore {
 
   std::string segment_path(std::size_t index) const;
 
-  /// Per-open options for SegmentReader: the configured I/O backend plus
-  /// this store's validation cache. Everything a reader of this store
-  /// should pass to SegmentReader::open.
-  SegmentOpenOptions open_options() const;
-
-  /// The store's shared persistent scan pool (query executors and the
-  /// merge readers' read-ahead run on it). Created lazily with one worker
-  /// per hardware thread, and lives as long as the store.
+  /// The store's one persistent scan pool (scan(), the query engine and
+  /// the merge readers' read-ahead all run on it). Created lazily with one
+  /// worker per hardware thread, and lives as long as the store.
   ScanPool& scan_pool() const;
 
-  /// The cache behind open_options(): options().shared_validation when
-  /// set, else the store's own. Never null.
+  /// What every reader of this store passes to SegmentReader::open:
+  /// options().shared_validation when set, else the store's own cache.
+  /// Never null.
   ValidationCache* validation_cache() const;
 
   /// Drops every segment whose entire time range lies before `cutoff`

@@ -63,7 +63,7 @@ bool write_all(int fd, const char* data, std::size_t size) {
 /// blocking the open; it has no effect on regular-file reads.
 template <typename Buffer>
 bool read_regular(const std::string& path, std::uint64_t tail, Buffer* out,
-                  std::uint64_t* file_size, std::string* error) {
+                  FileSignature* signature, std::string* error) {
   const int fd = ::open(path.c_str(), O_RDONLY | O_NONBLOCK | O_CLOEXEC);
   if (fd < 0) return fail(error, path + ": cannot open: " + errno_text());
   struct stat st {};
@@ -74,7 +74,7 @@ bool read_regular(const std::string& path, std::uint64_t tail, Buffer* out,
     why = path + ": not a regular file";
   } else {
     const auto size = static_cast<std::uint64_t>(st.st_size);
-    if (file_size != nullptr) *file_size = size;
+    if (signature != nullptr) *signature = signature_of(st);
     out->resize(static_cast<std::size_t>(std::min(size, tail)));
     if (!read_exact_at(fd, out->data(), out->size(), size - out->size())) {
       why = path + ": short read";
@@ -125,28 +125,21 @@ std::optional<FileSignature> file_signature(const std::string& path) {
   return signature_of(st);
 }
 
-std::optional<FileSignature> file_signature(int fd) {
-  struct stat st {};
-  if (::fstat(fd, &st) != 0) return std::nullopt;
-  return signature_of(st);
-}
-
 bool read_file(const std::string& path, std::string* out, std::string* error) {
   return read_regular(path, UINT64_MAX, out, nullptr, error);
 }
 
-bool read_file(const std::string& path, Bytes* out, std::string* error) {
-  return read_regular(path, UINT64_MAX, out, nullptr, error);
-}
-
-bool read_file(int fd, std::size_t size, Bytes* out) {
-  out->resize(size);
-  return read_exact_at(fd, out->data(), size, 0);
+bool read_file(const std::string& path, Bytes* out, std::string* error,
+               FileSignature* signature) {
+  return read_regular(path, UINT64_MAX, out, signature, error);
 }
 
 bool read_file_tail(const std::string& path, std::size_t tail, Bytes* out,
                     std::uint64_t* file_size, std::string* error) {
-  return read_regular(path, tail, out, file_size, error);
+  FileSignature signature;
+  if (!read_regular(path, tail, out, &signature, error)) return false;
+  *file_size = signature.size;
+  return true;
 }
 
 bool publish(const std::string& path, std::initializer_list<FilePiece> pieces,

@@ -1,8 +1,9 @@
 // The one file layer. Every file the library publishes (segments, rollups,
 // MANIFEST, STOREMETA, INGEST.ckpt, FEDERATION, UNIFIED_SOURCE) goes
-// through publish(), every whole-file read through read_file(), every
-// segment-footer read through read_file_tail(), every
-// (size, mtime) signature through file_signature(), and every number
+// through publish(), every whole-file read (segment bodies included)
+// through read_file(), every segment-footer read through read_file_tail(),
+// every (size, mtime) signature through file_signature() or the
+// read_file() that read the file, and every number
 // read back from disk, the wire or a command line through
 // parse_u64()/parse_i64()/parse_f64().
 //
@@ -37,26 +38,27 @@ std::optional<std::int64_t> parse_i64(std::string_view text);
 std::optional<double> parse_f64(std::string_view text);
 
 /// A file's (size, mtime) as stat reports them: the key ValidationCache
-/// keeps verified segments under. The path and fd forms agree, so the
-/// signature the coordinator records after landing a segment matches the
-/// one SegmentMapping takes when the serving store opens it.
+/// keeps verified segments under. file_signature() and read_file() agree,
+/// so the signature the coordinator records after landing a segment
+/// matches the one the serving store's segment read takes.
 struct FileSignature {
   std::uint64_t size = 0;
   std::int64_t mtime_ns = 0;  // since the unix epoch
+
+  bool operator==(const FileSignature&) const = default;
 };
 
 std::optional<FileSignature> file_signature(const std::string& path);
-std::optional<FileSignature> file_signature(int fd);
 
 /// Reads a whole regular file: exactly st_size bytes. Fails, with `error`
 /// naming the path, on anything else (a directory, a device, a FIFO, a
-/// link to one, or a file that shrank mid-read).
+/// link to one, or a file that shrank mid-read). `signature`, when given,
+/// receives the file's signature from the same fstat that sized the read.
 bool read_file(const std::string& path, std::string* out,
                std::string* error = nullptr);
 bool read_file(const std::string& path, Bytes* out,
-               std::string* error = nullptr);
-/// Reads exactly `size` bytes from offset 0 of an open file.
-bool read_file(int fd, std::size_t size, Bytes* out);
+               std::string* error = nullptr,
+               FileSignature* signature = nullptr);
 
 /// Reads the last min(`tail`, file size) bytes of a regular file, under
 /// the same rule as read_file(), and reports the whole file's size.

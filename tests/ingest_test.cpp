@@ -654,6 +654,57 @@ TEST_F(IngestTest, CheckpointResumeMatchesOneShotIngest) {
   EXPECT_FALSE(fs::exists(fs::path(path("store")) / "INGEST.ckpt"));
 }
 
+TEST_F(IngestTest, CorruptRecoveredTailSegmentRestartsTheIngest) {
+  const auto records = synthetic_capture(300);
+  write_capture(path("cap.ndjson"), records);
+  std::string error;
+  ASSERT_TRUE(ingest::ingest_capture(path("cap.ndjson"), path("ref"),
+                                     two_vantage_options(), &error)
+                  .has_value())
+      << error;
+
+  auto options = two_vantage_options();
+  options.checkpoint_every = 50;
+  options.max_entries = 110;
+  options.store.max_entries_per_segment = 64;
+  ASSERT_TRUE(ingest::ingest_capture(path("cap.ndjson"), path("store"),
+                                     options, &error)
+                  .has_value())
+      << error;
+
+  // Flip a body byte of the last sealed segment. Its footer stays valid,
+  // so recovery keeps it and the checkpoint's entry count still matches;
+  // only reading the body back finds the damage.
+  {
+    auto store = tracestore::TraceStore::open(path("store"));
+    ASSERT_TRUE(store && !store->segments().empty());
+    const std::string victim =
+        store->segment_path(store->segments().size() - 1);
+    std::fstream f(victim, std::ios::in | std::ios::out | std::ios::binary);
+    f.seekg(10);
+    char byte = 0;
+    f.read(&byte, 1);
+    f.seekp(10);
+    byte = static_cast<char>(byte ^ 0x55);
+    f.write(&byte, 1);
+  }
+
+  options.max_entries = 0;
+  options.resume = true;
+  const auto finished = ingest::ingest_capture(path("cap.ndjson"),
+                                               path("store"), options, &error);
+  ASSERT_TRUE(finished.has_value()) << error;
+  EXPECT_FALSE(finished->resumed);  // restarted from scratch
+  EXPECT_EQ(finished->entries, records.size());
+
+  auto ref = tracestore::TraceStore::open(path("ref"));
+  auto store = tracestore::TraceStore::open(path("store"));
+  ASSERT_TRUE(ref && store);
+  EXPECT_EQ(ingest::replay_store(*ref, nullptr).checksum,
+            ingest::replay_store(*store, nullptr).checksum);
+  EXPECT_TRUE(store->warnings().empty());
+}
+
 TEST_F(IngestTest, StaleCheckpointIsIgnored) {
   const auto records = synthetic_capture(50);
   write_capture(path("cap.ndjson"), records);

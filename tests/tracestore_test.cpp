@@ -2,9 +2,11 @@
 // round-trips, crash detection and hostile dictionary counts, the
 // segmented store directory format (a FIFO in place of a segment included),
 // streaming unify equivalence with the in-memory path, and the
-// Bloom-pruned parallel scan executor.
+// Bloom-pruned parallel scan on the store's pool.
+#include <fcntl.h>
 #include <gtest/gtest.h>
 #include <sys/stat.h>
+#include <unistd.h>
 
 #include <filesystem>
 #include <fstream>
@@ -248,15 +250,10 @@ TEST(Segment, HostileDictionaryCountsAreRefused) {
     std::string error;
     EXPECT_TRUE(read_segment_footer(path, &error).has_value())
         << c.what << ": " << error;
-    for (const IoBackend backend : {IoBackend::kMmap, IoBackend::kBuffered}) {
-      SegmentOpenOptions options;
-      options.backend = backend;
-      error.clear();
-      EXPECT_FALSE(SegmentReader::open(path, options, &error).has_value())
-          << c.what;
-      EXPECT_NE(error.find("dictionary"), std::string::npos)
-          << c.what << ": " << error;
-    }
+    error.clear();
+    EXPECT_FALSE(SegmentReader::open(path, &error).has_value()) << c.what;
+    EXPECT_NE(error.find("dictionary"), std::string::npos)
+        << c.what << ": " << error;
   }
 }
 
@@ -571,7 +568,7 @@ TEST(Unify, ToStoreRoundTrips) {
   }
 }
 
-// --- Scan executor --------------------------------------------------------------
+// --- Scan ------------------------------------------------------------------------
 
 class ScanFixture : public ::testing::Test {
  protected:
@@ -598,11 +595,9 @@ class ScanFixture : public ::testing::Test {
     ASSERT_EQ(store_->segments().size(), 4u);
   }
 
-  trace::Trace run(const ScanQuery& query, ScanStats* stats = nullptr,
-                   std::size_t threads = 2) {
+  trace::Trace run(const ScanQuery& query, ScanStats* stats = nullptr) {
     trace::Trace out;
-    const ScanExecutor executor(threads);
-    const ScanStats s = executor.scan(
+    const ScanStats s = scan(
         *store_, query,
         [&out](const trace::TraceEntry& e) { out.append(e); });
     if (stats != nullptr) *stats = s;
@@ -676,14 +671,15 @@ TEST_F(ScanFixture, AbsentKeyMatchesNothing) {
   EXPECT_GE(stats.segments_pruned_bloom, 3u);
 }
 
-TEST_F(ScanFixture, SingleThreadMatchesMultiThread) {
+TEST_F(ScanFixture, OpenEndedRangeMatchesFilterInOrder) {
   ScanQuery query;
   query.min_time = 500 * kSecond;
-  const trace::Trace one = run(query, nullptr, 1);
-  const trace::Trace four = run(query, nullptr, 4);
-  ASSERT_EQ(one.size(), four.size());
-  for (std::size_t i = 0; i < one.size(); ++i) {
-    EXPECT_TRUE(entries_equal(one.entries()[i], four.entries()[i])) << i;
+  const trace::Trace got = run(query);
+  const trace::Trace expected =
+      full_.filter([&](const trace::TraceEntry& e) { return query.matches(e); });
+  ASSERT_EQ(got.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_TRUE(entries_equal(got.entries()[i], expected.entries()[i])) << i;
   }
 }
 
@@ -714,11 +710,56 @@ TEST(Scan, CorruptSegmentSkippedWithWarning) {
   ASSERT_TRUE(store.has_value());
   ASSERT_EQ(store->segments().size(), 3u);
   trace::Trace got;
-  const ScanExecutor executor(2);
-  executor.scan(*store, ScanQuery{},
-                [&got](const trace::TraceEntry& e) { got.append(e); });
-  EXPECT_EQ(got.size(), 100u);  // the two intact segments
-  EXPECT_FALSE(store->warnings().empty());
+  const ScanStats stats =
+      scan(*store, ScanQuery{},
+           [&got](const trace::TraceEntry& e) { got.append(e); });
+  ASSERT_EQ(got.size(), 100u);  // the two intact segments, in order
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    const int n = static_cast<int>(i < 50 ? i : i + 50);
+    EXPECT_TRUE(entries_equal(got.entries()[i], entry(n * kSecond, n, n, 0)))
+        << i;
+  }
+  EXPECT_EQ(stats.segments_total, 3u);
+  EXPECT_EQ(stats.segments_scanned, 2u);
+  EXPECT_EQ(stats.entries_matched, 100u);
+  EXPECT_EQ(stats.entries_decoded, 100u);
+  ASSERT_EQ(store->warnings().size(), 1u);
+  EXPECT_NE(store->warnings()[0].find("body checksum mismatch"),
+            std::string::npos)
+      << store->warnings()[0];
+}
+
+TEST(Scan, SegmentSwappedForAFifoIsSkippedNotWaitedOn) {
+  const std::string dir = fresh_dir("scan_fifo");
+  StoreOptions options;
+  options.max_entries_per_segment = 50;
+  auto writer = SegmentWriter::create(dir, options);
+  for (int i = 0; i < 150; ++i) writer->append(entry(i * kSecond, i, i, 0));
+  ASSERT_TRUE(writer->finalize());
+  auto store = TraceStore::open(dir, options);
+  ASSERT_TRUE(store.has_value());
+  ASSERT_EQ(store->segments().size(), 3u);
+
+  // Swapped after the store is open, so only the scan's segment read meets
+  // the FIFO. The write end held here keeps a read that blocks on a FIFO
+  // from hanging the test: such a read sees an empty file instead.
+  const std::string fifo = store->segment_path(1);
+  ASSERT_EQ(std::filesystem::path(fifo).filename(), "seg-000001.seg");
+  std::filesystem::remove(fifo);
+  ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0);
+  const int write_end = ::open(fifo.c_str(), O_RDWR);
+  ASSERT_GE(write_end, 0);
+  trace::Trace got;
+  const ScanStats stats =
+      scan(*store, ScanQuery{},
+           [&got](const trace::TraceEntry& e) { got.append(e); });
+  ::close(write_end);
+
+  EXPECT_EQ(got.size(), 100u);
+  EXPECT_EQ(stats.segments_scanned, 2u);
+  ASSERT_EQ(store->warnings().size(), 1u);
+  EXPECT_NE(store->warnings()[0].find("not a regular file"), std::string::npos)
+      << store->warnings()[0];
 }
 
 // --- HotSet and ScanPool --------------------------------------------------------
@@ -787,32 +828,13 @@ TEST(ScanPool, BatchesQueuedBackToBackAllComplete) {
   EXPECT_EQ(total.load(), 8 * 16);
 }
 
-// --- I/O backend equivalence ----------------------------------------------------
+// --- Segment reads over one store ------------------------------------------------
 
-/// Runs `query` over `dir` with a forced backend, returning the matched
-/// trace and surfacing stats/warnings for comparison.
-trace::Trace scan_with_backend(const std::string& dir, IoBackend backend,
-                               const ScanQuery& query, ScanStats* stats,
-                               std::vector<std::string>* warnings = nullptr) {
-  StoreOptions options;
-  options.max_entries_per_segment = 100;
-  options.io_backend = backend;
-  auto store = TraceStore::open(dir, options);
-  EXPECT_TRUE(store.has_value());
-  trace::Trace out;
-  const ScanExecutor executor(2);
-  const ScanStats s = executor.scan(
-      *store, query, [&out](const trace::TraceEntry& e) { out.append(e); });
-  if (stats != nullptr) *stats = s;
-  if (warnings != nullptr) *warnings = store->warnings();
-  return out;
-}
-
-class BackendFixture : public ::testing::Test {
+class SegmentFixture : public ::testing::Test {
  protected:
   void SetUp() override {
     dir_ = fresh_dir(
-        std::string("backend_") +
+        std::string("segment_") +
         ::testing::UnitTest::GetInstance()->current_test_info()->name());
     StoreOptions options;
     options.max_entries_per_segment = 100;
@@ -826,7 +848,9 @@ class BackendFixture : public ::testing::Test {
   trace::Trace full_;
 };
 
-TEST_F(BackendFixture, ScanResultsAndStatsIdenticalAcrossBackends) {
+TEST_F(SegmentFixture, ScanMatchesTheQueryPredicate) {
+  auto store = TraceStore::open(dir_);
+  ASSERT_TRUE(store.has_value());
   std::vector<ScanQuery> queries(4);
   queries[1].min_time = full_.entries()[100].timestamp;
   queries[1].max_time = full_.entries()[300].timestamp;
@@ -834,31 +858,29 @@ TEST_F(BackendFixture, ScanResultsAndStatsIdenticalAcrossBackends) {
   queries[3].cids = {cid_n(5), cid_n(17)};
   queries[3].min_time = full_.entries()[50].timestamp;
   for (std::size_t q = 0; q < queries.size(); ++q) {
-    ScanStats buffered_stats, mmap_stats;
-    const trace::Trace buffered = scan_with_backend(
-        dir_, IoBackend::kBuffered, queries[q], &buffered_stats);
-    const trace::Trace mapped =
-        scan_with_backend(dir_, IoBackend::kAuto, queries[q], &mmap_stats);
-    EXPECT_EQ(buffered_stats, mmap_stats) << "query " << q;
-    ASSERT_EQ(buffered.size(), mapped.size()) << "query " << q;
-    for (std::size_t i = 0; i < buffered.size(); ++i) {
-      EXPECT_TRUE(entries_equal(buffered.entries()[i], mapped.entries()[i]))
-          << "query " << q << " entry " << i;
-    }
-    // Sanity: the query predicate agrees with the dictionary fast path.
+    trace::Trace got;
+    const ScanStats stats =
+        scan(*store, queries[q],
+             [&got](const trace::TraceEntry& e) { got.append(e); });
+    // The dictionary fast path agrees with the query predicate, in order.
     const trace::Trace expected = full_.filter(
         [&](const trace::TraceEntry& e) { return queries[q].matches(e); });
-    ASSERT_EQ(buffered.size(), expected.size()) << "query " << q;
+    ASSERT_EQ(got.size(), expected.size()) << "query " << q;
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+      EXPECT_TRUE(entries_equal(got.entries()[i], expected.entries()[i]))
+          << "query " << q << " entry " << i;
+    }
+    EXPECT_EQ(stats.entries_matched, expected.size()) << "query " << q;
+    EXPECT_EQ(stats.segments_total, store->segments().size());
   }
+  EXPECT_TRUE(store->warnings().empty());
 }
 
-TEST_F(BackendFixture, CorruptSegmentSkippedIdenticallyAcrossBackends) {
+TEST_F(SegmentFixture, CorruptSegmentSkippedWithExactStats) {
   {
-    StoreOptions options;
-    options.max_entries_per_segment = 100;
-    auto probe = TraceStore::open(dir_, options);
+    auto probe = TraceStore::open(dir_);
     ASSERT_TRUE(probe.has_value());
-    ASSERT_GE(probe->segments().size(), 3u);
+    ASSERT_EQ(probe->segments().size(), 5u);
     const std::string victim = probe->segment_path(1);
     std::fstream f(victim, std::ios::in | std::ios::out | std::ios::binary);
     f.seekg(12);
@@ -868,24 +890,29 @@ TEST_F(BackendFixture, CorruptSegmentSkippedIdenticallyAcrossBackends) {
     byte = static_cast<char>(byte ^ 0x80);
     f.write(&byte, 1);
   }
-  ScanStats buffered_stats, mmap_stats;
-  std::vector<std::string> buffered_warnings, mmap_warnings;
-  const trace::Trace buffered =
-      scan_with_backend(dir_, IoBackend::kBuffered, ScanQuery{},
-                        &buffered_stats, &buffered_warnings);
-  const trace::Trace mapped = scan_with_backend(
-      dir_, IoBackend::kAuto, ScanQuery{}, &mmap_stats, &mmap_warnings);
-  EXPECT_EQ(buffered_stats, mmap_stats);
-  EXPECT_EQ(buffered_warnings, mmap_warnings);
-  EXPECT_FALSE(buffered_warnings.empty());
-  ASSERT_EQ(buffered.size(), mapped.size());
-  for (std::size_t i = 0; i < buffered.size(); ++i) {
-    EXPECT_TRUE(entries_equal(buffered.entries()[i], mapped.entries()[i]))
-        << i;
+  auto store = TraceStore::open(dir_);
+  ASSERT_TRUE(store.has_value());
+  trace::Trace got;
+  const ScanStats stats =
+      scan(*store, ScanQuery{},
+           [&got](const trace::TraceEntry& e) { got.append(e); });
+  // Every entry but those of segment 1 (entries 100..199), in order.
+  ASSERT_EQ(got.size(), full_.size() - 100);
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    const std::size_t n = i < 100 ? i : i + 100;
+    EXPECT_TRUE(entries_equal(got.entries()[i], full_.entries()[n])) << i;
   }
+  EXPECT_EQ(stats.segments_total, 5u);
+  EXPECT_EQ(stats.segments_scanned, 4u);
+  EXPECT_EQ(stats.entries_matched, got.size());
+  EXPECT_EQ(stats.entries_decoded, got.size());
+  ASSERT_EQ(store->warnings().size(), 1u);
+  EXPECT_NE(store->warnings()[0].find("body checksum mismatch"),
+            std::string::npos)
+      << store->warnings()[0];
 }
 
-TEST_F(BackendFixture, TornTailQuarantineUnchangedByTailOnlyFooterRead) {
+TEST_F(SegmentFixture, TornTailQuarantineUnchangedByTailOnlyFooterRead) {
   {
     StoreOptions options;
     options.max_entries_per_segment = 100;
@@ -910,34 +937,15 @@ TEST_F(BackendFixture, TornTailQuarantineUnchangedByTailOnlyFooterRead) {
   EXPECT_TRUE(saw_torn);
 }
 
-TEST_F(BackendFixture, BackendSelectionIsObservable) {
-  StoreOptions options;
-  options.max_entries_per_segment = 100;
-  auto store = TraceStore::open(dir_, options);
-  ASSERT_TRUE(store.has_value());
-  std::string error;
-  auto buffered = SegmentReader::open(
-      store->segment_path(0), SegmentOpenOptions{IoBackend::kBuffered}, &error);
-  ASSERT_TRUE(buffered.has_value()) << error;
-  EXPECT_FALSE(buffered->mapped());
-#if defined(__unix__) || defined(__APPLE__)
-  auto mapped = SegmentReader::open(
-      store->segment_path(0), SegmentOpenOptions{IoBackend::kMmap}, &error);
-  ASSERT_TRUE(mapped.has_value()) << error;
-  EXPECT_TRUE(mapped->mapped());
-#endif
-  EXPECT_EQ(to_string(IoBackend::kBuffered), "buffered");
-}
-
-TEST_F(BackendFixture, RawRecordMaterializeMatchesNext) {
+TEST_F(SegmentFixture, RawRecordMaterializeMatchesNext) {
   StoreOptions options;
   options.max_entries_per_segment = 100;
   auto store = TraceStore::open(dir_, options);
   ASSERT_TRUE(store.has_value());
   std::string error;
   auto a = SegmentReader::open(store->segment_path(0), &error);
-  auto b = SegmentReader::open(store->segment_path(0),
-                               store->open_options(), &error);
+  auto b = SegmentReader::open(store->segment_path(0), &error,
+                               store->validation_cache());
   ASSERT_TRUE(a.has_value() && b.has_value()) << error;
   trace::TraceEntry direct, via_raw;
   RawRecord raw;
@@ -955,17 +963,15 @@ TEST_F(BackendFixture, RawRecordMaterializeMatchesNext) {
 
 // --- Validation cache -----------------------------------------------------------
 
-TEST_F(BackendFixture, RepeatScansHitTheValidationCache) {
+TEST_F(SegmentFixture, RepeatScansHitTheValidationCache) {
   StoreOptions options;
   options.max_entries_per_segment = 100;
   auto store = TraceStore::open(dir_, options);
   ASSERT_TRUE(store.has_value());
   ASSERT_NE(store->validation_cache(), nullptr);
-  const ScanExecutor executor;  // shared store pool
   const auto count_all = [&] {
     std::size_t n = 0;
-    executor.scan(*store, ScanQuery{},
-                  [&n](const trace::TraceEntry&) { ++n; });
+    scan(*store, ScanQuery{}, [&n](const trace::TraceEntry&) { ++n; });
     return n;
   };
   const std::size_t first = count_all();
@@ -979,23 +985,23 @@ TEST_F(BackendFixture, RepeatScansHitTheValidationCache) {
 
 TEST(ValidationCache, SignatureChangeInvalidates) {
   ValidationCache cache;
-  cache.remember("seg-0", 100, 4096);
-  EXPECT_TRUE(cache.contains("seg-0", 100, 4096));
-  EXPECT_FALSE(cache.contains("seg-0", 101, 4096));  // rewritten (mtime)
-  EXPECT_FALSE(cache.contains("seg-0", 100, 4097));  // different size
-  EXPECT_FALSE(cache.contains("seg-1", 100, 4096));  // different file
+  cache.remember("seg-0", {.size = 4096, .mtime_ns = 100});
+  EXPECT_TRUE(cache.contains("seg-0", {.size = 4096, .mtime_ns = 100}));
+  // Rewritten (mtime), a different size, a different file.
+  EXPECT_FALSE(cache.contains("seg-0", {.size = 4096, .mtime_ns = 101}));
+  EXPECT_FALSE(cache.contains("seg-0", {.size = 4097, .mtime_ns = 100}));
+  EXPECT_FALSE(cache.contains("seg-1", {.size = 4096, .mtime_ns = 100}));
   EXPECT_EQ(cache.entries(), 1u);
   EXPECT_EQ(cache.hits(), 1u);
 }
 
-TEST_F(BackendFixture, ScanStatsReportDecodedVolume) {
+TEST_F(SegmentFixture, ScanStatsReportDecodedVolume) {
   StoreOptions options;
   options.max_entries_per_segment = 100;
   auto store = TraceStore::open(dir_, options);
   ASSERT_TRUE(store.has_value());
-  ScanStats stats;
-  const ScanExecutor executor(2);
-  stats = executor.scan(*store, ScanQuery{}, [](const trace::TraceEntry&) {});
+  const ScanStats stats =
+      scan(*store, ScanQuery{}, [](const trace::TraceEntry&) {});
   EXPECT_EQ(stats.entries_decoded, full_.size());
   EXPECT_EQ(stats.entries_matched, full_.size());
   std::uint64_t body_bytes = 0;

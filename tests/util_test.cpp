@@ -1,12 +1,10 @@
 // Unit and property tests for the util module: hex, varint, base58,
 // base32, deterministic RNG, string helpers, the binary codec (ByteReader
 // on hostile bytes, the sealed trailer) and the file layer.
-#include <fcntl.h>
 #include <gtest/gtest.h>
 #include <signal.h>
 #include <sys/resource.h>
 #include <sys/stat.h>
-#include <unistd.h>
 
 #include <cmath>
 #include <filesystem>
@@ -863,13 +861,12 @@ TEST(File, SignatureIsTheSameFromPathAndFd) {
   const auto by_path = file_signature(path);
   ASSERT_TRUE(by_path.has_value());
   EXPECT_EQ(by_path->size, 5u);
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  ASSERT_GE(fd, 0);
-  const auto by_fd = file_signature(fd);
-  ::close(fd);
-  ASSERT_TRUE(by_fd.has_value());
-  EXPECT_EQ(by_fd->size, by_path->size);
-  EXPECT_EQ(by_fd->mtime_ns, by_path->mtime_ns);
+  // read_file's signature comes from an fstat on the fd it reads through.
+  Bytes bytes;
+  FileSignature by_fd;
+  ASSERT_TRUE(read_file(path, &bytes, nullptr, &by_fd));
+  EXPECT_EQ(bytes.size(), 5u);
+  EXPECT_EQ(by_fd, *by_path);
   EXPECT_FALSE(file_signature(dir + "/missing").has_value());
 }
 
