@@ -23,6 +23,7 @@
 #include "tracestore/rollup.hpp"
 #include "tracestore/scan.hpp"
 #include "tracestore/store.hpp"
+#include "util/codec.hpp"
 #include "util/file.hpp"
 
 #include "hostile_bytes.hpp"
@@ -172,6 +173,54 @@ TEST(Segment, WriteReadRoundTrip) {
     ++i;
   }
   EXPECT_EQ(i, t.size());
+}
+
+TEST(Segment, EncodedBytesArePinned) {
+  // A fixed, seeded trace with every field varied: repeated and one-off
+  // peers, addresses and CIDs (v0 and v1 under several codecs), all want
+  // types, five monitors, flags, equal and backwards timestamps. The whole
+  // .seg file (body, footer Blooms, trailer) must hash to the same constant
+  // whatever the encoder's internals, so the format cannot drift silently.
+  const std::string dir = fresh_dir("segment_pin");
+  std::filesystem::create_directories(dir);
+  const std::string path = dir + "/seg-000000.seg";
+  util::RngStream rng(7, "segment-pin");
+  const cid::Multicodec codecs[] = {cid::Multicodec::Raw,
+                                    cid::Multicodec::DagProtobuf,
+                                    cid::Multicodec::DagCBOR};
+  trace::Trace t;
+  util::SimTime ts = 1000;
+  for (int i = 0; i < 3000; ++i) {
+    const auto step = rng.uniform_index(8);
+    if (step == 0) {
+      ts -= static_cast<util::SimTime>(rng.uniform_index(kSecond));
+    } else if (step > 1) {
+      ts += static_cast<util::SimTime>(rng.uniform_index(3 * kSecond));
+    }
+    const bool one_off = rng.bernoulli(0.3);
+    const int peer = static_cast<int>(rng.uniform_index(one_off ? 5000 : 40));
+    const int key = static_cast<int>(rng.uniform_index(one_off ? 100000 : 60));
+    auto e = entry(ts, peer, key,
+                   static_cast<trace::MonitorId>(rng.uniform_index(5)));
+    e.address = net::Address{0x0a000001u + static_cast<std::uint32_t>(
+                                               rng.uniform_index(90)),
+                             static_cast<std::uint16_t>(4001 + key % 3)};
+    const std::string seed = "pin " + std::to_string(key);
+    e.cid = key % 4 == 0
+                ? cid::Cid::v0_of_data(util::bytes_of(seed))
+                : cid::Cid::of_data(codecs[key % 3], util::bytes_of(seed));
+    const auto roll = rng.uniform_index(3);
+    e.type = roll == 0 ? bitswap::WantType::Cancel
+             : roll == 1 ? bitswap::WantType::WantBlock
+                         : bitswap::WantType::WantHave;
+    e.flags = static_cast<std::uint32_t>(rng.uniform_index(4));
+    t.append(std::move(e));
+  }
+  ASSERT_TRUE(write_segment_file(path, t, nullptr, nullptr));
+  util::Bytes bytes;
+  ASSERT_TRUE(util::read_file(path, &bytes));
+  EXPECT_EQ(bytes.size(), 97275u);
+  EXPECT_EQ(util::fnv1a64(bytes, 0), 0x7ba6b977714f8501ull);
 }
 
 TEST(Segment, FooterBloomCoversSegmentKeys) {
