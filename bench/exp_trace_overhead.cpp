@@ -25,6 +25,7 @@
 #include "query/engine.hpp"
 #include "tracestore/store.hpp"
 #include "util/codec.hpp"
+#include "util/file.hpp"
 #include "util/rng.hpp"
 
 using namespace ipfsmon;
@@ -136,7 +137,12 @@ int main(int argc, char** argv) {
     return flags.usage(
         "[--entries=N] [--requests=N] [--reps=N] [--max-overhead=PCT]");
   }
-  const std::string dir = "/tmp/ipfsmon_bench_trace_overhead_store";
+  const util::TempDir scratch("ipfsmon_trace_overhead");
+  if (scratch.path().empty()) {
+    std::fprintf(stderr, "cannot create a temporary directory\n");
+    return 1;
+  }
+  const std::string dir = scratch.path() + "/store";
 
   bench::print_header("exp_trace_overhead",
                       "span tracing overhead on the scan path (<5% target)");

@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <thread>
 
 #include "ingest/stream.hpp"
 #include "tracestore/merge.hpp"
+#include "tracestore/pool.hpp"
 #include "tracestore/scan.hpp"
 #include "util/file.hpp"
 #include "util/strings.hpp"
@@ -186,6 +188,51 @@ CaptureFormat sniff_format(std::string_view first_line) {
              : CaptureFormat::kCsv;
 }
 
+/// Lines one pool task parses.
+constexpr std::size_t kParseChunkLines = 256;
+
+/// One non-blank capture line, the uncompressed offset just past it, and
+/// what parsing it produced (`record` when `parsed`, else `error`).
+struct BatchLine {
+  std::string text;
+  std::uint64_t end_offset = 0;
+  bool parsed = false;
+  CaptureRecord record;
+  std::string error;
+};
+
+/// Up to kParseBatchLines lines. `lines` only grows, so its strings and
+/// records keep their buffers from one batch to the next.
+struct Batch {
+  std::vector<BatchLine> lines;
+  std::size_t size = 0;
+};
+
+/// Refills `batch` with the next non-blank lines; a short batch means the
+/// reader is exhausted (or failed: see LineReader::error()).
+void read_batch(LineReader& reader, Batch* batch) {
+  batch->size = 0;
+  while (batch->size < kParseBatchLines) {
+    if (batch->size == batch->lines.size()) batch->lines.emplace_back();
+    BatchLine& line = batch->lines[batch->size];
+    if (!reader.next(&line.text)) return;
+    if (line.text.empty()) continue;
+    line.end_offset = reader.offset();
+    ++batch->size;
+  }
+}
+
+std::size_t chunk_count(const Batch& batch) {
+  return (batch.size + kParseChunkLines - 1) / kParseChunkLines;
+}
+
+/// Parse workers: one per hardware thread but the caller's, which runs
+/// the serial stage (and joins the first batch's parse).
+std::size_t parse_threads() {
+  const unsigned cores = std::max(1u, std::thread::hardware_concurrency());
+  return std::max(1u, cores - 1);
+}
+
 }  // namespace
 
 std::string rejects_path(const std::string& store_dir) {
@@ -316,94 +363,164 @@ std::optional<IngestStats> ingest_capture(const std::string& capture_path,
 
   CaptureFormat format = options.format;
   std::optional<CsvLayout> csv;
-  std::string line;
   std::uint64_t since_checkpoint = 0;
   const std::uint64_t start_offset = reader->offset();
   bool first_record = !resume_from.has_value();
 
-  while (reader->next(&line)) {
-    const std::uint64_t line_end_offset = reader->offset();
-    if (line.empty()) continue;
-    ++stats.lines;
+  // Why handle_batch stopped early; see the loop below.
+  enum class Stop { kNone, kFailed, kTruncated };
+  std::string stop_error;
+  std::uint64_t stop_offset = 0;
+  // Reused for every record: assigning a record's CID reuses its digest
+  // buffer.
+  trace::TraceEntry entry;
+  // The serial stage: everything order-dependent, one line at a time in
+  // capture order.
+  const auto handle_batch = [&](Batch& batch, std::size_t first) -> Stop {
+    for (std::size_t i = first; i < batch.size; ++i) {
+      BatchLine& line = batch.lines[i];
+      ++stats.lines;
+      if (!line.parsed) {
+        if (!options.lenient) {
+          stop_error = util::format(
+              "%s line %llu: %s", source.c_str(),
+              static_cast<unsigned long long>(stats.lines), line.error.c_str());
+          return Stop::kFailed;
+        }
+        reject(stats.lines, line.text, line.error);
+        continue;
+      }
+      const CaptureRecord& record = line.record;
 
-    if (format == CaptureFormat::kAuto) format = sniff_format(line);
-    if (format == CaptureFormat::kCsv && !csv) {
+      if (!epoch) epoch = record.wall_ns;  // first accepted record anchors t=0
+      util::SimTime sim = record.wall_ns - *epoch;
+      if ((have_last && sim < last_sim) || sim < 0) {
+        if (!options.lenient) {
+          stop_error = util::format(
+              "%s line %llu: timestamp goes backwards (%s); re-run with "
+              "--lenient to clamp",
+              source.c_str(), static_cast<unsigned long long>(stats.lines),
+              util::format_wall_time(record.wall_ns).c_str());
+          return Stop::kFailed;
+        }
+        ++stats.unordered;
+        if (unordered_counter != nullptr) unordered_counter->inc();
+        sim = have_last ? last_sim : 0;
+      }
+      last_sim = sim;
+      have_last = true;
+
+      entry.timestamp = sim;
+      entry.peer = record.peer;
+      entry.address = record.address;
+      entry.type = record.type;
+      entry.cid = record.cid;
+      entry.monitor = monitors.id_for(record.vantage);
+      entry.flags = 0;
+      if (options.mark_flags) flagger.mark(entry);
+      writer->append(entry);
+      if (entries_counter != nullptr) entries_counter->inc();
+      if (first_record) {
+        stats.min_time = sim;
+        first_record = false;
+      }
+      stats.max_time = sim;
+
+      // --- Durability checkpoint -------------------------------------------
+      ++since_checkpoint;
+      if (options.checkpoint_every > 0 &&
+          since_checkpoint >= options.checkpoint_every) {
+        since_checkpoint = 0;
+        if (!publish_checkpoint(line.end_offset, &stats, &stop_error)) {
+          return Stop::kFailed;
+        }
+      }
+
+      // --- Bounded sample: stop resumable instead of finalizing ------------
+      if (options.max_entries > 0 &&
+          writer->entries_written() >= options.max_entries) {
+        if (!publish_checkpoint(line.end_offset, &stats, &stop_error)) {
+          return Stop::kFailed;
+        }
+        stop_offset = line.end_offset;
+        return Stop::kTruncated;
+      }
+    }
+    return Stop::kNone;
+  };
+
+  // Two stages: while this thread runs handle_batch over batch k, the pool
+  // parses batch k+1 chunk by chunk. Parsing depends only on the line and
+  // the capture format, fixed by the first line before any batch is
+  // parsed, so line numbers, the quarantine order and checkpoint offsets
+  // are those of a line-by-line loop.
+  Batch batches[2];
+  Batch* current = &batches[0];
+  Batch* ahead = &batches[1];
+  read_batch(*reader, current);
+  std::size_t first_line = 0;  // 1 while batch 0 starts with a CSV header
+  if (current->size > 0) {
+    const std::string& head = current->lines[0].text;
+    if (format == CaptureFormat::kAuto) format = sniff_format(head);
+    if (format == CaptureFormat::kCsv) {
       std::string header_error;
-      csv = CsvLayout::from_header(line, &header_error);
+      csv = CsvLayout::from_header(head, &header_error);
       if (!csv) return fail(header_error);
-      continue;  // header line carries no record
+      first_line = 1;
+      ++stats.lines;  // the header line carries no record
     }
-
-    CaptureRecord record;
-    std::string parse_error;
-    const bool parsed =
-        format == CaptureFormat::kNdjson
-            ? parse_ndjson_record(line, &record, &parse_error)
-            : csv->parse(line, &record, &parse_error);
-    if (!parsed) {
-      if (!options.lenient) {
-        return fail(util::format("%s line %llu: %s", source.c_str(),
-                                 static_cast<unsigned long long>(stats.lines),
-                                 parse_error.c_str()));
-      }
-      reject(stats.lines, line, parse_error);
-      continue;
+  }
+  const auto parse_chunk = [&format, &csv](Batch& batch, std::size_t chunk) {
+    const std::size_t begin = chunk * kParseChunkLines;
+    const std::size_t end = std::min(batch.size, begin + kParseChunkLines);
+    for (std::size_t i = begin; i < end; ++i) {
+      BatchLine& line = batch.lines[i];
+      line.parsed =
+          format == CaptureFormat::kNdjson
+              ? parse_ndjson_record(line.text, &line.record, &line.error)
+              : csv->parse(line.text, &line.record, &line.error);
     }
-
-    if (!epoch) epoch = record.wall_ns;  // first accepted record anchors t=0
-    util::SimTime sim = record.wall_ns - *epoch;
-    if ((have_last && sim < last_sim) || sim < 0) {
-      if (!options.lenient) {
-        return fail(util::format(
-            "%s line %llu: timestamp goes backwards (%s); re-run with "
-            "--lenient to clamp",
-            source.c_str(), static_cast<unsigned long long>(stats.lines),
-            util::format_wall_time(record.wall_ns).c_str()));
-      }
-      ++stats.unordered;
-      if (unordered_counter != nullptr) unordered_counter->inc();
-      sim = have_last ? last_sim : 0;
+  };
+  // A short batch means the capture ended; a capture that fits one batch
+  // never starts the pool.
+  if (current->size == kParseBatchLines) read_batch(*reader, ahead);
+  std::unique_ptr<tracestore::ScanPool> pool;
+  if (ahead->size > 0) {
+    pool = std::make_unique<tracestore::ScanPool>(parse_threads());
+    pool->parallel_for(chunk_count(*current), [&](std::size_t chunk) {
+      parse_chunk(*current, chunk);
+    });
+  } else {
+    for (std::size_t c = 0; c < chunk_count(*current); ++c) {
+      parse_chunk(*current, c);
     }
-    last_sim = sim;
-    have_last = true;
+  }
 
-    trace::TraceEntry entry;
-    entry.timestamp = sim;
-    entry.peer = record.peer;
-    entry.address = record.address;
-    entry.type = record.type;
-    entry.cid = record.cid;
-    entry.monitor = monitors.id_for(record.vantage);
-    if (options.mark_flags) flagger.mark(entry);
-    writer->append(entry);
-    if (entries_counter != nullptr) entries_counter->inc();
-    if (first_record) {
-      stats.min_time = sim;
-      first_record = false;
+  while (current->size > 0) {
+    tracestore::ScanPool::Ticket parsing;
+    if (ahead->size > 0) {
+      Batch* batch = ahead;
+      parsing = pool->run(chunk_count(*batch), [&parse_chunk, batch](
+                                                   std::size_t chunk) {
+        parse_chunk(*batch, chunk);
+      });
     }
-    stats.max_time = sim;
-
-    // --- Durability checkpoint ---------------------------------------------
-    ++since_checkpoint;
-    if (options.checkpoint_every > 0 &&
-        since_checkpoint >= options.checkpoint_every) {
-      since_checkpoint = 0;
-      std::string ckpt_error;
-      if (!publish_checkpoint(line_end_offset, &stats, &ckpt_error)) {
-        return fail(ckpt_error);
-      }
+    const Stop stop = handle_batch(*current, first_line);
+    first_line = 0;
+    // `current` is spent: refill it with the batch after `ahead` while the
+    // pool is still parsing `ahead`.
+    current->size = 0;
+    if (stop == Stop::kNone && ahead->size == kParseBatchLines) {
+      read_batch(*reader, current);
     }
-
-    // --- Bounded sample: stop resumable instead of finalizing --------------
-    if (options.max_entries > 0 &&
-        writer->entries_written() >= options.max_entries) {
-      std::string ckpt_error;
-      if (!publish_checkpoint(line_end_offset, &stats, &ckpt_error)) {
-        return fail(ckpt_error);
-      }
+    // Help with what is left of that parse; the tasks write into `ahead`,
+    // so never leave them running.
+    if (pool != nullptr) pool->join(parsing);
+    if (stop == Stop::kFailed) return fail(stop_error);
+    if (stop == Stop::kTruncated) {
       writer->abandon();  // everything is flushed; suppress finalize()
       stats.truncated = true;
-      stats.bytes = reader->offset() - start_offset;
+      stats.bytes = stop_offset - start_offset;
       stats.format = format;
       stats.wall_epoch_ns = *epoch;
       stats.monitors = monitors.sorted();
@@ -415,11 +532,12 @@ std::optional<IngestStats> ingest_capture(const std::string& capture_path,
       }
       return stats;
     }
+    std::swap(current, ahead);
   }
   if (!reader->error().empty()) {
     return fail(capture_path + ": " + reader->error());
   }
-  if (stats.lines == (resume_from ? resume_from->lines : 0) && !resume_from) {
+  if (stats.lines == 0 && !resume_from) {
     return fail(capture_path + ": empty capture");
   }
 
@@ -428,10 +546,6 @@ std::optional<IngestStats> ingest_capture(const std::string& capture_path,
   stats.entries = writer->entries_written();
   stats.wall_epoch_ns = epoch.value_or(0);
   stats.monitors = monitors.sorted();
-  if (resume_from && resume_from->entries > 0 &&
-      stats.entries == resume_from->entries) {
-    // Nothing new past the checkpoint; keep the recovered range.
-  }
 
   if (!writer->finalize()) {
     return fail("finalize failed: " + writer->error());

@@ -93,6 +93,10 @@ struct IngestStats {
   std::vector<std::pair<std::string, trace::MonitorId>> monitors;
 };
 
+/// Non-blank capture lines per parse batch. ingest_capture parses the
+/// next batch on a pool while it flags and writes the current one.
+inline constexpr std::size_t kParseBatchLines = 4096;
+
 /// Streams `capture_path` into a trace store at `store_dir`. Returns
 /// nullopt on failure (error says why, with a line number for parse
 /// failures in strict mode).

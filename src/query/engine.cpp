@@ -296,12 +296,14 @@ RangeStats QueryService::stats_between_locked(util::SimTime min_t,
           dspan.set_attr("windows",
                          static_cast<std::uint64_t>(windows.size()));
         }
+        std::string error;
         auto reader = tracestore::SegmentReader::open(
-            store_->segment_path(index), nullptr, store_->validation_cache());
+            store_->segment_path(index), &error, store_->validation_cache());
         if (!reader) {
-          // Mirror tracestore::scan: a corrupt segment is skipped, loudly.
+          // Mirror tracestore::scan: a corrupt segment is skipped, loudly,
+          // with the reader's reason.
           store_->skip_segment("skipping unreadable segment " +
-                               store_->segments()[index].file);
+                               store_->segments()[index].file + ": " + error);
           return;
         }
         trace::TraceEntry entry;

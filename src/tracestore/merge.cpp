@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <queue>
+#include <utility>
 
 namespace ipfsmon::tracestore {
 
@@ -62,44 +63,133 @@ bool StoreCursor::next(trace::TraceEntry& out) {
 
 // --- StreamingFlagger -------------------------------------------------------
 
+namespace {
+
+std::size_t key_hash(const trace::TraceEntry& e) {
+  const std::size_t h1 = std::hash<crypto::PeerId>{}(e.peer);
+  const std::size_t h2 = std::hash<cid::Cid>{}(e.cid);
+  return h1 ^ (h2 * 0x9e3779b97f4a7c15ull) ^ static_cast<std::size_t>(e.type);
+}
+
+}  // namespace
+
 void StreamingFlagger::mark(trace::TraceEntry& entry) {
   evict_before(entry.timestamp - kWidestWindow);
 
   entry.flags = 0;
-  const Key key{entry.peer, entry.type, entry.cid};
-  auto& per_monitor = last_seen_[key];
-  for (const auto& [monitor, when] : per_monitor) {
-    const util::SimDuration delta = entry.timestamp - when;
-    if (monitor == entry.monitor) {
+  const std::uint32_t s = acquire(entry);
+  Slot& slot = slots_[s];
+  Sighting* own = nullptr;
+  for (Sighting& seen : slot.seen) {
+    const util::SimDuration delta = entry.timestamp - seen.time;
+    if (seen.monitor == entry.monitor) {
+      own = &seen;
       if (delta <= trace::kRebroadcastWindow) {
         entry.flags |= trace::kRebroadcast;
       }
-    } else {
-      if (delta <= trace::kInterMonitorWindow) {
-        entry.flags |= trace::kInterMonitorDuplicate;
-      }
+    } else if (delta <= trace::kInterMonitorWindow) {
+      entry.flags |= trace::kInterMonitorDuplicate;
     }
   }
-  per_monitor[entry.monitor] = entry.timestamp;
-  expiries_.push_back(Expiry{entry.timestamp, key, entry.monitor});
-  peak_keys_ = std::max(peak_keys_, last_seen_.size());
+  if (own != nullptr) {
+    own->time = entry.timestamp;
+  } else {
+    slot.seen.push_back(Sighting{entry.monitor, entry.timestamp});
+  }
+  expiries_.push_back(
+      Expiry{entry.timestamp, s, slot.generation, entry.monitor});
+  peak_keys_ = std::max(peak_keys_, live_);
+}
+
+std::size_t StreamingFlagger::home(std::size_t hash) const {
+  // The key hash is a plain fold of digest bytes; mix it so the low bits
+  // that pick the position depend on all of them.
+  std::uint64_t h = hash;
+  h ^= h >> 33;
+  h *= 0xff51afd7ed558ccdull;
+  h ^= h >> 33;
+  return static_cast<std::size_t>(h) & (index_.size() - 1);
+}
+
+std::uint32_t StreamingFlagger::acquire(const trace::TraceEntry& entry) {
+  if (2 * (live_ + 1) > index_.size()) {
+    const std::size_t size = std::max<std::size_t>(64, 2 * index_.size());
+    const std::vector<std::uint32_t> old =
+        std::exchange(index_, std::vector<std::uint32_t>(size));
+    for (const std::uint32_t ref : old) {
+      if (ref == 0) continue;
+      std::size_t pos = home(slots_[ref - 1].hash);
+      while (index_[pos] != 0) pos = (pos + 1) & (index_.size() - 1);
+      index_[pos] = ref;
+    }
+  }
+  const std::size_t hash = key_hash(entry);
+  const std::size_t mask = index_.size() - 1;
+  std::size_t pos = home(hash);
+  for (; index_[pos] != 0; pos = (pos + 1) & mask) {
+    const std::uint32_t s = index_[pos] - 1;
+    const Slot& slot = slots_[s];
+    if (slot.hash == hash && slot.type == entry.type &&
+        slot.peer == entry.peer && slot.cid == entry.cid) {
+      return s;
+    }
+  }
+  std::uint32_t s = 0;
+  if (free_slots_.empty()) {
+    s = static_cast<std::uint32_t>(slots_.size());
+    slots_.emplace_back();
+  } else {
+    s = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  Slot& slot = slots_[s];
+  slot.peer = entry.peer;
+  slot.type = entry.type;
+  slot.cid = entry.cid;
+  slot.hash = hash;
+  index_[pos] = s + 1;
+  ++live_;
+  return s;
+}
+
+void StreamingFlagger::release(std::uint32_t s) {
+  const std::size_t mask = index_.size() - 1;
+  std::size_t hole = home(slots_[s].hash);
+  while (index_[hole] != s + 1) hole = (hole + 1) & mask;
+  // Backward-shift deletion: a later member of the probe run moves into
+  // the hole unless its home lies cyclically in (hole, next].
+  for (std::size_t next = (hole + 1) & mask; index_[next] != 0;
+       next = (next + 1) & mask) {
+    const std::size_t want = home(slots_[index_[next] - 1].hash);
+    if (((next - want) & mask) >= ((next - hole) & mask)) {
+      index_[hole] = index_[next];
+      hole = next;
+    }
+  }
+  index_[hole] = 0;
+  Slot& slot = slots_[s];
+  ++slot.generation;
+  slot.seen.clear();
+  free_slots_.push_back(s);
+  --live_;
 }
 
 void StreamingFlagger::evict_before(util::SimTime horizon) {
   while (!expiries_.empty() && expiries_.front().time < horizon) {
-    const Expiry& expiry = expiries_.front();
-    const auto it = last_seen_.find(expiry.key);
-    if (it != last_seen_.end()) {
-      // Only drop the record if it was not refreshed by a later sighting
-      // (a refresh leaves this expiry stale; the newer one covers it).
-      const auto monitor_it = it->second.find(expiry.monitor);
-      if (monitor_it != it->second.end() &&
-          monitor_it->second == expiry.time) {
-        it->second.erase(monitor_it);
-        if (it->second.empty()) last_seen_.erase(it);
-      }
-    }
+    const Expiry expiry = expiries_.front();
     expiries_.pop_front();
+    Slot& slot = slots_[expiry.slot];
+    if (slot.generation != expiry.generation) continue;
+    // Only drop the sighting if it was not refreshed later (a refresh
+    // leaves this expiry stale; the newer one covers it).
+    const auto it = std::find_if(
+        slot.seen.begin(), slot.seen.end(), [&expiry](const Sighting& s) {
+          return s.monitor == expiry.monitor && s.time == expiry.time;
+        });
+    if (it == slot.seen.end()) continue;
+    *it = slot.seen.back();
+    slot.seen.pop_back();
+    if (slot.seen.empty()) release(expiry.slot);
   }
 }
 

@@ -14,7 +14,7 @@
 #include <algorithm>
 #include <deque>
 #include <functional>
-#include <unordered_map>
+#include <vector>
 
 #include "tracestore/store.hpp"
 #include "trace/preprocess.hpp"
@@ -61,6 +61,11 @@ class StoreCursor {
 /// Incremental re-implementation of trace::mark_flags with the paper's
 /// windows: feed time-ordered entries, get the same flags, with state
 /// bounded by the widest window.
+///
+/// Each resident (peer, type, CID) key lives in a recycled slot, found
+/// through an open-addressing index. Once the window's key count has
+/// peaked, marking allocates nothing: a released slot keeps its sighting
+/// list's capacity, and assigning its CID reuses the digest buffer.
 class StreamingFlagger {
  public:
   static constexpr util::SimDuration kWidestWindow =
@@ -74,32 +79,44 @@ class StreamingFlagger {
   std::size_t peak_keys() const { return peak_keys_; }
 
  private:
-  struct Key {
-    crypto::PeerId peer;
-    bitswap::WantType type;
-    cid::Cid cid;
-    bool operator==(const Key&) const = default;
+  /// When one monitor last saw a slot's key.
+  struct Sighting {
+    trace::MonitorId monitor;
+    util::SimTime time;
   };
-  struct KeyHash {
-    std::size_t operator()(const Key& k) const noexcept {
-      const std::size_t h1 = std::hash<crypto::PeerId>{}(k.peer);
-      const std::size_t h2 = std::hash<cid::Cid>{}(k.cid);
-      return h1 ^ (h2 * 0x9e3779b97f4a7c15ull) ^
-             static_cast<std::size_t>(k.type);
-    }
+  /// `generation` advances each time the slot is released, so an expiry
+  /// queued for an earlier key in the same slot never touches the key
+  /// that reuses it. (With time-ordered input the sighting times alone
+  /// would tell them apart; out-of-order input can leave such an expiry
+  /// queued behind a later one.)
+  struct Slot {
+    crypto::PeerId peer;
+    bitswap::WantType type = bitswap::WantType::WantHave;
+    cid::Cid cid;
+    std::size_t hash = 0;
+    std::uint32_t generation = 0;
+    std::vector<Sighting> seen;
   };
   struct Expiry {
     util::SimTime time;
-    Key key;
+    std::uint32_t slot;
+    std::uint32_t generation;
     trace::MonitorId monitor;
   };
 
+  /// The slot holding `entry`'s key, claiming a free one when absent.
+  std::uint32_t acquire(const trace::TraceEntry& entry);
+  void release(std::uint32_t slot);
+  /// Index position a key hash probes first.
+  std::size_t home(std::size_t hash) const;
   void evict_before(util::SimTime horizon);
 
-  std::unordered_map<Key,
-                     std::unordered_map<trace::MonitorId, util::SimTime>,
-                     KeyHash>
-      last_seen_;
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> free_slots_;
+  /// Linear-probing table of live slots (slot + 1; 0 = empty), a power of
+  /// two in size and at most half full.
+  std::vector<std::uint32_t> index_;
+  std::size_t live_ = 0;
   std::deque<Expiry> expiries_;
   std::size_t peak_keys_ = 0;
 };

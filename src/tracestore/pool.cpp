@@ -136,6 +136,10 @@ ScanPool::Ticket ScanPool::run(std::size_t count,
 void ScanPool::parallel_for(std::size_t count,
                             const std::function<void(std::size_t)>& fn) {
   Ticket ticket = run(count, fn);
+  join(ticket);
+}
+
+void ScanPool::join(Ticket& ticket) {
   if (ticket.batch_ != nullptr && ticket.batch_->fn) {
     std::size_t index = 0;
     while (ticket.batch_->take(workers_.size(), &index)) {

@@ -54,10 +54,13 @@ class ScanPool {
   /// waits the ticket.
   Ticket run(std::size_t count, std::function<void(std::size_t)> fn);
 
-  /// run() + the calling thread joins the stealing until the batch is
-  /// drained, then blocks for completion.
+  /// run() + join().
   void parallel_for(std::size_t count,
                     const std::function<void(std::size_t)>& fn);
+
+  /// The calling thread joins the stealing until `ticket`'s batch is
+  /// drained, then blocks for completion.
+  void join(Ticket& ticket);
 
   /// One-task convenience for read-ahead style work.
   Ticket submit(std::function<void()> task);

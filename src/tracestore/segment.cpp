@@ -117,10 +117,24 @@ std::size_t ValidationCache::entries() const {
 
 namespace {
 
-/// Distinct keys of one body, in first-appearance order.
+/// Distinct keys of one body, in first-appearance order, as the Bloom
+/// hashes the footer filters take.
 struct BodyKeys {
-  std::vector<const crypto::PeerId*> peers;
-  std::vector<const cid::Cid*> cids;
+  std::vector<BloomHash> peers;
+  std::vector<BloomHash> cids;
+};
+
+/// Hashes and compares CIDs through pointers into the trace being encoded,
+/// so interning a CID never copies its heap digest.
+struct CidRefHash {
+  std::size_t operator()(const cid::Cid* c) const noexcept {
+    return std::hash<cid::Cid>{}(*c);
+  }
+};
+struct CidRefEqual {
+  bool operator()(const cid::Cid* a, const cid::Cid* b) const noexcept {
+    return *a == *b;
+  }
 };
 
 /// Appends the IPM2 body of `entries` to `out`: peers, addresses and CIDs
@@ -129,52 +143,68 @@ struct BodyKeys {
 /// delta-coded timestamps. Long traces repeat the same few thousand
 /// peers/CIDs constantly, so the dictionaries carry most of the savings.
 BodyKeys encode_body(const trace::Trace& entries, util::Bytes& out) {
-  BodyKeys keys;
-  std::unordered_map<crypto::PeerId, std::uint64_t> peer_index;
-  std::unordered_map<net::Address, std::uint64_t> addr_index;
+  // One interning pass keeps each entry's dictionary ids for the record
+  // pass. A segment holds far fewer than 2^32 entries, so 32-bit ids fit.
+  struct Refs {
+    std::uint32_t peer;
+    std::uint32_t addr;
+    std::uint32_t cid;
+  };
+  std::vector<Refs> refs;
+  refs.reserve(entries.size());
+  std::vector<const crypto::PeerId*> peers;
+  std::vector<const cid::Cid*> cids;
+  std::unordered_map<crypto::PeerId, std::uint32_t> peer_index;
+  std::unordered_map<net::Address, std::uint32_t> addr_index;
   std::vector<net::Address> addrs;
-  std::unordered_map<cid::Cid, std::uint64_t> cid_index;
+  std::unordered_map<const cid::Cid*, std::uint32_t, CidRefHash, CidRefEqual>
+      cid_index;
   for (const auto& e : entries.entries()) {
-    if (peer_index.emplace(e.peer, keys.peers.size()).second) {
-      keys.peers.push_back(&e.peer);
-    }
-    if (addr_index.emplace(e.address, addrs.size()).second) {
-      addrs.push_back(e.address);
-    }
-    if (cid_index.emplace(e.cid, keys.cids.size()).second) {
-      keys.cids.push_back(&e.cid);
-    }
+    const auto [peer_it, new_peer] = peer_index.try_emplace(
+        e.peer, static_cast<std::uint32_t>(peers.size()));
+    if (new_peer) peers.push_back(&e.peer);
+    const auto [addr_it, new_addr] = addr_index.try_emplace(
+        e.address, static_cast<std::uint32_t>(addrs.size()));
+    if (new_addr) addrs.push_back(e.address);
+    const auto [cid_it, new_cid] = cid_index.try_emplace(
+        &e.cid, static_cast<std::uint32_t>(cids.size()));
+    if (new_cid) cids.push_back(&e.cid);
+    refs.push_back(Refs{peer_it->second, addr_it->second, cid_it->second});
   }
 
   util::varint_append(out, kCompactMagic);
   util::varint_append(out, entries.size());
-  util::varint_append(out, keys.peers.size());
-  for (const auto* peer : keys.peers) {
+  BodyKeys keys;
+  util::varint_append(out, peers.size());
+  for (const auto* peer : peers) {
     out.insert(out.end(), peer->digest().begin(), peer->digest().end());
+    keys.peers.push_back(bloom_hash(*peer));
   }
   util::varint_append(out, addrs.size());
   for (const auto& addr : addrs) {
     util::varint_append(out, addr.ip);
     util::varint_append(out, addr.port);
   }
-  util::varint_append(out, keys.cids.size());
-  for (const auto* c : keys.cids) {
+  util::varint_append(out, cids.size());
+  for (const auto* c : cids) {
     const util::Bytes encoded = c->encode();
     util::varint_append(out, encoded.size());
     out.insert(out.end(), encoded.begin(), encoded.end());
+    keys.cids.push_back(bloom_hash(encoded));  // = bloom_hash(*c)
   }
 
   // Deltas wrap in unsigned arithmetic (the decoder wraps back), so any
   // pair of timestamps round-trips without signed overflow.
   std::uint64_t previous = 0;
-  for (const auto& e : entries.entries()) {
+  for (std::size_t i = 0; i < refs.size(); ++i) {
+    const trace::TraceEntry& e = entries.entries()[i];
     const auto timestamp = static_cast<std::uint64_t>(e.timestamp);
     const auto delta = static_cast<std::int64_t>(timestamp - previous);
     util::varint_append(out, util::zigzag_encode(delta));
     previous = timestamp;
-    util::varint_append(out, peer_index.at(e.peer));
-    util::varint_append(out, addr_index.at(e.address));
-    util::varint_append(out, cid_index.at(e.cid));
+    util::varint_append(out, refs[i].peer);
+    util::varint_append(out, refs[i].addr);
+    util::varint_append(out, refs[i].cid);
     // type (2 bits) | monitor (shifted) fit one varint; flags another.
     util::varint_append(out, static_cast<std::uint64_t>(e.type) |
                                  (static_cast<std::uint64_t>(e.monitor) << 2));
@@ -201,9 +231,9 @@ bool write_segment_file(const std::string& path, const trace::Trace& entries,
     first = false;
   }
   footer.peer_bloom = BloomFilter::with_capacity(keys.peers.size());
-  for (const auto* p : keys.peers) footer.peer_bloom.insert(bloom_hash(*p));
+  for (const auto& h : keys.peers) footer.peer_bloom.insert(h);
   footer.cid_bloom = BloomFilter::with_capacity(keys.cids.size());
-  for (const auto* c : keys.cids) footer.cid_bloom.insert(bloom_hash(*c));
+  for (const auto& h : keys.cids) footer.cid_bloom.insert(h);
 
   const util::Bytes footer_bytes = encode_footer(footer);
   const util::Bytes trailer = util::seal(footer_bytes, kTrailerMagic);
@@ -264,17 +294,18 @@ std::optional<SegmentReader> SegmentReader::open(const std::string& path,
     }
     if (validated != nullptr) validated->remember(path, signature);
   }
-  if (!reader.parse_dictionaries(error)) return std::nullopt;
+  if (!reader.parse_dictionaries(path, error)) return std::nullopt;
   return reader;
 }
 
-bool SegmentReader::parse_dictionaries(std::string* error) {
+bool SegmentReader::parse_dictionaries(const std::string& path,
+                                       std::string* error) {
   util::ByteReader r(body());
   if (r.varint() != kCompactMagic || !r.ok()) {
-    return fail(error, "bad body magic");
+    return fail(error, path + ": bad body magic");
   }
   if (r.varint() != footer_.entry_count || !r.ok()) {
-    return fail(error, "entry count disagrees with footer");
+    return fail(error, path + ": entry count disagrees with footer");
   }
   const std::uint64_t peer_count = r.count(kPeerBytes);
   peers_.reserve(peer_count);
@@ -284,7 +315,7 @@ bool SegmentReader::parse_dictionaries(std::string* error) {
     std::copy(raw.begin(), raw.end(), digest.begin());
     peers_.emplace_back(digest);
   }
-  if (!r.ok()) return fail(error, "malformed peer dictionary");
+  if (!r.ok()) return fail(error, path + ": malformed peer dictionary");
   const std::uint64_t addr_count = r.count(kMinAddrBytes);
   addrs_.reserve(addr_count);
   for (std::uint64_t i = 0; i < addr_count && r.ok(); ++i) {
@@ -294,7 +325,7 @@ bool SegmentReader::parse_dictionaries(std::string* error) {
     addrs_.push_back(net::Address{static_cast<std::uint32_t>(ip),
                                   static_cast<std::uint16_t>(port)});
   }
-  if (!r.ok()) return fail(error, "malformed address dictionary");
+  if (!r.ok()) return fail(error, path + ": malformed address dictionary");
   // CIDs are variable-length heap values and a raw scan may never touch
   // them, so only their byte ranges are indexed here; cid_key() decodes
   // on first use. The bytes are covered by the body checksum, so a
@@ -307,7 +338,7 @@ bool SegmentReader::parse_dictionaries(std::string* error) {
     r.bytes(len);
     cid_spans_.push_back(KeySpan{at, static_cast<std::uint32_t>(len)});
   }
-  if (!r.ok()) return fail(error, "malformed CID dictionary");
+  if (!r.ok()) return fail(error, path + ": malformed CID dictionary");
   cids_.assign(cid_spans_.size(), cid::Cid());
   cid_done_.assign(cid_spans_.size(), 0);
   pos_ = r.pos();

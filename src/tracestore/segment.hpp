@@ -141,7 +141,8 @@ class SegmentReader {
 
  private:
   SegmentReader() = default;
-  bool parse_dictionaries(std::string* error);
+  /// Fails with an error naming `path`, like every other open error.
+  bool parse_dictionaries(const std::string& path, std::string* error);
   util::BytesView body() const {
     return util::BytesView(bytes_).subspan(0, footer_.body_bytes);
   }

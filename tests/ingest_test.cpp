@@ -1010,5 +1010,198 @@ TEST_F(IngestTest, CheckpointKeepsWriterAppendable) {
   EXPECT_EQ(store->total_entries(), 11u);
 }
 
+// --- Pipelined parse: captures spanning several parse batches ---------------
+
+constexpr std::size_t kBatch = ingest::kParseBatchLines;
+/// Three full parse batches plus a partial one.
+constexpr std::size_t kMultiBatchRecords = 3 * kBatch + kBatch / 3;
+
+void write_lines(const std::string& path,
+                 const std::vector<std::string>& lines) {
+  auto writer = ingest::LineWriter::open(path, false);
+  ASSERT_NE(writer, nullptr);
+  for (const auto& line : lines) ASSERT_TRUE(writer->write(line));
+  ASSERT_TRUE(writer->close());
+}
+
+std::vector<std::string> ndjson_lines(
+    const std::vector<ingest::CaptureRecord>& records) {
+  std::vector<std::string> lines;
+  for (const auto& record : records) {
+    lines.push_back(ingest::format_ndjson_record(record));
+  }
+  return lines;
+}
+
+std::string read_text(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+std::uint64_t replay_checksum(const std::string& dir) {
+  auto store = tracestore::TraceStore::open(dir);
+  EXPECT_TRUE(store.has_value()) << dir;
+  return store ? ingest::replay_store(*store, nullptr).checksum : 0;
+}
+
+TEST_F(IngestTest, StrictBadLineInALaterBatchKeepsItsLineNumber) {
+  const auto lines = ndjson_lines(synthetic_capture(kMultiBatchRecords));
+  // First, middle and last line of the second batch, and one line of the
+  // partial last batch.
+  for (const std::size_t at :
+       {kBatch, kBatch + 777, 2 * kBatch - 1, 3 * kBatch + 5}) {
+    SCOPED_TRACE(at);
+    auto with_bad = lines;
+    with_bad[at] = "{\"broken\":";
+    write_lines(path("cap.ndjson"), with_bad);
+    std::string error;
+    EXPECT_FALSE(ingest::ingest_capture(path("cap.ndjson"), path("store"), {},
+                                        &error)
+                     .has_value());
+    EXPECT_NE(error.find("cap.ndjson line " + std::to_string(at + 1) +
+                         ": malformed json"),
+              std::string::npos)
+        << error;
+  }
+}
+
+TEST_F(IngestTest, LenientRejectsKeepCaptureOrderAcrossBatches) {
+  const auto records = synthetic_capture(kMultiBatchRecords);
+  std::vector<std::string> lines;
+  std::string expected_rejects;
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    // Bad lines open and close batches and fall inside them (but not on
+    // the first line, which decides the capture format).
+    const std::size_t in_batch = lines.size() % kBatch;
+    if ((in_batch == 0 && i > 0) || in_batch == kBatch - 1 || i % 613 == 7) {
+      const std::string bad =
+          i % 2 == 0 ? "not json " + std::to_string(i)
+                     : line_with_vantage(records[i], kForgedVantage);
+      lines.push_back(bad);
+      ingest::CaptureRecord ignored;
+      std::string why;
+      EXPECT_FALSE(ingest::parse_ndjson_record(bad, &ignored, &why));
+      expected_rejects += "# line " + std::to_string(lines.size()) + ": " +
+                          why + "\n" + bad + "\n";
+    }
+    lines.push_back(ingest::format_ndjson_record(records[i]));
+  }
+  write_lines(path("cap.ndjson"), lines);
+
+  auto options = two_vantage_options();
+  options.lenient = true;
+  std::string error;
+  const auto stats = ingest::ingest_capture(path("cap.ndjson"), path("store"),
+                                            options, &error);
+  ASSERT_TRUE(stats.has_value()) << error;
+  EXPECT_EQ(stats->lines, lines.size());
+  EXPECT_EQ(stats->entries, records.size());
+  EXPECT_EQ(stats->rejected, lines.size() - records.size());
+  // Quarantined in capture order, each under its own line number.
+  EXPECT_EQ(read_text(ingest::rejects_path(path("store"))), expected_rejects);
+
+  auto store = tracestore::TraceStore::open(path("store"));
+  ASSERT_TRUE(store.has_value());
+  const auto scanned = scan_all(*store);
+  const trace::Trace expected = expected_trace(records, kEpoch);
+  ASSERT_EQ(scanned.size(), expected.size());
+  for (std::size_t i = 0; i < scanned.size(); ++i) {
+    EXPECT_EQ(scanned[i].timestamp, expected.entries()[i].timestamp) << i;
+    EXPECT_EQ(scanned[i].flags, expected.entries()[i].flags) << i;
+  }
+}
+
+TEST_F(IngestTest, MidBatchCheckpointsMatchALineByLineIngest) {
+  const auto records = synthetic_capture(kMultiBatchRecords);
+  const auto lines = ndjson_lines(records);
+  write_lines(path("cap.ndjson"), lines);
+  std::string error;
+  ASSERT_TRUE(ingest::ingest_capture(path("cap.ndjson"), path("ref"),
+                                     two_vantage_options(), &error)
+                  .has_value())
+      << error;
+
+  // Neither the checkpoints nor the stop land on a batch boundary.
+  auto options = two_vantage_options();
+  options.checkpoint_every = kBatch / 2 + 77;
+  options.max_entries = 2 * kBatch + 333;
+  const auto partial = ingest::ingest_capture(path("cap.ndjson"),
+                                              path("store"), options, &error);
+  ASSERT_TRUE(partial.has_value()) << error;
+  EXPECT_TRUE(partial->truncated);
+  EXPECT_EQ(partial->entries, options.max_entries);
+  EXPECT_EQ(partial->checkpoints,
+            options.max_entries / options.checkpoint_every + 1);
+
+  // The checkpoint is the one a line-by-line loop writes: it stops just
+  // past the last ingested line, not where the read-ahead got to.
+  const std::size_t n = options.max_entries;
+  std::uint64_t offset = 0;
+  for (std::size_t i = 0; i < n; ++i) offset += lines[i].size() + 1;
+  EXPECT_EQ(partial->bytes, offset);
+  EXPECT_EQ(read_text(path("store") + "/INGEST.ckpt"),
+            "ipfsmon-ingest-ckpt v1\nsource=cap.ndjson\noffset=" +
+                std::to_string(offset) + "\nlines=" + std::to_string(n) +
+                "\nentries=" + std::to_string(n) +
+                "\nrejected=0\nunordered=0\nepoch=" +
+                std::to_string(kEpoch) + "\nlast_sim=" +
+                std::to_string(records[n - 1].wall_ns - kEpoch) +
+                "\nmonitor=0:us\nmonitor=1:de\n");
+
+  options.max_entries = 0;
+  options.resume = true;
+  const auto finished = ingest::ingest_capture(path("cap.ndjson"),
+                                               path("store"), options, &error);
+  ASSERT_TRUE(finished.has_value()) << error;
+  EXPECT_TRUE(finished->resumed);
+  EXPECT_EQ(finished->resumed_entries, n);
+  EXPECT_EQ(finished->entries, records.size());
+  EXPECT_EQ(finished->lines, lines.size());
+  EXPECT_EQ(replay_checksum(path("store")), replay_checksum(path("ref")));
+}
+
+TEST_F(IngestTest, CsvHeaderAndBlankLinesInsideBatches) {
+  const auto records = synthetic_capture(kMultiBatchRecords);
+  write_capture(path("cap.ndjson"), records);
+  std::vector<std::string> lines = {ingest::csv_capture_header()};
+  std::vector<std::uint64_t> record_end;  // offset just past each record
+  std::uint64_t offset = lines[0].size() + 1;
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    const std::size_t blanks = (i % 97 == 0 ? 1 : 0) + (i % 1001 == 0 ? 1 : 0);
+    for (std::size_t b = 0; b < blanks; ++b) {
+      lines.emplace_back();
+      offset += 1;
+    }
+    lines.push_back(ingest::format_csv_record(records[i]));
+    offset += lines.back().size() + 1;
+    record_end.push_back(offset);
+  }
+  lines.emplace_back();
+  write_lines(path("cap.csv"), lines);
+
+  std::string error;
+  const auto stats = ingest::ingest_capture(path("cap.csv"), path("csv"),
+                                            two_vantage_options(), &error);
+  ASSERT_TRUE(stats.has_value()) << error;
+  EXPECT_EQ(stats->format, ingest::CaptureFormat::kCsv);
+  EXPECT_EQ(stats->lines, records.size() + 1);  // the header counts
+  EXPECT_EQ(stats->entries, records.size());
+  EXPECT_EQ(stats->bytes, fs::file_size(path("cap.csv")));
+  ASSERT_TRUE(ingest::ingest_capture(path("cap.ndjson"), path("ndjson"),
+                                     two_vantage_options(), &error)
+                  .has_value())
+      << error;
+  EXPECT_EQ(replay_checksum(path("csv")), replay_checksum(path("ndjson")));
+
+  // A stop mid-batch consumes the blank lines before its last line only.
+  auto options = two_vantage_options();
+  options.max_entries = kBatch + 5;
+  const auto partial =
+      ingest::ingest_capture(path("cap.csv"), path("part"), options, &error);
+  ASSERT_TRUE(partial.has_value()) << error;
+  EXPECT_EQ(partial->bytes, record_end[options.max_entries - 1]);
+}
+
 }  // namespace
 }  // namespace ipfsmon

@@ -662,6 +662,39 @@ TEST(Engine, MissingSidecarsFallBackToDecode) {
   EXPECT_EQ(source, StatsSource::kScan);
 }
 
+TEST(Engine, UnreadableSegmentWarningCarriesTheReason) {
+  const std::string dir = fresh_dir("unreadable_decode");
+  const trace::Trace t = make_trace(700, 32);
+  build_store(dir, t);
+  for (const auto& file : std::filesystem::directory_iterator(dir)) {
+    if (file.path().string().ends_with(".rollup")) {
+      std::filesystem::remove(file.path());
+    }
+  }
+  // A flipped body byte keeps the footer valid, so the store opens and only
+  // decoding the segment finds the damage.
+  {
+    std::fstream f(dir + "/seg-000000.seg",
+                   std::ios::in | std::ios::out | std::ios::binary);
+    f.seekg(10);
+    char byte = 0;
+    f.read(&byte, 1);
+    f.seekp(10);
+    f.put(static_cast<char>(byte ^ 0x55));
+  }
+  auto service = QueryService::open(dir);
+  ASSERT_NE(service, nullptr);
+  service->stats_between(t.entries().front().timestamp,
+                         t.entries().back().timestamp, nullptr);
+  ASSERT_EQ(service->store().warnings().size(), 1u);
+  const std::string& warning = service->store().warnings()[0];
+  EXPECT_EQ(warning.rfind("skipping unreadable segment seg-000000.seg: ", 0),
+            0u)
+      << warning;
+  EXPECT_NE(warning.find("body checksum mismatch"), std::string::npos)
+      << warning;
+}
+
 TEST(Engine, HttpStatsMatchesBatchAndRollupForcedScanBytesAgree) {
   const std::string dir = fresh_dir("http_stats");
   const trace::Trace t = make_trace(900, 41);

@@ -12,6 +12,8 @@
 #include <fstream>
 
 #include <atomic>
+#include <map>
+#include <tuple>
 #include <unordered_set>
 
 #include "scenario/study.hpp"
@@ -303,6 +305,7 @@ TEST(Segment, HostileDictionaryCountsAreRefused) {
     EXPECT_FALSE(SegmentReader::open(path, &error).has_value()) << c.what;
     EXPECT_NE(error.find("dictionary"), std::string::npos)
         << c.what << ": " << error;
+    EXPECT_EQ(error.rfind(path + ": ", 0), 0u) << c.what << ": " << error;
   }
 }
 
@@ -583,6 +586,84 @@ TEST(Unify, MatchesInMemoryUnifyExactly) {
   // The whole point: window state stays tiny relative to the trace.
   EXPECT_GT(stats.peak_window_keys, 0u);
   EXPECT_LT(stats.peak_window_keys, expected.size() / 2);
+}
+
+TEST(StreamingFlagger, MatchesMarkFlagsOnSeededStreams) {
+  // Few keys, six monitors, and steps that are often zero or exactly a
+  // window long: equal timestamps, sightings exactly 5 s and 31 s apart,
+  // and keys that fall out of the window and come back into a recycled
+  // slot. Each edge case is counted so the streams provably contain it.
+  const util::SimDuration steps[] = {0,
+                                     0,
+                                     1,
+                                     trace::kInterMonitorWindow,
+                                     trace::kInterMonitorWindow + 1,
+                                     trace::kRebroadcastWindow,
+                                     trace::kRebroadcastWindow + 1,
+                                     3 * trace::kRebroadcastWindow};
+  std::size_t equal_times = 0, inter_edges = 0, rebroadcast_edges = 0,
+              returns = 0;
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    util::RngStream rng(seed, "flagger-property");
+    trace::Trace stream;
+    util::SimTime ts = 0;
+    for (int i = 0; i < 4000; ++i) {
+      ts += rng.bernoulli(0.5)
+                ? steps[rng.uniform_index(std::size(steps))]
+                : static_cast<util::SimTime>(rng.uniform_index(2 * kSecond));
+      const auto roll = rng.uniform_index(3);
+      stream.append(entry(ts, static_cast<int>(rng.uniform_index(3)),
+                          static_cast<int>(rng.uniform_index(4)),
+                          static_cast<trace::MonitorId>(rng.uniform_index(6)),
+                          roll == 0   ? bitswap::WantType::Cancel
+                          : roll == 1 ? bitswap::WantType::WantBlock
+                                      : bitswap::WantType::WantHave));
+    }
+    trace::Trace expected = stream;
+    trace::mark_flags(expected);
+
+    // Tally the edge cases: per key, when each monitor last saw it.
+    std::map<std::tuple<crypto::PeerId, bitswap::WantType, cid::Cid>,
+             std::map<trace::MonitorId, util::SimTime>>
+        last;
+    for (std::size_t i = 0; i < stream.size(); ++i) {
+      const auto& e = stream.entries()[i];
+      if (i > 0 && e.timestamp == stream.entries()[i - 1].timestamp) {
+        ++equal_times;
+      }
+      auto& seen = last[{e.peer, e.type, e.cid}];
+      util::SimTime latest = INT64_MIN;
+      for (const auto& [monitor, when] : seen) {
+        latest = std::max(latest, when);
+        const util::SimDuration delta = e.timestamp - when;
+        if (monitor != e.monitor && delta == trace::kInterMonitorWindow) {
+          ++inter_edges;
+        }
+        if (monitor == e.monitor && delta == trace::kRebroadcastWindow) {
+          ++rebroadcast_edges;
+        }
+      }
+      if (!seen.empty() &&
+          e.timestamp - latest > StreamingFlagger::kWidestWindow) {
+        ++returns;
+      }
+      seen[e.monitor] = e.timestamp;
+    }
+
+    StreamingFlagger flagger;
+    for (std::size_t i = 0; i < stream.size(); ++i) {
+      trace::TraceEntry e = stream.entries()[i];
+      e.flags = 0xff;  // mark() must overwrite, not OR into, the flags
+      flagger.mark(e);
+      ASSERT_EQ(e.flags, expected.entries()[i].flags)
+          << "seed " << seed << " entry " << i;
+    }
+    EXPECT_LE(flagger.peak_keys(), 3u * 3u * 4u);
+  }
+  EXPECT_GT(equal_times, 0u);
+  EXPECT_GT(inter_edges, 0u);
+  EXPECT_GT(rebroadcast_edges, 0u);
+  EXPECT_GT(returns, 0u);
 }
 
 TEST(Unify, ToStoreRoundTrips) {
