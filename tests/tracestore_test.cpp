@@ -177,15 +177,10 @@ TEST(Segment, WriteReadRoundTrip) {
   EXPECT_EQ(i, t.size());
 }
 
-TEST(Segment, EncodedBytesArePinned) {
-  // A fixed, seeded trace with every field varied: repeated and one-off
-  // peers, addresses and CIDs (v0 and v1 under several codecs), all want
-  // types, five monitors, flags, equal and backwards timestamps. The whole
-  // .seg file (body, footer Blooms, trailer) must hash to the same constant
-  // whatever the encoder's internals, so the format cannot drift silently.
-  const std::string dir = fresh_dir("segment_pin");
-  std::filesystem::create_directories(dir);
-  const std::string path = dir + "/seg-000000.seg";
+/// A fixed, seeded trace with every field varied: repeated and one-off
+/// peers, addresses and CIDs (v0 and v1 under several codecs), all want
+/// types, five monitors, flags, equal and backwards timestamps.
+trace::Trace pinned_trace() {
   util::RngStream rng(7, "segment-pin");
   const cid::Multicodec codecs[] = {cid::Multicodec::Raw,
                                     cid::Multicodec::DagProtobuf,
@@ -218,11 +213,39 @@ TEST(Segment, EncodedBytesArePinned) {
     e.flags = static_cast<std::uint32_t>(rng.uniform_index(4));
     t.append(std::move(e));
   }
-  ASSERT_TRUE(write_segment_file(path, t, nullptr, nullptr));
+  return t;
+}
+
+TEST(Segment, EncodedBytesArePinned) {
+  // The whole .seg file (body, footer Blooms, trailer) must hash to the
+  // same constant whatever the encoder's internals, so the format cannot
+  // drift silently.
+  const std::string dir = fresh_dir("segment_pin");
+  std::filesystem::create_directories(dir);
+  const std::string path = dir + "/seg-000000.seg";
+  ASSERT_TRUE(write_segment_file(path, pinned_trace(), nullptr, nullptr));
   util::Bytes bytes;
   ASSERT_TRUE(util::read_file(path, &bytes));
   EXPECT_EQ(bytes.size(), 97275u);
   EXPECT_EQ(util::fnv1a64(bytes, 0), 0x7ba6b977714f8501ull);
+}
+
+TEST(Segment, RollupBytesArePinned) {
+  // The rollup sidecar a writer seals beside the pinned segment (buckets,
+  // distinct peer and CID counts, trailer) is pinned the same way.
+  const std::string dir = fresh_dir("rollup_pin");
+  auto writer = SegmentWriter::create(dir, {});
+  ASSERT_NE(writer, nullptr);
+  const trace::Trace t = pinned_trace();
+  for (const auto& e : t.entries()) writer->append(e);
+  ASSERT_TRUE(writer->finalize()) << writer->error();
+  util::Bytes bytes;
+  ASSERT_TRUE(util::read_file(dir + "/seg-000000.seg", &bytes));
+  EXPECT_EQ(bytes.size(), 97275u);
+  EXPECT_EQ(util::fnv1a64(bytes, 0), 0x7ba6b977714f8501ull);
+  ASSERT_TRUE(util::read_file(dir + "/seg-000000.seg.rollup", &bytes));
+  EXPECT_EQ(bytes.size(), 427u);
+  EXPECT_EQ(util::fnv1a64(bytes, 0), 0x89d91a75c16b0710ull);
 }
 
 TEST(Segment, FooterBloomCoversSegmentKeys) {
