@@ -35,9 +35,9 @@ int main(int argc, char** argv) {
   scenario::MonitoringStudy study(config);
   study.run();
 
-  const trace::Trace unified = study.unified_trace();
-  const auto scores = analysis::compute_popularity(unified);
-  const std::vector<double> weights = scores.rrp_values();
+  analysis::PopularityAccumulator popularity;
+  study.unify([&](const trace::TraceEntry& e) { popularity.add(e); });
+  const std::vector<double> weights = popularity.scores().rrp_values();
   std::printf("measured popularity over %zu distinct CIDs "
               "(RRP from the deduplicated trace)\n", weights.size());
 

@@ -19,13 +19,11 @@
 //
 // Flags: --nodes= --hours= --seed=
 #include <algorithm>
-#include <filesystem>
 #include <unordered_set>
 
 #include "analysis/estimators.hpp"
 #include "bench_common.hpp"
 #include "scenario/study.hpp"
-#include "tracestore/merge.hpp"
 
 using namespace ipfsmon;
 
@@ -71,8 +69,12 @@ int main(int argc, char** argv) {
   std::printf("population=%zu hours=%.1f seed=%llu\n", nodes, hours,
               static_cast<unsigned long long>(seed));
 
-  const std::filesystem::path spill_root =
-      std::filesystem::temp_directory_path() / "ipfsmon_exp_churn";
+  // Each run spills into its own temp directory, removed on exit.
+  const util::TempDir spill_root("ipfsmon_exp_churn");
+  if (spill_root.path().empty()) {
+    std::fprintf(stderr, "cannot create a temporary directory\n");
+    return 1;
+  }
   const double arrival_rates[] = {0.0, 10.0, 30.0, 60.0};
   std::vector<LevelResult> results;
 
@@ -103,10 +105,8 @@ int main(int argc, char** argv) {
       config.churn.partitions.mean_duration_minutes = 5.0;
       // One scheduled monitor crash mid-measurement, spilling to disk so
       // the restart exercises tracestore recovery.
-      const std::string level_dir =
-          (spill_root / ("rate-" + std::to_string(static_cast<int>(rate))))
-              .string();
-      config.monitor_spill_dir = level_dir;
+      config.monitor_spill_dir =
+          spill_root.path() + "/rate-" + std::to_string(static_cast<int>(rate));
       // Roll segments every 30 min so the crash loses only a short open
       // window and the restart has flushed segments to recover.
       config.spill_segment_span = 30 * util::kMinute;
@@ -155,17 +155,7 @@ int main(int argc, char** argv) {
       r.recovered_segments = recovery.segments_kept;
       r.torn_segments = recovery.segments_dropped;
       study.finalize_monitor_spill();
-      std::vector<tracestore::TraceStore> stores;
-      for (const auto& dir : study.monitor_store_dirs()) {
-        if (auto store = tracestore::TraceStore::open(dir)) {
-          stores.push_back(std::move(*store));
-        }
-      }
-      std::vector<const tracestore::TraceStore*> inputs;
-      for (const auto& s : stores) inputs.push_back(&s);
-      const auto stats = tracestore::unify_stores(
-          inputs, [](const trace::TraceEntry&) {});
-      r.unified_entries = stats.entries;
+      r.unified_entries = study.unify([](const trace::TraceEntry&) {}).entries;
     }
     results.push_back(r);
   }

@@ -47,21 +47,23 @@ Row run_scenario(const std::string& name, scenario::StudyConfig config) {
   std::unordered_set<cid::Cid> known;
   for (const auto& item : study.catalog().items()) known.insert(item.root);
 
-  const trace::Trace unified = study.unified_trace();
   std::size_t linkable = 0;
-  for (const auto& e : unified.entries()) {
-    if (!e.is_request() || !e.is_clean()) continue;
+  analysis::PopularityAccumulator popularity_acc;
+  study.unify([&](const trace::TraceEntry& e) {
+    popularity_acc.add(e);
+    if (!e.is_request() || !e.is_clean()) return;
     ++row.observed_requests;
     if (known.count(e.cid) != 0) ++linkable;
-  }
+  });
   row.linkable_share = row.observed_requests == 0
                            ? 0.0
                            : static_cast<double>(linkable) /
                                  static_cast<double>(row.observed_requests);
 
   // IDW precision on the most-wanted catalog CID: how many identified
-  // wanters genuinely wanted it (vs cover traffic)?
-  const auto popularity = analysis::compute_popularity(unified);
+  // wanters genuinely wanted it (vs cover traffic)? A second unify pass
+  // collects them once the target is known.
+  const auto popularity = popularity_acc.scores();
   cid::Cid best;
   std::uint64_t best_score = 0;
   for (const auto& [cid, score] : popularity.urp) {
@@ -71,7 +73,9 @@ Row run_scenario(const std::string& name, scenario::StudyConfig config) {
     }
   }
   if (best_score > 0) {
-    const auto hits = attacks::identify_data_wanters(unified, best);
+    attacks::IdwAccumulator idw(best);
+    study.unify([&idw](const trace::TraceEntry& e) { idw.add(e); });
+    const auto hits = idw.hits();
     std::size_t genuine = 0;
     for (const auto& hit : hits) {
       if (!study.population().is_cover_request(hit.peer, best)) ++genuine;

@@ -11,8 +11,6 @@
 // entries/s + MB/s throughput and the bounded window state printed.
 //
 // Flags: --nodes= --hours= --seed= --oocentries= --oocmonitors=
-#include <filesystem>
-
 #include "bench_common.hpp"
 #include "scenario/study.hpp"
 #include "trace/preprocess.hpp"
@@ -82,6 +80,58 @@ bool entries_identical(const trace::TraceEntry& a, const trace::TraceEntry& b) {
          a.flags == b.flags;
 }
 
+/// The study sections: shares at the paper's windows, then the window
+/// sweep. The study and its collected trace are gone before the
+/// out-of-core section allocates its synthetic traces.
+void report_study(const scenario::StudyConfig& config) {
+  scenario::MonitoringStudy study(config);
+  study.run();
+
+  // The window sweep re-flags the stream, so it is collected once.
+  trace::Trace unified;
+  trace::StatsAccumulator accumulator;
+  study.unify([&](const trace::TraceEntry& e) {
+    accumulator.add(e);
+    unified.append(e);
+  });
+  const trace::TraceStats stats = accumulator.stats();
+
+  bench::print_section("default windows (5 s / 31 s)");
+  std::printf("  unified entries: %zu (%zu requests, %zu cancels)\n",
+              stats.total, stats.requests, stats.cancels);
+  bench::print_comparison("re-broadcast share of requests (paper: >0.50)",
+                          0.50, stats.rebroadcast_share());
+  std::printf("  inter-monitor duplicates: %zu (%.1f%% of entries)\n",
+              stats.inter_monitor_duplicates,
+              100.0 * static_cast<double>(stats.inter_monitor_duplicates) /
+                  static_cast<double>(stats.total));
+  std::printf("  clean entries after both filters: %zu (%.1f%%)\n",
+              stats.clean,
+              100.0 * static_cast<double>(stats.clean) /
+                  static_cast<double>(stats.total));
+
+  bench::print_section("window sweep (marked share vs window size)");
+  std::printf("  %-22s %-22s %s\n", "rebroadcast window", "rebroadcast share",
+              "duplicate share");
+  for (const double rebroadcast_s : {5.0, 15.0, 31.0, 62.0, 120.0}) {
+    trace::PreprocessOptions options;
+    options.rebroadcast_window = static_cast<util::SimDuration>(
+        rebroadcast_s * static_cast<double>(util::kSecond));
+    // mark_flags overwrites every entry's flags, so it re-flags in place.
+    trace::mark_flags(unified, options);
+    trace::StatsAccumulator swept;
+    for (const auto& e : unified.entries()) swept.add(e);
+    const trace::TraceStats s = swept.stats();
+    std::printf("  %-22.0f %-22.3f %.3f\n", rebroadcast_s,
+                s.rebroadcast_share(),
+                static_cast<double>(s.inter_monitor_duplicates) /
+                    static_cast<double>(s.total));
+  }
+  std::printf("\n  expectation: the share saturates just above the 30 s\n"
+              "  re-broadcast period — the paper's 31 s window sits exactly\n"
+              "  at that knee.\n");
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -106,44 +156,7 @@ int main(int argc, char** argv) {
                       "Sec. IV-B: preprocessing — re-broadcast and "
                       "inter-monitor duplicate shares + window sweep");
 
-  scenario::MonitoringStudy study(config);
-  study.run();
-
-  const trace::Trace unified = study.unified_trace();
-  const trace::TraceStats stats = trace::compute_stats(unified);
-
-  bench::print_section("default windows (5 s / 31 s)");
-  std::printf("  unified entries: %zu (%zu requests, %zu cancels)\n",
-              stats.total, stats.requests, stats.cancels);
-  bench::print_comparison("re-broadcast share of requests (paper: >0.50)",
-                          0.50, trace::rebroadcast_share(unified));
-  std::printf("  inter-monitor duplicates: %zu (%.1f%% of entries)\n",
-              stats.inter_monitor_duplicates,
-              100.0 * static_cast<double>(stats.inter_monitor_duplicates) /
-                  static_cast<double>(stats.total));
-  std::printf("  clean entries after both filters: %zu (%.1f%%)\n",
-              stats.clean,
-              100.0 * static_cast<double>(stats.clean) /
-                  static_cast<double>(stats.total));
-
-  bench::print_section("window sweep (marked share vs window size)");
-  std::printf("  %-22s %-22s %s\n", "rebroadcast window", "rebroadcast share",
-              "duplicate share");
-  for (const double rebroadcast_s : {5.0, 15.0, 31.0, 62.0, 120.0}) {
-    trace::PreprocessOptions options;
-    options.rebroadcast_window = static_cast<util::SimDuration>(
-        rebroadcast_s * static_cast<double>(util::kSecond));
-    trace::Trace swept = unified;
-    trace::mark_flags(swept, options);
-    const trace::TraceStats s = trace::compute_stats(swept);
-    std::printf("  %-22.0f %-22.3f %.3f\n", rebroadcast_s,
-                trace::rebroadcast_share(swept),
-                static_cast<double>(s.inter_monitor_duplicates) /
-                    static_cast<double>(s.total));
-  }
-  std::printf("\n  expectation: the share saturates just above the 30 s\n"
-              "  re-broadcast period — the paper's 31 s window sits exactly\n"
-              "  at that knee.\n");
+  report_study(config);
 
   bench::print_section("out-of-core unify (tracestore) vs in-memory");
   const std::vector<trace::Trace> synthetic =
@@ -151,16 +164,18 @@ int main(int argc, char** argv) {
 
   // Spill each monitor trace into a segmented store; the entry cap forces
   // many segments so the merge is a real k-way, multi-segment pass.
-  const std::string ooc_root =
-      (std::filesystem::temp_directory_path() / "ipfsmon_exp_dedup_ooc")
-          .string();
+  const util::TempDir ooc_root("ipfsmon_exp_dedup_ooc");
+  if (ooc_root.path().empty()) {
+    std::fprintf(stderr, "  error: cannot create a temporary directory\n");
+    return 1;
+  }
   tracestore::StoreOptions store_options;
   store_options.max_entries_per_segment = 1u << 15;
   std::vector<tracestore::TraceStore> stores;
   std::size_t total_segments = 0;
   std::uint64_t total_store_bytes = 0;
   for (std::size_t m = 0; m < synthetic.size(); ++m) {
-    const std::string dir = ooc_root + "/monitor-" + std::to_string(m);
+    const std::string dir = ooc_root.path() + "/monitor-" + std::to_string(m);
     auto writer = tracestore::SegmentWriter::create(dir, store_options);
     for (const auto& e : synthetic[m].entries()) writer->append(e);
     if (!writer->finalize()) {
@@ -220,7 +235,6 @@ int main(int argc, char** argv) {
               "(vs %llu entries)\n",
               ooc_stats.peak_window_keys,
               static_cast<unsigned long long>(ooc_stats.entries));
-  std::filesystem::remove_all(ooc_root);
 
   bench::print_run_footer(stopwatch);
   return 0;

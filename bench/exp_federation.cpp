@@ -22,11 +22,11 @@
 // --smoke is the scripts/check.sh --federation-smoke gate: two shippers
 // stream into a live coordinator, one is killed mid-stream and restarted,
 // and the unified /v1/stats answer must be identical to a single-store
-// ground-truth run (exit 1 on any mismatch). Its stores live in a fresh
-// temporary directory that is removed on exit.
+// ground-truth run (exit 1 on any mismatch). Each sweep point and the
+// smoke keep their stores in a fresh temporary directory that is removed
+// when they finish.
 #include <algorithm>
 #include <atomic>
-#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
@@ -43,8 +43,6 @@
 using namespace ipfsmon;
 
 namespace {
-
-namespace fs = std::filesystem;
 
 crypto::PeerId bench_peer(std::uint64_t index) {
   crypto::PeerId::Digest digest{};
@@ -77,12 +75,6 @@ trace::Trace make_monitor_trace(std::size_t n, trace::MonitorId monitor,
     t.append(std::move(e));
   }
   return t;
-}
-
-std::string fresh_dir(const std::string& name) {
-  const std::string dir = "/tmp/ipfsmon_exp_federation/" + name;
-  fs::remove_all(dir);
-  return dir;
 }
 
 void build_store(const std::string& dir, const trace::Trace& t,
@@ -176,6 +168,12 @@ std::optional<SweepResult> run_sweep(std::uint64_t monitors,
                                      std::uint64_t rate,
                                      std::uint64_t entries,
                                      std::uint64_t segment_entries) {
+  // Declared first so it outlives every store, shipper and thread below.
+  const util::TempDir scratch("ipfsmon_exp_federation");
+  if (scratch.path().empty()) {
+    std::fprintf(stderr, "cannot create a temporary directory\n");
+    return std::nullopt;
+  }
   SweepResult result;
   result.monitors = monitors;
   result.rate = rate;
@@ -186,8 +184,7 @@ std::optional<SweepResult> run_sweep(std::uint64_t monitors,
   for (std::uint64_t m = 0; m < monitors; ++m) {
     traces.push_back(make_monitor_trace(
         entries, static_cast<trace::MonitorId>(m), 100 + m));
-    dirs.push_back(fresh_dir("m" + std::to_string(monitors) + "_r" +
-                             std::to_string(rate) + "_" + std::to_string(m)));
+    dirs.push_back(scratch.path() + "/m" + std::to_string(m));
   }
   tracestore::StoreOptions store_options;
   store_options.max_entries_per_segment = segment_entries;
@@ -208,8 +205,7 @@ std::optional<SweepResult> run_sweep(std::uint64_t monitors,
     }
   }
 
-  const std::string root = fresh_dir("root_m" + std::to_string(monitors) +
-                                     "_r" + std::to_string(rate));
+  const std::string root = scratch.path() + "/root";
   std::string error;
   auto coordinator = federation::Coordinator::start(root, {}, &error);
   if (coordinator == nullptr) {

@@ -9,6 +9,7 @@
 #include "analysis/aggregate.hpp"
 #include "bench_common.hpp"
 #include "scenario/study.hpp"
+#include "tracestore/merge.hpp"
 
 using namespace ipfsmon;
 
@@ -64,9 +65,12 @@ int main(int argc, char** argv) {
   study.run_measurement();
 
   // The paper plots the us monitor's raw view (recorded in time order).
-  const trace::Trace us_trace = study.monitor(0).read_trace();
-  const auto buckets =
-      analysis::requests_by_type_over_time(us_trace, util::kDay);
+  analysis::RequestTypeAccumulator by_type(util::kDay);
+  if (const auto store = study.monitor(0).open_store()) {
+    tracestore::StoreCursor cursor(*store);
+    for (trace::TraceEntry e; cursor.next(e);) by_type.add(e);
+  }
+  const auto buckets = by_type.buckets();
 
   bench::print_section("series: requests per day by type (monitor us)");
   std::printf("  %-6s %12s %12s   %s\n", "day", "WANT_BLOCK", "WANT_HAVE",

@@ -65,8 +65,9 @@ int main(int argc, char** argv) {
   scenario::MonitoringStudy study(config);
   study.run();
 
-  const trace::Trace unified = study.unified_trace();
-  const auto scores = analysis::compute_popularity(unified);
+  analysis::PopularityAccumulator popularity;
+  study.unify([&](const trace::TraceEntry& e) { popularity.add(e); });
+  const auto scores = popularity.scores();
 
   bench::print_section("Fig. 5a: raw request popularity (RRP)");
   analysis::Ecdf rrp_ecdf(scores.rrp_values());

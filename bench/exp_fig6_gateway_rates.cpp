@@ -72,14 +72,17 @@ int main(int argc, char** argv) {
   study.run_measurement();
 
   // --- Step 2: TNW on the discovered population over the measurement. ------
-  const trace::Trace deduped = study.unified_trace().deduplicated();
-  auto group_of = [&](const crypto::PeerId& peer) -> std::string {
-    if (cloudflare.count(peer) != 0) return "cloudflare";
-    if (discovered.count(peer) != 0) return "other-gateways";
-    return "homegrown";
-  };
-  const auto buckets =
-      analysis::request_rate_by_group(deduped, group_of, util::kHour);
+  analysis::GroupRateAccumulator rates(
+      [&](const crypto::PeerId& peer) -> std::string {
+        if (cloudflare.count(peer) != 0) return "cloudflare";
+        if (discovered.count(peer) != 0) return "other-gateways";
+        return "homegrown";
+      },
+      util::kHour);
+  study.unify([&](const trace::TraceEntry& e) {
+    if (e.is_clean()) rates.add(e);
+  });
+  const auto buckets = rates.buckets();
 
   bench::print_section("series: requests/s per origin group (1 h slices)");
   std::printf("  %-6s %12s %14s %12s\n", "hour", "cloudflare",

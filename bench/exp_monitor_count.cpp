@@ -38,10 +38,9 @@ Row run(const std::string& label, scenario::StudyConfig config) {
   const double truth = static_cast<double>(
       study.population().online_count() + monitor_count);
   row.coverage_of_online = row.mean_union / truth;
-  const trace::Trace unified = study.unified_trace();
-  for (const auto& e : unified.entries()) {
+  study.unify([&row](const trace::TraceEntry& e) {
     if (e.is_request() && e.is_clean()) ++row.requests_captured;
-  }
+  });
   if (!estimates.committee.empty()) {
     row.committee_estimate = estimates.committee.mean();
     row.estimate_error = (row.committee_estimate - truth) / truth;

@@ -53,11 +53,9 @@ Row run_study(const scenario::StudyConfig& config) {
   row.nodes = config.population.node_count;
   row.seconds = watch.seconds();
   row.events = study.scheduler().dispatched();
-  const trace::Trace unified = study.unified_trace();
-  row.trace_entries = unified.size();
-  for (const auto& entry : unified.entries()) {
+  row.trace_entries = study.unify([&row](const trace::TraceEntry& entry) {
     row.checksum = ingest::fold_entry_checksum(row.checksum, entry);
-  }
+  }).entries;
   return row;
 }
 

@@ -10,6 +10,7 @@
 #include "analysis/aggregate.hpp"
 #include "bench_common.hpp"
 #include "scenario/study.hpp"
+#include "tracestore/merge.hpp"
 
 using namespace ipfsmon;
 
@@ -32,12 +33,16 @@ int main(int argc, char** argv) {
   scenario::MonitoringStudy study(config);
   study.run();
 
-  // Raw, unprocessed traces of both monitors, merged without dedup — the
-  // paper's Table I explicitly uses raw traces.
-  trace::Trace raw;
-  for (auto* m : study.monitors()) raw.merge_from(m->read_trace());
-
-  const auto rows = analysis::share_by_codec(raw);
+  // Raw, unprocessed traces of both monitors, read store by store without
+  // dedup — the paper's Table I explicitly uses raw traces.
+  auto by_codec = analysis::ShareAccumulator::by_codec();
+  for (auto* m : study.monitors()) {
+    if (const auto store = m->open_store()) {
+      tracestore::StoreCursor cursor(*store);
+      for (trace::TraceEntry e; cursor.next(e);) by_codec.add(e);
+    }
+  }
+  const auto rows = by_codec.rows();
   std::uint64_t total = 0;
   for (const auto& r : rows) total += r.count;
   std::printf("total raw requests collected: %llu "

@@ -31,12 +31,18 @@ int main(int argc, char** argv) {
   scenario::MonitoringStudy study(config);
   study.run();
 
-  const trace::Trace unified = study.unified_trace();
-  const trace::Trace deduped = unified.deduplicated();
-  std::printf("unified trace: %zu entries, deduplicated: %zu\n",
-              unified.size(), deduped.size());
+  auto by_country =
+      analysis::ShareAccumulator::by_country(study.network().geo());
+  std::size_t deduped = 0;
+  const auto unified = study.unify([&](const trace::TraceEntry& e) {
+    if (!e.is_clean()) return;
+    ++deduped;
+    by_country.add(e);
+  });
+  std::printf("unified trace: %llu entries, deduplicated: %zu\n",
+              static_cast<unsigned long long>(unified.entries), deduped);
 
-  const auto rows = analysis::share_by_country(deduped, study.network().geo());
+  const auto rows = by_country.rows();
 
   bench::print_section("Table II (measured)");
   const std::map<std::string, double> paper = {

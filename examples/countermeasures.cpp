@@ -80,7 +80,9 @@ Result run_scenario(const std::string& name, node::NodeConfig victim_config) {
   }
   scheduler.run_until(scheduler.now() + 12 * util::kMinute);
 
-  result.monitor_entries = watch.read_trace().size();
+  if (const auto store = watch.open_store()) {
+    result.monitor_entries = store->total_entries();
+  }
 
   // TPI probe on one fetched item.
   attacks::TpiProber prober(network, crypto::KeyPair::generate(rng).peer_id(),

@@ -112,24 +112,32 @@ int main(int argc, char** argv) {
   }
 
   // --- Trace preprocessing --------------------------------------------------
-  const trace::Trace unified = study.unified_trace();
-  const trace::TraceStats stats = trace::compute_stats(unified);
+  // One pass over the unified trace feeds every analysis below.
+  trace::StatsAccumulator stats_acc;
+  analysis::PopularityAccumulator popularity_acc;
+  auto by_country_acc =
+      analysis::ShareAccumulator::by_country(study.network().geo());
+  study.unify([&](const trace::TraceEntry& e) {
+    stats_acc.add(e);
+    popularity_acc.add(e);
+    if (e.is_clean()) by_country_acc.add(e);
+  });
+  const trace::TraceStats stats = stats_acc.stats();
   std::printf("\nunified trace: %zu entries (%zu requests), "
               "%zu re-broadcasts (%.1f%% of requests), %zu inter-monitor dups\n",
               stats.total, stats.requests, stats.rebroadcasts,
-              100.0 * trace::rebroadcast_share(unified),
+              100.0 * stats.rebroadcast_share(),
               stats.inter_monitor_duplicates);
 
   // --- Popularity -------------------------------------------------------------
-  const auto popularity = analysis::compute_popularity(unified);
+  const auto popularity = popularity_acc.scores();
   std::printf("\npopularity: %zu distinct CIDs, %.1f%% requested by exactly "
               "one peer\n",
               popularity.urp.size(),
               100.0 * popularity.single_requester_share());
 
   // --- Geography ---------------------------------------------------------------
-  const auto by_country = analysis::share_by_country(
-      unified.deduplicated(), study.network().geo());
+  const auto by_country = by_country_acc.rows();
   std::printf("\nrequests by country:\n");
   for (std::size_t i = 0; i < by_country.size() && i < 6; ++i) {
     std::printf("  %-4s %8llu  %5.2f%%\n", by_country[i].label.c_str(),

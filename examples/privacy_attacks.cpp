@@ -6,6 +6,8 @@
 // plus the gateway-probing pipeline that turns a public HTTP gateway into
 // a trackable IPFS node ID.
 #include <cstdio>
+#include <optional>
+#include <unordered_set>
 
 #include "analysis/aggregate.hpp"
 #include "analysis/popularity.hpp"
@@ -33,16 +35,44 @@ int main() {
   scenario::MonitoringStudy study(config);
   study.run();
 
-  const trace::Trace unified = study.unified_trace();
+  // One pass over the unified trace picks the attack targets and harvests
+  // the first distinct requested CIDs for content indexing.
+  constexpr std::size_t kIndexItems = 25;
+  trace::StatsAccumulator stats_acc;
+  analysis::PopularityAccumulator popularity;
+  analysis::PeerRequestAccumulator per_peer_acc;
+  std::vector<cid::Cid> harvested;
+  std::unordered_set<cid::Cid> seen;
+  study.unify([&](const trace::TraceEntry& e) {
+    stats_acc.add(e);
+    popularity.add(e);
+    per_peer_acc.add(e);
+    if (e.is_request() && harvested.size() < kIndexItems &&
+        seen.insert(e.cid).second) {
+      harvested.push_back(e.cid);
+    }
+  });
+  const trace::TraceStats stats = stats_acc.stats();
   std::printf("monitors collected %zu Bitswap entries from %zu peers\n\n",
-              unified.size(), trace::compute_stats(unified).unique_peers);
+              stats.total, stats.unique_peers);
+
+  // A second pass runs IDW on the most-wanted CID and TNW on the most
+  // active node.
+  const auto top = popularity.scores().top_urp(1);
+  const auto per_peer = per_peer_acc.rows();
+  std::optional<attacks::IdwAccumulator> idw;
+  std::optional<attacks::TnwAccumulator> tnw;
+  if (!top.empty()) idw.emplace(top[0].first);
+  if (!per_peer.empty()) tnw.emplace(per_peer.front().first);
+  study.unify([&](const trace::TraceEntry& e) {
+    if (idw) idw->add(e);
+    if (tnw) tnw->add(e);
+  });
 
   // --- IDW: identify the wanters of a popular catalog item. ----------------
-  const auto popularity = analysis::compute_popularity(unified);
-  const auto top = popularity.top_urp(1);
-  if (!top.empty()) {
+  if (idw) {
     const cid::Cid& target = top[0].first;
-    const auto wanters = attacks::identify_data_wanters(unified, target);
+    const auto wanters = idw->hits();
     std::printf("[IDW] %zu nodes requested CID %s:\n", wanters.size(),
                 target.short_hex().c_str());
     for (std::size_t i = 0; i < wanters.size() && i < 5; ++i) {
@@ -58,10 +88,9 @@ int main() {
   }
 
   // --- TNW: full interest profile of the most active node. ------------------
-  const auto per_peer = analysis::requests_per_peer(unified);
-  if (!per_peer.empty()) {
-    const crypto::PeerId victim = per_peer.front().first;
-    const auto wants = attacks::track_node_wants(unified, victim);
+  if (tnw) {
+    const crypto::PeerId& victim = per_peer.front().first;
+    const auto wants = tnw->hits();
     std::printf("\n[TNW] node %s was observed wanting %zu distinct CIDs:\n",
                 victim.short_hex().c_str(), wants.size());
     for (std::size_t i = 0; i < wants.size() && i < 5; ++i) {
@@ -130,7 +159,7 @@ int main() {
   std::printf("\n[content indexing] classifying the first harvested CIDs...\n");
   attacks::ContentIndexer indexer(victim);  // any controlled node will do
   std::optional<attacks::IndexReport> report;
-  indexer.index_trace(unified, 25, [&](attacks::IndexReport r) {
+  indexer.index_all(harvested, [&](attacks::IndexReport r) {
     report = std::move(r);
   });
   study.scheduler().run_until(study.scheduler().now() + 10 * util::kMinute);

@@ -5,7 +5,7 @@
 
 #include "monitor/passive_monitor.hpp"
 #include "node/ipfs_node.hpp"
-#include "trace/preprocess.hpp"
+#include "tracestore/merge.hpp"
 #include "util/strings.hpp"
 
 using namespace ipfsmon;
@@ -79,15 +79,22 @@ int main() {
   scheduler.run_until(scheduler.now() + 2 * util::kMinute);
 
   // --- 6. What did the monitor see? ----------------------------------------
-  // The monitor's store, read back in recording (time) order and flagged.
-  trace::Trace unified = watch.read_trace();
-  trace::mark_flags(unified);
-  const trace::TraceStats stats = trace::compute_stats(unified);
+  // The monitor's store, streamed back in recording (time) order and
+  // flagged with the paper's windows.
+  std::vector<trace::TraceEntry> entries;
+  trace::StatsAccumulator accumulator;
+  if (const auto store = watch.open_store()) {
+    tracestore::unify_stores({&*store}, [&](const trace::TraceEntry& e) {
+      accumulator.add(e);
+      entries.push_back(e);
+    });
+  }
+  const trace::TraceStats stats = accumulator.stats();
   std::printf("\nmonitor observed %zu Bitswap entries "
               "(%zu requests, %zu cancels) from %zu peers, %zu CIDs\n",
               stats.total, stats.requests, stats.cancels, stats.unique_peers,
               stats.unique_cids);
-  for (const auto& e : unified.entries()) {
+  for (const auto& e : entries) {
     std::printf("  t=%-12s %s %-10s cid=%s%s\n",
                 util::format_sim_time(e.timestamp).c_str(),
                 e.peer.short_hex().c_str(),

@@ -16,14 +16,11 @@
 // Exit codes: 2 = a malformed command line (usage) or an input path does
 // not exist, 3 = an input path is not a readable trace store, 1 = any other
 // failure.
-#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <string>
-#include <unordered_map>
 
 #include "analysis/aggregate.hpp"
-#include "cid/multicodec.hpp"
 #include "analysis/popularity.hpp"
 #include "analysis/powerlaw.hpp"
 #include "scenario/study.hpp"
@@ -43,12 +40,7 @@ struct ReportAccumulators {
       : by_type([](const trace::TraceEntry& e) {
           return std::string(bitswap::want_type_name(e.type));
         }),
-        by_codec([](const trace::TraceEntry& e) {
-          return std::string(cid::multicodec_name(e.cid.codec()));
-        }),
-        by_country([&geo](const trace::TraceEntry& e) {
-          return geo.lookup(e.address);
-        }) {}
+        by_country(analysis::ShareAccumulator::by_country(geo)) {}
 
   void add(const trace::TraceEntry& e) {
     stats.add(e);
@@ -56,36 +48,26 @@ struct ReportAccumulators {
     by_codec.add(e);
     if (e.is_clean()) by_country.add(e);
     popularity.add(e);
-    if (e.is_request()) {
-      ++requests;
-      if (e.is_rebroadcast()) ++request_rebroadcasts;
-      ++per_peer[e.peer];
-    }
+    per_peer.add(e);
   }
 
   trace::StatsAccumulator stats;
   analysis::ShareAccumulator by_type;
-  analysis::ShareAccumulator by_codec;
+  analysis::ShareAccumulator by_codec = analysis::ShareAccumulator::by_codec();
   analysis::ShareAccumulator by_country;  // fed clean entries only
   analysis::PopularityAccumulator popularity;
-  std::uint64_t requests = 0;
-  std::uint64_t request_rebroadcasts = 0;
-  std::unordered_map<crypto::PeerId, std::uint64_t> per_peer;
+  analysis::PeerRequestAccumulator per_peer;
 };
 
 void print_report(const ReportAccumulators& acc) {
   const trace::TraceStats stats = acc.stats.stats();
-  const double rebroadcast_share =
-      acc.requests == 0 ? 0.0
-                        : static_cast<double>(acc.request_rebroadcasts) /
-                              static_cast<double>(acc.requests);
   std::printf("entries: %zu (%zu requests, %zu cancels)\n", stats.total,
               stats.requests, stats.cancels);
   std::printf("peers:   %zu unique   cids: %zu unique\n", stats.unique_peers,
               stats.unique_cids);
   std::printf("flags:   %zu re-broadcasts (%.1f%% of requests), "
               "%zu inter-monitor duplicates\n",
-              stats.rebroadcasts, 100.0 * rebroadcast_share,
+              stats.rebroadcasts, 100.0 * stats.rebroadcast_share(),
               stats.inter_monitor_duplicates);
 
   std::printf("\nrequests by type:\n");
@@ -126,13 +108,7 @@ void print_report(const ReportAccumulators& acc) {
               test.rejected() ? "REJECTED" : "not rejected");
 
   std::printf("\nmost active peers:\n");
-  std::vector<std::pair<crypto::PeerId, std::uint64_t>> per_peer(
-      acc.per_peer.begin(), acc.per_peer.end());
-  std::sort(per_peer.begin(), per_peer.end(),
-            [](const auto& a, const auto& b) {
-              if (a.second != b.second) return a.second > b.second;
-              return a.first < b.first;
-            });
+  const auto per_peer = acc.per_peer.rows();
   for (std::size_t i = 0; i < per_peer.size() && i < 5; ++i) {
     std::printf("  %s  %llu requests\n", per_peer[i].first.short_hex().c_str(),
                 static_cast<unsigned long long>(per_peer[i].second));

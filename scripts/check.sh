@@ -13,13 +13,16 @@
 # configure,
 # build, run the full test suite, build src/, bench/, examples/ and tests/
 # again in Release with -Werror (`build-werror/`), then rebuild the util + sim + obs + core +
-# tracestore + query + churn + federation suites under AddressSanitizer
-# (`ctest -L 'util|sim|obs|core|tracestore|query|churn|federation'`; `util`
-# is the byte codecs and the JSON reader that decodes capture lines, `core`
-# is the net, DHT, Bitswap, node and scenario suites, golden trace included),
+# analysis + tracestore + ingest + query + churn + federation suites under
+# AddressSanitizer
+# (`ctest -L 'util|sim|obs|core|analysis|tracestore|ingest|query|churn|federation'`;
+# `util` is the byte codecs and the JSON reader that decodes capture lines,
+# `core` is the net, DHT, Bitswap, node and scenario suites, golden trace
+# included, `analysis` is the trace, analysis, attacks and monitor suites),
 # the same suites under UndefinedBehaviorSanitizer (halting on the first
-# finding), and under ThreadSanitizer (the query, tracestore and federation
-# tests run real server, scan-pool and connection threads).
+# finding), and all but `analysis` under ThreadSanitizer (the query,
+# tracestore and federation tests run real server, scan-pool and
+# connection threads).
 #
 # --perf-smoke additionally runs `exp_query_throughput --smoke`: it writes a
 # 60k-entry generated store to a fresh temp directory, warms it with one
@@ -159,25 +162,27 @@ if [[ "$RUN_SCALING" == "1" ]]; then
 fi
 
 if [[ "$RUN_ASAN" == "1" ]]; then
-  echo "== asan: util + sim + obs + core + tracestore + ingest + query + churn + federation suites under -DIPFSMON_SANITIZE=address =="
+  echo "== asan: util + sim + obs + core + analysis + tracestore + ingest + query + churn + federation suites under -DIPFSMON_SANITIZE=address =="
   cmake -B build-asan -S . -DIPFSMON_SANITIZE=address >/dev/null
   cmake --build build-asan -j "$JOBS" --target util_test sim_test obs_test span_test \
     net_test dht_test bitswap_test node_test scenario_test \
+    trace_test analysis_test attacks_test monitor_test \
     tracestore_test ingest_test query_test churn_test federation_test \
     trace_report
   ctest --test-dir build-asan \
-    -L 'util|sim|obs|core|tracestore|ingest|query|churn|federation' --output-on-failure
+    -L 'util|sim|obs|core|analysis|tracestore|ingest|query|churn|federation' --output-on-failure
 fi
 
 if [[ "$RUN_UBSAN" == "1" ]]; then
-  echo "== ubsan: util + sim + obs + core + tracestore + ingest + query + churn + federation suites under -DIPFSMON_SANITIZE=undefined =="
+  echo "== ubsan: util + sim + obs + core + analysis + tracestore + ingest + query + churn + federation suites under -DIPFSMON_SANITIZE=undefined =="
   cmake -B build-ubsan -S . -DIPFSMON_SANITIZE=undefined >/dev/null
   cmake --build build-ubsan -j "$JOBS" --target util_test sim_test obs_test span_test \
     net_test dht_test bitswap_test node_test scenario_test \
+    trace_test analysis_test attacks_test monitor_test \
     tracestore_test ingest_test query_test churn_test federation_test \
     trace_report
   UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 ctest --test-dir build-ubsan \
-    -L 'util|sim|obs|core|tracestore|ingest|query|churn|federation' --output-on-failure
+    -L 'util|sim|obs|core|analysis|tracestore|ingest|query|churn|federation' --output-on-failure
 fi
 
 if [[ "$RUN_TSAN" == "1" ]]; then

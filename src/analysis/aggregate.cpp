@@ -7,14 +7,21 @@
 
 namespace ipfsmon::analysis {
 
-namespace {
-std::vector<ShareRow> to_share_rows(
-    std::unordered_map<std::string, std::uint64_t> counts) {
+ShareAccumulator::ShareAccumulator(
+    std::function<std::string(const trace::TraceEntry&)> group)
+    : group_(std::move(group)) {}
+
+void ShareAccumulator::add(const trace::TraceEntry& entry) {
+  if (!entry.is_request()) return;
+  ++counts_[group_(entry)];
+}
+
+std::vector<ShareRow> ShareAccumulator::rows() const {
   std::uint64_t total = 0;
-  for (const auto& [label, count] : counts) total += count;
+  for (const auto& [label, count] : counts_) total += count;
   std::vector<ShareRow> rows;
-  rows.reserve(counts.size());
-  for (auto& [label, count] : counts) {
+  rows.reserve(counts_.size());
+  for (const auto& [label, count] : counts_) {
     const double share = total == 0 ? 0.0
                                     : 100.0 * static_cast<double>(count) /
                                           static_cast<double>(total);
@@ -26,76 +33,56 @@ std::vector<ShareRow> to_share_rows(
   });
   return rows;
 }
-}  // namespace
 
-ShareAccumulator::ShareAccumulator(
-    std::function<std::string(const trace::TraceEntry&)> group)
-    : group_(std::move(group)) {}
-
-void ShareAccumulator::add(const trace::TraceEntry& entry) {
-  if (!entry.is_request()) return;
-  ++counts_[group_(entry)];
-}
-
-std::vector<ShareRow> ShareAccumulator::rows() const {
-  return to_share_rows(counts_);
-}
-
-std::vector<ShareRow> share_by(
-    const trace::Trace& trace,
-    const std::function<std::string(const trace::TraceEntry&)>& group) {
-  ShareAccumulator acc(group);
-  for (const auto& e : trace.entries()) acc.add(e);
-  return acc.rows();
-}
-
-std::vector<ShareRow> share_by_codec(const trace::Trace& raw) {
-  return share_by(raw, [](const trace::TraceEntry& e) {
+ShareAccumulator ShareAccumulator::by_codec() {
+  return ShareAccumulator([](const trace::TraceEntry& e) {
     return std::string(cid::multicodec_name(e.cid.codec()));
   });
 }
 
-std::vector<ShareRow> share_by_country(const trace::Trace& deduplicated,
-                                       const net::GeoDatabase& geo) {
-  return share_by(deduplicated, [&geo](const trace::TraceEntry& e) {
-    return geo.lookup(e.address);
-  });
+ShareAccumulator ShareAccumulator::by_country(const net::GeoDatabase& geo) {
+  return ShareAccumulator(
+      [&geo](const trace::TraceEntry& e) { return geo.lookup(e.address); });
 }
 
-std::vector<TypeBucket> requests_by_type_over_time(const trace::Trace& trace,
-                                                   util::SimDuration bucket) {
-  std::map<util::SimTime, TypeBucket> buckets;
-  for (const auto& e : trace.entries()) {
-    if (!e.is_request()) continue;
-    const util::SimTime start = (e.timestamp / bucket) * bucket;
-    TypeBucket& b = buckets[start];
-    b.bucket_start = start;
-    if (e.type == bitswap::WantType::WantBlock) {
-      ++b.want_block;
-    } else {
-      ++b.want_have;
-    }
+RequestTypeAccumulator::RequestTypeAccumulator(util::SimDuration bucket)
+    : bucket_(bucket) {}
+
+void RequestTypeAccumulator::add(const trace::TraceEntry& e) {
+  if (!e.is_request()) return;
+  const util::SimTime start = (e.timestamp / bucket_) * bucket_;
+  TypeBucket& b = buckets_[start];
+  b.bucket_start = start;
+  if (e.type == bitswap::WantType::WantBlock) {
+    ++b.want_block;
+  } else {
+    ++b.want_have;
   }
+}
+
+std::vector<TypeBucket> RequestTypeAccumulator::buckets() const {
   std::vector<TypeBucket> out;
-  out.reserve(buckets.size());
-  for (const auto& [start, b] : buckets) out.push_back(b);
+  out.reserve(buckets_.size());
+  for (const auto& [start, b] : buckets_) out.push_back(b);
   return out;
 }
 
-std::vector<GroupRateBucket> request_rate_by_group(
-    const trace::Trace& deduplicated,
-    const std::function<std::string(const crypto::PeerId&)>& group_of,
-    util::SimDuration bucket) {
-  std::map<util::SimTime, std::map<std::string, std::uint64_t>> counts;
-  for (const auto& e : deduplicated.entries()) {
-    if (!e.is_request()) continue;
-    const util::SimTime start = (e.timestamp / bucket) * bucket;
-    ++counts[start][group_of(e.peer)];
-  }
-  const double bucket_seconds = util::to_seconds(bucket);
+GroupRateAccumulator::GroupRateAccumulator(
+    std::function<std::string(const crypto::PeerId&)> group_of,
+    util::SimDuration bucket)
+    : group_of_(std::move(group_of)), bucket_(bucket) {}
+
+void GroupRateAccumulator::add(const trace::TraceEntry& e) {
+  if (!e.is_request()) return;
+  const util::SimTime start = (e.timestamp / bucket_) * bucket_;
+  ++counts_[start][group_of_(e.peer)];
+}
+
+std::vector<GroupRateBucket> GroupRateAccumulator::buckets() const {
+  const double bucket_seconds = util::to_seconds(bucket_);
   std::vector<GroupRateBucket> out;
-  out.reserve(counts.size());
-  for (const auto& [start, groups] : counts) {
+  out.reserve(counts_.size());
+  for (const auto& [start, groups] : counts_) {
     GroupRateBucket b;
     b.bucket_start = start;
     for (const auto& [group, count] : groups) {
@@ -107,15 +94,14 @@ std::vector<GroupRateBucket> request_rate_by_group(
   return out;
 }
 
-std::vector<std::pair<crypto::PeerId, std::uint64_t>> requests_per_peer(
-    const trace::Trace& trace) {
-  std::unordered_map<crypto::PeerId, std::uint64_t> counts;
-  for (const auto& e : trace.entries()) {
-    if (!e.is_request()) continue;
-    ++counts[e.peer];
-  }
-  std::vector<std::pair<crypto::PeerId, std::uint64_t>> out(counts.begin(),
-                                                            counts.end());
+void PeerRequestAccumulator::add(const trace::TraceEntry& e) {
+  if (e.is_request()) ++counts_[e.peer];
+}
+
+std::vector<std::pair<crypto::PeerId, std::uint64_t>>
+PeerRequestAccumulator::rows() const {
+  std::vector<std::pair<crypto::PeerId, std::uint64_t>> out(counts_.begin(),
+                                                            counts_.end());
   std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
     if (a.second != b.second) return a.second > b.second;
     return a.first < b.first;

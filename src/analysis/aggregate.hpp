@@ -1,6 +1,8 @@
 // Trace aggregations behind the paper's tables and time-series figures:
 // Table I (share by multicodec), Table II (share by country), Fig. 4
 // (requests per day by entry type), Fig. 6 (request rate per origin group).
+// Each is an accumulator fed one entry at a time from a store scan or a
+// unify pass, so no analysis needs the whole trace in memory.
 #pragma once
 
 #include <cstdint>
@@ -21,27 +23,20 @@ struct ShareRow {
   double share_percent = 0.0;
 };
 
-/// Table I: request counts per multicodec (raw, as the paper derives it —
-/// requested entries only, no CANCELs, unprocessed traces).
-std::vector<ShareRow> share_by_codec(const trace::Trace& raw);
-
-/// Table II: request shares per origin country over the deduplicated
-/// trace, resolved through the (synthetic) GeoIP database.
-std::vector<ShareRow> share_by_country(const trace::Trace& deduplicated,
-                                       const net::GeoDatabase& geo);
-
-/// Generic grouped share table.
-std::vector<ShareRow> share_by(
-    const trace::Trace& trace,
-    const std::function<std::string(const trace::TraceEntry&)>& group);
-
-/// Incremental share table for streaming consumers (scan visitors, the
-/// out-of-core unify): same rows as share_by without materializing a
-/// Trace. Non-request entries are ignored, matching share_by.
+/// Grouped share table, fed entry by entry (scan visitors, unify sinks).
+/// Only request entries count (no CANCELs); rows are sorted by count,
+/// descending, then label.
 class ShareAccumulator {
  public:
   explicit ShareAccumulator(
       std::function<std::string(const trace::TraceEntry&)> group);
+
+  /// Table I: shares per multicodec (the paper feeds the raw traces).
+  static ShareAccumulator by_codec();
+  /// Table II: shares per origin country, resolved through the (synthetic)
+  /// GeoIP database (the paper feeds clean entries only). `geo` must
+  /// outlive the accumulator.
+  static ShareAccumulator by_country(const net::GeoDatabase& geo);
 
   void add(const trace::TraceEntry& entry);
   std::vector<ShareRow> rows() const;
@@ -57,21 +52,52 @@ struct TypeBucket {
   std::uint64_t want_block = 0;
   std::uint64_t want_have = 0;
 };
-std::vector<TypeBucket> requests_by_type_over_time(
-    const trace::Trace& trace, util::SimDuration bucket = util::kDay);
+
+class RequestTypeAccumulator {
+ public:
+  explicit RequestTypeAccumulator(util::SimDuration bucket = util::kDay);
+
+  void add(const trace::TraceEntry& entry);
+  /// Non-empty buckets in ascending start order.
+  std::vector<TypeBucket> buckets() const;
+
+ private:
+  util::SimDuration bucket_;
+  std::map<util::SimTime, TypeBucket> buckets_;
+};
 
 /// Fig. 6: request rate (entries/s) per origin group over time buckets.
+/// Counts every request it is fed; the paper feeds clean entries only.
 struct GroupRateBucket {
   util::SimTime bucket_start = 0;
   std::map<std::string, double> rate_per_second;
 };
-std::vector<GroupRateBucket> request_rate_by_group(
-    const trace::Trace& deduplicated,
-    const std::function<std::string(const crypto::PeerId&)>& group_of,
-    util::SimDuration bucket = util::kHour);
+
+class GroupRateAccumulator {
+ public:
+  explicit GroupRateAccumulator(
+      std::function<std::string(const crypto::PeerId&)> group_of,
+      util::SimDuration bucket = util::kHour);
+
+  void add(const trace::TraceEntry& entry);
+  /// Non-empty buckets in ascending start order.
+  std::vector<GroupRateBucket> buckets() const;
+
+ private:
+  std::function<std::string(const crypto::PeerId&)> group_of_;
+  util::SimDuration bucket_;
+  std::map<util::SimTime, std::map<std::string, std::uint64_t>> counts_;
+};
 
 /// Requests per peer (activity structure helper).
-std::vector<std::pair<crypto::PeerId, std::uint64_t>> requests_per_peer(
-    const trace::Trace& trace);
+class PeerRequestAccumulator {
+ public:
+  void add(const trace::TraceEntry& entry);
+  /// Peers by request count, descending, then by peer ID.
+  std::vector<std::pair<crypto::PeerId, std::uint64_t>> rows() const;
+
+ private:
+  std::unordered_map<crypto::PeerId, std::uint64_t> counts_;
+};
 
 }  // namespace ipfsmon::analysis

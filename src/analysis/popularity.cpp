@@ -75,11 +75,4 @@ PopularityScores PopularityAccumulator::scores() const {
   return scores;
 }
 
-PopularityScores compute_popularity(const trace::Trace& trace,
-                                    bool clean_only) {
-  PopularityAccumulator acc(clean_only);
-  for (const auto& e : trace.entries()) acc.add(e);
-  return acc.scores();
-}
-
 }  // namespace ipfsmon::analysis

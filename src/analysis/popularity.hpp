@@ -1,7 +1,7 @@
 // Content-popularity scores (paper Sec. IV-D):
 //  * RRP (raw request popularity)  — total requests per CID,
 //  * URP (unique request popularity) — distinct requesting peers per CID.
-// Computed over the unified, deduplicated trace.
+// Computed over the clean entries of the unified trace.
 #pragma once
 
 #include <cstdint>
@@ -29,15 +29,10 @@ struct PopularityScores {
   double single_requester_share() const;
 };
 
-/// Computes both scores. Only request entries count (CANCELs excluded);
-/// flagged duplicates/re-broadcasts are skipped when `clean_only` is set
-/// (the paper's analyses filter both).
-PopularityScores compute_popularity(const trace::Trace& trace,
-                                    bool clean_only = true);
-
-/// Incremental popularity scoring for streaming consumers. Memory is the
-/// per-CID requester sets (what compute_popularity allocates anyway),
-/// never the trace itself.
+/// Both scores, fed entry by entry. Only request entries count (CANCELs
+/// excluded); flagged duplicates/re-broadcasts are skipped when
+/// `clean_only` is set (the paper's analyses filter both). Memory is the
+/// per-CID requester sets, never the trace itself.
 class PopularityAccumulator {
  public:
   explicit PopularityAccumulator(bool clean_only = true);

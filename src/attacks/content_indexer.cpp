@@ -1,7 +1,5 @@
 #include "attacks/content_indexer.hpp"
 
-#include <unordered_set>
-
 #include "dag/dag_node.hpp"
 
 namespace ipfsmon::attacks {
@@ -121,18 +119,8 @@ void ContentIndexer::classify_dag_pb(
   });
 }
 
-void ContentIndexer::index_trace(const trace::Trace& trace,
-                                 std::size_t max_items,
-                                 std::function<void(IndexReport)> on_done) {
-  // Harvest distinct request CIDs in order of first appearance.
-  std::vector<cid::Cid> targets;
-  std::unordered_set<cid::Cid> seen;
-  for (const auto& e : trace.entries()) {
-    if (!e.is_request()) continue;
-    if (targets.size() >= max_items) break;
-    if (seen.insert(e.cid).second) targets.push_back(e.cid);
-  }
-
+void ContentIndexer::index_all(const std::vector<cid::Cid>& targets,
+                               std::function<void(IndexReport)> on_done) {
   auto report = std::make_shared<IndexReport>();
   auto remaining = std::make_shared<std::size_t>(targets.size());
   if (targets.empty()) {

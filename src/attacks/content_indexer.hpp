@@ -11,7 +11,6 @@
 #include <string>
 
 #include "node/ipfs_node.hpp"
-#include "trace/trace.hpp"
 
 namespace ipfsmon::attacks {
 
@@ -59,10 +58,10 @@ class ContentIndexer {
   void index(const cid::Cid& target,
              std::function<void(IndexedContent)> on_done);
 
-  /// Harvests the distinct CIDs from a trace (requests only, first
-  /// `max_items` by first appearance) and indexes them all.
-  void index_trace(const trace::Trace& trace, std::size_t max_items,
-                   std::function<void(IndexReport)> on_done);
+  /// Indexes every CID harvested from the monitors' traces; the callback
+  /// fires once all of them are classified.
+  void index_all(const std::vector<cid::Cid>& targets,
+                 std::function<void(IndexReport)> on_done);
 
   std::uint64_t fetches_issued() const { return fetches_issued_; }
 

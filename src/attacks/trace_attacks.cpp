@@ -1,9 +1,6 @@
 #include "attacks/trace_attacks.hpp"
 
 #include <algorithm>
-#include <map>
-#include <set>
-#include <unordered_map>
 
 namespace ipfsmon::attacks {
 
@@ -38,13 +35,6 @@ std::vector<IdwHit> IdwAccumulator::hits() const {
   return out;
 }
 
-std::vector<IdwHit> identify_data_wanters(const trace::Trace& unified,
-                                          const cid::Cid& target) {
-  IdwAccumulator acc(target);
-  for (const auto& e : unified.entries()) acc.add(e);
-  return acc.hits();
-}
-
 TnwAccumulator::TnwAccumulator(crypto::PeerId target)
     : target_(std::move(target)) {}
 
@@ -74,31 +64,6 @@ std::vector<TnwHit> TnwAccumulator::hits() const {
     if (a.first_seen != b.first_seen) return a.first_seen < b.first_seen;
     return a.cid < b.cid;
   });
-  return out;
-}
-
-std::vector<TnwHit> track_node_wants(const trace::Trace& unified,
-                                     const crypto::PeerId& target) {
-  TnwAccumulator acc(target);
-  for (const auto& e : unified.entries()) acc.add(e);
-  return acc.hits();
-}
-
-std::vector<std::pair<crypto::PeerId, std::vector<net::Address>>>
-peers_with_multiple_addresses(const trace::Trace& unified) {
-  std::unordered_map<crypto::PeerId, std::set<net::Address>> seen;
-  for (const auto& e : unified.entries()) {
-    seen[e.peer].insert(e.address);
-  }
-  std::vector<std::pair<crypto::PeerId, std::vector<net::Address>>> out;
-  for (auto& [peer, addrs] : seen) {
-    if (addrs.size() > 1) {
-      out.emplace_back(peer,
-                       std::vector<net::Address>(addrs.begin(), addrs.end()));
-    }
-  }
-  std::sort(out.begin(), out.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
   return out;
 }
 

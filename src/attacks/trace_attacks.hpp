@@ -1,8 +1,9 @@
 // Passive privacy attacks on collected traces (paper Sec. VI-A):
 //  * IDW — Identifying Data Wanters: who asked for a given CID?
 //  * TNW — Tracking Node Wants: what did a given node ask for?
-// Both are pure queries over the monitoring dataset; the monitoring setup
-// *is* the attack infrastructure.
+// Both are pure queries over the monitoring dataset, fed entry by entry
+// from a unify pass or a Bloom-pruned store scan on the target; the
+// monitoring setup *is* the attack infrastructure.
 #pragma once
 
 #include <map>
@@ -21,11 +22,6 @@ struct IdwHit {
   bool cancelled = false;  // a CANCEL followed — likely completed download
 };
 
-/// IDW: every peer that requested `target`, with request times. Uses clean
-/// (deduplicated) request entries for times; CANCELs flag completion.
-std::vector<IdwHit> identify_data_wanters(const trace::Trace& unified,
-                                          const cid::Cid& target);
-
 /// One CID a tracked node was observed wanting.
 struct TnwHit {
   cid::Cid cid;
@@ -36,19 +32,9 @@ struct TnwHit {
   bool cancelled = false;
 };
 
-/// TNW: the full observed interest history of `target`, one row per CID,
-/// ordered by first observation.
-std::vector<TnwHit> track_node_wants(const trace::Trace& unified,
-                                     const crypto::PeerId& target);
-
-/// Node IDs observed using more than one IP address (the cross-referencing
-/// step of the gateway investigation, Sec. VI-B2).
-std::vector<std::pair<crypto::PeerId, std::vector<net::Address>>>
-peers_with_multiple_addresses(const trace::Trace& unified);
-
-/// Streaming IDW: feed unified entries (e.g. from a Bloom-pruned store
-/// scan on the target CID) and collect the same hits as
-/// identify_data_wanters without materializing the trace.
+/// IDW: every peer that requested `target`, with request times, ordered by
+/// first request. Uses clean (deduplicated) request entries for times;
+/// CANCELs flag completion.
 class IdwAccumulator {
  public:
   explicit IdwAccumulator(cid::Cid target);
@@ -61,7 +47,8 @@ class IdwAccumulator {
   std::unordered_map<crypto::PeerId, IdwHit> hits_;
 };
 
-/// Streaming TNW: the same rows as track_node_wants, fed entry by entry.
+/// TNW: the full observed interest history of `target`, one row per CID,
+/// ordered by first observation.
 class TnwAccumulator {
  public:
   explicit TnwAccumulator(crypto::PeerId target);

@@ -293,7 +293,24 @@ std::optional<IngestStats> ingest_capture(const std::string& capture_path,
   util::SimTime last_sim = 0;
   bool have_last = false;
 
+  // The capture format and CSV header come from its first non-blank line,
+  // which a resumed ingest reads again before seeking past it.
+  CaptureFormat format = options.format;
+  std::optional<CsvLayout> csv;
+  std::string header_error;
+  const auto take_head = [&](const std::string& head) {
+    if (format == CaptureFormat::kAuto) format = sniff_format(head);
+    if (format == CaptureFormat::kCsv) {
+      csv = CsvLayout::from_header(head, &header_error);
+    }
+    return format != CaptureFormat::kCsv || csv.has_value();
+  };
+
   if (resume_from) {
+    std::string head;
+    while (reader->next(&head) && head.empty()) {
+    }
+    if (!take_head(head)) return fail(header_error);
     if (!reader->skip_to(resume_from->offset)) {
       return fail("cannot seek capture to checkpoint offset " +
                   std::to_string(resume_from->offset) +
@@ -361,8 +378,6 @@ std::optional<IngestStats> ingest_capture(const std::string& capture_path,
     return true;
   };
 
-  CaptureFormat format = options.format;
-  std::optional<CsvLayout> csv;
   std::uint64_t since_checkpoint = 0;
   const std::uint64_t start_offset = reader->offset();
   bool first_record = !resume_from.has_value();
@@ -459,13 +474,9 @@ std::optional<IngestStats> ingest_capture(const std::string& capture_path,
   Batch* ahead = &batches[1];
   read_batch(*reader, current);
   std::size_t first_line = 0;  // 1 while batch 0 starts with a CSV header
-  if (current->size > 0) {
-    const std::string& head = current->lines[0].text;
-    if (format == CaptureFormat::kAuto) format = sniff_format(head);
-    if (format == CaptureFormat::kCsv) {
-      std::string header_error;
-      csv = CsvLayout::from_header(head, &header_error);
-      if (!csv) return fail(header_error);
+  if (current->size > 0 && !resume_from) {
+    if (!take_head(current->lines[0].text)) return fail(header_error);
+    if (csv) {
       first_line = 1;
       ++stats.lines;  // the header line carries no record
     }

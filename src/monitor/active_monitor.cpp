@@ -11,6 +11,11 @@ ActiveMonitor::ActiveMonitor(net::Network& network, crypto::KeyPair keys,
       config_(config),
       sweep_rng_(std::move(rng)) {}
 
+ActiveMonitor::~ActiveMonitor() {
+  stop_sweeps();
+  go_offline();
+}
+
 void ActiveMonitor::start_sweeps() { schedule_sweep(); }
 
 void ActiveMonitor::stop_sweeps() { sweep_timer_.cancel(); }

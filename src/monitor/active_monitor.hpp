@@ -27,6 +27,10 @@ class ActiveMonitor : public PassiveMonitor {
   ActiveMonitor(net::Network& network, crypto::KeyPair keys,
                 const net::Address& address, const std::string& country,
                 ActiveMonitorConfig config, util::RngStream rng);
+  /// Stops the sweeps and goes offline while this object is still whole:
+  /// stopping the DHT fails the sweep's pending lookups, and their
+  /// callbacks use this monitor's members.
+  ~ActiveMonitor() override;
 
   /// Starts the periodic crawl-and-dial sweeps (call after go_online).
   void start_sweeps();

@@ -1,7 +1,5 @@
 #include "monitor/passive_monitor.hpp"
 
-#include "tracestore/merge.hpp"
-
 namespace ipfsmon::monitor {
 
 node::NodeConfig PassiveMonitor::monitorize(node::NodeConfig config) {
@@ -89,16 +87,6 @@ bool PassiveMonitor::finalize_spill() {
 std::optional<tracestore::TraceStore> PassiveMonitor::open_store() {
   if (spill_ == nullptr || !spill_->checkpoint()) return std::nullopt;
   return tracestore::TraceStore::open(spill_dir_);
-}
-
-trace::Trace PassiveMonitor::read_trace() {
-  trace::Trace out;
-  const auto store = open_store();
-  if (!store) return out;
-  tracestore::StoreCursor cursor(*store);
-  trace::TraceEntry entry;
-  while (cursor.next(entry)) out.append(entry);
-  return out;
 }
 
 void PassiveMonitor::record_message(const crypto::PeerId& from,

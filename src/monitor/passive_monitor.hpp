@@ -5,8 +5,9 @@
 // records every Bitswap message it receives as a trace of
 // (timestamp, node_ID, address, request_type, CID) tuples. Recording has
 // one path: every entry is appended to the monitor's on-disk trace store
-// (tracestore::SegmentWriter), and readers checkpoint that store and read
-// it back (read_trace(), open_store(), MonitoringStudy::unified_trace()).
+// (tracestore::SegmentWriter), and readers checkpoint that store and stream
+// it back (open_store() + a StoreCursor or tracestore::scan,
+// MonitoringStudy::unify()).
 #pragma once
 
 #include <limits>
@@ -56,9 +57,6 @@ class PassiveMonitor : public node::IpfsNode {
   /// nullopt while crashed, when the store could not be opened
   /// (spill_error()) or when a flush failed.
   std::optional<tracestore::TraceStore> open_store();
-  /// The raw trace recorded so far, in recording order: open_store()
-  /// drained through a StoreCursor. Empty when open_store() fails.
-  trace::Trace read_trace();
 
   /// Why the store could not be opened (or recovered after a restart);
   /// "" otherwise. A monitor without a store records nothing.

@@ -5,7 +5,6 @@
 #include <cstdio>
 
 #include "obs/span_export.hpp"
-#include "tracestore/merge.hpp"
 
 namespace ipfsmon::scenario {
 
@@ -200,22 +199,15 @@ std::vector<monitor::PassiveMonitor*> MonitoringStudy::monitors() {
   return out;
 }
 
-trace::Trace MonitoringStudy::unified_trace() {
+tracestore::UnifyStats MonitoringStudy::unify(
+    const std::function<void(const trace::TraceEntry&)>& sink) {
   std::vector<tracestore::TraceStore> stores;
   for (auto& m : monitors_) {
     if (auto store = m->open_store()) stores.push_back(std::move(*store));
   }
   std::vector<const tracestore::TraceStore*> inputs;
-  std::uint64_t total = 0;
-  for (const auto& store : stores) {
-    inputs.push_back(&store);
-    total += store.total_entries();
-  }
-  trace::Trace unified;
-  unified.entries().reserve(total);
-  tracestore::unify_stores(
-      inputs, [&](const trace::TraceEntry& e) { unified.append(e); });
-  return unified;
+  for (const auto& store : stores) inputs.push_back(&store);
+  return tracestore::unify_stores(inputs, sink);
 }
 
 bool MonitoringStudy::finalize_monitor_spill() {

@@ -5,6 +5,7 @@
 // the monitors' traces.
 #pragma once
 
+#include <functional>
 #include <memory>
 
 #include "churn/injector.hpp"
@@ -15,6 +16,7 @@
 #include "scenario/gateway_fleet.hpp"
 #include "scenario/population.hpp"
 #include "sim/scheduler.hpp"
+#include "tracestore/merge.hpp"
 
 namespace ipfsmon::scenario {
 
@@ -33,7 +35,7 @@ struct StudyConfig {
   /// Every monitor records into an on-disk trace store (src/tracestore).
   /// When non-empty, monitor <id>'s store is <monitor_spill_dir>/monitor-<id>
   /// and outlives the study; empty = each monitor's own temp directory,
-  /// removed with the study. unified_trace() reads the stores either way.
+  /// removed with the study. unify() reads the stores either way.
   std::string monitor_spill_dir;
   /// Segment roll caps for the monitors' stores. Shorter spans bound how
   /// much recording a monitor crash can lose (only the open segment dies).
@@ -140,11 +142,14 @@ class MonitoringStudy {
   std::vector<monitor::PassiveMonitor*> monitors();
   monitor::PassiveMonitor& monitor(std::size_t i) { return *monitors_[i]; }
 
-  /// Unified, flag-marked trace across all monitors (Sec. IV-B):
-  /// checkpoints every monitor's store (recording goes on) and merges them
-  /// with tracestore::unify_stores. A monitor whose store cannot be read
-  /// (PassiveMonitor::open_store) contributes nothing.
-  trace::Trace unified_trace();
+  /// Streams the unified, flag-marked trace across all monitors (Sec.
+  /// IV-B) to `sink`, in time order: checkpoints every monitor's store
+  /// (recording goes on) and merges them with tracestore::unify_stores. A
+  /// monitor whose store cannot be read (PassiveMonitor::open_store)
+  /// contributes nothing. Repeat passes over an unchanged study stream the
+  /// same entries.
+  tracestore::UnifyStats unify(
+      const std::function<void(const trace::TraceEntry&)>& sink);
 
   /// Publishes every monitor's store manifest (nothing is recorded
   /// afterwards); false when any monitor has no store or a write failed.

@@ -63,17 +63,4 @@ Trace unify(const std::vector<const Trace*>& monitor_traces,
   return unified;
 }
 
-double rebroadcast_share(const Trace& unified) {
-  std::size_t requests = 0;
-  std::size_t rebroadcasts = 0;
-  for (const auto& e : unified.entries()) {
-    if (!e.is_request()) continue;
-    ++requests;
-    if (e.is_rebroadcast()) ++rebroadcasts;
-  }
-  return requests == 0 ? 0.0
-                       : static_cast<double>(rebroadcasts) /
-                             static_cast<double>(requests);
-}
-
 }  // namespace ipfsmon::trace

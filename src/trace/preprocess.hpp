@@ -36,8 +36,4 @@ Trace unify(const std::vector<const Trace*>& monitor_traces,
 /// and for re-flagging loaded traces).
 void mark_flags(Trace& unified, const PreprocessOptions& options = {});
 
-/// Fraction of request entries flagged as re-broadcasts (the paper reports
-/// > 50% for its raw traces).
-double rebroadcast_share(const Trace& unified);
-
 }  // namespace ipfsmon::trace

@@ -21,6 +21,7 @@ void StatsAccumulator::add(const TraceEntry& e) {
   ++stats_.total;
   if (e.is_request()) {
     ++stats_.requests;
+    if (e.is_rebroadcast()) ++stats_.request_rebroadcasts;
   } else {
     ++stats_.cancels;
   }
@@ -36,12 +37,6 @@ TraceStats StatsAccumulator::stats() const {
   stats.unique_peers = peers_.size();
   stats.unique_cids = cids_.size();
   return stats;
-}
-
-TraceStats compute_stats(const Trace& trace) {
-  StatsAccumulator acc;
-  for (const auto& e : trace.entries()) acc.add(e);
-  return acc.stats();
 }
 
 }  // namespace ipfsmon::trace

@@ -75,11 +75,6 @@ class Trace {
     return out;
   }
 
-  /// Convenience: entries with no duplicate/re-broadcast flags.
-  Trace deduplicated() const {
-    return filter([](const TraceEntry& e) { return e.is_clean(); });
-  }
-
  private:
   std::vector<TraceEntry> entries_;
 };
@@ -91,15 +86,23 @@ struct TraceStats {
   std::size_t cancels = 0;
   std::size_t inter_monitor_duplicates = 0;
   std::size_t rebroadcasts = 0;
+  /// Requests flagged as re-broadcasts (the paper reports > 50% of its raw
+  /// requests).
+  std::size_t request_rebroadcasts = 0;
   std::size_t clean = 0;
   std::size_t unique_peers = 0;
   std::size_t unique_cids = 0;
+
+  /// Fraction of requests flagged as re-broadcasts; 0 without requests.
+  double rebroadcast_share() const {
+    return requests == 0 ? 0.0
+                         : static_cast<double>(request_rebroadcasts) /
+                               static_cast<double>(requests);
+  }
 };
 
-TraceStats compute_stats(const Trace& trace);
-
-/// Incremental TraceStats, for streaming consumers that never materialize
-/// the trace (memory is O(unique peers + unique CIDs), not O(entries)).
+/// Incremental TraceStats, fed entry by entry from a store scan or unify
+/// (memory is O(unique peers + unique CIDs), not O(entries)).
 class StatsAccumulator {
  public:
   void add(const TraceEntry& entry);

@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <map>
-#include <unordered_set>
 
 #include "util/codec.hpp"
 #include "util/file.hpp"
@@ -103,21 +102,20 @@ std::string rollup_path_for(const std::string& segment_path) {
 }
 
 SegmentRollup build_rollup(const trace::Trace& entries,
+                           const SegmentKeyCounts& keys,
                            util::SimDuration bucket_width) {
   SegmentRollup rollup;
   rollup.bucket_width = bucket_width;
   rollup.entry_count = entries.size();
+  rollup.distinct_peers = keys.peers;
+  rollup.distinct_cids = keys.cids;
 
   std::map<util::SimTime, RollupBucket> buckets;
-  std::unordered_set<crypto::PeerId> peers;
-  std::unordered_set<cid::Cid> cids;
   bool first = true;
   for (const auto& e : entries.entries()) {
     if (first || e.timestamp < rollup.min_time) rollup.min_time = e.timestamp;
     if (first || e.timestamp > rollup.max_time) rollup.max_time = e.timestamp;
     first = false;
-    peers.insert(e.peer);
-    cids.insert(e.cid);
     const util::SimTime start = bucket_start_of(e.timestamp, bucket_width);
     RollupBucket& b = buckets[start];
     b.start = start;
@@ -130,8 +128,6 @@ SegmentRollup build_rollup(const trace::Trace& entries,
     if (e.is_rebroadcast()) ++b.rebroadcasts;
     if (e.is_clean()) ++b.clean;
   }
-  rollup.distinct_peers = peers.size();
-  rollup.distinct_cids = cids.size();
   rollup.buckets.reserve(buckets.size());
   for (auto& [start, bucket] : buckets) rollup.buckets.push_back(bucket);
   return rollup;
@@ -176,7 +172,10 @@ std::optional<SegmentRollup> rollup_from_segment(
     }
     return std::nullopt;
   }
-  return build_rollup(entries, bucket_width);
+  return build_rollup(entries,
+                      {reader->peer_dictionary().size(),
+                       reader->cid_key_count()},
+                      bucket_width);
 }
 
 }  // namespace ipfsmon::tracestore

@@ -54,8 +54,11 @@ struct SegmentRollup {
 /// The rollup sidecar path for a segment file ("x.seg" -> "x.seg.rollup").
 std::string rollup_path_for(const std::string& segment_path);
 
-/// Aggregates `entries` into `bucket_width` buckets.
+/// Aggregates `entries` into `bucket_width` buckets. The distinct counts
+/// are the segment's dictionary sizes, which the encoder (or a reader)
+/// already has, so the rollup never hashes a key again.
 SegmentRollup build_rollup(const trace::Trace& entries,
+                           const SegmentKeyCounts& keys,
                            util::SimDuration bucket_width = util::kMinute);
 
 /// Publishes `rollup` at `path` atomically (util::publish).

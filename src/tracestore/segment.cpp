@@ -216,7 +216,8 @@ BodyKeys encode_body(const trace::Trace& entries, util::Bytes& out) {
 }  // namespace
 
 bool write_segment_file(const std::string& path, const trace::Trace& entries,
-                        SegmentFooter* out_footer, std::string* error) {
+                        SegmentFooter* out_footer, std::string* error,
+                        SegmentKeyCounts* out_keys) {
   util::Bytes body;
   const BodyKeys keys = encode_body(entries, body);
 
@@ -241,6 +242,7 @@ bool write_segment_file(const std::string& path, const trace::Trace& entries,
     return false;
   }
   if (out_footer != nullptr) *out_footer = footer;
+  if (out_keys != nullptr) *out_keys = {keys.peers.size(), keys.cids.size()};
   return true;
 }
 

@@ -72,11 +72,19 @@ class ValidationCache {
   mutable std::atomic<std::uint64_t> hits_{0};
 };
 
+/// Distinct peers and CIDs of a segment: the sizes of its interned
+/// dictionaries.
+struct SegmentKeyCounts {
+  std::uint64_t peers = 0;
+  std::uint64_t cids = 0;
+};
+
 /// Serializes `entries` as a complete segment (body + footer with 10
 /// bits/key Blooms + trailer) and publishes it at `path` atomically
 /// (util::publish). Returns false and sets `error` on IO failure.
 bool write_segment_file(const std::string& path, const trace::Trace& entries,
-                        SegmentFooter* out_footer, std::string* error);
+                        SegmentFooter* out_footer, std::string* error,
+                        SegmentKeyCounts* out_keys = nullptr);
 
 /// Reads and validates only the footer (trailer magic, footer checksum) —
 /// the cheap open-time check; the body checksum is verified when the body

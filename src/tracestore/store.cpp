@@ -264,8 +264,9 @@ void SegmentWriter::flush_open_segment() {
   const std::string name = segment_name(next_index_++);
   const std::string path = (fs::path(dir_) / name).string();
   SegmentFooter footer;
+  SegmentKeyCounts keys;
   std::string error;
-  if (!write_segment_file(path, open_, &footer, &error)) {
+  if (!write_segment_file(path, open_, &footer, &error, &keys)) {
     failed_ = true;
     error_ = "segment flush failed: " + error;
   } else {
@@ -278,7 +279,7 @@ void SegmentWriter::flush_open_segment() {
     }
     // Every flushed segment gets a one-minute rollup sidecar. Rollups are
     // derived data: a failed write is a warning, never a store failure.
-    if (write_rollup_file(rollup_path_for(path), build_rollup(open_)) &&
+    if (write_rollup_file(rollup_path_for(path), build_rollup(open_, keys)) &&
         options_.obs != nullptr) {
       options_.obs->metrics
           .counter("ipfsmon_tracestore_rollups_written_total",

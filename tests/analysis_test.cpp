@@ -13,10 +13,12 @@
 #include "analysis/popularity.hpp"
 #include "analysis/powerlaw.hpp"
 #include "analysis/qq.hpp"
+#include "test_helpers.hpp"
 
 namespace ipfsmon::analysis {
 namespace {
 
+using testing_helpers::feed;
 using util::kSecond;
 
 crypto::PeerId peer_n(int n) {
@@ -266,7 +268,7 @@ TEST(Popularity, RrpCountsAllRequestsUrpCountsDistinctPeers) {
   t.append(request(1, 1, 100 * kSecond));  // same peer again (new request)
   t.append(request(2, 1, 200 * kSecond));
   t.append(request(3, 2, 300 * kSecond));
-  const auto scores = compute_popularity(t);
+  const auto scores = feed(PopularityAccumulator(), t).scores();
   EXPECT_EQ(scores.rrp.at(cid_n(1)), 3u);
   EXPECT_EQ(scores.urp.at(cid_n(1)), 2u);
   EXPECT_EQ(scores.rrp.at(cid_n(2)), 1u);
@@ -277,8 +279,10 @@ TEST(Popularity, FlaggedEntriesExcludedWhenCleanOnly) {
   trace::Trace t;
   t.append(request(1, 1));
   t.append(request(1, 1, 30 * kSecond, trace::kRebroadcast));
-  EXPECT_EQ(compute_popularity(t, true).rrp.at(cid_n(1)), 1u);
-  EXPECT_EQ(compute_popularity(t, false).rrp.at(cid_n(1)), 2u);
+  const auto clean = feed(PopularityAccumulator(true), t).scores();
+  const auto all = feed(PopularityAccumulator(false), t).scores();
+  EXPECT_EQ(clean.rrp.at(cid_n(1)), 1u);
+  EXPECT_EQ(all.rrp.at(cid_n(1)), 2u);
 }
 
 TEST(Popularity, CancelsNeverCount) {
@@ -286,7 +290,7 @@ TEST(Popularity, CancelsNeverCount) {
   auto e = request(1, 1);
   e.type = bitswap::WantType::Cancel;
   t.append(e);
-  EXPECT_TRUE(compute_popularity(t).rrp.empty());
+  EXPECT_TRUE(feed(PopularityAccumulator(), t).scores().rrp.empty());
 }
 
 TEST(Popularity, SingleRequesterShare) {
@@ -294,7 +298,7 @@ TEST(Popularity, SingleRequesterShare) {
   t.append(request(1, 1));
   t.append(request(1, 2));
   t.append(request(2, 2));
-  const auto scores = compute_popularity(t);
+  const auto scores = feed(PopularityAccumulator(), t).scores();
   EXPECT_DOUBLE_EQ(scores.single_requester_share(), 0.5);
 }
 
@@ -303,7 +307,7 @@ TEST(Popularity, TopKIsSortedAndDeterministic) {
   for (int p = 0; p < 5; ++p) t.append(request(p, 1, p * kSecond * 60));
   for (int p = 0; p < 3; ++p) t.append(request(p, 2, p * kSecond * 60));
   t.append(request(0, 3));
-  const auto scores = compute_popularity(t);
+  const auto scores = feed(PopularityAccumulator(), t).scores();
   const auto top = scores.top_urp(2);
   ASSERT_EQ(top.size(), 2u);
   EXPECT_EQ(top[0].first, cid_n(1));
@@ -409,7 +413,7 @@ TEST(Aggregate, ShareByCodec) {
   }
   trace::TraceEntry raw = request(0, 9);
   t.append(raw);
-  const auto rows = share_by_codec(t);
+  const auto rows = feed(ShareAccumulator::by_codec(), t).rows();
   ASSERT_EQ(rows.size(), 2u);
   EXPECT_EQ(rows[0].label, "DagProtobuf");
   EXPECT_EQ(rows[0].count, 3u);
@@ -427,7 +431,7 @@ TEST(Aggregate, ShareByCountryUsesGeoDatabase) {
   t.append(us);
   t.append(us);
   t.append(de);
-  const auto rows = share_by_country(t, geo);
+  const auto rows = feed(ShareAccumulator::by_country(geo), t).rows();
   ASSERT_EQ(rows.size(), 2u);
   EXPECT_EQ(rows[0].label, "US");
   EXPECT_NEAR(rows[0].share_percent, 200.0 / 3.0, 1e-9);
@@ -444,7 +448,7 @@ TEST(Aggregate, RequestsByTypeOverTimeBuckets) {
   t.append(day0);
   t.append(day1);
   t.append(day1b);
-  const auto buckets = requests_by_type_over_time(t, util::kDay);
+  const auto buckets = feed(RequestTypeAccumulator(util::kDay), t).buckets();
   ASSERT_EQ(buckets.size(), 2u);
   EXPECT_EQ(buckets[0].want_block, 1u);
   EXPECT_EQ(buckets[0].want_have, 0u);
@@ -456,13 +460,15 @@ TEST(Aggregate, RequestRateByGroup) {
   t.append(request(1, 1, 10 * kSecond));
   t.append(request(1, 2, 20 * kSecond));
   t.append(request(2, 3, 30 * kSecond));
-  const auto buckets = request_rate_by_group(
-      t,
-      [&](const crypto::PeerId& p) {
-        return p == peer_n(1) ? std::string("gateway")
-                              : std::string("homegrown");
-      },
-      util::kHour);
+  const auto buckets = feed(GroupRateAccumulator(
+                                [&](const crypto::PeerId& p) {
+                                  return p == peer_n(1)
+                                             ? std::string("gateway")
+                                             : std::string("homegrown");
+                                },
+                                util::kHour),
+                            t)
+                           .buckets();
   ASSERT_EQ(buckets.size(), 1u);
   EXPECT_NEAR(buckets[0].rate_per_second.at("gateway"), 2.0 / 3600.0, 1e-12);
   EXPECT_NEAR(buckets[0].rate_per_second.at("homegrown"), 1.0 / 3600.0, 1e-12);
@@ -473,7 +479,7 @@ TEST(Aggregate, RequestsPerPeerSorted) {
   t.append(request(1, 1));
   t.append(request(1, 2));
   t.append(request(2, 3));
-  const auto per_peer = requests_per_peer(t);
+  const auto per_peer = feed(PeerRequestAccumulator(), t).rows();
   ASSERT_EQ(per_peer.size(), 2u);
   EXPECT_EQ(per_peer[0].first, peer_n(1));
   EXPECT_EQ(per_peer[0].second, 2u);

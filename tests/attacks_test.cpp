@@ -1,5 +1,5 @@
-// Privacy attacks: IDW and TNW over traces, the active TPI cache probe,
-// and the gateway-probing pipeline (paper Sec. VI).
+// Privacy attacks: IDW and TNW accumulators fed from traces, the active
+// TPI cache probe, and the gateway-probing pipeline (paper Sec. VI).
 #include <gtest/gtest.h>
 
 #include "attacks/content_indexer.hpp"
@@ -11,6 +11,7 @@
 namespace ipfsmon::attacks {
 namespace {
 
+using testing_helpers::feed;
 using testing_helpers::SimFixture;
 using util::kMinute;
 using util::kSecond;
@@ -27,12 +28,13 @@ cid::Cid cid_n(int n) {
 
 trace::TraceEntry entry(util::SimTime t, int peer, int cid,
                         bitswap::WantType type = bitswap::WantType::WantHave,
-                        std::uint32_t flags = 0, std::uint32_t ip = 0) {
+                        std::uint32_t flags = 0) {
   (void)flags;  // reserved for call sites that set flags directly
   trace::TraceEntry e;
   e.timestamp = t;
   e.peer = peer_n(peer);
-  e.address = net::Address{ip != 0 ? ip : 0x0a000001u + static_cast<std::uint32_t>(peer), 4001};
+  e.address =
+      net::Address{0x0a000001u + static_cast<std::uint32_t>(peer), 4001};
   e.type = type;
   e.cid = cid_n(cid);
   return e;
@@ -46,7 +48,7 @@ TEST(Idw, FindsAllWantersOfCid) {
   t.append(entry(10 * kSecond, 1, 7));
   t.append(entry(20 * kSecond, 2, 7));
   t.append(entry(30 * kSecond, 3, 8));  // different CID
-  const auto hits = identify_data_wanters(t, cid_n(7));
+  const auto hits = feed(IdwAccumulator(cid_n(7)), t).hits();
   ASSERT_EQ(hits.size(), 2u);
   EXPECT_EQ(hits[0].peer, peer_n(1));  // ordered by first request time
   EXPECT_EQ(hits[1].peer, peer_n(2));
@@ -57,7 +59,7 @@ TEST(Idw, CancelMarksLikelyDownload) {
   t.append(entry(10 * kSecond, 1, 7));
   t.append(entry(12 * kSecond, 1, 7, bitswap::WantType::Cancel));
   t.append(entry(20 * kSecond, 2, 7));  // no cancel: still waiting
-  const auto hits = identify_data_wanters(t, cid_n(7));
+  const auto hits = feed(IdwAccumulator(cid_n(7)), t).hits();
   ASSERT_EQ(hits.size(), 2u);
   EXPECT_TRUE(hits[0].cancelled);
   EXPECT_FALSE(hits[1].cancelled);
@@ -69,7 +71,7 @@ TEST(Idw, SkipsFlaggedDuplicatesForTimes) {
   auto rebroadcast = entry(40 * kSecond, 1, 7);
   rebroadcast.flags = trace::kRebroadcast;
   t.append(rebroadcast);
-  const auto hits = identify_data_wanters(t, cid_n(7));
+  const auto hits = feed(IdwAccumulator(cid_n(7)), t).hits();
   ASSERT_EQ(hits.size(), 1u);
   EXPECT_EQ(hits[0].request_times.size(), 1u);
 }
@@ -77,7 +79,7 @@ TEST(Idw, SkipsFlaggedDuplicatesForTimes) {
 TEST(Idw, EmptyForUnknownCid) {
   trace::Trace t;
   t.append(entry(10 * kSecond, 1, 7));
-  EXPECT_TRUE(identify_data_wanters(t, cid_n(99)).empty());
+  EXPECT_TRUE(feed(IdwAccumulator(cid_n(99)), t).hits().empty());
 }
 
 // --- TNW ------------------------------------------------------------------------
@@ -88,7 +90,7 @@ TEST(Tnw, ListsFullInterestHistoryInOrder) {
   t.append(entry(10 * kSecond, 5, 1));
   t.append(entry(20 * kSecond, 6, 3));  // another node
   t.sort_by_time();
-  const auto hits = track_node_wants(t, peer_n(5));
+  const auto hits = feed(TnwAccumulator(peer_n(5)), t).hits();
   ASSERT_EQ(hits.size(), 2u);
   EXPECT_EQ(hits[0].cid, cid_n(1));
   EXPECT_EQ(hits[1].cid, cid_n(2));
@@ -99,7 +101,7 @@ TEST(Tnw, AggregatesRepeatObservations) {
   t.append(entry(10 * kSecond, 5, 1));
   t.append(entry(40 * kSecond, 5, 1));
   t.append(entry(70 * kSecond, 5, 1, bitswap::WantType::Cancel));
-  const auto hits = track_node_wants(t, peer_n(5));
+  const auto hits = feed(TnwAccumulator(peer_n(5)), t).hits();
   ASSERT_EQ(hits.size(), 1u);
   EXPECT_EQ(hits[0].observations, 2u);
   EXPECT_EQ(hits[0].first_seen, 10 * kSecond);
@@ -110,23 +112,9 @@ TEST(Tnw, AggregatesRepeatObservations) {
 TEST(Tnw, RecordsProtocolVersionOfFirstObservation) {
   trace::Trace t;
   t.append(entry(10 * kSecond, 5, 1, bitswap::WantType::WantBlock));
-  const auto hits = track_node_wants(t, peer_n(5));
+  const auto hits = feed(TnwAccumulator(peer_n(5)), t).hits();
   ASSERT_EQ(hits.size(), 1u);
   EXPECT_EQ(hits[0].first_type, bitswap::WantType::WantBlock);
-}
-
-// --- cross-referencing ---------------------------------------------------------------
-
-TEST(CrossReference, DetectsPeersWithMultipleAddresses) {
-  trace::Trace t;
-  t.append(entry(0, 1, 1, bitswap::WantType::WantHave, 0, 0x0a000001));
-  t.append(entry(10 * kSecond, 1, 2, bitswap::WantType::WantHave, 0,
-                 0x0b000002));  // same peer, second IP
-  t.append(entry(20 * kSecond, 2, 3));
-  const auto multi = peers_with_multiple_addresses(t);
-  ASSERT_EQ(multi.size(), 1u);
-  EXPECT_EQ(multi[0].first, peer_n(1));
-  EXPECT_EQ(multi[0].second.size(), 2u);
 }
 
 // --- TPI -------------------------------------------------------------------------------
@@ -386,23 +374,13 @@ TEST_F(IndexerTest, ReportsUnresolvable) {
   EXPECT_EQ(result.block_count, 0u);
 }
 
-TEST_F(IndexerTest, IndexTraceHarvestsAndClassifies) {
-  // Build a trace containing: one real raw block, one dead CID.
+TEST_F(IndexerTest, IndexAllClassifiesEveryTarget) {
+  // Harvested CIDs: one real raw block, one dead CID.
   const cid::Cid real = provider_->add_bytes(util::bytes_of("harvested"));
-  trace::Trace t;
-  trace::TraceEntry e1;
-  e1.cid = real;
-  e1.peer = peer_n(1);
-  e1.type = bitswap::WantType::WantHave;
-  t.append(e1);
-  trace::TraceEntry e2 = e1;
-  e2.cid = cid_n(404);
-  t.append(e2);
-  t.append(e1);  // duplicate CID: must be indexed once
-
   ContentIndexer indexer(*fetcher_);
   std::optional<IndexReport> report;
-  indexer.index_trace(t, 10, [&](IndexReport r) { report = std::move(r); });
+  indexer.index_all({real, cid_n(404)},
+                    [&](IndexReport r) { report = std::move(r); });
   fix_.run_for(3 * kMinute);
 
   ASSERT_TRUE(report.has_value());

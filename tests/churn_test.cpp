@@ -14,6 +14,7 @@
 #include "churn/session_model.hpp"
 #include "obs/exporters.hpp"
 #include "scenario/study.hpp"
+#include "test_helpers.hpp"
 #include "tracestore/merge.hpp"
 #include "tracestore/scan.hpp"
 #include "tracestore/store.hpp"
@@ -21,6 +22,7 @@
 namespace ipfsmon {
 namespace {
 
+using testing_helpers::read_store;
 using util::kHour;
 using util::kMinute;
 using util::kSecond;
@@ -668,7 +670,7 @@ TEST(FaultInjector, ScheduledMonitorCrashRecoversSpilledStore) {
   EXPECT_FALSE(study.monitor(0).crashed());
   EXPECT_GE(study.monitor(0).last_recovery().segments_kept, 1u);
   const util::SimTime restarted_at = config.warmup + 110 * kMinute;
-  const trace::Trace recorded = study.monitor(0).read_trace();
+  const trace::Trace recorded = read_store(study.monitor(0));
   EXPECT_TRUE(std::any_of(recorded.entries().begin(), recorded.entries().end(),
                           [&](const trace::TraceEntry& e) {
                             return e.timestamp > restarted_at;
@@ -683,10 +685,10 @@ TEST(FaultInjector, ScheduledMonitorCrashRecoversSpilledStore) {
   EXPECT_FALSE(other.open_store().has_value());
   other.restart(study.population().bootstrap_ids());
   EXPECT_FALSE(other.crashed());
-  const std::size_t recovered = other.read_trace().size();
+  const std::size_t recovered = read_store(other).size();
   EXPECT_EQ(recovered, other.last_recovery().entries_recovered);
   study.run_measurement(1 * kHour);
-  EXPECT_GT(other.read_trace().size(), recovered);
+  EXPECT_GT(read_store(other).size(), recovered);
 
   // The recovered store still participates in trace unification.
   ASSERT_TRUE(study.finalize_monitor_spill());

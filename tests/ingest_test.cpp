@@ -450,7 +450,9 @@ TEST_F(IngestTest, NdjsonIngestRoundTripsExactly) {
     EXPECT_EQ(scanned[i].flags, want.flags) << i;
   }
   // The synthetic capture is built to exercise both flag kinds.
-  const auto stats_expected = trace::compute_stats(expected);
+  trace::StatsAccumulator accumulator;
+  for (const auto& e : expected.entries()) accumulator.add(e);
+  const auto stats_expected = accumulator.stats();
   EXPECT_GT(stats_expected.rebroadcasts, 0u);
   EXPECT_GT(stats_expected.inter_monitor_duplicates, 0u);
 }
@@ -652,6 +654,54 @@ TEST_F(IngestTest, CheckpointResumeMatchesOneShotIngest) {
             ingest::replay_store(*store, nullptr).checksum);
   // The checkpoint is cleaned up after a completed ingest.
   EXPECT_FALSE(fs::exists(fs::path(path("store")) / "INGEST.ckpt"));
+}
+
+TEST_F(IngestTest, CsvCheckpointResumeMatchesOneShotIngest) {
+  // The capture above, ingested and exported to CSV: a resumed ingest
+  // must take the header from the capture's first line, not from the
+  // first line after the checkpoint offset.
+  write_capture(path("cap.ndjson"), synthetic_capture(300));
+  std::string error;
+  ASSERT_TRUE(ingest::ingest_capture(path("cap.ndjson"), path("src"),
+                                     two_vantage_options(), &error))
+      << error;
+  auto src = tracestore::TraceStore::open(path("src"));
+  ASSERT_TRUE(src.has_value());
+  ingest::ExportOptions csv;
+  csv.format = ingest::CaptureFormat::kCsv;
+  ASSERT_TRUE(ingest::export_capture(*src, path("cap.csv"), csv, &error))
+      << error;
+
+  const auto whole = ingest::ingest_capture(path("cap.csv"), path("ref"),
+                                            two_vantage_options(), &error);
+  ASSERT_TRUE(whole.has_value()) << error;
+
+  auto options = two_vantage_options();
+  options.checkpoint_every = 50;
+  options.max_entries = 110;
+  options.store.max_entries_per_segment = 64;
+  const auto partial = ingest::ingest_capture(path("cap.csv"), path("store"),
+                                              options, &error);
+  ASSERT_TRUE(partial.has_value()) << error;
+  EXPECT_TRUE(partial->truncated);
+  EXPECT_EQ(partial->entries, 110u);
+
+  options.max_entries = 0;
+  options.resume = true;
+  const auto finished = ingest::ingest_capture(path("cap.csv"), path("store"),
+                                               options, &error);
+  ASSERT_TRUE(finished.has_value()) << error;
+  EXPECT_TRUE(finished->resumed);
+  EXPECT_EQ(finished->format, ingest::CaptureFormat::kCsv);
+  EXPECT_EQ(finished->lines, whole->lines);
+  EXPECT_EQ(finished->entries, 300u);
+
+  auto ref = tracestore::TraceStore::open(path("ref"));
+  auto store = tracestore::TraceStore::open(path("store"));
+  ASSERT_TRUE(ref && store);
+  const std::uint64_t want = ingest::replay_store(*src, nullptr).checksum;
+  EXPECT_EQ(ingest::replay_store(*ref, nullptr).checksum, want);
+  EXPECT_EQ(ingest::replay_store(*store, nullptr).checksum, want);
 }
 
 TEST_F(IngestTest, CorruptRecoveredTailSegmentRestartsTheIngest) {

@@ -186,26 +186,30 @@ TEST(Integration, MonitoringPipelineSurvivesSerialization) {
     EXPECT_GT(store->segments().size(), 1u);
     stores.push_back(std::move(*store));
   }
-  trace::Trace unified;
-  tracestore::unify_stores(
-      {&stores[0], &stores[1]},
-      [&](const trace::TraceEntry& e) { unified.append(e); });
-  ASSERT_EQ(unified.size(),
+  trace::StatsAccumulator stats_acc;
+  analysis::PopularityAccumulator popularity;
+  attacks::IdwAccumulator idw(shared);
+  const auto unified = tracestore::unify_stores(
+      {&stores[0], &stores[1]}, [&](const trace::TraceEntry& e) {
+        stats_acc.add(e);
+        popularity.add(e);
+        idw.add(e);
+      });
+  ASSERT_EQ(unified.entries,
             stores[0].total_entries() + stores[1].total_entries());
-  const auto stats = trace::compute_stats(unified);
+  const auto stats = stats_acc.stats();
   EXPECT_GT(stats.requests, 10u);
   EXPECT_GT(stats.inter_monitor_duplicates, 0u);  // both monitors connected
   EXPECT_GT(stats.rebroadcasts, 0u);              // the dead CIDs re-broadcast
 
   // Popularity: the shared CID has the highest URP.
-  const auto popularity = analysis::compute_popularity(unified);
-  const auto top = popularity.top_urp(1);
+  const auto top = popularity.scores().top_urp(1);
   ASSERT_FALSE(top.empty());
   EXPECT_EQ(top[0].first, shared);
   EXPECT_GE(top[0].second, 5u);
 
   // IDW identifies the requesters of the shared CID.
-  const auto wanters = attacks::identify_data_wanters(unified, shared);
+  const auto wanters = idw.hits();
   EXPECT_GE(wanters.size(), 5u);
 }
 
@@ -252,9 +256,10 @@ TEST(Integration, CancelObservedAfterDownloadCompletes) {
   fix.run_for(2 * kMinute);
   ASSERT_TRUE(got);
 
-  trace::Trace unified = mon.read_trace();
+  trace::Trace unified = testing_helpers::read_store(mon);
   trace::mark_flags(unified);
-  const auto wanters = attacks::identify_data_wanters(unified, c);
+  const auto wanters =
+      testing_helpers::feed(attacks::IdwAccumulator(c), unified).hits();
   ASSERT_EQ(wanters.size(), 1u);
   EXPECT_EQ(wanters[0].peer, nodes[2]->id());
   EXPECT_TRUE(wanters[0].cancelled) << "download completion not observable";

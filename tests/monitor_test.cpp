@@ -15,6 +15,7 @@
 namespace ipfsmon::monitor {
 namespace {
 
+using testing_helpers::read_store;
 using testing_helpers::SimFixture;
 using util::kMinute;
 using util::kSecond;
@@ -55,7 +56,7 @@ TEST_F(MonitorTest, RecordsWantEntriesWithMetadata) {
   requester.fetch(wanted, nullptr);
   fix_.run_for(10 * kSecond);
 
-  const trace::Trace recorded = mon_.read_trace();
+  const trace::Trace recorded = read_store(mon_);
   ASSERT_FALSE(recorded.empty());
   bool found = false;
   for (const auto& e : recorded.entries()) {
@@ -79,7 +80,7 @@ TEST_F(MonitorTest, RecordsCancels) {
   fix_.run_for(5 * kSecond);
 
   bool saw_cancel = false;
-  const trace::Trace recorded = mon_.read_trace();
+  const trace::Trace recorded = read_store(mon_);
   for (const auto& e : recorded.entries()) {
     if (e.cid == wanted && e.type == bitswap::WantType::Cancel) {
       saw_cancel = true;
@@ -124,9 +125,9 @@ TEST_F(MonitorTest, ResetClearsObservations) {
                                     util::bytes_of("pre-reset")),
                   nullptr);
   fix_.run_for(10 * kSecond);
-  EXPECT_FALSE(mon_.read_trace().empty());
+  EXPECT_FALSE(read_store(mon_).empty());
   mon_.reset_observations();
-  EXPECT_TRUE(mon_.read_trace().empty());
+  EXPECT_TRUE(read_store(mon_).empty());
   EXPECT_TRUE(mon_.peers_seen().empty());
   EXPECT_TRUE(mon_.bitswap_active_peers().empty());
 }
@@ -137,13 +138,13 @@ TEST_F(MonitorTest, ReadingTheStoreDoesNotStopRecording) {
                                     util::bytes_of("first read")),
                   nullptr);
   fix_.run_for(10 * kSecond);
-  const std::size_t first = mon_.read_trace().size();
+  const std::size_t first = read_store(mon_).size();
   ASSERT_GT(first, 0u);
   requester.fetch(cid::Cid::of_data(cid::Multicodec::Raw,
                                     util::bytes_of("second read")),
                   nullptr);
   fix_.run_for(10 * kSecond);
-  EXPECT_GT(mon_.read_trace().size(), first);
+  EXPECT_GT(read_store(mon_).size(), first);
 }
 
 TEST_F(MonitorTest, MonitorHoldsNoDataAndAnswersNothing) {
@@ -193,7 +194,7 @@ TEST(MonitorStoreTest, UnwritableSpillDirIsAnErrorNotARamFallback) {
 
   // Nothing was recorded anywhere, and every reader says so.
   EXPECT_FALSE(mon.open_store().has_value());
-  EXPECT_TRUE(mon.read_trace().empty());
+  EXPECT_TRUE(read_store(mon).empty());
   EXPECT_FALSE(mon.finalize_spill());
   EXPECT_TRUE(std::filesystem::is_regular_file(path));
   std::filesystem::remove(path);
@@ -222,12 +223,12 @@ TEST(MonitorStoreTest, ResetWhileCrashedRestartsOnACleanStore) {
   config.spill_segment_entries = 2;
   auto& mon = fix.make_monitor(config);
   drive_wants(fix, mon, 2 * kMinute);
-  ASSERT_GE(mon.read_trace().size(), 3u);
+  ASSERT_GE(read_store(mon).size(), 3u);
   mon.crash();
   mon.reset_observations();
   mon.restart({});
   EXPECT_EQ(mon.last_recovery().entries_recovered, 0u);
-  EXPECT_TRUE(mon.read_trace().empty());
+  EXPECT_TRUE(read_store(mon).empty());
 }
 
 TEST(MonitorStoreTest, NamedStoreOutlivesTheMonitor) {
@@ -256,7 +257,7 @@ TEST_F(MonitorTest, SaltedRequestsHideTheRealCid) {
   fix_.run_for(10 * kSecond);
 
   bool recorded_something = false;
-  trace::Trace recorded = mon_.read_trace();
+  trace::Trace recorded = read_store(mon_);
   for (const auto& e : recorded.entries()) {
     if (e.peer != requester.id()) continue;
     recorded_something = true;
@@ -265,7 +266,9 @@ TEST_F(MonitorTest, SaltedRequestsHideTheRealCid) {
   EXPECT_TRUE(recorded_something);  // traffic is visible, content is not
   // IDW against the real CID comes up empty.
   trace::mark_flags(recorded);
-  EXPECT_TRUE(attacks::identify_data_wanters(recorded, wanted).empty());
+  EXPECT_TRUE(testing_helpers::feed(attacks::IdwAccumulator(wanted), recorded)
+                  .hits()
+                  .empty());
 }
 
 TEST_F(MonitorTest, SaltedRequestsAreUnlinkableAcrossRebroadcasts) {
@@ -280,7 +283,7 @@ TEST_F(MonitorTest, SaltedRequestsAreUnlinkableAcrossRebroadcasts) {
 
   std::set<cid::Cid> opaque_cids;
   std::size_t requests = 0;
-  const trace::Trace recorded = mon_.read_trace();
+  const trace::Trace recorded = read_store(mon_);
   for (const auto& e : recorded.entries()) {
     if (e.peer != requester.id() || !e.is_request()) continue;
     ++requests;
@@ -363,7 +366,7 @@ TEST(ActiveMonitorTest, StillRecordsLikeAPassiveMonitor) {
   fix.run_for(10 * kSecond);
 
   bool observed = false;
-  const trace::Trace recorded = active.read_trace();
+  const trace::Trace recorded = read_store(active);
   for (const auto& e : recorded.entries()) {
     if (e.cid == wanted && e.peer == requester.id()) observed = true;
   }

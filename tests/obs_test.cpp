@@ -17,6 +17,7 @@
 namespace ipfsmon::obs {
 namespace {
 
+using testing_helpers::read_store;
 using testing_helpers::SimFixture;
 using util::kMinute;
 using util::kSecond;
@@ -306,7 +307,7 @@ TEST(ObsInvariantTest, BroadcastsSentEqualTraceEntriesRecorded) {
   EXPECT_GT(cancels, 0u);
   EXPECT_EQ(counter("ipfsmon_net_messages_dropped_total"), 0u);
   EXPECT_EQ(wants + cancels, recorded);
-  EXPECT_EQ(recorded, mon.read_trace().size());
+  EXPECT_EQ(recorded, read_store(mon).size());
 }
 
 }  // namespace

@@ -291,9 +291,22 @@ TEST(Cache, EvictsLeastRecentlyUsed) {
 
 // --- Rollups --------------------------------------------------------------
 
+trace::TraceStats stats_of(const trace::Trace& t) {
+  trace::StatsAccumulator accumulator;
+  for (const auto& e : t.entries()) accumulator.add(e);
+  return accumulator.stats();
+}
+
+/// A rollup of `t`, with the distinct counts a writer would pass.
+tracestore::SegmentRollup rollup_of(const trace::Trace& t) {
+  const trace::TraceStats stats = stats_of(t);
+  return tracestore::build_rollup(t, {stats.unique_peers, stats.unique_cids},
+                                  kMinute);
+}
+
 TEST(Rollup, RoundTripsThroughFile) {
   const trace::Trace t = make_trace(500, 11);
-  const auto rollup = tracestore::build_rollup(t, kMinute);
+  const auto rollup = rollup_of(t);
   EXPECT_EQ(rollup.entry_count, t.size());
 
   const std::string path = fresh_dir("rollup_rt") + ".rollup";
@@ -316,10 +329,8 @@ TEST(Rollup, RoundTripsThroughFile) {
 
 TEST(Rollup, BucketTotalsMatchStatsAccumulator) {
   const trace::Trace t = make_trace(800, 12);
-  const auto rollup = tracestore::build_rollup(t, kMinute);
-  trace::StatsAccumulator accumulator;
-  for (const auto& e : t.entries()) accumulator.add(e);
-  const trace::TraceStats stats = accumulator.stats();
+  const auto rollup = rollup_of(t);
+  const trace::TraceStats stats = stats_of(t);
 
   std::uint64_t want_have = 0, want_block = 0, cancels = 0, duplicates = 0,
                 rebroadcasts = 0, clean = 0, total = 0;
@@ -358,6 +369,18 @@ TEST(Rollup, WriterEmitsSidecarsAndFallbackRebuildAgrees) {
         tracestore::rollup_from_segment(store->segment_path(i));
     ASSERT_TRUE(rebuilt.has_value());
     EXPECT_EQ(loaded->entry_count, rebuilt->entry_count);
+    // The writer's and the reader's dictionary sizes are the segment's
+    // distinct peers and CIDs.
+    auto reader = tracestore::SegmentReader::open(store->segment_path(i));
+    ASSERT_TRUE(reader.has_value());
+    trace::Trace entries;
+    trace::TraceEntry e;
+    while (reader->next(e)) entries.append(e);
+    const trace::TraceStats stats = stats_of(entries);
+    EXPECT_EQ(loaded->distinct_peers, stats.unique_peers);
+    EXPECT_EQ(loaded->distinct_cids, stats.unique_cids);
+    EXPECT_EQ(rebuilt->distinct_peers, stats.unique_peers);
+    EXPECT_EQ(rebuilt->distinct_cids, stats.unique_cids);
     ASSERT_EQ(loaded->buckets.size(), rebuilt->buckets.size());
     for (std::size_t b = 0; b < loaded->buckets.size(); ++b) {
       EXPECT_EQ(loaded->buckets[b].entries(), rebuilt->buckets[b].entries());
@@ -398,7 +421,7 @@ TEST(Rollup, MismatchedSidecarIsNotASkippedSegment) {
   // disagrees with the segment footer's entry count.
   ASSERT_TRUE(tracestore::write_rollup_file(
       tracestore::rollup_path_for(store->segment_path(0)),
-      tracestore::build_rollup(make_trace(10, 17))));
+      rollup_of(make_trace(10, 17))));
   auto service = QueryService::open(dir);
   ASSERT_NE(service, nullptr);
   EXPECT_EQ(service->rollups_loaded(), store->segments().size() - 1);
@@ -756,8 +779,9 @@ TEST(Engine, PopularityAndPeerWantsMatchBatch) {
   const auto popularity = daemon.get("/v1/popularity?k=3&clean_only=1");
   ASSERT_TRUE(popularity.has_value());
   EXPECT_EQ(popularity->status, 200);
-  const analysis::PopularityScores scores =
-      analysis::compute_popularity(t, /*clean_only=*/true);
+  analysis::PopularityAccumulator accumulator(/*clean_only=*/true);
+  for (const auto& e : t.entries()) accumulator.add(e);
+  const analysis::PopularityScores scores = accumulator.scores();
   EXPECT_NE(
       popularity->body.find(util::format("\"cids\":%zu", scores.rrp.size())),
       std::string::npos)

@@ -6,11 +6,14 @@
 #include "scenario/catalog.hpp"
 #include "scenario/study.hpp"
 #include "scenario/version_model.hpp"
+#include "test_helpers.hpp"
 #include "trace/preprocess.hpp"
 
 namespace ipfsmon::scenario {
 namespace {
 
+using testing_helpers::read_store;
+using testing_helpers::unified_trace;
 using util::kDay;
 using util::kHour;
 using util::kMinute;
@@ -157,7 +160,7 @@ TEST(Study, MonitorsObserveTraffic) {
   MonitoringStudy study(small_study_config());
   study.run();
   for (auto* m : study.monitors()) {
-    EXPECT_GT(m->read_trace().size(), 50u);
+    EXPECT_GT(read_store(*m).size(), 50u);
     EXPECT_GT(m->bitswap_active_peers().size(), 5u);
     EXPECT_GT(m->peers_seen().size(), 20u);
   }
@@ -179,7 +182,7 @@ TEST(Study, SnapshotsAreCollectedHourly) {
 TEST(Study, UnifiedTraceHasBothMonitorsAndFlags) {
   MonitoringStudy study(small_study_config(13));
   study.run();
-  const trace::Trace unified = study.unified_trace();
+  const trace::Trace unified = unified_trace(study);
   ASSERT_GT(unified.size(), 0u);
   bool saw_m0 = false, saw_m1 = false, saw_rebroadcast = false,
        saw_duplicate = false;
@@ -203,12 +206,12 @@ TEST(Study, WarmupResetsObservations) {
   study.run_warmup();
   // Right after warm-up the traces are clean and snapshots empty.
   for (auto* m : study.monitors()) {
-    EXPECT_EQ(m->read_trace().size(), 0u);
+    EXPECT_EQ(read_store(*m).size(), 0u);
     EXPECT_EQ(m->snapshots().size(), 0u);
   }
   study.run_measurement(2 * kHour);
   std::size_t total = 0;
-  for (auto* m : study.monitors()) total += m->read_trace().size();
+  for (auto* m : study.monitors()) total += read_store(*m).size();
   EXPECT_GT(total, 0u);
 }
 
@@ -248,11 +251,11 @@ TEST(Study, DeterministicAcrossRuns) {
   MonitoringStudy b(small_study_config(17));
   a.run();
   b.run();
-  const trace::Trace a0 = a.monitor(0).read_trace();
-  const trace::Trace b0 = b.monitor(0).read_trace();
+  const trace::Trace a0 = read_store(a.monitor(0));
+  const trace::Trace b0 = read_store(b.monitor(0));
   ASSERT_EQ(a0.size(), b0.size());
-  ASSERT_EQ(a.monitor(1).read_trace().size(),
-            b.monitor(1).read_trace().size());
+  ASSERT_EQ(read_store(a.monitor(1)).size(),
+            read_store(b.monitor(1)).size());
   // Spot-check entry-level equality.
   for (std::size_t i = 0; i < a0.size(); i += 37) {
     const auto& ea = a0.entries()[i];
@@ -278,7 +281,7 @@ TEST(Study, GoldenSmallStudyTraceIsPinned) {
   MonitoringStudy study(config);
   study.run();
 
-  const trace::Trace unified = study.unified_trace();
+  const trace::Trace unified = unified_trace(study);
   std::uint64_t checksum = 0;
   for (const auto& e : unified.entries()) {
     checksum = ingest::fold_entry_checksum(checksum, e);
@@ -288,13 +291,32 @@ TEST(Study, GoldenSmallStudyTraceIsPinned) {
   EXPECT_EQ(study.population().requests_issued(), 349u);
 }
 
+// Benches that pick a target in one unify pass and query it in a second
+// rely on this: every pass checkpoints the monitors' stores again, and a
+// checkpoint with nothing new must not change what the merge streams.
+TEST(Study, RepeatedUnifyPassesStreamTheSameEntries) {
+  MonitoringStudy study(small_study_config(23));
+  study.run();
+  const auto pass = [&study] {
+    std::uint64_t checksum = 0;
+    const auto stats = study.unify([&checksum](const trace::TraceEntry& e) {
+      checksum = ingest::fold_entry_checksum(checksum, e);
+    });
+    return std::pair{checksum, stats.entries};
+  };
+  const auto first = pass();
+  ASSERT_GT(first.second, 0u);
+  EXPECT_EQ(pass(), first);
+  EXPECT_EQ(first.second, unified_trace(study).size());
+}
+
 TEST(Study, DifferentSeedsDiffer) {
   MonitoringStudy a(small_study_config(18));
   MonitoringStudy b(small_study_config(19));
   a.run();
   b.run();
-  EXPECT_NE(a.monitor(0).read_trace().size(),
-            b.monitor(0).read_trace().size());
+  EXPECT_NE(read_store(a.monitor(0)).size(),
+            read_store(b.monitor(0)).size());
 }
 
 TEST(Study, VersionModelDrivesWantBlockShare) {
@@ -310,7 +332,7 @@ TEST(Study, VersionModelDrivesWantBlockShare) {
     model.midpoint = midpoint;
     study.population().set_version_model(model);
     study.run();
-    const trace::Trace unified = study.unified_trace();
+    const trace::Trace unified = unified_trace(study);
     std::size_t have = 0, block = 0;
     for (const auto& e : unified.entries()) {
       if (e.type == bitswap::WantType::WantHave) ++have;
@@ -368,7 +390,7 @@ TEST(Study, CoverTrafficIsTrackedAsGroundTruth) {
   EXPECT_GT(study.population().cover_requests_issued(), 10u);
 
   // Some observed (peer, cid) pairs must be flagged as cover.
-  const trace::Trace unified = study.unified_trace();
+  const trace::Trace unified = unified_trace(study);
   std::size_t cover_seen = 0;
   for (const auto& e : unified.entries()) {
     if (e.is_request() &&
@@ -388,7 +410,7 @@ TEST(Study, SaltedWantsHideCidsStudyWide) {
 
   std::unordered_set<cid::Cid> known;
   for (const auto& item : study.catalog().items()) known.insert(item.root);
-  const trace::Trace unified = study.unified_trace();
+  const trace::Trace unified = unified_trace(study);
   ASSERT_GT(unified.size(), 0u);
   for (const auto& e : unified.entries()) {
     EXPECT_EQ(known.count(e.cid), 0u)

@@ -26,6 +26,7 @@
 namespace ipfsmon::obs {
 namespace {
 
+using testing_helpers::read_store;
 using testing_helpers::SimFixture;
 using util::kSecond;
 
@@ -332,8 +333,8 @@ TEST(SpanEndToEnd, TracingOffIsByteIdenticalToUntracedRun) {
   // monitor observations field-by-field.
   EXPECT_EQ(untraced.fix.scheduler.dispatched(),
             traced.fix.scheduler.dispatched());
-  const trace::Trace trace_a = untraced.monitor->read_trace();
-  const trace::Trace trace_b = traced.monitor->read_trace();
+  const trace::Trace trace_a = read_store(*untraced.monitor);
+  const trace::Trace trace_b = read_store(*traced.monitor);
   const auto& a = trace_a.entries();
   const auto& b = trace_b.entries();
   ASSERT_EQ(a.size(), b.size());

@@ -1,5 +1,6 @@
 // Shared fixtures for protocol-level tests: a simulated network plus
-// helpers to mint nodes and run the clock.
+// helpers to mint nodes and run the clock, and helpers that collect a
+// monitor's or a study's stream into a trace::Trace for assertions.
 #pragma once
 
 #include <memory>
@@ -9,8 +10,37 @@
 #include "net/network.hpp"
 #include "node/gateway.hpp"
 #include "node/ipfs_node.hpp"
+#include "scenario/study.hpp"
+#include "tracestore/merge.hpp"
 
 namespace ipfsmon::testing_helpers {
+
+/// The raw trace `monitor` recorded so far, in recording order: its store
+/// checkpointed and drained through a StoreCursor. Empty when the store
+/// cannot be opened.
+inline trace::Trace read_store(monitor::PassiveMonitor& monitor) {
+  trace::Trace out;
+  if (const auto store = monitor.open_store()) {
+    tracestore::StoreCursor cursor(*store);
+    trace::TraceEntry entry;
+    while (cursor.next(entry)) out.append(entry);
+  }
+  return out;
+}
+
+/// The study's unified, flagged trace, collected from one unify() pass.
+inline trace::Trace unified_trace(scenario::MonitoringStudy& study) {
+  trace::Trace out;
+  study.unify([&out](const trace::TraceEntry& e) { out.append(e); });
+  return out;
+}
+
+/// Feeds every entry of `trace` to the accumulator `acc` and returns it.
+template <typename Accumulator>
+Accumulator feed(Accumulator acc, const trace::Trace& trace) {
+  for (const auto& e : trace.entries()) acc.add(e);
+  return acc;
+}
 
 class SimFixture {
  public:

@@ -9,11 +9,13 @@
 
 #include "trace/preprocess.hpp"
 #include "trace/trace.hpp"
+#include "test_helpers.hpp"
 #include "tracestore/segment.hpp"
 
 namespace ipfsmon::trace {
 namespace {
 
+using testing_helpers::feed;
 using util::kSecond;
 
 crypto::PeerId peer_n(int n) {
@@ -59,11 +61,13 @@ TEST(Trace, StatsCountCategories) {
   auto e = entry(3, 1, 2, 0);
   e.flags = kRebroadcast;
   t.append(e);
-  const TraceStats stats = compute_stats(t);
+  const TraceStats stats = feed(StatsAccumulator(), t).stats();
   EXPECT_EQ(stats.total, 4u);
   EXPECT_EQ(stats.requests, 3u);
   EXPECT_EQ(stats.cancels, 1u);
   EXPECT_EQ(stats.rebroadcasts, 1u);
+  EXPECT_EQ(stats.request_rebroadcasts, 1u);
+  EXPECT_NEAR(stats.rebroadcast_share(), 1.0 / 3.0, 1e-12);
   EXPECT_EQ(stats.clean, 3u);
   EXPECT_EQ(stats.unique_peers, 2u);
   EXPECT_EQ(stats.unique_cids, 2u);
@@ -75,7 +79,8 @@ TEST(Trace, FilterAndDeduplicated) {
   auto flagged = entry(1, 1, 1, 0);
   flagged.flags = kInterMonitorDuplicate;
   t.append(flagged);
-  EXPECT_EQ(t.deduplicated().size(), 1u);
+  EXPECT_EQ(t.filter([](const TraceEntry& e) { return e.is_clean(); }).size(),
+            1u);
   EXPECT_EQ(t.filter([](const TraceEntry& e) { return e.is_duplicate(); }).size(),
             1u);
 }
@@ -142,7 +147,8 @@ TEST(Preprocess, RebroadcastChainIsFullyMarked) {
   for (std::size_t i = 1; i < 5; ++i) {
     EXPECT_TRUE(unified.entries()[i].is_rebroadcast()) << i;
   }
-  EXPECT_NEAR(rebroadcast_share(unified), 0.8, 1e-9);
+  EXPECT_NEAR(feed(StatsAccumulator(), unified).stats().rebroadcast_share(),
+              0.8, 1e-9);
 }
 
 TEST(Preprocess, GapBeyond31SecondsStartsFresh) {

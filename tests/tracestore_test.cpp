@@ -30,10 +30,12 @@
 
 #include "hostile_bytes.hpp"
 #include "publish_check.hpp"
+#include "test_helpers.hpp"
 
 namespace ipfsmon::tracestore {
 namespace {
 
+using testing_helpers::unified_trace;
 using util::kHour;
 using util::kSecond;
 
@@ -1211,7 +1213,7 @@ TEST(StudySpill, MonitorsSpillAndUnifyOutOfCore) {
   EXPECT_EQ(streamed, total);
   EXPECT_EQ(stats.entries, total);
   // The study's own reader sees the same stores after finalize.
-  EXPECT_EQ(study.unified_trace().size(), total);
+  EXPECT_EQ(unified_trace(study).size(), total);
 }
 
 }  // namespace
