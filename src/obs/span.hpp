@@ -13,7 +13,7 @@
 // monotonic sequence number) via a splitmix64 mix — no RNG stream is
 // consumed and the same seed reproduces the same IDs and parent links
 // byte-for-byte, provided spans are started in a deterministic order
-// (single-threaded simulation, or externally serialized daemon handlers).
+// (single-threaded simulation, or daemon requests issued one at a time).
 // Head sampling keeps overhead bounded: the n-th trace is sampled iff
 // n % sample_every == 0, and unsampled traces cost one atomic increment
 // with no allocation.
@@ -25,9 +25,10 @@
 //
 // Thread-safety: start/end/add_span are safe from multiple threads (the
 // span buffer is lock-sharded; sequence counters are atomic). The
-// *implicit* current() context is a plain member — it requires external
-// serialization, which both intended hosts provide (the simulator is
-// single-threaded; the query service serializes handlers on one mutex).
+// *implicit* current() context is a plain member that needs its callers
+// serialized, so only the single-threaded simulator uses it; the query
+// daemon, whose requests run concurrently, passes each request's
+// SpanContext down its call chain explicitly.
 #pragma once
 
 #include <atomic>
@@ -180,9 +181,9 @@ class Tracer {
                        SpanAttrs attrs = {}, std::int64_t start_us = -1,
                        std::int64_t end_us = -1);
 
-  /// Implicit context for synchronous call chains (see thread-safety
-  /// note in the header comment). Prefer ScopedContext over raw
-  /// set_current().
+  /// Implicit context for synchronous call chains of the single-threaded
+  /// simulator (see the thread-safety note in the header comment). Prefer
+  /// ScopedContext over raw set_current().
   const SpanContext& current() const { return current_; }
   void set_current(const SpanContext& ctx) { current_ = ctx; }
 

@@ -17,16 +17,18 @@ namespace {
 /// Default trace count for the /debug/spans recent and slowest lists.
 constexpr std::uint64_t kDebugSpanLimit = 20;
 
-void add_entry(RangeStats* out, const trace::TraceEntry& entry) {
+/// Counts one entry — given as its type and flags, the only fields the
+/// stats read, so decoded RawRecords never materialize keys.
+void add_entry(RangeStats* out, bitswap::WantType type, std::uint32_t flags) {
   ++out->total;
-  switch (entry.type) {
+  switch (type) {
     case bitswap::WantType::WantHave: ++out->want_have; break;
     case bitswap::WantType::WantBlock: ++out->want_block; break;
     case bitswap::WantType::Cancel: ++out->cancels; break;
   }
-  if (entry.is_duplicate()) ++out->duplicates;
-  if (entry.is_rebroadcast()) ++out->rebroadcasts;
-  if (entry.is_clean()) ++out->clean;
+  if ((flags & trace::kInterMonitorDuplicate) != 0) ++out->duplicates;
+  if ((flags & trace::kRebroadcast) != 0) ++out->rebroadcasts;
+  if (flags == 0) ++out->clean;
 }
 
 void add_bucket(RangeStats* out, const tracestore::RollupBucket& bucket) {
@@ -122,7 +124,7 @@ std::string_view to_string(StatsSource source) {
 QueryService::QueryService(QueryOptions options)
     : options_(std::move(options)),
       cache_(options_.cache_capacity) {
-  options_.store.obs = &obs_;
+  options_.store.obs = nullptr;
   obs_.tracer.configure(options_.tracing);
 }
 
@@ -130,22 +132,27 @@ std::unique_ptr<QueryService> QueryService::open(const std::string& dir,
                                                  QueryOptions options,
                                                  std::string* error) {
   std::unique_ptr<QueryService> service(new QueryService(std::move(options)));
-  std::lock_guard<std::mutex> lock(service->mu_);
-  if (!service->open_store(dir, error)) return nullptr;
+  SnapshotPtr snapshot = load(dir, service->options_.store, error);
+  if (snapshot == nullptr) return nullptr;
+  service->install(std::move(snapshot));
   return service;
 }
 
-bool QueryService::open_store(const std::string& dir, std::string* error) {
-  auto store = tracestore::TraceStore::open(dir, options_.store, error);
-  if (!store) return false;
-  dir_ = dir;
-  store_ = std::move(store);
+QueryService::SnapshotPtr QueryService::load(
+    const std::string& dir, const tracestore::StoreOptions& options,
+    std::string* error) {
+  auto store = tracestore::TraceStore::open(dir, options, error);
+  if (!store) return nullptr;
+  // open() records one warning per segment it skipped, and nothing else.
+  const std::size_t skipped = store->warnings().size();
+  auto snap = std::make_shared<Snapshot>(dir, std::move(*store));
+  snap->segments_skipped = skipped;
+  const tracestore::TraceStore& served = snap->store;
 
-  rollups_.clear();
-  rollups_.resize(store_->segments().size());
+  snap->rollups.resize(served.segments().size());
   std::uint64_t fp = util::fnv1a64("ipfsmon-query-v1", util::kFnv1aOffset);
-  for (std::size_t i = 0; i < store_->segments().size(); ++i) {
-    const auto& segment = store_->segments()[i];
+  for (std::size_t i = 0; i < served.segments().size(); ++i) {
+    const auto& segment = served.segments()[i];
     fp = util::fnv1a64(segment.file, fp);
     for (const std::uint64_t field :
          {segment.footer.entry_count,
@@ -158,30 +165,53 @@ bool QueryService::open_store(const std::string& dir, std::string* error) {
     }
 
     auto rollup = tracestore::read_rollup_file(
-        tracestore::rollup_path_for(store_->segment_path(i)));
+        tracestore::rollup_path_for(served.segment_path(i)));
     // A sidecar disagreeing with its segment's footer is as good as absent.
     if (rollup && rollup->entry_count != segment.footer.entry_count) {
-      store_->warn("rollup sidecar mismatch for " + segment.file);
+      served.warn("rollup sidecar mismatch for " + segment.file);
     } else if (rollup) {
-      rollups_[i].emplace(std::move(*rollup));
+      snap->rollups[i].emplace(std::move(*rollup));
+      ++snap->rollups_loaded;
     }
   }
-  fingerprint_ = fp;
+  snap->fingerprint = fp;
+  return snap;
+}
+
+void QueryService::install(SnapshotPtr next) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (next->segments_skipped > 0) {
+    tracestore::count_skipped_segments(obs_.metrics, next->segments_skipped);
+  }
   obs_.metrics
       .gauge("ipfsmon_query_store_segments", "segments in the served store")
-      .set(static_cast<double>(store_->segments().size()));
+      .set(static_cast<double>(next->store.segments().size()));
   obs_.metrics
       .gauge("ipfsmon_query_store_rollups", "segments with a valid rollup")
-      .set(static_cast<double>(rollups_loaded_locked()));
-  return true;
+      .set(static_cast<double>(next->rollups_loaded));
+  snapshot_ = std::move(next);
+}
+
+QueryService::SnapshotPtr QueryService::snapshot() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return snapshot_;
 }
 
 bool QueryService::reload(std::string* error) {
-  std::lock_guard<std::mutex> lock(mu_);
-  obs_.metrics
-      .counter("ipfsmon_query_reloads_total", "store reloads served")
-      .inc();
-  return open_store(dir_, error);
+  std::string dir;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    obs_.metrics
+        .counter("ipfsmon_query_reloads_total", "store reloads served")
+        .inc();
+    dir = snapshot_->dir;
+  }
+  // The expensive part — manifest, footers, rollups — runs unlocked, so
+  // requests keep being served from the current snapshot meanwhile.
+  SnapshotPtr next = load(dir, options_.store, error);
+  if (next == nullptr) return false;
+  install(std::move(next));
+  return true;
 }
 
 void QueryService::attach_server(const HttpServer* server) {
@@ -195,51 +225,42 @@ void QueryService::attach_federation(FederationSource* source) {
   federation_ = source;
 }
 
-std::size_t QueryService::rollups_loaded() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return rollups_loaded_locked();
-}
-
-std::size_t QueryService::rollups_loaded_locked() const {
-  std::size_t n = 0;
-  for (const auto& rollup : rollups_) {
-    if (rollup.has_value()) ++n;
-  }
-  return n;
-}
-
 RangeStats QueryService::stats_between(util::SimTime min_t, util::SimTime max_t,
                                        StatsSource* source) {
-  std::lock_guard<std::mutex> lock(mu_);
-  return stats_between_locked(min_t, max_t, source);
+  return rollup_stats(*snapshot(), {}, min_t, max_t, source);
 }
 
 RangeStats QueryService::stats_by_scan(util::SimTime min_t,
                                        util::SimTime max_t) {
-  std::lock_guard<std::mutex> lock(mu_);
-  return stats_by_scan_locked(min_t, max_t);
+  return scan_stats(*snapshot(), {}, min_t, max_t);
 }
 
-RangeStats QueryService::stats_by_scan_locked(util::SimTime min_t,
-                                              util::SimTime max_t) {
+RangeStats QueryService::scan_stats(const Snapshot& snap,
+                                    const obs::SpanContext& parent,
+                                    util::SimTime min_t, util::SimTime max_t) {
   RangeStats out;
   tracestore::ScanQuery scan_query;
   scan_query.min_time = min_t;
   scan_query.max_time = max_t;
-  run_scan(scan_query, [&out](const trace::TraceEntry& entry) {
-    add_entry(&out, entry);
+  run_scan(snap, parent, scan_query, [&out](const trace::TraceEntry& entry) {
+    add_entry(&out, entry.type, entry.flags);
   });
   return out;
 }
 
 tracestore::ScanStats QueryService::run_scan(
+    const Snapshot& snap, const obs::SpanContext& parent,
     const tracestore::ScanQuery& query,
     const std::function<void(const trace::TraceEntry&)>& visit) {
-  obs::Span span = obs_.tracer.start_span("query.scan", obs_.tracer.current());
+  obs::Span span = obs_.tracer.start_span("query.scan", parent);
   tracestore::ScanProfile profile;
   const bool profiled = span.active();
   const tracestore::ScanStats stats =
-      tracestore::scan(*store_, query, visit, profiled ? &profile : nullptr);
+      tracestore::scan(snap.store, query, visit, profiled ? &profile : nullptr);
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    tracestore::count_scan(obs_.metrics, stats);
+  }
   if (profiled) {
     span.set_attr("segments_total",
                   static_cast<std::uint64_t>(stats.segments_total));
@@ -270,59 +291,57 @@ tracestore::ScanStats QueryService::run_scan(
   return stats;
 }
 
-RangeStats QueryService::stats_between_locked(util::SimTime min_t,
-                                              util::SimTime max_t,
-                                              StatsSource* source) {
+RangeStats QueryService::rollup_stats(const Snapshot& snap,
+                                      const obs::SpanContext& parent,
+                                      util::SimTime min_t, util::SimTime max_t,
+                                      StatsSource* source) {
   RangeStats out;
-  bool used_rollup = false;
-  bool used_decode = false;
-  auto& rollup_segments = obs_.metrics.counter(
-      "ipfsmon_query_stats_rollup_segments_total",
-      "segments answered from rollup sidecars");
-  auto& decoded_segments = obs_.metrics.counter(
-      "ipfsmon_query_stats_decoded_segments_total",
-      "segments needing entry decode (boundary buckets or missing rollup)");
+  const tracestore::TraceStore& store = snap.store;
+  // Counted locally and added to the registry once, under mu_.
+  std::uint64_t rollup_segments = 0;
+  std::uint64_t decoded_segments = 0;
+  std::uint64_t skipped_segments = 0;
 
   // Counts entries of segment `index` whose timestamps fall in any of
   // `windows` (inclusive bounds) — the boundary-bucket / no-rollup path.
+  // Only timestamp, type and flags are read, so records stay raw.
   auto decode_windows =
       [&](std::size_t index,
           const std::vector<std::pair<util::SimTime, util::SimTime>>&
               windows) {
-        obs::Span dspan =
-            obs_.tracer.start_span("segment.decode", obs_.tracer.current());
+        obs::Span dspan = obs_.tracer.start_span("segment.decode", parent);
         if (dspan.active()) {
-          dspan.set_attr("file", store_->segments()[index].file);
+          dspan.set_attr("file", store.segments()[index].file);
           dspan.set_attr("windows",
                          static_cast<std::uint64_t>(windows.size()));
         }
         std::string error;
         auto reader = tracestore::SegmentReader::open(
-            store_->segment_path(index), &error, store_->validation_cache());
+            store.segment_path(index), &error, store.validation_cache());
         if (!reader) {
           // Mirror tracestore::scan: a corrupt segment is skipped, loudly,
           // with the reader's reason.
-          store_->skip_segment("skipping unreadable segment " +
-                               store_->segments()[index].file + ": " + error);
+          store.warn("skipping unreadable segment " +
+                     store.segments()[index].file + ": " + error);
+          ++skipped_segments;
           return;
         }
-        trace::TraceEntry entry;
-        while (reader->next(entry)) {
+        tracestore::RawRecord raw;
+        while (reader->next_raw(raw)) {
           for (const auto& [lo, hi] : windows) {
-            if (entry.timestamp >= lo && entry.timestamp <= hi) {
-              add_entry(&out, entry);
+            if (raw.timestamp >= lo && raw.timestamp <= hi) {
+              add_entry(&out, raw.type, raw.flags);
               break;
             }
           }
         }
-        used_decode = true;
-        decoded_segments.inc();
+        ++decoded_segments;
       };
 
-  for (std::size_t i = 0; i < store_->segments().size(); ++i) {
-    const auto& footer = store_->segments()[i].footer;
+  for (std::size_t i = 0; i < store.segments().size(); ++i) {
+    const auto& footer = store.segments()[i].footer;
     if (!footer.overlaps(min_t, max_t)) continue;
-    const auto& rollup = rollups_[i];
+    const auto& rollup = snap.rollups[i];
     if (!rollup) {
       decode_windows(i, {{min_t, max_t}});
       continue;
@@ -330,8 +349,7 @@ RangeStats QueryService::stats_between_locked(util::SimTime min_t,
     if (footer.min_time >= min_t && footer.max_time <= max_t) {
       // Whole segment inside the range: rollup totals are exact.
       for (const auto& bucket : rollup->buckets) add_bucket(&out, bucket);
-      used_rollup = true;
-      rollup_segments.inc();
+      ++rollup_segments;
       continue;
     }
     // Partial overlap: fully-covered buckets come from the rollup; only the
@@ -349,29 +367,47 @@ RangeStats QueryService::stats_between_locked(util::SimTime min_t,
         windows.emplace_back(std::max(lo, min_t), std::min(hi, max_t));
       }
     }
-    if (bucket_from_rollup) {
-      used_rollup = true;
-      rollup_segments.inc();
-    }
+    if (bucket_from_rollup) ++rollup_segments;
     if (!windows.empty()) decode_windows(i, windows);
   }
 
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    obs_.metrics
+        .counter("ipfsmon_query_stats_rollup_segments_total",
+                 "segments answered from rollup sidecars")
+        .inc(rollup_segments);
+    obs_.metrics
+        .counter("ipfsmon_query_stats_decoded_segments_total",
+                 "segments needing entry decode (boundary buckets or missing "
+                 "rollup)")
+        .inc(decoded_segments);
+    if (skipped_segments > 0) {
+      tracestore::count_skipped_segments(obs_.metrics, skipped_segments);
+    }
+  }
   if (source != nullptr) {
-    *source = used_decode
-                  ? (used_rollup ? StatsSource::kMixed : StatsSource::kScan)
+    *source = decoded_segments > 0
+                  ? (rollup_segments > 0 ? StatsSource::kMixed
+                                         : StatsSource::kScan)
                   : StatsSource::kRollup;
   }
   return out;
 }
 
 HttpResponse QueryService::handle(const HttpRequest& request) {
-  std::lock_guard<std::mutex> lock(mu_);
-  obs_.metrics
-      .counter("ipfsmon_query_http_requests_total", "HTTP requests routed")
-      .inc();
+  View view;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    obs_.metrics
+        .counter("ipfsmon_query_http_requests_total", "HTTP requests routed")
+        .inc();
+    view.snapshot = snapshot_;
+    view.federation = federation_;
+  }
   const std::int64_t started_us = obs::wall_micros_now();
-  // Root of the request's trace; cache/scan/segment spans parent here via
-  // the scoped implicit context (safe: everything below holds mu_).
+  // Root of the request's trace; cache/scan/segment spans parent here
+  // through the context handed down the call chain.
   obs::Span span = obs_.tracer.start_trace("http.request");
   HttpResponse response;
   if (request.method != "GET" && request.method != "HEAD") {
@@ -387,17 +423,19 @@ HttpResponse QueryService::handle(const HttpRequest& request) {
                              request.accepted_us, request.parsed_us);
       }
     }
-    obs::ScopedContext scope(obs_.tracer, span.context());
-    response = route(request);
+    response = route(request, view, span.context());
   }
   const std::int64_t duration_us = obs::wall_micros_now() - started_us;
   const std::string endpoint = endpoint_label(request.path);
-  obs_.metrics
-      .histogram("ipfsmon_query_http_duration_micros",
-                 obs::exponential_buckets(25.0, 2.0, 14),
-                 "request handling latency in microseconds, per endpoint",
-                 "endpoint=\"" + endpoint + "\"")
-      .observe(static_cast<double>(duration_us));
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    obs_.metrics
+        .histogram("ipfsmon_query_http_duration_micros",
+                   obs::exponential_buckets(25.0, 2.0, 14),
+                   "request handling latency in microseconds, per endpoint",
+                   "endpoint=\"" + endpoint + "\"")
+        .observe(static_cast<double>(duration_us));
+  }
   response.headers.emplace_back("X-Duration-Micros",
                                 std::to_string(duration_us));
   if (span.active()) {
@@ -407,14 +445,16 @@ HttpResponse QueryService::handle(const HttpRequest& request) {
   return response;
 }
 
-HttpResponse QueryService::route(const HttpRequest& request) {
+HttpResponse QueryService::route(const HttpRequest& request, const View& view,
+                                 const obs::SpanContext& span) {
   const std::string& path = request.path;
-  if (path == "/healthz") return handle_healthz();
-  if (path == "/metrics") return handle_metrics();
-  if (path == "/v1/stats") return handle_stats(request);
-  if (path == "/v1/popularity") return handle_popularity(request);
-  if (path == "/v1/segments") return handle_segments();
-  if (path == "/v1/monitors") return handle_monitors();
+  const Snapshot& snap = *view.snapshot;
+  if (path == "/healthz") return handle_healthz(snap);
+  if (path == "/metrics") return handle_metrics(view);
+  if (path == "/v1/stats") return handle_stats(request, snap, span);
+  if (path == "/v1/popularity") return handle_popularity(request, snap, span);
+  if (path == "/v1/segments") return handle_segments(view);
+  if (path == "/v1/monitors") return handle_monitors(view);
   if (path == "/debug/spans") return handle_debug_spans(request);
   const std::string_view prefix = "/v1/peers/";
   const std::string_view suffix = "/wants";
@@ -422,87 +462,95 @@ HttpResponse QueryService::route(const HttpRequest& request) {
       path.compare(0, prefix.size(), prefix) == 0 &&
       path.compare(path.size() - suffix.size(), suffix.size(), suffix) == 0) {
     return handle_peer_wants(
-        request, path.substr(prefix.size(),
-                             path.size() - prefix.size() - suffix.size()));
+        request,
+        path.substr(prefix.size(),
+                    path.size() - prefix.size() - suffix.size()),
+        snap, span);
   }
   return error_response(404, "no such endpoint");
 }
 
-HttpResponse QueryService::handle_healthz() {
+HttpResponse QueryService::handle_healthz(const Snapshot& snap) {
+  const tracestore::TraceStore& store = snap.store;
   HttpResponse response;
   util::json::Writer json(response.body);
   json.begin_object()
       .key("status").string("ok")
-      .key("segments").u64(store_->segments().size())
-      .key("entries").u64(store_->total_entries())
-      .key("rollups").u64(rollups_loaded_locked())
-      .key("warnings").u64(store_->warnings().size());
-  if (store_->meta()) {
+      .key("segments").u64(store.segments().size())
+      .key("entries").u64(store.total_entries())
+      .key("rollups").u64(snap.rollups_loaded)
+      .key("warnings").u64(store.warnings().size());
+  if (store.meta()) {
     json.key("wall_epoch")
-        .string(util::format_wall_time(store_->meta()->wall_epoch_ns))
-        .key("capture").string(store_->meta()->source);
+        .string(util::format_wall_time(store.meta()->wall_epoch_ns))
+        .key("capture").string(store.meta()->source);
   }
   json.end_object();
   return response;
 }
 
-HttpResponse QueryService::handle_metrics() {
-  // Fold the socket-layer atomics and the cache counters into the registry
-  // by delta, so one Prometheus page covers serving + scanning + any sim
-  // metrics recorded into the same registry.
-  if (server_ != nullptr) {
-    const ServerCounters now = server_->counters();
-    auto mirror = [this](const char* name, const char* help,
-                         std::uint64_t now_value, std::uint64_t* last) {
-      obs_.metrics.counter(name, help).inc(now_value - *last);
-      *last = now_value;
-    };
-    mirror("ipfsmon_query_server_connections_total", "connections accepted",
-           now.connections_accepted, &mirrored_.connections_accepted);
-    mirror("ipfsmon_query_server_rejected_total",
-           "connections refused with 503 (connection cap reached)",
-           now.connections_rejected, &mirrored_.connections_rejected);
-    mirror("ipfsmon_query_server_requests_total", "HTTP requests answered",
-           now.requests, &mirrored_.requests);
-    mirror("ipfsmon_query_server_parse_errors_total",
-           "malformed requests rejected", now.parse_errors,
-           &mirrored_.parse_errors);
-    mirror("ipfsmon_query_server_timeouts_total",
-           "reads timed out mid-request", now.timeouts, &mirrored_.timeouts);
-    mirror("ipfsmon_query_server_bytes_read_total", "bytes received",
-           now.bytes_read, &mirrored_.bytes_read);
-    mirror("ipfsmon_query_server_bytes_written_total", "bytes sent",
-           now.bytes_written, &mirrored_.bytes_written);
-  }
-  const std::uint64_t hits = cache_.hits();
-  const std::uint64_t misses = cache_.misses();
-  obs_.metrics
-      .counter("ipfsmon_query_cache_hits_total", "result cache hits")
-      .inc(hits - mirrored_cache_hits_);
-  obs_.metrics
-      .counter("ipfsmon_query_cache_misses_total", "result cache misses")
-      .inc(misses - mirrored_cache_misses_);
-  mirrored_cache_hits_ = hits;
-  mirrored_cache_misses_ = misses;
-
+HttpResponse QueryService::handle_metrics(const View& view) {
   HttpResponse response;
   response.content_type = "text/plain; version=0.0.4";
-  response.body = obs::to_prometheus(obs_.metrics);
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    // Fold the socket-layer atomics and the cache counters into the
+    // registry by delta, so one Prometheus page covers serving + scanning
+    // + any sim metrics recorded into the same registry.
+    if (server_ != nullptr) {
+      const ServerCounters now = server_->counters();
+      auto mirror = [this](const char* name, const char* help,
+                           std::uint64_t now_value, std::uint64_t* last) {
+        obs_.metrics.counter(name, help).inc(now_value - *last);
+        *last = now_value;
+      };
+      mirror("ipfsmon_query_server_connections_total", "connections accepted",
+             now.connections_accepted, &mirrored_.connections_accepted);
+      mirror("ipfsmon_query_server_rejected_total",
+             "connections refused with 503 (connection cap reached)",
+             now.connections_rejected, &mirrored_.connections_rejected);
+      mirror("ipfsmon_query_server_requests_total", "HTTP requests answered",
+             now.requests, &mirrored_.requests);
+      mirror("ipfsmon_query_server_parse_errors_total",
+             "malformed requests rejected", now.parse_errors,
+             &mirrored_.parse_errors);
+      mirror("ipfsmon_query_server_timeouts_total",
+             "reads timed out mid-request", now.timeouts, &mirrored_.timeouts);
+      mirror("ipfsmon_query_server_bytes_read_total", "bytes received",
+             now.bytes_read, &mirrored_.bytes_read);
+      mirror("ipfsmon_query_server_bytes_written_total", "bytes sent",
+             now.bytes_written, &mirrored_.bytes_written);
+    }
+    const std::uint64_t hits = cache_.hits();
+    const std::uint64_t misses = cache_.misses();
+    obs_.metrics
+        .counter("ipfsmon_query_cache_hits_total", "result cache hits")
+        .inc(hits - mirrored_cache_hits_);
+    obs_.metrics
+        .counter("ipfsmon_query_cache_misses_total", "result cache misses")
+        .inc(misses - mirrored_cache_misses_);
+    mirrored_cache_hits_ = hits;
+    mirrored_cache_misses_ = misses;
+    response.body = obs::to_prometheus(obs_.metrics);
+  }
   // The coordinator's registry is separate (it is written from connection
   // threads, which the engine's single-threaded registry cannot host), so
   // its rendered snapshot is appended to make one Prometheus page.
-  if (federation_ != nullptr) response.body += federation_->metrics_text();
+  if (view.federation != nullptr) {
+    response.body += view.federation->metrics_text();
+  }
   return response;
 }
 
 HttpResponse QueryService::cached(
-    const HttpRequest& request,
-    const std::function<CachedResponse()>& render) {
+    const HttpRequest& request, const Snapshot& snap,
+    const obs::SpanContext& span,
+    const std::function<CachedResponse(const obs::SpanContext&)>& render) {
   // Canonical key: store fingerprint + decoded path + the (already sorted)
   // param map. A reload changes the fingerprint, so stale entries are
   // simply never asked for again and age out of the LRU.
-  std::string key = util::format("%016llx|",
-                                 static_cast<unsigned long long>(fingerprint_));
+  std::string key = util::format(
+      "%016llx|", static_cast<unsigned long long>(snap.fingerprint));
   key += request.path;
   for (const auto& [name, value] : request.params) {
     key += '&';
@@ -513,15 +561,13 @@ HttpResponse QueryService::cached(
 
   CachedResponse entry;
   bool hit = cache_.get(key, &entry);
-  if (obs_.tracer.current().valid()) {
-    obs_.tracer.add_span("query.cache", obs_.tracer.current(), 0, 0,
+  if (span.valid()) {
+    obs_.tracer.add_span("query.cache", span, 0, 0,
                          {{"hit", hit ? "1" : "0"}});
   }
   if (!hit) {
-    obs::Span render_span =
-        obs_.tracer.start_span("query.render", obs_.tracer.current());
-    obs::ScopedContext scope(obs_.tracer, render_span.context());
-    entry = render();
+    obs::Span render_span = obs_.tracer.start_span("query.render", span);
+    entry = render(render_span.context());
     cache_.put(key, entry);
   }
   HttpResponse response;
@@ -534,9 +580,11 @@ HttpResponse QueryService::cached(
   return response;
 }
 
-HttpResponse QueryService::handle_stats(const HttpRequest& request) {
-  util::SimTime min_t = store_->min_time();
-  util::SimTime max_t = store_->max_time();
+HttpResponse QueryService::handle_stats(const HttpRequest& request,
+                                        const Snapshot& snap,
+                                        const obs::SpanContext& span) {
+  util::SimTime min_t = snap.store.min_time();
+  util::SimTime max_t = snap.store.max_time();
   if (!read_time_param(request, "min_t", &min_t) ||
       !read_time_param(request, "max_t", &max_t)) {
     return error_response(400, "min_t/max_t must be integer nanoseconds");
@@ -547,26 +595,28 @@ HttpResponse QueryService::handle_stats(const HttpRequest& request) {
     if (it->second != "scan") return error_response(400, "force=scan only");
     force_scan = true;
   }
-  return cached(request, [&]() {
+  return cached(request, snap, span, [&](const obs::SpanContext& render) {
     StatsSource source = StatsSource::kScan;
     const RangeStats stats =
-        force_scan ? stats_by_scan_locked(min_t, max_t)
-                   : stats_between_locked(min_t, max_t, &source);
-    if (obs_.tracer.current().valid()) {
+        force_scan ? scan_stats(snap, render, min_t, max_t)
+                   : rollup_stats(snap, render, min_t, max_t, &source);
+    if (render.valid()) {
       // The rollup-vs-scan decision, visible inside the trace.
-      obs_.tracer.add_span("query.stats_source", obs_.tracer.current(), 0, 0,
+      obs_.tracer.add_span("query.stats_source", render, 0, 0,
                            {{"source", std::string(to_string(source))},
                             {"forced", force_scan ? "1" : "0"}});
     }
-    return CachedResponse{render_stats_json(*store_, stats, min_t, max_t),
+    return CachedResponse{render_stats_json(snap.store, stats, min_t, max_t),
                           "application/json",
                           std::string(to_string(source))};
   });
 }
 
-HttpResponse QueryService::handle_popularity(const HttpRequest& request) {
-  util::SimTime min_t = store_->min_time();
-  util::SimTime max_t = store_->max_time();
+HttpResponse QueryService::handle_popularity(const HttpRequest& request,
+                                             const Snapshot& snap,
+                                             const obs::SpanContext& span) {
+  util::SimTime min_t = snap.store.min_time();
+  util::SimTime max_t = snap.store.max_time();
   if (!read_time_param(request, "min_t", &min_t) ||
       !read_time_param(request, "max_t", &max_t)) {
     return error_response(400, "min_t/max_t must be integer nanoseconds");
@@ -588,14 +638,15 @@ HttpResponse QueryService::handle_popularity(const HttpRequest& request) {
     clean_only = it->second == "1";
   }
 
-  return cached(request, [&]() {
+  return cached(request, snap, span, [&](const obs::SpanContext& render) {
     analysis::PopularityAccumulator accumulator(clean_only);
     tracestore::ScanQuery scan_query;
     scan_query.min_time = min_t;
     scan_query.max_time = max_t;
-    run_scan(scan_query, [&accumulator](const trace::TraceEntry& entry) {
-      accumulator.add(entry);
-    });
+    run_scan(snap, render, scan_query,
+             [&accumulator](const trace::TraceEntry& entry) {
+               accumulator.add(entry);
+             });
     const analysis::PopularityScores scores = accumulator.scores();
 
     std::string body;
@@ -627,11 +678,13 @@ HttpResponse QueryService::handle_popularity(const HttpRequest& request) {
 }
 
 HttpResponse QueryService::handle_peer_wants(const HttpRequest& request,
-                                             const std::string& peer_text) {
+                                             const std::string& peer_text,
+                                             const Snapshot& snap,
+                                             const obs::SpanContext& span) {
   const auto peer = crypto::PeerId::from_base58(peer_text);
   if (!peer) return error_response(400, "invalid peer id");
-  util::SimTime min_t = store_->min_time();
-  util::SimTime max_t = store_->max_time();
+  util::SimTime min_t = snap.store.min_time();
+  util::SimTime max_t = snap.store.max_time();
   if (!read_time_param(request, "min_t", &min_t) ||
       !read_time_param(request, "max_t", &max_t)) {
     return error_response(400, "min_t/max_t must be integer nanoseconds");
@@ -646,14 +699,14 @@ HttpResponse QueryService::handle_peer_wants(const HttpRequest& request,
     limit = *parsed;
   }
 
-  return cached(request, [&]() {
+  return cached(request, snap, span, [&](const obs::SpanContext& render) {
     tracestore::ScanQuery scan_query;
     scan_query.min_time = min_t;
     scan_query.max_time = max_t;
     scan_query.peers = {*peer};
     std::uint64_t total = 0;
     std::vector<trace::TraceEntry> wants;
-    run_scan(scan_query, [&](const trace::TraceEntry& entry) {
+    run_scan(snap, render, scan_query, [&](const trace::TraceEntry& entry) {
       if (total++ < limit) wants.push_back(entry);
     });
     std::string body;
@@ -676,37 +729,39 @@ HttpResponse QueryService::handle_peer_wants(const HttpRequest& request,
   });
 }
 
-HttpResponse QueryService::handle_segments() {
+HttpResponse QueryService::handle_segments(const View& view) {
+  const Snapshot& snap = *view.snapshot;
+  const auto& rollups = snap.rollups;
   HttpResponse response;
   util::json::Writer json(response.body);
   json.begin_object()
-      .key("dir").string(dir_)
+      .key("dir").string(snap.dir)
       .key("fingerprint").string(util::format(
-          "%016llx", static_cast<unsigned long long>(fingerprint_)))
+          "%016llx", static_cast<unsigned long long>(snap.fingerprint)))
       .key("segments").begin_array();
-  for (std::size_t i = 0; i < store_->segments().size(); ++i) {
-    const auto& segment = store_->segments()[i];
+  for (std::size_t i = 0; i < snap.store.segments().size(); ++i) {
+    const auto& segment = snap.store.segments()[i];
     json.begin_object()
         .key("file").string(segment.file)
         .key("entries").u64(segment.footer.entry_count)
         .key("min_time").i64(segment.footer.min_time)
         .key("max_time").i64(segment.footer.max_time)
         .key("bytes").u64(segment.file_bytes)
-        .key("rollup").boolean(rollups_[i].has_value());
-    if (rollups_[i]) {
-      json.key("distinct_peers").u64(rollups_[i]->distinct_peers)
-          .key("distinct_cids").u64(rollups_[i]->distinct_cids)
-          .key("buckets").u64(rollups_[i]->buckets.size());
+        .key("rollup").boolean(rollups[i].has_value());
+    if (rollups[i]) {
+      json.key("distinct_peers").u64(rollups[i]->distinct_peers)
+          .key("distinct_cids").u64(rollups[i]->distinct_cids)
+          .key("buckets").u64(rollups[i]->buckets.size());
     }
     json.end_object();
   }
   json.end_array();
-  if (federation_ != nullptr) {
+  if (view.federation != nullptr) {
     // Provenance: the served (unified) segments above are merged data;
     // the sources array ties them back to the vantage-point segments that
     // were shipped in, with monitor id + vantage per row.
     json.key("federated").boolean(true).key("sources").begin_array();
-    for (const auto& source : federation_->segment_sources()) {
+    for (const auto& source : view.federation->segment_sources()) {
       json.begin_object()
           .key("monitor").u64(source.monitor_id)
           .key("vantage").string(source.vantage)
@@ -724,28 +779,28 @@ HttpResponse QueryService::handle_segments() {
   return response;
 }
 
-HttpResponse QueryService::handle_monitors() {
+HttpResponse QueryService::handle_monitors(const View& view) {
   // Deliberately uncached: the ship/ack watermarks move with every landed
   // segment, independent of the served store's fingerprint.
-  if (federation_ == nullptr &&
-      (!store_->meta() || store_->meta()->monitors.empty())) {
+  const auto& meta = view.snapshot->store.meta();
+  if (view.federation == nullptr && (!meta || meta->monitors.empty())) {
     return error_response(404, "not serving a federated store");
   }
   HttpResponse response;
   util::json::Writer json(response.body);
   json.begin_object().key("monitors").begin_array();
-  if (federation_ == nullptr) {
+  if (view.federation == nullptr) {
     // Not federated — but an ingested store still knows its vantage
     // points (STOREMETA), so serve the static mapping.
-    for (const auto& [vantage, id] : store_->meta()->monitors) {
+    for (const auto& [vantage, id] : meta->monitors) {
       json.begin_object()
           .key("id").u64(id)
           .key("vantage").string(vantage)
           .end_object();
     }
-    json.end_array().key("capture").string(store_->meta()->source);
+    json.end_array().key("capture").string(meta->source);
   } else {
-    for (const auto& monitor : federation_->monitors()) {
+    for (const auto& monitor : view.federation->monitors()) {
       json.begin_object()
           .key("id").u64(monitor.id)
           .key("vantage").string(monitor.vantage)

@@ -26,10 +26,15 @@
 // (manifest fingerprint, canonical query), so reload() after the store
 // changed invalidates every cached answer implicitly.
 //
-// Thread-safety: handle() may be called from many connection threads, but
-// the obs::MetricsRegistry is deliberately lock-free single-threaded code,
-// so the whole service serializes on one mutex. Queries over a finished store
-// are short; the daemon's concurrency lives in the socket layer.
+// Thread-safety: handle() runs requests concurrently. Each request copies
+// one pointer to an immutable snapshot of the served store (store, rollups,
+// fingerprint, directory) and renders from it with no lock held; reload()
+// builds a new snapshot and swaps the pointer, while in-flight requests
+// keep the old one alive. One mutex remains, held only for short critical
+// sections: it guards the single-threaded obs::MetricsRegistry, the
+// /metrics mirror state and the snapshot pointer. Span contexts are passed
+// down each request's call chain explicitly, never through the tracer's
+// implicit current().
 #pragma once
 
 #include <cstdint>
@@ -51,8 +56,9 @@
 namespace ipfsmon::query {
 
 struct QueryOptions {
-  /// Store open options; `store.obs` is ignored — the service wires its
-  /// own obs context in so scans and serving share one registry.
+  /// Store open options; `store.obs` is ignored — the served store is
+  /// opened without an obs sink and the service counts its scans into its
+  /// own registry, so scans and serving share one /metrics page.
   tracestore::StoreOptions store;
   /// Cached rendered responses (0 disables caching).
   std::size_t cache_capacity = 128;
@@ -83,8 +89,9 @@ std::string_view to_string(StatsSource source);
 
 /// What a federation coordinator exposes to the engine. Implemented by
 /// src/federation (FederatedService); declared here so query never depends
-/// on the federation layer. All methods are called under the service mutex
-/// and must be safe against concurrent coordinator activity.
+/// on the federation layer. Methods are called from concurrent request
+/// threads, with no engine lock held, and must be safe against each other
+/// and against concurrent coordinator activity.
 class FederationSource {
  public:
   /// One vantage-point monitor's provenance row (/v1/monitors).
@@ -130,6 +137,7 @@ class QueryService {
 
   /// Re-opens the store (picks up new/pruned segments). The manifest
   /// fingerprint changes with the segment set, invalidating cached results.
+  /// Requests already running finish on the store they started with.
   bool reload(std::string* error = nullptr);
 
   /// Rollup-first range stats; `source` reports the serving path taken.
@@ -148,54 +156,97 @@ class QueryService {
   /// `source` must outlive the service.
   void attach_federation(FederationSource* source);
 
-  const tracestore::TraceStore& store() const { return *store_; }
+  /// The served store; the reference stays valid until the next reload().
+  const tracestore::TraceStore& store() const { return snapshot()->store; }
+  /// The tracer is thread-safe; the metrics registry is guarded by the
+  /// service, so read obs().metrics only while no request is in flight.
   obs::Obs& obs() { return obs_; }
   LruCache& cache() { return cache_; }
   /// FNV-1a over the manifest's segment identities (file, count, range,
   /// checksum) — the cache-key prefix.
-  std::uint64_t fingerprint() const { return fingerprint_; }
+  std::uint64_t fingerprint() const { return snapshot()->fingerprint; }
   /// Segments whose rollup sidecar loaded and validated.
-  std::size_t rollups_loaded() const;
+  std::size_t rollups_loaded() const { return snapshot()->rollups_loaded; }
 
  private:
+  /// The served store as one immutable unit. Requests share it through a
+  /// shared_ptr<const Snapshot>; reload() replaces it, never mutates it.
+  struct Snapshot {
+    Snapshot(std::string dir_in, tracestore::TraceStore store_in)
+        : dir(std::move(dir_in)), store(std::move(store_in)) {}
+
+    std::string dir;
+    tracestore::TraceStore store;
+    std::vector<std::optional<tracestore::SegmentRollup>> rollups;
+    std::uint64_t fingerprint = 0;
+    std::size_t rollups_loaded = 0;
+    /// Segments TraceStore::open skipped as unreadable.
+    std::size_t segments_skipped = 0;
+  };
+  using SnapshotPtr = std::shared_ptr<const Snapshot>;
+
+  /// What one request renders from, copied under mu_ when it starts.
+  struct View {
+    SnapshotPtr snapshot;
+    FederationSource* federation = nullptr;
+  };
+
   QueryService(QueryOptions options);
 
-  bool open_store(const std::string& dir, std::string* error);
-  std::size_t rollups_loaded_locked() const;
-  RangeStats stats_between_locked(util::SimTime min_t, util::SimTime max_t,
-                                  StatsSource* source);
-  RangeStats stats_by_scan_locked(util::SimTime min_t, util::SimTime max_t);
+  /// Opens `dir` and loads its rollups and fingerprint; takes no lock.
+  static SnapshotPtr load(const std::string& dir,
+                          const tracestore::StoreOptions& options,
+                          std::string* error);
+  /// Publishes `next` as the served snapshot and updates its gauges.
+  void install(SnapshotPtr next);
+  SnapshotPtr snapshot() const;
 
-  HttpResponse route(const HttpRequest& request);
-  HttpResponse handle_healthz();
-  HttpResponse handle_metrics();
-  HttpResponse handle_stats(const HttpRequest& request);
-  HttpResponse handle_popularity(const HttpRequest& request);
+  RangeStats rollup_stats(const Snapshot& snap, const obs::SpanContext& parent,
+                          util::SimTime min_t, util::SimTime max_t,
+                          StatsSource* source);
+  RangeStats scan_stats(const Snapshot& snap, const obs::SpanContext& parent,
+                        util::SimTime min_t, util::SimTime max_t);
+
+  HttpResponse route(const HttpRequest& request, const View& view,
+                     const obs::SpanContext& span);
+  HttpResponse handle_healthz(const Snapshot& snap);
+  HttpResponse handle_metrics(const View& view);
+  HttpResponse handle_stats(const HttpRequest& request, const Snapshot& snap,
+                            const obs::SpanContext& span);
+  HttpResponse handle_popularity(const HttpRequest& request,
+                                 const Snapshot& snap,
+                                 const obs::SpanContext& span);
   HttpResponse handle_peer_wants(const HttpRequest& request,
-                                 const std::string& peer_text);
-  HttpResponse handle_segments();
-  HttpResponse handle_monitors();
+                                 const std::string& peer_text,
+                                 const Snapshot& snap,
+                                 const obs::SpanContext& span);
+  HttpResponse handle_segments(const View& view);
+  HttpResponse handle_monitors(const View& view);
   HttpResponse handle_debug_spans(const HttpRequest& request);
 
-  /// Runs a scan under a "query.scan" span; when the current request is
-  /// sampled, collects a ScanProfile and emits scan.prune / scan.segment
-  /// child spans with decode/match sub-timings.
+  /// Runs a scan under a "query.scan" span child of `parent` and adds its
+  /// stats to the registry; when `parent` is sampled, collects a
+  /// ScanProfile and emits scan.prune / scan.segment child spans with
+  /// decode/match sub-timings.
   tracestore::ScanStats run_scan(
+      const Snapshot& snap, const obs::SpanContext& parent,
       const tracestore::ScanQuery& query,
       const std::function<void(const trace::TraceEntry&)>& visit);
 
-  /// Serves from cache or renders via `render` and caches the result.
-  HttpResponse cached(const HttpRequest& request,
-                      const std::function<CachedResponse()>& render);
+  /// Serves from cache or renders via `render` (handed the query.render
+  /// span's context) and caches the result.
+  HttpResponse cached(
+      const HttpRequest& request, const Snapshot& snap,
+      const obs::SpanContext& span,
+      const std::function<CachedResponse(const obs::SpanContext&)>& render);
 
   QueryOptions options_;
   obs::Obs obs_;
-  mutable std::mutex mu_;  // guards store_, rollups_, obs_, mirror state
-  std::string dir_;
-  std::optional<tracestore::TraceStore> store_;
-  std::vector<std::optional<tracestore::SegmentRollup>> rollups_;
   LruCache cache_;
-  std::uint64_t fingerprint_ = 0;
+  // Guards snapshot_, the obs_ registry, server_, federation_ and the
+  // mirror state. Held for short sections only, never across a render.
+  mutable std::mutex mu_;
+  SnapshotPtr snapshot_;
 
   const HttpServer* server_ = nullptr;  // counters mirrored at /metrics
   FederationSource* federation_ = nullptr;  // federated mode when set

@@ -1,9 +1,6 @@
 #include "tracestore/scan.hpp"
 
-#include <algorithm>
-#include <condition_variable>
 #include <limits>
-#include <mutex>
 
 #include "obs/span.hpp"
 #include "tracestore/hotset.hpp"
@@ -105,168 +102,166 @@ ScanStats scan(const TraceStore& store, const ScanQuery& query,
   const util::SimTime hi =
       query.max_time ? *query.max_time : std::numeric_limits<util::SimTime>::max();
 
-  // Per-segment result slots filled by pool workers; the consumer (this
-  // thread) drains them strictly in segment order, so visit() sees a
-  // deterministic stream and finished slots are released as soon as they
-  // are consumed.
+  std::vector<std::size_t> survivors;  // unpruned segments, in order
+  if (profile != nullptr) profile->prune_start_us = obs::wall_micros_now();
+  for (std::size_t i = 0; i < n; ++i) {
+    switch (prune_decision(store.segments()[i].footer, query, peer_hashes,
+                           cid_hashes)) {
+      case Prune::kTime: ++stats.segments_pruned_time; break;
+      case Prune::kBloom: ++stats.segments_pruned_bloom; break;
+      case Prune::kNone: survivors.push_back(i); break;
+    }
+  }
+  if (profile != nullptr) profile->prune_end_us = obs::wall_micros_now();
+
+  // One result slot per survivor, filled by a pool task and read by the
+  // consumer (this thread) only after waiting that task's ticket.
   struct Slot {
     trace::Trace matches;
     std::string error;  // non-empty: segment skipped
     bool dictionary_pruned = false;
     std::uint64_t entries_decoded = 0;
     std::uint64_t bytes_scanned = 0;
-    bool done = false;
     SegmentScanProfile profile;  // filled only when profiling
   };
-  std::vector<Slot> slots(n);
-  std::vector<Prune> pruned(n, Prune::kNone);
-  if (profile != nullptr) profile->prune_start_us = obs::wall_micros_now();
-  for (std::size_t i = 0; i < n; ++i) {
-    pruned[i] =
-        prune_decision(store.segments()[i].footer, query, peer_hashes,
-                       cid_hashes);
-  }
-  if (profile != nullptr) profile->prune_end_us = obs::wall_micros_now();
-
-  std::mutex mutex;
-  std::condition_variable ready;
+  std::vector<Slot> slots(survivors.size());
   const bool profiling = profile != nullptr;
   ValidationCache* const validated = store.validation_cache();
-  auto task = [&](std::size_t i) {
-    Slot local;
-    if (pruned[i] == Prune::kNone) {
-      if (profiling) {
-        local.profile.segment = i;
-        local.profile.file = store.segments()[i].file;
-        local.profile.start_us = obs::wall_micros_now();
-      }
-      std::string error;
-      auto reader =
-          SegmentReader::open(store.segment_path(i), &error, validated);
-      if (!reader) {
-        local.error = error;
+  auto task = [&](std::size_t k) {
+    const std::size_t i = survivors[k];
+    Slot& local = slots[k];
+    if (profiling) {
+      local.profile.segment = i;
+      local.profile.file = store.segments()[i].file;
+      local.profile.start_us = obs::wall_micros_now();
+    }
+    std::string error;
+    auto reader = SegmentReader::open(store.segment_path(i), &error, validated);
+    if (!reader) {
+      local.error = error;
+    } else {
+      // Resolve the query's key sets against this segment's interned
+      // dictionaries once; the record loop then matches on integer ids
+      // and never hashes a key.
+      const auto& peers = reader->peer_dictionary();
+      const IdMask peer_mask = resolve_mask(
+          peers.size(), [&](std::size_t id) -> const crypto::PeerId& {
+            return peers[id];
+          },
+          hot_peers);
+      const IdMask cid_mask = resolve_mask(
+          reader->cid_key_count(),
+          [&](std::size_t id) -> const cid::Cid& {
+            return reader->cid_key(static_cast<std::uint32_t>(id));
+          },
+          hot_cids);
+      if (!peer_mask.any || !cid_mask.any) {
+        local.dictionary_pruned = true;
       } else {
-        // Resolve the query's key sets against this segment's interned
-        // dictionaries once; the record loop then matches on integer ids
-        // and never hashes a key.
-        const auto& peers = reader->peer_dictionary();
-        const IdMask peer_mask = resolve_mask(
-            peers.size(), [&](std::size_t id) -> const crypto::PeerId& {
-              return peers[id];
-            },
-            hot_peers);
-        const IdMask cid_mask = resolve_mask(
-            reader->cid_key_count(),
-            [&](std::size_t id) -> const cid::Cid& {
-              return reader->cid_key(static_cast<std::uint32_t>(id));
-            },
-            hot_cids);
-        if (!peer_mask.any || !cid_mask.any) {
-          local.dictionary_pruned = true;
-        } else {
-          local.bytes_scanned = reader->footer().body_bytes;
-          RawRecord raw;
-          trace::TraceEntry entry;
-          if (profiling) {
-            // Profiled decode: clock each next_raw()/match pair. The
-            // extra clock reads only happen on this branch, so
-            // unprofiled scans pay nothing.
-            std::int64_t t0 = obs::wall_micros_now();
-            while (reader->next_raw(raw)) {
-              const std::int64_t t1 = obs::wall_micros_now();
-              local.profile.decode_us += t1 - t0;
-              ++local.entries_decoded;
-              ++local.profile.entries;
-              const bool hit = raw.timestamp >= lo && raw.timestamp <= hi &&
-                               peer_mask.pass(raw.peer) &&
-                               cid_mask.pass(raw.cid);
-              if (hit) {
-                reader->materialize(raw, entry);
-                local.matches.append(entry);
-                ++local.profile.matched;
-              }
-              t0 = obs::wall_micros_now();
-              local.profile.match_us += t0 - t1;
+        local.bytes_scanned = reader->footer().body_bytes;
+        RawRecord raw;
+        trace::TraceEntry entry;
+        if (profiling) {
+          // Profiled decode: clock each next_raw()/match pair. The extra
+          // clock reads only happen on this branch, so unprofiled scans
+          // pay nothing.
+          std::int64_t t0 = obs::wall_micros_now();
+          while (reader->next_raw(raw)) {
+            const std::int64_t t1 = obs::wall_micros_now();
+            local.profile.decode_us += t1 - t0;
+            ++local.entries_decoded;
+            ++local.profile.entries;
+            const bool hit = raw.timestamp >= lo && raw.timestamp <= hi &&
+                             peer_mask.pass(raw.peer) &&
+                             cid_mask.pass(raw.cid);
+            if (hit) {
+              reader->materialize(raw, entry);
+              local.matches.append(entry);
+              ++local.profile.matched;
             }
-            local.profile.decode_us += obs::wall_micros_now() - t0;
-          } else {
-            while (reader->next_raw(raw)) {
-              ++local.entries_decoded;
-              if (raw.timestamp >= lo && raw.timestamp <= hi &&
-                  peer_mask.pass(raw.peer) && cid_mask.pass(raw.cid)) {
-                reader->materialize(raw, entry);
-                local.matches.append(entry);
-              }
+            t0 = obs::wall_micros_now();
+            local.profile.match_us += t0 - t1;
+          }
+          local.profile.decode_us += obs::wall_micros_now() - t0;
+        } else {
+          while (reader->next_raw(raw)) {
+            ++local.entries_decoded;
+            if (raw.timestamp >= lo && raw.timestamp <= hi &&
+                peer_mask.pass(raw.peer) && cid_mask.pass(raw.cid)) {
+              reader->materialize(raw, entry);
+              local.matches.append(entry);
             }
           }
         }
       }
-      if (profiling) local.profile.end_us = obs::wall_micros_now();
     }
-    {
-      std::lock_guard<std::mutex> lock(mutex);
-      slots[i] = std::move(local);
-      slots[i].done = true;
-    }
-    ready.notify_all();
+    if (profiling) local.profile.end_us = obs::wall_micros_now();
   };
 
-  ScanPool::Ticket ticket = store.scan_pool().run(n, task);
+  // Bounded read-ahead: at most `window` survivors are decoded or queued
+  // ahead of the one the consumer is visiting, so memory is bounded by the
+  // matches of that many segments. The consumer submits the next survivor
+  // once it has visited one; pool workers never wait, so concurrent scans
+  // sharing the pool cannot stall each other.
+  ScanPool& pool = store.scan_pool();
+  const std::size_t window = 2 * pool.size();
+  std::vector<ScanPool::Ticket> tickets(survivors.size());
+  std::size_t submitted = 0;
+  const auto submit_next = [&] {
+    const std::size_t k = submitted++;
+    tickets[k] = pool.submit([&task, k] { task(k); });
+  };
+  while (submitted < survivors.size() && submitted < window) submit_next();
 
-  for (std::size_t i = 0; i < n; ++i) {
-    Slot slot;
-    {
-      std::unique_lock<std::mutex> lock(mutex);
-      ready.wait(lock, [&] { return slots[i].done; });
-      slot = std::move(slots[i]);
-    }
-    switch (pruned[i]) {
-      case Prune::kTime:
-        ++stats.segments_pruned_time;
-        continue;
-      case Prune::kBloom:
-        ++stats.segments_pruned_bloom;
-        continue;
-      case Prune::kNone:
-        break;
-    }
+  for (std::size_t k = 0; k < survivors.size(); ++k) {
+    tickets[k].wait();
+    Slot slot = std::move(slots[k]);
     if (!slot.error.empty()) {
-      store.skip_segment("skipping segment during scan: " + slot.error);
-      continue;
-    }
-    if (slot.dictionary_pruned) {
+      ++stats.segments_skipped;
+      store.warn("skipping segment during scan: " + slot.error);
+    } else if (slot.dictionary_pruned) {
       ++stats.segments_pruned_dictionary;
       if (profiling) profile->segments.push_back(std::move(slot.profile));
-      continue;
+    } else {
+      ++stats.segments_scanned;
+      stats.entries_decoded += slot.entries_decoded;
+      stats.bytes_scanned += slot.bytes_scanned;
+      if (profiling) profile->segments.push_back(std::move(slot.profile));
+      for (const auto& entry : slot.matches.entries()) {
+        visit(entry);
+        ++stats.entries_matched;
+      }
     }
-    ++stats.segments_scanned;
-    stats.entries_decoded += slot.entries_decoded;
-    stats.bytes_scanned += slot.bytes_scanned;
-    if (profiling) profile->segments.push_back(std::move(slot.profile));
-    for (const auto& entry : slot.matches.entries()) {
-      visit(entry);
-      ++stats.entries_matched;
-    }
+    if (submitted < survivors.size()) submit_next();
   }
-  ticket.wait();
 
   if (store.options().obs != nullptr) {
-    auto& reg = store.options().obs->metrics;
-    reg.counter("ipfsmon_tracestore_segments_scanned_total",
-                "Segments decoded by scan queries")
-        .inc(stats.segments_scanned);
-    reg.counter("ipfsmon_tracestore_segments_pruned_total",
-                "Segments skipped via footer time range or Bloom filters")
-        .inc(stats.segments_pruned_time + stats.segments_pruned_bloom +
-             stats.segments_pruned_dictionary);
-    reg.counter("ipfsmon_tracestore_scan_entries_total",
-                "Entries streamed to scan visitors")
-        .inc(stats.entries_matched);
-    reg.counter("ipfsmon_tracestore_scan_bytes_total",
-                "Segment body bytes decoded by scan queries")
-        .inc(stats.bytes_scanned);
+    count_scan(store.options().obs->metrics, stats);
   }
   return stats;
+}
+
+void count_scan(obs::MetricsRegistry& metrics, const ScanStats& stats) {
+  if (stats.segments_skipped > 0) {
+    count_skipped_segments(metrics, stats.segments_skipped);
+  }
+  metrics
+      .counter("ipfsmon_tracestore_segments_scanned_total",
+               "Segments decoded by scan queries")
+      .inc(stats.segments_scanned);
+  metrics
+      .counter("ipfsmon_tracestore_segments_pruned_total",
+               "Segments skipped via footer time range or Bloom filters")
+      .inc(stats.segments_pruned_time + stats.segments_pruned_bloom +
+           stats.segments_pruned_dictionary);
+  metrics
+      .counter("ipfsmon_tracestore_scan_entries_total",
+               "Entries streamed to scan visitors")
+      .inc(stats.entries_matched);
+  metrics
+      .counter("ipfsmon_tracestore_scan_bytes_total",
+               "Segment body bytes decoded by scan queries")
+      .inc(stats.bytes_scanned);
 }
 
 }  // namespace ipfsmon::tracestore

@@ -1,9 +1,10 @@
 // Predicate-pushdown scans over a trace store. A ScanQuery names a time
 // range and/or peer/CID sets; scan() prunes whole segments with the
 // footer index (time range first, then Bloom membership) and decodes the
-// survivors on the store's persistent work-stealing pool. Matches stream
-// to the visitor in segment order — deterministic, and memory-bounded by
-// the matches of the segments currently in flight, never the whole result.
+// survivors on the store's persistent work-stealing pool, at most
+// 2 x pool.size() segments ahead of the visitor. Matches stream to the
+// visitor in segment order — deterministic, and memory-bounded by the
+// matches of that read-ahead window, never the whole result.
 //
 // Matching inside a decoded segment takes the dictionary fast path: the
 // query's peer/CID sets are resolved against the segment's interned
@@ -42,6 +43,9 @@ struct ScanStats {
   /// no dictionary key survived the query's key sets (a Bloom false
   /// positive caught after the dictionary resolve).
   std::size_t segments_pruned_dictionary = 0;
+  /// Segments that failed to open or validate mid-scan (recorded in the
+  /// store's warnings()).
+  std::size_t segments_skipped = 0;
   std::uint64_t entries_matched = 0;
   /// Records decoded (before the predicate) and segment-body bytes read,
   /// for MB/s and entries/s accounting in the benches.
@@ -78,12 +82,19 @@ struct ScanProfile {
 };
 
 /// Runs `query` over `store` on the store's scan pool, calling `visit` on
-/// the calling thread for every matching entry, in segment order.
-/// Skipped-as-corrupt segments go through store.skip_segment() like the
-/// streaming readers. Pass a profile to collect per-segment decode/match
-/// sub-timings (span tracing).
+/// the calling thread for every matching entry, in segment order. Safe to
+/// call from several threads over one store. Segments that fail to open
+/// are skipped with a store warning and counted in segments_skipped; when
+/// the store has an obs sink, the stats go to count_scan(). Pass a profile
+/// to collect per-segment decode/match sub-timings (span tracing).
 ScanStats scan(const TraceStore& store, const ScanQuery& query,
                const std::function<void(const trace::TraceEntry&)>& visit,
                ScanProfile* profile = nullptr);
+
+/// Adds one scan's stats to the `ipfsmon_tracestore_*` scan counters in
+/// `metrics`. Callers that scan a store opened without an obs sink (the
+/// query engine, whose registry is guarded by its own lock) call it
+/// themselves.
+void count_scan(obs::MetricsRegistry& metrics, const ScanStats& stats);
 
 }  // namespace ipfsmon::tracestore

@@ -439,18 +439,26 @@ bool TraceStore::rewrite_manifest() const {
   return write_manifest(dir_, entries);
 }
 
+std::vector<std::string> TraceStore::warnings() const {
+  std::lock_guard<std::mutex> lock(shared_->mu);
+  return shared_->warnings;
+}
+
 void TraceStore::warn(const std::string& message) const {
-  warnings_.push_back(message);
+  std::lock_guard<std::mutex> lock(shared_->mu);
+  shared_->warnings.push_back(message);
 }
 
 void TraceStore::skip_segment(const std::string& message) const {
   warn(message);
-  if (options_.obs != nullptr) {
-    options_.obs->metrics
-        .counter("ipfsmon_tracestore_segments_skipped_total",
-                 "Segments skipped due to corruption or IO errors")
-        .inc();
-  }
+  if (options_.obs != nullptr) count_skipped_segments(options_.obs->metrics, 1);
+}
+
+void count_skipped_segments(obs::MetricsRegistry& metrics, std::uint64_t n) {
+  metrics
+      .counter("ipfsmon_tracestore_segments_skipped_total",
+               "Segments skipped due to corruption or IO errors")
+      .inc(n);
 }
 
 }  // namespace ipfsmon::tracestore

@@ -205,7 +205,9 @@ class TraceStore {
 
   const std::string& dir() const { return dir_; }
   const std::vector<Segment>& segments() const { return segments_; }
-  const std::vector<std::string>& warnings() const { return warnings_; }
+  /// A copy of the warnings recorded so far: readers may add more from
+  /// concurrent scans, so a live reference could not be held safely.
+  std::vector<std::string> warnings() const;
   const StoreOptions& options() const { return options_; }
   /// Store-level metadata (wall-clock epoch, capture source) when a
   /// STOREMETA sidecar is present — i.e. when this store was ingested from
@@ -234,7 +236,7 @@ class TraceStore {
   /// segments removed.
   std::size_t prune_before(util::SimTime cutoff);
 
-  /// Records a warning in warnings().
+  /// Records a warning in warnings(). Safe from concurrent readers.
   void warn(const std::string& message) const;
   /// Records a warning for a segment a reader skipped and counts it in
   /// ipfsmon_tracestore_segments_skipped_total (when options.obs is set).
@@ -248,8 +250,9 @@ class TraceStore {
   /// Heap-shared read-path state, so TraceStore stays movable while the
   /// lazily-created pool and the validation cache keep stable addresses.
   struct SharedReadState {
-    std::mutex mu;  // guards pool creation
+    std::mutex mu;  // guards pool creation and warnings
     std::shared_ptr<ScanPool> pool;
+    std::vector<std::string> warnings;
     ValidationCache validated;
   };
 
@@ -257,10 +260,13 @@ class TraceStore {
   StoreOptions options_;
   std::vector<Segment> segments_;
   std::optional<StoreMeta> meta_;
-  mutable std::vector<std::string> warnings_;
   std::shared_ptr<SharedReadState> shared_ =
       std::make_shared<SharedReadState>();
 };
+
+/// Adds `n` to `ipfsmon_tracestore_segments_skipped_total` in `metrics`:
+/// the one counter of segments readers skipped as unreadable.
+void count_skipped_segments(obs::MetricsRegistry& metrics, std::uint64_t n);
 
 /// Writes the manifest for `segments` into `dir` atomically. Shared by the
 /// writer's finalize() and the store's prune.

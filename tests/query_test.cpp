@@ -2,20 +2,23 @@
 // requests, the embedded server's limits and graceful shutdown, per-segment
 // rollups, the rollup-first /v1/stats path (property-tested byte-identical
 // to full scans), result caching with reload invalidation, the Prometheus
-// endpoint, end-to-end agreement with the in-memory batch analyses, and
-// trace_report's missing-vs-corrupt exit codes.
+// endpoint, end-to-end agreement with the in-memory batch analyses,
+// concurrent requests (answers across snapshot reloads, exact counters,
+// span parentage), and trace_report's missing-vs-corrupt exit codes.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <thread>
+#include <unordered_map>
 
 #include "analysis/popularity.hpp"
 #include "ingest/capture.hpp"
@@ -29,6 +32,7 @@
 #include "query/server.hpp"
 #include "query/socket.hpp"
 #include "tracestore/rollup.hpp"
+#include "tracestore/scan.hpp"
 #include "tracestore/store.hpp"
 #include "util/file.hpp"
 #include "util/json.hpp"
@@ -710,7 +714,7 @@ TEST(Engine, UnreadableSegmentWarningCarriesTheReason) {
   service->stats_between(t.entries().front().timestamp,
                          t.entries().back().timestamp, nullptr);
   ASSERT_EQ(service->store().warnings().size(), 1u);
-  const std::string& warning = service->store().warnings()[0];
+  const std::string warning = service->store().warnings()[0];
   EXPECT_EQ(warning.rfind("skipping unreadable segment seg-000000.seg: ", 0),
             0u)
       << warning;
@@ -895,43 +899,248 @@ TEST(Engine, ConcurrentMixedQueriesAreConsistent) {
   const std::string dir = fresh_dir("concurrent");
   const trace::Trace t = make_trace(600, 81);
   build_store(dir, t);
-  auto service = QueryService::open(dir);
+  QueryOptions options;
+  options.cache_capacity = 0;  // every request renders, so scans overlap
+  options.tracing.enabled = true;
+  options.tracing.sample_every = 1;
+  auto service = QueryService::open(dir, options);
   ASSERT_NE(service, nullptr);
   Daemon daemon(*service);
   ASSERT_TRUE(daemon.started);
 
   const util::SimTime lo = t.entries().front().timestamp;
   const util::SimTime hi = t.entries().back().timestamp;
-  const std::string stats_target = util::format(
+  const std::string range = util::format(
       "?min_t=%lld&max_t=%lld", static_cast<long long>(lo + 777),
       static_cast<long long>(hi - 777));
-  const std::string expected =
-      daemon.get("/v1/stats" + stats_target)->body;
+  const std::string peer = t.entries().front().peer.to_base58();
+  // Answers that depend only on the store: each must equal its
+  // single-threaded answer, whatever runs beside it.
+  const std::vector<std::string> stable = {
+      "/healthz",
+      "/v1/stats" + range,
+      "/v1/stats" + range + "&force=scan",
+      "/v1/peers/" + peer + "/wants?limit=5",
+      "/v1/popularity?k=3",
+      "/v1/segments",
+  };
+  std::map<std::string, std::string> expected;
+  for (const auto& target : stable) {
+    const auto response = daemon.get(target);
+    ASSERT_TRUE(response.has_value() && response->status == 200) << target;
+    expected[target] = response->body;
+  }
+  // Answers that change with every request: well-formed, not equal.
+  const std::vector<std::string> live = {"/metrics", "/debug/spans"};
 
   std::atomic<int> failures{0};
+  std::atomic<bool> done{false};
+  std::atomic<int> reloads{0};
+  // Reloads swap the served snapshot under the clients' feet; the store
+  // is unchanged, so every answer must stay the same.
+  std::thread reloader([&] {
+    while (!done.load()) {
+      if (!service->reload()) failures.fetch_add(1);
+      reloads.fetch_add(1);
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+  });
   std::vector<std::thread> clients;
   for (int i = 0; i < 6; ++i) {
     clients.emplace_back([&, i] {
-      for (int j = 0; j < 10; ++j) {
-        const std::string target =
-            (i + j) % 3 == 0 ? "/healthz"
-            : (i + j) % 3 == 1
-                ? "/v1/stats" + stats_target
-                : "/v1/stats" + stats_target + "&force=scan";
+      const std::size_t kinds = stable.size() + live.size();
+      for (std::size_t j = 0; j < 2 * kinds; ++j) {
+        const std::size_t pick = (static_cast<std::size_t>(i) + j) % kinds;
+        const bool is_live = pick >= stable.size();
+        const std::string& target =
+            is_live ? live[pick - stable.size()] : stable[pick];
         const auto response =
             http_get("127.0.0.1", daemon.server->port(), target);
         if (!response || response->status != 200) {
           failures.fetch_add(1);
           continue;
         }
-        if (target != "/healthz" && response->body != expected) {
-          failures.fetch_add(1);
-        }
+        const bool ok =
+            !is_live ? response->body == expected[target]
+            : target == "/metrics"
+                ? response->body.find("ipfsmon_query_http_requests_total") !=
+                      std::string::npos
+                : util::json::valid(response->body);
+        if (!ok) failures.fetch_add(1);
+      }
+    });
+  }
+  for (auto& c : clients) c.join();
+  done.store(true);
+  reloader.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_GT(reloads.load(), 0);
+}
+
+/// Reads one unlabelled counter from the service's registry (0 if absent).
+std::uint64_t counter_value(QueryService& service, const std::string& name) {
+  const auto& registry = service.obs().metrics;
+  const obs::InstrumentInfo* info = registry.find(name);
+  return info == nullptr ? 0 : registry.counter_at(info->slot).value();
+}
+
+TEST(Engine, ConcurrentRequestsAreCountedExactly) {
+  const std::string dir = fresh_dir("concurrent_counters");
+  const trace::Trace t = make_trace(900, 91);
+  build_store(dir, t);
+  QueryOptions options;
+  options.cache_capacity = 0;  // every scan request really scans
+  auto service = QueryService::open(dir, options);
+  ASSERT_NE(service, nullptr);
+
+  // Each request paired with the scan it runs; a single-threaded scan of
+  // the same query over the same store gives the stats it must add.
+  const util::SimTime lo = t.entries().front().timestamp;
+  const util::SimTime span = t.entries().back().timestamp - lo;
+  std::vector<HttpRequest> requests;
+  std::vector<std::optional<tracestore::ScanQuery>> scans;
+  for (int i = 0; i < 32; ++i) {
+    const util::SimTime a = lo + span * (i % 8) / 16;
+    const util::SimTime b = a + span * (1 + i % 5) / 8;
+    const std::map<std::string, std::string> range = {
+        {"min_t", std::to_string(a)}, {"max_t", std::to_string(b)}};
+    tracestore::ScanQuery query;
+    query.min_time = a;
+    query.max_time = b;
+    HttpRequest request;
+    request.method = "GET";
+    request.params = range;
+    switch (i % 4) {
+      case 0:
+        request.path = "/v1/stats";
+        request.params["force"] = "scan";
+        break;
+      case 1:
+        request.path = "/v1/peers/" + peer_n(i % 20).to_base58() + "/wants";
+        query.peers = {peer_n(i % 20)};
+        break;
+      case 2:
+        request.path = "/v1/popularity";
+        break;
+      default:
+        request.path = "/healthz";
+        request.params.clear();
+        break;
+    }
+    requests.push_back(request);
+    scans.push_back(request.path == "/healthz"
+                        ? std::nullopt
+                        : std::optional<tracestore::ScanQuery>(query));
+  }
+  auto store = tracestore::TraceStore::open(dir);
+  ASSERT_TRUE(store.has_value());
+  std::uint64_t scanned = 0;
+  std::uint64_t pruned = 0;
+  std::uint64_t matched = 0;
+  std::uint64_t bytes = 0;
+  for (const auto& query : scans) {
+    if (!query) continue;
+    const auto stats =
+        tracestore::scan(*store, *query, [](const trace::TraceEntry&) {});
+    scanned += stats.segments_scanned;
+    pruned += stats.segments_pruned_time + stats.segments_pruned_bloom +
+              stats.segments_pruned_dictionary;
+    matched += stats.entries_matched;
+    bytes += stats.bytes_scanned;
+  }
+
+  constexpr std::size_t kThreads = 4;
+  std::atomic<int> failures{0};
+  std::vector<std::thread> clients;
+  for (std::size_t c = 0; c < kThreads; ++c) {
+    clients.emplace_back([&, c] {
+      for (std::size_t i = c; i < requests.size(); i += kThreads) {
+        if (service->handle(requests[i]).status != 200) failures.fetch_add(1);
       }
     });
   }
   for (auto& c : clients) c.join();
   EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(counter_value(*service, "ipfsmon_query_http_requests_total"),
+            requests.size());
+  EXPECT_EQ(
+      counter_value(*service, "ipfsmon_tracestore_segments_scanned_total"),
+      scanned);
+  EXPECT_EQ(counter_value(*service, "ipfsmon_tracestore_segments_pruned_total"),
+            pruned);
+  EXPECT_EQ(counter_value(*service, "ipfsmon_tracestore_scan_entries_total"),
+            matched);
+  EXPECT_EQ(counter_value(*service, "ipfsmon_tracestore_scan_bytes_total"),
+            bytes);
+  EXPECT_GT(scanned, 0u);
+  EXPECT_GT(pruned, 0u);
+}
+
+TEST(Engine, ConcurrentTracedRequestsKeepSpansInTheirOwnTrace) {
+  const std::string dir = fresh_dir("concurrent_spans");
+  const trace::Trace t = make_trace(900, 95);
+  build_store(dir, t);
+  QueryOptions options;
+  options.cache_capacity = 0;
+  options.tracing.enabled = true;
+  options.tracing.sample_every = 1;
+  auto service = QueryService::open(dir, options);
+  ASSERT_NE(service, nullptr);
+
+  // Forced scans (query.scan) and rollup stats over ranges that cut
+  // through minute buckets (segment.decode), interleaved on four threads.
+  const util::SimTime lo = t.entries().front().timestamp;
+  const util::SimTime span = t.entries().back().timestamp - lo;
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 8;
+  std::atomic<int> failures{0};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kThreads; ++c) {
+    clients.emplace_back([&, c] {
+      for (int i = 0; i < kPerThread; ++i) {
+        const util::SimTime a = lo + span * ((c + i) % 7) / 10 + 12345;
+        HttpRequest request;
+        request.method = "GET";
+        request.path = "/v1/stats";
+        request.params = {{"min_t", std::to_string(a)},
+                          {"max_t", std::to_string(a + span / 4)}};
+        if (i % 2 == 0) request.params["force"] = "scan";
+        if (service->handle(request).status != 200) failures.fetch_add(1);
+      }
+    });
+  }
+  for (auto& c : clients) c.join();
+  EXPECT_EQ(failures.load(), 0);
+
+  const auto spans = service->obs().tracer.snapshot();
+  EXPECT_EQ(service->obs().tracer.spans_dropped(), 0u);
+  std::unordered_map<std::uint64_t, const obs::SpanRecord*> by_id;
+  std::size_t roots = 0;
+  for (const auto& rec : spans) {
+    by_id[rec.span_id] = &rec;
+    if (rec.parent_id == 0) {
+      EXPECT_EQ(rec.name, "http.request");
+      ++roots;
+    }
+  }
+  EXPECT_EQ(roots, static_cast<std::size_t>(kThreads * kPerThread));
+  std::size_t checked_scan = 0;
+  std::size_t checked_decode = 0;
+  for (const auto& rec : spans) {
+    if (rec.name != "query.scan" && rec.name != "segment.decode") continue;
+    (rec.name == "query.scan" ? checked_scan : checked_decode) += 1;
+    // Walk up to the root: every ancestor exists and shares the trace.
+    const obs::SpanRecord* at = &rec;
+    while (at->parent_id != 0) {
+      const auto parent = by_id.find(at->parent_id);
+      ASSERT_NE(parent, by_id.end()) << rec.name << " has a dangling parent";
+      EXPECT_EQ(parent->second->trace_id, rec.trace_id) << rec.name;
+      at = parent->second;
+    }
+    EXPECT_EQ(at->name, "http.request");
+  }
+  EXPECT_EQ(checked_scan, static_cast<std::size_t>(kThreads * kPerThread / 2));
+  EXPECT_GT(checked_decode, 0u);
 }
 
 // --- every JSON emitter -------------------------------------------------------

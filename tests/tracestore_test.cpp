@@ -2,7 +2,8 @@
 // round-trips, crash detection and hostile dictionary counts, the
 // segmented store directory format (a FIFO in place of a segment included),
 // streaming unify equivalence with the in-memory path, and the
-// Bloom-pruned parallel scan on the store's pool.
+// Bloom-pruned parallel scan on the store's pool (its bounded read-ahead
+// and concurrent scans over one store included).
 #include <fcntl.h>
 #include <gtest/gtest.h>
 #include <sys/stat.h>
@@ -12,7 +13,9 @@
 #include <fstream>
 
 #include <atomic>
+#include <chrono>
 #include <map>
+#include <thread>
 #include <tuple>
 #include <unordered_set>
 
@@ -915,6 +918,106 @@ TEST(Scan, SegmentSwappedForAFifoIsSkippedNotWaitedOn) {
   ASSERT_EQ(store->warnings().size(), 1u);
   EXPECT_NE(store->warnings()[0].find("not a regular file"), std::string::npos)
       << store->warnings()[0];
+}
+
+TEST(Scan, ConcurrentScansEachSkipACorruptSegmentOnce) {
+  const std::string dir = fresh_dir("scan_concurrent_corrupt");
+  StoreOptions options;
+  options.max_entries_per_segment = 50;
+  auto writer = SegmentWriter::create(dir, options);
+  for (int i = 0; i < 300; ++i) writer->append(entry(i * kSecond, i, i, 0));
+  ASSERT_TRUE(writer->finalize());
+  auto store = TraceStore::open(dir, options);
+  ASSERT_TRUE(store.has_value());
+  ASSERT_EQ(store->segments().size(), 6u);
+  {
+    // A flipped body byte: open() keeps the segment, every scan skips it.
+    std::fstream f(store->segment_path(2),
+                   std::ios::in | std::ios::out | std::ios::binary);
+    f.seekg(10);
+    char byte = 0;
+    f.read(&byte, 1);
+    f.seekp(10);
+    byte = static_cast<char>(byte ^ 0x55);
+    f.write(&byte, 1);
+  }
+
+  // Scans on several threads at once, each recording its skip into the
+  // one warnings vector; a reader polls warnings() meanwhile.
+  constexpr int kThreads = 4;
+  constexpr int kScansPerThread = 5;
+  std::atomic<int> bad_scans{0};
+  std::atomic<bool> done{false};
+  std::thread reader([&] {
+    while (!done.load()) {
+      for (const auto& warning : store->warnings()) {
+        if (warning.find("body checksum mismatch") == std::string::npos) {
+          bad_scans.fetch_add(1);
+        }
+      }
+      std::this_thread::yield();
+    }
+  });
+  std::vector<std::thread> scanners;
+  for (int t = 0; t < kThreads; ++t) {
+    scanners.emplace_back([&] {
+      for (int k = 0; k < kScansPerThread; ++k) {
+        std::uint64_t visited = 0;
+        const ScanStats stats = scan(
+            *store, ScanQuery{}, [&visited](const trace::TraceEntry&) {
+              ++visited;
+            });
+        if (stats.segments_skipped != 1 || stats.segments_scanned != 5 ||
+            visited != 250) {
+          bad_scans.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (auto& t : scanners) t.join();
+  done.store(true);
+  reader.join();
+  EXPECT_EQ(bad_scans.load(), 0);
+  EXPECT_EQ(store->warnings().size(),
+            static_cast<std::size_t>(kThreads * kScansPerThread));
+}
+
+TEST(Scan, ReadAheadStaysWithinTwicePoolSize) {
+  const std::string dir = fresh_dir("scan_read_ahead");
+  // Enough segments that an unbounded read-ahead would open far more than
+  // the window before the visitor finishes its first entry.
+  const std::size_t pool_threads =
+      std::max(1u, std::thread::hardware_concurrency());
+  const int segments = static_cast<int>(4 * pool_threads + 8);
+  StoreOptions options;
+  options.max_entries_per_segment = 16;
+  auto writer = SegmentWriter::create(dir, options);
+  for (int i = 0; i < segments * 16; ++i) {
+    writer->append(entry(i * kSecond, i % 40, i % 50, 0));
+  }
+  ASSERT_TRUE(writer->finalize());
+  auto store = TraceStore::open(dir, options);
+  ASSERT_TRUE(store.has_value());
+  ASSERT_EQ(store->segments().size(), static_cast<std::size_t>(segments));
+  const std::size_t window = 2 * store->scan_pool().size();
+  ASSERT_LT(window, store->segments().size());
+
+  // Every opened segment is remembered once in the store's own validation
+  // cache, so its size counts the segments the scan has opened so far.
+  std::size_t opened_while_paused = 0;
+  std::uint64_t visited = 0;
+  const ScanStats stats =
+      scan(*store, ScanQuery{}, [&](const trace::TraceEntry&) {
+        if (visited++ == 0) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(200));
+          opened_while_paused = store->validation_cache()->entries();
+        }
+      });
+  EXPECT_GT(opened_while_paused, 0u);
+  EXPECT_LE(opened_while_paused, window);
+  EXPECT_EQ(visited, static_cast<std::uint64_t>(segments) * 16);
+  EXPECT_EQ(stats.segments_scanned, store->segments().size());
+  EXPECT_EQ(store->validation_cache()->entries(), store->segments().size());
 }
 
 // --- HotSet and ScanPool --------------------------------------------------------
