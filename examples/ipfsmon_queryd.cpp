@@ -40,6 +40,7 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <optional>
 #include <string>
 
 #include "federation/federated.hpp"
@@ -48,6 +49,7 @@
 #include "query/server.hpp"
 #include "scenario/study.hpp"
 #include "tracestore/merge.hpp"
+#include "util/file.hpp"
 #include "util/flags.hpp"
 
 using namespace ipfsmon;
@@ -66,16 +68,16 @@ void on_sighup(int) {
   [[maybe_unused]] const ssize_t n = ::write(g_signal_pipe[1], &byte, 1);
 }
 
-/// Runs a small monitoring study with spilling monitors and unifies the
-/// per-monitor stores into one servable directory.
-std::string make_demo_store() {
+/// Runs a small monitoring study with spilling monitors under `scratch` and
+/// unifies the per-monitor stores into one servable directory there.
+std::string make_demo_store(const std::string& scratch) {
   std::printf("generating a demo trace store (small monitoring study)...\n");
   scenario::StudyConfig config;
   config.population.node_count = 150;
   config.catalog.item_count = 400;
   config.warmup = 2 * util::kHour;
   config.duration = 6 * util::kHour;
-  config.monitor_spill_dir = "/tmp/ipfsmon_queryd_demo_monitors";
+  config.monitor_spill_dir = scratch + "/monitors";
   scenario::MonitoringStudy study(config);
   study.run();
   if (!study.finalize_monitor_spill()) {
@@ -97,7 +99,7 @@ std::string make_demo_store() {
   }
   for (const auto& store : stores) inputs.push_back(&store);
 
-  const std::string unified_dir = "/tmp/ipfsmon_queryd_demo_store";
+  const std::string unified_dir = scratch + "/store";
   std::string error;
   auto writer = tracestore::SegmentWriter::create(unified_dir, {}, &error);
   if (writer == nullptr) {
@@ -152,8 +154,16 @@ int main(int argc, char** argv) {
   tracing.enabled = flags.boolean("--trace") || flags.has("--trace-sample") ||
                     flags.has("--trace-export");
   if (!flags.ok()) return flags.usage(kUsage);
+  // The demo stores live under $TMPDIR for as long as the daemon serves
+  // them, and are removed on exit.
+  std::optional<util::TempDir> demo_dir;
   if (demo) {
-    store_dir = make_demo_store();
+    demo_dir.emplace("ipfsmon_queryd_demo");
+    if (demo_dir->path().empty()) {
+      std::fprintf(stderr, "error: cannot create a scratch directory\n");
+      return 1;
+    }
+    store_dir = make_demo_store(demo_dir->path());
     if (store_dir.empty()) return 1;
   }
   if (store_dir.empty() && coordinator_root.empty()) {

@@ -13,11 +13,16 @@
 //        trace_report --demo   (simulate a small study whose monitors spill
 //                               to stores, then report on those)
 //
+// Scratch stores (the unified store, the --demo spill stores) live in fresh
+// directories under $TMPDIR that are removed on exit, so concurrent runs
+// never share or wipe one.
+//
 // Exit codes: 2 = a malformed command line (usage) or an input path does
 // not exist, 3 = an input path is not a readable trace store, 1 = any other
 // failure.
 #include <cstdio>
 #include <filesystem>
+#include <optional>
 #include <string>
 
 #include "analysis/aggregate.hpp"
@@ -26,6 +31,7 @@
 #include "scenario/study.hpp"
 #include "tracestore/merge.hpp"
 #include "tracestore/scan.hpp"
+#include "util/file.hpp"
 #include "util/flags.hpp"
 #include "util/strings.hpp"
 
@@ -158,9 +164,12 @@ int report_stores(const std::vector<std::string>& dirs,
 
   // Unify out-of-core: k-way merge + streaming flags into a scratch store,
   // so the unified trace never lives in memory.
-  const std::string unified_dir =
-      (std::filesystem::temp_directory_path() / "ipfsmon_trace_report_unified")
-          .string();
+  const util::TempDir scratch("ipfsmon_trace_report");
+  if (scratch.path().empty()) {
+    std::fprintf(stderr, "error: cannot create a scratch directory\n");
+    return 1;
+  }
+  const std::string unified_dir = scratch.path() + "/unified";
   std::string error;
   auto writer = tracestore::SegmentWriter::create(unified_dir, {}, &error);
   if (writer == nullptr) {
@@ -225,15 +234,14 @@ int report_stores(const std::vector<std::string>& dirs,
   return 0;
 }
 
-std::vector<std::string> make_demo_stores() {
+std::vector<std::string> make_demo_stores(const std::string& spill_dir) {
   std::printf("generating demo trace stores (monitors spill to disk)...\n");
   scenario::StudyConfig config;
   config.population.node_count = 150;
   config.catalog.item_count = 400;
   config.warmup = 2 * util::kHour;
   config.duration = 6 * util::kHour;
-  config.monitor_spill_dir =
-      (std::filesystem::temp_directory_path() / "ipfsmon_demo_stores").string();
+  config.monitor_spill_dir = spill_dir;
   scenario::MonitoringStudy study(config);
   study.run();
   if (!study.finalize_monitor_spill()) {
@@ -254,8 +262,14 @@ int main(int argc, char** argv) {
   std::vector<std::string> dirs = flags.positionals();
   if (demo && !dirs.empty()) flags.fail("--demo takes no store directories");
   if (!flags.ok()) return flags.usage("<store-dir> [...]\n--demo");
+  std::optional<util::TempDir> demo_dir;  // outlives the report
   if (dirs.empty()) {
-    dirs = make_demo_stores();
+    demo_dir.emplace("ipfsmon_demo_stores");
+    if (demo_dir->path().empty()) {
+      std::fprintf(stderr, "error: cannot create a scratch directory\n");
+      return 1;
+    }
+    dirs = make_demo_stores(demo_dir->path());
     if (dirs.empty()) return 1;
   }
   return report_stores(dirs, net::GeoDatabase::standard());

@@ -55,14 +55,6 @@ struct PartitionConfig {
   net::BackoffPolicy reconnect;
 };
 
-/// Random monitor crash/restart process (scheduled crashes can be added
-/// independently via ChurnConfig::scheduled_crashes).
-struct MonitorCrashConfig {
-  /// Mean time between failures per monitor. 0 disables random crashes.
-  double mtbf_hours = 0.0;
-  double mean_downtime_minutes = 10.0;
-};
-
 /// One deterministic, pre-planned monitor crash.
 struct CrashEvent {
   std::size_t monitor_index = 0;
@@ -74,13 +66,11 @@ struct ChurnConfig {
   NodeChurnConfig nodes;
   net::LinkFaultProfile link;
   PartitionConfig partitions;
-  MonitorCrashConfig monitor_crashes;
   std::vector<CrashEvent> scheduled_crashes;
 
   bool enabled() const {
     return nodes.arrival_rate_per_hour > 0.0 || link.active() ||
-           partitions.rate_per_hour > 0.0 || monitor_crashes.mtbf_hours > 0.0 ||
-           !scheduled_crashes.empty();
+           partitions.rate_per_hour > 0.0 || !scheduled_crashes.empty();
   }
 };
 

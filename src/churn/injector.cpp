@@ -43,14 +43,8 @@ void FaultInjector::start(std::vector<crypto::PeerId> bootstrap) {
     oneshot_timers_.push_back(network_.scheduler().schedule_at(
         ev.at, [this, ev]() {
           if (stopped_) return;
-          crash_monitor(ev.monitor_index, ev.down_for, /*reschedule=*/false);
+          crash_monitor(ev.monitor_index, ev.down_for);
         }));
-  }
-  if (config_.monitor_crashes.mtbf_hours > 0.0) {
-    crash_timers_.resize(monitors_.size());
-    for (std::size_t i = 0; i < monitors_.size(); ++i) {
-      schedule_monitor_crash(i);
-    }
   }
 }
 
@@ -59,7 +53,6 @@ void FaultInjector::stop() {
   stopped_ = true;
   arrival_timer_.cancel();
   partition_timer_.cancel();
-  for (auto& timer : crash_timers_) timer.cancel();
   for (auto& timer : oneshot_timers_) timer.cancel();
   for (auto& t : transients_) {
     if (t == nullptr) continue;
@@ -242,32 +235,18 @@ void FaultInjector::open_partition() {
 
 // --- Monitor crash/restart --------------------------------------------------
 
-void FaultInjector::schedule_monitor_crash(std::size_t index) {
-  const double hours = rng_.exponential(config_.monitor_crashes.mtbf_hours);
-  crash_timers_[index] = network_.scheduler().schedule_after(
-      util::seconds(hours * 3600.0), [this, index]() {
-        if (stopped_) return;
-        const double minutes =
-            rng_.exponential(config_.monitor_crashes.mean_downtime_minutes);
-        crash_monitor(index, util::seconds(minutes * 60.0),
-                      /*reschedule=*/true);
-      });
-}
-
 void FaultInjector::crash_monitor(std::size_t index,
-                                  util::SimDuration down_for,
-                                  bool reschedule) {
+                                  util::SimDuration down_for) {
   if (index >= monitors_.size()) return;
   monitor::PassiveMonitor* monitor = monitors_[index];
   if (monitor->crashed()) return;
   monitor->crash();
   ++monitor_crashes_;
   oneshot_timers_.push_back(network_.scheduler().schedule_after(
-      down_for, [this, index, monitor, reschedule]() {
+      down_for, [this, monitor]() {
         if (stopped_) return;
         monitor->restart(bootstrap_);
         ++monitor_restarts_;
-        if (reschedule) schedule_monitor_crash(index);
       }));
 }
 

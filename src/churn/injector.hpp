@@ -87,9 +87,7 @@ class FaultInjector {
   void schedule_partition();
   void open_partition();
 
-  void schedule_monitor_crash(std::size_t index);
-  void crash_monitor(std::size_t index, util::SimDuration down_for,
-                     bool reschedule);
+  void crash_monitor(std::size_t index, util::SimDuration down_for);
 
   net::Network& network_;
   ChurnConfig config_;
@@ -106,8 +104,7 @@ class FaultInjector {
 
   sim::EventHandle arrival_timer_;
   sim::EventHandle partition_timer_;
-  std::vector<sim::EventHandle> crash_timers_;   // one per monitor (random)
-  std::vector<sim::EventHandle> oneshot_timers_;  // heals, restarts, scheduled
+  std::vector<sim::EventHandle> oneshot_timers_;  // heals, restarts, crashes
 
   std::uint64_t spawn_counter_ = 0;
   std::uint64_t transients_spawned_ = 0;

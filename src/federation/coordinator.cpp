@@ -42,9 +42,6 @@ Coordinator::Coordinator(std::string root, CoordinatorOptions options)
     : root_(std::move(root)),
       options_(std::move(options)),
       connections_([this](int fd, std::int64_t) { handle_connection(fd); }) {
-  // Recovery and verification must not write into a foreign registry from
-  // connection threads; the coordinator's own metrics live in registry_.
-  options_.store.obs = nullptr;
   options_.store.shared_validation = &validated_;
   tracer_.configure(options_.tracing);
 }
@@ -210,12 +207,10 @@ Coordinator::MonitorState* Coordinator::handle_hello(const HelloMsg& msg,
       ack->landed.push_back(SegmentIdentity{file, footer.body_checksum});
     }
   }
-  {
-    std::lock_guard<std::mutex> lock(metrics_mu_);
-    counter("ipfsmon_federation_connects_total",
-            "shipper handshakes accepted")
-        .inc();
-  }
+  registry_
+      .counter("ipfsmon_federation_connects_total",
+               "shipper handshakes accepted")
+      .inc();
   // New monitor or relabeled vantage: publish it before any segment lands.
   // A failed publish refuses the hello; the shipper's backoff redials.
   if (!write_federation_manifest()) return nullptr;
@@ -311,47 +306,48 @@ AckStatus Coordinator::land_segment(MonitorState& monitor, SegmentMsg&& msg) {
     }();
   }
 
-  {
-    std::lock_guard<std::mutex> lock(metrics_mu_);
-    const std::string label = util::format("monitor=\"%u\"", monitor.id);
-    switch (status) {
-      case AckStatus::kLanded:
-        counter("ipfsmon_federation_segments_landed_total",
-                "segments verified and persisted, per monitor", label)
-            .inc();
-        counter("ipfsmon_federation_bytes_replicated_total",
-                "segment + rollup payload bytes landed")
-            .inc(landed_bytes);
-        if (lag_us >= 0) {
-          registry_
-              .histogram("ipfsmon_federation_replication_lag_micros",
-                         obs::exponential_buckets(1000.0, 2.0, 20),
-                         "segment seal (file mtime) to landed ack, µs")
-              .observe(static_cast<double>(lag_us));
-          registry_
-              .gauge("ipfsmon_federation_lag_watermark_micros",
-                     "replication lag of the latest landed segment, µs",
-                     label)
-              .set(static_cast<double>(lag_us));
-        }
-        break;
-      case AckStatus::kDuplicate:
-        counter("ipfsmon_federation_duplicate_segments_total",
-                "redelivered segments acked without landing")
-            .inc();
-        break;
-      case AckStatus::kRejected:
-        counter("ipfsmon_federation_rejected_segments_total",
-                "segments failing verification or diverging from history")
-            .inc();
-        break;
-    }
-    registry_
-        .histogram("ipfsmon_federation_land_micros",
-                   obs::exponential_buckets(50.0, 2.0, 16),
-                   "receive-to-ack handling time per segment, µs")
-        .observe(static_cast<double>(unix_micros_now() - started_us));
+  const std::string label = util::format("monitor=\"%u\"", monitor.id);
+  switch (status) {
+    case AckStatus::kLanded:
+      registry_
+          .counter("ipfsmon_federation_segments_landed_total",
+                   "segments verified and persisted, per monitor", label)
+          .inc();
+      registry_
+          .counter("ipfsmon_federation_bytes_replicated_total",
+                   "segment + rollup payload bytes landed")
+          .inc(landed_bytes);
+      if (lag_us >= 0) {
+        registry_
+            .histogram("ipfsmon_federation_replication_lag_micros",
+                       obs::exponential_buckets(1000.0, 2.0, 20),
+                       "segment seal (file mtime) to landed ack, µs")
+            .observe(static_cast<double>(lag_us));
+        registry_
+            .gauge("ipfsmon_federation_lag_watermark_micros",
+                   "replication lag of the latest landed segment, µs",
+                   label)
+            .set(static_cast<double>(lag_us));
+      }
+      break;
+    case AckStatus::kDuplicate:
+      registry_
+          .counter("ipfsmon_federation_duplicate_segments_total",
+                   "redelivered segments acked without landing")
+          .inc();
+      break;
+    case AckStatus::kRejected:
+      registry_
+          .counter("ipfsmon_federation_rejected_segments_total",
+                   "segments failing verification or diverging from history")
+          .inc();
+      break;
   }
+  registry_
+      .histogram("ipfsmon_federation_land_micros",
+                 obs::exponential_buckets(50.0, 2.0, 16),
+                 "receive-to-ack handling time per segment, µs")
+      .observe(static_cast<double>(unix_micros_now() - started_us));
   if (span.active()) {
     span.set_attr("status", std::string(to_string(status)));
   }
@@ -362,9 +358,9 @@ AckStatus Coordinator::land_segment(MonitorState& monitor, SegmentMsg&& msg) {
   if (!manifest_ok) {
     // The segment is on disk either way; restart recovery rebuilds both
     // manifests from the files.
-    std::lock_guard<std::mutex> lock(metrics_mu_);
-    counter("ipfsmon_federation_manifest_failures_total",
-            "MANIFEST or FEDERATION publishes that failed after a landing")
+    registry_
+        .counter("ipfsmon_federation_manifest_failures_total",
+                 "MANIFEST or FEDERATION publishes that failed after a landing")
         .inc();
   }
   return status;
@@ -435,14 +431,18 @@ std::vector<std::string> Coordinator::store_dirs() const {
 }
 
 std::string Coordinator::metrics_text() const {
-  std::lock_guard<std::mutex> lock(metrics_mu_);
+  obs::Counter& validation_hits = registry_.counter(
+      "ipfsmon_federation_validation_cache_hits_total",
+      "landed-segment re-validation passes skipped via the shared "
+      "validation cache");
+  // The validation cache keeps its own count; fold its growth in by delta,
+  // each range of hits claimed by exactly one of any racing renders.
   const std::uint64_t hits = validated_.hits();
-  registry_
-      .counter("ipfsmon_federation_validation_cache_hits_total",
-               "landed-segment re-validation passes skipped via the "
-               "shared validation cache")
-      .inc(hits - mirrored_validation_hits_);
-  mirrored_validation_hits_ = hits;
+  std::uint64_t last = mirrored_validation_hits_.load();
+  while (last < hits &&
+         !mirrored_validation_hits_.compare_exchange_weak(last, hits)) {
+  }
+  if (last < hits) validation_hits.inc(hits - last);
   {
     std::lock_guard<std::mutex> monitors_lock(mu_);
     registry_
@@ -451,12 +451,6 @@ std::string Coordinator::metrics_text() const {
         .set(static_cast<double>(monitors_.size()));
   }
   return obs::to_prometheus(registry_);
-}
-
-obs::Counter& Coordinator::counter(std::string_view name,
-                                   std::string_view help,
-                                   std::string_view labels) {
-  return registry_.counter(name, help, labels);
 }
 
 }  // namespace ipfsmon::federation

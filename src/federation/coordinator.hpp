@@ -27,10 +27,10 @@
 // and the shipper's backoff redials); idle shippers wait without a time
 // limit until stop() wakes them. A per-monitor mutex serializes landing
 // for one monitor (two shippers with the same id cannot interleave),
-// different monitors land concurrently. The metrics registry is obs's
-// deliberately single-threaded one, so the coordinator guards it with its
-// own mutex and exposes a rendered snapshot via metrics_text() — the
-// query engine appends it at /metrics render time.
+// different monitors land concurrently. Connection threads count into the
+// coordinator's own obs registry directly (obs instruments are
+// thread-safe); metrics_text() renders it, and the query engine appends
+// that at /metrics render time.
 #pragma once
 
 #include <atomic>
@@ -181,18 +181,15 @@ class Coordinator {
   /// neither. False, with `error` set, when the publish failed.
   bool write_federation_manifest(std::string* error = nullptr) const;
 
-  obs::Counter& counter(std::string_view name, std::string_view help,
-                        std::string_view labels = {});
-
   std::string root_;
   CoordinatorOptions options_;
 
   mutable std::mutex mu_;  // guards monitors_ map shape + manifest writes
   std::map<std::uint32_t, std::unique_ptr<MonitorState>> monitors_;
 
-  mutable std::mutex metrics_mu_;  // registry is single-threaded by design
   mutable obs::MetricsRegistry registry_;
-  mutable std::uint64_t mirrored_validation_hits_ = 0;
+  // validated_.hits() already folded into registry_ (see metrics_text()).
+  mutable std::atomic<std::uint64_t> mirrored_validation_hits_{0};
 
   tracestore::ValidationCache validated_;
   obs::Tracer tracer_;

@@ -43,12 +43,13 @@ void append_series(std::string& out, const std::string& name,
 }  // namespace
 
 std::string to_prometheus(const MetricsRegistry& registry) {
+  const std::vector<InstrumentInfo> infos = registry.instruments();
   std::string out;
-  out.reserve(registry.size() * 64);
+  out.reserve(infos.size() * 64);
   // TYPE/HELP headers are emitted once per base name (labelled variants of
   // one metric share them), in first-seen registration order.
   std::unordered_set<std::string> headered;
-  for (const auto& info : registry.instruments()) {
+  for (const auto& info : infos) {
     if (headered.insert(info.name).second) {
       if (!info.help.empty()) {
         out += "# HELP " + info.name + " " + info.help + "\n";
@@ -67,16 +68,19 @@ std::string to_prometheus(const MetricsRegistry& registry) {
         break;
       case InstrumentKind::kHistogram: {
         const Histogram& h = registry.histogram_at(info.slot);
+        // One snapshot of the buckets, so the +Inf bucket and _count agree
+        // while other threads keep observing.
+        const std::vector<std::uint64_t> counts = h.bucket_counts();
         std::uint64_t cumulative = 0;
         for (std::size_t b = 0; b < h.bounds().size(); ++b) {
-          cumulative += h.bucket_counts()[b];
+          cumulative += counts[b];
           std::string labels = info.labels;
           if (!labels.empty()) labels += ",";
           labels += "le=\"" + format_value(h.bounds()[b]) + "\"";
           append_series(out, info.name + "_bucket", labels,
                         static_cast<double>(cumulative));
         }
-        cumulative += h.bucket_counts().back();
+        cumulative += counts.back();
         std::string inf_labels = info.labels;
         if (!inf_labels.empty()) inf_labels += ",";
         inf_labels += "le=\"+Inf\"";
@@ -84,7 +88,7 @@ std::string to_prometheus(const MetricsRegistry& registry) {
                       static_cast<double>(cumulative));
         append_series(out, info.name + "_sum", info.labels, h.sum());
         append_series(out, info.name + "_count", info.labels,
-                      static_cast<double>(h.count()));
+                      static_cast<double>(cumulative));
         break;
       }
     }
@@ -97,7 +101,7 @@ std::string to_jsonl_line(const MetricsRegistry& registry,
   std::string out;
   util::json::Writer json(out);
   json.begin_object().key("t_seconds").number(util::to_seconds(sample.time));
-  const auto& infos = registry.instruments();
+  const std::vector<InstrumentInfo> infos = registry.instruments();
   for (std::size_t i = 0; i < sample.values.size() && i < infos.size(); ++i) {
     // Label values carry double quotes (`{monitor="0"}`); key() escapes them.
     std::string name = infos[i].full_name();

@@ -5,12 +5,8 @@ namespace ipfsmon::query {
 bool LruCache::get(const std::string& key, CachedResponse* out) {
   std::lock_guard<std::mutex> lock(mutex_);
   const auto it = index_.find(key);
-  if (it == index_.end()) {
-    ++misses_;
-    return false;
-  }
+  if (it == index_.end()) return false;
   order_.splice(order_.begin(), order_, it->second);
-  ++hits_;
   *out = it->second->value;
   return true;
 }
@@ -29,7 +25,6 @@ void LruCache::put(const std::string& key, CachedResponse value) {
   if (index_.size() > capacity_) {
     index_.erase(order_.back().key);
     order_.pop_back();
-    ++evictions_;
   }
 }
 
@@ -42,21 +37,6 @@ void LruCache::clear() {
 std::size_t LruCache::size() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return index_.size();
-}
-
-std::uint64_t LruCache::hits() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return hits_;
-}
-
-std::uint64_t LruCache::misses() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return misses_;
-}
-
-std::uint64_t LruCache::evictions() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return evictions_;
 }
 
 }  // namespace ipfsmon::query

@@ -2,9 +2,9 @@
 // store's manifest fingerprint (see QueryService), so a store reload
 // naturally invalidates every stale entry without a flush broadcast —
 // stale keys simply stop being asked for and age out of the LRU order.
+// Hits and misses are counted by the caller (QueryService::cached).
 #pragma once
 
-#include <cstdint>
 #include <list>
 #include <mutex>
 #include <string>
@@ -30,9 +30,6 @@ class LruCache {
   void clear();
 
   std::size_t size() const;
-  std::uint64_t hits() const;
-  std::uint64_t misses() const;
-  std::uint64_t evictions() const;
 
  private:
   struct Entry {
@@ -44,9 +41,6 @@ class LruCache {
   mutable std::mutex mutex_;
   std::list<Entry> order_;  // front = most recently used
   std::unordered_map<std::string, std::list<Entry>::iterator> index_;
-  std::uint64_t hits_ = 0;
-  std::uint64_t misses_ = 0;
-  std::uint64_t evictions_ = 0;
 };
 
 }  // namespace ipfsmon::query

@@ -1,6 +1,7 @@
 #include "query/engine.hpp"
 
 #include <algorithm>
+#include <array>
 
 #include "analysis/popularity.hpp"
 #include "obs/exporters.hpp"
@@ -95,19 +96,19 @@ std::string_view json_want_type(bitswap::WantType type) {
   return "unknown";
 }
 
-/// Collapses request paths onto a bounded label set for the per-endpoint
-/// latency histograms (peer ids would explode the cardinality).
-std::string endpoint_label(const std::string& path) {
-  if (path == "/healthz" || path == "/metrics" || path == "/v1/stats" ||
-      path == "/v1/popularity" || path == "/v1/segments" ||
-      path == "/v1/monitors" || path == "/debug/spans") {
-    return path;
-  }
-  const std::string_view prefix = "/v1/peers/";
-  if (path.compare(0, std::min(path.size(), prefix.size()), prefix) == 0) {
-    return "/v1/peers/*";
-  }
-  return "other";
+/// Endpoint labels of the per-endpoint latency histograms; "other" last.
+constexpr std::array<std::string_view, 9> kEndpoints = {
+    "/healthz",     "/metrics",     "/v1/stats",   "/v1/popularity",
+    "/v1/segments", "/v1/monitors", "/debug/spans", "/v1/peers/*",
+    "other"};
+
+/// Collapses a request path onto kEndpoints (peer ids would explode the
+/// cardinality) and returns the label's index.
+std::size_t endpoint_index(std::string_view path) {
+  if (path.starts_with("/v1/peers/")) path = "/v1/peers/*";
+  return static_cast<std::size_t>(
+      std::find(kEndpoints.begin(), kEndpoints.end() - 1, path) -
+      kEndpoints.begin());
 }
 
 }  // namespace
@@ -123,9 +124,29 @@ std::string_view to_string(StatsSource source) {
 
 QueryService::QueryService(QueryOptions options)
     : options_(std::move(options)),
-      cache_(options_.cache_capacity) {
-  options_.store.obs = nullptr;
+      cache_(options_.cache_capacity),
+      http_requests_(obs_.metrics.counter("ipfsmon_query_http_requests_total",
+                                          "HTTP requests routed")),
+      cache_hits_(obs_.metrics.counter("ipfsmon_query_cache_hits_total",
+                                       "result cache hits")),
+      cache_misses_(obs_.metrics.counter("ipfsmon_query_cache_misses_total",
+                                         "result cache misses")),
+      rollup_segments_(obs_.metrics.counter(
+          "ipfsmon_query_stats_rollup_segments_total",
+          "segments answered from rollup sidecars")),
+      decoded_segments_(obs_.metrics.counter(
+          "ipfsmon_query_stats_decoded_segments_total",
+          "segments needing entry decode (boundary buckets or missing "
+          "rollup)")) {
+  options_.store.obs = &obs_;
   obs_.tracer.configure(options_.tracing);
+  const std::vector<double> bounds = obs::exponential_buckets(25.0, 2.0, 14);
+  for (const std::string_view endpoint : kEndpoints) {
+    latency_.push_back(&obs_.metrics.histogram(
+        "ipfsmon_query_http_duration_micros", bounds,
+        "request handling latency in microseconds, per endpoint",
+        "endpoint=\"" + std::string(endpoint) + "\""));
+  }
 }
 
 std::unique_ptr<QueryService> QueryService::open(const std::string& dir,
@@ -143,10 +164,7 @@ QueryService::SnapshotPtr QueryService::load(
     std::string* error) {
   auto store = tracestore::TraceStore::open(dir, options, error);
   if (!store) return nullptr;
-  // open() records one warning per segment it skipped, and nothing else.
-  const std::size_t skipped = store->warnings().size();
   auto snap = std::make_shared<Snapshot>(dir, std::move(*store));
-  snap->segments_skipped = skipped;
   const tracestore::TraceStore& served = snap->store;
 
   snap->rollups.resize(served.segments().size());
@@ -180,9 +198,6 @@ QueryService::SnapshotPtr QueryService::load(
 
 void QueryService::install(SnapshotPtr next) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (next->segments_skipped > 0) {
-    tracestore::count_skipped_segments(obs_.metrics, next->segments_skipped);
-  }
   obs_.metrics
       .gauge("ipfsmon_query_store_segments", "segments in the served store")
       .set(static_cast<double>(next->store.segments().size()));
@@ -198,31 +213,22 @@ QueryService::SnapshotPtr QueryService::snapshot() const {
 }
 
 bool QueryService::reload(std::string* error) {
-  std::string dir;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    obs_.metrics
-        .counter("ipfsmon_query_reloads_total", "store reloads served")
-        .inc();
-    dir = snapshot_->dir;
-  }
+  obs_.metrics.counter("ipfsmon_query_reloads_total", "store reloads served")
+      .inc();
   // The expensive part — manifest, footers, rollups — runs unlocked, so
   // requests keep being served from the current snapshot meanwhile.
-  SnapshotPtr next = load(dir, options_.store, error);
+  SnapshotPtr next = load(snapshot()->dir, options_.store, error);
   if (next == nullptr) return false;
   install(std::move(next));
   return true;
 }
 
 void QueryService::attach_server(const HttpServer* server) {
-  std::lock_guard<std::mutex> lock(mu_);
-  server_ = server;
-  mirrored_ = ServerCounters{};
+  server_.store(server);
 }
 
 void QueryService::attach_federation(FederationSource* source) {
-  std::lock_guard<std::mutex> lock(mu_);
-  federation_ = source;
+  federation_.store(source);
 }
 
 RangeStats QueryService::stats_between(util::SimTime min_t, util::SimTime max_t,
@@ -257,10 +263,6 @@ tracestore::ScanStats QueryService::run_scan(
   const bool profiled = span.active();
   const tracestore::ScanStats stats =
       tracestore::scan(snap.store, query, visit, profiled ? &profile : nullptr);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    tracestore::count_scan(obs_.metrics, stats);
-  }
   if (profiled) {
     span.set_attr("segments_total",
                   static_cast<std::uint64_t>(stats.segments_total));
@@ -297,10 +299,8 @@ RangeStats QueryService::rollup_stats(const Snapshot& snap,
                                       StatsSource* source) {
   RangeStats out;
   const tracestore::TraceStore& store = snap.store;
-  // Counted locally and added to the registry once, under mu_.
   std::uint64_t rollup_segments = 0;
   std::uint64_t decoded_segments = 0;
-  std::uint64_t skipped_segments = 0;
 
   // Counts entries of segment `index` whose timestamps fall in any of
   // `windows` (inclusive bounds) — the boundary-bucket / no-rollup path.
@@ -321,9 +321,8 @@ RangeStats QueryService::rollup_stats(const Snapshot& snap,
         if (!reader) {
           // Mirror tracestore::scan: a corrupt segment is skipped, loudly,
           // with the reader's reason.
-          store.warn("skipping unreadable segment " +
-                     store.segments()[index].file + ": " + error);
-          ++skipped_segments;
+          store.skip_segment("skipping unreadable segment " +
+                             store.segments()[index].file + ": " + error);
           return;
         }
         tracestore::RawRecord raw;
@@ -371,21 +370,8 @@ RangeStats QueryService::rollup_stats(const Snapshot& snap,
     if (!windows.empty()) decode_windows(i, windows);
   }
 
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    obs_.metrics
-        .counter("ipfsmon_query_stats_rollup_segments_total",
-                 "segments answered from rollup sidecars")
-        .inc(rollup_segments);
-    obs_.metrics
-        .counter("ipfsmon_query_stats_decoded_segments_total",
-                 "segments needing entry decode (boundary buckets or missing "
-                 "rollup)")
-        .inc(decoded_segments);
-    if (skipped_segments > 0) {
-      tracestore::count_skipped_segments(obs_.metrics, skipped_segments);
-    }
-  }
+  rollup_segments_.inc(rollup_segments);
+  decoded_segments_.inc(decoded_segments);
   if (source != nullptr) {
     *source = decoded_segments > 0
                   ? (rollup_segments > 0 ? StatsSource::kMixed
@@ -396,15 +382,8 @@ RangeStats QueryService::rollup_stats(const Snapshot& snap,
 }
 
 HttpResponse QueryService::handle(const HttpRequest& request) {
-  View view;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    obs_.metrics
-        .counter("ipfsmon_query_http_requests_total", "HTTP requests routed")
-        .inc();
-    view.snapshot = snapshot_;
-    view.federation = federation_;
-  }
+  http_requests_.inc();
+  const View view{snapshot(), federation_.load()};
   const std::int64_t started_us = obs::wall_micros_now();
   // Root of the request's trace; cache/scan/segment spans parent here
   // through the context handed down the call chain.
@@ -426,20 +405,12 @@ HttpResponse QueryService::handle(const HttpRequest& request) {
     response = route(request, view, span.context());
   }
   const std::int64_t duration_us = obs::wall_micros_now() - started_us;
-  const std::string endpoint = endpoint_label(request.path);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    obs_.metrics
-        .histogram("ipfsmon_query_http_duration_micros",
-                   obs::exponential_buckets(25.0, 2.0, 14),
-                   "request handling latency in microseconds, per endpoint",
-                   "endpoint=\"" + endpoint + "\"")
-        .observe(static_cast<double>(duration_us));
-  }
+  const std::size_t endpoint = endpoint_index(request.path);
+  latency_[endpoint]->observe(static_cast<double>(duration_us));
   response.headers.emplace_back("X-Duration-Micros",
                                 std::to_string(duration_us));
   if (span.active()) {
-    span.set_attr("endpoint", endpoint);
+    span.set_attr("endpoint", std::string(kEndpoints[endpoint]));
     span.set_attr("status", static_cast<std::uint64_t>(response.status));
   }
   return response;
@@ -492,50 +463,12 @@ HttpResponse QueryService::handle_healthz(const Snapshot& snap) {
 HttpResponse QueryService::handle_metrics(const View& view) {
   HttpResponse response;
   response.content_type = "text/plain; version=0.0.4";
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    // Fold the socket-layer atomics and the cache counters into the
-    // registry by delta, so one Prometheus page covers serving + scanning
-    // + any sim metrics recorded into the same registry.
-    if (server_ != nullptr) {
-      const ServerCounters now = server_->counters();
-      auto mirror = [this](const char* name, const char* help,
-                           std::uint64_t now_value, std::uint64_t* last) {
-        obs_.metrics.counter(name, help).inc(now_value - *last);
-        *last = now_value;
-      };
-      mirror("ipfsmon_query_server_connections_total", "connections accepted",
-             now.connections_accepted, &mirrored_.connections_accepted);
-      mirror("ipfsmon_query_server_rejected_total",
-             "connections refused with 503 (connection cap reached)",
-             now.connections_rejected, &mirrored_.connections_rejected);
-      mirror("ipfsmon_query_server_requests_total", "HTTP requests answered",
-             now.requests, &mirrored_.requests);
-      mirror("ipfsmon_query_server_parse_errors_total",
-             "malformed requests rejected", now.parse_errors,
-             &mirrored_.parse_errors);
-      mirror("ipfsmon_query_server_timeouts_total",
-             "reads timed out mid-request", now.timeouts, &mirrored_.timeouts);
-      mirror("ipfsmon_query_server_bytes_read_total", "bytes received",
-             now.bytes_read, &mirrored_.bytes_read);
-      mirror("ipfsmon_query_server_bytes_written_total", "bytes sent",
-             now.bytes_written, &mirrored_.bytes_written);
-    }
-    const std::uint64_t hits = cache_.hits();
-    const std::uint64_t misses = cache_.misses();
-    obs_.metrics
-        .counter("ipfsmon_query_cache_hits_total", "result cache hits")
-        .inc(hits - mirrored_cache_hits_);
-    obs_.metrics
-        .counter("ipfsmon_query_cache_misses_total", "result cache misses")
-        .inc(misses - mirrored_cache_misses_);
-    mirrored_cache_hits_ = hits;
-    mirrored_cache_misses_ = misses;
-    response.body = obs::to_prometheus(obs_.metrics);
+  // One Prometheus page: serving + scanning + any sim metrics recorded into
+  // this registry, then the socket layer's and the coordinator's own.
+  response.body = obs::to_prometheus(obs_.metrics);
+  if (const HttpServer* server = server_.load(); server != nullptr) {
+    response.body += server->metrics_text();
   }
-  // The coordinator's registry is separate (it is written from connection
-  // threads, which the engine's single-threaded registry cannot host), so
-  // its rendered snapshot is appended to make one Prometheus page.
   if (view.federation != nullptr) {
     response.body += view.federation->metrics_text();
   }
@@ -560,7 +493,8 @@ HttpResponse QueryService::cached(
   }
 
   CachedResponse entry;
-  bool hit = cache_.get(key, &entry);
+  const bool hit = cache_.get(key, &entry);
+  (hit ? cache_hits_ : cache_misses_).inc();
   if (span.valid()) {
     obs_.tracer.add_span("query.cache", span, 0, 0,
                          {{"hit", hit ? "1" : "0"}});

@@ -2,10 +2,10 @@
 // tracestore::TraceStore and answers them rollup-first.
 //
 //  * GET /healthz                     liveness + store summary
-//  * GET /metrics                     Prometheus text (obs registry; the
-//                                     server/cache counters are mirrored in,
-//                                     so sim, scan, and serving metrics share
-//                                     one endpoint)
+//  * GET /metrics                     Prometheus text: the service's obs
+//                                     registry (scan, cache and request
+//                                     counters), then the attached server's
+//                                     and coordinator's counters
 //  * GET /v1/stats                    request-type/flag counts in a range
 //  * GET /v1/popularity               top-K CIDs by RRP/URP + summary
 //  * GET /v1/peers/<base58>/wants     one peer's want history (Bloom-pruned)
@@ -30,13 +30,15 @@
 // one pointer to an immutable snapshot of the served store (store, rollups,
 // fingerprint, directory) and renders from it with no lock held; reload()
 // builds a new snapshot and swaps the pointer, while in-flight requests
-// keep the old one alive. One mutex remains, held only for short critical
-// sections: it guards the single-threaded obs::MetricsRegistry, the
-// /metrics mirror state and the snapshot pointer. Span contexts are passed
-// down each request's call chain explicitly, never through the tracer's
-// implicit current().
+// keep the old one alive. The one mutex guards only that pointer. Metrics
+// need no lock: obs instruments are thread-safe, the served store counts
+// its own scans and skipped segments into the service's registry, and each
+// count is made where its event happens (cache hits in cached(), requests
+// in handle()). Span contexts are passed down each request's call chain
+// explicitly, never through the tracer's implicit current().
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -56,9 +58,9 @@
 namespace ipfsmon::query {
 
 struct QueryOptions {
-  /// Store open options; `store.obs` is ignored — the served store is
-  /// opened without an obs sink and the service counts its scans into its
-  /// own registry, so scans and serving share one /metrics page.
+  /// Store open options; `store.obs` is replaced by the service's own obs,
+  /// so the served store's scan counters and the serving metrics share one
+  /// /metrics page.
   tracestore::StoreOptions store;
   /// Cached rendered responses (0 disables caching).
   std::size_t cache_capacity = 128;
@@ -119,8 +121,8 @@ class FederationSource {
   virtual ~FederationSource() = default;
   virtual std::vector<Monitor> monitors() = 0;
   virtual std::vector<SegmentSource> segment_sources() = 0;
-  /// Prometheus text appended to /metrics (the coordinator owns its own
-  /// registry — obs registries are single-threaded by design).
+  /// Prometheus text appended to /metrics (the coordinator's own
+  /// registry).
   virtual std::string metrics_text() = 0;
 };
 
@@ -147,8 +149,9 @@ class QueryService {
   /// Ground truth: the same range answered by a full entry-level scan.
   RangeStats stats_by_scan(util::SimTime min_t, util::SimTime max_t);
 
-  /// Mirror `server`'s counters into the obs registry at /metrics render
-  /// time (optional; the daemon wires this after start()).
+  /// Append `server`'s counters to /metrics (optional; the daemon wires
+  /// this after start()). `server` must outlive every later /metrics
+  /// request.
   void attach_server(const HttpServer* server);
 
   /// Serve in federated mode: enables /v1/monitors, provenance sources on
@@ -158,10 +161,8 @@ class QueryService {
 
   /// The served store; the reference stays valid until the next reload().
   const tracestore::TraceStore& store() const { return snapshot()->store; }
-  /// The tracer is thread-safe; the metrics registry is guarded by the
-  /// service, so read obs().metrics only while no request is in flight.
+  /// Metrics and tracer, both safe to read while requests are in flight.
   obs::Obs& obs() { return obs_; }
-  LruCache& cache() { return cache_; }
   /// FNV-1a over the manifest's segment identities (file, count, range,
   /// checksum) — the cache-key prefix.
   std::uint64_t fingerprint() const { return snapshot()->fingerprint; }
@@ -180,12 +181,10 @@ class QueryService {
     std::vector<std::optional<tracestore::SegmentRollup>> rollups;
     std::uint64_t fingerprint = 0;
     std::size_t rollups_loaded = 0;
-    /// Segments TraceStore::open skipped as unreadable.
-    std::size_t segments_skipped = 0;
   };
   using SnapshotPtr = std::shared_ptr<const Snapshot>;
 
-  /// What one request renders from, copied under mu_ when it starts.
+  /// What one request renders from, copied when it starts.
   struct View {
     SnapshotPtr snapshot;
     FederationSource* federation = nullptr;
@@ -224,17 +223,16 @@ class QueryService {
   HttpResponse handle_monitors(const View& view);
   HttpResponse handle_debug_spans(const HttpRequest& request);
 
-  /// Runs a scan under a "query.scan" span child of `parent` and adds its
-  /// stats to the registry; when `parent` is sampled, collects a
-  /// ScanProfile and emits scan.prune / scan.segment child spans with
-  /// decode/match sub-timings.
+  /// Runs a scan under a "query.scan" span child of `parent`; when
+  /// `parent` is sampled, collects a ScanProfile and emits scan.prune /
+  /// scan.segment child spans with decode/match sub-timings.
   tracestore::ScanStats run_scan(
       const Snapshot& snap, const obs::SpanContext& parent,
       const tracestore::ScanQuery& query,
       const std::function<void(const trace::TraceEntry&)>& visit);
 
   /// Serves from cache or renders via `render` (handed the query.render
-  /// span's context) and caches the result.
+  /// span's context) and caches the result; counts the hit or miss.
   HttpResponse cached(
       const HttpRequest& request, const Snapshot& snap,
       const obs::SpanContext& span,
@@ -243,16 +241,19 @@ class QueryService {
   QueryOptions options_;
   obs::Obs obs_;
   LruCache cache_;
-  // Guards snapshot_, the obs_ registry, server_, federation_ and the
-  // mirror state. Held for short sections only, never across a render.
-  mutable std::mutex mu_;
+  // Resolved once; obs instruments are safe to bump from any thread.
+  obs::Counter& http_requests_;
+  obs::Counter& cache_hits_;
+  obs::Counter& cache_misses_;
+  obs::Counter& rollup_segments_;
+  obs::Counter& decoded_segments_;
+  std::vector<obs::Histogram*> latency_;  // per endpoint label
+
+  mutable std::mutex mu_;  // guards snapshot_ only
   SnapshotPtr snapshot_;
 
-  const HttpServer* server_ = nullptr;  // counters mirrored at /metrics
-  FederationSource* federation_ = nullptr;  // federated mode when set
-  ServerCounters mirrored_;             // last values pushed into obs_
-  std::uint64_t mirrored_cache_hits_ = 0;
-  std::uint64_t mirrored_cache_misses_ = 0;
+  std::atomic<const HttpServer*> server_{nullptr};  // appended at /metrics
+  std::atomic<FederationSource*> federation_{nullptr};  // federated mode
 };
 
 }  // namespace ipfsmon::query

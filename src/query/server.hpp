@@ -11,21 +11,23 @@
 //    io_timeout_ms, a stalled half-request gets 408, and SO_SNDTIMEO
 //    bounds every write, so a stalled client cannot pin a thread;
 //  * request-size limits enforced by the parser (431/413 responses);
-//  * keep-alive with pipelining support, capped per connection;
+//  * keep-alive with pipelining support, capped at 256 requests per
+//    connection;
 //  * graceful drain: stop() closes the listener, lets every connection
 //    finish the requests already received, then joins every thread.
 //    Idle keep-alive connections close at once.
 //
-// Counters are plain atomics (connections are concurrent); the query
-// service mirrors them into the obs registry when rendering /metrics so
-// they share the Prometheus endpoint with sim and scan metrics.
+// Counters are obs counters in the server's own registry, bumped from the
+// connection threads; the query service appends metrics_text() when it
+// renders /metrics, so they share the Prometheus endpoint with sim and scan
+// metrics.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <string>
 
+#include "obs/metrics.hpp"
 #include "query/http.hpp"
 #include "query/socket.hpp"
 
@@ -40,8 +42,6 @@ struct ServerOptions {
   std::size_t max_connections = kDefaultMaxConnections;
   /// Idle-connection limit and SO_RCVTIMEO / SO_SNDTIMEO, milliseconds.
   int io_timeout_ms = 5000;
-  /// Keep-alive requests served on one connection before closing.
-  std::size_t max_requests_per_connection = 256;
   HttpLimits limits;
 };
 
@@ -75,6 +75,8 @@ class HttpServer {
   void stop();
 
   ServerCounters counters() const;
+  /// The counters as Prometheus text (`ipfsmon_query_server_*`).
+  std::string metrics_text() const;
   /// Connection threads not yet joined (see ConnectionServer).
   std::size_t live_connections() const {
     return connections_.live_connections();
@@ -90,13 +92,14 @@ class HttpServer {
   ServerOptions options_;
   Handler handler_;
 
-  std::atomic<std::uint64_t> connections_accepted_{0};
-  std::atomic<std::uint64_t> connections_rejected_{0};
-  std::atomic<std::uint64_t> requests_{0};
-  std::atomic<std::uint64_t> parse_errors_{0};
-  std::atomic<std::uint64_t> timeouts_{0};
-  std::atomic<std::uint64_t> bytes_read_{0};
-  std::atomic<std::uint64_t> bytes_written_{0};
+  obs::MetricsRegistry metrics_;
+  obs::Counter& connections_accepted_;
+  obs::Counter& connections_rejected_;
+  obs::Counter& requests_;
+  obs::Counter& parse_errors_;
+  obs::Counter& timeouts_;
+  obs::Counter& bytes_read_;
+  obs::Counter& bytes_written_;
 
   // Last: its threads use every member above, so it stops first.
   ConnectionServer connections_;

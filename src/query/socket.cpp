@@ -77,7 +77,7 @@ int tcp_connect(const std::string& host, std::uint16_t port, int timeout_ms,
 }
 
 bool send_all(int fd, const void* data, std::size_t size,
-              std::atomic<std::uint64_t>* sent) {
+              obs::Counter* sent) {
   const auto* bytes = static_cast<const char*>(data);
   std::size_t off = 0;
   while (off < size) {
@@ -87,9 +87,7 @@ bool send_all(int fd, const void* data, std::size_t size,
       return false;
     }
     off += static_cast<std::size_t>(n);
-    if (sent != nullptr) {
-      sent->fetch_add(static_cast<std::uint64_t>(n), std::memory_order_relaxed);
-    }
+    if (sent != nullptr) sent->inc(static_cast<std::uint64_t>(n));
   }
   return true;
 }

@@ -15,6 +15,8 @@
 #include <string_view>
 #include <thread>
 
+#include "obs/metrics.hpp"
+
 namespace ipfsmon::query {
 
 /// Bounds every subsequent read/write with SO_RCVTIMEO/SO_SNDTIMEO (when
@@ -33,9 +35,9 @@ int tcp_connect(const std::string& host, std::uint16_t port, int timeout_ms,
 /// Sends the whole buffer; false on error, timeout, or peer reset. When
 /// `sent` is non-null, every byte the kernel accepts is added to it.
 bool send_all(int fd, const void* data, std::size_t size,
-              std::atomic<std::uint64_t>* sent = nullptr);
+              obs::Counter* sent = nullptr);
 inline bool send_all(int fd, std::string_view data,
-                     std::atomic<std::uint64_t>* sent = nullptr) {
+                     obs::Counter* sent = nullptr) {
   return send_all(fd, data.data(), data.size(), sent);
 }
 

@@ -4,9 +4,14 @@
 #include <chrono>
 #include <cstdio>
 
-#include "obs/span_export.hpp"
-
 namespace ipfsmon::scenario {
+
+namespace {
+
+/// Simulated time between progress heartbeat lines.
+constexpr util::SimDuration kHeartbeatInterval = 6 * util::kHour;
+
+}  // namespace
 
 MonitoringStudy::MonitoringStudy(StudyConfig config)
     : config_(std::move(config)), rng_(config_.seed, "study") {
@@ -51,7 +56,6 @@ MonitoringStudy::MonitoringStudy(StudyConfig config)
     if (config_.use_active_monitors) {
       monitor::ActiveMonitorConfig active_config;
       active_config.base = mon_config;
-      active_config.sweep_interval = config_.active_sweep_interval;
       monitors_.push_back(std::make_unique<monitor::ActiveMonitor>(
           *network_, std::move(keys), address, country, active_config,
           rng_.fork(i + 1000)));
@@ -80,11 +84,8 @@ MonitoringStudy::MonitoringStudy(StudyConfig config)
 }
 
 void MonitoringStudy::setup_collector() {
-  obs::CollectorConfig collector_config;
-  collector_config.interval = config_.collect_interval;
-  collector_config.ring_capacity = config_.collect_ring_capacity;
-  collector_ = std::make_unique<obs::Collector>(
-      scheduler_, network_->obs().metrics, collector_config);
+  collector_ = std::make_unique<obs::Collector>(scheduler_,
+                                                network_->obs().metrics);
   obs::register_scheduler_metrics(*collector_, network_->obs().metrics,
                                   scheduler_);
 
@@ -152,20 +153,6 @@ void MonitoringStudy::run_warmup() {
 
 void MonitoringStudy::run_measurement(util::SimDuration duration) {
   run_span(scheduler_.now() + duration, "measurement");
-  export_spans();
-}
-
-void MonitoringStudy::export_spans() {
-  if (!config_.tracing.enabled || config_.trace_export_base.empty()) return;
-  const auto spans = network_->obs().tracer.snapshot();
-  std::string error;
-  const std::string json_path = config_.trace_export_base + ".spans.json";
-  const std::string jsonl_path = config_.trace_export_base + ".spans.jsonl";
-  if (!obs::write_perfetto_json(json_path, spans, obs::has_sim_times(spans),
-                                &error) ||
-      !obs::write_spans_jsonl(jsonl_path, spans, &error)) {
-    std::fprintf(stderr, "[ipfsmon] span export failed: %s\n", error.c_str());
-  }
 }
 
 void MonitoringStudy::run_span(util::SimTime target, const char* label) {
@@ -177,7 +164,7 @@ void MonitoringStudy::run_span(util::SimTime target, const char* label) {
   const auto wall_start = std::chrono::steady_clock::now();
   while (scheduler_.now() < target) {
     scheduler_.run_until(
-        std::min(target, scheduler_.now() + config_.heartbeat_interval));
+        std::min(target, scheduler_.now() + kHeartbeatInterval));
     const double progress = static_cast<double>(scheduler_.now() - start) /
                             static_cast<double>(target - start);
     const double wall = std::chrono::duration<double>(

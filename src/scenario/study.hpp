@@ -46,7 +46,6 @@ struct StudyConfig {
   /// "more active peer discovery mechanism" the paper suggests for
   /// increasing coverage (at the cost of stealth).
   bool use_active_monitors = false;
-  util::SimDuration active_sweep_interval = 2 * util::kHour;
 
   /// Network warm-up before observations start (connections build up,
   /// caches fill).
@@ -62,14 +61,12 @@ struct StudyConfig {
 
   // --- Observability (src/obs) -------------------------------------------
   /// Collect periodic metrics snapshots from the network's registry into a
-  /// ring (exported at exit as a JSONL sidecar by the experiment runners).
+  /// ring at the obs::CollectorConfig defaults (exported at exit as a JSONL
+  /// sidecar by the experiment runners).
   bool collect_metrics = true;
-  util::SimDuration collect_interval = 5 * util::kMinute;
-  std::size_t collect_ring_capacity = 4096;
-  /// Opt-in stderr progress heartbeat with a wall-clock ETA. Off by
-  /// default so library users stay silent.
+  /// Opt-in stderr progress heartbeat with a wall-clock ETA, every 6
+  /// simulated hours. Off by default so library users stay silent.
   bool progress_heartbeat = false;
-  util::SimDuration heartbeat_interval = 6 * util::kHour;
 
   /// Causal span tracing (src/obs/span.hpp). When tracing.enabled, sampled
   /// gateway requests produce end-to-end traces — gateway.request →
@@ -77,10 +74,6 @@ struct StudyConfig {
   /// net::Network::enable_tracing. Inert by default: no RNG draws, no
   /// allocations, byte-identical to untraced runs.
   obs::TracerConfig tracing;
-  /// When non-empty (and tracing is enabled), each run_measurement() call
-  /// exports the buffered spans to <base>.spans.json (Perfetto JSON) and
-  /// <base>.spans.jsonl when it completes.
-  std::string trace_export_base;
 
   CatalogConfig catalog;
   PopulationConfig population;
@@ -164,9 +157,6 @@ class MonitoringStudy {
 
  private:
   void setup_collector();
-  /// Exports buffered spans to config.trace_export_base (no-op when
-  /// tracing or the base path is unset).
-  void export_spans();
   /// Advances the scheduler to `target`, printing heartbeat lines to
   /// stderr along the way when config.progress_heartbeat is set.
   void run_span(util::SimTime target, const char* label);

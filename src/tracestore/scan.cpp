@@ -218,7 +218,7 @@ ScanStats scan(const TraceStore& store, const ScanQuery& query,
     Slot slot = std::move(slots[k]);
     if (!slot.error.empty()) {
       ++stats.segments_skipped;
-      store.warn("skipping segment during scan: " + slot.error);
+      store.skip_segment("skipping segment during scan: " + slot.error);
     } else if (slot.dictionary_pruned) {
       ++stats.segments_pruned_dictionary;
       if (profiling) profile->segments.push_back(std::move(slot.profile));
@@ -236,32 +236,27 @@ ScanStats scan(const TraceStore& store, const ScanQuery& query,
   }
 
   if (store.options().obs != nullptr) {
-    count_scan(store.options().obs->metrics, stats);
+    // Skipped segments were counted by skip_segment().
+    obs::MetricsRegistry& metrics = store.options().obs->metrics;
+    metrics
+        .counter("ipfsmon_tracestore_segments_scanned_total",
+                 "Segments decoded by scan queries")
+        .inc(stats.segments_scanned);
+    metrics
+        .counter("ipfsmon_tracestore_segments_pruned_total",
+                 "Segments skipped via footer time range or Bloom filters")
+        .inc(stats.segments_pruned_time + stats.segments_pruned_bloom +
+             stats.segments_pruned_dictionary);
+    metrics
+        .counter("ipfsmon_tracestore_scan_entries_total",
+                 "Entries streamed to scan visitors")
+        .inc(stats.entries_matched);
+    metrics
+        .counter("ipfsmon_tracestore_scan_bytes_total",
+                 "Segment body bytes decoded by scan queries")
+        .inc(stats.bytes_scanned);
   }
   return stats;
-}
-
-void count_scan(obs::MetricsRegistry& metrics, const ScanStats& stats) {
-  if (stats.segments_skipped > 0) {
-    count_skipped_segments(metrics, stats.segments_skipped);
-  }
-  metrics
-      .counter("ipfsmon_tracestore_segments_scanned_total",
-               "Segments decoded by scan queries")
-      .inc(stats.segments_scanned);
-  metrics
-      .counter("ipfsmon_tracestore_segments_pruned_total",
-               "Segments skipped via footer time range or Bloom filters")
-      .inc(stats.segments_pruned_time + stats.segments_pruned_bloom +
-           stats.segments_pruned_dictionary);
-  metrics
-      .counter("ipfsmon_tracestore_scan_entries_total",
-               "Entries streamed to scan visitors")
-      .inc(stats.entries_matched);
-  metrics
-      .counter("ipfsmon_tracestore_scan_bytes_total",
-               "Segment body bytes decoded by scan queries")
-      .inc(stats.bytes_scanned);
 }
 
 }  // namespace ipfsmon::tracestore

@@ -83,18 +83,14 @@ struct ScanProfile {
 
 /// Runs `query` over `store` on the store's scan pool, calling `visit` on
 /// the calling thread for every matching entry, in segment order. Safe to
-/// call from several threads over one store. Segments that fail to open
-/// are skipped with a store warning and counted in segments_skipped; when
-/// the store has an obs sink, the stats go to count_scan(). Pass a profile
-/// to collect per-segment decode/match sub-timings (span tracing).
+/// call from several threads over one store, also when the store has an
+/// obs sink. Segments that fail to open are skipped through
+/// TraceStore::skip_segment() and counted in segments_skipped; when the
+/// store has an obs sink, each scan also adds its stats to the
+/// `ipfsmon_tracestore_*` scan counters there. Pass a profile to collect
+/// per-segment decode/match sub-timings (span tracing).
 ScanStats scan(const TraceStore& store, const ScanQuery& query,
                const std::function<void(const trace::TraceEntry&)>& visit,
                ScanProfile* profile = nullptr);
-
-/// Adds one scan's stats to the `ipfsmon_tracestore_*` scan counters in
-/// `metrics`. Callers that scan a store opened without an obs sink (the
-/// query engine, whose registry is guarded by its own lock) call it
-/// themselves.
-void count_scan(obs::MetricsRegistry& metrics, const ScanStats& stats);
 
 }  // namespace ipfsmon::tracestore

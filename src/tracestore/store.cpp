@@ -451,14 +451,11 @@ void TraceStore::warn(const std::string& message) const {
 
 void TraceStore::skip_segment(const std::string& message) const {
   warn(message);
-  if (options_.obs != nullptr) count_skipped_segments(options_.obs->metrics, 1);
-}
-
-void count_skipped_segments(obs::MetricsRegistry& metrics, std::uint64_t n) {
-  metrics
+  if (options_.obs == nullptr) return;
+  options_.obs->metrics
       .counter("ipfsmon_tracestore_segments_skipped_total",
                "Segments skipped due to corruption or IO errors")
-      .inc(n);
+      .inc();
 }
 
 }  // namespace ipfsmon::tracestore

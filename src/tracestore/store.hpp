@@ -240,7 +240,8 @@ class TraceStore {
   void warn(const std::string& message) const;
   /// Records a warning for a segment a reader skipped and counts it in
   /// ipfsmon_tracestore_segments_skipped_total (when options.obs is set).
-  /// Used by open() and by the streaming readers mid-scan.
+  /// Used by open(), scan() and the streaming readers mid-scan; safe from
+  /// concurrent readers.
   void skip_segment(const std::string& message) const;
 
  private:
@@ -263,10 +264,6 @@ class TraceStore {
   std::shared_ptr<SharedReadState> shared_ =
       std::make_shared<SharedReadState>();
 };
-
-/// Adds `n` to `ipfsmon_tracestore_segments_skipped_total` in `metrics`:
-/// the one counter of segments readers skipped as unreadable.
-void count_skipped_segments(obs::MetricsRegistry& metrics, std::uint64_t n);
 
 /// Writes the manifest for `segments` into `dir` atomically. Shared by the
 /// writer's finalize() and the store's prune.

@@ -5,8 +5,11 @@
 // shows up as exactly one trace entry.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <stdexcept>
+#include <thread>
 
 #include "obs/collector.hpp"
 #include "obs/exporters.hpp"
@@ -66,6 +69,60 @@ TEST(MetricsRegistryTest, LabelsSeparateSeries) {
   EXPECT_DOUBLE_EQ(reg.gauge_at(info->slot).value(), 4.0);
 }
 
+TEST(MetricsRegistryTest, ConcurrentUpdatesAndRegistrationsAreExact) {
+  // Several threads register the same instruments and update them while
+  // another thread renders: every update lands, and each (name, labels)
+  // stays one instrument.
+  MetricsRegistry reg;
+  constexpr int kThreads = 4;
+  constexpr std::uint64_t kCalls = 100000;
+  std::atomic<bool> done{false};
+  std::thread renderer([&] {
+    while (!done.load()) {
+      const std::string text = to_prometheus(reg);
+      EXPECT_EQ(text.find("# TYPE ipfsmon_test_ops_total counter"),
+                text.rfind("# TYPE ipfsmon_test_ops_total counter"));
+    }
+  });
+  std::vector<std::thread> writers;
+  for (int t = 0; t < kThreads; ++t) {
+    writers.emplace_back([&reg] {
+      Counter& ops = reg.counter("ipfsmon_test_ops_total", "ops");
+      Gauge& level = reg.gauge("ipfsmon_test_level", "level", "shard=\"a\"");
+      Histogram& sizes =
+          reg.histogram("ipfsmon_test_sizes", {1.0, 10.0}, "sizes");
+      for (std::uint64_t i = 0; i < kCalls; ++i) {
+        ops.inc();
+        level.add(1.0);
+        sizes.observe(static_cast<double>(i % 3) * 5.0);  // 0, 5, 10
+      }
+    });
+  }
+  for (auto& w : writers) w.join();
+  done.store(true);
+  renderer.join();
+
+  constexpr std::uint64_t kTotal = kThreads * kCalls;
+  EXPECT_EQ(reg.size(), 3u);
+  EXPECT_EQ(reg.counter("ipfsmon_test_ops_total").value(), kTotal);
+  EXPECT_DOUBLE_EQ(reg.gauge("ipfsmon_test_level", "", "shard=\"a\"").value(),
+                   static_cast<double>(kTotal));
+  const Histogram& sizes = reg.histogram("ipfsmon_test_sizes", {1.0, 10.0});
+  EXPECT_EQ(sizes.count(), kTotal);
+  const std::vector<std::uint64_t> buckets = sizes.bucket_counts();
+  // i % 3 == 0 -> 0 (<= 1); 1 -> 5 and 2 -> 10 (<= 10); none above.
+  std::uint64_t zeros = 0;
+  for (std::uint64_t i = 0; i < kCalls; ++i) zeros += i % 3 == 0 ? 1 : 0;
+  EXPECT_EQ(buckets[0], kThreads * zeros);
+  EXPECT_EQ(buckets[1], kTotal - kThreads * zeros);
+  EXPECT_EQ(buckets[2], 0u);
+  EXPECT_DOUBLE_EQ(sizes.sum(),
+                   kThreads * (5.0 * ((kCalls + 1) / 3) + 10.0 * (kCalls / 3)));
+  const std::string text = to_prometheus(reg);
+  EXPECT_NE(text.find("ipfsmon_test_ops_total 400000\n"), std::string::npos);
+  EXPECT_NE(text.find("ipfsmon_test_sizes_count 400000\n"), std::string::npos);
+}
+
 // --- Histogram -------------------------------------------------------------
 
 TEST(HistogramTest, BucketEdgesFollowLeSemantics) {
@@ -121,14 +178,19 @@ TEST(CollectorTest, SamplesOnSimTimeCadence) {
   EXPECT_EQ(collector.samples()[3].time, 40 * kSecond);
   // Counter bump at 25 s is visible from the 30 s sample on; the sampler
   // refreshed the gauge from it before the ring write.
-  const InstrumentInfo* ops_info = reg.find("ipfsmon_test_ops_total");
-  const InstrumentInfo* depth_info = reg.find("ipfsmon_test_depth");
-  ASSERT_NE(ops_info, nullptr);
-  ASSERT_NE(depth_info, nullptr);
-  const std::size_t ops_idx =
-      static_cast<std::size_t>(ops_info - reg.instruments().data());
-  const std::size_t depth_idx =
-      static_cast<std::size_t>(depth_info - reg.instruments().data());
+  const std::vector<InstrumentInfo> infos = reg.instruments();
+  const auto index_of = [&infos](const char* name) {
+    return static_cast<std::size_t>(
+        std::find_if(infos.begin(), infos.end(),
+                     [name](const InstrumentInfo& info) {
+                       return info.name == name;
+                     }) -
+        infos.begin());
+  };
+  const std::size_t ops_idx = index_of("ipfsmon_test_ops_total");
+  const std::size_t depth_idx = index_of("ipfsmon_test_depth");
+  ASSERT_LT(ops_idx, infos.size());
+  ASSERT_LT(depth_idx, infos.size());
   EXPECT_DOUBLE_EQ(collector.samples()[1].values[ops_idx], 0.0);
   EXPECT_DOUBLE_EQ(collector.samples()[2].values[ops_idx], 7.0);
   EXPECT_DOUBLE_EQ(collector.samples()[2].values[depth_idx], 7.0);

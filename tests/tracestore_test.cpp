@@ -927,10 +927,10 @@ TEST(Scan, ConcurrentScansEachSkipACorruptSegmentOnce) {
   auto writer = SegmentWriter::create(dir, options);
   for (int i = 0; i < 300; ++i) writer->append(entry(i * kSecond, i, i, 0));
   ASSERT_TRUE(writer->finalize());
-  auto store = TraceStore::open(dir, options);
-  ASSERT_TRUE(store.has_value());
-  ASSERT_EQ(store->segments().size(), 6u);
   {
+    auto store = TraceStore::open(dir, options);
+    ASSERT_TRUE(store.has_value());
+    ASSERT_EQ(store->segments().size(), 6u);
     // A flipped body byte: open() keeps the segment, every scan skips it.
     std::fstream f(store->segment_path(2),
                    std::ios::in | std::ios::out | std::ios::binary);
@@ -942,44 +942,68 @@ TEST(Scan, ConcurrentScansEachSkipACorruptSegmentOnce) {
     f.write(&byte, 1);
   }
 
-  // Scans on several threads at once, each recording its skip into the
-  // one warnings vector; a reader polls warnings() meanwhile.
-  constexpr int kThreads = 4;
-  constexpr int kScansPerThread = 5;
-  std::atomic<int> bad_scans{0};
-  std::atomic<bool> done{false};
-  std::thread reader([&] {
-    while (!done.load()) {
-      for (const auto& warning : store->warnings()) {
-        if (warning.find("body checksum mismatch") == std::string::npos) {
-          bad_scans.fetch_add(1);
+  // The same store without and with an obs sink: with one, every scanning
+  // thread counts into the one registry as well.
+  for (const bool with_sink : {false, true}) {
+    SCOPED_TRACE(with_sink ? "obs sink" : "no sink");
+    obs::Obs sink;
+    StoreOptions open_options = options;
+    if (with_sink) open_options.obs = &sink;
+    auto store = TraceStore::open(dir, open_options);
+    ASSERT_TRUE(store.has_value());
+    ASSERT_EQ(store->segments().size(), 6u);
+
+    // Scans on several threads at once, each recording its skip into the
+    // one warnings vector; a reader polls warnings() meanwhile.
+    constexpr int kThreads = 4;
+    constexpr int kScansPerThread = 5;
+    std::atomic<int> bad_scans{0};
+    std::atomic<std::uint64_t> scanned{0};
+    std::atomic<bool> done{false};
+    std::thread reader([&] {
+      while (!done.load()) {
+        for (const auto& warning : store->warnings()) {
+          if (warning.find("body checksum mismatch") == std::string::npos) {
+            bad_scans.fetch_add(1);
+          }
         }
-      }
-      std::this_thread::yield();
-    }
-  });
-  std::vector<std::thread> scanners;
-  for (int t = 0; t < kThreads; ++t) {
-    scanners.emplace_back([&] {
-      for (int k = 0; k < kScansPerThread; ++k) {
-        std::uint64_t visited = 0;
-        const ScanStats stats = scan(
-            *store, ScanQuery{}, [&visited](const trace::TraceEntry&) {
-              ++visited;
-            });
-        if (stats.segments_skipped != 1 || stats.segments_scanned != 5 ||
-            visited != 250) {
-          bad_scans.fetch_add(1);
-        }
+        std::this_thread::yield();
       }
     });
+    std::vector<std::thread> scanners;
+    for (int t = 0; t < kThreads; ++t) {
+      scanners.emplace_back([&] {
+        for (int k = 0; k < kScansPerThread; ++k) {
+          std::uint64_t visited = 0;
+          const ScanStats stats = scan(
+              *store, ScanQuery{}, [&visited](const trace::TraceEntry&) {
+                ++visited;
+              });
+          scanned.fetch_add(stats.segments_scanned);
+          if (stats.segments_skipped != 1 || stats.segments_scanned != 5 ||
+              visited != 250) {
+            bad_scans.fetch_add(1);
+          }
+        }
+      });
+    }
+    for (auto& t : scanners) t.join();
+    done.store(true);
+    reader.join();
+    EXPECT_EQ(bad_scans.load(), 0);
+    EXPECT_EQ(store->warnings().size(),
+              static_cast<std::size_t>(kThreads * kScansPerThread));
+    if (with_sink) {
+      const auto counter = [&sink](const char* name) -> std::uint64_t {
+        const obs::InstrumentInfo* info = sink.metrics.find(name);
+        return info == nullptr ? 0 : sink.metrics.counter_at(info->slot).value();
+      };
+      EXPECT_EQ(counter("ipfsmon_tracestore_segments_skipped_total"),
+                static_cast<std::uint64_t>(kThreads * kScansPerThread));
+      EXPECT_EQ(counter("ipfsmon_tracestore_segments_scanned_total"),
+                scanned.load());
+    }
   }
-  for (auto& t : scanners) t.join();
-  done.store(true);
-  reader.join();
-  EXPECT_EQ(bad_scans.load(), 0);
-  EXPECT_EQ(store->warnings().size(),
-            static_cast<std::size_t>(kThreads * kScansPerThread));
 }
 
 TEST(Scan, ReadAheadStaysWithinTwicePoolSize) {
