@@ -347,19 +347,11 @@ int run_smoke(std::uint64_t entries, std::uint64_t segment_entries) {
 
   // Ground truth: one local unify served by a plain QueryService.
   const std::string truth_dir = scratch.path() + "/truth";
-  {
-    std::vector<tracestore::TraceStore> stores;
-    std::vector<const tracestore::TraceStore*> inputs;
-    for (const auto& dir : dirs) {
-      stores.push_back(std::move(*tracestore::TraceStore::open(dir)));
-    }
-    for (const auto& s : stores) inputs.push_back(&s);
-    auto writer = tracestore::SegmentWriter::create(truth_dir);
-    tracestore::unify_to_store(inputs, *writer);
-    writer->finalize();
-  }
   std::string error;
-  auto truth = query::QueryService::open(truth_dir, {}, &error);
+  std::unique_ptr<query::QueryService> truth;
+  if (tracestore::unify_dirs(dirs, truth_dir, {}, &error)) {
+    truth = query::QueryService::open(truth_dir, {}, &error);
+  }
   if (truth == nullptr) {
     std::fprintf(stderr, "smoke: ground truth store: %s\n", error.c_str());
     return 1;

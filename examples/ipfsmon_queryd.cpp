@@ -15,7 +15,9 @@
 // --coordinator serves in federation-coordinator mode: an FMON listener
 // (--fed-port, default 7979; 0 = ephemeral) lands segments shipped by
 // ipfsmon_shipd into <root>/m-<id>/, and the HTTP side serves the unified
-// store (<root>/unified) with /v1/monitors and provenance on /v1/segments.
+// store with /v1/monitors and provenance on /v1/segments. Each unified
+// build gets its own directory, <root>/unified-<hex> (named by the landed
+// segment set), and a superseded one is removed once no request reads it.
 // --bind applies to both listeners.
 //
 // SIGHUP re-opens the store (coordinator mode: re-unifies newly landed
@@ -85,35 +87,14 @@ std::string make_demo_store(const std::string& scratch) {
     return {};
   }
 
-  std::vector<tracestore::TraceStore> stores;
-  std::vector<const tracestore::TraceStore*> inputs;
-  for (const auto& dir : study.monitor_store_dirs()) {
-    std::string error;
-    auto store = tracestore::TraceStore::open(dir, {}, &error);
-    if (!store) {
-      std::fprintf(stderr, "error: cannot open %s: %s\n", dir.c_str(),
-                   error.c_str());
-      return {};
-    }
-    stores.push_back(std::move(*store));
-  }
-  for (const auto& store : stores) inputs.push_back(&store);
-
+  const std::vector<std::string> inputs = study.monitor_store_dirs();
   const std::string unified_dir = scratch + "/store";
   std::string error;
-  auto writer = tracestore::SegmentWriter::create(unified_dir, {}, &error);
-  if (writer == nullptr) {
-    std::fprintf(stderr, "error: cannot create %s: %s\n", unified_dir.c_str(),
-                 error.c_str());
+  if (!tracestore::unify_dirs(inputs, unified_dir, {}, &error)) {
+    std::fprintf(stderr, "error: %s\n", error.c_str());
     return {};
   }
-  tracestore::unify_to_store(inputs, *writer);
-  if (!writer->finalize()) {
-    std::fprintf(stderr, "error: failed to finalize %s: %s\n",
-                 unified_dir.c_str(), writer->error().c_str());
-    return {};
-  }
-  std::printf("unified %zu monitor stores into %s\n\n", stores.size(),
+  std::printf("unified %zu monitor stores into %s\n\n", inputs.size(),
               unified_dir.c_str());
   return unified_dir;
 }
@@ -187,7 +168,6 @@ int main(int argc, char** argv) {
       return 1;
     }
     service = &federated->query();
-    store_dir = federated->unified_dir();
     for (const auto& note : federated->coordinator().recovery_notes()) {
       std::printf("recovery: %s\n", note.c_str());
     }
@@ -206,7 +186,8 @@ int main(int argc, char** argv) {
     service = owned_service.get();
   }
   std::printf("store %s: %zu segments, %llu entries, %zu/%zu rollups\n",
-              store_dir.c_str(), service->store().segments().size(),
+              service->store().dir().c_str(),
+              service->store().segments().size(),
               static_cast<unsigned long long>(service->store().total_entries()),
               service->rollups_loaded(), service->store().segments().size());
   if (const auto& meta = service->store().meta()) {
@@ -271,7 +252,9 @@ int main(int argc, char** argv) {
     const std::uint64_t before = service->fingerprint();
     std::string reload_error;
     const bool ok = federated != nullptr ? federated->refresh(&reload_error)
-                                         : service->reload(&reload_error);
+                                         : service->reload(
+                                               store_dir, nullptr,
+                                               &reload_error);
     if (!ok) {
       std::fprintf(stderr, "error: reload failed: %s\n", reload_error.c_str());
       return;

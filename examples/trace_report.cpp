@@ -171,19 +171,10 @@ int report_stores(const std::vector<std::string>& dirs,
   }
   const std::string unified_dir = scratch.path() + "/unified";
   std::string error;
-  auto writer = tracestore::SegmentWriter::create(unified_dir, {}, &error);
-  if (writer == nullptr) {
-    std::fprintf(stderr, "error: cannot create scratch store %s: %s\n",
-                 unified_dir.c_str(), error.c_str());
-    return 1;
-  }
-  std::vector<const tracestore::TraceStore*> inputs;
-  for (const auto& s : stores) inputs.push_back(&s);
-  const tracestore::UnifyStats unify_stats =
-      tracestore::unify_to_store(inputs, *writer);
-  if (!writer->finalize()) {
-    std::fprintf(stderr, "error: failed to finalize %s: %s\n",
-                 unified_dir.c_str(), writer->error().c_str());
+  const auto unify_stats =
+      tracestore::unify_dirs(dirs, unified_dir, {}, &error);
+  if (!unify_stats) {
+    std::fprintf(stderr, "error: %s\n", error.c_str());
     return 1;
   }
   // Ingested inputs carry a wall-clock epoch; propagate it to the unified
@@ -209,8 +200,8 @@ int report_stores(const std::vector<std::string>& dirs,
   std::printf("unified out-of-core into %s: %llu entries, "
               "peak window state %zu keys\n",
               unified_dir.c_str(),
-              static_cast<unsigned long long>(unify_stats.entries),
-              unify_stats.peak_window_keys);
+              static_cast<unsigned long long>(unify_stats->entries),
+              unify_stats->peak_window_keys);
 
   auto unified = tracestore::TraceStore::open(unified_dir, {}, &error);
   if (!unified) {

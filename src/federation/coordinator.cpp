@@ -194,13 +194,9 @@ Coordinator::MonitorState* Coordinator::handle_hello(const HelloMsg& msg,
     }
     monitor = slot.get();
   }
-  bool vantage_changed = false;
   {
     std::lock_guard<std::mutex> lock(monitor->mu);
-    if (monitor->vantage != msg.vantage) {
-      vantage_changed = !monitor->vantage.empty();
-      monitor->vantage = msg.vantage;
-    }
+    monitor->vantage = msg.vantage;
     ack->landed.clear();
     ack->landed.reserve(monitor->segments.size());
     for (const auto& [file, footer] : monitor->segments) {
@@ -214,7 +210,6 @@ Coordinator::MonitorState* Coordinator::handle_hello(const HelloMsg& msg,
   // New monitor or relabeled vantage: publish it before any segment lands.
   // A failed publish refuses the hello; the shipper's backoff redials.
   if (!write_federation_manifest()) return nullptr;
-  (void)vantage_changed;
   return monitor;
 }
 
@@ -352,7 +347,6 @@ AckStatus Coordinator::land_segment(MonitorState& monitor, SegmentMsg&& msg) {
     span.set_attr("status", std::string(to_string(status)));
   }
   if (status == AckStatus::kLanded) {
-    generation_.fetch_add(1, std::memory_order_release);
     manifest_ok = write_federation_manifest() && manifest_ok;
   }
   if (!manifest_ok) {

@@ -60,7 +60,7 @@ struct CoordinatorOptions {
   int io_timeout_ms = 5000;
   /// Store options for monitor-dir recovery and landed-segment
   /// verification. shared_validation is overridden with the coordinator's
-  /// own cache so serving stores can reuse it.
+  /// own cache so the unify's input stores can reuse it.
   tracestore::StoreOptions store;
   /// Span tracing of land operations (inert by default).
   obs::TracerConfig tracing;
@@ -124,19 +124,13 @@ class Coordinator {
   /// input index, so this ordering is part of the output contract).
   std::vector<std::string> store_dirs() const;
 
-  /// Bumped once per landed segment; the serving layer re-unifies only
-  /// when this moved.
-  std::uint64_t generation() const {
-    return generation_.load(std::memory_order_acquire);
-  }
-
   /// Prometheus text of the coordinator's registry (segments landed,
   /// bytes replicated, lag watermarks, validation cache hits).
   std::string metrics_text() const;
 
-  /// Verified-segment cache, populated as segments land. Serving stores
-  /// opened with StoreOptions::shared_validation pointing here skip the
-  /// body-checksum re-validation pass.
+  /// Verified-segment cache, populated as segments land. Stores opened
+  /// over the monitor directories with StoreOptions::shared_validation
+  /// pointing here skip the body-checksum re-validation pass.
   tracestore::ValidationCache& validation_cache() { return validated_; }
 
   obs::Tracer& tracer() { return tracer_; }
@@ -193,7 +187,6 @@ class Coordinator {
 
   tracestore::ValidationCache validated_;
   obs::Tracer tracer_;
-  std::atomic<std::uint64_t> generation_{0};
   std::vector<std::string> recovery_notes_;
 
   // Last: its threads use every member above, so it stops first.

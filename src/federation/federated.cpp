@@ -1,45 +1,58 @@
 #include "federation/federated.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <filesystem>
-#include <optional>
 
 #include "tracestore/merge.hpp"
-#include "util/file.hpp"
+#include "util/codec.hpp"
 #include "util/strings.hpp"
 
 namespace fs = std::filesystem;
 
 namespace ipfsmon::federation {
 
-namespace {
+/// One unified build directory. Each snapshot serving it holds a
+/// reference (the engine's keep-alive); once retired, the last reference
+/// to go removes the directory.
+struct FederatedService::Build {
+  explicit Build(std::string dir_in) : dir(std::move(dir_in)) {}
+  ~Build() {
+    if (!retired.load()) return;
+    std::error_code ec;
+    fs::remove_all(dir, ec);
+  }
 
-void fail(std::string* error, std::string message) {
-  if (error != nullptr) *error = std::move(message);
-}
-
-}  // namespace
+  const std::string dir;
+  std::atomic<bool> retired{false};
+};
 
 std::unique_ptr<FederatedService> FederatedService::start(
     const std::string& root, FederatedOptions options, std::string* error) {
   std::unique_ptr<FederatedService> service(new FederatedService());
   service->root_ = root;
-  service->unified_dir_ = (fs::path(root) / "unified").string();
   service->options_ = std::move(options);
   service->coordinator_ =
       Coordinator::start(root, service->options_.coordinator, error);
   if (service->coordinator_ == nullptr) return nullptr;
 
-  bool rebuilt = false;
-  if (!service->unify_if_changed(&rebuilt, error)) return nullptr;
+  service->build_ = service->current_build(error);
+  if (service->build_ == nullptr) return nullptr;
+  // Every other build is left over from an earlier run: superseded, or cut
+  // short by a crash. No snapshot serves them any more.
+  const std::string current =
+      fs::path(service->build_->dir).filename().string();
+  std::error_code ec;
+  for (const auto& entry : fs::directory_iterator(root, ec)) {
+    const std::string name = entry.path().filename().string();
+    if (name.starts_with("unified") && name != current) {
+      fs::remove_all(entry.path(), ec);
+    }
+  }
 
-  // Landed segments were body-verified by the coordinator; sharing its
-  // validation cache lets the serving store skip the re-validation pass
-  // and keeps the cache warm across reload() cycles.
-  service->options_.query.store.shared_validation =
-      &service->coordinator_->validation_cache();
-  service->query_ = query::QueryService::open(service->unified_dir_,
-                                              service->options_.query, error);
+  service->query_ =
+      query::QueryService::open(service->build_->dir, service->options_.query,
+                                error, service->build_);
   if (service->query_ == nullptr) return nullptr;
   service->query_->attach_federation(service.get());
   return service;
@@ -55,17 +68,19 @@ FederatedService::~FederatedService() {
 
 bool FederatedService::refresh(std::string* error) {
   std::lock_guard<std::mutex> lock(refresh_mu_);
-  bool rebuilt = false;
-  if (!unify_if_changed(&rebuilt, error)) return false;
-  if (!rebuilt) return true;
-  return query_->reload(error);
+  std::shared_ptr<Build> next = current_build(error);
+  if (next == nullptr) return false;
+  if (next == build_) return true;
+  if (!query_->reload(next->dir, next, error)) return false;
+  build_->retired.store(true);
+  build_ = std::move(next);
+  return true;
 }
 
-bool FederatedService::unify_if_changed(bool* rebuilt, std::string* error) {
-  *rebuilt = false;
-  // The build fingerprint is the full landed-segment set with checksums:
-  // same inputs ⇒ same unified store (the merge is deterministic), so a
-  // matching UNIFIED_SOURCE means the served store is already current.
+std::shared_ptr<FederatedService::Build> FederatedService::current_build(
+    std::string* error) {
+  // The build is named by the full landed-segment set with checksums:
+  // same inputs ⇒ same unified store (the merge is deterministic).
   const auto landed = coordinator_->landed_segments();
   std::string fingerprint = "ipfsmon-unified v1\n";
   for (const auto& row : landed) {
@@ -73,56 +88,39 @@ bool FederatedService::unify_if_changed(bool* rebuilt, std::string* error) {
         "m-%u/%s %016llx\n", row.monitor_id, row.file.c_str(),
         static_cast<unsigned long long>(row.footer.body_checksum));
   }
-  const std::string marker =
-      (fs::path(unified_dir_) / "UNIFIED_SOURCE").string();
+  const std::string dir =
+      (fs::path(root_) /
+       util::format("unified-%016llx",
+                    static_cast<unsigned long long>(
+                        util::fnv1a64(fingerprint, util::kFnv1aOffset))))
+          .string();
+  if (build_ != nullptr && build_->dir == dir) return build_;
   std::error_code ec;
-  std::string built_from;
-  if (fs::exists(fs::path(unified_dir_) / "MANIFEST", ec) &&
-      util::read_file(marker, &built_from) && built_from == fingerprint) {
-    return true;
+  if (fs::exists(fs::path(dir) / "MANIFEST", ec)) {
+    return std::make_shared<Build>(dir);
   }
 
-  tracestore::StoreOptions input_options = options_.query.store;
-  input_options.obs = nullptr;
-  input_options.shared_validation = &coordinator_->validation_cache();
-  std::vector<std::optional<tracestore::TraceStore>> stores;
-  std::vector<const tracestore::TraceStore*> inputs;
-  // store_dirs() is ordered by monitor id; the k-way merge breaks
+  // Monitor-id order (monitors() is ordered by id): the k-way merge breaks
   // timestamp ties by input index, so this order is part of the
   // byte-identity contract. Monitors that landed nothing yet have no
   // MANIFEST and contribute nothing — skip them.
-  for (const auto& dir : coordinator_->store_dirs()) {
-    const bool has_segments =
-        std::any_of(landed.begin(), landed.end(), [&](const auto& row) {
-          return fs::path(dir).filename().string() ==
-                 util::format("m-%u", row.monitor_id);
-        });
-    if (!has_segments) continue;
-    auto store = tracestore::TraceStore::open(dir, input_options, error);
-    if (!store) {
-      fail(error, "cannot open monitor store " + dir +
-                      (error != nullptr ? ": " + *error : ""));
-      return false;
+  std::vector<std::string> inputs;
+  for (const auto& monitor : coordinator_->monitors()) {
+    if (std::any_of(landed.begin(), landed.end(), [&](const auto& row) {
+          return row.monitor_id == monitor.id;
+        })) {
+      inputs.push_back(monitor.dir);
     }
-    stores.push_back(std::move(store));
   }
-  for (const auto& store : stores) inputs.push_back(&*store);
-
-  tracestore::StoreOptions output_options = options_.query.store;
-  output_options.obs = nullptr;
-  output_options.shared_validation = nullptr;
-  auto writer =
-      tracestore::SegmentWriter::create(unified_dir_, output_options, error);
-  if (writer == nullptr) return false;
-  tracestore::unify_to_store(inputs, *writer);
-  if (!writer->finalize()) {
-    fail(error, "finalizing unified store failed: " + writer->error());
-    return false;
+  tracestore::StoreOptions store_options = options_.query.store;
+  store_options.obs = nullptr;
+  // Landed segments were body-verified by the coordinator; its validation
+  // cache lets the unify skip the re-validation pass.
+  store_options.shared_validation = &coordinator_->validation_cache();
+  if (!tracestore::unify_dirs(inputs, dir, store_options, error)) {
+    return nullptr;
   }
-
-  if (!util::publish(marker, {fingerprint}, error)) return false;
-  *rebuilt = true;
-  return true;
+  return std::make_shared<Build>(dir);
 }
 
 std::vector<query::FederationSource::Monitor> FederatedService::monitors() {

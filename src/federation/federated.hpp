@@ -1,18 +1,22 @@
 // FederatedService: the coordinator-mode serving stack. Owns a
-// Coordinator (landing segments from shippers), materializes the unified
-// store, and serves it through a query::QueryService:
+// Coordinator (landing segments from shippers), builds unified stores, and
+// serves the current one through a query::QueryService:
 //
-//   <root>/m-<id>/          per-monitor stores (written by the coordinator)
-//   <root>/unified/         unify_to_store() output over the m-* stores
-//   <root>/unified/UNIFIED_SOURCE   input fingerprint of the build
+//   <root>/m-<id>/            per-monitor stores (written by the coordinator)
+//   <root>/unified-<hex>/     tracestore::unify_dirs() over the m-* stores;
+//                             <hex> is the FNV-1a of the landed-segment set
 //
 // Unification is the paper's Sec. IV-B dedup (5 s inter-monitor window by
 // default) run out-of-core over the per-monitor stores in monitor-id
 // order — the same deterministic input order the byte-identity property
-// requires. refresh() re-unifies only when the coordinator landed new
-// segments since the served store was built (tracked via UNIFIED_SOURCE),
-// then reloads the engine so the manifest fingerprint — and with it every
-// cached answer — rolls over.
+// requires. The same landed set always unifies to the same store, so a
+// build directory that has a MANIFEST is current and is never written
+// again. refresh() builds a new directory only when segments landed since
+// the served build, then reloads the engine onto it: the manifest
+// fingerprint, and with it every cached answer, rolls over. Requests still
+// running on the previous snapshot keep reading the previous directory;
+// the last of them to finish removes it. start() removes every other
+// unified* entry under the root (builds a crash cut short or left behind).
 //
 // The service implements query::FederationSource, so the engine serves
 // /v1/monitors, provenance sources on /v1/segments, and the coordinator's
@@ -36,7 +40,7 @@ struct FederatedOptions {
 class FederatedService : public query::FederationSource {
  public:
   /// Starts the coordinator on `root`, builds (or reuses) the unified
-  /// store, and opens the query service over it.
+  /// store of the landed segments, and opens the query service over it.
   static std::unique_ptr<FederatedService> start(const std::string& root,
                                                  FederatedOptions options = {},
                                                  std::string* error = nullptr);
@@ -48,12 +52,10 @@ class FederatedService : public query::FederationSource {
   Coordinator& coordinator() { return *coordinator_; }
   query::QueryService& query() { return *query_; }
 
-  /// Re-unifies when new segments landed and reloads the engine. Cheap
-  /// when nothing changed. Returns false only on a build/reload failure.
+  /// Builds the unified store when new segments landed and reloads the
+  /// engine onto it. Cheap when nothing changed. Returns false only on a
+  /// build/reload failure, leaving the served store as it was.
   bool refresh(std::string* error = nullptr);
-
-  /// The served unified store directory ("<root>/unified").
-  const std::string& unified_dir() const { return unified_dir_; }
 
   // query::FederationSource
   std::vector<query::FederationSource::Monitor> monitors() override;
@@ -62,18 +64,21 @@ class FederatedService : public query::FederationSource {
   std::string metrics_text() override;
 
  private:
+  struct Build;
+
   FederatedService() = default;
 
-  /// Rebuilds <root>/unified from the per-monitor stores when the landed
-  /// segment set differs from UNIFIED_SOURCE. Sets `*rebuilt` accordingly.
-  bool unify_if_changed(bool* rebuilt, std::string* error);
+  /// The build of the currently landed segment set: the served one when
+  /// nothing landed since, else a directory unified now (or by an earlier
+  /// run). Null, with `error` set, when the build failed.
+  std::shared_ptr<Build> current_build(std::string* error);
 
   std::string root_;
-  std::string unified_dir_;
   FederatedOptions options_;
   std::unique_ptr<Coordinator> coordinator_;
+  std::shared_ptr<Build> build_;  // the served build
   std::unique_ptr<query::QueryService> query_;
-  std::mutex refresh_mu_;  // serializes unify/reload cycles
+  std::mutex refresh_mu_;  // serializes build/reload cycles
 };
 
 }  // namespace ipfsmon::federation

@@ -149,22 +149,24 @@ QueryService::QueryService(QueryOptions options)
   }
 }
 
-std::unique_ptr<QueryService> QueryService::open(const std::string& dir,
-                                                 QueryOptions options,
-                                                 std::string* error) {
+std::unique_ptr<QueryService> QueryService::open(
+    const std::string& dir, QueryOptions options, std::string* error,
+    std::shared_ptr<const void> keep_alive) {
   std::unique_ptr<QueryService> service(new QueryService(std::move(options)));
-  SnapshotPtr snapshot = load(dir, service->options_.store, error);
+  SnapshotPtr snapshot =
+      load(dir, std::move(keep_alive), service->options_.store, error);
   if (snapshot == nullptr) return nullptr;
   service->install(std::move(snapshot));
   return service;
 }
 
 QueryService::SnapshotPtr QueryService::load(
-    const std::string& dir, const tracestore::StoreOptions& options,
-    std::string* error) {
+    const std::string& dir, std::shared_ptr<const void> keep_alive,
+    const tracestore::StoreOptions& options, std::string* error) {
   auto store = tracestore::TraceStore::open(dir, options, error);
   if (!store) return nullptr;
-  auto snap = std::make_shared<Snapshot>(dir, std::move(*store));
+  auto snap = std::make_shared<Snapshot>(std::move(keep_alive),
+                                         std::move(*store));
   const tracestore::TraceStore& served = snap->store;
 
   snap->rollups.resize(served.segments().size());
@@ -212,12 +214,14 @@ QueryService::SnapshotPtr QueryService::snapshot() const {
   return snapshot_;
 }
 
-bool QueryService::reload(std::string* error) {
+bool QueryService::reload(const std::string& dir,
+                          std::shared_ptr<const void> keep_alive,
+                          std::string* error) {
   obs_.metrics.counter("ipfsmon_query_reloads_total", "store reloads served")
       .inc();
   // The expensive part — manifest, footers, rollups — runs unlocked, so
   // requests keep being served from the current snapshot meanwhile.
-  SnapshotPtr next = load(snapshot()->dir, options_.store, error);
+  SnapshotPtr next = load(dir, std::move(keep_alive), options_.store, error);
   if (next == nullptr) return false;
   install(std::move(next));
   return true;
@@ -669,7 +673,7 @@ HttpResponse QueryService::handle_segments(const View& view) {
   HttpResponse response;
   util::json::Writer json(response.body);
   json.begin_object()
-      .key("dir").string(snap.dir)
+      .key("dir").string(snap.store.dir())
       .key("fingerprint").string(util::format(
           "%016llx", static_cast<unsigned long long>(snap.fingerprint)))
       .key("segments").begin_array();

@@ -28,14 +28,15 @@
 //
 // Thread-safety: handle() runs requests concurrently. Each request copies
 // one pointer to an immutable snapshot of the served store (store, rollups,
-// fingerprint, directory) and renders from it with no lock held; reload()
-// builds a new snapshot and swaps the pointer, while in-flight requests
-// keep the old one alive. The one mutex guards only that pointer. Metrics
-// need no lock: obs instruments are thread-safe, the served store counts
-// its own scans and skipped segments into the service's registry, and each
-// count is made where its event happens (cache hits in cached(), requests
-// in handle()). Span contexts are passed down each request's call chain
-// explicitly, never through the tracer's implicit current().
+// fingerprint, the owner's keep-alive) and renders from it with no lock
+// held; reload() builds a new snapshot and swaps the pointer, while
+// in-flight requests keep the old one alive. The one mutex guards only
+// that pointer. Metrics need no lock: obs instruments are thread-safe, the
+// served store counts its own scans and skipped segments into the
+// service's registry, and each count is made where its event happens
+// (cache hits in cached(), requests in handle()). Span contexts are passed
+// down each request's call chain explicitly, never through the tracer's
+// implicit current().
 #pragma once
 
 #include <atomic>
@@ -129,18 +130,26 @@ class FederationSource {
 class QueryService {
  public:
   /// Opens the store in `dir` and loads every rollup sidecar. Returns
-  /// nullptr when the store itself is unusable.
-  static std::unique_ptr<QueryService> open(const std::string& dir,
-                                            QueryOptions options = {},
-                                            std::string* error = nullptr);
+  /// nullptr when the store itself is unusable. The served snapshot holds
+  /// `keep_alive` (see reload()).
+  static std::unique_ptr<QueryService> open(
+      const std::string& dir, QueryOptions options = {},
+      std::string* error = nullptr,
+      std::shared_ptr<const void> keep_alive = nullptr);
 
   /// Routes one request; safe to call from concurrent connection threads.
   HttpResponse handle(const HttpRequest& request);
 
-  /// Re-opens the store (picks up new/pruned segments). The manifest
+  /// Serves the store in `dir` from now on: the served directory again
+  /// (picks up new/pruned segments) or another one. The manifest
   /// fingerprint changes with the segment set, invalidating cached results.
-  /// Requests already running finish on the store they started with.
-  bool reload(std::string* error = nullptr);
+  /// Requests already running finish on the snapshot they started with.
+  /// Each snapshot holds its `keep_alive` until the last request on it
+  /// ends, so an owner can hang the removal of a superseded directory on
+  /// it.
+  bool reload(const std::string& dir,
+              std::shared_ptr<const void> keep_alive = nullptr,
+              std::string* error = nullptr);
 
   /// Rollup-first range stats; `source` reports the serving path taken.
   RangeStats stats_between(util::SimTime min_t, util::SimTime max_t,
@@ -173,10 +182,12 @@ class QueryService {
   /// The served store as one immutable unit. Requests share it through a
   /// shared_ptr<const Snapshot>; reload() replaces it, never mutates it.
   struct Snapshot {
-    Snapshot(std::string dir_in, tracestore::TraceStore store_in)
-        : dir(std::move(dir_in)), store(std::move(store_in)) {}
+    Snapshot(std::shared_ptr<const void> keep_alive_in,
+             tracestore::TraceStore store_in)
+        : keep_alive(std::move(keep_alive_in)), store(std::move(store_in)) {}
 
-    std::string dir;
+    /// Released after every member below (declared first).
+    std::shared_ptr<const void> keep_alive;
     tracestore::TraceStore store;
     std::vector<std::optional<tracestore::SegmentRollup>> rollups;
     std::uint64_t fingerprint = 0;
@@ -194,6 +205,7 @@ class QueryService {
 
   /// Opens `dir` and loads its rollups and fingerprint; takes no lock.
   static SnapshotPtr load(const std::string& dir,
+                          std::shared_ptr<const void> keep_alive,
                           const tracestore::StoreOptions& options,
                           std::string* error);
   /// Publishes `next` as the served snapshot and updates its gauges.

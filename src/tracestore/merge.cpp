@@ -251,4 +251,33 @@ UnifyStats unify_to_store(const std::vector<const TraceStore*>& inputs,
                       [&out](const trace::TraceEntry& e) { out.append(e); });
 }
 
+std::optional<UnifyStats> unify_dirs(const std::vector<std::string>& input_dirs,
+                                     const std::string& out_dir,
+                                     const StoreOptions& options,
+                                     std::string* error) {
+  std::vector<TraceStore> stores;
+  stores.reserve(input_dirs.size());
+  for (const auto& dir : input_dirs) {
+    std::string open_error;
+    auto store = TraceStore::open(dir, options, &open_error);
+    if (!store) {
+      if (error != nullptr) *error = "cannot open " + dir + ": " + open_error;
+      return std::nullopt;
+    }
+    stores.push_back(std::move(*store));
+  }
+  std::vector<const TraceStore*> inputs;
+  for (const auto& store : stores) inputs.push_back(&store);
+  auto writer = SegmentWriter::create(out_dir, options, error);
+  if (writer == nullptr) return std::nullopt;
+  const UnifyStats stats = unify_to_store(inputs, *writer);
+  if (!writer->finalize()) {
+    if (error != nullptr) {
+      *error = "cannot finalize " + out_dir + ": " + writer->error();
+    }
+    return std::nullopt;
+  }
+  return stats;
+}
+
 }  // namespace ipfsmon::tracestore

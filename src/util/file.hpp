@@ -1,11 +1,10 @@
 // The one file layer. Every file the library publishes (segments, rollups,
-// MANIFEST, STOREMETA, INGEST.ckpt, FEDERATION, UNIFIED_SOURCE) goes
-// through publish(), every whole-file read (segment bodies included)
-// through read_file(), every segment-footer read through read_file_tail(),
-// every (size, mtime) signature through file_signature() or the
-// read_file() that read the file, and every number
-// read back from disk, the wire or a command line through
-// parse_u64()/parse_i64()/parse_f64().
+// MANIFEST, STOREMETA, INGEST.ckpt, FEDERATION) goes through publish(),
+// every whole-file read (segment bodies included) through read_file(),
+// every segment-footer read through read_file_tail(), every (size, mtime)
+// signature through file_signature() or the read_file() that read the
+// file, and every number read back from disk, the wire or a command line
+// through parse_u64()/parse_i64()/parse_f64().
 //
 // publish() is atomic against process crashes only: a reader sees the old
 // file or the new one, never a torn one. Nothing is fsync'd, so a power

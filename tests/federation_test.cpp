@@ -5,9 +5,10 @@
 // via HELLO_ACK watermarks, coordinator restart recovery over torn
 // segments, the unified-store byte-identity property (including a shipper
 // crash mid-replication), clock skew beyond the inter-monitor window, the
-// federated query endpoints, validation-cache reuse, coordinator
-// connection-thread reaping, eight persistent shippers at once, and the
-// queryd SIGHUP reload and --bind paths as subprocesses.
+// federated query endpoints, validation-cache reuse, refreshes under
+// concurrent scans, the start-up sweep of stale unified builds,
+// coordinator connection-thread reaping, eight persistent shippers at
+// once, and the queryd SIGHUP reload and --bind paths as subprocesses.
 #include <gtest/gtest.h>
 
 #include <sys/resource.h>
@@ -15,11 +16,14 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <csignal>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -410,7 +414,7 @@ TEST(Federation, ShipPendingLandsEverySegmentByteIdentically) {
   ASSERT_TRUE(landed.has_value());
   EXPECT_EQ(landed->segments().size(), segment_count);
   EXPECT_TRUE(fs::exists(fs::path(root) / "FEDERATION"));
-  EXPECT_EQ(coordinator->generation(), segment_count);
+  EXPECT_EQ(coordinator->landed_segments().size(), segment_count);
 }
 
 TEST(Federation, CoordinatorReapsFinishedConnectionThreads) {
@@ -482,17 +486,8 @@ TEST(Federation, PersistentShippersBeyondFourAllLand) {
 
   // Unified /v1/stats over HTTP equals the single-store answer.
   const std::string truth_dir = fresh_dir("persist_truth");
-  {
-    std::vector<tracestore::TraceStore> stores;
-    std::vector<const tracestore::TraceStore*> inputs;
-    for (const auto& dir : local_dirs) {
-      stores.push_back(std::move(*tracestore::TraceStore::open(dir)));
-    }
-    for (const auto& s : stores) inputs.push_back(&s);
-    auto writer = tracestore::SegmentWriter::create(truth_dir);
-    tracestore::unify_to_store(inputs, *writer);
-    ASSERT_TRUE(writer->finalize());
-  }
+  ASSERT_TRUE(tracestore::unify_dirs(local_dirs, truth_dir, {}, &error))
+      << error;
   auto truth = query::QueryService::open(truth_dir, {}, &error);
   ASSERT_NE(truth, nullptr) << error;
   query::HttpRequest request;
@@ -747,21 +742,11 @@ TEST(Federation, UnifiedStoreIsByteIdenticalToSingleStoreRun) {
 
   // Ground truth: one unify pass over the local stores, in monitor order.
   const std::string truth_dir = fresh_dir("ident_truth");
-  {
-    std::vector<tracestore::TraceStore> stores;
-    std::vector<const tracestore::TraceStore*> inputs;
-    for (const auto& dir : local_dirs) {
-      stores.push_back(std::move(*tracestore::TraceStore::open(dir)));
-    }
-    for (const auto& s : stores) inputs.push_back(&s);
-    auto writer = tracestore::SegmentWriter::create(truth_dir);
-    ASSERT_NE(writer, nullptr);
-    tracestore::unify_to_store(inputs, *writer);
-    ASSERT_TRUE(writer->finalize());
-  }
+  std::string error;
+  ASSERT_TRUE(tracestore::unify_dirs(local_dirs, truth_dir, {}, &error))
+      << error;
 
   const std::string root = fresh_dir("ident_root");
-  std::string error;
   auto coordinator = Coordinator::start(root, {}, &error);
   ASSERT_NE(coordinator, nullptr) << error;
 
@@ -790,21 +775,10 @@ TEST(Federation, UnifiedStoreIsByteIdenticalToSingleStoreRun) {
 
   // Unify the landed per-monitor stores exactly as FederatedService does.
   const std::string fed_dir = fresh_dir("ident_fed");
-  {
-    std::vector<tracestore::TraceStore> stores;
-    std::vector<const tracestore::TraceStore*> inputs;
-    for (const auto& dir : coordinator->store_dirs()) {
-      auto store = tracestore::TraceStore::open(dir, {}, &error);
-      ASSERT_TRUE(store.has_value()) << dir << ": " << error;
-      stores.push_back(std::move(*store));
-    }
-    ASSERT_EQ(stores.size(), static_cast<std::size_t>(kMonitors));
-    for (const auto& s : stores) inputs.push_back(&s);
-    auto writer = tracestore::SegmentWriter::create(fed_dir);
-    ASSERT_NE(writer, nullptr);
-    tracestore::unify_to_store(inputs, *writer);
-    ASSERT_TRUE(writer->finalize());
-  }
+  const std::vector<std::string> landed_dirs = coordinator->store_dirs();
+  ASSERT_EQ(landed_dirs.size(), static_cast<std::size_t>(kMonitors));
+  ASSERT_TRUE(tracestore::unify_dirs(landed_dirs, fed_dir, {}, &error))
+      << error;
 
   auto truth = tracestore::TraceStore::open(truth_dir);
   auto fed = tracestore::TraceStore::open(fed_dir);
@@ -874,17 +848,8 @@ TEST(Federation, FederatedServiceServesUnifiedAnswersWithProvenance) {
 
   // Ground truth: a plain QueryService over one local unify of the inputs.
   const std::string truth_dir = fresh_dir("serve_truth");
-  {
-    std::vector<tracestore::TraceStore> stores;
-    std::vector<const tracestore::TraceStore*> inputs;
-    for (const auto& dir : local_dirs) {
-      stores.push_back(std::move(*tracestore::TraceStore::open(dir)));
-    }
-    for (const auto& s : stores) inputs.push_back(&s);
-    auto writer = tracestore::SegmentWriter::create(truth_dir);
-    tracestore::unify_to_store(inputs, *writer);
-    ASSERT_TRUE(writer->finalize());
-  }
+  ASSERT_TRUE(tracestore::unify_dirs(local_dirs, truth_dir, {}, &error))
+      << error;
   auto truth = query::QueryService::open(truth_dir, {}, &error);
   ASSERT_NE(truth, nullptr) << error;
 
@@ -974,13 +939,176 @@ TEST(Federation, FederatedServiceServesUnifiedAnswersWithProvenance) {
   EXPECT_EQ(*find_header(third, "X-Cache"), "miss");
   EXPECT_NE(third.body, first.body);
 
-  // A federated restart over the same root reuses the unified store
-  // (UNIFIED_SOURCE fingerprint) instead of rebuilding it.
+  // A federated restart over the same root reuses the unified build (its
+  // directory is named by the landed segment set) instead of rebuilding
+  // it. The files are backdated first, so a rewrite cannot keep an mtime.
   const std::uint64_t fingerprint = service->query().fingerprint();
+  const std::string served_dir = service->query().store().dir();
+  std::map<std::string, util::FileSignature> files;
+  for (const auto& file : fs::directory_iterator(served_dir)) {
+    fs::last_write_time(file.path(),
+                        fs::last_write_time(file.path()) - std::chrono::hours(1));
+    files[file.path().string()] = *util::file_signature(file.path().string());
+  }
+  ASSERT_GT(files.size(), 2u);
   service.reset();
   auto reopened = FederatedService::start(root, {}, &error);
   ASSERT_NE(reopened, nullptr) << error;
   EXPECT_EQ(reopened->query().fingerprint(), fingerprint);
+  EXPECT_EQ(reopened->query().store().dir(), served_dir);
+  for (const auto& [path, signature] : files) {
+    EXPECT_EQ(util::file_signature(path), signature) << path;
+  }
+}
+
+TEST(Federation, StartRemovesEveryUnifiedBuildButTheCurrentOne) {
+  const std::string store_dir = fresh_dir("sweep_src");
+  build_store(store_dir, make_monitor_trace(200, 0, 73));
+  const std::string root = fresh_dir("sweep_root");
+  std::string error;
+  auto service = FederatedService::start(root, {}, &error);
+  ASSERT_NE(service, nullptr) << error;
+  Shipper shipper(store_dir,
+                  shipper_options(service->coordinator().port(), 1, "us"));
+  ASSERT_TRUE(shipper.ship_pending(&error)) << error;
+  ASSERT_TRUE(service->refresh(&error)) << error;
+  const std::string served_dir = service->query().store().dir();
+  const query::RangeStats served = service->query().stats_by_scan(0, INT64_MAX);
+  service.reset();
+
+  // Leftovers of earlier runs: a build a crash cut short (segments, no
+  // MANIFEST) and the one in-place "unified" directory older versions
+  // rebuilt.
+  const fs::path torn = fs::path(root) / "unified-0123456789abcdef";
+  const fs::path legacy = fs::path(root) / "unified";
+  fs::create_directories(torn);
+  fs::create_directories(legacy);
+  fs::copy_file(fs::path(served_dir) / "seg-000000.seg", torn / "seg-000000.seg");
+  for (const auto& file : fs::directory_iterator(served_dir)) {
+    fs::copy_file(file.path(), legacy / file.path().filename());
+  }
+
+  auto reopened = FederatedService::start(root, {}, &error);
+  ASSERT_NE(reopened, nullptr) << error;
+  EXPECT_EQ(reopened->query().store().dir(), served_dir);
+  EXPECT_EQ(reopened->query().stats_by_scan(0, INT64_MAX), served);
+  std::vector<std::string> names;
+  for (const auto& entry : fs::directory_iterator(root)) {
+    names.push_back(entry.path().filename().string());
+  }
+  std::sort(names.begin(), names.end());
+  EXPECT_EQ(names, (std::vector<std::string>{
+                       "FEDERATION", "m-1",
+                       fs::path(served_dir).filename().string()}));
+}
+
+/// The /v1/stats?force=scan body a plain QueryService serves over one
+/// local unify of `input_dirs` (built into `truth_dir`).
+std::string single_store_scan_body(const std::vector<std::string>& input_dirs,
+                                   const std::string& truth_dir,
+                                   const query::HttpRequest& request) {
+  std::string error;
+  EXPECT_TRUE(tracestore::unify_dirs(input_dirs, truth_dir, {}, &error))
+      << error;
+  query::QueryOptions options;
+  options.cache_capacity = 0;
+  auto truth = query::QueryService::open(truth_dir, options);
+  EXPECT_NE(truth, nullptr);
+  if (truth == nullptr) return {};
+  const query::HttpResponse response = truth->handle(request);
+  EXPECT_EQ(response.status, 200);
+  return response.body;
+}
+
+TEST(Federation, RefreshUnderConcurrentScansServesTheOldOrTheNewStore) {
+  // One vantage point lands, then one more per round over the same time
+  // range; three clients scan while refresh() rebuilds. Each answer must
+  // come whole from the store before the refresh or the one after it:
+  // a rebuild may never touch the files a running request reads.
+  constexpr int kRounds = 12;
+  constexpr int kClients = 3;
+  std::vector<std::string> local_dirs;
+  for (int m = 0; m <= kRounds; ++m) {
+    const std::string dir = fresh_dir("refresh_src_" + std::to_string(m));
+    build_store(dir, make_monitor_trace(3000, static_cast<trace::MonitorId>(m),
+                                        301 + static_cast<std::uint64_t>(m)));
+    local_dirs.push_back(dir);
+  }
+
+  const std::string root = fresh_dir("refresh_root");
+  FederatedOptions options;
+  options.query.cache_capacity = 0;
+  std::string error;
+  auto service = FederatedService::start(root, options, &error);
+  ASSERT_NE(service, nullptr) << error;
+  auto land = [&](int m) {
+    std::string vantage = "v";
+    vantage += std::to_string(m);
+    Shipper shipper(local_dirs[static_cast<std::size_t>(m)],
+                    shipper_options(service->coordinator().port(),
+                                    static_cast<std::uint32_t>(m + 1),
+                                    vantage));
+    std::string ship_error;
+    EXPECT_TRUE(shipper.ship_pending(&ship_error)) << ship_error;
+  };
+
+  query::HttpRequest request;
+  request.method = "GET";
+  request.target = "/v1/stats?force=scan";
+  request.path = "/v1/stats";
+  request.params["force"] = "scan";
+
+  land(0);
+  ASSERT_TRUE(service->refresh(&error)) << error;
+  std::string before = single_store_scan_body(
+      {local_dirs[0]}, fresh_dir("refresh_truth_0"), request);
+  ASSERT_EQ(service->query().handle(request).body, before);
+
+  auto& skipped = service->query().obs().metrics.counter(
+      "ipfsmon_tracestore_segments_skipped_total");
+  for (int round = 1; round <= kRounds; ++round) {
+    land(round);
+    const std::vector<std::string> inputs(local_dirs.begin(),
+                                          local_dirs.begin() + round + 1);
+    const std::string after = single_store_scan_body(
+        inputs, fresh_dir("refresh_truth_" + std::to_string(round)), request);
+    ASSERT_NE(after, before);
+
+    const std::string served_dir = service->query().store().dir();
+    std::atomic<bool> refreshed{false};
+    std::atomic<int> answers{0};
+    std::atomic<int> neither{0};
+    std::vector<std::thread> clients;
+    for (int c = 0; c < kClients; ++c) {
+      clients.emplace_back([&] {
+        // Keeps asking until one answer started after the refresh ended.
+        for (bool last = false; !last;) {
+          last = refreshed.load();
+          const query::HttpResponse response =
+              service->query().handle(request);
+          answers.fetch_add(1);
+          if (response.status != 200 ||
+              (response.body != before && response.body != after)) {
+            neither.fetch_add(1);
+          }
+        }
+      });
+    }
+    const bool ok = service->refresh(&error);
+    refreshed.store(true);
+    for (auto& client : clients) client.join();
+    ASSERT_TRUE(ok) << error;
+    EXPECT_EQ(neither.load(), 0)
+        << "round " << round << ": " << neither.load() << " of "
+        << answers.load() << " answers matched neither store";
+    EXPECT_EQ(service->query().handle(request).body, after) << round;
+    EXPECT_EQ(skipped.value(), 0u) << round;
+    EXPECT_TRUE(service->query().store().warnings().empty()) << round;
+    // The last request on the superseded build removed its directory.
+    EXPECT_NE(service->query().store().dir(), served_dir);
+    EXPECT_FALSE(fs::exists(served_dir)) << round;
+    before = after;
+  }
 }
 
 TEST(Federation, NonFederatedServiceHasNoMonitorsEndpoint) {

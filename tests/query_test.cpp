@@ -851,11 +851,43 @@ TEST(Engine, CacheHitsAndReloadInvalidates) {
   // same query must be recomputed (and may answer differently).
   const std::uint64_t fingerprint_before = service->fingerprint();
   build_store(dir, make_trace(500, 62));
-  ASSERT_TRUE(service->reload());
+  ASSERT_TRUE(service->reload(dir));
   EXPECT_NE(service->fingerprint(), fingerprint_before);
   const auto after = daemon.get(target);
   ASSERT_TRUE(after.has_value());
   EXPECT_EQ(*find_header(*after, "x-cache"), "miss");
+}
+
+TEST(Engine, ReloadMovesToAnotherDirectoryAndReleasesTheOldKeepAlive) {
+  const std::string first_dir = fresh_dir("keep_alive_a");
+  const std::string second_dir = fresh_dir("keep_alive_b");
+  build_store(first_dir, make_trace(300, 63));
+  build_store(second_dir, make_trace(500, 64));
+  auto first_keep = std::make_shared<int>(1);
+  auto second_keep = std::make_shared<int>(2);
+  const std::weak_ptr<int> first_watch = first_keep;
+  const std::weak_ptr<int> second_watch = second_keep;
+  auto service = QueryService::open(first_dir, {}, nullptr,
+                                    std::move(first_keep));
+  ASSERT_NE(service, nullptr);
+  EXPECT_EQ(service->store().dir(), first_dir);
+  EXPECT_FALSE(first_watch.expired());
+
+  ASSERT_TRUE(service->reload(second_dir, std::move(second_keep)));
+  EXPECT_EQ(service->store().dir(), second_dir);
+  EXPECT_EQ(service->store().total_entries(), 500u);
+  // No request holds the first snapshot any more: its keep-alive is gone.
+  EXPECT_TRUE(first_watch.expired());
+  EXPECT_FALSE(second_watch.expired());
+
+  // A failed reload keeps serving the current snapshot.
+  std::string error;
+  EXPECT_FALSE(service->reload(fresh_dir("keep_alive_missing"), nullptr,
+                               &error));
+  EXPECT_FALSE(error.empty());
+  EXPECT_EQ(service->store().dir(), second_dir);
+  service.reset();
+  EXPECT_TRUE(second_watch.expired());
 }
 
 TEST(Engine, MetricsExposesServerAndScanCounters) {
@@ -946,7 +978,7 @@ TEST(Engine, ConcurrentMixedQueriesAreConsistent) {
   // is unchanged, so every answer must stay the same.
   std::thread reloader([&] {
     while (!done.load()) {
-      if (!service->reload()) failures.fetch_add(1);
+      if (!service->reload(dir)) failures.fetch_add(1);
       reloads.fetch_add(1);
       std::this_thread::sleep_for(std::chrono::milliseconds(2));
     }
