@@ -17,7 +17,7 @@
 // ipfsmon_shipd into <root>/m-<id>/, and the HTTP side serves the unified
 // store with /v1/monitors and provenance on /v1/segments. Each unified
 // build gets its own directory, <root>/unified-<hex> (named by the landed
-// segment set), and a superseded one is removed once no request reads it.
+// segment set); the next refresh removes a superseded one no request reads.
 // --bind applies to both listeners.
 //
 // SIGHUP re-opens the store (coordinator mode: re-unifies newly landed

@@ -414,16 +414,6 @@ std::vector<LandedSegment> Coordinator::landed_segments() const {
   return out;
 }
 
-std::vector<std::string> Coordinator::store_dirs() const {
-  std::vector<std::string> out;
-  std::lock_guard<std::mutex> lock(mu_);
-  out.reserve(monitors_.size());
-  for (const auto& [id, monitor] : monitors_) {
-    out.push_back(monitor->dir);  // std::map: already ordered by id
-  }
-  return out;
-}
-
 std::string Coordinator::metrics_text() const {
   obs::Counter& validation_hits = registry_.counter(
       "ipfsmon_federation_validation_cache_hits_total",

@@ -119,11 +119,6 @@ class Coordinator {
   /// Every landed segment with provenance, ordered by (monitor id, file).
   std::vector<LandedSegment> landed_segments() const;
 
-  /// Absolute per-monitor store directories ordered by monitor id — the
-  /// deterministic input order for unify (ties in the k-way merge break by
-  /// input index, so this ordering is part of the output contract).
-  std::vector<std::string> store_dirs() const;
-
   /// Prometheus text of the coordinator's registry (segments landed,
   /// bytes replicated, lag watermarks, validation cache hits).
   std::string metrics_text() const;

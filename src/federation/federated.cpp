@@ -1,7 +1,6 @@
 #include "federation/federated.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <filesystem>
 
 #include "tracestore/merge.hpp"
@@ -11,21 +10,6 @@
 namespace fs = std::filesystem;
 
 namespace ipfsmon::federation {
-
-/// One unified build directory. Each snapshot serving it holds a
-/// reference (the engine's keep-alive); once retired, the last reference
-/// to go removes the directory.
-struct FederatedService::Build {
-  explicit Build(std::string dir_in) : dir(std::move(dir_in)) {}
-  ~Build() {
-    if (!retired.load()) return;
-    std::error_code ec;
-    fs::remove_all(dir, ec);
-  }
-
-  const std::string dir;
-  std::atomic<bool> retired{false};
-};
 
 std::unique_ptr<FederatedService> FederatedService::start(
     const std::string& root, FederatedOptions options, std::string* error) {
@@ -40,8 +24,7 @@ std::unique_ptr<FederatedService> FederatedService::start(
   if (service->build_ == nullptr) return nullptr;
   // Every other build is left over from an earlier run: superseded, or cut
   // short by a crash. No snapshot serves them any more.
-  const std::string current =
-      fs::path(service->build_->dir).filename().string();
+  const std::string current = fs::path(*service->build_).filename().string();
   std::error_code ec;
   for (const auto& entry : fs::directory_iterator(root, ec)) {
     const std::string name = entry.path().filename().string();
@@ -51,7 +34,7 @@ std::unique_ptr<FederatedService> FederatedService::start(
   }
 
   service->query_ =
-      query::QueryService::open(service->build_->dir, service->options_.query,
+      query::QueryService::open(*service->build_, service->options_.query,
                                 error, service->build_);
   if (service->query_ == nullptr) return nullptr;
   service->query_->attach_federation(service.get());
@@ -64,20 +47,36 @@ FederatedService::~FederatedService() {
   if (coordinator_ != nullptr) coordinator_->stop();
   query_.reset();
   coordinator_.reset();
+  remove_released_builds();
 }
 
 bool FederatedService::refresh(std::string* error) {
   std::lock_guard<std::mutex> lock(refresh_mu_);
-  std::shared_ptr<Build> next = current_build(error);
+  remove_released_builds();
+  std::shared_ptr<const std::string> next = current_build(error);
   if (next == nullptr) return false;
   if (next == build_) return true;
-  if (!query_->reload(next->dir, next, error)) return false;
-  build_->retired.store(true);
+  if (!query_->reload(*next, next, error)) {
+    std::error_code ec;
+    fs::remove_all(*next, ec);  // never served; a later refresh rebuilds it
+    return false;
+  }
+  retired_.emplace_back(*build_, build_);
   build_ = std::move(next);
   return true;
 }
 
-std::shared_ptr<FederatedService::Build> FederatedService::current_build(
+void FederatedService::remove_released_builds() {
+  // The landed set only grows, so a retired build is never current again.
+  std::erase_if(retired_, [](const auto& retired) {
+    if (!retired.second.expired()) return false;
+    std::error_code ec;
+    fs::remove_all(retired.first, ec);
+    return true;
+  });
+}
+
+std::shared_ptr<const std::string> FederatedService::current_build(
     std::string* error) {
   // The build is named by the full landed-segment set with checksums:
   // same inputs ⇒ same unified store (the merge is deterministic).
@@ -94,10 +93,10 @@ std::shared_ptr<FederatedService::Build> FederatedService::current_build(
                     static_cast<unsigned long long>(
                         util::fnv1a64(fingerprint, util::kFnv1aOffset))))
           .string();
-  if (build_ != nullptr && build_->dir == dir) return build_;
+  if (build_ != nullptr && *build_ == dir) return build_;
   std::error_code ec;
   if (fs::exists(fs::path(dir) / "MANIFEST", ec)) {
-    return std::make_shared<Build>(dir);
+    return std::make_shared<const std::string>(dir);
   }
 
   // Monitor-id order (monitors() is ordered by id): the k-way merge breaks
@@ -120,7 +119,7 @@ std::shared_ptr<FederatedService::Build> FederatedService::current_build(
   if (!tracestore::unify_dirs(inputs, dir, store_options, error)) {
     return nullptr;
   }
-  return std::make_shared<Build>(dir);
+  return std::make_shared<const std::string>(dir);
 }
 
 std::vector<query::FederationSource::Monitor> FederatedService::monitors() {

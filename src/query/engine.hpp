@@ -129,9 +129,8 @@ class FederationSource {
 
 class QueryService {
  public:
-  /// Opens the store in `dir` and loads every rollup sidecar. Returns
-  /// nullptr when the store itself is unusable. The served snapshot holds
-  /// `keep_alive` (see reload()).
+  /// Serves the store in `dir` (see reload() for `keep_alive`). Returns
+  /// nullptr when the store itself is unusable.
   static std::unique_ptr<QueryService> open(
       const std::string& dir, QueryOptions options = {},
       std::string* error = nullptr,
@@ -140,13 +139,10 @@ class QueryService {
   /// Routes one request; safe to call from concurrent connection threads.
   HttpResponse handle(const HttpRequest& request);
 
-  /// Serves the store in `dir` from now on: the served directory again
-  /// (picks up new/pruned segments) or another one. The manifest
-  /// fingerprint changes with the segment set, invalidating cached results.
-  /// Requests already running finish on the snapshot they started with.
-  /// Each snapshot holds its `keep_alive` until the last request on it
-  /// ends, so an owner can hang the removal of a superseded directory on
-  /// it.
+  /// Serves the store in `dir` from now on. The manifest fingerprint
+  /// changes with the segment set, invalidating cached results. Requests
+  /// already running finish on the snapshot they started with, which holds
+  /// `keep_alive` until the last of them ends.
   bool reload(const std::string& dir,
               std::shared_ptr<const void> keep_alive = nullptr,
               std::string* error = nullptr);
@@ -186,8 +182,7 @@ class QueryService {
              tracestore::TraceStore store_in)
         : keep_alive(std::move(keep_alive_in)), store(std::move(store_in)) {}
 
-    /// Released after every member below (declared first).
-    std::shared_ptr<const void> keep_alive;
+    std::shared_ptr<const void> keep_alive;  // released last
     tracestore::TraceStore store;
     std::vector<std::optional<tracestore::SegmentRollup>> rollups;
     std::uint64_t fingerprint = 0;

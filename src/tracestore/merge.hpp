@@ -140,12 +140,9 @@ UnifyStats unify_stores(
 UnifyStats unify_to_store(const std::vector<const TraceStore*>& inputs,
                           SegmentWriter& out);
 
-/// The whole out-of-core unify: opens the stores in `input_dirs` (in that
-/// order — the merge breaks timestamp ties by input index, so the order is
-/// part of the output), creates a store at `out_dir` (clearing what a
-/// previous store left there), unifies into it and publishes it. `options`
-/// serve the input stores and the writer alike. Nullopt, with `error` set,
-/// when an input cannot be opened or the output cannot be written.
+/// Unifies the stores in `input_dirs`, in that order (ties break by input
+/// index), into a new store at `out_dir` and publishes it. Nullopt, with
+/// `error` set, when an input cannot be opened or the output written.
 std::optional<UnifyStats> unify_dirs(const std::vector<std::string>& input_dirs,
                                      const std::string& out_dir,
                                      const StoreOptions& options = {},

@@ -775,7 +775,10 @@ TEST(Federation, UnifiedStoreIsByteIdenticalToSingleStoreRun) {
 
   // Unify the landed per-monitor stores exactly as FederatedService does.
   const std::string fed_dir = fresh_dir("ident_fed");
-  const std::vector<std::string> landed_dirs = coordinator->store_dirs();
+  std::vector<std::string> landed_dirs;
+  for (const auto& monitor : coordinator->monitors()) {
+    landed_dirs.push_back(monitor.dir);
+  }
   ASSERT_EQ(landed_dirs.size(), static_cast<std::size_t>(kMonitors));
   ASSERT_TRUE(tracestore::unify_dirs(landed_dirs, fed_dir, {}, &error))
       << error;
@@ -1104,8 +1107,11 @@ TEST(Federation, RefreshUnderConcurrentScansServesTheOldOrTheNewStore) {
     EXPECT_EQ(service->query().handle(request).body, after) << round;
     EXPECT_EQ(skipped.value(), 0u) << round;
     EXPECT_TRUE(service->query().store().warnings().empty()) << round;
-    // The last request on the superseded build removed its directory.
+    // No request holds the superseded build any more: the next refresh
+    // removes its directory.
     EXPECT_NE(service->query().store().dir(), served_dir);
+    EXPECT_TRUE(fs::exists(served_dir)) << round;
+    ASSERT_TRUE(service->refresh(&error)) << error;
     EXPECT_FALSE(fs::exists(served_dir)) << round;
     before = after;
   }
