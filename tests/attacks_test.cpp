@@ -215,6 +215,12 @@ class GatewayProbeTest : public ::testing::Test {
     fix_.run_for(10 * kSecond);
   }
 
+  /// A prober at the protocol defaults, baiting with the one monitor.
+  GatewayProber make_prober(const char* stream) {
+    return GatewayProber(fix_.network, {mon_}, GatewayProbeConfig{},
+                         fix_.rng.fork(stream));
+  }
+
   SimFixture fix_{81};
   node::IpfsNode* bootstrap_ = nullptr;
   monitor::PassiveMonitor* mon_ = nullptr;
@@ -222,8 +228,7 @@ class GatewayProbeTest : public ::testing::Test {
 };
 
 TEST_F(GatewayProbeTest, DiscoversGatewayNodeId) {
-  GatewayProber prober(fix_.network, {mon_}, GatewayProbeConfig{},
-                       fix_.rng.fork("probe"));
+  GatewayProber prober = make_prober("probe");
   std::optional<GatewayProbeResult> result;
   prober.probe("test.gateway.example", *gw_,
                [&](GatewayProbeResult r) { result = std::move(r); });
@@ -237,8 +242,7 @@ TEST_F(GatewayProbeTest, DiscoversGatewayNodeId) {
 }
 
 TEST_F(GatewayProbeTest, ProbeCidIsUniquePerProbe) {
-  GatewayProber prober(fix_.network, {mon_}, GatewayProbeConfig{},
-                       fix_.rng.fork("probe2"));
+  GatewayProber prober = make_prober("probe2");
   std::optional<GatewayProbeResult> r1, r2;
   prober.probe("gw", *gw_, [&](GatewayProbeResult r) { r1 = std::move(r); });
   fix_.run_for(2 * kMinute);
@@ -249,8 +253,7 @@ TEST_F(GatewayProbeTest, ProbeCidIsUniquePerProbe) {
 }
 
 TEST_F(GatewayProbeTest, BrokenHttpGatewayStillIdentified) {
-  GatewayProber prober(fix_.network, {mon_}, GatewayProbeConfig{},
-                       fix_.rng.fork("probe3"));
+  GatewayProber prober = make_prober("probe3");
   std::optional<GatewayProbeResult> result;
   // The HTTP front never responds; some internal process still fetches the
   // CID over Bitswap (the paper's misconfigured gateways).
@@ -263,6 +266,26 @@ TEST_F(GatewayProbeTest, BrokenHttpGatewayStillIdentified) {
   EXPECT_FALSE(result->http_ok);
   ASSERT_EQ(result->discovered_nodes.size(), 1u);
   EXPECT_EQ(result->discovered_nodes[0], gw_->node().id());
+}
+
+TEST_F(GatewayProbeTest, OneProbeOutcomeIsPinned) {
+  GatewayProber prober = make_prober("probe4");
+  std::optional<GatewayProbeResult> result;
+  const util::SimTime started = fix_.scheduler.now();
+  util::SimTime reported = 0;
+  prober.probe("pinned.example", *gw_, [&](GatewayProbeResult r) {
+    result = std::move(r);
+    reported = fix_.scheduler.now();
+  });
+  fix_.run_for(2 * kMinute);
+  ASSERT_TRUE(result.has_value());
+  EXPECT_EQ(result->probe_cid.to_string(),
+            "bafkreiaiz47xbhgdripjnktrftah4gptql3vemft3a3mekomid7i2dhbia");
+  EXPECT_TRUE(result->http_ok);
+  ASSERT_EQ(result->discovered_nodes.size(), 1u);
+  EXPECT_EQ(result->discovered_nodes[0], gw_->node().id());
+  EXPECT_EQ(result->discovered_addresses.size(), 1u);
+  EXPECT_EQ(reported - started, 30 * kSecond);
 }
 
 TEST(GatewayCensusTest, AggregatesAcrossRuns) {

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cmath>
 #include <filesystem>
+#include <functional>
 
 #include "analysis/estimators.hpp"
 #include "churn/injector.hpp"
@@ -128,6 +129,14 @@ class NetworkFaultTest : public ::testing::Test {
                   [&](std::optional<net::ConnectionId> conn) { result = conn; });
     scheduler_.run_until(scheduler_.now() + 10 * kSecond);
     return result;
+  }
+
+  /// Dials a→b under the default reconnection policy.
+  void dial_with_default_backoff(
+      const crypto::PeerId& a, const crypto::PeerId& b,
+      std::function<void(std::optional<net::ConnectionId>)> on_result) {
+    network_.dial_with_backoff(a, b, net::BackoffPolicy{},
+                               std::move(on_result));
   }
 
   void settle(util::SimDuration span = 30 * kSecond) {
@@ -266,6 +275,30 @@ TEST_F(NetworkFaultTest, DialWithBackoffExhaustsAgainstDeadTarget) {
   scheduler_.run_until(scheduler_.now() + 10 * kMinute);
   ASSERT_TRUE(done);
   EXPECT_FALSE(result.has_value());
+}
+
+// Pins the default reconnection schedule against a target that never
+// comes back: when the last attempt gives up, and the retry counters.
+TEST_F(NetworkFaultTest, DefaultBackoffScheduleIsPinned) {
+  TestHost a_host, b_host;
+  const auto a = add_node(a_host);
+  const auto b = add_node(b_host);
+  network_.isolate(b);
+
+  const util::SimTime started = scheduler_.now();
+  util::SimTime gave_up = 0;
+  bool connected = true;
+  dial_with_default_backoff(a, b, [&](std::optional<net::ConnectionId> conn) {
+    connected = conn.has_value();
+    gave_up = scheduler_.now();
+  });
+  scheduler_.run_until(scheduler_.now() + 30 * kMinute);
+  auto& metrics = network_.obs().metrics;
+  EXPECT_FALSE(connected);
+  EXPECT_EQ(gave_up - started, 30813629011);
+  EXPECT_EQ(metrics.counter("ipfsmon_net_backoff_retries_total").value(), 5u);
+  EXPECT_EQ(metrics.counter("ipfsmon_net_backoff_exhausted_total").value(),
+            1u);
 }
 
 TEST_F(NetworkFaultTest, FaultFreeRunsRegisterNoFaultMetrics) {
@@ -647,6 +680,37 @@ TEST(FaultInjector, ChurnsTransientsAndOpensPartitions) {
   // couple of partitions' worth at most — not the whole run's).
   EXPECT_LE(study.network().isolated_count(),
             2u * std::max<std::size_t>(config.churn.partitions.max_nodes, 1));
+}
+
+// Pins what one seeded run of every fault process does: transient churn,
+// link drops, and partition windows. Healed nodes redial a bootstrap node,
+// which is never partitioned, so no redial retries here;
+// DefaultBackoffScheduleIsPinned pins the retry schedule.
+TEST(FaultInjector, ChurnTotalsArePinned) {
+  scenario::StudyConfig config = small_study_config();
+  config.churn.nodes.arrival_rate_per_hour = 20.0;
+  config.churn.nodes.session =
+      churn::SessionModel{churn::SessionDist::kWeibull, 0.5, 0.6};
+  config.churn.nodes.intersession =
+      churn::SessionModel{churn::SessionDist::kExponential, 1.0, 1.0};
+  config.churn.link.drop_probability = 0.02;
+  config.churn.partitions.rate_per_hour = 2.0;
+  config.churn.partitions.mean_duration_minutes = 3.0;
+  scenario::MonitoringStudy study(config);
+  study.run();
+
+  auto& metrics = study.obs().metrics;
+  const auto total = [&metrics](const char* name) {
+    return metrics.counter(name).value();
+  };
+  EXPECT_EQ(study.network().fault_drops(), 1684u);
+  EXPECT_EQ(total("ipfsmon_net_backoff_retries_total"), 0u);
+  EXPECT_EQ(total("ipfsmon_net_backoff_exhausted_total"), 0u);
+  EXPECT_EQ(total("ipfsmon_churn_transients_spawned_total"), 103u);
+  EXPECT_EQ(total("ipfsmon_churn_sessions_total"), 127u);
+  EXPECT_EQ(total("ipfsmon_churn_retirements_total"), 52u);
+  EXPECT_EQ(total("ipfsmon_churn_partitions_total"), 13u);
+  EXPECT_EQ(total("ipfsmon_churn_requests_total"), 57u);
 }
 
 TEST(FaultInjector, ScheduledMonitorCrashRecoversSpilledStore) {

@@ -466,6 +466,14 @@ TEST(DhtNode, ProviderRecordsExpireEndToEnd) {
 
 // --- crawler -------------------------------------------------------------------
 
+/// A crawler at the protocol defaults, as exp_network_size builds one.
+DhtCrawler make_crawler(SimFixture& fix, const std::string& country,
+                        const char* stream) {
+  return DhtCrawler(fix.network, random_peer(fix.rng),
+                    fix.network.geo().allocate_address(country), country,
+                    CrawlerConfig{}, fix.rng.fork(stream));
+}
+
 TEST(Crawler, EnumeratesServersButNotClients) {
   SimFixture fix(28);
   node::NodeConfig server_config;
@@ -483,9 +491,7 @@ TEST(Crawler, EnumeratesServersButNotClients) {
   for (auto* c : clients) c->go_online({servers[0]->id()});
   fix.run_for(40 * kMinute);
 
-  DhtCrawler crawler(fix.network, random_peer(fix.rng),
-                     fix.network.geo().allocate_address("US"), "US",
-                     CrawlerConfig{}, fix.rng.fork("crawl"));
+  DhtCrawler crawler = make_crawler(fix, "US", "crawl");
   std::optional<CrawlResult> result;
   crawler.crawl({servers[0]->id()},
                 [&](CrawlResult r) { result = std::move(r); });
@@ -514,9 +520,7 @@ TEST(Crawler, CountsUnreachableProposedPeers) {
   nodes[7]->go_offline();
   fix.run_for(1 * kMinute);
 
-  DhtCrawler crawler(fix.network, random_peer(fix.rng),
-                     fix.network.geo().allocate_address("DE"), "DE",
-                     CrawlerConfig{}, fix.rng.fork("crawl2"));
+  DhtCrawler crawler = make_crawler(fix, "DE", "crawl2");
   std::optional<CrawlResult> result;
   crawler.crawl({nodes[0]->id()},
                 [&](CrawlResult r) { result = std::move(r); });
@@ -525,6 +529,30 @@ TEST(Crawler, CountsUnreachableProposedPeers) {
   ASSERT_TRUE(result.has_value());
   EXPECT_TRUE(result->discovered.count(dead) != 0);
   EXPECT_EQ(result->responsive.count(dead), 0u);
+}
+
+// Pins one seeded crawl at the protocol defaults, one server offline.
+TEST(Crawler, OneCrawlIsPinned) {
+  SimFixture fix(30);
+  auto nodes = make_dht_network(fix, 16);
+  nodes[5]->go_offline();
+  fix.run_for(1 * kMinute);
+
+  DhtCrawler crawler = make_crawler(fix, "US", "crawl3");
+  std::optional<CrawlResult> result;
+  const util::SimTime started = fix.scheduler.now();
+  util::SimTime finished = 0;
+  crawler.crawl({nodes[0]->id()}, [&](CrawlResult r) {
+    result = std::move(r);
+    finished = fix.scheduler.now();
+  });
+  fix.run_for(10 * kMinute);
+
+  ASSERT_TRUE(result.has_value());
+  EXPECT_EQ(result->discovered.size(), 16u);
+  EXPECT_EQ(result->responsive.size(), 15u);
+  EXPECT_EQ(result->rpcs_sent, 128u);
+  EXPECT_EQ(finished - started, 52252086);
 }
 
 }  // namespace

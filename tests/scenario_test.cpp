@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "ingest/replay.hpp"
+#include "monitor/active_monitor.hpp"
 #include "scenario/catalog.hpp"
 #include "scenario/study.hpp"
 #include "scenario/version_model.hpp"
@@ -289,6 +290,61 @@ TEST(Study, GoldenSmallStudyTraceIsPinned) {
   EXPECT_EQ(checksum, 0x18bd3c37c1d65095ull);
   EXPECT_EQ(unified.size(), 784u);
   EXPECT_EQ(study.population().requests_issued(), 349u);
+}
+
+// The golden trace above runs with gateways off and passive monitors only;
+// these two pin the gateway fleet's and the active monitors' paths.
+TEST(Study, GatewayStudyTraceIsPinned) {
+  StudyConfig config;
+  config.seed = 7;
+  config.population.node_count = 90;
+  config.warmup = 1 * kHour;
+  config.duration = 1 * kHour;
+  config.catalog.item_count = 400;
+  config.collect_metrics = false;
+  MonitoringStudy study(config);
+  study.run();
+
+  const trace::Trace unified = unified_trace(study);
+  std::uint64_t checksum = 0;
+  for (const auto& e : unified.entries()) {
+    checksum = ingest::fold_entry_checksum(checksum, e);
+  }
+  ASSERT_NE(study.gateways(), nullptr);
+  EXPECT_EQ(checksum, 0x1dac88abf8886d48ull);
+  EXPECT_EQ(unified.size(), 1549u);
+  EXPECT_EQ(study.gateways()->http_requests_issued(), 1859u);
+}
+
+TEST(Study, ActiveMonitorStudyTraceIsPinned) {
+  StudyConfig config;
+  config.seed = 7;
+  config.population.node_count = 90;
+  config.warmup = 1 * kHour;
+  config.duration = 4 * kHour;
+  config.catalog.item_count = 400;
+  config.collect_metrics = false;
+  config.enable_gateways = false;
+  config.use_active_monitors = true;
+  MonitoringStudy study(config);
+  study.run();
+
+  const trace::Trace unified = unified_trace(study);
+  std::uint64_t checksum = 0;
+  for (const auto& e : unified.entries()) {
+    checksum = ingest::fold_entry_checksum(checksum, e);
+  }
+  std::uint64_t sweeps = 0, dialed = 0;
+  for (auto* m : study.monitors()) {
+    const auto* active = dynamic_cast<const monitor::ActiveMonitor*>(m);
+    ASSERT_NE(active, nullptr);
+    sweeps += active->sweeps_completed();
+    dialed += active->peers_dialed();
+  }
+  EXPECT_EQ(checksum, 0x7dc43f5a136c3b50ull);
+  EXPECT_EQ(unified.size(), 2718u);
+  EXPECT_EQ(sweeps, 4u);
+  EXPECT_EQ(dialed, 148u);
 }
 
 // Benches that pick a target in one unify pass and query it in a second
