@@ -40,7 +40,6 @@ int main(int argc, char** argv) {
   // --- Step 1: discover gateway node IDs via probing (paper Sec. VI-B). ----
   auto* fleet = study.gateways();
   attacks::GatewayProber prober(study.network(), study.monitors(),
-                                attacks::GatewayProbeConfig{},
                                 util::RngStream(config.seed, "fig6-probe"));
   attacks::GatewayCensus census;
   std::size_t probes_pending = 0;

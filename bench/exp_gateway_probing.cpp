@@ -36,7 +36,6 @@ int main(int argc, char** argv) {
   auto* fleet = study.gateways();
 
   attacks::GatewayProber prober(study.network(), study.monitors(),
-                                attacks::GatewayProbeConfig{},
                                 util::RngStream(config.seed, "probe-bench"));
   attacks::GatewayCensus census;
 

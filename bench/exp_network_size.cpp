@@ -101,7 +101,7 @@ int main(int argc, char** argv) {
   dht::DhtCrawler crawler(study.network(),
                           crypto::KeyPair::generate(crawl_rng).peer_id(),
                           study.network().geo().allocate_address("DE"), "DE",
-                          dht::CrawlerConfig{}, crawl_rng.fork("c"));
+                          crawl_rng.fork("c"));
   std::optional<dht::CrawlResult> crawl;
   crawler.crawl(study.population().bootstrap_ids(),
                 [&](dht::CrawlResult r) { crawl = std::move(r); });

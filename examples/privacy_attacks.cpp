@@ -142,7 +142,6 @@ int main() {
   // --- Gateway probing: de-anonymize a public gateway. ----------------------
   std::printf("\n[gateway probing] linking 'ipfs.io' to its node IDs...\n");
   attacks::GatewayProber gw_prober(study.network(), study.monitors(),
-                                   attacks::GatewayProbeConfig{},
                                    rng.fork("gw"));
   for (auto* gw : study.gateways()->nodes_of("ipfs.io")) {
     gw_prober.probe("ipfs.io", *gw, [&](attacks::GatewayProbeResult result) {

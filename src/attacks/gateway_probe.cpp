@@ -7,18 +7,26 @@
 
 namespace ipfsmon::attacks {
 
+namespace {
+
+/// How long to wait for Bitswap messages after the HTTP request: one
+/// Bitswap re-broadcast period (paper Sec. III-C).
+constexpr util::SimDuration kObservationWindow = 30 * util::kSecond;
+/// Random payload bytes of a probe block; enough for a unique CID.
+/// Calibrated; no published figure.
+constexpr std::size_t kProbeBlockSize = 64;
+
+}  // namespace
+
 GatewayProber::GatewayProber(net::Network& network,
                              std::vector<monitor::PassiveMonitor*> monitors,
-                             GatewayProbeConfig config, util::RngStream rng)
-    : network_(network),
-      monitors_(std::move(monitors)),
-      config_(config),
-      rng_(std::move(rng)) {}
+                             util::RngStream rng)
+    : network_(network), monitors_(std::move(monitors)), rng_(std::move(rng)) {}
 
 cid::Cid GatewayProber::plant_probe_block() {
   // A block of fresh random bytes: its CID is unique with overwhelming
   // probability, so any request for it is attributable to our probe.
-  util::Bytes data(config_.probe_block_size);
+  util::Bytes data(kProbeBlockSize);
   rng_.fill_bytes(data.data(), data.size());
   auto block =
       std::make_shared<dag::Block>(dag::Block::raw(std::move(data)));
@@ -67,7 +75,7 @@ void GatewayProber::probe(const std::string& gateway_name,
       [shared](bool ok, bool /*cache_hit*/) { shared->http_ok = ok; });
 
   network_.scheduler().post_after(
-      config_.observation_window,
+      kObservationWindow,
       [this, shared, started, on_done = std::move(on_done)]() mutable {
         collect(std::move(*shared), started, std::move(on_done));
       });
@@ -86,7 +94,7 @@ void GatewayProber::probe_with_trigger(
 
   auto shared = std::make_shared<GatewayProbeResult>(std::move(result));
   network_.scheduler().post_after(
-      config_.observation_window,
+      kObservationWindow,
       [this, shared, started, on_done = std::move(on_done)]() mutable {
         collect(std::move(*shared), started, std::move(on_done));
       });

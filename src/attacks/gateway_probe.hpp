@@ -34,12 +34,6 @@ struct GatewayProbeResult {
   std::vector<net::Address> discovered_addresses;
 };
 
-struct GatewayProbeConfig {
-  /// How long to wait for Bitswap messages after the HTTP request.
-  util::SimDuration observation_window = 30 * util::kSecond;
-  std::size_t probe_block_size = 64;
-};
-
 /// Probes gateways through the given monitors. The monitors act as bait
 /// providers: the probe block is placed in their blockstores and announced
 /// in the DHT under their addresses.
@@ -47,7 +41,7 @@ class GatewayProber {
  public:
   GatewayProber(net::Network& network,
                 std::vector<monitor::PassiveMonitor*> monitors,
-                GatewayProbeConfig config, util::RngStream rng);
+                util::RngStream rng);
 
   /// Probes one gateway; `on_done` fires after the observation window.
   void probe(const std::string& gateway_name, node::GatewayNode& gateway,
@@ -71,7 +65,6 @@ class GatewayProber {
 
   net::Network& network_;
   std::vector<monitor::PassiveMonitor*> monitors_;
-  GatewayProbeConfig config_;
   util::RngStream rng_;
 };
 

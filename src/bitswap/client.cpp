@@ -4,6 +4,25 @@
 
 namespace ipfsmon::bitswap {
 
+namespace {
+
+/// The idle-loop re-broadcast of every outstanding want (paper Sec. III-C).
+constexpr util::SimDuration kRebroadcastInterval = 30 * util::kSecond;
+/// How long to wait for broadcast answers before querying the DHT: the
+/// go-ipfs 1 s, arXiv 2208.05877.
+constexpr util::SimDuration kProviderSearchDelay = 1 * util::kSecond;
+/// Patience for a directed WANT_BLOCK before trying the next candidate.
+/// Calibrated; no published figure.
+constexpr util::SimDuration kBlockRequestTimeout = 10 * util::kSecond;
+/// Providers from one DHT search asked directly. Calibrated; no published
+/// figure.
+constexpr std::size_t kMaxProvidersContacted = 5;
+/// Salt length for the salted-want countermeasure (paper Sec. VI-C item 4).
+/// Calibrated; no published figure.
+constexpr std::size_t kSaltBytes = 16;
+
+}  // namespace
+
 BitswapClient::BitswapClient(net::Network& network, const crypto::PeerId& self,
                              ClientConfig config, ProviderSearchFn search,
                              util::RngStream rng)
@@ -62,7 +81,6 @@ void BitswapClient::fetch(const cid::Cid& cid, SessionId session,
     if (on_done) it->second->callbacks.push_back(std::move(on_done));
     return;
   }
-  ++stats_.fetches_started;
   metrics_.fetches_started->inc();
 
   auto state = std::make_shared<WantState>();
@@ -92,7 +110,7 @@ void BitswapClient::fetch(const cid::Cid& cid, SessionId session,
 
   // Step 2 of the retrieval strategy: DHT search if broadcasting stalls.
   state->provider_delay_timer = network_.scheduler().schedule_after(
-      config_.provider_search_delay, [this, state]() {
+      kProviderSearchDelay, [this, state]() {
         if (state->done) return;
         if (!state->block_in_flight && state->candidates.empty()) {
           start_provider_search(state);
@@ -119,7 +137,7 @@ std::vector<crypto::PeerId> BitswapClient::want_targets(
 WantEntry BitswapClient::build_entry(const cid::Cid& cid, WantType type,
                                      bool send_dont_have, bool allow_salted) {
   if (config_.salted_wants && allow_salted) {
-    util::Bytes salt(config_.salt_bytes);
+    util::Bytes salt(kSaltBytes);
     rng_.fill_bytes(salt.data(), salt.size());
     return make_salted_entry(cid, std::move(salt), type, send_dont_have);
   }
@@ -140,7 +158,6 @@ void BitswapClient::send_want(const WantStatePtr& state,
   msg->trace = state->span.context();
   network_.send(conn, self_, std::move(msg));
   state->told.insert(peer);
-  ++stats_.want_messages_sent;
   metrics_.want_messages->inc();
   (type == WantType::WantBlock ? metrics_.want_block : metrics_.want_have)
       ->inc();
@@ -217,7 +234,7 @@ void BitswapClient::try_next_candidate(const WantStatePtr& state) {
                                      {{"peer", peer.short_hex()}});
     }
     state->block_timeout_timer = network_.scheduler().schedule_after(
-        config_.block_request_timeout, [this, state]() {
+        kBlockRequestTimeout, [this, state]() {
           if (state->done) return;
           state->block_in_flight.reset();
           try_next_candidate(state);
@@ -229,7 +246,6 @@ void BitswapClient::try_next_candidate(const WantStatePtr& state) {
 void BitswapClient::start_provider_search(const WantStatePtr& state) {
   if (!search_ || state->provider_search_running || state->done) return;
   state->provider_search_running = true;
-  ++stats_.provider_searches;
   metrics_.provider_searches->inc();
   state->provider_span = network_.obs().tracer.start_span(
       "bitswap.provider_search", state->span.context());
@@ -247,7 +263,7 @@ void BitswapClient::start_provider_search(const WantStatePtr& state) {
     if (state->done || shut_down_) return;
     std::size_t contacted = 0;
     for (const auto& provider : providers) {
-      if (contacted >= config_.max_providers_contacted) break;
+      if (contacted >= kMaxProvidersContacted) break;
       if (provider.id == self_) continue;
       if (state->tried.count(provider.id) != 0 ||
           state->candidate_set.count(provider.id) != 0) {
@@ -275,7 +291,6 @@ void BitswapClient::start_provider_search(const WantStatePtr& state) {
 
 void BitswapClient::on_rebroadcast(const WantStatePtr& state) {
   if (state->done) return;
-  ++stats_.rebroadcast_rounds;
   metrics_.rebroadcast_rounds->inc();
   broadcast_want(state);
   // Fig. 1's idle loop also re-searches the DHT while stalled.
@@ -288,7 +303,7 @@ void BitswapClient::on_rebroadcast(const WantStatePtr& state) {
 void BitswapClient::arm_rebroadcast(const WantStatePtr& state) {
   if (!config_.rebroadcast) return;
   state->rebroadcast_timer = network_.scheduler().schedule_after(
-      config_.rebroadcast_interval, [this, state]() { on_rebroadcast(state); });
+      kRebroadcastInterval, [this, state]() { on_rebroadcast(state); });
 }
 
 void BitswapClient::arm_deadline(const WantStatePtr& state) {
@@ -307,7 +322,6 @@ void BitswapClient::send_cancels(const WantStatePtr& state) {
         build_entry(state->cid, WantType::Cancel, false, /*allow_salted=*/true));
     msg->trace = state->span.context();
     network_.send(*conn, self_, std::move(msg));
-    ++stats_.cancels_sent;
     metrics_.cancels->inc();
   }
   state->told.clear();
@@ -322,7 +336,6 @@ void BitswapClient::complete(WantStatePtr state, const dag::BlockPtr& block) {
   state->deadline_timer.cancel();
   send_cancels(state);
   active_.erase(state->cid);
-  ++stats_.fetches_completed;
   metrics_.fetches_completed->inc();
   metrics_.fetch_duration->observe(
       util::to_seconds(network_.scheduler().now() - state->started));
@@ -342,7 +355,6 @@ void BitswapClient::fail(WantStatePtr state) {
   state->deadline_timer.cancel();
   send_cancels(state);
   active_.erase(state->cid);
-  ++stats_.fetches_failed;
   metrics_.fetches_failed->inc();
   state->span.set_attr("outcome", "fail");
   state->span.end();
@@ -376,7 +388,6 @@ void BitswapClient::on_peer_connected(net::ConnectionId conn,
   const std::size_t entry_count = msg->entries.size();
   network_.send(conn, self_, std::move(msg));
   for (const auto& state : told) state->told.insert(peer);
-  ++stats_.want_messages_sent;
   metrics_.want_messages->inc();
   (type == WantType::WantBlock ? metrics_.want_block : metrics_.want_have)
       ->inc(entry_count);

@@ -31,14 +31,8 @@ struct ClientConfig {
   /// v0.5+ clients probe with WANT_HAVE; pre-v0.5 clients broadcast
   /// WANT_BLOCK directly (drives the migration in paper Fig. 4).
   bool use_want_have = true;
-  util::SimDuration rebroadcast_interval = 30 * util::kSecond;
-  /// How long to wait for broadcast answers before querying the DHT.
-  util::SimDuration provider_search_delay = 1 * util::kSecond;
-  /// Patience for a directed WANT_BLOCK before trying the next candidate.
-  util::SimDuration block_request_timeout = 10 * util::kSecond;
   /// Give up entirely after this long (sends CANCELs, reports failure).
   util::SimDuration fetch_timeout = 10 * util::kMinute;
-  std::size_t max_providers_contacted = 5;
   // --- Countermeasure ablation knobs (paper Sec. VI-C) ---
   /// Item 3: retrieve via DHT-found providers only, never broadcast.
   bool broadcast_wants = true;
@@ -50,17 +44,6 @@ struct ClientConfig {
   /// resolve the request (at a per-stored-CID hashing cost). Directed
   /// requests to peers that already proved knowledge stay plaintext.
   bool salted_wants = false;
-  std::size_t salt_bytes = 16;
-};
-
-struct ClientStats {
-  std::uint64_t fetches_started = 0;
-  std::uint64_t fetches_completed = 0;
-  std::uint64_t fetches_failed = 0;
-  std::uint64_t want_messages_sent = 0;
-  std::uint64_t rebroadcast_rounds = 0;
-  std::uint64_t provider_searches = 0;
-  std::uint64_t cancels_sent = 0;
 };
 
 class BitswapClient {
@@ -106,7 +89,6 @@ class BitswapClient {
   void set_use_want_have(bool use) { config_.use_want_have = use; }
   bool use_want_have() const { return config_.use_want_have; }
 
-  const ClientStats& stats() const { return stats_; }
   std::size_t active_fetches() const { return active_.size(); }
   bool is_fetching(const cid::Cid& cid) const { return active_.count(cid) != 0; }
 
@@ -184,7 +166,6 @@ class BitswapClient {
   std::unordered_map<cid::Cid, WantStatePtr> active_;
   std::unordered_map<SessionId, std::unordered_set<crypto::PeerId>> sessions_;
   SessionId next_session_ = 1;
-  ClientStats stats_;
   bool shut_down_ = false;
 };
 

@@ -20,20 +20,12 @@ namespace ipfsmon::churn {
 struct NodeChurnConfig {
   /// Poisson arrival rate of new transient peers. 0 disables the process.
   double arrival_rate_per_hour = 0.0;
-  /// Hard cap on transient peers alive at once (arrivals beyond it are
-  /// dropped, keeping sweeps bounded).
-  std::size_t max_transient = 256;
-  /// Share of transients behind NAT (DHT clients, invisible to crawls).
-  double nat_share = 0.45;
   /// Online session length (heavy-tailed per Henningsen et al.).
   SessionModel session{SessionDist::kWeibull, /*mean_hours=*/1.0,
                        /*shape=*/0.6};
   /// Offline gap before a transient rejoins.
   SessionModel intersession{SessionDist::kLogNormal, /*mean_hours=*/4.0,
                             /*shape=*/1.5};
-  /// After a session ends, the peer rejoins later with this probability;
-  /// otherwise it is retired for good (its node is destroyed).
-  double rejoin_probability = 0.6;
   /// Poisson data requests per online transient (needs a request source on
   /// the injector; 0 or no source = transients never request).
   double mean_request_interval_hours = 1.0;
@@ -49,10 +41,6 @@ struct PartitionConfig {
   /// Poisson rate of partition windows. 0 disables the process.
   double rate_per_hour = 0.0;
   double mean_duration_minutes = 5.0;
-  /// Each window isolates 1..max_nodes distinct online public nodes.
-  std::size_t max_nodes = 4;
-  /// Reconnection discipline after heal().
-  net::BackoffPolicy reconnect;
 };
 
 /// One deterministic, pre-planned monitor crash.

@@ -5,6 +5,24 @@
 
 namespace ipfsmon::churn {
 
+namespace {
+
+/// Hard cap on transient peers alive at once (arrivals beyond it are
+/// dropped, keeping sweeps bounded). Calibrated; no published figure.
+constexpr std::size_t kMaxTransient = 256;
+/// Share of transients behind NAT (DHT clients, invisible to crawls); the
+/// base population's share. Calibrated; no published figure.
+constexpr double kTransientNatShare = 0.45;
+/// After a session ends, a transient rejoins later with this probability;
+/// otherwise it is retired for good (its node is destroyed). Calibrated;
+/// no published figure.
+constexpr double kRejoinProbability = 0.6;
+/// Each partition window isolates 1..kMaxPartitionedNodes distinct online
+/// public nodes. Calibrated; no published figure.
+constexpr std::size_t kMaxPartitionedNodes = 4;
+
+}  // namespace
+
 FaultInjector::FaultInjector(net::Network& network, ChurnConfig config,
                              util::RngStream rng)
     : network_(network),
@@ -92,10 +110,10 @@ void FaultInjector::spawn_transient() {
       free_slot = i;
     }
   }
-  if (alive >= config_.nodes.max_transient) return;  // at capacity: drop
+  if (alive >= kMaxTransient) return;  // at capacity: drop
 
   node::NodeConfig node_config = config_.nodes.node;
-  node_config.nat = rng_.bernoulli(config_.nodes.nat_share);
+  node_config.nat = rng_.bernoulli(kTransientNatShare);
   node_config.dht_server = !node_config.nat;
   const std::string country = network_.geo().sample_country(rng_);
   const net::Address address = network_.geo().allocate_address(country);
@@ -137,7 +155,7 @@ void FaultInjector::end_session(Transient& t) {
   ++sessions_completed_;
   metrics_.sessions->inc();
   metrics_.online->set(static_cast<double>(transients_online()));
-  if (t.rng.bernoulli(config_.nodes.rejoin_probability)) {
+  if (t.rng.bernoulli(kRejoinProbability)) {
     t.session_timer = network_.scheduler().schedule_after(
         config_.nodes.intersession.sample(t.rng),
         [this, &t]() { bring_online(t); });
@@ -150,7 +168,6 @@ void FaultInjector::retire(Transient& t) {
   // Destroys the node (its record stays registered offline, as a vanished
   // peer's would — same idiom as Population::rotate_identity). The caller
   // must not touch `t` afterwards.
-  ++transients_retired_;
   metrics_.retirements->inc();
   const std::size_t slot = t.slot;
   t.session_timer.cancel();
@@ -191,11 +208,9 @@ void FaultInjector::schedule_partition() {
 }
 
 void FaultInjector::open_partition() {
-  // Pick 1..max_nodes distinct online public victims. Bootstrap nodes are
-  // spared: they anchor every post-heal redial.
-  const std::size_t want =
-      1 + rng_.uniform_index(std::max<std::size_t>(
-              config_.partitions.max_nodes, 1));
+  // Pick 1..kMaxPartitionedNodes distinct online public victims. Bootstrap
+  // nodes are spared: they anchor every post-heal redial.
+  const std::size_t want = 1 + rng_.uniform_index(kMaxPartitionedNodes);
   std::unordered_set<crypto::PeerId> victims;
   for (std::size_t attempt = 0; attempt < want * 8 && victims.size() < want;
        ++attempt) {
@@ -227,8 +242,7 @@ void FaultInjector::open_partition() {
           if (bootstrap_.empty() || !network_.is_online(id)) continue;
           const auto& target =
               bootstrap_[rng_.uniform_index(bootstrap_.size())];
-          network_.dial_with_backoff(id, target, config_.partitions.reconnect,
-                                     nullptr);
+          network_.dial_with_backoff(id, target, nullptr);
         }
       }));
 }

@@ -49,7 +49,6 @@ class FaultInjector {
 
   // --- Ground truth / stats ----------------------------------------------
   std::uint64_t transients_spawned() const { return transients_spawned_; }
-  std::uint64_t transients_retired() const { return transients_retired_; }
   std::size_t transients_online() const;
   std::uint64_t sessions_completed() const { return sessions_completed_; }
   std::uint64_t partitions_opened() const { return partitions_opened_; }
@@ -108,7 +107,6 @@ class FaultInjector {
 
   std::uint64_t spawn_counter_ = 0;
   std::uint64_t transients_spawned_ = 0;
-  std::uint64_t transients_retired_ = 0;
   std::uint64_t sessions_completed_ = 0;
   std::uint64_t partitions_opened_ = 0;
   std::uint64_t monitor_crashes_ = 0;

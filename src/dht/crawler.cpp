@@ -2,10 +2,21 @@
 
 namespace ipfsmon::dht {
 
+namespace {
+
+/// FIND_NODE targets issued per crawled peer: its own key plus random ones.
+/// More targets see more of each routing table. Calibrated; no published
+/// figure.
+constexpr std::size_t kQueriesPerPeer = 8;
+/// Crawl requests in flight at once. Calibrated; no published figure.
+constexpr std::size_t kMaxInFlight = 64;
+
+}  // namespace
+
 DhtCrawler::DhtCrawler(net::Network& network, const crypto::PeerId& self,
                        const net::Address& address, const std::string& country,
-                       CrawlerConfig config, util::RngStream rng)
-    : network_(network), self_(self), config_(config), rng_(std::move(rng)) {
+                       util::RngStream rng)
+    : network_(network), self_(self), rng_(std::move(rng)) {
   network_.register_node(self_, address, country, /*nat=*/false, this);
   network_.set_online(self_, true);
 }
@@ -46,13 +57,13 @@ void DhtCrawler::enqueue(const crypto::PeerId& peer) {
 }
 
 void DhtCrawler::pump() {
-  while (!frontier_.empty() && pending_.size() < config_.max_in_flight) {
+  while (!frontier_.empty() && pending_.size() < kMaxInFlight) {
     const crypto::PeerId peer = frontier_.back();
     frontier_.pop_back();
     if (!queried_.insert(peer).second) continue;
     // Enumerate the peer's table: its own neighborhood plus random probes.
     query(peer, key_of(peer));
-    for (std::size_t i = 1; i < config_.queries_per_peer; ++i) {
+    for (std::size_t i = 1; i < kQueriesPerPeer; ++i) {
       Key target;
       rng_.fill_bytes(target.data(), target.size());
       query(peer, target);
@@ -70,7 +81,7 @@ void DhtCrawler::query(const crypto::PeerId& peer, const Key& target) {
   ++result_.rpcs_sent;
 
   sim::EventHandle timeout = network_.scheduler().schedule_after(
-      config_.rpc_timeout, [this, id]() {
+      kRpcTimeout, [this, id]() {
         const auto it = pending_.find(id);
         if (it == pending_.end()) return;
         pending_.erase(it);

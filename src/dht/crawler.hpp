@@ -26,21 +26,13 @@ struct CrawlResult {
   std::uint64_t rpcs_sent = 0;
 };
 
-struct CrawlerConfig {
-  /// Random FIND_NODE targets issued per crawled peer. More targets see
-  /// more of each routing table.
-  std::size_t queries_per_peer = 8;
-  std::size_t max_in_flight = 64;
-  util::SimDuration rpc_timeout = 10 * util::kSecond;
-};
-
 /// One-shot crawler. Registers itself as a (non-NAT'd) node, crawls, then
 /// reports. Construct a fresh instance per crawl.
 class DhtCrawler : public net::Host {
  public:
   DhtCrawler(net::Network& network, const crypto::PeerId& self,
              const net::Address& address, const std::string& country,
-             CrawlerConfig config, util::RngStream rng);
+             util::RngStream rng);
 
   /// Crawls outward from `seeds`; `on_done` fires when the frontier drains.
   void crawl(const std::vector<crypto::PeerId>& seeds,
@@ -64,7 +56,6 @@ class DhtCrawler : public net::Host {
 
   net::Network& network_;
   crypto::PeerId self_;
-  CrawlerConfig config_;
   util::RngStream rng_;
 
   std::vector<crypto::PeerId> frontier_;

@@ -6,6 +6,11 @@
 namespace ipfsmon::dht {
 
 namespace {
+
+/// Lookup parallelism: requests in flight per iterative lookup (the go-ipfs
+/// alpha = 3, arXiv 2208.05877).
+constexpr std::size_t kAlpha = 3;
+
 struct KeyHash {
   std::size_t operator()(const Key& k) const noexcept {
     std::size_t h = 0;
@@ -46,7 +51,7 @@ DhtNode::DhtNode(net::Network& network, const crypto::PeerId& self,
       self_(self),
       config_(config),
       rng_(std::move(rng)),
-      table_(self, config.bucket_size),
+      table_(self, kBucketSize),
       provider_store_(config.provider_ttl) {
   auto& reg = network_.obs().metrics;
   metrics_.lookups = &reg.counter("ipfsmon_dht_lookups_total",
@@ -119,7 +124,7 @@ void DhtNode::handle_message(net::ConnectionId conn, const crypto::PeerId& from,
       auto reply = std::make_shared<DhtMessage>();
       reply->type = DhtMessage::Type::FindNodeReply;
       reply->request_id = msg.request_id;
-      for (const auto& contact : table_.closest(msg.target, config_.k)) {
+      for (const auto& contact : table_.closest(msg.target, kBucketSize)) {
         reply->closer.push_back(record_for(contact));
       }
       send_reply(conn, std::move(reply));
@@ -132,7 +137,7 @@ void DhtNode::handle_message(net::ConnectionId conn, const crypto::PeerId& from,
       reply->request_id = msg.request_id;
       reply->providers =
           provider_store_.get(msg.target, network_.scheduler().now());
-      for (const auto& contact : table_.closest(msg.target, config_.k)) {
+      for (const auto& contact : table_.closest(msg.target, kBucketSize)) {
         reply->closer.push_back(record_for(contact));
       }
       send_reply(conn, std::move(reply));
@@ -174,7 +179,7 @@ void DhtNode::send_request(const crypto::PeerId& to,
   metrics_.rpcs->inc();
 
   sim::EventHandle timeout = network_.scheduler().schedule_after(
-      config_.rpc_timeout, [this, id]() {
+      kRpcTimeout, [this, id]() {
         metrics_.rpc_timeouts->inc();
         fail_pending(id);
       });
@@ -285,7 +290,7 @@ void DhtNode::start_lookup(const Key& target, bool collect_providers,
       tracer.current());
   if (collect_providers) seed_local_providers(state);
 
-  for (const auto& contact : table_.closest(target, config_.k)) {
+  for (const auto& contact : table_.closest(target, kBucketSize)) {
     state->shortlist.push_back(
         {record_for(contact), LookupState::Status::Candidate});
     state->known.insert(contact.id);
@@ -309,7 +314,7 @@ void DhtNode::lookup_step(const std::shared_ptr<LookupState>& state) {
   std::size_t examined = 0;
   bool all_settled = true;
   for (const auto& entry : state->shortlist) {
-    if (examined >= config_.k) break;
+    if (examined >= kBucketSize) break;
     if (entry.status == LookupState::Status::Candidate ||
         entry.status == LookupState::Status::InFlight) {
       all_settled = false;
@@ -326,8 +331,8 @@ void DhtNode::lookup_step(const std::shared_ptr<LookupState>& state) {
   // the k-best window (classic Kademlia pruning).
   std::size_t position = 0;
   for (auto& entry : state->shortlist) {
-    if (state->in_flight >= config_.alpha) break;
-    if (position >= config_.k) break;
+    if (state->in_flight >= kAlpha) break;
+    if (position >= kBucketSize) break;
     ++position;
     if (entry.status != LookupState::Status::Candidate) continue;
     entry.status = LookupState::Status::InFlight;
@@ -415,7 +420,7 @@ void DhtNode::finish_lookup(const std::shared_ptr<LookupState>& state) {
     for (const auto& entry : state->shortlist) {
       if (entry.status == LookupState::Status::Responded) {
         result.push_back(entry.record);
-        if (result.size() >= config_.k) break;
+        if (result.size() >= kBucketSize) break;
       }
     }
   }

@@ -23,10 +23,6 @@ namespace ipfsmon::dht {
 
 struct DhtConfig {
   bool server_mode = true;
-  std::size_t bucket_size = kBucketSize;
-  std::size_t alpha = 3;  // lookup parallelism
-  std::size_t k = 20;     // closest-set size
-  util::SimDuration rpc_timeout = 10 * util::kSecond;
   util::SimDuration refresh_interval = 10 * util::kMinute;
   util::SimDuration provider_ttl = 24 * util::kHour;
 };

@@ -12,6 +12,11 @@
 
 namespace ipfsmon::dht {
 
+/// How long a DHT request waits for its reply before the peer counts as
+/// failed; DhtNode and DhtCrawler both use it. Calibrated; no published
+/// figure.
+constexpr util::SimDuration kRpcTimeout = 10 * util::kSecond;
+
 /// Contact info exchanged in replies; lets the querier dial closer peers.
 struct PeerRecord {
   crypto::PeerId id;

@@ -11,7 +11,9 @@
 
 namespace ipfsmon::dht {
 
-constexpr std::size_t kBucketSize = 20;  // Kademlia k
+/// Kademlia k: the bucket size and the size of every closest-peer set (the
+/// go-ipfs k = 20, arXiv 2208.05877).
+constexpr std::size_t kBucketSize = 20;
 
 /// A routing-table entry: the peer plus a node handle its owner supplied
 /// on insertion. The table never interprets `node`; DhtNode stores the

@@ -2,13 +2,25 @@
 
 namespace ipfsmon::monitor {
 
+namespace {
+
+/// How often to crawl-and-dial. Calibrated; no published figure.
+constexpr util::SimDuration kSweepInterval = 2 * util::kHour;
+/// Crawl fan-out: FIND_NODE lookups toward random targets per sweep.
+/// Calibrated; no published figure.
+constexpr std::size_t kQueriesPerSweep = 8;
+/// Dials per sweep are capped to avoid thundering herds. Calibrated; no
+/// published figure.
+constexpr std::size_t kMaxDialsPerSweep = 2000;
+
+}  // namespace
+
 ActiveMonitor::ActiveMonitor(net::Network& network, crypto::KeyPair keys,
                              const net::Address& address,
                              const std::string& country,
-                             ActiveMonitorConfig config, util::RngStream rng)
-    : PassiveMonitor(network, std::move(keys), address, country, config.base,
-                     rng.fork("passive-base")),
-      config_(config),
+                             MonitorConfig config, util::RngStream rng)
+    : PassiveMonitor(network, std::move(keys), address, country,
+                     std::move(config), rng.fork("passive-base")),
       sweep_rng_(std::move(rng)) {}
 
 ActiveMonitor::~ActiveMonitor() {
@@ -22,7 +34,7 @@ void ActiveMonitor::stop_sweeps() { sweep_timer_.cancel(); }
 
 void ActiveMonitor::schedule_sweep() {
   sweep_timer_ = network().scheduler().schedule_after(
-      config_.sweep_interval, [this]() {
+      kSweepInterval, [this]() {
         run_sweep();
         schedule_sweep();
       });
@@ -46,8 +58,8 @@ void ActiveMonitor::run_sweep() {
   // node's own DHT rather than a separate crawler identity: an active
   // monitor is overt anyway.)
   auto discovered = std::make_shared<std::unordered_set<crypto::PeerId>>();
-  auto remaining = std::make_shared<std::size_t>(config_.queries_per_peer);
-  for (std::size_t i = 0; i < config_.queries_per_peer; ++i) {
+  auto remaining = std::make_shared<std::size_t>(kQueriesPerSweep);
+  for (std::size_t i = 0; i < kQueriesPerSweep; ++i) {
     dht::Key target;
     sweep_rng_.fill_bytes(target.data(), target.size());
     dht().find_closest(target, [this, discovered, remaining](
@@ -60,7 +72,7 @@ void ActiveMonitor::run_sweep() {
       // no-op that returns the existing connection.)
       std::size_t dialed = 0;
       for (const auto& peer : *discovered) {
-        if (dialed >= config_.max_dials_per_sweep) break;
+        if (dialed >= kMaxDialsPerSweep) break;
         if (peer == id()) continue;
         ++dialed;
         ++peers_dialed_;

@@ -12,21 +12,11 @@
 
 namespace ipfsmon::monitor {
 
-struct ActiveMonitorConfig {
-  MonitorConfig base;
-  /// How often to crawl-and-dial.
-  util::SimDuration sweep_interval = 2 * util::kHour;
-  /// Crawl fan-out (FIND_NODE probes per crawled peer).
-  std::size_t queries_per_peer = 8;
-  /// Dials per sweep are capped to avoid thundering herds.
-  std::size_t max_dials_per_sweep = 2000;
-};
-
 class ActiveMonitor : public PassiveMonitor {
  public:
   ActiveMonitor(net::Network& network, crypto::KeyPair keys,
                 const net::Address& address, const std::string& country,
-                ActiveMonitorConfig config, util::RngStream rng);
+                MonitorConfig config, util::RngStream rng);
   /// Stops the sweeps and goes offline while this object is still whole:
   /// stopping the DHT fails the sweep's pending lookups, and their
   /// callbacks use this monitor's members.
@@ -43,7 +33,6 @@ class ActiveMonitor : public PassiveMonitor {
   void schedule_sweep();
   void run_sweep();
 
-  ActiveMonitorConfig config_;
   util::RngStream sweep_rng_;
   sim::EventHandle sweep_timer_;
   std::uint64_t sweeps_completed_ = 0;

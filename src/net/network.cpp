@@ -7,6 +7,23 @@
 
 namespace ipfsmon::net {
 
+namespace {
+
+// dial_with_backoff's reconnection discipline: exponential backoff with
+// multiplicative jitter. Calibrated; no published figure.
+/// Wait after the first failed attempt.
+constexpr util::SimDuration kBackoffInitialDelay = 1 * util::kSecond;
+/// Growth of the wait per failed attempt.
+constexpr double kBackoffMultiplier = 2.0;
+/// Cap on the wait between attempts.
+constexpr util::SimDuration kBackoffMaxDelay = 2 * util::kMinute;
+/// Total dial attempts, the first try included.
+constexpr std::size_t kBackoffMaxAttempts = 6;
+/// Each wait is scaled by a uniform factor in [1-jitter, 1+jitter].
+constexpr double kBackoffJitter = 0.2;
+
+}  // namespace
+
 Network::Network(sim::Scheduler& scheduler, GeoDatabase geo, std::uint64_t seed)
     : scheduler_(scheduler),
       geo_(std::move(geo)),
@@ -307,45 +324,39 @@ bool Network::isolated(const crypto::PeerId& id) const {
 
 void Network::dial_with_backoff(
     const crypto::PeerId& from, const crypto::PeerId& to,
-    const BackoffPolicy& policy,
     std::function<void(std::optional<ConnectionId>)> on_result) {
   ensure_fault_plumbing();
-  dial_backoff_attempt(from, to, policy, /*attempt=*/1, policy.initial_delay,
+  dial_backoff_attempt(from, to, /*attempt=*/1, kBackoffInitialDelay,
                        std::move(on_result));
 }
 
 void Network::dial_backoff_attempt(
-    const crypto::PeerId& from, const crypto::PeerId& to, BackoffPolicy policy,
-    std::size_t attempt, util::SimDuration delay,
+    const crypto::PeerId& from, const crypto::PeerId& to, std::size_t attempt,
+    util::SimDuration delay,
     std::function<void(std::optional<ConnectionId>)> on_result) {
-  dial(from, to, [this, from, to, policy, attempt, delay,
-                  cb = std::move(on_result)](
+  dial(from, to, [this, from, to, attempt, delay, cb = std::move(on_result)](
                      std::optional<ConnectionId> conn) mutable {
     if (conn.has_value()) {
       if (cb) cb(conn);
       return;
     }
-    if (attempt >= std::max<std::size_t>(policy.max_attempts, 1)) {
+    if (attempt >= kBackoffMaxAttempts) {
       fault_metrics_.backoff_exhausted->inc();
       if (cb) cb(std::nullopt);
       return;
     }
     fault_metrics_.backoff_retries->inc();
     const double jitter =
-        policy.jitter > 0.0
-            ? fault_rng_->uniform(1.0 - policy.jitter, 1.0 + policy.jitter)
-            : 1.0;
+        fault_rng_->uniform(1.0 - kBackoffJitter, 1.0 + kBackoffJitter);
     const auto wait = static_cast<util::SimDuration>(
         static_cast<double>(delay) * jitter);
     auto next_delay = static_cast<util::SimDuration>(
-        static_cast<double>(delay) * policy.multiplier);
-    next_delay = std::min(next_delay, policy.max_delay);
-    scheduler_.post_after(
-        wait, [this, from, to, policy, attempt, next_delay,
-               cb = std::move(cb)]() mutable {
-          dial_backoff_attempt(from, to, policy, attempt + 1, next_delay,
-                               std::move(cb));
-        });
+        static_cast<double>(delay) * kBackoffMultiplier);
+    next_delay = std::min(next_delay, kBackoffMaxDelay);
+    scheduler_.post_after(wait, [this, from, to, attempt, next_delay,
+                                 cb = std::move(cb)]() mutable {
+      dial_backoff_attempt(from, to, attempt + 1, next_delay, std::move(cb));
+    });
   });
 }
 
@@ -395,12 +406,8 @@ void Network::send(ConnectionId conn, const crypto::PeerId& sender,
     }
   }
 
-  util::SimDuration latency =
+  const util::SimDuration latency =
       a_to_b ? sample_latency(c.ia, c.ib) : sample_latency(c.ib, c.ia);
-  if (link_faults_.extra_delay_mean_seconds > 0.0) {
-    latency += util::seconds(
-        fault_rng_->exponential(link_faults_.extra_delay_mean_seconds));
-  }
   metrics_.messages_sent->inc();
   metrics_.latency->observe(util::to_seconds(latency));
   util::SimTime deliver_at = scheduler_.now() + latency;
@@ -465,28 +472,11 @@ std::size_t Network::connection_count(const crypto::PeerId& id) const {
   return index == kNoNode ? 0 : nodes_by_index_[index].adjacency.size();
 }
 
-std::optional<crypto::PeerId> Network::remote_peer(
-    ConnectionId conn, const crypto::PeerId& self) const {
-  const auto it = connections_.find(conn);
-  if (it == connections_.end()) return std::nullopt;
-  if (it->second.a == self) return it->second.b;
-  if (it->second.b == self) return it->second.a;
-  return std::nullopt;
-}
-
 std::optional<util::SimTime> Network::connection_established_at(
     ConnectionId conn) const {
   const auto it = connections_.find(conn);
   if (it == connections_.end()) return std::nullopt;
   return it->second.established;
-}
-
-std::vector<crypto::PeerId> Network::online_nodes() const {
-  std::vector<crypto::PeerId> out;
-  for (const auto& [id, index] : nodes_) {
-    if (nodes_by_index_[index].record.online) out.push_back(id);
-  }
-  return out;
 }
 
 }  // namespace ipfsmon::net

@@ -52,33 +52,16 @@ using NodeIndex = std::uint32_t;
 constexpr NodeIndex kNoNode = ~NodeIndex{0};
 
 /// Link-level fault model applied to every payload in flight (src/churn
-/// drives this; the Network owns it because drops and delays must happen
-/// inside the delivery path). All-zero (the default) means the fault layer
+/// drives this; the Network owns it because drops must happen inside the
+/// delivery path). A zero drop probability (the default) means the layer
 /// is completely inert: no extra RNG draws, no extra metrics — runs with
 /// faults disabled are byte-identical to builds without the feature.
 struct LinkFaultProfile {
   /// Independent per-payload loss probability (models gray failure /
   /// overloaded relays dropping Bitswap broadcasts).
   double drop_probability = 0.0;
-  /// Mean of an exponential extra one-way delay added to every delivery.
-  double extra_delay_mean_seconds = 0.0;
 
-  bool active() const {
-    return drop_probability > 0.0 || extra_delay_mean_seconds > 0.0;
-  }
-};
-
-/// Retry policy for dial_with_backoff: exponential backoff with
-/// multiplicative jitter, the reconnection discipline churn-aware layers
-/// use after partitions heal or monitors restart.
-struct BackoffPolicy {
-  util::SimDuration initial_delay = 1 * util::kSecond;
-  double multiplier = 2.0;
-  util::SimDuration max_delay = 2 * util::kMinute;
-  /// Total dial attempts (first try included). 0 behaves like 1.
-  std::size_t max_attempts = 6;
-  /// Delay is scaled by a uniform factor in [1-jitter, 1+jitter].
-  double jitter = 0.2;
+  bool active() const { return drop_probability > 0.0; }
 };
 
 /// Callback interface a node installs to participate in the overlay.
@@ -175,19 +158,11 @@ class Network {
   std::vector<crypto::PeerId> connected_peers(const crypto::PeerId& id) const;
   std::size_t connection_count(const crypto::PeerId& id) const;
 
-  /// The remote peer of `conn` as seen from `self`.
-  std::optional<crypto::PeerId> remote_peer(ConnectionId conn,
-                                            const crypto::PeerId& self) const;
-
   /// When the connection was established (nullopt if closed/unknown).
   std::optional<util::SimTime> connection_established_at(
       ConnectionId conn) const;
 
   std::uint64_t messages_delivered() const { return messages_delivered_; }
-  std::size_t open_connections() const { return connections_.size(); }
-
-  /// All currently-online node ids (handy for tests and bootstrap lists).
-  std::vector<crypto::PeerId> online_nodes() const;
 
   /// Samples a uniformly random online, publicly reachable (non-NAT) node.
   /// This backs the simulator's "ambient discovery" abstraction — the
@@ -201,7 +176,6 @@ class Network {
   /// fault model. Fault randomness comes from a dedicated stream, so
   /// enabling faults never perturbs latency/geo sampling sequences.
   void set_link_faults(const LinkFaultProfile& profile);
-  const LinkFaultProfile& link_faults() const { return link_faults_; }
 
   /// Hard-partitions a node: all of its connections are closed and every
   /// dial or payload involving it fails until heal() — the simulated
@@ -214,11 +188,11 @@ class Network {
   bool isolated(const crypto::PeerId& id) const;
   std::size_t isolated_count() const { return isolated_.size(); }
 
-  /// Dials with exponential backoff: retries failed dials per `policy`
+  /// Dials with jittered exponential backoff — the reconnection discipline
+  /// churn-aware layers use after partitions heal: retries failed dials
   /// until one succeeds or attempts are exhausted (callback then receives
   /// nullopt). Succeeding immediately costs exactly one plain dial.
   void dial_with_backoff(const crypto::PeerId& from, const crypto::PeerId& to,
-                         const BackoffPolicy& policy,
                          std::function<void(std::optional<ConnectionId>)>
                              on_result);
 
@@ -265,7 +239,7 @@ class Network {
   void ensure_fault_plumbing();
   void dial_backoff_attempt(
       const crypto::PeerId& from, const crypto::PeerId& to,
-      BackoffPolicy policy, std::size_t attempt, util::SimDuration delay,
+      std::size_t attempt, util::SimDuration delay,
       std::function<void(std::optional<ConnectionId>)> on_result);
   /// Per-country connection-endpoint gauge (each open connection counts
   /// once per endpoint country). Cached: country sets are small.
@@ -311,8 +285,8 @@ class Network {
   } metrics_;
   std::unordered_map<std::string, obs::Gauge*> country_gauges_;
 
-  // PeerId -> dense index. Its iteration order sets online_nodes(), so it
-  // stays keyed by PeerId. The deque keeps records at stable addresses.
+  // PeerId -> dense index, for lookups only (nothing iterates it). The
+  // deque keeps records at stable addresses.
   std::unordered_map<crypto::PeerId, NodeIndex> nodes_;
   std::deque<Node> nodes_by_index_;
   std::unordered_map<ConnectionId, Connection> connections_;

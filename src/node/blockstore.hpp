@@ -16,7 +16,9 @@ namespace ipfsmon::node {
 
 class Blockstore {
  public:
-  /// `capacity_bytes` of 0 means unbounded.
+  /// `capacity_bytes` of 0 means unbounded. Every IpfsNode runs at the
+  /// default; simulated blocks are small, so no node ever reaches it.
+  /// Calibrated; no published figure.
   explicit Blockstore(std::size_t capacity_bytes = 10ull * 1024 * 1024 * 1024);
 
   /// Stores a block (idempotent). May evict LRU unpinned blocks to make

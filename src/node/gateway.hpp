@@ -11,11 +11,6 @@
 
 namespace ipfsmon::node {
 
-struct GatewayConfig {
-  /// Time-to-live after which cached content is revalidated via Bitswap.
-  util::SimDuration cache_ttl = 1 * util::kHour;
-};
-
 class GatewayNode {
  public:
   /// ok: content delivered; cache_hit: served without Bitswap traffic.
@@ -23,8 +18,7 @@ class GatewayNode {
 
   GatewayNode(net::Network& network, crypto::KeyPair keys,
               const net::Address& address, const std::string& country,
-              NodeConfig node_config, GatewayConfig gateway_config,
-              util::RngStream rng);
+              NodeConfig node_config, util::RngStream rng);
 
   /// Serves an HTTP request for a CID through the gateway.
   void handle_http_request(const cid::Cid& cid, HttpCallback on_done);
@@ -44,7 +38,6 @@ class GatewayNode {
 
  private:
   IpfsNode node_;
-  GatewayConfig config_;
   std::unordered_map<cid::Cid, util::SimTime> fresh_until_;
   std::uint64_t http_requests_ = 0;
   std::uint64_t cache_hits_ = 0;

@@ -12,8 +12,7 @@ IpfsNode::IpfsNode(net::Network& network, crypto::KeyPair keys,
       id_(keys_.peer_id()),
       address_(address),
       config_(config),
-      rng_(std::move(rng)),
-      blockstore_(config.blockstore_capacity) {
+      rng_(std::move(rng)) {
   // NAT'd nodes run as DHT clients (they are unreachable, so server mode
   // would be useless to the network) — mirrors go-ipfs's AutoNAT decision.
   config_.dht.server_mode = config_.dht_server && !config_.nat;

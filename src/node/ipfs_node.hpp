@@ -27,9 +27,6 @@ struct NodeConfig {
   /// Pre-v0.5 protocol: WANT_BLOCK broadcasts, no inventory round.
   bool legacy_protocol = false;
 
-  /// Blockstore cap. Simulated blocks are small; scale accordingly.
-  std::size_t blockstore_capacity = 10ull * 1024 * 1024 * 1024;
-
   /// Outbound dialing keeps at least this many connections.
   std::size_t target_degree = 20;
   /// Inbound connections accepted until this many total.

@@ -2,9 +2,19 @@
 
 namespace ipfsmon::obs {
 
-Collector::Collector(sim::Scheduler& scheduler, MetricsRegistry& registry,
-                     CollectorConfig config)
-    : scheduler_(scheduler), registry_(registry), config_(config) {}
+namespace {
+
+/// Sim-time distance between samples: 2016 per simulated week, fine
+/// enough for hour-scale plots. Calibrated; no published figure.
+constexpr util::SimDuration kInterval = 5 * util::kMinute;
+/// Ring capacity; the oldest samples are dropped (and counted) beyond it.
+/// Holds two simulated weeks at kInterval. Calibrated; no published figure.
+constexpr std::size_t kRingCapacity = 4096;
+
+}  // namespace
+
+Collector::Collector(sim::Scheduler& scheduler, MetricsRegistry& registry)
+    : scheduler_(scheduler), registry_(registry) {}
 
 void Collector::add_sampler(std::function<void()> sampler) {
   if (sampler) samplers_.push_back(std::move(sampler));
@@ -23,7 +33,7 @@ void Collector::stop() {
 }
 
 void Collector::schedule_tick() {
-  tick_timer_ = scheduler_.schedule_after(config_.interval, [this]() {
+  tick_timer_ = scheduler_.schedule_after(kInterval, [this]() {
     if (!running_) return;
     collect_now();
     schedule_tick();
@@ -44,7 +54,7 @@ void Collector::collect_now() {
   for (const auto& sampler : samplers_) sampler();
   ring_.push_back(make_sample());
   ++samples_taken_;
-  while (ring_.size() > config_.ring_capacity) {
+  while (ring_.size() > kRingCapacity) {
     ring_.pop_front();
     ++samples_dropped_;
   }

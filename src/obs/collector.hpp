@@ -16,13 +16,6 @@
 
 namespace ipfsmon::obs {
 
-struct CollectorConfig {
-  /// Sim-time distance between samples (the "default cadence").
-  util::SimDuration interval = 5 * util::kMinute;
-  /// Ring capacity; the oldest samples are dropped (and counted) beyond it.
-  std::size_t ring_capacity = 4096;
-};
-
 class Collector {
  public:
   struct Sample {
@@ -33,15 +26,14 @@ class Collector {
     std::vector<double> values;
   };
 
-  Collector(sim::Scheduler& scheduler, MetricsRegistry& registry,
-            CollectorConfig config = {});
+  Collector(sim::Scheduler& scheduler, MetricsRegistry& registry);
   Collector(const Collector&) = delete;
   Collector& operator=(const Collector&) = delete;
 
   /// Runs before every sample; refresh sampled gauges here.
   void add_sampler(std::function<void()> sampler);
 
-  /// Starts (or restarts) periodic collection at `config.interval`.
+  /// Starts (or restarts) periodic collection, every 5 simulated minutes.
   void start();
   void stop();
   bool running() const { return running_; }
@@ -60,14 +52,12 @@ class Collector {
   double wall_seconds() const;
 
   const MetricsRegistry& registry() const { return registry_; }
-  const CollectorConfig& config() const { return config_; }
 
  private:
   void schedule_tick();
 
   sim::Scheduler& scheduler_;
   MetricsRegistry& registry_;
-  CollectorConfig config_;
   std::vector<std::function<void()>> samplers_;
   std::deque<Sample> ring_;
   std::uint64_t samples_taken_ = 0;

@@ -44,9 +44,9 @@ inline bool send_all(int fd, std::string_view data,
 /// Fills the whole buffer; false on EOF, timeout, or error.
 bool recv_all(int fd, void* data, std::size_t size);
 
-/// Capped exponential backoff in wall-clock time: the twin of
-/// net::BackoffPolicy, the sim-time discipline churn::dial_with_backoff
-/// applies to overlay dials. Jitter is omitted: each blocking caller
+/// Capped exponential backoff in wall-clock time: the twin of the
+/// sim-time discipline net::Network::dial_with_backoff applies to overlay
+/// dials. Jitter is omitted: each blocking caller
 /// retries alone, so there is no thundering herd to spread.
 struct WallBackoff {
   int initial_delay_ms = 100;

@@ -1,30 +1,53 @@
 #include "scenario/catalog.hpp"
 
 #include <algorithm>
+#include <array>
 
 namespace ipfsmon::scenario {
 
-std::vector<CodecShare> table1_codec_mix() {
-  // Shares from the paper's Table I (share of data requests by codec).
-  return {
-      {cid::Multicodec::DagProtobuf, 86.21},
-      {cid::Multicodec::Raw, 13.42},
-      {cid::Multicodec::DagCBOR, 0.37},
-      {cid::Multicodec::GitRaw, 0.002},
-      {cid::Multicodec::EthereumTx, 0.0006},
-      {cid::Multicodec::DagJSON, 0.0005},
-      {cid::Multicodec::EthereumBlock, 0.0003},
-  };
-}
+namespace {
+
+struct CodecShare {
+  cid::Multicodec codec;
+  double weight;
+};
+
+/// Item codecs follow the paper's Table I (share of data requests by
+/// multicodec, in percent).
+constexpr std::array<CodecShare, 7> kCodecMix = {{
+    {cid::Multicodec::DagProtobuf, 86.21},
+    {cid::Multicodec::Raw, 13.42},
+    {cid::Multicodec::DagCBOR, 0.37},
+    {cid::Multicodec::GitRaw, 0.002},
+    {cid::Multicodec::EthereumTx, 0.0006},
+    {cid::Multicodec::DagJSON, 0.0005},
+    {cid::Multicodec::EthereumBlock, 0.0003},
+}};
+/// Share of items without any provider (requests for them stall and
+/// re-broadcast until the fetch deadline). Calibrated; no published figure.
+constexpr double kUnresolvableShare = 0.11;
+/// Share of DagProtobuf items built as real multi-block file DAGs.
+/// Calibrated; no published figure.
+constexpr double kDagShare = 0.10;
+/// Chunks of a multi-block file DAG. Calibrated; no published figure.
+constexpr std::size_t kDagChunks = 4;
+/// Bytes of payload per block. Calibrated; no published figure.
+constexpr std::size_t kBlockSize = 256;
+/// Log-normal popularity-weight parameters. The large sigma produces the
+/// paper's shape (Sec. V-E): a vast majority of CIDs requested by a single
+/// peer, a few heavily requested ones, and no power-law tail. Calibrated;
+/// no published figure.
+constexpr double kLognormalMu = 0.0;
+constexpr double kLognormalSigma = 2.4;
+
+}  // namespace
 
 ContentCatalog::ContentCatalog(const CatalogConfig& config,
                                util::RngStream rng)
-    : config_(config) {
+{
   items_.reserve(config.item_count);
-  codec_weights_.reserve(config.codec_mix.size());
-  for (const auto& share : config.codec_mix) {
-    codec_weights_.push_back(share.weight);
-  }
+  codec_weights_.reserve(kCodecMix.size());
+  for (const auto& share : kCodecMix) codec_weights_.push_back(share.weight);
 
   // Pass 1: popularity weights. Pass 2 assigns codecs *stratified by
   // weight tier* (greedy largest-remainder over the weight-sorted order):
@@ -36,8 +59,8 @@ ContentCatalog::ContentCatalog(const CatalogConfig& config,
   std::vector<double> weights(config.item_count);
   std::vector<bool> resolvable(config.item_count);
   for (std::size_t i = 0; i < config.item_count; ++i) {
-    weights[i] = rng.lognormal(config.lognormal_mu, config.lognormal_sigma);
-    resolvable[i] = !rng.bernoulli(config.unresolvable_share);
+    weights[i] = rng.lognormal(kLognormalMu, kLognormalSigma);
+    resolvable[i] = !rng.bernoulli(kUnresolvableShare);
     // Dead references attract little *genuine* demand — their apparent
     // (RRP) popularity comes from re-broadcast inflation, as the paper
     // observes ("popular data items according to RRP are often not
@@ -63,7 +86,7 @@ ContentCatalog::ContentCatalog(const CatalogConfig& config,
       if (codec_deficit[c] > codec_deficit[best]) best = c;
     }
     codec_deficit[best] -= 1.0;
-    codec_of[order[rank]] = config.codec_mix[best].codec;
+    codec_of[order[rank]] = kCodecMix[best].codec;
   }
 
   for (std::size_t i = 0; i < config.item_count; ++i) {
@@ -73,14 +96,14 @@ ContentCatalog::ContentCatalog(const CatalogConfig& config,
     item.weight = weights[i];
 
     const bool build_dag = item.codec == cid::Multicodec::DagProtobuf &&
-                           rng.bernoulli(config.dag_share);
+                           rng.bernoulli(kDagShare);
     if (build_dag) {
       // A real multi-chunk file DAG: consumers fetch it via a session, so
       // monitors will only observe the root CID.
-      util::Bytes data(config.block_size * config.dag_chunks);
+      util::Bytes data(kBlockSize * kDagChunks);
       rng.fill_bytes(data.data(), data.size());
       dag::BuilderOptions options;
-      options.chunk_size = config.block_size;
+      options.chunk_size = kBlockSize;
       const dag::DagBuildResult built = dag::build_file(data, options);
       item.root = built.root;
       item.is_dag = true;
@@ -88,7 +111,7 @@ ContentCatalog::ContentCatalog(const CatalogConfig& config,
         item.blocks.push_back(std::make_shared<dag::Block>(block));
       }
     } else {
-      util::Bytes data(config.block_size);
+      util::Bytes data(kBlockSize);
       rng.fill_bytes(data.data(), data.size());
       auto block = std::make_shared<dag::Block>(
           dag::Block::create(item.codec, std::move(data)));
@@ -120,10 +143,10 @@ const CatalogItem& ContentCatalog::sample_popular(util::RngStream& rng,
 
 CatalogItem ContentCatalog::create_oneoff(util::RngStream& rng) const {
   CatalogItem item;
-  item.codec = config_.codec_mix[rng.weighted_index(codec_weights_)].codec;
-  item.resolvable = !rng.bernoulli(config_.unresolvable_share);
+  item.codec = kCodecMix[rng.weighted_index(codec_weights_)].codec;
+  item.resolvable = !rng.bernoulli(kUnresolvableShare);
   item.weight = 0.0;
-  util::Bytes data(config_.block_size);
+  util::Bytes data(kBlockSize);
   rng.fill_bytes(data.data(), data.size());
   auto block = std::make_shared<dag::Block>(
       dag::Block::create(item.codec, std::move(data)));

@@ -1,8 +1,8 @@
 // The synthetic content catalog: the population of data items that nodes
-// and gateway users request. Item codecs follow a configurable mix (tuned
-// to the paper's Table I request shares), popularity weights follow a
-// log-normal (heavy-skewed but NOT power-law — the paper rejects the
-// power-law hypothesis for its measured popularity, Sec. V-E), and a small
+// and gateway users request. Item codecs follow the paper's Table I
+// request shares, popularity weights follow a log-normal (heavy-skewed but
+// NOT power-law — the paper rejects the power-law hypothesis for its
+// measured popularity, Sec. V-E), and a small
 // share of items is unresolvable (no provider) — the paper observes that
 // popular-by-RRP CIDs are often unresolvable because stalled fetches
 // re-broadcast forever.
@@ -25,29 +25,8 @@ struct CatalogItem {
   double weight = 1.0;                // request-popularity weight
 };
 
-struct CodecShare {
-  cid::Multicodec codec;
-  double weight;
-};
-
-/// Codec mix approximating Table I (share of requests by multicodec).
-std::vector<CodecShare> table1_codec_mix();
-
 struct CatalogConfig {
   std::size_t item_count = 4000;
-  /// Share of items without any provider (requests for them stall and
-  /// re-broadcast until the fetch deadline).
-  double unresolvable_share = 0.11;
-  /// Share of DagProtobuf items built as real multi-block file DAGs.
-  double dag_share = 0.10;
-  std::size_t dag_chunks = 4;
-  std::size_t block_size = 256;  // bytes of payload per block
-  /// Log-normal popularity-weight parameters. The large sigma produces the
-  /// paper's shape: a vast majority of CIDs requested by a single peer,
-  /// a few heavily requested ones, and no power-law tail.
-  double lognormal_mu = 0.0;
-  double lognormal_sigma = 2.4;
-  std::vector<CodecShare> codec_mix = table1_codec_mix();
 };
 
 class ContentCatalog {
@@ -80,7 +59,6 @@ class ContentCatalog {
   std::size_t resolvable_count() const { return resolvable_count_; }
 
  private:
-  CatalogConfig config_;
   std::vector<double> codec_weights_;
   std::vector<CatalogItem> items_;
   std::vector<double> cumulative_weight_;

@@ -2,11 +2,28 @@
 
 namespace ipfsmon::scenario {
 
-std::vector<GatewayOperatorSpec> default_gateway_fleet() {
-  // One dominant operator (Cloudflare in the paper: 13 confirmed nodes,
-  // traffic an order of magnitude above everyone else, 97% cache hits are
-  // absorbed before Bitswap) plus a tail of small community gateways.
-  return {
+namespace {
+
+/// Gateway users' catalog interest is head-skewed (tournament bias over
+/// this many draws): popular web content dominates HTTP traffic, keeping
+/// hit ratios high. Calibrated; no published figure.
+constexpr std::size_t kPopularityBias = 6;
+/// Share of HTTP requests for fresh one-off CIDs (always cache misses).
+/// Calibrated; no published figure.
+constexpr double kOneoffRequestShare = 0.12;
+
+}  // namespace
+
+GatewayFleet::GatewayFleet(net::Network& network, const ContentCatalog& catalog,
+                           util::RngStream rng)
+    : network_(network), catalog_(catalog), rng_(std::move(rng)) {
+  // The fleet, shaped after the paper's findings (Sec. VI-B): one dominant
+  // operator (Cloudflare: 13 confirmed nodes, traffic an order of magnitude
+  // above everyone else, 97% cache hits absorbed before Bitswap) plus a
+  // tail of small community gateways; gateway traffic is comparable to all
+  // homegrown traffic combined. Request rates are calibrated; no published
+  // figure.
+  const std::vector<GatewayOperatorSpec> operators = {
       {"cloudflare-ipfs.com", 13, 560.0, "US", false},
       {"ipfs.io", 3, 125.0, "NL", false},
       {"dweb.link", 2, 58.0, "NL", false},
@@ -18,16 +35,9 @@ std::vector<GatewayOperatorSpec> default_gateway_fleet() {
       {"gateway.ipfs.fr", 1, 45.0, "FR", false},
       {"broken.gateway.example", 1, 0.0, "FR", true},
   };
-}
-
-GatewayFleet::GatewayFleet(net::Network& network, const ContentCatalog& catalog,
-                           GatewayFleetConfig config, util::RngStream rng)
-    : network_(network),
-      catalog_(catalog),
-      config_(std::move(config)),
-      rng_(std::move(rng)) {
+  const node::NodeConfig member_config = default_member_node_config();
   util::RngStream key_rng = rng_.fork("gateway-keys");
-  for (const auto& spec : config_.operators) {
+  for (const auto& spec : operators) {
     auto op = std::make_unique<Operator>(spec, rng_.fork(spec.name));
     for (std::size_t i = 0; i < spec.node_count; ++i) {
       const std::string country =
@@ -36,14 +46,14 @@ GatewayFleet::GatewayFleet(net::Network& network, const ContentCatalog& catalog,
       const net::Address address = network_.geo().allocate_address(country);
       crypto::KeyPair keys = crypto::KeyPair::generate(key_rng);
 
-      node::NodeConfig node_config = config_.node;
+      node::NodeConfig node_config = member_config;
       // Gateways are busy, stable hubs: discovery surfaces them often
       // (the paper notes monitors' peers skew towards "popular gateway
       // nodes").
       node_config.discovery_weight = 4.0;
       auto gw = std::make_unique<node::GatewayNode>(
           network_, std::move(keys), address, country, node_config,
-          config_.gateway, rng_.fork(spec.name + std::to_string(i)));
+          rng_.fork(spec.name + std::to_string(i)));
       truth_[spec.name].push_back(gw->id());
       node_to_operator_[gw->id()] = spec.name;
       op->nodes.push_back(std::move(gw));
@@ -81,13 +91,13 @@ void GatewayFleet::schedule_http_request(Operator& op) {
         node::GatewayNode& gw =
             *op.nodes[op.rng.uniform_index(op.nodes.size())];
         ++http_requests_issued_;
-        if (op.rng.bernoulli(config_.oneoff_request_share)) {
+        if (op.rng.bernoulli(kOneoffRequestShare)) {
           const CatalogItem oneoff = catalog_.create_oneoff(op.rng);
           if (oneoff.resolvable && oneoff_host_) oneoff_host_(oneoff);
           gw.handle_http_request(oneoff.root, nullptr);
         } else {
           const CatalogItem& item =
-              catalog_.sample_popular(op.rng, config_.popularity_bias);
+              catalog_.sample_popular(op.rng, kPopularityBias);
           gw.handle_http_request(item.root, nullptr);
         }
         schedule_http_request(op);
@@ -118,11 +128,6 @@ std::vector<node::GatewayNode*> GatewayFleet::nodes_of(
     for (auto& gw : op->nodes) out.push_back(gw.get());
   }
   return out;
-}
-
-node::GatewayNode* GatewayFleet::any_node_of(const std::string& name) {
-  const auto nodes = nodes_of(name);
-  return nodes.empty() ? nullptr : nodes.front();
 }
 
 const GatewayOperatorSpec* GatewayFleet::spec_of(

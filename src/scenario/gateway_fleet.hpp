@@ -28,27 +28,10 @@ struct GatewayOperatorSpec {
   bool http_broken = false;
 };
 
-/// Default fleet: a dominant multi-node operator plus several small ones,
-/// shaped after the paper's findings (one operator with 13 nodes; gateway
-/// traffic comparable to all homegrown traffic combined).
-std::vector<GatewayOperatorSpec> default_gateway_fleet();
-
-struct GatewayFleetConfig {
-  std::vector<GatewayOperatorSpec> operators = default_gateway_fleet();
-  /// Gateways cache aggressively (Cloudflare reports 97% hits).
-  node::GatewayConfig gateway{/*cache_ttl=*/6 * util::kHour};
-  node::NodeConfig node = default_member_node_config();
-  /// Gateway users' catalog interest is head-skewed (tournament bias):
-  /// popular web content dominates HTTP traffic, keeping hit ratios high.
-  std::size_t popularity_bias = 6;
-  /// Share of HTTP requests for fresh one-off CIDs (always cache misses).
-  double oneoff_request_share = 0.12;
-};
-
 class GatewayFleet {
  public:
   GatewayFleet(net::Network& network, const ContentCatalog& catalog,
-               GatewayFleetConfig config, util::RngStream rng);
+               util::RngStream rng);
   ~GatewayFleet();
 
   GatewayFleet(const GatewayFleet&) = delete;
@@ -78,7 +61,6 @@ class GatewayFleet {
   std::vector<std::string> operator_names() const;
   /// All gateway nodes of an operator.
   std::vector<node::GatewayNode*> nodes_of(const std::string& name);
-  node::GatewayNode* any_node_of(const std::string& name);
   const GatewayOperatorSpec* spec_of(const std::string& name) const;
 
   std::uint64_t http_requests_issued() const { return http_requests_issued_; }
@@ -101,7 +83,6 @@ class GatewayFleet {
 
   net::Network& network_;
   const ContentCatalog& catalog_;
-  GatewayFleetConfig config_;
   util::RngStream rng_;
 
   std::function<void(const CatalogItem&)> oneoff_host_;

@@ -2,6 +2,31 @@
 
 namespace ipfsmon::scenario {
 
+namespace {
+
+/// Share of nodes behind NAT ⇒ DHT clients, invisible to crawls.
+/// Calibrated; no published figure.
+constexpr double kNatClientShare = 0.45;
+/// The first stable servers double as bootstrap nodes. Calibrated; no
+/// published figure.
+constexpr std::size_t kBootstrapCount = 4;
+/// Stable servers hosting each resolvable catalog item. Calibrated; no
+/// published figure.
+constexpr std::size_t kProvidersPerItem = 2;
+/// Share of requests targeting fresh one-off CIDs (unique content nobody
+/// else will ask for) rather than catalog items. Drives the paper's ">80%
+/// of CIDs requested by exactly one peer" (Sec. V-E). Calibrated; no
+/// published figure.
+constexpr double kOneoffRequestShare = 0.55;
+/// Mean minutes between a misconfigured client's retries of its dead CID
+/// (paper Sec. V-E). Calibrated; no published figure.
+constexpr double kMisconfiguredRetryMinutes = 1.5;
+/// Share of the population running v0.5+ clients (WANT_HAVE) when no
+/// adoption model is installed. Calibrated; no published figure.
+constexpr double kWantHaveShare = 1.0;
+
+}  // namespace
+
 node::NodeConfig default_member_node_config() {
   node::NodeConfig config;
   config.target_degree = 20;
@@ -35,12 +60,12 @@ Population::Population(net::Network& network, const ContentCatalog& catalog,
   for (std::size_t i = 0; i < config_.node_count; ++i) {
     const bool stable = i < config_.stable_server_count;
     const bool nat =
-        !stable && rng_.bernoulli(config_.nat_client_share);
+        !stable && rng_.bernoulli(kNatClientShare);
 
     node::NodeConfig node_config = config_.node;
     node_config.nat = nat;
     node_config.dht_server = !nat;
-    node_config.legacy_protocol = !rng_.bernoulli(config_.want_have_share);
+    node_config.legacy_protocol = !rng_.bernoulli(kWantHaveShare);
     // Misconfigured clients: their app-level retry loop cancels and
     // re-requests so aggressively that the 30 s protocol re-broadcast
     // never fires — every retry is a fresh (clean-looking) request. This
@@ -62,8 +87,7 @@ Population::Population(net::Network& network, const ContentCatalog& catalog,
     auto node = std::make_unique<node::IpfsNode>(
         network_, std::move(keys), address, country, node_config,
         rng_.fork(i));
-    all_ids_.push_back(node->id());
-    if (i < config_.bootstrap_count) bootstrap_ids_.push_back(node->id());
+    if (i < kBootstrapCount) bootstrap_ids_.push_back(node->id());
     members_.emplace_back(std::move(node), stable, rng_.fork(i * 2 + 1));
   }
 }
@@ -132,7 +156,7 @@ void Population::install_catalog_content() {
   std::size_t cursor = 0;
   for (const auto& item : catalog_.items()) {
     if (!item.resolvable) continue;
-    for (std::size_t r = 0; r < config_.providers_per_item; ++r) {
+    for (std::size_t r = 0; r < kProvidersPerItem; ++r) {
       Member* provider = providers[cursor++ % providers.size()];
       provider->node->add_blocks(item.blocks, item.root);
     }
@@ -175,7 +199,7 @@ void Population::bring_online(Member& member) {
 void Population::schedule_retry(Member& member) {
   if (stopped_) return;
   const double minutes =
-      member.rng.exponential(config_.misconfigured_retry_minutes);
+      member.rng.exponential(kMisconfiguredRetryMinutes);
   member.retry_timer = network_.scheduler().schedule_after(
       static_cast<util::SimDuration>(minutes *
                                      static_cast<double>(util::kMinute)),
@@ -262,7 +286,7 @@ void Population::host_item(const CatalogItem& item) {
 
 void Population::issue_request(Member& member) {
   ++requests_issued_;
-  if (member.rng.bernoulli(config_.oneoff_request_share)) {
+  if (member.rng.bernoulli(kOneoffRequestShare)) {
     // Unique content: fresh CID, hosted (if resolvable) by its "author".
     const CatalogItem oneoff = catalog_.create_oneoff(member.rng);
     if (oneoff.resolvable) host_item(oneoff);

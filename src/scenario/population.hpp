@@ -22,12 +22,9 @@ node::NodeConfig default_member_node_config();
 
 struct PopulationConfig {
   std::size_t node_count = 800;
-  /// Share of nodes behind NAT ⇒ DHT clients, invisible to crawls.
-  double nat_client_share = 0.45;
-  /// Always-on stable servers (hosting the catalog; first few bootstrap).
+  /// Always-on stable servers (hosting the catalog; the first four are the
+  /// bootstrap nodes).
   std::size_t stable_server_count = 24;
-  std::size_t bootstrap_count = 4;
-  std::size_t providers_per_item = 2;
 
   /// Exponential churn: mean online session / offline gap.
   double mean_session_hours = 8.0;
@@ -36,18 +33,12 @@ struct PopulationConfig {
   /// Poisson data requests per node while online.
   double mean_request_interval_hours = 1.0;
 
-  /// Share of requests targeting fresh one-off CIDs (unique content nobody
-  /// else will ask for) rather than catalog items. Drives the paper's
-  /// ">80% of CIDs requested by exactly one peer".
-  double oneoff_request_share = 0.55;
-
   /// Misconfigured clients (paper Sec. V-E: "some peers issue an
   /// unexpectedly high number of requests for the same data item — hinting
   /// at configuration errors"): each retries one unresolvable CID forever.
   /// These CIDs top the RRP ranking while staying at URP = 1 — the paper's
   /// "popular data items according to RRP are often not resolvable".
   std::size_t misconfigured_nodes = 5;
-  double misconfigured_retry_minutes = 1.5;
 
   /// Countermeasure (paper Sec. VI-C item 1): nodes regenerate their
   /// identity (fresh keypair => fresh PeerId) every time they churn back
@@ -60,10 +51,6 @@ struct PopulationConfig {
   /// alongside genuine traffic for plausible deniability. 0.5 means one
   /// cover request per two genuine ones.
   double cover_traffic_share = 0.0;
-
-  /// Share of the population running v0.5+ clients (WANT_HAVE) when no
-  /// adoption model is installed.
-  double want_have_share = 1.0;
 
   node::NodeConfig node = default_member_node_config();
 };
@@ -90,7 +77,6 @@ class Population {
 
   std::size_t size() const { return members_.size(); }
   node::IpfsNode& node_at(std::size_t i) { return *members_[i].node; }
-  const std::vector<crypto::PeerId>& all_ids() const { return all_ids_; }
 
   /// Installs a version-adoption model: nodes (re)joining at time t run
   /// v0.5+ with probability model.upgraded_share(t).
@@ -159,7 +145,6 @@ class Population {
 
   std::vector<Member> members_;
   std::vector<crypto::PeerId> bootstrap_ids_;
-  std::vector<crypto::PeerId> all_ids_;
   std::optional<VersionAdoptionModel> version_model_;
 
   struct Surge {

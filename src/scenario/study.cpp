@@ -1,6 +1,7 @@
 #include "scenario/study.hpp"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdio>
 
@@ -10,6 +11,10 @@ namespace {
 
 /// Simulated time between progress heartbeat lines.
 constexpr util::SimDuration kHeartbeatInterval = 6 * util::kHour;
+
+/// Countries of the first monitors: the paper ran "us" and "de" (Sec.
+/// V-A). Further monitors get a country sampled from the geo distribution.
+constexpr std::array<const char*, 2> kMonitorCountries = {"US", "DE"};
 
 }  // namespace
 
@@ -27,7 +32,6 @@ MonitoringStudy::MonitoringStudy(StudyConfig config)
                                              rng_.fork("population"));
   if (config_.enable_gateways) {
     fleet_ = std::make_unique<GatewayFleet>(*network_, *catalog_,
-                                            config_.gateways,
                                             rng_.fork("gateways"));
     fleet_->set_oneoff_host([this](const CatalogItem& item) {
       population_->host_item(item);
@@ -36,9 +40,9 @@ MonitoringStudy::MonitoringStudy(StudyConfig config)
 
   util::RngStream key_rng = rng_.fork("monitor-keys");
   for (std::size_t i = 0; i < config_.monitor_count; ++i) {
-    const std::string country =
-        i < config_.monitor_countries.size() ? config_.monitor_countries[i]
-                                             : network_->geo().sample_country(rng_);
+    const std::string country = i < kMonitorCountries.size()
+                                    ? kMonitorCountries[i]
+                                    : network_->geo().sample_country(rng_);
     const net::Address address = network_->geo().allocate_address(country);
     crypto::KeyPair keys = crypto::KeyPair::generate(key_rng);
 
@@ -54,10 +58,8 @@ MonitoringStudy::MonitoringStudy(StudyConfig config)
     mon_config.node = config_.population.node;
     mon_config.node.discovery_weight = config_.monitor_discovery_weight;
     if (config_.use_active_monitors) {
-      monitor::ActiveMonitorConfig active_config;
-      active_config.base = mon_config;
       monitors_.push_back(std::make_unique<monitor::ActiveMonitor>(
-          *network_, std::move(keys), address, country, active_config,
+          *network_, std::move(keys), address, country, mon_config,
           rng_.fork(i + 1000)));
     } else {
       monitors_.push_back(std::make_unique<monitor::PassiveMonitor>(

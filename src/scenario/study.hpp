@@ -23,8 +23,9 @@ namespace ipfsmon::scenario {
 struct StudyConfig {
   std::uint64_t seed = 42;
 
-  std::size_t monitor_count = 2;  // the paper ran "us" and "de"
-  std::vector<std::string> monitor_countries = {"US", "DE"};
+  /// The paper ran two, "us" and "de"; monitors 0 and 1 sit in the US and
+  /// in Germany, any further ones in sampled countries.
+  std::size_t monitor_count = 2;
   /// Discovery weight for monitors: stable always-on DHT servers
   /// accumulate presence in routing tables, so ambient discovery surfaces
   /// them disproportionately. Calibrated so per-monitor coverage lands in
@@ -60,9 +61,9 @@ struct StudyConfig {
   static constexpr std::size_t shards = 1;
 
   // --- Observability (src/obs) -------------------------------------------
-  /// Collect periodic metrics snapshots from the network's registry into a
-  /// ring at the obs::CollectorConfig defaults (exported at exit as a JSONL
-  /// sidecar by the experiment runners).
+  /// Collect periodic metrics snapshots from the network's registry into
+  /// the obs::Collector's bounded ring (exported at exit as a JSONL sidecar
+  /// by the experiment runners).
   bool collect_metrics = true;
   /// Opt-in stderr progress heartbeat with a wall-clock ETA, every 6
   /// simulated hours. Off by default so library users stay silent.
@@ -77,7 +78,6 @@ struct StudyConfig {
 
   CatalogConfig catalog;
   PopulationConfig population;
-  GatewayFleetConfig gateways;
 
   /// Fault injection (src/churn): transient-peer churn, link faults,
   /// partition windows, monitor crash/restart. Inert by default — with an

@@ -43,7 +43,7 @@ void mark_flags(Trace& unified, const PreprocessOptions& options) {
           entry.flags |= kRebroadcast;
         }
       } else {
-        if (delta <= options.inter_monitor_window) {
+        if (delta <= kInterMonitorWindow) {
           entry.flags |= kInterMonitorDuplicate;
         }
       }

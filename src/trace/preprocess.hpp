@@ -7,9 +7,9 @@
 //    within 31 s are Bitswap's 30 s re-broadcast loop
 //    → flagged kRebroadcast (>50% of raw entries in the paper's data).
 //
-// Both windows are configurable here (the window sweep of exp_dedup_stats);
-// the streaming path (tracestore::StreamingFlagger, unify_stores, ingest,
-// replay, federation) always uses the paper's.
+// The re-broadcast window is configurable here (the window sweep of
+// exp_dedup_stats); the streaming path (tracestore::StreamingFlagger,
+// unify_stores, ingest, replay, federation) always uses the paper's.
 #pragma once
 
 #include <vector>
@@ -23,7 +23,6 @@ inline constexpr util::SimDuration kInterMonitorWindow = 5 * util::kSecond;
 inline constexpr util::SimDuration kRebroadcastWindow = 31 * util::kSecond;
 
 struct PreprocessOptions {
-  util::SimDuration inter_monitor_window = kInterMonitorWindow;
   util::SimDuration rebroadcast_window = kRebroadcastWindow;
 };
 

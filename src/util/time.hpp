@@ -30,10 +30,6 @@ constexpr double to_seconds(SimDuration d) {
   return static_cast<double>(d) / static_cast<double>(kSecond);
 }
 
-constexpr double to_hours(SimDuration d) {
-  return static_cast<double>(d) / static_cast<double>(kHour);
-}
-
 constexpr double to_days(SimDuration d) {
   return static_cast<double>(d) / static_cast<double>(kDay);
 }

@@ -217,8 +217,7 @@ class GatewayProbeTest : public ::testing::Test {
 
   /// A prober at the protocol defaults, baiting with the one monitor.
   GatewayProber make_prober(const char* stream) {
-    return GatewayProber(fix_.network, {mon_}, GatewayProbeConfig{},
-                         fix_.rng.fork(stream));
+    return GatewayProber(fix_.network, {mon_}, fix_.rng.fork(stream));
   }
 
   SimFixture fix_{81};

@@ -148,7 +148,7 @@ TEST(Client, FetchesViaBroadcast) {
   ASSERT_NE(got, nullptr);
   EXPECT_EQ(got->id(), c);
   EXPECT_TRUE(got->verify());
-  EXPECT_EQ(pair.requester.client().stats().fetches_completed, 1u);
+  EXPECT_EQ(fix.total("ipfsmon_bitswap_fetches_completed_total"), 1u);
 }
 
 TEST(Client, FallsBackToDhtProviders) {
@@ -177,7 +177,7 @@ TEST(Client, FallsBackToDhtProviders) {
                            [&](dag::BlockPtr b) { got = std::move(b); });
   fix.run_for(2 * kMinute);
   ASSERT_NE(got, nullptr);
-  EXPECT_GE(requester.client().stats().provider_searches, 1u);
+  EXPECT_GE(fix.total("ipfsmon_bitswap_provider_searches_total"), 1u);
 }
 
 TEST(Client, RebroadcastsEvery30Seconds) {
@@ -192,8 +192,8 @@ TEST(Client, RebroadcastsEvery30Seconds) {
   pair.requester.client().fetch(cid_of("never found"), kNoSession, nullptr);
   fix.run_for(2 * kMinute + 10 * kSecond);
   // ~4 re-broadcast rounds in 130 s.
-  EXPECT_GE(pair.requester.client().stats().rebroadcast_rounds, 3u);
-  EXPECT_LE(pair.requester.client().stats().rebroadcast_rounds, 5u);
+  EXPECT_GE(fix.total("ipfsmon_bitswap_rebroadcast_rounds_total"), 3u);
+  EXPECT_LE(fix.total("ipfsmon_bitswap_rebroadcast_rounds_total"), 5u);
 }
 
 TEST(Client, RebroadcastDisabledByCountermeasure) {
@@ -207,7 +207,7 @@ TEST(Client, RebroadcastDisabledByCountermeasure) {
   fix.run_for(10 * kSecond);
   requester.client().fetch(cid_of("quiet want"), kNoSession, nullptr);
   fix.run_for(3 * kMinute);
-  EXPECT_EQ(requester.client().stats().rebroadcast_rounds, 0u);
+  EXPECT_EQ(fix.total("ipfsmon_bitswap_rebroadcast_rounds_total"), 0u);
 }
 
 TEST(Client, BroadcastDisabledGoesDhtOnly) {
@@ -228,8 +228,8 @@ TEST(Client, BroadcastDisabledGoesDhtOnly) {
   fix.run_for(2 * kMinute);
   ASSERT_NE(got, nullptr);
   // No broadcast probe was ever sent: the provider saw only the directed
-  // WANT_BLOCK (find it in stats: provider searches >= 1).
-  EXPECT_GE(requester.client().stats().provider_searches, 1u);
+  // WANT_BLOCK after a DHT provider search.
+  EXPECT_GE(fix.total("ipfsmon_bitswap_provider_searches_total"), 1u);
 }
 
 TEST(Client, FetchTimesOutAndSendsCancels) {
@@ -248,8 +248,8 @@ TEST(Client, FetchTimesOutAndSendsCancels) {
   });
   fix.run_for(3 * kMinute);
   EXPECT_TRUE(failed);
-  EXPECT_EQ(requester.client().stats().fetches_failed, 1u);
-  EXPECT_GT(requester.client().stats().cancels_sent, 0u);
+  EXPECT_EQ(fix.total("ipfsmon_bitswap_fetches_failed_total"), 1u);
+  EXPECT_GT(fix.total("ipfsmon_bitswap_cancels_sent_total"), 0u);
   EXPECT_TRUE(provider.engine().wantlist_of(requester.id()).empty());
 }
 
@@ -265,7 +265,7 @@ TEST(Client, CoalescesConcurrentFetchesOfSameCid) {
   }
   fix.run_for(30 * kSecond);
   EXPECT_EQ(callbacks, 3);
-  EXPECT_EQ(pair.requester.client().stats().fetches_started, 1u);
+  EXPECT_EQ(fix.total("ipfsmon_bitswap_fetches_started_total"), 1u);
 }
 
 TEST(Client, PushesWantlistToNewPeers) {

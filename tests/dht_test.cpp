@@ -308,6 +308,7 @@ TEST(DhtNode, FindClosestConvergesToTrueClosest) {
       target, [&](std::vector<PeerRecord> r) { result = std::move(r); });
   fix.run_for(2 * kMinute);
   ASSERT_GE(result.size(), 5u);
+  EXPECT_LE(result.size(), kBucketSize);
   // The lookup's best hit should be the globally closest node (excluding
   // the querier itself, which cannot appear in its own result).
   const crypto::PeerId best = all[0] == nodes[5]->id() ? all[1] : all[0];
@@ -389,50 +390,6 @@ TEST(DhtNode, UnreachablePeersEvictedFromTable) {
   EXPECT_FALSE(nodes[1]->dht().routing_table().contains(victim));
 }
 
-// Lookup correctness must hold across protocol parameter choices.
-class LookupParams
-    : public ::testing::TestWithParam<std::tuple<std::size_t, std::size_t>> {};
-
-TEST_P(LookupParams, FindClosestStillConverges) {
-  const auto [alpha, k] = GetParam();
-  SimFixture fix(31 + alpha * 10 + k);
-  node::NodeConfig config;
-  config.discovery_dials = 0;
-  config.dht.alpha = alpha;
-  config.dht.k = k;
-  std::vector<node::IpfsNode*> nodes;
-  for (int i = 0; i < 25; ++i) nodes.push_back(&fix.make_node(config));
-  nodes[0]->go_online({});
-  for (std::size_t i = 1; i < nodes.size(); ++i) {
-    nodes[i]->go_online({nodes[0]->id()});
-  }
-  fix.run_for(30 * kMinute);
-
-  const Key target = key_of(cid::Cid::of_data(
-      cid::Multicodec::Raw, util::bytes_of("param target")));
-  std::vector<crypto::PeerId> all;
-  for (auto* n : nodes) all.push_back(n->id());
-  std::sort(all.begin(), all.end(),
-            [&](const crypto::PeerId& a, const crypto::PeerId& b) {
-              return closer(key_of(a), key_of(b), target);
-            });
-
-  std::vector<PeerRecord> result;
-  nodes[7]->dht().find_closest(
-      target, [&](std::vector<PeerRecord> r) { result = std::move(r); });
-  fix.run_for(2 * kMinute);
-  ASSERT_FALSE(result.empty());
-  const crypto::PeerId best = all[0] == nodes[7]->id() ? all[1] : all[0];
-  EXPECT_EQ(result[0].id, best);
-  EXPECT_LE(result.size(), k);
-}
-
-INSTANTIATE_TEST_SUITE_P(Grid, LookupParams,
-                         ::testing::Values(std::tuple{1u, 8u},
-                                           std::tuple{2u, 20u},
-                                           std::tuple{3u, 20u},
-                                           std::tuple{5u, 4u}));
-
 TEST(DhtNode, ProviderRecordsExpireEndToEnd) {
   SimFixture fix(33);
   node::NodeConfig config;
@@ -471,7 +428,7 @@ DhtCrawler make_crawler(SimFixture& fix, const std::string& country,
                         const char* stream) {
   return DhtCrawler(fix.network, random_peer(fix.rng),
                     fix.network.geo().allocate_address(country), country,
-                    CrawlerConfig{}, fix.rng.fork(stream));
+                    fix.rng.fork(stream));
 }
 
 TEST(Crawler, EnumeratesServersButNotClients) {

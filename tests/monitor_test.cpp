@@ -326,15 +326,13 @@ TEST(ActiveMonitorTest, SweepsDialDiscoveredPeers) {
   }
   fix.run_for(30 * kMinute);
 
-  ActiveMonitorConfig config;
-  config.sweep_interval = 30 * kMinute;
   crypto::KeyPair keys = crypto::KeyPair::generate(fix.rng);
   ActiveMonitor active(fix.network, std::move(keys),
-                       fix.network.geo().allocate_address("US"), "US", config,
-                       fix.rng.fork("active"));
+                       fix.network.geo().allocate_address("US"), "US",
+                       MonitorConfig{}, fix.rng.fork("active"));
   active.go_online({nodes[0]->id()});
   active.start_sweeps();
-  fix.run_for(2 * util::kHour);
+  fix.run_for(4 * util::kHour + 10 * kMinute);  // sweeps every 2 h
 
   EXPECT_GE(active.sweeps_completed(), 2u);
   EXPECT_GT(active.peers_dialed(), 5u);
@@ -350,15 +348,14 @@ TEST(ActiveMonitorTest, StillRecordsLikeAPassiveMonitor) {
   provider.go_online({});
   requester.go_online({provider.id()});
 
-  ActiveMonitorConfig config;
-  config.sweep_interval = 5 * kMinute;
   crypto::KeyPair keys = crypto::KeyPair::generate(fix.rng);
   ActiveMonitor active(fix.network, std::move(keys),
-                       fix.network.geo().allocate_address("DE"), "DE", config,
-                       fix.rng.fork("active2"));
+                       fix.network.geo().allocate_address("DE"), "DE",
+                       MonitorConfig{}, fix.rng.fork("active2"));
   active.go_online({provider.id()});
   active.start_sweeps();
-  fix.run_for(20 * kMinute);  // sweeps connect it to the requester
+  // The first sweep, 2 h in, connects it to the requester.
+  fix.run_for(2 * util::kHour + 10 * kMinute);
 
   const cid::Cid wanted =
       cid::Cid::of_data(cid::Multicodec::Raw, util::bytes_of("seen by active"));

@@ -333,8 +333,10 @@ TEST_F(NetworkTest, RemotePeerResolvesFromEitherSide) {
   const auto a = add_node(a_host);
   const auto b = add_node(b_host);
   const auto conn = dial_sync(a, b);
-  EXPECT_EQ(network_.remote_peer(*conn, a), b);
-  EXPECT_EQ(network_.remote_peer(*conn, b), a);
+  ASSERT_TRUE(conn.has_value());
+  EXPECT_EQ(network_.connected_peers(a), std::vector{b});
+  EXPECT_EQ(network_.connected_peers(b), std::vector{a});
+  EXPECT_EQ(network_.connection_between(b, a), conn);
 }
 
 TEST_F(NetworkTest, SamplingExcludesNatAndOffline) {

@@ -145,7 +145,7 @@ TEST(IpfsNode, FetchServedFromLocalCacheWithoutNetwork) {
   n.fetch(c, [&](dag::BlockPtr b) { got = std::move(b); });
   // Resolves synchronously — no simulated time needed, no Bitswap.
   ASSERT_NE(got, nullptr);
-  EXPECT_EQ(n.client().stats().fetches_started, 0u);
+  EXPECT_EQ(fix.total("ipfsmon_bitswap_fetches_started_total"), 0u);
 }
 
 TEST(IpfsNode, SecondFetchIsInvisibleToTheNetwork) {
@@ -161,12 +161,12 @@ TEST(IpfsNode, SecondFetchIsInvisibleToTheNetwork) {
   requester.fetch(c, [&](dag::BlockPtr b) { fetched += b != nullptr; });
   fix.run_for(30 * kSecond);
   ASSERT_EQ(fetched, 1);
-  EXPECT_EQ(requester.client().stats().fetches_started, 1u);
+  EXPECT_EQ(fix.total("ipfsmon_bitswap_fetches_started_total"), 1u);
 
   // Second fetch: cache hit — the paper's "we only observe first requests".
   requester.fetch(c, [&](dag::BlockPtr b) { fetched += b != nullptr; });
   EXPECT_EQ(fetched, 2);
-  EXPECT_EQ(requester.client().stats().fetches_started, 1u);
+  EXPECT_EQ(fix.total("ipfsmon_bitswap_fetches_started_total"), 1u);
 }
 
 TEST(IpfsNode, DownloadedContentIsReprovidedByDefault) {
@@ -420,9 +420,7 @@ TEST(Gateway, TtlExpiryTriggersRevalidationBitswap) {
   SimFixture fix(72);
   auto& provider = fix.make_node();
   provider.go_online({});
-  node::GatewayConfig short_ttl;
-  short_ttl.cache_ttl = 1 * kHour;
-  auto& gw = fix.make_gateway({}, short_ttl);
+  auto& gw = fix.make_gateway();
   gw.node().go_online({provider.id()});
   fix.run_for(10 * kSecond);
   const cid::Cid c = provider.add_bytes(util::bytes_of("expiring"));
@@ -431,7 +429,7 @@ TEST(Gateway, TtlExpiryTriggersRevalidationBitswap) {
   fix.run_for(30 * kSecond);
   EXPECT_EQ(gw.bitswap_fetches(), 1u);
 
-  fix.run_for(2 * kHour);  // TTL passes
+  fix.run_for(7 * kHour);  // the 6 h TTL passes
   bool hit = false;
   gw.handle_http_request(c, [&](bool, bool h) { hit = h; });
   fix.run_for(30 * kSecond);

@@ -163,20 +163,18 @@ TEST(CollectorTest, SamplesOnSimTimeCadence) {
   Counter& ops = reg.counter("ipfsmon_test_ops_total");
   Gauge& depth = reg.gauge("ipfsmon_test_depth");
 
-  CollectorConfig config;
-  config.interval = 10 * kSecond;
-  Collector collector(scheduler, reg, config);
+  Collector collector(scheduler, reg);
   collector.add_sampler([&] { depth.set(static_cast<double>(ops.value())); });
   collector.start();
 
-  scheduler.schedule_after(25 * kSecond, [&] { ops.inc(7); });
-  scheduler.run_until(45 * kSecond);
+  scheduler.schedule_after(12 * kMinute, [&] { ops.inc(7); });
+  scheduler.run_until(22 * kMinute);
 
-  // Ticks at 10/20/30/40 s.
+  // Ticks at 5/10/15/20 min.
   ASSERT_EQ(collector.samples().size(), 4u);
-  EXPECT_EQ(collector.samples()[0].time, 10 * kSecond);
-  EXPECT_EQ(collector.samples()[3].time, 40 * kSecond);
-  // Counter bump at 25 s is visible from the 30 s sample on; the sampler
+  EXPECT_EQ(collector.samples()[0].time, 5 * kMinute);
+  EXPECT_EQ(collector.samples()[3].time, 20 * kMinute);
+  // Counter bump at 12 min is visible from the 15 min sample on; the sampler
   // refreshed the gauge from it before the ring write.
   const std::vector<InstrumentInfo> infos = reg.instruments();
   const auto index_of = [&infos](const char* name) {
@@ -196,7 +194,7 @@ TEST(CollectorTest, SamplesOnSimTimeCadence) {
   EXPECT_DOUBLE_EQ(collector.samples()[2].values[depth_idx], 7.0);
 
   collector.stop();
-  scheduler.run_until(100 * kSecond);
+  scheduler.run_until(60 * kMinute);
   EXPECT_EQ(collector.samples().size(), 4u);
 }
 
@@ -205,26 +203,24 @@ TEST(CollectorTest, RingIsBoundedAndCountsDrops) {
   MetricsRegistry reg;
   reg.counter("ipfsmon_test_ops_total");
 
-  CollectorConfig config;
-  config.interval = 1 * kSecond;
-  config.ring_capacity = 4;
-  Collector collector(scheduler, reg, config);
+  Collector collector(scheduler, reg);
   collector.start();
-  scheduler.run_until(10 * kSecond);
+  // The ring holds 4096 samples, one every 5 simulated minutes.
+  scheduler.run_until(4102 * (5 * kMinute));
 
-  EXPECT_EQ(collector.samples().size(), 4u);
-  EXPECT_EQ(collector.samples_taken(), 10u);
+  EXPECT_EQ(collector.samples().size(), 4096u);
+  EXPECT_EQ(collector.samples_taken(), 4102u);
   EXPECT_EQ(collector.samples_dropped(), 6u);
   // Oldest samples were dropped: the ring holds the most recent ticks.
-  EXPECT_EQ(collector.samples().front().time, 7 * kSecond);
-  EXPECT_EQ(collector.samples().back().time, 10 * kSecond);
+  EXPECT_EQ(collector.samples().front().time, 7 * (5 * kMinute));
+  EXPECT_EQ(collector.samples().back().time, 4102 * (5 * kMinute));
 }
 
 TEST(CollectorTest, LateRegisteredInstrumentsAlignByIndex) {
   sim::Scheduler scheduler;
   MetricsRegistry reg;
   reg.counter("ipfsmon_test_a_total");
-  Collector collector(scheduler, reg, {});
+  Collector collector(scheduler, reg);
   collector.collect_now();
   reg.counter("ipfsmon_test_b_total").inc(5);
   collector.collect_now();
@@ -295,7 +291,7 @@ TEST(ExportersTest, JsonlLineCarriesEveryInstrument) {
   reg.gauge("ipfsmon_test_conns", "", "country=\"US\"").set(4.0);
   reg.gauge("ipfsmon_test_nan").set(std::nan(""));
   reg.gauge("ipfsmon_test_huge").set(1e300);
-  Collector collector(scheduler, reg, {});
+  Collector collector(scheduler, reg);
   collector.collect_now();
 
   const std::string line = to_jsonl_line(reg, collector.samples().front());

@@ -45,8 +45,7 @@ TEST(Catalog, CodecMixFollowsTable1Shape) {
 
 TEST(Catalog, DagItemsHaveMultipleBlocks) {
   CatalogConfig config;
-  config.item_count = 1000;
-  config.dag_share = 1.0;  // every DagProtobuf item is a real DAG
+  config.item_count = 1000;  // ~86 of the ~862 DagProtobuf items are DAGs
   ContentCatalog catalog(config, util::RngStream(3, "cat3"));
   bool saw_dag = false;
   for (const auto& item : catalog.items()) {

@@ -53,6 +53,11 @@ class SimFixture {
     scheduler.run_until(scheduler.now() + duration);
   }
 
+  /// A network-wide counter's total, summed over every node.
+  std::uint64_t total(std::string_view counter) {
+    return network.obs().metrics.counter(counter).value();
+  }
+
   node::IpfsNode& make_node(node::NodeConfig config = {},
                             const std::string& country = "US") {
     crypto::KeyPair keys = crypto::KeyPair::generate(rng);
@@ -72,12 +77,11 @@ class SimFixture {
   }
 
   node::GatewayNode& make_gateway(node::NodeConfig node_config = {},
-                                  node::GatewayConfig gw_config = {},
                                   const std::string& country = "US") {
     crypto::KeyPair keys = crypto::KeyPair::generate(rng);
     gateways.push_back(std::make_unique<node::GatewayNode>(
         network, std::move(keys), network.geo().allocate_address(country),
-        country, node_config, gw_config, rng.fork(2000 + gateways.size())));
+        country, node_config, rng.fork(2000 + gateways.size())));
     return *gateways.back();
   }
 
