@@ -47,7 +47,7 @@ class ContentCatalog {
   /// popular web content far more than node operators' — the reason
   /// Cloudflare can report a 97% cache-hit ratio.
   const CatalogItem& sample_popular(util::RngStream& rng,
-                                    std::size_t bias = 4) const;
+                                    std::size_t bias) const;
 
   /// Creates a fresh single-block "one-off" item — unique content that
   /// only one user will ever request (personal files, fresh uploads). The

@@ -215,7 +215,7 @@ class GatewayProbeTest : public ::testing::Test {
     fix_.run_for(10 * kSecond);
   }
 
-  /// A prober at the protocol defaults, baiting with the one monitor.
+  /// A prober baiting with the one monitor, on its own RNG stream.
   GatewayProber make_prober(const char* stream) {
     return GatewayProber(fix_.network, {mon_}, fix_.rng.fork(stream));
   }

@@ -423,7 +423,7 @@ TEST(DhtNode, ProviderRecordsExpireEndToEnd) {
 
 // --- crawler -------------------------------------------------------------------
 
-/// A crawler at the protocol defaults, as exp_network_size builds one.
+/// A crawler on its own RNG stream, as exp_network_size builds one.
 DhtCrawler make_crawler(SimFixture& fix, const std::string& country,
                         const char* stream) {
   return DhtCrawler(fix.network, random_peer(fix.rng),
