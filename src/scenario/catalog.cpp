@@ -43,8 +43,7 @@ constexpr double kLognormalSigma = 2.4;
 }  // namespace
 
 ContentCatalog::ContentCatalog(const CatalogConfig& config,
-                               util::RngStream rng)
-{
+                               util::RngStream rng) {
   items_.reserve(config.item_count);
   codec_weights_.reserve(kCodecMix.size());
   for (const auto& share : kCodecMix) codec_weights_.push_back(share.weight);
